@@ -75,10 +75,16 @@
 // yields fixed-size row blocks, blocks slide through a bounded window,
 // each block is importance-balanced across workers, and sampling stays
 // O(1) via alias tables rebuilt from a bounded reservoir of observed
-// Lipschitz estimates. isasgd-train -stream drives it from the CLI, and
-// the service accepts kind "stream" jobs (server-side file path) as
-// well as POST /v1/jobs/stream uploads trained while the payload is in
-// flight. See README.md's streaming section and examples/streaming.
+// Lipschitz estimates. Trainer.Run is a two-stage pipeline: one
+// goroutine parses up to two blocks ahead (a constant — the slower stage
+// sets the pace at any depth) while the caller's trains and publishes,
+// with block, error and OnBlock/publish order exactly those of taking
+// turns; each published version is cut range by range on the workers
+// with the finiteness check fused into the copy. isasgd-train -stream
+// drives it from the CLI, and the service accepts kind "stream" jobs
+// (server-side file path) as well as POST /v1/jobs/stream uploads
+// trained while the payload is in flight. See README.md's streaming
+// section and examples/streaming.
 //
 // # Performance
 //

@@ -43,6 +43,12 @@ type Params interface {
 	// under concurrent updates — the consumers (evaluation, SVRG
 	// snapshots) tolerate the same inconsistency the algorithm does.
 	Snapshot(dst []float64) []float64
+	// SnapshotRange copies coordinates [lo, hi) into dst[lo:hi] — dst is
+	// at least Dim long — and reports whether every value copied is
+	// finite, checked on the way through. Disjoint ranges of one dst may
+	// be cut from different goroutines at once; together they make the
+	// same (inconsistent under concurrent updates) cut Snapshot makes.
+	SnapshotRange(dst []float64, lo, hi int) bool
 	// Load overwrites the model with src.
 	Load(src []float64)
 }
@@ -88,14 +94,22 @@ func (m *Atomic) Dot(idx []int32, val []float64) float64 {
 
 // Snapshot copies the model into dst.
 func (m *Atomic) Snapshot(dst []float64) []float64 {
-	if cap(dst) < len(m.bits) {
-		dst = make([]float64, len(m.bits))
-	}
-	dst = dst[:len(m.bits)]
-	for i := range m.bits {
-		dst[i] = math.Float64frombits(m.bits[i].Load())
-	}
+	dst = sized(dst, len(m.bits))
+	m.SnapshotRange(dst, 0, len(dst))
 	return dst
+}
+
+// SnapshotRange copies coordinates [lo, hi) into dst[lo:hi] and reports
+// whether all of them are finite.
+func (m *Atomic) SnapshotRange(dst []float64, lo, hi int) bool {
+	src, dst := m.bits[lo:hi], dst[lo:hi]
+	var acc uint64
+	for i := range dst {
+		b := src[i].Load()
+		dst[i] = math.Float64frombits(b)
+		acc |= nonFinite64(b)
+	}
+	return acc>>63 == 0
 }
 
 // Load overwrites the model with src.
@@ -145,12 +159,16 @@ func (m *Racy) Dot(idx []int32, val []float64) float64 {
 
 // Snapshot copies the model into dst.
 func (m *Racy) Snapshot(dst []float64) []float64 {
-	if cap(dst) < len(m.w) {
-		dst = make([]float64, len(m.w))
-	}
-	dst = dst[:len(m.w)]
+	dst = sized(dst, len(m.w))
 	copy(dst, m.w)
 	return dst
+}
+
+// SnapshotRange copies coordinates [lo, hi) into dst[lo:hi] and reports
+// whether all of them are finite.
+func (m *Racy) SnapshotRange(dst []float64, lo, hi int) bool {
+	copy(dst[lo:hi], m.w[lo:hi])
+	return FirstNonFinite(dst[lo:hi]) < 0
 }
 
 // Load overwrites the model with src.
@@ -251,11 +269,37 @@ func New(k Kind, d int) Params {
 	}
 }
 
+// sized returns dst resized to n coordinates, reallocating only when its
+// capacity falls short.
+func sized(dst []float64, n int) []float64 {
+	if cap(dst) < n {
+		return make([]float64, n)
+	}
+	return dst[:n]
+}
+
+// nonFinite64 has bit 63 set exactly when b is the bit pattern of a NaN
+// or ±Inf float64: one more exponent LSB carries out of the exponent
+// field only when the field is all ones. OR-ing it over a vector screens
+// the whole vector without a branch per coordinate. nonFinite32 is the
+// float32 analog on bit 31.
+func nonFinite64(b uint64) uint64 { return b&(0x7ff<<52) + 1<<52 }
+func nonFinite32(b uint32) uint32 { return b&(0xff<<23) + 1<<23 }
+
 // FirstNonFinite returns the index of the first NaN or ±Inf entry of w,
 // or -1 when every weight is finite. It is the one shared divergence
 // check behind solver.Train's finiteness gate, the streaming trainer,
 // checkpoint validation and snapshot publication.
 func FirstNonFinite(w []float64) int {
+	// Finite throughout is the case that matters: screen without
+	// branching, and look for the index only after a hit.
+	var acc uint64
+	for _, v := range w {
+		acc |= nonFinite64(math.Float64bits(v))
+	}
+	if acc>>63 == 0 {
+		return -1
+	}
 	for j, v := range w {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return j

@@ -114,20 +114,29 @@ func (m *Racy32) Dot(idx []int32, val []float64) float64 {
 // training path and every f64 consumer (evaluation, checkpoints,
 // snapshot publication).
 func (m *Racy32) Snapshot(dst []float64) []float64 {
-	if cap(dst) < m.dim {
-		dst = make([]float64, m.dim)
-	}
-	dst = dst[:m.dim]
-	if m.stride == 0 {
-		for j, v := range m.w {
-			dst[j] = float64(v)
-		}
-		return dst
-	}
-	for j := 0; j < m.dim; j++ {
-		dst[j] = float64(m.w[m.Slot(int32(j))])
-	}
+	dst = sized(dst, m.dim)
+	m.SnapshotRange(dst, 0, m.dim)
 	return dst
+}
+
+// SnapshotRange widens logical coordinates [lo, hi) into dst[lo:hi] and
+// reports whether all of them are finite.
+func (m *Racy32) SnapshotRange(dst []float64, lo, hi int) bool {
+	var acc uint32
+	if m.stride == 0 {
+		src, dst := m.w[lo:hi], dst[lo:hi]
+		for j := range dst {
+			dst[j] = float64(src[j])
+			acc |= nonFinite32(math.Float32bits(src[j]))
+		}
+		return acc>>31 == 0
+	}
+	for j := lo; j < hi; j++ {
+		v := m.w[m.Slot(int32(j))]
+		dst[j] = float64(v)
+		acc |= nonFinite32(math.Float32bits(v))
+	}
+	return acc>>31 == 0
 }
 
 // Load overwrites the model with src (logical order), rounding to
@@ -192,14 +201,22 @@ func (m *Atomic32) Dot(idx []int32, val []float64) float64 {
 
 // Snapshot copies the model into dst, widening to float64.
 func (m *Atomic32) Snapshot(dst []float64) []float64 {
-	if cap(dst) < len(m.bits) {
-		dst = make([]float64, len(m.bits))
-	}
-	dst = dst[:len(m.bits)]
-	for i := range m.bits {
-		dst[i] = float64(math.Float32frombits(m.bits[i].Load()))
-	}
+	dst = sized(dst, len(m.bits))
+	m.SnapshotRange(dst, 0, len(dst))
 	return dst
+}
+
+// SnapshotRange widens coordinates [lo, hi) into dst[lo:hi] and reports
+// whether all of them are finite.
+func (m *Atomic32) SnapshotRange(dst []float64, lo, hi int) bool {
+	src, dst := m.bits[lo:hi], dst[lo:hi]
+	var acc uint32
+	for i := range dst {
+		b := src[i].Load()
+		dst[i] = float64(math.Float32frombits(b))
+		acc |= nonFinite32(b)
+	}
+	return acc>>31 == 0
 }
 
 // Load overwrites the model with src, rounding to float32.

@@ -213,3 +213,67 @@ func BenchmarkRacyAdd(b *testing.B) {
 		}
 	})
 }
+
+func TestFirstNonFinite(t *testing.T) {
+	w := make([]float64, 100)
+	for j := range w {
+		w[j] = float64(j) - 50
+	}
+	w[3], w[4], w[5] = math.MaxFloat64, -math.SmallestNonzeroFloat64, math.Copysign(0, -1)
+	if j := FirstNonFinite(w); j != -1 {
+		t.Fatalf("finite vector: FirstNonFinite = %d", j)
+	}
+	if j := FirstNonFinite(nil); j != -1 {
+		t.Fatalf("empty vector: FirstNonFinite = %d", j)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -math.NaN()} {
+		for _, at := range []int{0, 57, 99} {
+			v := append([]float64(nil), w...)
+			v[at], v[99] = bad, math.Inf(1) // the first one is reported, not the last
+			if j := FirstNonFinite(v); j != at {
+				t.Fatalf("%g at %d: FirstNonFinite = %d", bad, at, j)
+			}
+		}
+	}
+}
+
+// TestSnapshotRangeMatchesSnapshot: cutting a quiescent model range by
+// range gives the vector Snapshot gives, touches nothing outside the
+// range, and reports a non-finite coordinate from exactly the range that
+// holds it — for every model kind.
+func TestSnapshotRangeMatchesSnapshot(t *testing.T) {
+	const dim = 100
+	models := map[string]Params{
+		"atomic": NewAtomic(dim), "racy": NewRacy(dim),
+		"atomic32": NewAtomic32(dim), "racy32": NewRacy32(dim), "racy32-blocked": NewRacy32Blocked(dim),
+	}
+	bounds := []int{0, 1, 17, 64, dim}
+	for name, m := range models {
+		w := make([]float64, dim)
+		for j := range w {
+			w[j] = float64(j*j-300) / 8 // exact in float32
+		}
+		for _, bad := range []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			const at = 40 // in [17, 64)
+			w[at] = bad
+			m.Load(w)
+			want := m.Snapshot(nil)
+			got := make([]float64, dim)
+			for r := 0; r+1 < len(bounds); r++ {
+				lo, hi := bounds[r], bounds[r+1]
+				for j := range got {
+					got[j] = -1
+				}
+				finite := m.SnapshotRange(got, lo, hi)
+				if wantFinite := bad == 0 || at < lo || at >= hi; finite != wantFinite {
+					t.Fatalf("%s: range [%d,%d) with %g at %d reports finite=%v", name, lo, hi, bad, at, finite)
+				}
+				for j, x := range got {
+					if in := j >= lo && j < hi; in && math.Float64bits(x) != math.Float64bits(want[j]) || !in && x != -1 {
+						t.Fatalf("%s: range [%d,%d): dst[%d] = %g, Snapshot has %g", name, lo, hi, j, x, want[j])
+					}
+				}
+			}
+		}
+	}
+}

@@ -171,6 +171,18 @@ func (s *Store) Seq() uint64 {
 // detects the divergence at completion (solver.Train's finiteness
 // check) and fails the run, which withdraws the live model.
 func (s *Store) Publish(epoch int, iters int64, fill func(dst []float64) []float64) *Version {
+	return s.PublishChecked(epoch, iters, func(dst []float64) ([]float64, bool) {
+		w := fill(dst)
+		return w, model.FirstNonFinite(w) < 0
+	})
+}
+
+// PublishChecked is Publish for a producer that checks finiteness while
+// it copies (model.Params.SnapshotRange does): fill also reports whether
+// every weight it returns is finite, and the store takes its word
+// instead of scanning the weights a second time. A false report rejects
+// the version exactly as Publish does.
+func (s *Store) PublishChecked(epoch int, iters int64, fill func(dst []float64) (w []float64, finite bool)) *Version {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	prev := s.cur.Load()
@@ -182,8 +194,8 @@ func (s *Store) Publish(epoch int, iters int64, fill func(dst []float64) []float
 		// by readers (see the package comment on reclamation).
 		dst = make([]float64, len(prev.Weights))
 	}
-	w := fill(dst)
-	if model.FirstNonFinite(w) >= 0 {
+	w, finite := fill(dst)
+	if !finite {
 		s.rejects.Add(1)
 		if s.onReject != nil {
 			s.onReject(epoch, iters)

@@ -224,3 +224,27 @@ func TestWaitImmediateAndBlocking(t *testing.T) {
 		t.Fatalf("Wait on cancelled ctx = %+v, want nil", v)
 	}
 }
+
+// TestPublishCheckedTrustsTheProducer: a producer that checked while it
+// copied reports the verdict, and a negative one is a rejection exactly
+// like Publish's own.
+func TestPublishCheckedTrustsTheProducer(t *testing.T) {
+	s := NewStore()
+	var rejected []int
+	s.SetOnReject(func(epoch int, _ int64) { rejected = append(rejected, epoch) })
+	fill := func(finite bool) func([]float64) ([]float64, bool) {
+		return func(dst []float64) ([]float64, bool) { return append(dst[:0], 1, 2, 3), finite }
+	}
+	if v := s.PublishChecked(1, 10, fill(true)); v == nil || v.Seq != 1 || len(v.Weights) != 3 {
+		t.Fatalf("checked publish = %+v", v)
+	}
+	if v := s.PublishChecked(2, 20, fill(false)); v != nil {
+		t.Fatalf("producer reported non-finite weights, store published %+v", v)
+	}
+	if s.Seq() != 1 || s.Rejects() != 1 || len(rejected) != 1 || rejected[0] != 2 {
+		t.Fatalf("after the refusal: seq %d, rejects %d, hook saw %v", s.Seq(), s.Rejects(), rejected)
+	}
+	if v := s.PublishChecked(3, 30, fill(true)); v == nil || v.Seq != 2 || v.Epoch != 3 {
+		t.Fatalf("publish after a refusal = %+v", v)
+	}
+}

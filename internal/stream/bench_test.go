@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/isasgd/isasgd/internal/snapshot"
 	"github.com/isasgd/isasgd/internal/xrand"
 )
 
@@ -14,6 +15,7 @@ import (
 func BenchmarkReader(b *testing.B) {
 	corpus := makeSkewedCorpus(4096, 128, 0.5, 1, 1)
 	b.SetBytes(int64(len(corpus)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := NewReader(strings.NewReader(corpus), "bench", 512)
@@ -65,6 +67,45 @@ func BenchmarkTrainerIngest(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := tr.Run(context.Background(), NewReader(strings.NewReader(corpus), "bench", 256)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTrainerRun is the whole streaming path as the CLI and the
+// serving jobs run it: Run's reading goroutine parsing ahead of a
+// two-worker trainer that publishes a version per block, on a model big
+// enough (512 KB) for the cut to matter. Per corpus pass; compare with
+// BenchmarkTrainerRunByHand, the same work taking turns.
+func BenchmarkTrainerRun(b *testing.B) {
+	benchTrainerRun(b, func(tr *Trainer, r *Reader) error {
+		_, err := tr.Run(context.Background(), r)
+		return err
+	})
+}
+
+// BenchmarkTrainerRunByHand drives Next and Ingest from one goroutine.
+func BenchmarkTrainerRunByHand(b *testing.B) {
+	benchTrainerRun(b, func(tr *Trainer, r *Reader) error {
+		_, err := handDriven(tr, r)
+		return err
+	})
+}
+
+func benchTrainerRun(b *testing.B, run func(*Trainer, *Reader) error) {
+	const dim = 1 << 16
+	corpus := makeSkewedCorpus(16384, dim, 0.5, 1, 1)
+	cfg := streamConfigBench(dim)
+	b.SetBytes(int64(len(corpus)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.Snapshots = snapshot.NewStore()
+		tr, err := NewTrainer(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := run(tr, NewReader(strings.NewReader(corpus), "bench", 1024)); err != nil {
 			b.Fatal(err)
 		}
 	}

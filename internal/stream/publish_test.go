@@ -2,9 +2,11 @@ package stream
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
+	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/objective"
 	"github.com/isasgd/isasgd/internal/snapshot"
 )
@@ -86,6 +88,56 @@ func TestRunFailsOnDivergence(t *testing.T) {
 		for j, w := range v.Weights {
 			if w != w || w-w != 0 {
 				t.Fatalf("store serves non-finite weight %g at %d", w, j)
+			}
+		}
+	}
+}
+
+// TestRangedCutEqualsSnapshot: the version the trainer publishes — cut
+// range by range on its workers, finiteness checked on the way — holds
+// exactly what Model().Snapshot copies from the same quiescent model,
+// for every model kind; and a non-finite weight in any worker's range
+// rejects the version.
+func TestRangedCutEqualsSnapshot(t *testing.T) {
+	const dim = 3*minCutRange + 17 // three ranges of unequal length
+	kinds := []struct {
+		kind      model.Kind
+		precision string
+	}{
+		{model.KindAtomic, ""}, {model.KindRacy, ""},
+		{model.KindAtomic, model.PrecisionF32}, {model.KindRacy, model.PrecisionF32},
+	}
+	for _, k := range kinds {
+		st := snapshot.NewStore()
+		tr, err := NewTrainer(Config{
+			Obj: objective.LogisticL1{Eta: 1e-4}, Dim: dim, Workers: 3, Step: 0.1,
+			ModelKind: k.kind, Precision: k.precision, Snapshots: st,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := make([]float64, dim)
+		for j := range w {
+			w[j] = float64(j%1001-500) / 64 // exact in float32 too
+		}
+		tr.Model().Load(w)
+		tr.publish()
+		v := st.Load()
+		if v == nil || v.Seq != 1 || st.Rejects() != 0 {
+			t.Fatalf("%v/%s: finite model not published (version %+v, %d rejects)", k.kind, k.precision, v, st.Rejects())
+		}
+		for j, x := range tr.Model().Snapshot(nil) {
+			if v.Weights[j] != x || x != w[j] {
+				t.Fatalf("%v/%s: coordinate %d: published %g, Snapshot %g, loaded %g", k.kind, k.precision, j, v.Weights[j], x, w[j])
+			}
+		}
+		for r, j := range []int{5, dim / 2, dim - 1} { // one in each worker's range
+			bad := append([]float64(nil), w...)
+			bad[j] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[r]
+			tr.Model().Load(bad)
+			tr.publish()
+			if st.Seq() != 1 || st.Rejects() != int64(r+1) {
+				t.Fatalf("%v/%s: %g at %d: seq %d, rejects %d; want the version refused", k.kind, k.precision, bad[j], j, st.Seq(), st.Rejects())
 			}
 		}
 	}

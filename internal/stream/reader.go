@@ -11,7 +11,7 @@
 //
 //   - Reader: a chunked LibSVM reader that yields fixed-size row blocks
 //     from an io.Reader without loading the full file, reusing
-//     dataset.ParseLibSVMLine so it accepts exactly what the whole-file
+//     dataset.AppendLibSVMLine so it accepts exactly what the whole-file
 //     parser accepts;
 //   - ISState: an online importance state holding per-row Lipschitz
 //     estimates in a bounded reservoir, periodically rebuilding a
@@ -46,7 +46,8 @@ const DefaultBlockSize = 1024
 
 // Block is one chunk of parsed rows. Start is the global index of
 // Rows[0] within the stream (blank and comment lines do not consume
-// indices), so Start+k identifies Rows[k] stream-wide.
+// indices), so Start+k identifies Rows[k] stream-wide. Rows from a Reader
+// are capacity-clipped windows into two flat arrays the block owns.
 type Block struct {
 	Start int64
 	Rows  []sparse.Vector
@@ -112,9 +113,13 @@ func (b *Block) Dataset(name string, dim int) (*dataset.Dataset, error) {
 // Reader yields fixed-size row blocks from a LibSVM text stream. It
 // keeps only the current block in memory; the underlying source is read
 // once, line by line, so arbitrarily large inputs stream through in
-// O(blockSize) space. Lines are parsed with dataset.ParseLibSVMLine, the
+// O(blockSize) space. Lines are parsed with dataset.AppendLibSVMLine, the
 // same parser ParseLibSVM uses, so a stream concatenated back together
-// is row-for-row identical to a whole-file parse.
+// is row-for-row identical to a whole-file parse. A block costs a fixed
+// handful of allocations however many rows it holds.
+//
+// A Reader is not safe for concurrent use; Trainer.Run hands it to its
+// read-ahead goroutine and gives it back when Run returns.
 type Reader struct {
 	name      string
 	blockSize int
@@ -124,6 +129,13 @@ type Reader struct {
 	maxIdx    int32
 	err       error
 	done      bool
+
+	// Per-block scratch, reused: where each row ends in the block's
+	// arenas, and the labels until the block's size is known.
+	ends []int
+	ys   []float64
+	// nnzHint sizes the next block's arenas from the last one's fill.
+	nnzHint int
 }
 
 // NewReader returns a chunked reader over r. blockSize <= 0 selects
@@ -147,8 +159,13 @@ func (r *Reader) Next() (*Block, error) {
 	if r.done {
 		return nil, io.EOF
 	}
-	b := &Block{Start: r.rows}
-	for len(b.Rows) < r.blockSize {
+	var (
+		idx  = make([]int32, 0, r.nnzHint)
+		val  = make([]float64, 0, r.nnzHint)
+		ends = r.ends[:0]
+		ys   = r.ys[:0]
+	)
+	for len(ends) < r.blockSize {
 		if !r.sc.Scan() {
 			if err := r.sc.Err(); err != nil {
 				r.err = fmt.Errorf("libsvm %q: %w", r.name, err)
@@ -158,7 +175,12 @@ func (r *Reader) Next() (*Block, error) {
 			break
 		}
 		r.lineNo++
-		v, y, ok, err := dataset.ParseLibSVMLine(r.name, r.lineNo, r.sc.Text())
+		var (
+			y   float64
+			ok  bool
+			err error
+		)
+		idx, val, y, ok, err = dataset.AppendLibSVMLine(r.name, r.lineNo, r.sc.Bytes(), idx, val)
 		if err != nil {
 			r.err = err
 			return nil, err
@@ -166,15 +188,24 @@ func (r *Reader) Next() (*Block, error) {
 		if !ok {
 			continue
 		}
-		if n := len(v.Idx); n > 0 && v.Idx[n-1] > r.maxIdx {
-			r.maxIdx = v.Idx[n-1]
-		}
-		b.Rows = append(b.Rows, v)
-		b.Y = append(b.Y, y)
+		ends = append(ends, len(idx))
+		ys = append(ys, y)
 	}
-	if len(b.Rows) == 0 {
+	r.ends, r.ys = ends, ys
+	if len(ends) == 0 {
 		return nil, io.EOF
 	}
+	// Slice the rows only now: the arenas may have moved while they grew.
+	b := &Block{Start: r.rows, Rows: make([]sparse.Vector, len(ends)), Y: append([]float64(nil), ys...)}
+	lo := 0
+	for i, hi := range ends {
+		b.Rows[i] = sparse.Vector{Idx: idx[lo:hi:hi], Val: val[lo:hi:hi]}
+		if hi > lo && idx[hi-1] > r.maxIdx {
+			r.maxIdx = idx[hi-1]
+		}
+		lo = hi
+	}
+	r.nnzHint = len(idx) + len(idx)/8
 	r.rows += int64(len(b.Rows))
 	return b, nil
 }

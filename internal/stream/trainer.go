@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,7 +17,6 @@ import (
 	"github.com/isasgd/isasgd/internal/objective"
 	"github.com/isasgd/isasgd/internal/obs"
 	"github.com/isasgd/isasgd/internal/snapshot"
-	"github.com/isasgd/isasgd/internal/sparse"
 	"github.com/isasgd/isasgd/internal/xrand"
 )
 
@@ -163,12 +161,13 @@ type Trainer struct {
 	rngs   []*xrand.Rand // rngs[0] also drives shard planning
 	sts    []*ISState
 
-	window  []*Block
+	window  []*Block // oldest first; at most WindowBlocks once Ingest returns
 	winRows int64
 	blocks  int64
 	updates int64
 	rows    int64
 	step    float64
+	applied []int64 // per-worker update counts of the current block
 
 	// streamed weight moments for the Auto balance decision
 	count int64
@@ -258,6 +257,8 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 		cfg:      cfg,
 		reg:      cfg.Obj.Reg(),
 		m:        model.New(cfg.ModelKind, cfg.Dim),
+		window:   make([]*Block, 0, cfg.WindowBlocks+1),
+		applied:  make([]int64, cfg.Workers),
 		step:     cfg.Step,
 		pol:      pol,
 		lossMode: cfg.Importance == "loss",
@@ -381,11 +382,14 @@ func (t *Trainer) Ingest(b *Block) BlockStats {
 		}
 	}
 
-	// Slide the window and retire dead refs.
+	// Slide the window and retire dead refs. Copying down (instead of
+	// re-slicing from the front) and clearing the vacated slot drops the
+	// last reference to the evicted block, so it is collectable at once.
 	for len(t.window) > t.cfg.WindowBlocks {
-		old := t.window[0]
-		t.window = t.window[1:]
-		t.winRows -= int64(old.Len())
+		t.winRows -= int64(t.window[0].Len())
+		n := copy(t.window, t.window[1:])
+		t.window[n] = nil
+		t.window = t.window[:n]
 	}
 	if len(t.window) > 0 {
 		minRef := t.window[0].Start
@@ -428,7 +432,7 @@ func (t *Trainer) Ingest(b *Block) BlockStats {
 		// Cut the mid-stream version before OnBlock, so a progress
 		// callback that registers the model for serving always finds a
 		// servable store.
-		t.cfg.Snapshots.Publish(int(t.blocks), t.updates, t.m.Snapshot)
+		t.publish()
 	}
 
 	stats := BlockStats{
@@ -442,6 +446,22 @@ func (t *Trainer) Ingest(b *Block) BlockStats {
 	return stats
 }
 
+// fanOut runs fn(0) … fn(n-1) concurrently, fn(0) on the caller's
+// goroutine, and returns when all are done. These are the trainer's
+// workers: the update budget and the snapshot cut both run on them.
+func fanOut(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	for i := 1; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fn(i)
+		}(i)
+	}
+	fn(0)
+	wg.Wait()
+}
+
 // runUpdates executes the post-ingest update budget, concurrently when
 // Workers > 1.
 func (t *Trainer) runUpdates(blockRows int) {
@@ -449,32 +469,44 @@ func (t *Trainer) runUpdates(blockRows int) {
 	if budget <= 0 {
 		budget = blockRows
 	}
-	per := budget / t.cfg.Workers
-	rem := budget % t.cfg.Workers
-	if t.cfg.Workers == 1 {
-		t.updates += t.workerUpdates(0, budget)
-		return
-	}
-	var wg sync.WaitGroup
-	applied := make([]int64, t.cfg.Workers)
-	for w := 0; w < t.cfg.Workers; w++ {
+	per, rem := budget/t.cfg.Workers, budget%t.cfg.Workers
+	fanOut(t.cfg.Workers, func(w int) {
 		quota := per
 		if w < rem {
 			quota++
 		}
-		if quota == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(w, quota int) {
-			defer wg.Done()
-			applied[w] = t.workerUpdates(w, quota)
-		}(w, quota)
-	}
-	wg.Wait()
-	for _, n := range applied {
+		t.applied[w] = t.workerUpdates(w, quota)
+	})
+	for _, n := range t.applied {
 		t.updates += n
 	}
+}
+
+// minCutRange is the fewest coordinates worth a worker of their own when
+// a snapshot is cut; smaller models are copied by the caller alone.
+const minCutRange = 1 << 14
+
+// publish cuts the current weights into the snapshot store. The cut is
+// one fused copy-and-finiteness pass over the model, split into
+// contiguous ranges across the workers, which are idle between update
+// phases — instead of a single-goroutine copy followed by the store's own
+// finiteness scan.
+func (t *Trainer) publish() {
+	t.cfg.Snapshots.PublishChecked(int(t.blocks), t.updates, func(dst []float64) ([]float64, bool) {
+		dim := t.cfg.Dim
+		if cap(dst) < dim {
+			dst = make([]float64, dim)
+		}
+		dst = dst[:dim]
+		parts := min(t.cfg.Workers, (dim+minCutRange-1)/minCutRange)
+		var nonFinite atomic.Bool
+		fanOut(parts, func(p int) {
+			if !t.m.SnapshotRange(dst, p*dim/parts, (p+1)*dim/parts) {
+				nonFinite.Store(true)
+			}
+		})
+		return dst, !nonFinite.Load()
+	})
 }
 
 // workerUpdates is the hot loop: draw a row from the worker's ISState,
@@ -517,10 +549,11 @@ func (t *Trainer) workerUpdates(w, quota int) int64 {
 		if !ok {
 			break // nothing published yet
 		}
-		row, y, live := t.row(e.Ref)
-		if !live || scale <= 0 {
+		b, i := t.locate(e.Ref)
+		if b == nil || scale <= 0 {
 			continue // evicted between rebuilds, or zero-weight entry
 		}
+		row, y := b.Rows[i], b.Y[i]
 		if instr == nil {
 			k.StepClamped(row.Idx, row.Val, y, step*scale)
 			applied++
@@ -573,10 +606,11 @@ func (t *Trainer) workerUpdatesAdaptive(w, quota int) int64 {
 		if !ok {
 			break // nothing published yet
 		}
-		row, y, live := t.row(e.Ref)
-		if !live || scale <= 0 {
+		b, i := t.locate(e.Ref)
+		if b == nil || scale <= 0 {
 			continue // evicted between rebuilds, or zero-weight entry
 		}
+		row, y := b.Rows[i], b.Y[i]
 		begin := t.ck.Now()
 		z := k.DotClamped(row.Idx, row.Val)
 		g := obj.Deriv(z, y)
@@ -631,10 +665,11 @@ func (t *Trainer) workerUpdates32(w, quota int) int64 {
 		if !ok {
 			break // nothing published yet
 		}
-		idx, val, y, live := t.row32(e.Ref)
-		if !live || scale <= 0 {
+		b, i := t.locate(e.Ref)
+		if b == nil || scale <= 0 {
 			continue // evicted between rebuilds, or zero-weight entry
 		}
+		idx, val, y := b.Rows[i].Idx, b.Val32(i), b.Y[i]
 		if instr == nil {
 			k.StepClamped(idx, val, y, step*scale)
 			applied++
@@ -674,59 +709,96 @@ func (t *Trainer) EvaluateWindow() (obj, rmse, errRate float64, rows int64) {
 	return loss/fn + t.reg.Penalty(w), math.Sqrt(lossSq / fn), float64(errs) / fn, t.winRows
 }
 
-// row resolves a global row ref against the resident window by binary
-// search over block start offsets.
-func (t *Trainer) row(ref int64) (v sparse.Vector, y float64, ok bool) {
-	n := len(t.window)
-	if n == 0 || ref < t.window[0].Start {
-		return sparse.Vector{}, 0, false
+// locate resolves a global row ref to its resident block and the row's
+// position in it, or a nil block once the row has been evicted. The
+// window holds a handful of blocks and draws land in all of them, so a
+// scan from the newest beats a binary search's closure call.
+func (t *Trainer) locate(ref int64) (*Block, int) {
+	for i := len(t.window) - 1; i >= 0; i-- {
+		if b := t.window[i]; ref >= b.Start {
+			if k := int(ref - b.Start); k < b.Len() {
+				return b, k
+			}
+			break
+		}
 	}
-	i := sort.Search(n, func(i int) bool { return t.window[i].Start > ref }) - 1
-	b := t.window[i]
-	k := int(ref - b.Start)
-	if k >= b.Len() {
-		return sparse.Vector{}, 0, false
-	}
-	return b.Rows[k], b.Y[k], true
+	return nil, 0
 }
 
-// row32 is row with the float32 value view: same window binary search,
-// feature values from the block's f32 copy built at ingest.
-func (t *Trainer) row32(ref int64) (idx []int32, val []float32, y float64, ok bool) {
-	n := len(t.window)
-	if n == 0 || ref < t.window[0].Start {
-		return nil, nil, 0, false
-	}
-	i := sort.Search(n, func(i int) bool { return t.window[i].Start > ref }) - 1
-	b := t.window[i]
-	k := int(ref - b.Start)
-	if k >= b.Len() {
-		return nil, nil, 0, false
-	}
-	return b.Rows[k].Idx, b.Val32(k), b.Y[k], true
-}
+// readAhead is how many parsed blocks may wait between Run's reading
+// goroutine and the training loop. It is a constant, not a knob: both
+// stages do near-constant work per block, so the slower one sets the pace
+// whatever the depth, and two blocks are enough to ride out a stall on
+// either side (a garbage collection, a slow Read). With the block being
+// parsed and the one being trained on, Run holds at most readAhead+2
+// blocks beyond the window.
+const readAhead = 2
 
 // Run streams every block of r through the trainer until EOF, a read
 // error, or ctx cancellation (checked between blocks), and returns the
 // run summary with the final weights.
+//
+// Parsing overlaps training: Run starts one goroutine that calls r.Next
+// into a queue of readAhead blocks while the caller's goroutine ingests
+// (and publishes) them in stream order. Everything observable is as if
+// the two took turns — blocks arrive in order, every block ahead of a
+// bad line or a failed Read is trained on before that error is returned,
+// and a version is published before its block's OnBlock fires — except
+// that r may have read up to readAhead+1 blocks past the last one
+// trained when Run stops early. Run returns only once the reading
+// goroutine is done with r.
 func (t *Trainer) Run(ctx context.Context, r *Reader) (*Result, error) {
+	type read struct {
+		b   *Block
+		err error
+	}
+	var (
+		ahead = make(chan read, readAhead) // see readAhead for the depth
+		stop  = make(chan struct{})
+	)
+	go func() {
+		defer close(ahead)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			b, err := r.Next()
+			select {
+			case ahead <- read{b, err}:
+			case <-stop:
+				return
+			}
+			if err != nil {
+				return
+			}
+		}
+	}()
+	// The reader goroutine closes ahead as its last act, after its final
+	// r.Next: draining until then is what keeps it off r after Run.
+	defer func() {
+		close(stop)
+		for range ahead {
+		}
+	}()
 	for {
 		if err := ctx.Err(); err != nil {
 			return t.result(), fmt.Errorf("stream: training cancelled at block %d: %w", t.blocks, err)
 		}
-		b, err := r.Next()
-		if err == io.EOF {
+		next := <-ahead
+		if next.err == io.EOF {
 			break
 		}
-		if err != nil {
-			return t.result(), err
+		if next.err != nil {
+			return t.result(), next.err
 		}
-		t.Ingest(b)
+		t.Ingest(next.b)
 	}
 	if t.cfg.Snapshots != nil && t.blocks%int64(t.cfg.PublishEvery) != 0 {
 		// The cadence missed the last ingested block: publish the final
 		// weights so the store ends on what Run returns.
-		t.cfg.Snapshots.Publish(int(t.blocks), t.updates, t.m.Snapshot)
+		t.publish()
 	}
 	res := t.result()
 	// Mirror solver.Train's divergence contract: a run whose weights went

@@ -22,9 +22,9 @@
 //	                   for the SVRG/SAGA solvers) (default f64)
 //	-adapt-c x         staleness-adaptive step scaling: each update runs
 //	                   at step/(1+x·τ) where τ is its measured staleness
-//	                   (Engine algorithms, f64 only; 0 disables)
+//	                   (Engine algorithms; 0 disables)
 //	-staleness-bound n shed updates whose measured staleness exceeds n
-//	                   (Engine algorithms, f64 only; 0 disables)
+//	                   (Engine algorithms; 0 disables)
 //	-dc-lambda x       DC-ASGD delay compensation strength λ: updates gain
 //	                   λ·g²·(w_now − w_epoch_base) (batch mode only;
 //	                   0 disables)
@@ -50,7 +50,7 @@
 //	-rebuild-every n     alias rebuild cadence (default once per block)
 //	-importance mode     reservoir row weighting: bound (static Lipschitz
 //	                     upper bound, the default) | loss (loss-feedback
-//	                     EMA re-weighting; is-sgd/is-asgd, f64 only)
+//	                     EMA re-weighting; is-sgd/is-asgd)
 //	-loss-beta x         loss-EMA observation weight for -importance loss
 //
 // -adapt-c and -staleness-bound also apply in streaming mode; shed

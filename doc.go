@@ -86,60 +86,16 @@
 // trained while the payload is in flight. See README.md's streaming
 // section and examples/streaming.
 //
-// # Performance
+// # Performance and precision
 //
-// Every solver's inner loop runs on internal/kernel, a layer of
-// monomorphic, allocation-free update kernels specialized at
-// construction on the concrete model storage (plain []float64 for racy
-// Hogwild, CAS bit patterns for the atomic model) crossed with the
-// regularizer, so the per-coordinate hot path contains no interface
-// dispatch and evaluates the regularizer derivative on the same load
-// the write reads (the fused w[j] -= s·(g·x[k] + reg'(w[j])) update). A
-// generic interface-based reference kernel remains as the executable
-// specification; exhaustive tests prove each specialization
-// bitwise-identical to it, per operation and end-to-end across all four
-// constructions. BenchmarkKernel* and `isasgd-bench -experiment
-// kernels` measure the gap (single-thread Racy updates run ~2.7–4.5×
-// faster than the reference interface loop); CI archives the
-// machine-readable report as BENCH_3.json. See internal/README.md for
-// the full strategy and kernel-selection rules.
-//
-// # Precision
-//
-// On models past cache size sparse SGD is memory-bound, so the whole
-// data path can optionally run at half element width: float32 weight
-// storage (model.Racy32, and model.Atomic32 CASing Float32bits patterns
-// on uint32), float32 feature rows (converted once at ingestion),
-// monomorphic f32 kernels with the same 4-way-unrolled loops, f32-
-// stamped snapshots served through the version's cached float32 view,
-// and an f32 cluster wire encoding. One knob selects it —
-// Config.Precision ("f32"), isasgd-train/-serve -precision, the job
-// spec's "precision" field, isasgd-cluster -wire f32 — and f32 training
-// reaches the f64 target loss within a tested 1% relative band (SVRG
-// and SAGA stay float64-only). The float64 path is bitwise-unchanged.
-// `isasgd-bench -experiment precision` measures both widths against the
-// host's STREAM-triad bandwidth roofline; CI archives the report as
-// BENCH_8.json and fails if f32 is ever slower than f64:
-//
-//	{
-//	  "env": {"go_version": "go1.24.5", "goarch": "amd64", "num_cpu": 2, ...},
-//	  "triad_gb_s": 11.78,
-//	  "dim": 4194304, "nnz_per_row": 64, "reg": "l2",
-//	  "rows": [
-//	    {"model": "racy", "precision": "f64", "path": "scalar",
-//	     "ns_per_update": 468.6, "bytes_per_update": 1792,
-//	     "achieved_gb_s": 3.82, "roofline_pct": 32.5, ...},
-//	    {"model": "racy", "precision": "f32", "path": "scalar",
-//	     "ns_per_update": 355.5, "bytes_per_update": 1024,
-//	     "achieved_gb_s": 2.88, "roofline_pct": 24.4, ...},
-//	    ...
-//	  ],
-//	  "speedups": [
-//	    {"model": "racy", "path": "scalar", "speedup": 1.32},
-//	    {"model": "racy", "path": "minibatch", "speedup": 1.67},
-//	    ...
-//	  ]
-//	}
+// Every solver's inner loop runs on internal/kernel: one monomorphic,
+// allocation-free update kernel per weight storage (racy or atomic, at
+// float64 or — behind Config.Precision "f32" — float32), each proven
+// against a generic reference kernel that remains the executable
+// specification. internal/README.md describes the design, the
+// equivalence and tolerance contracts and the measurements once; the
+// internal/kernel package doc records why the kernels are four concrete
+// types rather than one generic one.
 //
 // # Serving performance
 //

@@ -52,17 +52,57 @@ func TestPolicyScaleAndShed(t *testing.T) {
 	}
 }
 
+// TestClock pins the τ probe the training loops build from the clock:
+// begin := Now() at gradient-read time, τ := Tick() − begin − 1 at the
+// write — the updates other workers landed in between.
 func TestClock(t *testing.T) {
 	var c Clock
 	if c.Now() != 0 {
 		t.Fatal("fresh clock not at zero")
 	}
-	begin := c.Now()
-	if got := c.Tick(); got != 1 {
-		t.Fatalf("Tick = %d, want 1", got)
+	// A single worker never sees interleaved updates: τ is exactly 0.
+	for i := int64(1); i <= 10; i++ {
+		begin := c.Now()
+		now := c.Tick()
+		if now != i {
+			t.Fatalf("Tick = %d, want %d", now, i)
+		}
+		if tau := now - begin - 1; tau != 0 {
+			t.Fatalf("solo worker staleness = %d, want 0", tau)
+		}
 	}
-	if tau := c.Now() - begin - 1; tau != 0 {
-		t.Fatalf("solo worker staleness = %d, want 0", tau)
+	// Worker 0 reads the clock, then worker 1 applies 3 updates before
+	// worker 0 writes: τ for worker 0's update is exactly 3.
+	b0 := c.Now()
+	for i := 0; i < 3; i++ {
+		b1 := c.Now()
+		if tau := c.Tick() - b1 - 1; tau != 0 {
+			t.Fatalf("uncontended worker staleness = %d, want 0", tau)
+		}
+	}
+	if tau := c.Tick() - b0 - 1; tau != 3 {
+		t.Fatalf("interleaved staleness = %d, want 3", tau)
+	}
+	// Concurrent workers: no tick is lost and no τ is negative.
+	const workers, per = 4, 500
+	start := c.Now()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				begin := c.Now()
+				if tau := c.Tick() - begin - 1; tau < 0 {
+					t.Errorf("negative staleness %d", tau)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := c.Now() - start; got != workers*per {
+		t.Fatalf("clock advanced %d, want %d", got, workers*per)
 	}
 }
 

@@ -7,17 +7,24 @@ import (
 	"github.com/isasgd/isasgd/internal/adaptive"
 	"github.com/isasgd/isasgd/internal/balance"
 	"github.com/isasgd/isasgd/internal/model"
+	"github.com/isasgd/isasgd/internal/obs"
 )
 
-// TestSetAdaptiveValidation pins the rejection matrix: bad knobs, the
-// f32 data path, and minibatch engines must all refuse a live policy,
-// while a disabled policy always detaches cleanly.
+// TestSetAdaptiveValidation pins the rejection matrix: bad knobs are
+// refused, a disabled policy always detaches cleanly, and an adaptive
+// policy and a minibatch exclude each other whichever is set first —
+// SetBatch after SetAdaptive used to be accepted and silently ran the
+// minibatch loop with the policy ignored.
 func TestSetAdaptiveValidation(t *testing.T) {
 	ds, obj := smallProblem(t)
-	e, err := NewASGD(ds, obj, model.NewRacy(ds.Dim()), 2, 1)
-	if err != nil {
-		t.Fatal(err)
+	newEngine := func() *Engine {
+		e, err := NewASGD(ds, obj, model.NewRacy(ds.Dim()), 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
 	}
+	e := newEngine()
 	if err := e.SetAdaptive(adaptive.Policy{AdaptC: -1}); err == nil {
 		t.Fatal("negative AdaptC accepted")
 	}
@@ -31,17 +38,28 @@ func TestSetAdaptiveValidation(t *testing.T) {
 		t.Fatalf("disabling failed: %v", err)
 	}
 
-	e.SetBatch(8)
+	if err := e.SetBatch(8); err != nil {
+		t.Fatalf("minibatch on a plain engine: %v", err)
+	}
 	if err := e.SetAdaptive(adaptive.Policy{AdaptC: 0.1}); err == nil {
 		t.Fatal("adaptive policy accepted on a minibatch engine")
 	}
 
-	ef32, err := NewASGD(ds, obj, model.New(model.KindRacy32, ds.Dim()), 2, 1)
-	if err != nil {
+	e = newEngine()
+	if err := e.SetAdaptive(adaptive.Policy{StalenessBound: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ef32.SetAdaptive(adaptive.Policy{DCLambda: 0.1}); err == nil {
-		t.Fatal("adaptive policy accepted on an f32 engine")
+	if err := e.SetBatch(8); err == nil {
+		t.Fatal("minibatch accepted on an adaptive engine")
+	}
+	if err := e.SetBatch(1); err != nil {
+		t.Fatalf("batch 1 is single-sample and must stay legal: %v", err)
+	}
+	if err := e.SetAdaptive(adaptive.Policy{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SetBatch(8); err != nil {
+		t.Fatalf("minibatch after detaching the policy: %v", err)
 	}
 }
 
@@ -53,58 +71,68 @@ func TestSetAdaptiveValidation(t *testing.T) {
 // update only when λ = 0 — so the policy here enables scaling+bound only).
 func TestAdaptiveSingleWorkerMatchesPlain(t *testing.T) {
 	ds, obj := smallProblem(t)
-	plain, err := NewISSGD(ds, obj, model.NewRacy(ds.Dim()), 7, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adapt, err := NewISSGD(ds, obj, model.NewRacy(ds.Dim()), 7, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := adapt.SetAdaptive(adaptive.Policy{AdaptC: 0.5, StalenessBound: 1}); err != nil {
-		t.Fatal(err)
-	}
-	for ep := 0; ep < 3; ep++ {
-		plain.RunEpoch(0.5)
-		adapt.RunEpoch(0.5)
-	}
-	wp := plain.Snapshot(nil)
-	wa := adapt.Snapshot(nil)
-	for j := range wp {
-		if math.Float64bits(wp[j]) != math.Float64bits(wa[j]) {
-			t.Fatalf("coordinate %d diverged: plain %g vs adaptive %g", j, wp[j], wa[j])
+	for _, kind := range []model.Kind{model.KindRacy, model.KindRacy32, model.KindRacy32Blocked, model.KindAtomic32} {
+		plain, err := NewISSGD(ds, obj, model.New(kind, ds.Dim()), 7, false)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if adapt.Shed() != 0 {
-		t.Fatalf("single worker shed %d updates, want 0", adapt.Shed())
+		adapt, err := NewISSGD(ds, obj, model.New(kind, ds.Dim()), 7, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := adapt.SetAdaptive(adaptive.Policy{AdaptC: 0.5, StalenessBound: 1}); err != nil {
+			t.Fatal(err)
+		}
+		for ep := 0; ep < 3; ep++ {
+			plain.RunEpoch(0.5)
+			adapt.RunEpoch(0.5)
+		}
+		wp := plain.Snapshot(nil)
+		wa := adapt.Snapshot(nil)
+		for j := range wp {
+			if math.Float64bits(wp[j]) != math.Float64bits(wa[j]) {
+				t.Fatalf("%v: coordinate %d diverged: plain %g vs adaptive %g", kind, j, wp[j], wa[j])
+			}
+		}
+		if adapt.Shed() != 0 {
+			t.Fatalf("%v: single worker shed %d updates, want 0", kind, adapt.Shed())
+		}
 	}
 }
 
 // TestAdaptiveConcurrentConverges runs the full adaptive stack — step
 // attenuation, a staleness bound, and delay compensation — under real
-// Hogwild concurrency and requires the run to still optimize.
+// concurrency on both precisions and requires the run to still optimize,
+// the f32 run into the same band as the f64 one.
 func TestAdaptiveConcurrentConverges(t *testing.T) {
 	ds, obj := smallProblem(t)
-	e, err := NewISASGD(ds, obj, model.NewAtomic(ds.Dim()), 8, balance.Auto, 0, 7, false)
-	if err != nil {
-		t.Fatal(err)
+	run := func(kind model.Kind) float64 {
+		e, err := NewISASGD(ds, obj, model.New(kind, ds.Dim()), 8, balance.Auto, 0, 7, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.SetAdaptive(adaptive.Policy{AdaptC: 0.05, StalenessBound: 256, DCLambda: 0.04}); err != nil {
+			t.Fatal(err)
+		}
+		before := objValue(ds, obj, e.Snapshot(nil))
+		for ep := 0; ep < 5; ep++ {
+			e.RunEpoch(0.5)
+		}
+		after := objValue(ds, obj, e.Snapshot(nil))
+		if math.IsNaN(after) || math.IsInf(after, 0) {
+			t.Fatalf("%v: objective went non-finite: %g", kind, after)
+		}
+		if after >= before*0.8 {
+			t.Fatalf("%v: adaptive IS-ASGD failed to optimize: %g -> %g", kind, before, after)
+		}
+		if e.Shed() < 0 {
+			t.Fatalf("%v: negative shed count", kind)
+		}
+		return after
 	}
-	if err := e.SetAdaptive(adaptive.Policy{AdaptC: 0.05, StalenessBound: 256, DCLambda: 0.04}); err != nil {
-		t.Fatal(err)
-	}
-	before := objValue(ds, obj, e.Snapshot(nil))
-	for ep := 0; ep < 5; ep++ {
-		e.RunEpoch(0.5)
-	}
-	after := objValue(ds, obj, e.Snapshot(nil))
-	if after >= before*0.8 {
-		t.Fatalf("adaptive IS-ASGD failed to optimize: %g -> %g", before, after)
-	}
-	if math.IsNaN(after) || math.IsInf(after, 0) {
-		t.Fatalf("objective went non-finite: %g", after)
-	}
-	if e.Shed() < 0 {
-		t.Fatal("negative shed count")
+	o64 := run(model.KindAtomic)
+	if o32 := run(model.KindAtomic32); math.Abs(o32-o64) > 0.05*(1+math.Abs(o64)) {
+		t.Fatalf("f32 adaptive objective %g vs f64 %g — outside the 5%% band", o32, o64)
 	}
 }
 
@@ -114,25 +142,27 @@ func TestAdaptiveConcurrentConverges(t *testing.T) {
 // weights.
 func TestAdaptiveTightBoundSheds(t *testing.T) {
 	ds, obj := smallProblem(t)
-	e, err := NewASGD(ds, obj, model.NewAtomic(ds.Dim()), 8, 7)
-	if err != nil {
-		t.Fatal(err)
+	for _, kind := range []model.Kind{model.KindAtomic, model.KindAtomic32} {
+		e, err := NewASGD(ds, obj, model.New(kind, ds.Dim()), 8, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.SetAdaptive(adaptive.Policy{StalenessBound: 1}); err != nil {
+			t.Fatal(err)
+		}
+		var iters int64
+		for ep := 0; ep < 3; ep++ {
+			iters += e.RunEpoch(0.5)
+		}
+		if iters != 3*int64(ds.N()) {
+			t.Fatalf("%v: iters = %d, want %d", kind, iters, 3*ds.N())
+		}
+		w := e.Snapshot(nil)
+		if j := model.FirstNonFinite(w); j >= 0 {
+			t.Fatalf("%v: non-finite weight at %d", kind, j)
+		}
+		t.Logf("%v: shed %d of %d attempted updates", kind, e.Shed(), iters)
 	}
-	if err := e.SetAdaptive(adaptive.Policy{StalenessBound: 1}); err != nil {
-		t.Fatal(err)
-	}
-	var iters int64
-	for ep := 0; ep < 3; ep++ {
-		iters += e.RunEpoch(0.5)
-	}
-	if iters != 3*int64(ds.N()) {
-		t.Fatalf("iters = %d, want %d", iters, 3*ds.N())
-	}
-	w := e.Snapshot(nil)
-	if j := model.FirstNonFinite(w); j >= 0 {
-		t.Fatalf("non-finite weight at %d", j)
-	}
-	t.Logf("shed %d of %d attempted updates", e.Shed(), iters)
 }
 
 // TestAdaptiveZeroAllocEpoch guards the steady-state contract: adaptive
@@ -143,16 +173,18 @@ func TestAdaptiveZeroAllocEpoch(t *testing.T) {
 		t.Skip("allocation accounting differs under the race detector")
 	}
 	ds, obj := smallProblem(t)
-	e, err := NewISSGD(ds, obj, model.NewRacy(ds.Dim()), 7, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SetAdaptive(adaptive.Policy{AdaptC: 0.1, DCLambda: 0.01}); err != nil {
-		t.Fatal(err)
-	}
-	e.RunEpoch(0.01) // materialize the DC base buffer
-	if n := testing.AllocsPerRun(3, func() { e.RunEpoch(0.01) }); n != 0 {
-		t.Fatalf("adaptive epoch allocates %.2f/op, want 0", n)
+	for _, kind := range []model.Kind{model.KindRacy, model.KindRacy32, model.KindRacy32Blocked, model.KindAtomic32} {
+		e, err := NewISSGD(ds, obj, model.New(kind, ds.Dim()), 7, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.SetAdaptive(adaptive.Policy{AdaptC: 0.1, DCLambda: 0.01}); err != nil {
+			t.Fatal(err)
+		}
+		e.RunEpoch(0.01) // materialize the DC base buffer
+		if n := testing.AllocsPerRun(3, func() { e.RunEpoch(0.01) }); n != 0 {
+			t.Fatalf("%v: adaptive epoch allocates %.2f/op, want 0", kind, n)
+		}
 	}
 }
 
@@ -188,5 +220,41 @@ func TestAdaptiveDCDeterministicDampens(t *testing.T) {
 	objDC := objValue(ds, obj, w1)
 	if math.IsNaN(objDC) || math.IsInf(objDC, 0) {
 		t.Fatalf("DC objective non-finite: %g", objDC)
+	}
+}
+
+// TestInstrumentedStaleness checks the τ histograms against the engine's
+// one update clock on every path of the worker loop, at both precisions:
+// a single worker never sees an interleaved update, so every logical
+// update — one per sample, or one per minibatch — observes exactly 0.
+func TestInstrumentedStaleness(t *testing.T) {
+	ds, obj := smallProblem(t)
+	for _, kind := range []model.Kind{model.KindRacy, model.KindRacy32} {
+		for _, mode := range []string{"plain", "batch", "adaptive"} {
+			e, err := NewISSGD(ds, obj, model.New(kind, ds.Dim()), 7, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := int64(ds.N())
+			switch mode {
+			case "batch":
+				if err := e.SetBatch(8); err != nil {
+					t.Fatal(err)
+				}
+				want = (want + 7) / 8
+			case "adaptive":
+				if err := e.SetAdaptive(adaptive.Policy{AdaptC: 0.5, StalenessBound: 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ti := obs.NewTrainInstruments(obs.NewRegistry(), "m")
+			e.Instrument(ti)
+			e.RunEpoch(0.3)
+			h := ti.WorkerStaleness(1)[0]
+			if h.Count() != want || h.Quantile(1) != 0 {
+				t.Errorf("%v/%s: %d staleness samples, max %g; want %d samples, all 0",
+					kind, mode, h.Count(), h.Quantile(1), want)
+			}
+		}
 	}
 }

@@ -17,8 +17,8 @@
 //     or random shuffling, adaptively on ρ (Algorithm 4 lines 2–6);
 //   - updates go through a shared model with either CAS (race-free) or
 //     plain (true Hogwild) writes, via internal/kernel's devirtualized
-//     fused update kernels — runWorker is a thin dispatcher and the
-//     arithmetic lives in exactly one place.
+//     fused update kernels — the worker loops only resolve the next row
+//     and step, and the arithmetic lives in exactly one place.
 package core
 
 import (
@@ -45,18 +45,19 @@ type Engine struct {
 	ds   *dataset.Dataset
 	obj  objective.Objective
 	m    model.Params
-	kern kernel.Kernel
 	numT int
 
-	// Float32 data path: when the model stores float32 (model.Kind.Is32),
-	// kern32 is the devirtualized f32 kernel, the dataset's float32 value
-	// copy is materialized once at construction, and the hot loops stream
-	// half-width weights and features. bIdx is non-nil only for the
-	// feature-blocked layout: a one-time physical-slot remap of the whole
-	// CSR index array, sliced per row by IndPtr — the hot loop pays zero
-	// extra instructions for the scattered layout.
+	// The data path, bound once at construction. Exactly one kernel is
+	// set: kern32 (with val32, the dataset's float32 value copy) when the
+	// model stores float32 (model.Kind.Is32), kern otherwise. idx is the
+	// CSR index array the kernel sees — the dataset's own, or for the
+	// feature-blocked layout a one-time physical-slot remap of it — so the
+	// worker loops slice rows out of IndPtr/idx/values directly and pay
+	// nothing per update for the precision or the layout.
+	kern   kernel.Kernel
 	kern32 kernel.Kernel32
-	bIdx   []int32
+	idx    []int32
+	val32  []float32
 
 	shards   [][]int            // per worker: global row ids
 	scales   [][]float64        // per worker, per local position: step multiplier 1/(N_a·p_ai); nil = all ones
@@ -80,19 +81,21 @@ type Engine struct {
 	pubRejects int64
 
 	// Update-staleness instrumentation (Instrument): per-worker τ
-	// histograms fed from a shared logical update clock. Nil (the
-	// default) keeps the uninstrumented hot loop branch-identical to
-	// the pre-observability engine.
+	// histograms. Nil (the default) keeps the plain hot loop free of
+	// clock traffic.
 	instr  *obs.TrainInstruments
 	staleH []*obs.Histogram
 
-	// Adaptive-update state (SetAdaptive): the policy (zero = disabled,
-	// leaving runWorker untouched), the shared logical update clock the τ
-	// probe reads, the epoch-start base snapshot for delay compensation
-	// (refreshed by RunEpoch when DCLambda > 0, reused across epochs),
-	// and the cumulative shed count.
+	// ck is the one logical update clock: it ticks once per applied
+	// update whenever something reads it — the τ histograms, the adaptive
+	// probe, or both.
+	ck adaptive.Clock
+
+	// Adaptive-update state (SetAdaptive): the policy (zero = disabled),
+	// the epoch-start base for delay compensation (refreshed by RunEpoch
+	// when DCLambda > 0, reused across epochs, indexed like idx), and the
+	// cumulative shed count.
 	pol    adaptive.Policy
-	ck     adaptive.Clock
 	dcBase []float64
 	shed   atomic.Int64
 }
@@ -111,11 +114,11 @@ func (e *Engine) PublishTo(st *snapshot.Store, every int) {
 }
 
 // Instrument attaches training telemetry: every model update is
-// bracketed by the shared update clock, so each worker's histogram
+// bracketed by the engine's update clock, so each worker's histogram
 // records the perturbed-iterate staleness τ — how many concurrent
 // updates landed between this update's read and its write, the
-// quantity the paper's SME analysis bounds. Must be called before
-// RunEpoch; nil detaches.
+// quantity the paper's SME analysis bounds. Single-worker runs observe
+// exactly 0. Must be called before RunEpoch; nil detaches.
 func (e *Engine) Instrument(ti *obs.TrainInstruments) {
 	e.instr = ti
 	if ti == nil {
@@ -128,25 +131,28 @@ func (e *Engine) Instrument(ti *obs.TrainInstruments) {
 // SetAdaptive installs an adaptive-update policy: steps attenuated by
 // 1/(1+c·τ) on the measured per-update staleness, updates shed over a
 // staleness bound, and DC-ASGD delay compensation against an epoch-start
-// base snapshot. A zero (disabled) policy detaches, restoring the plain
-// hot loop. The adaptive loop decomposes each step around the τ probe,
-// so it requires the scalar f64 path: call after SetBatch, and not on an
-// f32 engine. Must not be called while RunEpoch is in flight.
+// base snapshot. A zero (disabled) policy detaches. Every model kind
+// runs it; minibatch engines do not (see checkAdaptiveBatch). Must not
+// be called while RunEpoch is in flight.
 func (e *Engine) SetAdaptive(p adaptive.Policy) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	if !p.Enabled() {
-		e.pol = adaptive.Policy{}
-		return nil
-	}
-	if e.kern32 != nil {
-		return fmt.Errorf("core: adaptive updates require the f64 data path")
-	}
-	if e.batch > 1 {
-		return fmt.Errorf("core: adaptive updates require single-sample steps, got batch %d", e.batch)
+	if err := checkAdaptiveBatch(p, e.batch); err != nil {
+		return err
 	}
 	e.pol = p
+	return nil
+}
+
+// checkAdaptiveBatch is the one rule SetAdaptive and SetBatch share, so
+// either call order reaches it: the adaptive probe brackets a single
+// sample's gradient read and its write, and a minibatch has no such
+// pair.
+func checkAdaptiveBatch(p adaptive.Policy, batch int) error {
+	if p.Enabled() && batch > 1 {
+		return fmt.Errorf("core: adaptive updates require single-sample steps, got batch %d", batch)
+	}
 	return nil
 }
 
@@ -195,22 +201,22 @@ func newEngine(ds *dataset.Dataset, obj objective.Objective, m model.Params, thr
 	}
 	e := &Engine{
 		ds: ds, obj: obj, m: m, numT: threads,
-		// Bind the devirtualized update kernel once: the model's concrete
-		// type is fixed for the engine's lifetime, so the specialization
-		// chosen here serves every epoch.
-		kern:    kernel.New(m, obj),
+		idx:     ds.X.Idx,
 		scratch: make([]kernel.Scratch, threads),
 	}
+	// Bind the devirtualized update kernel once: the model's concrete
+	// type is fixed for the engine's lifetime, so the specialization
+	// chosen here serves every epoch.
 	switch mm := m.(type) {
 	case *model.Racy32:
-		e.kern32 = kernel.New32(m, obj)
-		ds.X.EnsureVal32()
+		e.kern32, e.val32 = kernel.New32(m, obj), ds.X.EnsureVal32()
 		if mm.Blocked() {
-			e.bIdx = mm.RemapInto(make([]int32, len(ds.X.Idx)), ds.X.Idx)
+			e.idx = mm.RemapInto(make([]int32, len(ds.X.Idx)), ds.X.Idx)
 		}
 	case *model.Atomic32:
-		e.kern32 = kernel.New32(m, obj)
-		ds.X.EnsureVal32()
+		e.kern32, e.val32 = kernel.New32(m, obj), ds.X.EnsureVal32()
+	default:
+		e.kern = kernel.New(m, obj)
 	}
 	sm := xrand.NewSplitMix64(seed)
 	e.rngs = make([]*xrand.Rand, threads)
@@ -243,12 +249,17 @@ func NewASGD(ds *dataset.Dataset, obj objective.Objective, m model.Params, threa
 // draws b indices i.i.d. from the worker's distribution, computes all b
 // scaled gradients at the current model, and applies their average —
 // the i.i.d. minibatch importance sampling of Csiba & Richtárik (2016).
-// One epoch still touches len(shard) samples.
-func (e *Engine) SetBatch(b int) {
+// One epoch still touches len(shard) samples. b > 1 is rejected while an
+// adaptive policy is installed (see checkAdaptiveBatch).
+func (e *Engine) SetBatch(b int) error {
 	if b < 1 {
 		b = 1
 	}
+	if err := checkAdaptiveBatch(e.pol, b); err != nil {
+		return err
+	}
 	e.batch = b
+	return nil
 }
 
 // ISOptions configures the importance-sampling constructions.
@@ -396,10 +407,7 @@ func (e *Engine) Reweight(l []float64) error {
 // the number of updates applied.
 func (e *Engine) RunEpoch(step float64) int64 {
 	if e.pol.DCLambda > 0 {
-		// Refresh the delay-compensation base: the epoch-start weights are
-		// what every worker's gradient reads drift away from. The buffer is
-		// reused, so steady-state epochs stay allocation-free.
-		e.dcBase = e.m.Snapshot(e.dcBase)
+		e.refreshDCBase()
 	}
 	if e.Threads() == 1 {
 		e.runWorker(0, step)
@@ -447,322 +455,171 @@ func (e *Engine) finishEpoch() int64 {
 // snapshot store rejected for non-finite weights.
 func (e *Engine) SnapshotRejects() int64 { return e.pubRejects }
 
-// runWorker is the hot loop (Algorithm 4 lines 13–15). It is shared by
-// all four constructions; the differences are entirely in the prepared
-// shard/sequence/scale tables. The update arithmetic itself lives in
-// internal/kernel — this is a thin dispatcher that resolves the next
-// position, row and step scale and hands the fused update to the
-// engine's devirtualized kernel.
+// refreshDCBase re-reads the delay-compensation base: the epoch-start
+// weights are what every worker's gradient reads drift away from. The
+// buffer is reused, so steady-state epochs stay allocation-free. The
+// base is indexed the way the kernel indexes the model — logical order,
+// except for the feature-blocked layout, whose physical storage is
+// widened as it lies.
+func (e *Engine) refreshDCBase() {
+	mm, ok := e.m.(*model.Racy32)
+	if !ok || !mm.Blocked() {
+		e.dcBase = e.m.Snapshot(e.dcBase)
+		return
+	}
+	raw := mm.Raw32()
+	if cap(e.dcBase) < len(raw) {
+		e.dcBase = make([]float64, len(raw))
+	}
+	e.dcBase = e.dcBase[:len(raw)]
+	for s, v := range raw {
+		e.dcBase[s] = float64(v)
+	}
+}
+
+// runWorker runs worker t's share of one epoch (Algorithm 4 lines
+// 13–15) on the engine's data path. It is shared by all four
+// constructions; the differences are entirely in the prepared
+// shard/sequence/scale tables.
 func (e *Engine) runWorker(t int, step float64) {
+	if e.kern32 != nil {
+		runShard(e, t, step, e.kern32, e.val32)
+	} else {
+		runShard[float64](e, t, step, e.kern, e.ds.X.Val)
+	}
+}
+
+// runShard is the worker loop, written once over the feature value
+// type: k and vals are the engine's kernel and CSR value array in that
+// precision. The update arithmetic itself lives in internal/kernel —
+// the loops below resolve the next position, row and step scale and
+// hand the fused update to the kernel.
+func runShard[V float32 | float64](e *Engine, t int, step float64, k kernel.Ops[V], vals []V) {
 	shard := e.shards[t]
 	if len(shard) == 0 {
 		return
 	}
-	if e.kern32 != nil {
-		if e.batch > 1 {
-			e.runWorkerBatched32(t, step)
-		} else {
-			e.runWorker32(t, step)
-		}
-		return
-	}
-	if e.batch > 1 {
-		e.runWorkerBatched(t, step)
-		return
-	}
-	if e.pol.Enabled() {
-		e.runWorkerAdaptive(t, step)
-		return
-	}
 	var (
-		k     = e.kern
-		x     = e.ds.X
-		y     = e.ds.Y
-		rng   = e.rngs[t]
-		seq   = e.seqs
-		scale []float64
-		instr = e.instr
-		sh    *obs.Histogram
-	)
-	if e.scales != nil {
-		scale = e.scales[t]
-	}
-	if instr != nil {
-		sh = e.staleH[t]
-	}
-	n := len(shard)
-	for it := 0; it < n; it++ {
-		var pos int
-		if seq != nil && seq[t] != nil {
-			pos = int(seq[t][it])
-		} else {
-			pos = rng.Intn(n)
-		}
-		i := shard[pos]
-		row := x.Row(i)
-		s := step
-		if scale != nil {
-			s *= scale[pos]
-		}
-		if instr == nil {
-			k.Step(row.Idx, row.Val, y[i], s)
-			continue
-		}
-		begin := instr.StaleBegin()
-		k.Step(row.Idx, row.Val, y[i], s)
-		instr.StaleEnd(sh, begin)
-	}
-}
-
-// runWorkerAdaptive is runWorker with each step decomposed around the
-// adaptive probes: the dot and derivative are computed first so the
-// measured staleness τ — logical updates other workers applied between
-// this update's gradient read and its write — can shed the update or
-// attenuate its step by 1/(1+c·τ), and the write-back goes through
-// UpdateDC so the DC-ASGD correction λ·d²·(w_now − w_base) cancels the
-// drift since the epoch-start base (a plain Update when DCLambda is 0).
-func (e *Engine) runWorkerAdaptive(t int, step float64) {
-	shard := e.shards[t]
-	var (
-		k     = e.kern
-		x     = e.ds.X
+		ptr   = e.ds.X.IndPtr
+		idx   = e.idx
 		y     = e.ds.Y
 		obj   = e.obj
 		rng   = e.rngs[t]
-		seq   = e.seqs
+		ck    = &e.ck
+		seq   []int32
 		scale []float64
-		pol   = e.pol
-		lam   = e.pol.DCLambda
-		base  = e.dcBase
-		shed  int64
 		sh    *obs.Histogram
 	)
+	if e.seqs != nil {
+		seq = e.seqs[t]
+	}
 	if e.scales != nil {
 		scale = e.scales[t]
 	}
-	if e.instr != nil {
+	if e.staleH != nil {
 		sh = e.staleH[t]
 	}
 	n := len(shard)
+
+	if b := e.batch; b > 1 {
+		// Minibatch: all b scores are computed against the same model
+		// state before any update is applied, then the averaged scaled
+		// gradients are written back. The draw/score buffers are
+		// per-worker scratch owned by the engine, so steady-state epochs
+		// allocate nothing.
+		pos, grads := e.scratch[t].Grow(b)
+		for it := 0; it < n; {
+			bb := min(b, n-it)
+			for c := 0; c < bb; c++ {
+				var p int
+				if seq != nil {
+					p = int(seq[it+c])
+				} else {
+					p = rng.Intn(n)
+				}
+				pos[c] = p
+				i := shard[p]
+				lo, hi := ptr[i], ptr[i+1]
+				g := obj.Deriv(k.Dot(idx[lo:hi], vals[lo:hi]), y[i])
+				if scale != nil {
+					g *= scale[p]
+				}
+				grads[c] = g
+			}
+			// The whole batch is one logical update against one model
+			// read, so staleness brackets the write-back phase, not each
+			// coordinate write.
+			inv := step / float64(bb)
+			var begin int64
+			if sh != nil {
+				begin = ck.Now()
+			}
+			for c := 0; c < bb; c++ {
+				i := shard[pos[c]]
+				lo, hi := ptr[i], ptr[i+1]
+				k.Update(idx[lo:hi], vals[lo:hi], grads[c], inv)
+			}
+			if sh != nil {
+				sh.Observe(ck.Tick() - begin - 1)
+			}
+			it += bb
+		}
+		return
+	}
+
+	var (
+		pol   = e.pol
+		adapt = pol.Enabled()
+		base  = e.dcBase
+		shed  int64
+	)
 	for it := 0; it < n; it++ {
 		var pos int
-		if seq != nil && seq[t] != nil {
-			pos = int(seq[t][it])
+		if seq != nil {
+			pos = int(seq[it])
 		} else {
 			pos = rng.Intn(n)
 		}
 		i := shard[pos]
-		row := x.Row(i)
+		lo, hi := ptr[i], ptr[i+1]
+		ri, rv := idx[lo:hi], vals[lo:hi]
 		s := step
 		if scale != nil {
 			s *= scale[pos]
 		}
-		begin := e.ck.Now()
-		g := obj.Deriv(k.Dot(row.Idx, row.Val), y[i])
-		tau := e.ck.Now() - begin
-		if pol.Shed(tau) {
-			shed++
-			continue
-		}
-		k.UpdateDC(row.Idx, row.Val, g, s*pol.Scale(tau), lam, base)
-		e.ck.Tick()
-		if sh != nil {
-			sh.Observe(tau)
+		switch {
+		case adapt:
+			// The step is decomposed around the adaptive probes: the dot
+			// and derivative are computed first so the measured staleness
+			// τ — logical updates other workers applied between this
+			// update's gradient read and its write — can shed the update
+			// or attenuate its step by 1/(1+c·τ), and the write-back goes
+			// through UpdateDC so the DC-ASGD correction
+			// λ·d²·(w_now − w_base) cancels the drift since the
+			// epoch-start base (a plain Update when DCLambda is 0).
+			begin := ck.Now()
+			g := obj.Deriv(k.Dot(ri, rv), y[i])
+			tau := ck.Now() - begin
+			if pol.Shed(tau) {
+				shed++
+				continue
+			}
+			k.UpdateDC(ri, rv, g, s*pol.Scale(tau), pol.DCLambda, base)
+			ck.Tick()
+			if sh != nil {
+				sh.Observe(tau)
+			}
+		case sh != nil:
+			begin := ck.Now()
+			k.Step(ri, rv, y[i], s)
+			sh.Observe(ck.Tick() - begin - 1)
+		default:
+			k.Step(ri, rv, y[i], s)
 		}
 	}
 	if shed > 0 {
 		e.shed.Add(shed)
-		if e.instr != nil {
-			e.instr.ShedDone(shed)
-		}
-	}
-}
-
-// runWorkerBatched is the minibatch variant: all b scores are computed
-// against the same model state before any update is applied, then the
-// averaged scaled gradients are written back. The draw/score buffers
-// are per-worker scratch owned by the engine, so steady-state epochs
-// allocate nothing.
-func (e *Engine) runWorkerBatched(t int, step float64) {
-	shard := e.shards[t]
-	var (
-		k     = e.kern
-		x     = e.ds.X
-		y     = e.ds.Y
-		obj   = e.obj
-		rng   = e.rngs[t]
-		seq   = e.seqs
-		scale []float64
-		b     = e.batch
-		instr = e.instr
-		sh    *obs.Histogram
-	)
-	if e.scales != nil {
-		scale = e.scales[t]
-	}
-	if instr != nil {
-		sh = e.staleH[t]
-	}
-	n := len(shard)
-	pos, grads := e.scratch[t].Grow(b)
-	it := 0
-	for it < n {
-		bb := b
-		if n-it < bb {
-			bb = n - it
-		}
-		// Phase 1: draw the batch and evaluate all gradients at the
-		// current model.
-		for c := 0; c < bb; c++ {
-			var p int
-			if seq != nil && seq[t] != nil {
-				p = int(seq[t][it+c])
-			} else {
-				p = rng.Intn(n)
-			}
-			pos[c] = p
-			i := shard[p]
-			row := x.Row(i)
-			g := obj.Deriv(k.Dot(row.Idx, row.Val), y[i])
-			if scale != nil {
-				g *= scale[p]
-			}
-			grads[c] = g
-		}
-		// Phase 2: apply the averaged update. The whole batch is one
-		// logical update against one model read, so staleness brackets
-		// the write-back phase, not each coordinate write.
-		inv := step / float64(bb)
-		var begin int64
-		if instr != nil {
-			begin = instr.StaleBegin()
-		}
-		for c := 0; c < bb; c++ {
-			row := x.Row(shard[pos[c]])
-			k.Update(row.Idx, row.Val, grads[c], inv)
-		}
-		if instr != nil {
-			instr.StaleEnd(sh, begin)
-		}
-		it += bb
-	}
-}
-
-// rowIdx32 returns the index slice the f32 kernels should use for row
-// i: the physical-slot remap for blocked models, the row's own indices
-// otherwise. Both are plain slices of pre-built arrays — no per-update
-// work.
-func (e *Engine) rowIdx32(i int, idx []int32) []int32 {
-	if e.bIdx == nil {
-		return idx
-	}
-	return e.bIdx[e.ds.X.IndPtr[i]:e.ds.X.IndPtr[i+1]]
-}
-
-// runWorker32 is runWorker on the float32 data path: identical
-// dispatch, half-width weight and feature streams.
-func (e *Engine) runWorker32(t int, step float64) {
-	shard := e.shards[t]
-	var (
-		k     = e.kern32
-		x     = e.ds.X
-		y     = e.ds.Y
-		rng   = e.rngs[t]
-		seq   = e.seqs
-		scale []float64
-		instr = e.instr
-		sh    *obs.Histogram
-	)
-	if e.scales != nil {
-		scale = e.scales[t]
-	}
-	if instr != nil {
-		sh = e.staleH[t]
-	}
-	n := len(shard)
-	for it := 0; it < n; it++ {
-		var pos int
-		if seq != nil && seq[t] != nil {
-			pos = int(seq[t][it])
-		} else {
-			pos = rng.Intn(n)
-		}
-		i := shard[pos]
-		row := x.Row32(i)
-		ridx := e.rowIdx32(i, row.Idx)
-		s := step
-		if scale != nil {
-			s *= scale[pos]
-		}
-		if instr == nil {
-			k.Step(ridx, row.Val, y[i], s)
-			continue
-		}
-		begin := instr.StaleBegin()
-		k.Step(ridx, row.Val, y[i], s)
-		instr.StaleEnd(sh, begin)
-	}
-}
-
-// runWorkerBatched32 is runWorkerBatched on the float32 data path.
-func (e *Engine) runWorkerBatched32(t int, step float64) {
-	shard := e.shards[t]
-	var (
-		k     = e.kern32
-		x     = e.ds.X
-		y     = e.ds.Y
-		obj   = e.obj
-		rng   = e.rngs[t]
-		seq   = e.seqs
-		scale []float64
-		b     = e.batch
-		instr = e.instr
-		sh    *obs.Histogram
-	)
-	if e.scales != nil {
-		scale = e.scales[t]
-	}
-	if instr != nil {
-		sh = e.staleH[t]
-	}
-	n := len(shard)
-	pos, grads := e.scratch[t].Grow(b)
-	it := 0
-	for it < n {
-		bb := b
-		if n-it < bb {
-			bb = n - it
-		}
-		for c := 0; c < bb; c++ {
-			var p int
-			if seq != nil && seq[t] != nil {
-				p = int(seq[t][it+c])
-			} else {
-				p = rng.Intn(n)
-			}
-			pos[c] = p
-			i := shard[p]
-			row := x.Row32(i)
-			g := obj.Deriv(k.Dot(e.rowIdx32(i, row.Idx), row.Val), y[i])
-			if scale != nil {
-				g *= scale[p]
-			}
-			grads[c] = g
-		}
-		inv := step / float64(bb)
-		var begin int64
-		if instr != nil {
-			begin = instr.StaleBegin()
-		}
-		for c := 0; c < bb; c++ {
-			i := shard[pos[c]]
-			row := x.Row32(i)
-			k.Update(e.rowIdx32(i, row.Idx), row.Val, grads[c], inv)
-		}
-		if instr != nil {
-			instr.StaleEnd(sh, begin)
-		}
-		it += bb
+		e.instr.ShedDone(shed)
 	}
 }
 

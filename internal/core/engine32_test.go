@@ -73,7 +73,7 @@ func TestF32MatchesF64Objective(t *testing.T) {
 // loops: after warm-up, RunEpoch on a single-worker IS-SGD engine must
 // not allocate — for every f32 model kind, scalar and minibatch. The
 // blocked kind additionally proves the per-row physical-slot remap
-// (Engine.bIdx slicing) costs no steady-state allocations.
+// (Engine.idx slicing) costs no steady-state allocations.
 func TestRunEpochZeroAlloc32(t *testing.T) {
 	if model.RaceEnabled {
 		t.Skip("allocation accounting differs under the race detector")

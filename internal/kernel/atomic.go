@@ -7,303 +7,136 @@ import (
 	"github.com/isasgd/isasgd/internal/objective"
 )
 
-// The Atomic specializations operate directly on the model's
-// atomic.Uint64 bit patterns (model.Atomic.Bits()). Unlike the seed's
-// reg.DerivAt(m.Get(j)) + m.Add(j, …) pair — one extra atomic load per
-// coordinate — the fused CAS loop evaluates the regularizer derivative
-// on the very value the compare-and-swap is based on, so each attempt
-// costs exactly one load. Under contention that makes the regularizer
-// term at least as fresh as the seed's (which froze it at the pre-Add
-// load); single-threaded the two are bitwise-identical.
-
-// atomicL1 is the *model.Atomic × objective.L1 specialization.
-type atomicL1 struct {
+// atomic64 is the *model.Atomic specialization. It operates directly on
+// the model's atomic.Uint64 bit patterns (model.Atomic.Bits()). Unlike
+// the seed's reg.DerivAt(m.Get(j)) + m.Add(j, …) pair — one extra atomic
+// load per coordinate — the fused CAS loop evaluates the regularizer
+// derivative on the very value the compare-and-swap is based on, so each
+// attempt costs exactly one load. Under contention that makes the
+// regularizer term at least as fresh as the seed's (which froze it at
+// the pre-Add load); single-threaded the two are bitwise-identical. The
+// CAS, not the loop shape, bounds this kernel, so every loop stays
+// rolled and the regularizer is resolved per element inside casReg.
+type atomic64 struct {
 	bits []atomic.Uint64
 	obj  objective.Objective
+	reg  regKind
 	eta  float64
 }
 
-func (k *atomicL1) Dot(idx []int32, val []float64) float64 { return atomicDot(k.bits, idx, val) }
-
-func (k *atomicL1) DotClamped(idx []int32, val []float64) float64 {
-	return atomicDotClamped(k.bits, idx, val)
+func (k *atomic64) Dot(idx []int32, val []float64) float64 {
+	s := 0.0
+	for p, j := range idx {
+		s += val[p] * math.Float64frombits(k.bits[j].Load())
+	}
+	return s
 }
 
-func (k *atomicL1) Step(idx []int32, val []float64, y, s float64) {
-	k.Update(idx, val, k.obj.Deriv(atomicDot(k.bits, idx, val), y), s)
-}
-
-func (k *atomicL1) StepClamped(idx []int32, val []float64, y, s float64) {
+// DotClamped keeps the range check inline: always-taken and predicted on
+// in-vocabulary rows.
+func (k *atomic64) DotClamped(idx []int32, val []float64) float64 {
 	bits := k.bits
 	dim := int32(len(bits))
-	if maxIndex(idx) < dim {
+	s := 0.0
+	for p, j := range idx {
+		if j < dim {
+			s += val[p] * math.Float64frombits(bits[j].Load())
+		}
+	}
+	return s
+}
+
+func (k *atomic64) Step(idx []int32, val []float64, y, s float64) {
+	k.Update(idx, val, k.obj.Deriv(k.Dot(idx, val), y), s)
+}
+
+func (k *atomic64) StepClamped(idx []int32, val []float64, y, s float64) {
+	if maxIndex(idx) < int32(len(k.bits)) {
 		k.Step(idx, val, y, s)
 		return
 	}
-	g := k.obj.Deriv(atomicDotClamped(k.bits, idx, val), y)
+	k.updateChecked(idx, val, k.obj.Deriv(k.DotClamped(idx, val), y), s)
+}
+
+func (k *atomic64) Update(idx []int32, val []float64, g, s float64) {
+	bits := k.bits
 	for p, j := range idx {
-		if j < dim {
-			casL1(&bits[j], g*val[p], s, k.eta)
-		}
+		casReg(&bits[j], g*val[p], s, k.reg, k.eta)
 	}
 }
 
-func (k *atomicL1) Update(idx []int32, val []float64, g, s float64) {
-	bits := k.bits
-	for p, j := range idx {
-		casL1(&bits[j], g*val[p], s, k.eta)
-	}
-}
-
-func (k *atomicL1) UpdateClamped(idx []int32, val []float64, g, s float64) {
-	bits := k.bits
-	dim := int32(len(bits))
-	if maxIndex(idx) < dim {
+func (k *atomic64) UpdateClamped(idx []int32, val []float64, g, s float64) {
+	if maxIndex(idx) < int32(len(k.bits)) {
 		k.Update(idx, val, g, s)
 		return
 	}
+	k.updateChecked(idx, val, g, s)
+}
+
+func (k *atomic64) updateChecked(idx []int32, val []float64, g, s float64) {
+	bits := k.bits
+	dim := int32(len(bits))
 	for p, j := range idx {
 		if j < dim {
-			casL1(&bits[j], g*val[p], s, k.eta)
+			casReg(&bits[j], g*val[p], s, k.reg, k.eta)
 		}
 	}
 }
 
-func (k *atomicL1) UpdateDC(idx []int32, val []float64, g, s, lam float64, base []float64) {
+func (k *atomic64) UpdateDC(idx []int32, val []float64, g, s, lam float64, base []float64) {
 	if lam == 0 {
 		k.Update(idx, val, g, s)
 		return
 	}
 	bits := k.bits
 	for p, j := range idx {
-		casDCL1(&bits[j], g*val[p], s, lam, base[j], k.eta)
+		casDC(&bits[j], g*val[p], s, lam, base[j], k.reg, k.eta)
 	}
 }
 
-func (k *atomicL1) Axpy(idx []int32, val []float64, s float64) { atomicAxpy(k.bits, idx, val, s) }
+func (k *atomic64) Axpy(idx []int32, val []float64, s float64) {
+	bits := k.bits
+	for p, j := range idx {
+		casAdd(&bits[j], s*val[p])
+	}
+}
 
-func (k *atomicL1) ApplyDense(g []float64, s float64) {
+func (k *atomic64) ApplyDense(g []float64, s float64) {
 	bits := k.bits
 	for j := range g {
-		casL1(&bits[j], g[j], s, k.eta)
+		casReg(&bits[j], g[j], s, k.reg, k.eta)
 	}
 }
 
-func (k *atomicL1) AxpyDense(v []float64, s float64) { atomicAxpyDense(k.bits, v, s) }
-
-// atomicL2 is the *model.Atomic × objective.L2 specialization.
-type atomicL2 struct {
-	bits []atomic.Uint64
-	obj  objective.Objective
-	eta  float64
-}
-
-func (k *atomicL2) Dot(idx []int32, val []float64) float64 { return atomicDot(k.bits, idx, val) }
-
-func (k *atomicL2) DotClamped(idx []int32, val []float64) float64 {
-	return atomicDotClamped(k.bits, idx, val)
-}
-
-func (k *atomicL2) Step(idx []int32, val []float64, y, s float64) {
-	k.Update(idx, val, k.obj.Deriv(atomicDot(k.bits, idx, val), y), s)
-}
-
-func (k *atomicL2) StepClamped(idx []int32, val []float64, y, s float64) {
+func (k *atomic64) AxpyDense(v []float64, s float64) {
 	bits := k.bits
-	dim := int32(len(bits))
-	if maxIndex(idx) < dim {
-		k.Step(idx, val, y, s)
-		return
-	}
-	g := k.obj.Deriv(atomicDotClamped(k.bits, idx, val), y)
-	for p, j := range idx {
-		if j < dim {
-			casL2(&bits[j], g*val[p], s, k.eta)
-		}
+	for j := range v {
+		casAdd(&bits[j], s*v[j])
 	}
 }
 
-func (k *atomicL2) Update(idx []int32, val []float64, g, s float64) {
-	bits := k.bits
-	for p, j := range idx {
-		casL2(&bits[j], g*val[p], s, k.eta)
-	}
-}
-
-func (k *atomicL2) UpdateClamped(idx []int32, val []float64, g, s float64) {
-	bits := k.bits
-	dim := int32(len(bits))
-	if maxIndex(idx) < dim {
-		k.Update(idx, val, g, s)
-		return
-	}
-	for p, j := range idx {
-		if j < dim {
-			casL2(&bits[j], g*val[p], s, k.eta)
-		}
-	}
-}
-
-func (k *atomicL2) UpdateDC(idx []int32, val []float64, g, s, lam float64, base []float64) {
-	if lam == 0 {
-		k.Update(idx, val, g, s)
-		return
-	}
-	bits := k.bits
-	for p, j := range idx {
-		casDCL2(&bits[j], g*val[p], s, lam, base[j], k.eta)
-	}
-}
-
-func (k *atomicL2) Axpy(idx []int32, val []float64, s float64) { atomicAxpy(k.bits, idx, val, s) }
-
-func (k *atomicL2) ApplyDense(g []float64, s float64) {
-	bits := k.bits
-	for j := range g {
-		casL2(&bits[j], g[j], s, k.eta)
-	}
-}
-
-func (k *atomicL2) AxpyDense(v []float64, s float64) { atomicAxpyDense(k.bits, v, s) }
-
-// atomicNone is the *model.Atomic × objective.None specialization. The
-// literal +0 terms mirror the reference's zero regularizer contribution
-// so negative-zero gradients round-trip bitwise identically.
-type atomicNone struct {
-	bits []atomic.Uint64
-	obj  objective.Objective
-}
-
-func (k *atomicNone) Dot(idx []int32, val []float64) float64 { return atomicDot(k.bits, idx, val) }
-
-func (k *atomicNone) DotClamped(idx []int32, val []float64) float64 {
-	return atomicDotClamped(k.bits, idx, val)
-}
-
-func (k *atomicNone) Step(idx []int32, val []float64, y, s float64) {
-	k.Update(idx, val, k.obj.Deriv(atomicDot(k.bits, idx, val), y), s)
-}
-
-func (k *atomicNone) StepClamped(idx []int32, val []float64, y, s float64) {
-	bits := k.bits
-	dim := int32(len(bits))
-	if maxIndex(idx) < dim {
-		k.Step(idx, val, y, s)
-		return
-	}
-	g := k.obj.Deriv(atomicDotClamped(k.bits, idx, val), y)
-	for p, j := range idx {
-		if j < dim {
-			casAdd(&bits[j], -s*(g*val[p]+0))
-		}
-	}
-}
-
-func (k *atomicNone) Update(idx []int32, val []float64, g, s float64) {
-	bits := k.bits
-	for p, j := range idx {
-		casAdd(&bits[j], -s*(g*val[p]+0))
-	}
-}
-
-func (k *atomicNone) UpdateClamped(idx []int32, val []float64, g, s float64) {
-	bits := k.bits
-	dim := int32(len(bits))
-	if maxIndex(idx) < dim {
-		k.Update(idx, val, g, s)
-		return
-	}
-	for p, j := range idx {
-		if j < dim {
-			casAdd(&bits[j], -s*(g*val[p]+0))
-		}
-	}
-}
-
-func (k *atomicNone) UpdateDC(idx []int32, val []float64, g, s, lam float64, base []float64) {
-	if lam == 0 {
-		k.Update(idx, val, g, s)
-		return
-	}
-	bits := k.bits
-	for p, j := range idx {
-		casDCNone(&bits[j], g*val[p], s, lam, base[j])
-	}
-}
-
-func (k *atomicNone) Axpy(idx []int32, val []float64, s float64) { atomicAxpy(k.bits, idx, val, s) }
-
-func (k *atomicNone) ApplyDense(g []float64, s float64) {
-	bits := k.bits
-	for j := range g {
-		casAdd(&bits[j], -s*(g[j]+0))
-	}
-}
-
-func (k *atomicNone) AxpyDense(v []float64, s float64) { atomicAxpyDense(k.bits, v, s) }
-
-// casL1 retries w ← w − s·(gv + η·sign(w)) until the CAS lands.
-func casL1(b *atomic.Uint64, gv, s, eta float64) {
+// casReg retries w ← w − s·(gv + reg'(w)) until the CAS lands.
+func casReg(b *atomic.Uint64, gv, s float64, kind regKind, eta float64) {
 	for {
 		old := b.Load()
 		wj := math.Float64frombits(old)
-		next := math.Float64bits(wj - s*(gv+l1At(wj, eta)))
+		next := math.Float64bits(wj - s*(gv+regAt(kind, wj, eta)))
 		if b.CompareAndSwap(old, next) {
 			return
 		}
 	}
 }
 
-// casL2 retries w ← w − s·(gv + η·w) until the CAS lands.
-func casL2(b *atomic.Uint64, gv, s, eta float64) {
-	for {
-		old := b.Load()
-		wj := math.Float64frombits(old)
-		next := math.Float64bits(wj - s*(gv+eta*wj))
-		if b.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// The casDC helpers are the delay-compensated CAS loops: the correction
-// term λ·d²·(w − base) is re-derived from the very load each CAS attempt
-// is based on, so a retry compensates against the drift it actually
-// observed, not a stale one.
-
-// casDCL1 retries w ← w − s·(d + λ·d²·(w−base) + η·sign(w)).
-func casDCL1(b *atomic.Uint64, d, s, lam, base, eta float64) {
+// casDC is the delay-compensated CAS loop: it retries
+// w ← w − s·(d + λ·d²·(w−base) + reg'(w)), re-deriving the correction
+// term from the very load each attempt is based on, so a retry
+// compensates against the drift it actually observed, not a stale one.
+func casDC(b *atomic.Uint64, d, s, lam, base float64, kind regKind, eta float64) {
 	for {
 		old := b.Load()
 		wj := math.Float64frombits(old)
 		dd := d + lam*d*d*(wj-base)
-		next := math.Float64bits(wj - s*(dd+l1At(wj, eta)))
-		if b.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// casDCL2 retries w ← w − s·(d + λ·d²·(w−base) + η·w).
-func casDCL2(b *atomic.Uint64, d, s, lam, base, eta float64) {
-	for {
-		old := b.Load()
-		wj := math.Float64frombits(old)
-		dd := d + lam*d*d*(wj-base)
-		next := math.Float64bits(wj - s*(dd+eta*wj))
-		if b.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// casDCNone retries w ← w − s·(d + λ·d²·(w−base) + 0).
-func casDCNone(b *atomic.Uint64, d, s, lam, base float64) {
-	for {
-		old := b.Load()
-		wj := math.Float64frombits(old)
-		dd := d + lam*d*d*(wj-base)
-		next := math.Float64bits(wj - s*(dd+0))
+		next := math.Float64bits(wj - s*(dd+regAt(kind, wj, eta)))
 		if b.CompareAndSwap(old, next) {
 			return
 		}
@@ -319,41 +152,5 @@ func casAdd(b *atomic.Uint64, delta float64) {
 		if b.CompareAndSwap(old, next) {
 			return
 		}
-	}
-}
-
-// atomicDot returns Σ val[p]·w[idx[p]] with atomic loads.
-func atomicDot(bits []atomic.Uint64, idx []int32, val []float64) float64 {
-	s := 0.0
-	for p, j := range idx {
-		s += val[p] * math.Float64frombits(bits[j].Load())
-	}
-	return s
-}
-
-// atomicDotClamped is atomicDot restricted to in-range indices. The
-// check stays inline: always-taken and predicted on in-vocabulary rows.
-func atomicDotClamped(bits []atomic.Uint64, idx []int32, val []float64) float64 {
-	dim := int32(len(bits))
-	s := 0.0
-	for p, j := range idx {
-		if j < dim {
-			s += val[p] * math.Float64frombits(bits[j].Load())
-		}
-	}
-	return s
-}
-
-// atomicAxpy applies w[j] += s·val[p] over the row support.
-func atomicAxpy(bits []atomic.Uint64, idx []int32, val []float64, s float64) {
-	for p, j := range idx {
-		casAdd(&bits[j], s*val[p])
-	}
-}
-
-// atomicAxpyDense applies w[j] += s·v[j] over all coordinates.
-func atomicAxpyDense(bits []atomic.Uint64, v []float64, s float64) {
-	for j := range v {
-		casAdd(&bits[j], s*v[j])
 	}
 }

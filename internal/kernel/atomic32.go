@@ -7,182 +7,23 @@ import (
 	"github.com/isasgd/isasgd/internal/objective"
 )
 
-// The Atomic32 specializations operate directly on the model's
-// atomic.Uint32 bit patterns (model.Atomic32.Bits32()): the same fused
-// CAS discipline as the f64 atomic kernels — the regularizer derivative
+// atomic32 is the *model.Atomic32 specialization. It operates directly
+// on the model's atomic.Uint32 bit patterns (model.Atomic32.Bits32()):
+// the same fused CAS discipline as atomic64 — the regularizer derivative
 // is evaluated on the very value the compare-and-swap is based on — at
 // half the width, so a CAS failure re-reads 4 bytes instead of 8. The
-// CAS itself, not the loop shape, bounds these kernels, so the update
-// loops stay rolled; the dots share the unrolled-load structure via
-// four independent accumulators.
-
-// atomic32L1 is the *model.Atomic32 × objective.L1 specialization.
-type atomic32L1 struct {
+// update loops stay rolled for the same reason; the unchecked dot shares
+// Dot32's unrolled-load structure via four independent accumulators.
+type atomic32 struct {
 	bits []atomic.Uint32
 	obj  objective.Objective
+	reg  regKind
 	eta  float32
 }
 
-func (k *atomic32L1) Dot(idx []int32, val []float32) float64 {
-	return atomicDot32(k.bits, idx, val)
-}
-
-func (k *atomic32L1) DotClamped(idx []int32, val []float32) float64 {
-	return atomicDotClamped32(k.bits, idx, val)
-}
-
-func (k *atomic32L1) Step(idx []int32, val []float32, y, s float64) {
-	k.Update(idx, val, k.obj.Deriv(atomicDot32(k.bits, idx, val), y), s)
-}
-
-func (k *atomic32L1) StepClamped(idx []int32, val []float32, y, s float64) {
+// Dot accumulates in float32 and widens once.
+func (k *atomic32) Dot(idx []int32, val []float32) float64 {
 	bits := k.bits
-	dim := int32(len(bits))
-	if maxIndex(idx) < dim {
-		k.Step(idx, val, y, s)
-		return
-	}
-	g := float32(k.obj.Deriv(atomicDotClamped32(k.bits, idx, val), y))
-	fs := float32(s)
-	for p, j := range idx {
-		if j < dim {
-			cas32L1(&bits[j], g*val[p], fs, k.eta)
-		}
-	}
-}
-
-func (k *atomic32L1) Update(idx []int32, val []float32, g, s float64) {
-	bits := k.bits
-	fg, fs := float32(g), float32(s)
-	for p, j := range idx {
-		cas32L1(&bits[j], fg*val[p], fs, k.eta)
-	}
-}
-
-// atomic32L2 is the *model.Atomic32 × objective.L2 specialization.
-type atomic32L2 struct {
-	bits []atomic.Uint32
-	obj  objective.Objective
-	eta  float32
-}
-
-func (k *atomic32L2) Dot(idx []int32, val []float32) float64 {
-	return atomicDot32(k.bits, idx, val)
-}
-
-func (k *atomic32L2) DotClamped(idx []int32, val []float32) float64 {
-	return atomicDotClamped32(k.bits, idx, val)
-}
-
-func (k *atomic32L2) Step(idx []int32, val []float32, y, s float64) {
-	k.Update(idx, val, k.obj.Deriv(atomicDot32(k.bits, idx, val), y), s)
-}
-
-func (k *atomic32L2) StepClamped(idx []int32, val []float32, y, s float64) {
-	bits := k.bits
-	dim := int32(len(bits))
-	if maxIndex(idx) < dim {
-		k.Step(idx, val, y, s)
-		return
-	}
-	g := float32(k.obj.Deriv(atomicDotClamped32(k.bits, idx, val), y))
-	fs := float32(s)
-	for p, j := range idx {
-		if j < dim {
-			cas32L2(&bits[j], g*val[p], fs, k.eta)
-		}
-	}
-}
-
-func (k *atomic32L2) Update(idx []int32, val []float32, g, s float64) {
-	bits := k.bits
-	fg, fs := float32(g), float32(s)
-	for p, j := range idx {
-		cas32L2(&bits[j], fg*val[p], fs, k.eta)
-	}
-}
-
-// atomic32None is the *model.Atomic32 × objective.None specialization.
-type atomic32None struct {
-	bits []atomic.Uint32
-	obj  objective.Objective
-}
-
-func (k *atomic32None) Dot(idx []int32, val []float32) float64 {
-	return atomicDot32(k.bits, idx, val)
-}
-
-func (k *atomic32None) DotClamped(idx []int32, val []float32) float64 {
-	return atomicDotClamped32(k.bits, idx, val)
-}
-
-func (k *atomic32None) Step(idx []int32, val []float32, y, s float64) {
-	k.Update(idx, val, k.obj.Deriv(atomicDot32(k.bits, idx, val), y), s)
-}
-
-func (k *atomic32None) StepClamped(idx []int32, val []float32, y, s float64) {
-	bits := k.bits
-	dim := int32(len(bits))
-	if maxIndex(idx) < dim {
-		k.Step(idx, val, y, s)
-		return
-	}
-	g := float32(k.obj.Deriv(atomicDotClamped32(k.bits, idx, val), y))
-	fs := float32(s)
-	for p, j := range idx {
-		if j < dim {
-			cas32Add(&bits[j], -fs*(g*val[p]+0))
-		}
-	}
-}
-
-func (k *atomic32None) Update(idx []int32, val []float32, g, s float64) {
-	bits := k.bits
-	fg, fs := float32(g), float32(s)
-	for p, j := range idx {
-		cas32Add(&bits[j], -fs*(fg*val[p]+0))
-	}
-}
-
-// cas32L1 retries w ← w − s·(gv + η·sign(w)) until the CAS lands.
-func cas32L1(b *atomic.Uint32, gv, s, eta float32) {
-	for {
-		old := b.Load()
-		wj := math.Float32frombits(old)
-		next := math.Float32bits(wj - s*(gv+l1At32(wj, eta)))
-		if b.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// cas32L2 retries w ← w − s·(gv + η·w) until the CAS lands.
-func cas32L2(b *atomic.Uint32, gv, s, eta float32) {
-	for {
-		old := b.Load()
-		wj := math.Float32frombits(old)
-		next := math.Float32bits(wj - s*(gv+eta*wj))
-		if b.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// cas32Add retries w ← w + delta until the CAS lands.
-func cas32Add(b *atomic.Uint32, delta float32) {
-	for {
-		old := b.Load()
-		next := math.Float32bits(math.Float32frombits(old) + delta)
-		if b.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// atomicDot32 returns Σ val[p]·w[idx[p]] with atomic half-width loads,
-// accumulated in float32 (four independent accumulators) and widened
-// once.
-func atomicDot32(bits []atomic.Uint32, idx []int32, val []float32) float64 {
 	var s0, s1, s2, s3 float32
 	p := 0
 	if len(val) >= len(idx) {
@@ -200,10 +41,10 @@ func atomicDot32(bits []atomic.Uint32, idx []int32, val []float32) float64 {
 	return float64((s0 + s1) + (s2 + s3))
 }
 
-// atomicDotClamped32 is atomicDot32 restricted to in-range indices.
-// The check stays inline: always-taken and predicted on in-vocabulary
-// rows.
-func atomicDotClamped32(bits []atomic.Uint32, idx []int32, val []float32) float64 {
+// DotClamped keeps the range check inline: always-taken and predicted on
+// in-vocabulary rows.
+func (k *atomic32) DotClamped(idx []int32, val []float32) float64 {
+	bits := k.bits
 	dim := int32(len(bits))
 	var s float32
 	for p, j := range idx {
@@ -212,4 +53,80 @@ func atomicDotClamped32(bits []atomic.Uint32, idx []int32, val []float32) float6
 		}
 	}
 	return float64(s)
+}
+
+func (k *atomic32) Step(idx []int32, val []float32, y, s float64) {
+	k.Update(idx, val, k.obj.Deriv(k.Dot(idx, val), y), s)
+}
+
+func (k *atomic32) StepClamped(idx []int32, val []float32, y, s float64) {
+	if maxIndex(idx) < int32(len(k.bits)) {
+		k.Step(idx, val, y, s)
+		return
+	}
+	k.updateChecked(idx, val, k.obj.Deriv(k.DotClamped(idx, val), y), s)
+}
+
+func (k *atomic32) Update(idx []int32, val []float32, g, s float64) {
+	bits := k.bits
+	fg, fs := float32(g), float32(s)
+	for p, j := range idx {
+		casReg32(&bits[j], fg*val[p], fs, k.reg, k.eta)
+	}
+}
+
+func (k *atomic32) UpdateClamped(idx []int32, val []float32, g, s float64) {
+	if maxIndex(idx) < int32(len(k.bits)) {
+		k.Update(idx, val, g, s)
+		return
+	}
+	k.updateChecked(idx, val, g, s)
+}
+
+func (k *atomic32) updateChecked(idx []int32, val []float32, g, s float64) {
+	bits := k.bits
+	dim := int32(len(bits))
+	fg, fs := float32(g), float32(s)
+	for p, j := range idx {
+		if j < dim {
+			casReg32(&bits[j], fg*val[p], fs, k.reg, k.eta)
+		}
+	}
+}
+
+func (k *atomic32) UpdateDC(idx []int32, val []float32, g, s, lam float64, base []float64) {
+	if lam == 0 {
+		k.Update(idx, val, g, s)
+		return
+	}
+	bits := k.bits
+	fg, fs, fl := float32(g), float32(s), float32(lam)
+	for p, j := range idx {
+		casDC32(&bits[j], fg*val[p], fs, fl, float32(base[j]), k.reg, k.eta)
+	}
+}
+
+// casReg32 retries w ← w − s·(gv + reg'(w)) until the CAS lands.
+func casReg32(b *atomic.Uint32, gv, s float32, kind regKind, eta float32) {
+	for {
+		old := b.Load()
+		wj := math.Float32frombits(old)
+		next := math.Float32bits(wj - s*(gv+regAt32(kind, wj, eta)))
+		if b.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
+
+// casDC32 is casDC in float32.
+func casDC32(b *atomic.Uint32, d, s, lam, base float32, kind regKind, eta float32) {
+	for {
+		old := b.Load()
+		wj := math.Float32frombits(old)
+		dd := d + lam*d*d*(wj-base)
+		next := math.Float32bits(wj - s*(dd+regAt32(kind, wj, eta)))
+		if b.CompareAndSwap(old, next) {
+			return
+		}
+	}
 }

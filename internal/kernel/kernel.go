@@ -5,9 +5,16 @@ import (
 	"github.com/isasgd/isasgd/internal/objective"
 )
 
-// Kernel applies fused sparse SGD updates against one shared model. A
-// Kernel holds no mutable state of its own — the model is the only thing
-// written — so a single Kernel is shared by all of an engine's workers,
+// Ops is the per-sample update surface of a kernel over rows whose
+// feature values have type V: every operation a single-sample or
+// minibatch worker loop performs. Kernel extends Ops[float64] with the
+// dense SVRG/SAGA operations; Kernel32 is Ops[float32]. Both precisions
+// have the whole surface, so a worker loop written once over V runs
+// every feature — adaptive steps, staleness shedding, delay
+// compensation, loss feedback — on either.
+//
+// A kernel holds no mutable state of its own — the model is the only
+// thing written — so one value is shared by all of an engine's workers,
 // concurrently, with the concurrency semantics of the underlying model
 // (CAS for Atomic, Hogwild races for Racy).
 //
@@ -16,36 +23,48 @@ import (
 //	w[j] -= s·(g·x[k] + reg'(w[j]))
 //
 // with the regularizer derivative evaluated on the same load that the
-// write reads — one pass, no redundant Get.
-type Kernel interface {
+// write reads — one pass, no redundant Get. Scalars cross the API as
+// float64 in both precisions — the label, step size and derivative are
+// per-row values whose conversion cost is nothing next to the
+// per-coordinate loads; the float32 kernels narrow them once per call
+// and do all per-coordinate arithmetic in float32, so their results
+// differ from the float64 kernels' by float32 rounding (the tolerance
+// contract is tested in kernel32_test.go).
+type Ops[V float32 | float64] interface {
 	// Dot returns Σ_k val[k]·w[idx[k]].
-	Dot(idx []int32, val []float64) float64
+	Dot(idx []int32, val []V) float64
 	// DotClamped is Dot restricted to indices inside the model; indices
 	// at or beyond Dim contribute 0 (the streaming/serving convention
 	// for out-of-vocabulary features).
-	DotClamped(idx []int32, val []float64) float64
+	DotClamped(idx []int32, val []V) float64
 	// Step performs one complete scalar update for a row with label y
 	// and effective step s: z := Dot(row), g := obj.Deriv(z, y), then
 	// the fused gradient+regularizer write-back.
-	Step(idx []int32, val []float64, y, s float64)
+	Step(idx []int32, val []V, y, s float64)
 	// StepClamped is Step restricted to indices inside the model.
-	StepClamped(idx []int32, val []float64, y, s float64)
+	StepClamped(idx []int32, val []V, y, s float64)
 	// Update applies the write-back half only, for a precomputed (and
 	// possibly importance-scaled or variance-reduced) derivative g:
 	// w[j] -= s·(g·val[k] + reg'(w[j])). Used by the minibatch second
 	// phase and the SVRG inner loop.
-	Update(idx []int32, val []float64, g, s float64)
+	Update(idx []int32, val []V, g, s float64)
 	// UpdateClamped is Update restricted to indices inside the model —
 	// the streaming decomposed-step path (score, observe the loss, then
 	// write back) on rows that may carry out-of-vocabulary features.
-	UpdateClamped(idx []int32, val []float64, g, s float64)
+	UpdateClamped(idx []int32, val []V, g, s float64)
 	// UpdateDC is Update with DC-ASGD delay compensation: the update
 	// direction d = g·val[k] gains the correction λ·d²·(w[j] − base[j])
 	// before the fused write-back, first-order-cancelling the drift the
 	// model accumulated since base was read (Zheng et al. 2017). lam = 0
-	// is bitwise-identical to Update. base must span the model
-	// dimensionality; indices must be in range.
-	UpdateDC(idx []int32, val []float64, g, s, lam float64, base []float64)
+	// is bitwise-identical to Update. base is indexed like the model's
+	// storage and must span it; indices must be in range.
+	UpdateDC(idx []int32, val []V, g, s, lam float64, base []float64)
+}
+
+// Kernel is the float64 kernel: the per-sample surface plus the dense
+// operations of the variance-reduced solvers, which stay float64-only.
+type Kernel interface {
+	Ops[float64]
 	// Axpy applies w[j] += s·val[k] over the row support, with no
 	// regularization (SAGA's sparse variance-reduction term).
 	Axpy(idx []int32, val []float64, s float64)
@@ -57,36 +76,40 @@ type Kernel interface {
 	AxpyDense(v []float64, s float64)
 }
 
+// Kernel32 is the float32 kernel: fused sparse SGD updates against a
+// float32 model, consuming float32 feature rows so both the weight and
+// feature streams run at half the f64 path's memory traffic.
+type Kernel32 = Ops[float32]
+
 // New returns the fastest kernel available for the concrete (model,
-// regularizer) pair: a monomorphic specialization when both are
+// regularizer) pair: the storage's specialization when both are
 // recognized, the interface-based Reference kernel otherwise. The
 // selection is stable for the lifetime of the model, so callers bind
-// once at construction (or epoch start) and reuse the kernel for every
-// update.
+// once at construction and reuse the kernel for every update.
 func New(m model.Params, obj objective.Objective) Kernel {
-	switch mm := m.(type) {
-	case *model.Racy:
-		w := mm.Raw()
-		switch reg := obj.Reg().(type) {
-		case objective.L1:
-			return &racyL1{w: w, obj: obj, eta: reg.Eta}
-		case objective.L2:
-			return &racyL2{w: w, obj: obj, eta: reg.Eta}
-		case objective.None:
-			return &racyNone{w: w, obj: obj}
-		}
-	case *model.Atomic:
-		bits := mm.Bits()
-		switch reg := obj.Reg().(type) {
-		case objective.L1:
-			return &atomicL1{bits: bits, obj: obj, eta: reg.Eta}
-		case objective.L2:
-			return &atomicL2{bits: bits, obj: obj, eta: reg.Eta}
-		case objective.None:
-			return &atomicNone{bits: bits, obj: obj}
+	if reg, eta, ok := regOf(obj.Reg()); ok {
+		switch mm := m.(type) {
+		case *model.Racy:
+			return &racy64{w: mm.Raw(), obj: obj, reg: reg, eta: eta}
+		case *model.Atomic:
+			return &atomic64{bits: mm.Bits(), obj: obj, reg: reg, eta: eta}
 		}
 	}
 	return NewReference(m, obj)
+}
+
+// New32 is New for the float32 models; anything else gets the
+// interface-based fallback.
+func New32(m model.Params, obj objective.Objective) Kernel32 {
+	if reg, eta, ok := regOf(obj.Reg()); ok {
+		switch mm := m.(type) {
+		case *model.Racy32:
+			return &racy32{w: mm.Raw32(), obj: obj, reg: reg, eta: float32(eta)}
+		case *model.Atomic32:
+			return &atomic32{bits: mm.Bits32(), obj: obj, reg: reg, eta: float32(eta)}
+		}
+	}
+	return &reference32{m: m, obj: obj, reg: obj.Reg()}
 }
 
 // NewReference returns the generic interface-dispatch kernel — the

@@ -1,80 +1,17 @@
 package kernel
 
 import (
-	"math"
-
 	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/objective"
 )
 
-// Kernel32 is the float32 counterpart of Kernel: fused sparse SGD
-// updates against a float32 model, consuming float32 feature rows so
-// both the weight and feature streams run at half the f64 path's memory
-// traffic. Scalars cross the API as float64 — the label, step size, and
-// derivative are per-row values whose conversion cost is nothing next
-// to the per-coordinate loads — and are narrowed once per call; all
-// per-coordinate arithmetic is float32. Results therefore differ from
-// the f64 kernels by float32 rounding; the tolerance contract is tested
-// in kernel32_test.go.
-//
-// The dense SVRG/SAGA entry points of Kernel are deliberately absent:
-// the variance-reduced solvers stay float64-only, and keeping the f32
-// surface to the five hot-path ops keeps every implementation small
-// enough to verify against Reference by table.
-type Kernel32 interface {
-	// Dot returns Σ_k val[k]·w[idx[k]], accumulated in float32 and
-	// widened once.
-	Dot(idx []int32, val []float32) float64
-	// DotClamped is Dot restricted to indices inside the model.
-	DotClamped(idx []int32, val []float32) float64
-	// Step performs one complete scalar update: z := Dot(row),
-	// g := obj.Deriv(z, y), then the fused write-back
-	// w[j] -= s·(g·x[k] + reg'(w[j])) in float32.
-	Step(idx []int32, val []float32, y, s float64)
-	// StepClamped is Step restricted to indices inside the model.
-	StepClamped(idx []int32, val []float32, y, s float64)
-	// Update applies the write-back half for a precomputed derivative.
-	Update(idx []int32, val []float32, g, s float64)
-}
-
-// New32 returns the fastest float32 kernel for the concrete (model,
-// regularizer) pair: a monomorphic specialization when both are
-// recognized, the interface-based fallback otherwise. Models with the
-// blocked layout use the same specializations — the kernels see only
-// physical storage; callers feed Slot-remapped indices.
-func New32(m model.Params, obj objective.Objective) Kernel32 {
-	switch mm := m.(type) {
-	case *model.Racy32:
-		w := mm.Raw32()
-		switch reg := obj.Reg().(type) {
-		case objective.L1:
-			return &racy32L1{w: w, obj: obj, eta: float32(reg.Eta)}
-		case objective.L2:
-			return &racy32L2{w: w, obj: obj, eta: float32(reg.Eta)}
-		case objective.None:
-			return &racy32None{w: w, obj: obj}
-		}
-	case *model.Atomic32:
-		bits := mm.Bits32()
-		switch reg := obj.Reg().(type) {
-		case objective.L1:
-			return &atomic32L1{bits: bits, obj: obj, eta: float32(reg.Eta)}
-		case objective.L2:
-			return &atomic32L2{bits: bits, obj: obj, eta: float32(reg.Eta)}
-		case objective.None:
-			return &atomic32None{bits: bits, obj: obj}
-		}
-	}
-	return &reference32{m: m, obj: obj, reg: obj.Reg()}
-}
-
-// reference32 is the generic fallback: float32 rows applied through the
-// model.Params and objective.Regularizer interfaces, for out-of-tree
-// model or regularizer implementations. Arithmetic runs in float64 (the
-// interfaces are float64), so it is slower AND differently rounded than
-// the specializations — a compatibility path, not a spec. The f32
-// specializations' executable spec is the f64 Reference under the
-// tolerance contract.
+// reference32 is the generic float32 fallback: float32 rows applied
+// through the model.Params and objective.Regularizer interfaces, for
+// out-of-tree model or regularizer implementations. Arithmetic runs in
+// float64 (the interfaces are float64), so it is slower AND differently
+// rounded than the specializations — a compatibility path, not a spec.
+// The f32 specializations' executable spec is the f64 Reference under
+// the tolerance contract.
 type reference32 struct {
 	m   model.Params
 	obj objective.Objective
@@ -107,10 +44,17 @@ func (k *reference32) Step(idx []int32, val []float32, y, s float64) {
 }
 
 func (k *reference32) StepClamped(idx []int32, val []float32, y, s float64) {
+	k.UpdateClamped(idx, val, k.obj.Deriv(k.DotClamped(idx, val), y), s)
+}
+
+func (k *reference32) Update(idx []int32, val []float32, g, s float64) {
+	k.UpdateDC(idx, val, g, s, 0, nil)
+}
+
+func (k *reference32) UpdateClamped(idx []int32, val []float32, g, s float64) {
 	m := k.m
 	reg := k.reg
 	dim := int32(m.Dim())
-	g := k.obj.Deriv(k.DotClamped(idx, val), y)
 	for p, j := range idx {
 		if j < dim {
 			m.Add(j, -s*(g*float64(val[p])+reg.DerivAt(m.Get(j))))
@@ -118,19 +62,15 @@ func (k *reference32) StepClamped(idx []int32, val []float32, y, s float64) {
 	}
 }
 
-func (k *reference32) Update(idx []int32, val []float32, g, s float64) {
+func (k *reference32) UpdateDC(idx []int32, val []float32, g, s, lam float64, base []float64) {
 	m := k.m
 	reg := k.reg
 	for p, j := range idx {
-		m.Add(j, -s*(g*float64(val[p])+reg.DerivAt(m.Get(j))))
+		d := g * float64(val[p])
+		wj := m.Get(j)
+		if lam != 0 {
+			d += lam * d * d * (wj - base[j])
+		}
+		m.Add(j, -s*(d+reg.DerivAt(wj)))
 	}
-}
-
-// l1At32 is l1At in float32: η·sign(wj), 0 at ±0, computed with two bit
-// ops (sign transfer) — no branch beyond the zero test, no widening.
-func l1At32(wj, eta float32) float32 {
-	if wj == 0 {
-		return 0
-	}
-	return math.Float32frombits(math.Float32bits(eta)&^(1<<31) | math.Float32bits(wj)&(1<<31))
 }

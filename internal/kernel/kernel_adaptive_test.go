@@ -9,19 +9,95 @@ import (
 	"github.com/isasgd/isasgd/internal/xrand"
 )
 
+// allKinds lists every specialization: the f64 pair, held bitwise to
+// Reference, and the three f32 kinds, held to the f64 Reference under the
+// kernel32_test.go tolerance contract.
+var allKinds = []string{"racy", "atomic", "racy32", "racy32-blocked", "atomic32"}
+
+// underTest is one specialization next to the Reference it is held to,
+// both loaded with the same weights and driven with the same logical
+// rows: an f64 kind must stay bitwise-identical to a Reference over the
+// same storage; an f32 kind sees the row narrowed (and Slot-remapped for
+// the blocked layout) and must stay within tol32 of an f64 Reference fed
+// the pre-rounded values.
+type underTest struct {
+	spec, ref model.Params
+	k64       Kernel   // f64 kinds
+	k32       Kernel32 // f32 kinds
+	kr        Kernel
+}
+
+func newUnderTest(kind string, dim int, obj objective.Objective, init []float64) *underTest {
+	u := &underTest{}
+	if kind == "racy" || kind == "atomic" {
+		u.spec, u.ref = newModel(kind, dim), newModel(kind, dim)
+		u.spec.Load(init)
+		u.ref.Load(init)
+		u.k64 = New(u.spec, obj)
+	} else {
+		u.spec, u.ref = newModel32(kind, dim), model.NewRacy(dim)
+		u.spec.Load(init)
+		u.ref.Load(preRound(init))
+		u.k32 = New32(u.spec, obj)
+	}
+	u.kr = NewReference(u.ref, obj)
+	return u
+}
+
+func (u *underTest) updateClamped(idx []int32, val []float64, g, s float64) {
+	if u.k32 == nil {
+		u.k64.UpdateClamped(idx, val, g, s)
+		u.kr.UpdateClamped(idx, val, g, s)
+		return
+	}
+	u.k32.UpdateClamped(mapIdx(u.spec, idx), toF32(val), g, s)
+	u.kr.UpdateClamped(idx, preRound(val), g, s)
+}
+
+// updateDC takes base in logical order; the blocked layout's kernel gets
+// it permuted to physical slots, like its indices.
+func (u *underTest) updateDC(idx []int32, val []float64, g, s, lam float64, base []float64) {
+	if u.k32 == nil {
+		u.k64.UpdateDC(idx, val, g, s, lam, base)
+		u.kr.UpdateDC(idx, val, g, s, lam, base)
+		return
+	}
+	pbase := base
+	if r, ok := u.spec.(*model.Racy32); ok && r.Blocked() {
+		pbase = make([]float64, len(r.Raw32()))
+		for j, v := range base {
+			pbase[r.Slot(int32(j))] = v
+		}
+	}
+	u.k32.UpdateDC(mapIdx(u.spec, idx), toF32(val), g, s, lam, pbase)
+	u.kr.UpdateDC(idx, preRound(val), g, s, lam, base)
+}
+
+func (u *underTest) require(t *testing.T, stage string) {
+	t.Helper()
+	if u.k32 == nil {
+		requireBitwiseEqual(t, u.spec, u.ref, stage)
+	} else {
+		requireWithin32(t, u.spec, u.ref, stage)
+	}
+}
+
 // TestKernelUpdateClampedEquivalence drives the decomposed streaming
 // write-back through every specialization with identical inputs, in-range
-// and with out-of-vocabulary indices, and requires bitwise identity with
-// the Reference kernel after every row.
+// and with out-of-vocabulary indices, and holds it to the Reference
+// kernel after every row.
 func TestKernelUpdateClampedEquivalence(t *testing.T) {
 	const (
 		dim  = 64
 		rows = 40
 		nnz  = 9
 	)
-	for _, kind := range []string{"racy", "atomic"} {
+	for _, kind := range allKinds {
 		for _, obj := range testObjectives() {
 			for _, overflow := range []bool{false, true} {
+				if overflow && kind == "racy32-blocked" {
+					continue // blocked is batch-engine-only; rows are pre-validated in-range
+				}
 				name := kind + "/" + obj.Name()
 				if overflow {
 					name += "/overflow"
@@ -29,25 +105,16 @@ func TestKernelUpdateClampedEquivalence(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					rng := xrand.New(0xadaf)
 					idx, val, _ := randRows(rng, rows, dim, nnz, overflow)
-
-					spec := newModel(kind, dim)
-					ref := newModel(kind, dim)
 					init := make([]float64, dim)
 					for j := range init {
 						init[j] = rng.NormFloat64()
 					}
-					spec.Load(init)
-					ref.Load(init)
-
-					ks := New(spec, obj)
-					kr := NewReference(ref, obj)
-
+					u := newUnderTest(kind, dim, obj, init)
 					for i := range idx {
 						s := 0.01 + 0.5*rng.Float64()
 						g := rng.NormFloat64()
-						ks.UpdateClamped(idx[i], val[i], g, s)
-						kr.UpdateClamped(idx[i], val[i], g, s)
-						requireBitwiseEqual(t, spec, ref, "UpdateClamped")
+						u.updateClamped(idx[i], val[i], g, s)
+						u.require(t, "UpdateClamped")
 					}
 				})
 			}
@@ -65,32 +132,23 @@ func TestKernelUpdateDCEquivalence(t *testing.T) {
 		rows = 40
 		nnz  = 9
 	)
-	for _, kind := range []string{"racy", "atomic"} {
+	for _, kind := range allKinds {
 		for _, obj := range testObjectives() {
 			t.Run(kind+"/"+obj.Name(), func(t *testing.T) {
 				rng := xrand.New(0xdcda)
 				idx, val, _ := randRows(rng, rows, dim, nnz, false)
-
-				spec := newModel(kind, dim)
-				ref := newModel(kind, dim)
 				init := make([]float64, dim)
 				for j := range init {
 					init[j] = rng.NormFloat64()
 				}
-				spec.Load(init)
-				ref.Load(init)
-				base := append([]float64(nil), init...)
-
-				ks := New(spec, obj)
-				kr := NewReference(ref, obj)
-
+				u := newUnderTest(kind, dim, obj, init)
+				base := u.ref.Snapshot(nil)
 				for i := range idx {
 					s := 0.01 + 0.5*rng.Float64()
 					g := rng.NormFloat64()
 					lam := 0.5 * rng.Float64()
-					ks.UpdateDC(idx[i], val[i], g, s, lam, base)
-					kr.UpdateDC(idx[i], val[i], g, s, lam, base)
-					requireBitwiseEqual(t, spec, ref, "UpdateDC")
+					u.updateDC(idx[i], val[i], g, s, lam, base)
+					u.require(t, "UpdateDC")
 				}
 			})
 		}
@@ -98,33 +156,51 @@ func TestKernelUpdateDCEquivalence(t *testing.T) {
 }
 
 // TestKernelUpdateDCZeroLambda pins the λ = 0 contract: with compensation
-// off, UpdateDC must be bitwise-identical to Update — including the base
-// slice never being read (nil is legal then).
+// off, UpdateDC must be bitwise-identical to Update — at either
+// precision, and including the base slice never being read (nil is legal
+// then).
 func TestKernelUpdateDCZeroLambda(t *testing.T) {
 	const dim = 32
 	rng := xrand.New(0x0d0c)
 	idx, val, _ := randRows(rng, 10, dim, 6, false)
-	for _, kind := range []string{"racy", "atomic"} {
+	for _, kind := range allKinds {
 		for _, obj := range testObjectives() {
-			dc := newModel(kind, dim)
-			plain := newModel(kind, dim)
 			init := make([]float64, dim)
 			for j := range init {
 				init[j] = rng.NormFloat64()
 			}
-			dc.Load(init)
-			plain.Load(init)
-			kd := New(dc, obj)
-			kp := New(plain, obj)
+			// Two specializations of the kind, one per entry point; the
+			// Reference halves go unused.
+			dc := newUnderTest(kind, dim, obj, init)
+			plain := newUnderTest(kind, dim, obj, init)
 			for i := range idx {
 				s := 0.01 + 0.5*rng.Float64()
 				g := rng.NormFloat64()
-				kd.UpdateDC(idx[i], val[i], g, s, 0, nil)
-				kp.Update(idx[i], val[i], g, s)
-				requireBitwiseEqual(t, dc, plain, kind+"/"+obj.Name()+"/lambda=0")
+				if dc.k32 == nil {
+					dc.k64.UpdateDC(idx[i], val[i], g, s, 0, nil)
+					plain.k64.Update(idx[i], val[i], g, s)
+				} else {
+					pidx, v32 := mapIdx(dc.spec, idx[i]), toF32(val[i])
+					dc.k32.UpdateDC(pidx, v32, g, s, 0, nil)
+					plain.k32.Update(pidx, v32, g, s)
+				}
+				requireBitwiseEqual(t, dc.spec, plain.spec, kind+"/"+obj.Name()+"/lambda=0")
 			}
 		}
 	}
+}
+
+// adaptiveAllocs counts allocations per round of the write-back entry
+// points the adaptive loops use, in-range and out-of-vocabulary.
+func adaptiveAllocs[V float32 | float64](k Ops[V], val []V) float64 {
+	idx := []int32{1, 5, 9, 13}
+	over := []int32{1, 5, 9, 40}
+	base := make([]float64, 16)
+	return testing.AllocsPerRun(100, func() {
+		k.UpdateClamped(idx, val, 0.1, 0.01)
+		k.UpdateClamped(over, val, 0.1, 0.01)
+		k.UpdateDC(idx, val, 0.1, 0.01, 0.2, base)
+	})
 }
 
 // TestKernelAdaptiveZeroAlloc asserts the new write-back entry points
@@ -134,24 +210,18 @@ func TestKernelAdaptiveZeroAlloc(t *testing.T) {
 		t.Skip("allocation accounting differs under the race detector")
 	}
 	obj := objective.LogisticL1{Eta: 1e-3}
-	idx := []int32{1, 5, 9, 13}
-	over := []int32{1, 5, 9, 40}
 	val := []float64{0.3, -0.7, 1.1, 0.2}
-	base := make([]float64, 16)
-	for _, tc := range []struct {
-		name string
-		k    Kernel
-	}{
-		{"racy", New(model.NewRacy(16), obj)},
-		{"atomic", New(model.NewAtomic(16), obj)},
-		{"reference", NewReference(model.NewRacy(16), obj)},
+	for name, n := range map[string]float64{
+		"racy":           adaptiveAllocs[float64](New(model.NewRacy(16), obj), val),
+		"atomic":         adaptiveAllocs[float64](New(model.NewAtomic(16), obj), val),
+		"reference":      adaptiveAllocs[float64](NewReference(model.NewRacy(16), obj), val),
+		"racy32":         adaptiveAllocs(New32(model.NewRacy32(16), obj), toF32(val)),
+		"racy32-blocked": adaptiveAllocs(New32(model.NewRacy32Blocked(16), obj), toF32(val)),
+		"atomic32":       adaptiveAllocs(New32(model.NewAtomic32(16), obj), toF32(val)),
+		"reference32":    adaptiveAllocs(New32(model.NewRacy(16), obj), toF32(val)),
 	} {
-		if n := testing.AllocsPerRun(100, func() {
-			tc.k.UpdateClamped(idx, val, 0.1, 0.01)
-			tc.k.UpdateClamped(over, val, 0.1, 0.01)
-			tc.k.UpdateDC(idx, val, 0.1, 0.01, 0.2, base)
-		}); n != 0 {
-			t.Errorf("%s kernel: %v allocs per adaptive update round, want 0", tc.name, n)
+		if n != 0 {
+			t.Errorf("%s kernel: %v allocs per adaptive update round, want 0", name, n)
 		}
 	}
 }

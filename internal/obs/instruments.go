@@ -3,7 +3,6 @@ package obs
 import (
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -13,16 +12,15 @@ import (
 // job (labeled by model); creation is the cold path — every field is a
 // pre-bound atomic instrument the training loops touch directly.
 //
-// The staleness probe realizes the perturbed-iterate τ of the SME
-// analysis (An/Lu/Ying; Mania et al. 2017) as an observable: a shared
-// atomic update clock ticks once per applied update, and each update
-// records how many other-worker ticks elapsed between its gradient read
-// (StaleBegin) and its write (StaleEnd). Single-worker runs therefore
+// The staleness histograms hold the perturbed-iterate τ of the SME
+// analysis (An/Lu/Ying; Mania et al. 2017) as an observable: the
+// trainers' logical update clock (adaptive.Clock) ticks once per applied
+// update, and each update records how many other-worker ticks elapsed
+// between its gradient read and its write. Single-worker runs therefore
 // observe exactly 0; Hogwild runs observe the machine's realized delay
 // distribution, per worker.
 type TrainInstruments struct {
 	model string
-	clock atomic.Int64
 
 	staleVec *SummaryVec
 	staleMu  sync.Mutex
@@ -90,16 +88,6 @@ func (ti *TrainInstruments) WorkerStaleness(n int) []*Histogram {
 			ti.staleVec.With(ti.model, strconv.Itoa(len(ti.stale))))
 	}
 	return ti.stale[:n]
-}
-
-// StaleBegin samples the shared update clock at gradient-read time.
-func (ti *TrainInstruments) StaleBegin() int64 { return ti.clock.Load() }
-
-// StaleEnd ticks the clock for this update and records into h the
-// number of updates other workers applied since begin.
-func (ti *TrainInstruments) StaleEnd(h *Histogram, begin int64) {
-	tau := ti.clock.Add(1) - begin - 1
-	h.Observe(tau)
 }
 
 // EpochDone records one completed epoch: updates applied and the wall

@@ -2,76 +2,9 @@ package obs
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
-
-func TestStalenessProbeSequential(t *testing.T) {
-	r := NewRegistry()
-	ti := NewTrainInstruments(r, "m")
-	h := ti.WorkerStaleness(1)[0]
-	for i := 0; i < 10; i++ {
-		b := ti.StaleBegin()
-		ti.StaleEnd(h, b)
-	}
-	if h.Count() != 10 {
-		t.Fatalf("count = %d, want 10", h.Count())
-	}
-	// A single worker never sees interleaved updates: tau is exactly 0.
-	if got := h.Quantile(1); got != 0 {
-		t.Errorf("sequential max staleness = %g, want 0", got)
-	}
-}
-
-func TestStalenessProbeInterleaved(t *testing.T) {
-	r := NewRegistry()
-	ti := NewTrainInstruments(r, "m")
-	hs := ti.WorkerStaleness(2)
-	// Worker 0 reads the clock, then worker 1 applies 3 updates before
-	// worker 0 writes: tau for worker 0's update is exactly 3.
-	b0 := ti.StaleBegin()
-	for i := 0; i < 3; i++ {
-		b1 := ti.StaleBegin()
-		ti.StaleEnd(hs[1], b1)
-	}
-	ti.StaleEnd(hs[0], b0)
-	if got := hs[0].Quantile(1); got < 2 || got > 4 {
-		t.Errorf("interleaved staleness = %g, want ~3 (log-bucket estimate)", got)
-	}
-	if got := hs[1].Quantile(1); got != 0 {
-		t.Errorf("uncontended worker staleness = %g, want 0", got)
-	}
-}
-
-func TestStalenessProbeConcurrent(t *testing.T) {
-	r := NewRegistry()
-	ti := NewTrainInstruments(r, "m")
-	const workers, per = 4, 500
-	hs := ti.WorkerStaleness(workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				b := ti.StaleBegin()
-				ti.StaleEnd(hs[w], b)
-			}
-		}(w)
-	}
-	wg.Wait()
-	var n int64
-	for _, h := range hs {
-		n += h.Count()
-	}
-	if n != workers*per {
-		t.Errorf("observations = %d, want %d", n, workers*per)
-	}
-	if got := ti.clock.Load(); got != workers*per {
-		t.Errorf("clock = %d, want %d", got, workers*per)
-	}
-}
 
 func TestWorkerStalenessGrowsAndIsStable(t *testing.T) {
 	r := NewRegistry()

@@ -7,8 +7,9 @@ import (
 
 // TestCompileBatchAdaptiveValidation pins the synchronous 400 surface
 // for the adaptive knobs on batch jobs: stream-only fields, bad values
-// and unsupported algo/precision/batch combinations must all fail at
-// submission, while valid policies compile into the solver config.
+// and unsupported algo/batch combinations must all fail at submission,
+// while valid policies compile into the solver config at either
+// precision.
 func TestCompileBatchAdaptiveValidation(t *testing.T) {
 	base := func() JobSpec { return JobSpec{Dataset: "small", Algo: "asgd"} }
 	bad := map[string]func(*JobSpec){
@@ -18,7 +19,6 @@ func TestCompileBatchAdaptiveValidation(t *testing.T) {
 		"negative dc_lambda":   func(s *JobSpec) { s.DCLambda = -1 },
 		"negative bound":       func(s *JobSpec) { s.StalenessBound = -4 },
 		"adaptive on saga":     func(s *JobSpec) { s.Algo = "saga"; s.AdaptC = 0.1 },
-		"adaptive with f32":    func(s *JobSpec) { s.Precision = "f32"; s.DCLambda = 0.1 },
 		"adaptive + minibatch": func(s *JobSpec) { s.Batch = 8; s.StalenessBound = 16 },
 	}
 	for name, mutate := range bad {
@@ -29,16 +29,19 @@ func TestCompileBatchAdaptiveValidation(t *testing.T) {
 		}
 	}
 
-	spec := base()
-	spec.AdaptC = 0.05
-	spec.StalenessBound = 64
-	spec.DCLambda = 0.02
-	r, err := compile(spec, false, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.cfg.AdaptC != 0.05 || r.cfg.StalenessBound != 64 || r.cfg.DCLambda != 0.02 {
-		t.Fatalf("adaptive knobs not wired into solver config: %+v", r.cfg)
+	for _, precision := range []string{"", "f32"} {
+		spec := base()
+		spec.Precision = precision
+		spec.AdaptC = 0.05
+		spec.StalenessBound = 64
+		spec.DCLambda = 0.02
+		r, err := compile(spec, false, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.cfg.AdaptC != 0.05 || r.cfg.StalenessBound != 64 || r.cfg.DCLambda != 0.02 {
+			t.Fatalf("adaptive knobs not wired into solver config: %+v", r.cfg)
+		}
 	}
 }
 
@@ -49,13 +52,11 @@ func TestCompileStreamAdaptiveValidation(t *testing.T) {
 	bad := map[string]func(*JobSpec){
 		"unknown importance": func(s *JobSpec) { s.Importance = "entropy" },
 		"loss with uniform":  func(s *JobSpec) { s.Importance = "loss"; s.Algo = "sgd" },
-		"loss with f32":      func(s *JobSpec) { s.Importance = "loss"; s.Precision = "f32" },
 		"dc_lambda on stream": func(s *JobSpec) {
 			s.DCLambda = 0.1
 		},
-		"adaptive with f32": func(s *JobSpec) { s.AdaptC = 0.1; s.Precision = "f32" },
-		"negative bound":    func(s *JobSpec) { s.StalenessBound = -1 },
-		"Inf adapt_c":       func(s *JobSpec) { s.AdaptC = math.Inf(1) },
+		"negative bound": func(s *JobSpec) { s.StalenessBound = -1 },
+		"Inf adapt_c":    func(s *JobSpec) { s.AdaptC = math.Inf(1) },
 	}
 	for name, mutate := range bad {
 		spec := base()
@@ -65,20 +66,23 @@ func TestCompileStreamAdaptiveValidation(t *testing.T) {
 		}
 	}
 
-	spec := base()
-	spec.Importance = "loss"
-	spec.LossBeta = 0.5
-	spec.AdaptC = 0.1
-	spec.StalenessBound = 32
-	r, err := compile(spec, true, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.stream == nil {
-		t.Fatal("streaming spec did not compile a stream config")
-	}
-	if r.stream.Importance != "loss" || r.stream.LossBeta != 0.5 ||
-		r.stream.AdaptC != 0.1 || r.stream.StalenessBound != 32 {
-		t.Fatalf("adaptive knobs not wired into stream config: %+v", r.stream)
+	for _, precision := range []string{"", "f32"} {
+		spec := base()
+		spec.Precision = precision
+		spec.Importance = "loss"
+		spec.LossBeta = 0.5
+		spec.AdaptC = 0.1
+		spec.StalenessBound = 32
+		r, err := compile(spec, true, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.stream == nil {
+			t.Fatal("streaming spec did not compile a stream config")
+		}
+		if r.stream.Importance != "loss" || r.stream.LossBeta != 0.5 ||
+			r.stream.AdaptC != 0.1 || r.stream.StalenessBound != 32 {
+			t.Fatalf("adaptive knobs not wired into stream config: %+v", r.stream)
+		}
 	}
 }

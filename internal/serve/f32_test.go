@@ -110,8 +110,9 @@ func TestJobSpecPrecisionValidation(t *testing.T) {
 	}
 }
 
-// TestJobPrecisionF32EndToEnd trains a small f32 batch job through the
-// full HTTP stack: the published model must carry dtype "f32" in both
+// TestJobPrecisionF32EndToEnd trains a small f32 batch job — with the
+// adaptive-update knobs on, which f32 runs like f64 — through the full
+// HTTP stack: the published model must carry dtype "f32" in both
 // the model listing and its weights (float32-representable — proof the
 // job really trained at half width), and predictions must flow.
 func TestJobPrecisionF32EndToEnd(t *testing.T) {
@@ -119,6 +120,7 @@ func TestJobPrecisionF32EndToEnd(t *testing.T) {
 	resp := postJSON(t, ts.URL+"/v1/jobs", JobSpec{
 		Model: "half", Dataset: "small", Algo: "is-asgd",
 		Epochs: 4, Step: 0.5, Seed: 1, Precision: "f32",
+		AdaptC: 0.05, StalenessBound: 64, DCLambda: 0.02,
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d", resp.StatusCode)

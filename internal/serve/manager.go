@@ -388,8 +388,8 @@ func compileBatch(spec JobSpec) (*resolved, error) {
 		return nil, fmt.Errorf("serve: importance/loss_beta select the streaming sampler weighting and require kind \"stream\"")
 	}
 	// Mirror the solver's adaptive validation synchronously: the policy
-	// knobs are Engine-only (scalar f64 updates), so reject the dense-
-	// correction algos, f32 storage and minibatch at submission.
+	// knobs are Engine-only (single-sample updates), so reject the dense-
+	// correction algos and minibatch at submission.
 	pol := adaptive.Policy{AdaptC: spec.AdaptC, StalenessBound: spec.StalenessBound, DCLambda: spec.DCLambda}
 	if err := pol.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
@@ -401,8 +401,6 @@ func compileBatch(spec JobSpec) (*resolved, error) {
 		switch {
 		case algo == solver.SVRGSGD || algo == solver.SVRGASGD || algo == solver.SAGA:
 			return nil, fmt.Errorf("serve: adaptive knobs are not supported for %s", algoName)
-		case prec == model.PrecisionF32:
-			return nil, fmt.Errorf("serve: adaptive knobs require the f64 data path")
 		case spec.Batch > 1:
 			return nil, fmt.Errorf("serve: adaptive knobs do not apply to minibatch jobs")
 		}
@@ -633,9 +631,6 @@ func compileStream(spec JobSpec, bodyFed bool, streamRoot string) (*resolved, er
 		if uniform {
 			return nil, fmt.Errorf("serve: importance \"loss\" requires an importance-sampling algo (is-sgd or is-asgd)")
 		}
-		if prec == model.PrecisionF32 {
-			return nil, fmt.Errorf("serve: importance \"loss\" requires the f64 data path")
-		}
 	default:
 		return nil, fmt.Errorf("serve: unknown importance %q (want bound or loss)", spec.Importance)
 	}
@@ -647,9 +642,6 @@ func compileStream(spec JobSpec, bodyFed bool, streamRoot string) (*resolved, er
 	}
 	if spec.StalenessBound < 0 {
 		return nil, fmt.Errorf("serve: staleness_bound must be non-negative, got %d", spec.StalenessBound)
-	}
-	if (spec.AdaptC > 0 || spec.StalenessBound > 0) && prec == model.PrecisionF32 {
-		return nil, fmt.Errorf("serve: adaptive knobs require the f64 data path")
 	}
 
 	step := spec.Step

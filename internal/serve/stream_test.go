@@ -49,13 +49,25 @@ func streamSpec(path string) JobSpec {
 
 // TestStreamJobFromPath runs the asynchronous file-fed streaming path
 // end to end: submit, poll, inspect the per-block curve, and predict
-// from the published model.
+// from the published model — for the default spec and for an f32 job
+// with loss-feedback importance and the staleness knobs on.
 func TestStreamJobFromPath(t *testing.T) {
+	t.Run("default", func(t *testing.T) { testStreamJobFromPath(t, func(*JobSpec) {}) })
+	t.Run("f32-loss-adaptive", func(t *testing.T) {
+		testStreamJobFromPath(t, func(s *JobSpec) {
+			s.Precision, s.Importance, s.AdaptC, s.StalenessBound = "f32", "loss", 0.1, 64
+		})
+	})
+}
+
+func testStreamJobFromPath(t *testing.T, mutate func(*JobSpec)) {
 	ts, mgr, dir := testServer(t, 2)
 	path := writeCorpusFile(t, streamCorpus(t, 512, 16, 3))
 	mgr.SetStreamRoot(filepath.Dir(path))
 
-	resp := postJSON(t, ts.URL+"/v1/jobs", streamSpec(path))
+	spec := streamSpec(path)
+	mutate(&spec)
+	resp := postJSON(t, ts.URL+"/v1/jobs", spec)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}

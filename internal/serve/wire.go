@@ -79,12 +79,12 @@ type JobSpec struct {
 	// Adaptive update knobs (internal/adaptive). Importance selects the
 	// streaming sampler's row weighting — "" or "bound" for the static
 	// Lipschitz upper bound, "loss" for loss-feedback re-weighting
-	// (streaming jobs only; incompatible with the uniform algos and f32).
+	// (streaming jobs only; incompatible with the uniform algos).
 	// LossBeta is the loss-EMA observation weight for "loss" (0 selects
 	// the default). AdaptC attenuates stale updates by 1/(1+c·τ) and
 	// StalenessBound sheds updates with measured τ over the bound; both
 	// apply to streaming jobs and to batch Engine algos (sgd/asgd/
-	// is-sgd/is-asgd, f64, batch ≤ 1). DCLambda enables DC-ASGD delay
+	// is-sgd/is-asgd, batch ≤ 1). DCLambda enables DC-ASGD delay
 	// compensation on batch Engine jobs only.
 	Importance     string  `json:"importance,omitempty"`
 	LossBeta       float64 `json:"loss_beta,omitempty"`

@@ -116,13 +116,13 @@ type Config struct {
 	AdaptEvery int
 
 	// Adaptive-update options (Engine-based algorithms — SGD, IS-SGD,
-	// ASGD, IS-ASGD — on the scalar f64 path only; rejected for SVRG/SAGA,
-	// minibatch and f32 runs). AdaptC > 0 attenuates each update's step by
-	// 1/(1+AdaptC·τ) on its measured staleness; StalenessBound > 0 sheds
-	// updates whose τ exceeds it; DCLambda > 0 applies DC-ASGD delay
-	// compensation λ·d²·(w_now − w_base) against an epoch-start base
-	// snapshot. Zero values disable each knob; with all three zero the
-	// plain hot loop runs untouched.
+	// ASGD, IS-ASGD — with single-sample steps, at either precision;
+	// rejected for SVRG/SAGA and minibatch runs). AdaptC > 0 attenuates
+	// each update's step by 1/(1+AdaptC·τ) on its measured staleness;
+	// StalenessBound > 0 sheds updates whose τ exceeds it; DCLambda > 0
+	// applies DC-ASGD delay compensation λ·d²·(w_now − w_base) against an
+	// epoch-start base snapshot. Zero values disable each knob; with all
+	// three zero the plain hot loop runs untouched.
 	AdaptC         float64
 	StalenessBound int64
 	DCLambda       float64
@@ -253,8 +253,6 @@ func (c Config) validate(ds *dataset.Dataset) error {
 		switch {
 		case c.Algo == SVRGSGD || c.Algo == SVRGASGD || c.Algo == SAGA:
 			return fmt.Errorf("solver: adaptive updates are not supported for %v", c.Algo)
-		case f32:
-			return fmt.Errorf("solver: adaptive updates require the f64 data path")
 		case c.Batch > 1:
 			return fmt.Errorf("solver: adaptive updates require single-sample steps, got Batch %d", c.Batch)
 		}
@@ -351,7 +349,9 @@ func Train(ctx context.Context, ds *dataset.Dataset, obj objective.Objective, cf
 		return nil, err
 	}
 	if eng != nil && cfg.Batch > 1 {
-		eng.SetBatch(cfg.Batch)
+		if bErr := eng.SetBatch(cfg.Batch); bErr != nil {
+			return nil, fmt.Errorf("solver: %w", bErr)
+		}
 	}
 	if eng != nil {
 		pol := adaptive.Policy{AdaptC: cfg.AdaptC, StalenessBound: cfg.StalenessBound, DCLambda: cfg.DCLambda}

@@ -276,7 +276,6 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 		{Algo: ISASGD, Epochs: 2, Step: 0.1, AdaptC: -1},
 		{Algo: ISASGD, Epochs: 2, Step: 0.1, StalenessBound: -3},
 		{Algo: ISASGD, Epochs: 2, Step: 0.1, DCLambda: math.Inf(1)},
-		{Algo: ISASGD, Epochs: 2, Step: 0.1, AdaptC: 0.1, Precision: "f32"},
 		{Algo: ISASGD, Epochs: 2, Step: 0.1, AdaptC: 0.1, Batch: 8},
 	}
 	for i, cfg := range bad {
@@ -288,18 +287,26 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 
 // TestAdaptiveTrainConverges drives the full adaptive stack through
 // Train: staleness-attenuated, bounded, delay-compensated IS-ASGD must
-// still cut the objective like its plain counterpart.
+// still cut the objective like its plain counterpart, at either
+// precision, the f32 run landing in the f64 run's band.
 func TestAdaptiveTrainConverges(t *testing.T) {
 	ds, obj := testProblem(t)
-	res, err := Train(context.Background(), ds, obj, Config{
-		Algo: ISASGD, Epochs: 6, Step: 0.5, Threads: 4, Seed: 11,
-		AdaptC: 0.05, StalenessBound: 512, DCLambda: 0.02,
-	})
-	if err != nil {
-		t.Fatal(err)
+	final := map[string]float64{}
+	for _, precision := range []string{"f64", "f32"} {
+		res, err := Train(context.Background(), ds, obj, Config{
+			Algo: ISASGD, Epochs: 6, Step: 0.5, Threads: 4, Seed: 11, Precision: precision,
+			AdaptC: 0.05, StalenessBound: 512, DCLambda: 0.02,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := res.Curve
+		if last, first := c.Final(), c[0]; last.Obj >= first.Obj*0.8 {
+			t.Fatalf("%s adaptive run barely moved: %g -> %g", precision, first.Obj, last.Obj)
+		}
+		final[precision] = c.Final().Obj
 	}
-	c := res.Curve
-	if last, first := c.Final(), c[0]; last.Obj >= first.Obj*0.8 {
-		t.Fatalf("adaptive run barely moved: %g -> %g", first.Obj, last.Obj)
+	if o32, o64 := final["f32"], final["f64"]; math.Abs(o32-o64) > 0.05*(1+math.Abs(o64)) {
+		t.Fatalf("f32 adaptive objective %g vs f64 %g — outside the 5%% band", o32, o64)
 	}
 }

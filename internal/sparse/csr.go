@@ -12,7 +12,7 @@ type CSR struct {
 	Val    []float64
 
 	// val32 is the lazily-materialized float32 copy of Val for the
-	// half-width kernels; see EnsureVal32/Row32 in f32.go.
+	// half-width kernels; see EnsureVal32 in f32.go.
 	val32 []float32
 }
 

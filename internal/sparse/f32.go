@@ -6,22 +6,11 @@ package sparse
 // subsequent epoch streams 4-byte instead of 8-byte feature loads. The
 // int32 index arrays are shared unchanged between both precisions.
 
-// Vector32 is a sparse row view with float32 values, the row type the
-// float32 kernels consume. Like Vector, it shares backing arrays with
-// its matrix and must not be mutated by callers.
-type Vector32 struct {
-	Idx []int32
-	Val []float32
-}
-
-// NNZ returns the number of stored non-zeros.
-func (v Vector32) NNZ() int { return len(v.Idx) }
-
 // EnsureVal32 materializes the float32 copy of the value array if it is
 // not already present, and returns it. The copy is built once and
 // cached on the matrix; call it during setup (it is not safe to race
-// with itself), after which Row32 is allocation-free and safe for
-// concurrent readers.
+// with itself). It is indexed like Val, so IndPtr slices rows out of
+// both.
 func (m *CSR) EnsureVal32() []float32 {
 	if m.val32 == nil {
 		v32 := make([]float32, len(m.Val))
@@ -31,17 +20,6 @@ func (m *CSR) EnsureVal32() []float32 {
 		m.val32 = v32
 	}
 	return m.val32
-}
-
-// Row32 returns row i as a Vector32 sharing the matrix's backing
-// arrays. EnsureVal32 must have been called first; Row32 panics on a
-// matrix without the float32 copy.
-func (m *CSR) Row32(i int) Vector32 {
-	if m.val32 == nil {
-		panic("sparse: Row32 before EnsureVal32")
-	}
-	lo, hi := m.IndPtr[i], m.IndPtr[i+1]
-	return Vector32{Idx: m.Idx[lo:hi], Val: m.val32[lo:hi]}
 }
 
 // ToF32 converts a float64 value slice into dst, growing it as needed —

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/isasgd/isasgd/internal/adaptive"
 	"github.com/isasgd/isasgd/internal/objective"
+	"github.com/isasgd/isasgd/internal/obs"
 	"github.com/isasgd/isasgd/internal/xrand"
 )
 
@@ -217,7 +219,8 @@ func TestISStateLossWeightsValidUnderConcurrency(t *testing.T) {
 // TestTrainerLossFeedbackEndToEnd runs the loss-feedback mode through the
 // full streaming path on the skewed corpus and requires it to remain a
 // working trainer: full budget applied, finite weights, and a held-out
-// loss no worse than uniform baseline's.
+// loss no worse than uniform baseline's — at f64 and at f32, the f32 run
+// landing in the f64 run's band.
 func TestTrainerLossFeedbackEndToEnd(t *testing.T) {
 	const (
 		n    = 2048
@@ -230,11 +233,12 @@ func TestTrainerLossFeedbackEndToEnd(t *testing.T) {
 	heldOut := makeSkewedCorpus(512, dim, 0, seed+1, truthSeed)
 	obj := objective.LogisticL1{Eta: 1e-4}
 
-	run := func(importance string, uniform bool) float64 {
+	run := func(importance string, uniform bool, precision string) float64 {
 		cfg := streamConfig(dim, uniform)
 		cfg.Step = 1.0
 		cfg.UpdatesPerBlock = 2 * bs
 		cfg.Importance = importance
+		cfg.Precision = precision
 		tr, err := NewTrainer(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -253,18 +257,45 @@ func TestTrainerLossFeedbackEndToEnd(t *testing.T) {
 		return loss
 	}
 
-	lossFB := run("loss", false)
-	uniform := run("", true)
-	t.Logf("held-out loss: loss-feedback=%.6f uniform=%.6f", lossFB, uniform)
+	lossFB := run("loss", false, "")
+	lossFB32 := run("loss", false, "f32")
+	uniform := run("", true, "")
+	t.Logf("held-out loss: loss-feedback=%.6f (f32 %.6f) uniform=%.6f", lossFB, lossFB32, uniform)
 	if !(lossFB < uniform) {
 		t.Fatalf("loss-feedback (%.6f) should beat uniform (%.6f) on the skewed corpus", lossFB, uniform)
 	}
+	if !(lossFB32 < uniform) {
+		t.Fatalf("f32 loss-feedback (%.6f) should beat uniform (%.6f) on the skewed corpus", lossFB32, uniform)
+	}
+	if math.Abs(lossFB32-lossFB) > 0.05*(1+lossFB) {
+		t.Fatalf("f32 loss-feedback %.6f vs f64 %.6f — outside the 5%% band", lossFB32, lossFB)
+	}
 }
 
-// TestTrainerStalenessAdaptive covers the staleness-adaptive knobs: a
-// multi-worker run with a tight bound still trains (single-worker τ is
-// exactly 0, so nothing sheds there), and the shed counter only moves
-// when a bound is set.
+// racingObj stands in for the other workers of a single-worker run: every
+// third gradient read, two foreign updates land on the trainer's clock
+// before the write, so that update measures τ = 2.
+type racingObj struct {
+	objective.LogisticL1
+	ck    *adaptive.Clock
+	reads int64
+}
+
+func (o *racingObj) Deriv(z, y float64) float64 {
+	if o.reads++; o.reads%3 == 0 {
+		o.ck.Tick()
+		o.ck.Tick()
+	}
+	return o.LogisticL1.Deriv(z, y)
+}
+
+// TestTrainerStalenessAdaptive covers the staleness-adaptive knobs on
+// both precisions: a multi-worker run with a tight bound still trains; a
+// single worker — τ exactly 0 — sheds nothing and observes only zeros;
+// and with a scripted τ = 2 on every third update under a bound of 1,
+// exactly those updates are shed, and the count the trainer reports is
+// the one the instruments export (workers add their sheds once per
+// block, not per update).
 func TestTrainerStalenessAdaptive(t *testing.T) {
 	const (
 		n   = 1024
@@ -272,40 +303,55 @@ func TestTrainerStalenessAdaptive(t *testing.T) {
 		bs  = 256
 	)
 	corpus := makeSkewedCorpus(n, dim, 0.5, 3, 4)
-	cfg := streamConfig(dim, false)
-	cfg.Workers = 4
-	cfg.AdaptC = 0.1
-	cfg.StalenessBound = 8
-	tr, err := NewTrainer(cfg)
-	if err != nil {
-		t.Fatal(err)
+	run := func(cfg Config) (*Trainer, *Result, *obs.TrainInstruments) {
+		cfg.Instruments = obs.NewTrainInstruments(obs.NewRegistry(), "m")
+		tr, err := NewTrainer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o, ok := cfg.Obj.(*racingObj); ok {
+			o.ck = &tr.ck
+		}
+		res, err := tr.Run(context.Background(), NewReader(strings.NewReader(corpus), "skew", bs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := cfg.Instruments.UpdatesShed.Count(), tr.Shed(); got != want {
+			t.Fatalf("isasgd_train_updates_shed_total = %d, Shed() = %d", got, want)
+		}
+		return tr, res, cfg.Instruments
 	}
-	res, err := tr.Run(context.Background(), NewReader(strings.NewReader(corpus), "skew", bs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Updates == 0 {
-		t.Fatal("adaptive run applied no updates")
-	}
-	if tr.Shed() < 0 {
-		t.Fatal("negative shed count")
-	}
+	for _, precision := range []string{"", "f32"} {
+		cfg := streamConfig(dim, false)
+		cfg.Precision = precision
+		cfg.Workers = 4
+		cfg.AdaptC = 0.1
+		cfg.StalenessBound = 8
+		if _, res, _ := run(cfg); res.Updates == 0 {
+			t.Fatalf("precision %q: adaptive run applied no updates", precision)
+		}
 
-	// Single worker: τ is identically zero, so a bound of 1 must shed
-	// nothing and attenuation must leave the run deterministic.
-	cfg2 := streamConfig(dim, false)
-	cfg2.Workers = 1
-	cfg2.AdaptC = 0.5
-	cfg2.StalenessBound = 1
-	tr2, err := NewTrainer(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr2.Run(context.Background(), NewReader(strings.NewReader(corpus), "skew", bs)); err != nil {
-		t.Fatal(err)
-	}
-	if got := tr2.Shed(); got != 0 {
-		t.Fatalf("single-worker run shed %d updates, want 0", got)
+		cfg.Workers = 1
+		cfg.AdaptC = 0.5
+		cfg.StalenessBound = 1
+		tr, res, ti := run(cfg)
+		if got := tr.Shed(); got != 0 {
+			t.Fatalf("precision %q: single-worker run shed %d updates, want 0", precision, got)
+		}
+		if h := ti.WorkerStaleness(1)[0]; h.Count() != res.Updates || h.Quantile(1) != 0 {
+			t.Fatalf("precision %q: single worker observed %d staleness samples (max %g) over %d updates, want all 0",
+				precision, h.Count(), h.Quantile(1), res.Updates)
+		}
+
+		racing := &racingObj{LogisticL1: objective.LogisticL1{Eta: 1e-4}}
+		cfg.Obj = racing
+		tr, res, _ = run(cfg)
+		if got, want := tr.Shed(), racing.reads/3; got != want || want == 0 {
+			t.Fatalf("precision %q: shed %d of %d gradient reads, want every third (%d)", precision, got, racing.reads, want)
+		}
+		if res.Updates+tr.Shed() != racing.reads {
+			t.Fatalf("precision %q: applied %d + shed %d != %d gradient reads", precision, res.Updates, tr.Shed(), racing.reads)
+		}
 	}
 }
 
@@ -316,12 +362,9 @@ func TestTrainerAdaptiveConfigValidation(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
 		"bad importance":    func(c *Config) { c.Importance = "entropy" },
 		"loss with uniform": func(c *Config) { c.Importance = "loss"; c.Uniform = true },
-		"loss with f32":     func(c *Config) { c.Importance = "loss"; c.Precision = "f32" },
-		"adapt with f32":    func(c *Config) { c.AdaptC = 0.1; c.Precision = "f32" },
 		"negative adaptC":   func(c *Config) { c.AdaptC = -1 },
 		"NaN adaptC":        func(c *Config) { c.AdaptC = math.NaN() },
 		"negative bound":    func(c *Config) { c.StalenessBound = -5 },
-		"bound with f32":    func(c *Config) { c.StalenessBound = 4; c.Precision = "f32" },
 	} {
 		cfg := base()
 		mutate(&cfg)
@@ -333,6 +376,8 @@ func TestTrainerAdaptiveConfigValidation(t *testing.T) {
 		"bound importance": func(c *Config) { c.Importance = "bound" },
 		"loss importance":  func(c *Config) { c.Importance = "loss"; c.LossBeta = 0.5 },
 		"adaptive f64":     func(c *Config) { c.AdaptC = 0.25; c.StalenessBound = 16 },
+		"loss with f32":    func(c *Config) { c.Importance = "loss"; c.Precision = "f32" },
+		"adaptive f32":     func(c *Config) { c.AdaptC = 0.25; c.StalenessBound = 16; c.Precision = "f32" },
 	} {
 		cfg := base()
 		mutate(&cfg)

@@ -61,6 +61,10 @@ type Block struct {
 // Len returns the number of rows in the block.
 func (b *Block) Len() int { return len(b.Rows) }
 
+// Val returns row k's float64 feature values — the f64 counterpart of
+// Val32, for code written once over the value type.
+func (b *Block) Val(k int) []float64 { return b.Rows[k].Val }
+
 // EnsureVal32 materializes the block's float32 feature values (one
 // conversion per row, all rows sharing a single backing array). Idempotent;
 // call during ingest, before the update workers run — the first call is

@@ -64,8 +64,8 @@ type Config struct {
 	// importance), falling back to the bound for rows whose loss has not
 	// been measured yet. Loss mode decomposes each update into
 	// score → write-back so the measured loss feeds straight back into the
-	// sampler; it requires the f64 data path and is incompatible with
-	// Uniform (uniform draws ignore weights entirely).
+	// sampler; it is incompatible with Uniform (uniform draws ignore
+	// weights entirely).
 	Importance string
 	// LossBeta is the loss-EMA observation weight in loss mode; values
 	// outside (0, 1] select adaptive.DefaultLossBeta.
@@ -73,13 +73,11 @@ type Config struct {
 
 	// AdaptC, when > 0, scales each update's step by 1/(1+AdaptC·τ) where
 	// τ is that update's measured staleness (asynchronous updates other
-	// workers applied between its gradient read and its write). Requires
-	// the f64 data path.
+	// workers applied between its gradient read and its write).
 	AdaptC float64
 	// StalenessBound, when > 0, sheds updates whose measured τ exceeds it
 	// instead of applying them (shed counts surface via Trainer.Shed and
-	// the isasgd_train_updates_shed_total counter). Requires the f64 data
-	// path.
+	// the isasgd_train_updates_shed_total counter).
 	StalenessBound int64
 
 	ModelKind model.Kind // shared-model storage; default KindAtomic
@@ -150,13 +148,14 @@ type Result struct {
 // Ingest and the update phase alternate; the Trainer itself is not safe
 // for concurrent Ingest calls.
 type Trainer struct {
-	cfg  Config
-	reg  objective.Regularizer
-	m    model.Params
-	kern kernel.Kernel
-	// kern32 is non-nil iff the model stores float32; the update workers
-	// then stream half-width weights and features through it, with blocks
-	// materializing their f32 value views at ingest.
+	cfg Config
+	reg objective.Regularizer
+	m   model.Params
+	// Exactly one kernel is bound: kern32 iff the model stores float32 —
+	// the update workers then stream half-width weights and features
+	// through it, with blocks materializing their f32 value views at
+	// ingest — kern otherwise.
+	kern   kernel.Kernel
 	kern32 kernel.Kernel32
 	rngs   []*xrand.Rand // rngs[0] also drives shard planning
 	sts    []*ISState
@@ -177,11 +176,15 @@ type Trainer struct {
 	// per-worker staleness histograms; nil when uninstrumented
 	staleH []*obs.Histogram
 
-	// adaptive-update state: the policy (zero when disabled), the shared
-	// logical update clock behind the τ probe, whether loss-feedback
-	// importance is on, and the cumulative shed count.
+	// ck is the one logical update clock: it ticks once per applied
+	// update whenever something reads it — the τ histograms, the adaptive
+	// probe, or both.
+	ck adaptive.Clock
+
+	// adaptive-update state: the policy (zero when disabled), whether
+	// loss-feedback importance is on, and the cumulative shed count (each
+	// worker adds its block's sheds once, when its quota is done).
 	pol      adaptive.Policy
-	ck       adaptive.Clock
 	lossMode bool
 	shed     atomic.Int64
 }
@@ -234,9 +237,6 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 	switch cfg.Importance {
 	case "", "bound":
 	case "loss":
-		if prec == model.PrecisionF32 {
-			return nil, fmt.Errorf("stream: Importance=loss requires the f64 data path (Kernel32 has no decomposed update)")
-		}
 		if cfg.Uniform {
 			return nil, fmt.Errorf("stream: Importance=loss is incompatible with Uniform (uniform draws ignore weights)")
 		}
@@ -250,9 +250,6 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 	if cfg.StalenessBound < 0 {
 		return nil, fmt.Errorf("stream: Config.StalenessBound must be non-negative, got %d", cfg.StalenessBound)
 	}
-	if pol.Enabled() && prec == model.PrecisionF32 {
-		return nil, fmt.Errorf("stream: staleness-adaptive updates require the f64 data path")
-	}
 	t := &Trainer{
 		cfg:      cfg,
 		reg:      cfg.Obj.Reg(),
@@ -265,7 +262,6 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 	}
 	// Same devirtualized hot path as the batch engine; rows whose
 	// features exceed Dim go through the clamped variants.
-	t.kern = kernel.New(t.m, cfg.Obj)
 	if cfg.ModelKind.Is32() {
 		t.kern32 = kernel.New32(t.m, cfg.Obj)
 		if cfg.Snapshots != nil {
@@ -273,6 +269,8 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 			// lossless half-bandwidth f32 scoring path from version one.
 			cfg.Snapshots.SetDType(model.PrecisionF32)
 		}
+	} else {
+		t.kern = kernel.New(t.m, cfg.Obj)
 	}
 	sm := xrand.NewSplitMix64(cfg.Seed)
 	t.rngs = make([]*xrand.Rand, cfg.Workers)
@@ -475,7 +473,11 @@ func (t *Trainer) runUpdates(blockRows int) {
 		if w < rem {
 			quota++
 		}
-		t.applied[w] = t.workerUpdates(w, quota)
+		if t.kern32 != nil {
+			t.applied[w] = workerUpdates(t, w, quota, t.kern32, (*Block).Val32)
+		} else {
+			t.applied[w] = workerUpdates[float64](t, w, quota, t.kern, (*Block).Val)
+		}
 	})
 	for _, n := range t.applied {
 		t.updates += n
@@ -509,85 +511,35 @@ func (t *Trainer) publish() {
 	})
 }
 
-// workerUpdates is the hot loop: draw a row from the worker's ISState,
+// workerUpdates is the hot loop, written once over the feature value
+// type (k and vals are the trainer's kernel and the blocks' value
+// accessor in that precision): draw a row from the worker's ISState,
 // fetch it from the window, apply one scaled sparse update. Stale draws
 // (rows evicted between rebuilds) are skipped; the attempt budget bounds
 // the loop when the worker's whole reservoir went stale.
-func (t *Trainer) workerUpdates(w, quota int) int64 {
-	if t.kern32 != nil {
-		return t.workerUpdates32(w, quota)
-	}
-	if t.lossMode || t.pol.Enabled() {
-		return t.workerUpdatesAdaptive(w, quota)
-	}
-	var (
-		k        = t.kern
-		rng      = t.rngs[w]
-		st       = t.sts[w]
-		step     = t.step
-		applied  int64
-		attempts = 4 * quota
-		instr    = t.cfg.Instruments
-		sh       *obs.Histogram
-	)
-	if instr != nil {
-		sh = t.staleH[w]
-	}
-	for int(applied) < quota && attempts > 0 {
-		attempts--
-		var (
-			e     Entry
-			scale float64
-			ok    bool
-		)
-		if t.cfg.Uniform {
-			e, ok = st.SampleUniform(rng)
-			scale = 1
-		} else {
-			e, scale, ok = st.Sample(rng)
-		}
-		if !ok {
-			break // nothing published yet
-		}
-		b, i := t.locate(e.Ref)
-		if b == nil || scale <= 0 {
-			continue // evicted between rebuilds, or zero-weight entry
-		}
-		row, y := b.Rows[i], b.Y[i]
-		if instr == nil {
-			k.StepClamped(row.Idx, row.Val, y, step*scale)
-			applied++
-			continue
-		}
-		begin := instr.StaleBegin()
-		k.StepClamped(row.Idx, row.Val, y, step*scale)
-		instr.StaleEnd(sh, begin)
-		applied++
-	}
-	return applied
-}
-
-// workerUpdatesAdaptive is workerUpdates with each step decomposed
-// around the adaptive probes: the dot and derivative are computed first
-// so the measured staleness τ (updates other workers applied between the
+//
+// With an adaptive policy or loss feedback on, each step is decomposed
+// around the probes: the dot and derivative are computed first so the
+// measured staleness τ (updates other workers applied between the
 // gradient read and this write) can shed the update or attenuate its
 // step by 1/(1+c·τ), and in loss-feedback mode the sample's measured
 // loss is folded back into its reservoir EMA after the write. Shed
 // attempts consume the attempt budget but not the quota.
-func (t *Trainer) workerUpdatesAdaptive(w, quota int) int64 {
+func workerUpdates[V float32 | float64](t *Trainer, w, quota int, k kernel.Ops[V], vals func(*Block, int) []V) int64 {
 	var (
-		k        = t.kern
 		obj      = t.cfg.Obj
 		rng      = t.rngs[w]
 		st       = t.sts[w]
 		step     = t.step
 		pol      = t.pol
+		probe    = t.lossMode || pol.Enabled()
+		ck       = &t.ck
 		applied  int64
+		shed     int64
 		attempts = 4 * quota
-		instr    = t.cfg.Instruments
 		sh       *obs.Histogram
 	)
-	if instr != nil {
+	if t.staleH != nil {
 		sh = t.staleH[w]
 	}
 	for int(applied) < quota && attempts > 0 {
@@ -610,75 +562,37 @@ func (t *Trainer) workerUpdatesAdaptive(w, quota int) int64 {
 		if b == nil || scale <= 0 {
 			continue // evicted between rebuilds, or zero-weight entry
 		}
-		row, y := b.Rows[i], b.Y[i]
-		begin := t.ck.Now()
-		z := k.DotClamped(row.Idx, row.Val)
-		g := obj.Deriv(z, y)
-		tau := t.ck.Now() - begin
-		if pol.Shed(tau) {
-			t.shed.Add(1)
-			continue
-		}
-		k.UpdateClamped(row.Idx, row.Val, g, step*scale*pol.Scale(tau))
-		t.ck.Tick()
-		if sh != nil {
-			sh.Observe(tau)
-		}
-		if t.lossMode {
-			st.ObserveLoss(e.Ref, obj.Loss(z, y))
+		idx, val, y := b.Rows[i].Idx, vals(b, i), b.Y[i]
+		s := step * scale
+		switch {
+		case probe:
+			begin := ck.Now()
+			z := k.DotClamped(idx, val)
+			g := obj.Deriv(z, y)
+			tau := ck.Now() - begin
+			if pol.Shed(tau) {
+				shed++
+				continue
+			}
+			k.UpdateClamped(idx, val, g, s*pol.Scale(tau))
+			ck.Tick()
+			if sh != nil {
+				sh.Observe(tau)
+			}
+			if t.lossMode {
+				st.ObserveLoss(e.Ref, obj.Loss(z, y))
+			}
+		case sh != nil:
+			begin := ck.Now()
+			k.StepClamped(idx, val, y, s)
+			sh.Observe(ck.Tick() - begin - 1)
+		default:
+			k.StepClamped(idx, val, y, s)
 		}
 		applied++
 	}
-	return applied
-}
-
-// workerUpdates32 is workerUpdates on the float32 data path: identical
-// sampling and staleness accounting, half-width weight and feature
-// streams through the devirtualized f32 kernel.
-func (t *Trainer) workerUpdates32(w, quota int) int64 {
-	var (
-		k        = t.kern32
-		rng      = t.rngs[w]
-		st       = t.sts[w]
-		step     = t.step
-		applied  int64
-		attempts = 4 * quota
-		instr    = t.cfg.Instruments
-		sh       *obs.Histogram
-	)
-	if instr != nil {
-		sh = t.staleH[w]
-	}
-	for int(applied) < quota && attempts > 0 {
-		attempts--
-		var (
-			e     Entry
-			scale float64
-			ok    bool
-		)
-		if t.cfg.Uniform {
-			e, ok = st.SampleUniform(rng)
-			scale = 1
-		} else {
-			e, scale, ok = st.Sample(rng)
-		}
-		if !ok {
-			break // nothing published yet
-		}
-		b, i := t.locate(e.Ref)
-		if b == nil || scale <= 0 {
-			continue // evicted between rebuilds, or zero-weight entry
-		}
-		idx, val, y := b.Rows[i].Idx, b.Val32(i), b.Y[i]
-		if instr == nil {
-			k.StepClamped(idx, val, y, step*scale)
-			applied++
-			continue
-		}
-		begin := instr.StaleBegin()
-		k.StepClamped(idx, val, y, step*scale)
-		instr.StaleEnd(sh, begin)
-		applied++
+	if shed > 0 {
+		t.shed.Add(shed)
 	}
 	return applied
 }

@@ -1,7 +1,8 @@
 // Benchmarks regenerating the paper's tables and figures (one bench per
-// artifact) plus kernel-level throughput benches. Experiment benches run
-// at "quick" scale so `go test -bench=. -benchmem` completes in minutes;
-// use cmd/isasgd-bench for the full-scale reports.
+// artifact) plus kernel-level throughput microbenchmarks. Experiment
+// benches run at "quick" scale so `go test -bench=. -benchmem` completes
+// in minutes; use cmd/isasgd-bench for the full-scale reports. End-to-end
+// performance numbers come from `bash bench/run.sh` (see bench/README.md).
 package isasgd_test
 
 import (
@@ -16,6 +17,7 @@ import (
 	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/objective"
 	"github.com/isasgd/isasgd/internal/solver"
+	"github.com/isasgd/isasgd/internal/xrand"
 )
 
 func quickRunner(b *testing.B) *experiments.Runner {
@@ -246,39 +248,84 @@ func BenchmarkSVRGEpochCost(b *testing.B) {
 // BenchmarkKernel* isolate the per-update cost of the devirtualized
 // kernels against the Reference kernel, which reproduces the seed's
 // interface-dispatch loop exactly (model.Params.Dot + per-coordinate
-// Add/Get + Regularizer.DerivAt). The acceptance bar for the refactor is
-// ≥1.5× single-thread Racy Step throughput over Reference; run
+// Add/Get + Regularizer.DerivAt). Run
 //
 //	go test -bench 'BenchmarkKernelStep' -benchmem .
 //
-// and compare the Racy*/Ref pairs, or use `isasgd-bench -experiment
-// kernels` for the machine-readable report (BENCH_3.json in CI).
+// and compare the Racy*/Ref pairs.
 
-// benchKernelStep measures the fused scalar update (one Step per op)
-// on the workload shared with `isasgd-bench -experiment kernels`
-// (experiments.KernelWorkload), so ns/op here and ns/update in
-// BENCH_3.json describe the same loop.
+// The kernel-benchmark workload shape: sparse rows of kernelBenchNNZ
+// support over a model sized to defeat the L2 cache, minibatches of
+// kernelBenchBatch.
+const (
+	kernelBenchRows  = 512
+	kernelBenchDim   = 1 << 16
+	kernelBenchNNZ   = 64
+	kernelBenchBatch = 16
+)
+
+// kernelWorkload is the synthesized benchmark input (see the
+// kernelBench* constants).
+type kernelWorkload struct {
+	idx [][]int32
+	val [][]float64
+	y   []float64
+}
+
+func newKernelWorkload(seed uint64) *kernelWorkload {
+	rng := xrand.New(seed)
+	w := &kernelWorkload{
+		idx: make([][]int32, kernelBenchRows),
+		val: make([][]float64, kernelBenchRows),
+		y:   make([]float64, kernelBenchRows),
+	}
+	for i := range w.idx {
+		w.idx[i] = make([]int32, kernelBenchNNZ)
+		w.val[i] = make([]float64, kernelBenchNNZ)
+		for k := range w.idx[i] {
+			w.idx[i][k] = int32(rng.Intn(kernelBenchDim))
+			w.val[i][k] = rng.NormFloat64()
+		}
+		w.y[i] = float64(1 - 2*(i%2))
+	}
+	return w
+}
+
+// benchKernelStep measures the fused scalar update (one Step per op).
 func benchKernelStep(b *testing.B, k kernel.Kernel) {
 	b.Helper()
-	wl := experiments.NewKernelWorkload(0xfeed)
+	wl := newKernelWorkload(0xfeed)
+	rows := len(wl.idx)
 	b.ReportAllocs()
 	b.ResetTimer()
-	wl.RunScalar(k, b.N)
+	for i := 0; i < b.N; i++ {
+		r := i % rows
+		k.Step(wl.idx[r], wl.val[r], wl.y[r], 1e-4)
+	}
 }
 
 // benchKernelBatch measures the minibatch pattern: a score phase
 // (Dot + Deriv) followed by the write-back phase (Update), batch size
-// experiments.KernelBenchBatch. ns/op is per update.
+// kernelBenchBatch. ns/op is per update.
 func benchKernelBatch(b *testing.B, k kernel.Kernel, obj objective.Objective) {
 	b.Helper()
-	wl := experiments.NewKernelWorkload(0xfeed)
-	grads := make([]float64, experiments.KernelBenchBatch)
+	const batch = kernelBenchBatch
+	wl := newKernelWorkload(0xfeed)
+	rows := len(wl.idx)
+	grads := make([]float64, batch)
 	b.ReportAllocs()
 	b.ResetTimer()
-	wl.RunBatch(k, obj, grads, b.N)
+	for i := 0; i < b.N; i += batch {
+		for c := 0; c < batch; c++ {
+			r := (i + c) % rows
+			grads[c] = obj.Deriv(k.Dot(wl.idx[r], wl.val[r]), wl.y[r])
+		}
+		for c := 0; c < batch; c++ {
+			r := (i + c) % rows
+			k.Update(wl.idx[r], wl.val[r], grads[c], 1e-4/batch)
+		}
+	}
 }
-
-const kernelBenchDim = experiments.KernelBenchDim
 
 var (
 	benchObjL1 = objective.LogisticL1{Eta: 1e-4}

@@ -1,5 +1,7 @@
 // Command isasgd-bench regenerates the tables and figures of the
 // IS-ASGD paper's evaluation (Section 4) on synthetic dataset analogs.
+// Performance numbers are not produced here: `bash bench/run.sh` is the
+// benchmark (see bench/README.md).
 //
 // Usage:
 //
@@ -7,44 +9,11 @@
 //
 //	-experiment list    comma-separated subset of:
 //	                    table1,fig1,fig2,fig3,fig4,fig5,summary,theory,
-//	                    ablations,overhead,psisweep,tausweep,kernels,
-//	                    serving,cluster,precision,fleet,adaptive,all
-//	                    (default "all")
+//	                    ablations,overhead,psisweep,tausweep,all
+//	                    (default "all"); any other name is an error
 //	-scale name         quick | standard | full (default "standard")
 //	-seed n             RNG seed (default 1)
 //	-csv dir            also export convergence curves as CSV into dir
-//	-kernel-json file   write the kernels experiment's machine-readable
-//	                    report (ns/update, allocs/update, speedups) to
-//	                    file — the BENCH_3.json perf baseline in CI
-//	-serving-json file  write the serving experiment's machine-readable
-//	                    report (ns/predict by registry × goroutines,
-//	                    speedups) to file — the BENCH_4.json serving
-//	                    baseline in CI
-//	-cluster-json file  write the cluster experiment's machine-readable
-//	                    report (wall clock to target loss at 1/2/4
-//	                    worker nodes vs one process) to file — the
-//	                    BENCH_7.json distributed-training baseline in CI
-//	-precision-json file  write the precision experiment's machine-
-//	                    readable report (f32 vs f64 ns/update, bytes/
-//	                    update, %-of-roofline against measured STREAM
-//	                    triad bandwidth) to file — the BENCH_8.json
-//	                    float32 data-path baseline in CI
-//	-assert-f32         exit nonzero if the precision experiment finds
-//	                    any cell where float32 is slower than float64
-//	-fleet-json file    write the serving-fleet experiment's machine-
-//	                    readable report (QPS at SLO for unbatched vs
-//	                    micro-batched single process and 1 vs 2 replicas,
-//	                    shed rate, replication lag) to file — the
-//	                    BENCH_9.json serving-fleet baseline in CI
-//	-adaptive-json file write the adaptive experiment's machine-readable
-//	                    report (loss-feedback vs static-bound updates-to-
-//	                    target on the skewed corpus, delay-compensated vs
-//	                    plain cluster race) to file — the BENCH_10.json
-//	                    adaptive-updates baseline in CI
-//	-assert-adaptive    exit nonzero unless loss-feedback importance
-//	                    reaches the target loss in no more updates than
-//	                    static bounds AND the delay-compensated cluster
-//	                    converges in no more updates than the plain one
 //	-version            print the build version and exit
 //
 // fig3, fig4, fig5 and summary share the same training runs; requesting
@@ -56,9 +25,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 
@@ -66,32 +37,35 @@ import (
 	"github.com/isasgd/isasgd/internal/obs"
 )
 
+// experimentNames is every value -experiment accepts, in run order.
+var experimentNames = []string{
+	"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "summary",
+	"theory", "ablations", "overhead", "psisweep", "tausweep", "all",
+}
+
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "isasgd-bench: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(ctx context.Context, args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("isasgd-bench", flag.ContinueOnError)
 	var (
-		expList     = flag.String("experiment", "all", "experiments to run (comma-separated)")
-		scaleName   = flag.String("scale", "standard", "quick | standard | full")
-		seed        = flag.Uint64("seed", 1, "RNG seed")
-		csvDir      = flag.String("csv", "", "export convergence curves as CSV into this directory")
-		kernelJSON  = flag.String("kernel-json", "", "write the kernel micro-benchmark report as JSON to this file")
-		servingJSON = flag.String("serving-json", "", "write the serving micro-benchmark report as JSON to this file")
-		clusterJSON = flag.String("cluster-json", "", "write the cluster scaling report as JSON to this file")
-		precJSON    = flag.String("precision-json", "", "write the f32-vs-f64 precision report as JSON to this file")
-		fleetJSON   = flag.String("fleet-json", "", "write the serving-fleet QPS-at-SLO report as JSON to this file")
-		adaptJSON   = flag.String("adaptive-json", "", "write the adaptive-updates report as JSON to this file")
-		assertF32   = flag.Bool("assert-f32", false, "fail if the precision experiment finds f32 slower than f64 anywhere")
-		assertAdapt = flag.Bool("assert-adaptive", false, "fail unless loss-feedback and delay compensation hit their updates-to-target gates")
-		version     = flag.Bool("version", false, "print the build version and exit")
+		expList   = fs.String("experiment", "all", "experiments to run (comma-separated)")
+		scaleName = fs.String("scale", "standard", "quick | standard | full")
+		seed      = fs.Uint64("seed", 1, "RNG seed")
+		csvDir    = fs.String("csv", "", "export convergence curves as CSV into this directory")
+		version   = fs.Bool("version", false, "print the build version and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *version {
-		fmt.Println("isasgd-bench", obs.FullVersion())
+		fmt.Fprintln(out, "isasgd-bench", obs.FullVersion())
 		return nil
 	}
 
@@ -99,38 +73,15 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	r := experiments.NewRunner(os.Stdout, scale, *seed)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	want := map[string]bool{}
-	for _, e := range strings.Split(*expList, ",") {
-		want[strings.TrimSpace(strings.ToLower(e))] = true
+	want, err := parseExperiments(*expList)
+	if err != nil {
+		return err
 	}
 	all := want["all"]
 	anyConv := all || want["fig3"] || want["fig4"] || want["fig5"] || want["summary"]
-	if *kernelJSON != "" && !(all || want["kernels"]) {
-		// Fail before any experiment runs, not after an expensive sweep.
-		return fmt.Errorf("-kernel-json requires the kernels experiment (got -experiment %q)", *expList)
-	}
-	if *servingJSON != "" && !(all || want["serving"]) {
-		return fmt.Errorf("-serving-json requires the serving experiment (got -experiment %q)", *expList)
-	}
-	if *clusterJSON != "" && !(all || want["cluster"]) {
-		return fmt.Errorf("-cluster-json requires the cluster experiment (got -experiment %q)", *expList)
-	}
-	if (*precJSON != "" || *assertF32) && !(all || want["precision"]) {
-		return fmt.Errorf("-precision-json/-assert-f32 require the precision experiment (got -experiment %q)", *expList)
-	}
-	if *fleetJSON != "" && !(all || want["fleet"]) {
-		return fmt.Errorf("-fleet-json requires the fleet experiment (got -experiment %q)", *expList)
-	}
-	if (*adaptJSON != "" || *assertAdapt) && !(all || want["adaptive"]) {
-		return fmt.Errorf("-adaptive-json/-assert-adaptive require the adaptive experiment (got -experiment %q)", *expList)
-	}
+	r := experiments.NewRunner(out, scale, *seed)
 
-	fmt.Printf("IS-ASGD evaluation harness — scale=%s seed=%d\n", scale.Name, *seed)
+	fmt.Fprintf(out, "IS-ASGD evaluation harness — scale=%s seed=%d\n", scale.Name, *seed)
 
 	if all || want["table1"] {
 		if _, err := r.Table1(); err != nil {
@@ -169,7 +120,7 @@ func run() error {
 				if err := f.Close(); err != nil {
 					return err
 				}
-				fmt.Printf("wrote %s\n", path)
+				fmt.Fprintf(out, "wrote %s\n", path)
 			}
 		}
 	}
@@ -210,155 +161,20 @@ func run() error {
 			return err
 		}
 	}
-	if all || want["kernels"] {
-		res, err := r.Kernels()
-		if err != nil {
-			return err
-		}
-		if *kernelJSON != "" {
-			f, err := os.Create(*kernelJSON)
-			if err != nil {
-				return err
-			}
-			if err := experiments.WriteKernelJSON(f, res); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *kernelJSON)
-		}
-	}
-	if all || want["serving"] {
-		res, err := r.Serving()
-		if err != nil {
-			return err
-		}
-		if *servingJSON != "" {
-			f, err := os.Create(*servingJSON)
-			if err != nil {
-				return err
-			}
-			if err := experiments.WriteServingJSON(f, res); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *servingJSON)
-		}
-	}
-	if all || want["precision"] {
-		res, err := r.Precision()
-		if err != nil {
-			return err
-		}
-		if *precJSON != "" {
-			f, err := os.Create(*precJSON)
-			if err != nil {
-				return err
-			}
-			if err := experiments.WritePrecisionJSON(f, res); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *precJSON)
-		}
-		if *assertF32 {
-			if err := experiments.AssertF32NotSlower(res); err != nil {
-				return err
-			}
-			fmt.Println("assert-f32: float32 at or above float64 throughput in every cell")
-		}
-	}
-	if all || want["cluster"] {
-		res, err := r.Cluster(ctx)
-		if err != nil {
-			return err
-		}
-		if *clusterJSON != "" {
-			f, err := os.Create(*clusterJSON)
-			if err != nil {
-				return err
-			}
-			if err := experiments.WriteClusterJSON(f, res); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *clusterJSON)
-		}
-	}
-	if all || want["adaptive"] {
-		res, err := r.Adaptive(ctx)
-		if err != nil {
-			return err
-		}
-		if *adaptJSON != "" {
-			f, err := os.Create(*adaptJSON)
-			if err != nil {
-				return err
-			}
-			if err := experiments.WriteAdaptiveJSON(f, res); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *adaptJSON)
-		}
-		if *csvDir != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				return err
-			}
-			path := filepath.Join(*csvDir, fmt.Sprintf("curves_%s.csv", res.Dataset))
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			if err := experiments.WriteCurvesCSV(f, res.Dataset, res.Curves); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-		if *assertAdapt {
-			if err := experiments.AssertAdaptive(res); err != nil {
-				return err
-			}
-			fmt.Println("assert-adaptive: loss-feedback and delay compensation within their update budgets")
-		}
-	}
-	if all || want["fleet"] {
-		res, err := r.Fleet(ctx)
-		if err != nil {
-			return err
-		}
-		if *fleetJSON != "" {
-			f, err := os.Create(*fleetJSON)
-			if err != nil {
-				return err
-			}
-			if err := experiments.WriteFleetJSON(f, res); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *fleetJSON)
-		}
-	}
 	return nil
+}
+
+// parseExperiments splits the -experiment list and rejects any name
+// outside experimentNames, so a misspelled or retired experiment fails
+// before anything runs instead of silently running nothing.
+func parseExperiments(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, e := range strings.Split(list, ",") {
+		name := strings.TrimSpace(strings.ToLower(e))
+		if !slices.Contains(experimentNames, name) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(experimentNames, ","))
+		}
+		want[name] = true
+	}
+	return want, nil
 }

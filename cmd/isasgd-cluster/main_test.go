@@ -89,10 +89,12 @@ func TestClusterEndToEnd(t *testing.T) {
 		t.Fatalf("coordinator never announced its address:\n%s", cout.String())
 	}
 
+	// A mixed-wire cluster: worker 0 speaks the default f64 encoding,
+	// worker 1 the f32 one, against the same coordinator.
 	var wg sync.WaitGroup
 	werrs := make([]error, 2)
 	wouts := make([]syncBuf, 2)
-	for i := 0; i < 2; i++ {
+	for i, wire := range []string{"f64", "f32"} {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -100,14 +102,18 @@ func TestClusterEndToEnd(t *testing.T) {
 				"-role", "worker", "-coordinator", url,
 				"-id", itoa(i), "-workers", "2",
 				"-dataset", "small", "-seed", "7",
-				"-step", "0.5", "-log-level", "error",
+				"-step", "0.5", "-wire", wire, "-log-level", "error",
 			}, &wouts[i])
 		}(i)
 	}
 	wg.Wait()
+	appliedRe := regexp.MustCompile(`applied=[1-9]`)
 	for i, err := range werrs {
 		if err != nil {
 			t.Fatalf("worker %d: %v\n%s", i, err, wouts[i].String())
+		}
+		if !appliedRe.MatchString(wouts[i].String()) {
+			t.Fatalf("worker %d had no push applied:\n%s", i, wouts[i].String())
 		}
 	}
 	if err := <-coordErr; err != nil {

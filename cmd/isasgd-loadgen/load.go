@@ -1,10 +1,8 @@
-package experiments
+package main
 
 // This file is the serving-fleet load generator: a closed- or open-loop
-// HTTP predict driver with zipf-skewed model popularity, shared by
-// cmd/isasgd-loadgen (standalone CLI against a live fleet) and
-// Runner.Fleet (the BENCH_9 in-process experiment). Request bodies are
-// pre-serialized and workers carry private RNG/zipf state, so the
+// HTTP predict driver with zipf-skewed model popularity. Request bodies
+// are pre-serialized and workers carry private RNG/zipf state, so the
 // driver's own cost stays flat while it saturates the target.
 //
 // The two modes answer different questions. Closed-loop (N workers,
@@ -375,8 +373,8 @@ func FetchMaxLag(ctx context.Context, c *http.Client, targets []string) (float64
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
-// WriteLoadJSON emits one load report as indented JSON (the
-// isasgd-loadgen -json artifact).
+// WriteLoadJSON emits one load report as indented JSON (the -json
+// artifact).
 func WriteLoadJSON(w io.Writer, rep *LoadReport) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -1,30 +1,19 @@
-package experiments
+package main
 
 import (
 	"context"
 	"testing"
 	"time"
-
-	"github.com/isasgd/isasgd/internal/serve"
 )
 
 // TestRunLoadClosedSmoke drives a short closed-loop run against a real
 // in-process serving node and checks the accounting adds up.
 func TestRunLoadClosedSmoke(t *testing.T) {
-	n, err := startFleetNode(serve.ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.close()
-	if _, _, err := publishFleetModels(n, 2, 256, 1); err != nil {
-		t.Fatal(err)
-	}
-
 	rep, err := RunLoad(context.Background(), LoadSpec{
-		Targets: []string{n.url}, Models: fleetNames(2),
+		Targets: []string{startTarget(t)}, Models: []string{"a", "b"},
 		Mode: "closed", Concurrency: 4,
 		Duration: 300 * time.Millisecond, Warmup: 50 * time.Millisecond,
-		Dim: 256, NNZ: 8, Seed: 1, SLOP99: 5 * time.Second,
+		Dim: 4, NNZ: 2, Seed: 1, SLOP99: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,20 +35,11 @@ func TestRunLoadClosedSmoke(t *testing.T) {
 // TestRunLoadOpenSmoke checks the open-loop pacer: the offered rate is
 // honored approximately and bookkeeping (sent + lost ~ offered) holds.
 func TestRunLoadOpenSmoke(t *testing.T) {
-	n, err := startFleetNode(serve.ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.close()
-	if _, _, err := publishFleetModels(n, 1, 256, 2); err != nil {
-		t.Fatal(err)
-	}
-
 	rep, err := RunLoad(context.Background(), LoadSpec{
-		Targets: []string{n.url}, Models: fleetNames(1),
+		Targets: []string{startTarget(t)}, Models: []string{"a"},
 		Mode: "open", Concurrency: 8, Rate: 200,
 		Duration: 400 * time.Millisecond, Warmup: 50 * time.Millisecond,
-		Dim: 256, NNZ: 8, Seed: 2,
+		Dim: 4, NNZ: 2, Seed: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -51,7 +51,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/isasgd/isasgd/internal/experiments"
 	"github.com/isasgd/isasgd/internal/obs"
 )
 
@@ -94,7 +93,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("-models is required (comma-separated model names)")
 	}
 
-	spec := experiments.LoadSpec{
+	spec := LoadSpec{
 		Targets:     splitList(*targets),
 		Models:      splitList(*models),
 		Zipf:        *zipf,
@@ -110,7 +109,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "isasgd-loadgen: %s loop, %d model(s) across %d target(s), %v window\n",
 		spec.Mode, len(spec.Models), len(spec.Targets), *duration)
-	rep, err := experiments.RunLoad(ctx, spec)
+	rep, err := RunLoad(ctx, spec)
 	if err != nil {
 		return err
 	}
@@ -137,7 +136,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			defer f.Close()
 			w = f
 		}
-		if err := experiments.WriteLoadJSON(w, rep); err != nil {
+		if err := WriteLoadJSON(w, rep); err != nil {
 			return err
 		}
 		if *jsonPath != "-" {

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/isasgd/isasgd/internal/experiments"
 	"github.com/isasgd/isasgd/internal/serve"
 	"github.com/isasgd/isasgd/internal/snapshot"
 )
@@ -61,7 +60,7 @@ func TestLoadgenEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep experiments.LoadReport
+	var rep LoadReport
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}

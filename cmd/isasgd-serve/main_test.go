@@ -215,8 +215,10 @@ func startRun(t *testing.T, args ...string) (string, *notifyWriter, func()) {
 }
 
 // TestReplicaMode drives the fleet CLI path: an origin trains a model,
-// a second process started with -origin mirrors it, serves predictions
-// read-only, reports lag on /v1/models, and refuses job submission.
+// a second process started with -origin (micro-batched, admission-
+// controlled) mirrors it, serves predictions read-only, reports lag on
+// /v1/models, refuses job submission, and ends on the origin's final
+// seq.
 func TestReplicaMode(t *testing.T) {
 	originAddr, _, stopOrigin := startRun(t, "-pool", "1")
 	defer stopOrigin()
@@ -240,7 +242,8 @@ func TestReplicaMode(t *testing.T) {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
 
-	repAddr, repOut, stopReplica := startRun(t, "-pool", "1", "-origin", base)
+	repAddr, repOut, stopReplica := startRun(t, "-pool", "1", "-origin", base,
+		"-batch-window", "200us", "-admit-inflight", "64", "-admit-queue", "256")
 	defer stopReplica()
 	repBase := "http://" + repAddr
 	if !strings.Contains(repOut.String(), "replica mode") {
@@ -290,4 +293,45 @@ func TestReplicaMode(t *testing.T) {
 	if resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("replica job submission: status %d, want 403", resp.StatusCode)
 	}
+
+	// Catch-up: once the origin's job has finished (live:false), the
+	// replica converges to the origin's weight-version seq.
+	var oseq, rseq uint64
+	var olive bool
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		oseq, olive = demoRow(t, base)
+		rseq, _ = demoRow(t, repBase)
+		if !olive && oseq > 0 && oseq == rseq {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replica never caught up: origin seq=%d live=%v, replica seq=%d", oseq, olive, rseq)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// demoRow returns the seq and live fields of model "demo" in base's
+// /v1/models listing (zero values when it is not listed).
+func demoRow(t *testing.T, base string) (seq uint64, live bool) {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/models")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list []struct {
+		Name string `json:"name"`
+		Seq  uint64 `json:"seq"`
+		Live bool   `json:"live"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range list {
+		if m.Name == "demo" {
+			return m.Seq, m.Live
+		}
+	}
+	return 0, false
 }

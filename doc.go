@@ -46,8 +46,8 @@
 // signatures of the paper's four evaluation datasets, conflict-graph
 // analysis with the paper's convergence bounds, and an experiment
 // harness (cmd/isasgd-bench) that regenerates every table and figure of
-// the paper's evaluation. See DESIGN.md for the system inventory and
-// EXPERIMENTS.md for measured-vs-paper results.
+// the paper's evaluation, printing each beside the paper's own numbers.
+// See internal/README.md for the system inventory.
 //
 // # Serving
 //
@@ -97,6 +97,11 @@
 // internal/kernel package doc records why the kernels are four concrete
 // types rather than one generic one.
 //
+// Performance is measured by one benchmark, `bash bench/run.sh`: five
+// seeded end-to-end workloads covering both paths (LibSVM bytes to
+// target loss, published version to prediction) with per-layer
+// breakdowns. bench/README.md describes it.
+//
 // # Serving performance
 //
 // The serving read path mirrors the training hot path's discipline.
@@ -114,11 +119,7 @@
 // the seq/epoch they were scored against — hot-advancing until the job
 // completes, rolled back if it is cancelled. The paper's
 // snapshot-tolerance argument (perturbed-iterate analysis) is what makes
-// serving an inconsistent mid-training cut sound. BenchmarkRegistryPredict
-// and `isasgd-bench -experiment serving` compare the lock-free path
-// against the previous RWMutex registry (≥2× per-request at 16
-// concurrent requesters, 2 → 0 allocs); CI archives the report as
-// BENCH_4.json.
+// serving an inconsistent mid-training cut sound.
 //
 // # Observability
 //
@@ -176,12 +177,7 @@
 // delayed push's delta is corrected per coordinate by −λ·d²·(w_now −
 // w_base) against the exact retained base version it trained from,
 // recovering most of the convergence a hot asynchronous star loses to
-// delay. `isasgd-bench -experiment adaptive` ablates {bound, loss} ×
-// {plain, staleness-adaptive} sampling on a difficulty-skewed corpus
-// and races a plain vs delay-compensated 4-worker star; CI archives the
-// report as BENCH_10.json and gates on loss-feedback converging in no
-// more updates than the static bound and delay compensation no later
-// than plain.
+// delay.
 //
 // # Serving fleet
 //
@@ -199,11 +195,7 @@
 // (-admit-inflight/-admit-queue) bounds per-model scoring concurrency
 // and queue depth, shedding the excess with 429 + Retry-After instead
 // of letting queues collapse the percentiles. cmd/isasgd-loadgen drives
-// the fleet closed- or open-loop (open-loop latency is measured from
-// scheduled arrival, so client-side queueing is charged to the
-// percentiles); `isasgd-bench -experiment fleet` sweeps unbatched vs
-// micro-batched and 1 vs 2 replicas to report QPS-at-SLO, shed rate and
-// replication lag. CI archives the report as BENCH_9.json and runs an
-// origin+replica+loadgen e2e smoke gated on replica catch-up. See
-// README.md's Serving fleet quickstart.
+// a deployed fleet closed- or open-loop (open-loop latency is measured
+// from scheduled arrival, so client-side queueing is charged to the
+// percentiles). See README.md's Serving fleet quickstart.
 package isasgd

@@ -17,24 +17,15 @@ import (
 type RunKey struct {
 	Algo    solver.Algo
 	Threads int
-	// Variant distinguishes otherwise-identical runs that differ in a
-	// knob the Algo/Threads pair does not capture (the adaptive
-	// experiment's sampler × schedule grid). Empty for the classic
-	// figure sweeps, so their run names and golden files are unchanged.
-	Variant string
 }
 
 // String renders e.g. "is-asgd/8"; sequential algorithms omit the
-// count, and a non-empty variant is appended as "+variant".
+// count.
 func (k RunKey) String() string {
-	s := k.Algo.String()
 	if k.Threads > 1 {
-		s = fmt.Sprintf("%s/%d", k.Algo, k.Threads)
+		return fmt.Sprintf("%s/%d", k.Algo, k.Threads)
 	}
-	if k.Variant != "" {
-		s += "+" + k.Variant
-	}
-	return s
+	return k.Algo.String()
 }
 
 // ConvResult holds every curve of one dataset's Figure-3/4/5 panel.

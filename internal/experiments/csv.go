@@ -34,10 +34,7 @@ func WriteCurvesCSV(w io.Writer, dataset string, curves map[RunKey]metrics.Curve
 		if keys[i].Algo != keys[j].Algo {
 			return keys[i].Algo < keys[j].Algo
 		}
-		if keys[i].Threads != keys[j].Threads {
-			return keys[i].Threads < keys[j].Threads
-		}
-		return keys[i].Variant < keys[j].Variant
+		return keys[i].Threads < keys[j].Threads
 	})
 	for _, k := range keys {
 		for _, p := range curves[k] {

@@ -11,11 +11,14 @@
 //	Sec. 3    conflict-graph / τ-bound theory check  (Runner.Theory)
 //	Ablations balancing mode, SVRG skip-µ, model kind (Runner.Ablation*)
 //
-// Each experiment prints the same rows/series the paper reports and
-// returns a structured result so EXPERIMENTS.md can record paper-vs-
-// measured deltas. Absolute numbers are not expected to match the
-// paper's 44-core Xeon testbed; the shapes (who wins, by what factor,
-// where the crossovers are) are the reproduction target.
+// Each experiment prints the same rows/series the paper reports, with
+// the paper's reference values beside the measured ones where the paper
+// gives them, and returns a structured result (the Write*CSV emitters
+// export it). Absolute numbers are not expected to match the paper's
+// 44-core Xeon testbed; the shapes (who wins, by what factor, where the
+// crossovers are) are the reproduction target. Performance is not
+// measured here: `bash bench/run.sh` is the benchmark (see
+// bench/README.md).
 package experiments
 
 import (

@@ -309,8 +309,6 @@ func TestAtomic32KernelConcurrent(t *testing.T) {
 // identical arithmetic, half the element traffic, one cache level
 // closer. (At dims far past LLC the fixed 512-row set re-warms itself
 // and the gap narrows to the TLB/stream component, ~1.3×.)
-// experiments.Precision reports the same cells against the measured
-// STREAM roofline.
 const benchDim32 = 1 << 21 // 16 MiB f64 / 8 MiB f32 weights
 
 func benchRows32(dim, rows, nnz int) (idx [][]int32, val64 [][]float64, val32 [][]float32) {

@@ -9,8 +9,21 @@ import (
 	"github.com/isasgd/isasgd/internal/xrand"
 )
 
-// benchInstance synthesizes one serving-shaped sparse instance (the
-// shared ServingBench* workload shape from benchbase.go).
+// Registry microbenchmarks. End-to-end serving numbers (replicate,
+// resolve, score, encode under zipf traffic) come from the serve_fleet
+// workload of `bash bench/run.sh` (see bench/README.md).
+
+// The serving-benchmark workload shape: single-instance requests of
+// servingBenchNNZ features against a model of servingBenchDim
+// coordinates — a modest feature count per request (the typical
+// online-inference case), so the measurement is dominated by the
+// registry machinery rather than the dot product.
+const (
+	servingBenchDim = 1 << 16
+	servingBenchNNZ = 8
+)
+
+// benchInstance synthesizes one serving-shaped sparse instance.
 func benchInstance(dim, nnz int, seed uint64) Instance {
 	rng := xrand.New(seed)
 	in := Instance{Indices: make([]int, nnz), Values: make([]float64, nnz)}
@@ -30,70 +43,48 @@ func benchWeights(dim int, seed uint64) []float64 {
 	return w
 }
 
-// BenchmarkRegistryPredict compares the serving hot path before and
-// after the snapshot refactor — rwmutex (the seed path, preserved as
-// BaselineRegistry: RLock + per-request allocations) vs cow (atomic map
-// + version load, pooled response) — at 1, 4 and 16 concurrent
-// requester goroutines. The cow numbers are the BENCH_4.json baseline
-// CI archives via isasgd-bench -experiment serving.
+// BenchmarkRegistryPredict measures the copy-on-write registry's
+// predict path (atomic map + version load, pooled response) at 1, 4 and
+// 16 concurrent requester goroutines.
 func BenchmarkRegistryPredict(b *testing.B) {
-	w := benchWeights(ServingBenchDim, 11)
-	batch := []Instance{benchInstance(ServingBenchDim, ServingBenchNNZ, 7)}
+	w := benchWeights(servingBenchDim, 11)
+	batch := []Instance{benchInstance(servingBenchDim, servingBenchNNZ, 7)}
 
-	cow := NewRegistry()
-	if err := cow.Publish(&Model{Name: "m", Store: snapshot.Of(1, 1, w)}); err != nil {
+	reg := NewRegistry()
+	if err := reg.Publish(&Model{Name: "m", Store: snapshot.Of(1, 1, w)}); err != nil {
 		b.Fatal(err)
 	}
-	old := NewBaselineRegistry()
-	old.Publish("m", w)
-
-	impls := []struct {
-		name string
-		op   func() error
-	}{
-		{"rwmutex", func() error {
-			_, err := old.Predict("m", batch)
-			return err
-		}},
-		{"cow", func() error {
-			resp, err := cow.Predict("m", batch)
-			if err == nil {
-				resp.Release()
-			}
-			return err
-		}},
-	}
-	for _, impl := range impls {
-		for _, g := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("%s/goroutines=%d", impl.name, g), func(b *testing.B) {
-				b.ReportAllocs()
-				// Distribute exactly b.N ops across the g goroutines (the
-				// remainder goes to the first b.N%g) so ns/op and allocs/op
-				// divide by the true op count.
-				per, rem := b.N/g, b.N%g
-				var wg sync.WaitGroup
-				b.ResetTimer()
-				for i := 0; i < g; i++ {
-					n := per
-					if i < rem {
-						n++
-					}
-					if n == 0 {
-						continue
-					}
-					wg.Add(1)
-					go func(n int) {
-						defer wg.Done()
-						for j := 0; j < n; j++ {
-							if err := impl.op(); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}(n)
+	for _, g := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("cow/goroutines=%d", g), func(b *testing.B) {
+			b.ReportAllocs()
+			// Distribute exactly b.N ops across the g goroutines (the
+			// remainder goes to the first b.N%g) so ns/op and allocs/op
+			// divide by the true op count.
+			per, rem := b.N/g, b.N%g
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for i := 0; i < g; i++ {
+				n := per
+				if i < rem {
+					n++
 				}
-				wg.Wait()
-			})
-		}
+				if n == 0 {
+					continue
+				}
+				wg.Add(1)
+				go func(n int) {
+					defer wg.Done()
+					for j := 0; j < n; j++ {
+						resp, err := reg.Predict("m", batch)
+						if err != nil {
+							b.Error(err)
+							return
+						}
+						resp.Release()
+					}
+				}(n)
+			}
+			wg.Wait()
+		})
 	}
 }

@@ -967,10 +967,11 @@ func (m *Manager) run(ctx context.Context, j *Job, r *resolved) {
 		// restart), and do not publish the result.
 		live.rollback()
 		log.LogAttrs(ctx, slog.LevelInfo, "model rolled back")
-		m.finish(j, StateCancelled, err.Error(), nil)
+		msg := err.Error()
 		if res != nil && len(res.Weights) > 0 {
-			m.saveCheckpoint(j, j.model+".partial", r.obj, res)
+			msg = withCheckpointErr(msg, m.saveCheckpoint(j, j.model+".partial", r.obj, res))
 		}
+		m.finish(j, StateCancelled, msg, nil)
 	case err != nil:
 		live.rollback()
 		log.LogAttrs(ctx, slog.LevelInfo, "model rolled back")
@@ -986,8 +987,7 @@ func (m *Manager) run(ctx context.Context, j *Job, r *resolved) {
 		}
 		log.LogAttrs(ctx, slog.LevelInfo, "model finalized",
 			slog.Uint64("seq", st.Seq()), slog.Int64("iters", res.Iters))
-		m.finish(j, StateDone, "", res)
-		m.saveCheckpoint(j, j.model, r.obj, res)
+		m.finish(j, StateDone, withCheckpointErr("", m.saveCheckpoint(j, j.model, r.obj, res)), res)
 	}
 }
 
@@ -1086,10 +1086,11 @@ func (m *Manager) runStream(ctx context.Context, j *Job, r *resolved, body io.Re
 	case err != nil && ctx.Err() != nil:
 		live.rollback()
 		log.LogAttrs(ctx, slog.LevelInfo, "model rolled back")
-		m.finish(j, StateCancelled, err.Error(), nil)
+		msg := err.Error()
 		if res != nil && len(res.Weights) > 0 {
-			m.saveStreamCheckpoint(j, j.model+".partial", res)
+			msg = withCheckpointErr(msg, m.saveStreamCheckpoint(j, j.model+".partial", res))
 		}
+		m.finish(j, StateCancelled, msg, nil)
 	case err != nil:
 		live.rollback()
 		log.LogAttrs(ctx, slog.LevelInfo, "model rolled back")
@@ -1108,17 +1109,16 @@ func (m *Manager) runStream(ctx context.Context, j *Job, r *resolved, body io.Re
 		}
 		log.LogAttrs(ctx, slog.LevelInfo, "model finalized",
 			slog.Uint64("seq", st.Seq()), slog.Int64("updates", res.Updates))
-		m.finish(j, StateDone, "", nil)
-		m.saveStreamCheckpoint(j, j.model, res)
+		m.finish(j, StateDone, withCheckpointErr("", m.saveStreamCheckpoint(j, j.model, res)), nil)
 	}
 }
 
-// saveStreamCheckpoint persists a streaming result; failures annotate
-// the job as in saveCheckpoint.
-func (m *Manager) saveStreamCheckpoint(j *Job, name string, res *stream.Result) {
+// saveStreamCheckpoint persists a streaming result, as saveCheckpoint
+// does for a solver result.
+func (m *Manager) saveStreamCheckpoint(j *Job, name string, res *stream.Result) error {
 	path := m.CheckpointPath(name)
 	if path == "" {
-		return
+		return nil
 	}
 	j.mu.Lock()
 	st := &checkpoint.State{
@@ -1128,14 +1128,7 @@ func (m *Manager) saveStreamCheckpoint(j *Job, name string, res *stream.Result) 
 		Dim: len(res.Weights), Weights: res.Weights, Curve: j.curve,
 	}
 	j.mu.Unlock()
-	if err := checkpoint.SaveFile(path, st); err != nil {
-		j.mu.Lock()
-		if j.errMsg != "" {
-			j.errMsg += "; "
-		}
-		j.errMsg += fmt.Sprintf("checkpoint: %v", err)
-		j.mu.Unlock()
-	}
+	return checkpoint.SaveFile(path, st)
 }
 
 // finish records a terminal state.
@@ -1155,13 +1148,13 @@ func (m *Manager) finish(j *Job, state JobState, errMsg string, res *solver.Resu
 		slog.Int64("iters", iters), slog.Duration("duration", dur))
 }
 
-// saveCheckpoint persists the job's result under the given model name;
-// persistence failures are recorded on the job's error rather than
-// failing it (a finished model is already published and servable).
-func (m *Manager) saveCheckpoint(j *Job, name string, obj objective.Objective, res *solver.Result) {
+// saveCheckpoint persists the job's result under the given model name.
+// It runs before the job is marked terminal, so a client that sees the
+// terminal state also finds the checkpoint on disk.
+func (m *Manager) saveCheckpoint(j *Job, name string, obj objective.Objective, res *solver.Result) error {
 	path := m.CheckpointPath(name)
 	if path == "" {
-		return
+		return nil
 	}
 	st := &checkpoint.State{
 		Algo: res.Algo.String(), Objective: obj.Name(), Dataset: j.dsName,
@@ -1169,13 +1162,20 @@ func (m *Manager) saveCheckpoint(j *Job, name string, obj objective.Objective, r
 		Step: j.cfg.Step, Seed: j.cfg.Seed,
 		Dim: len(res.Weights), Weights: res.Weights, Curve: res.Curve,
 	}
-	if err := checkpoint.SaveFile(path, st); err != nil {
-		j.mu.Lock()
-		if j.errMsg != "" {
-			j.errMsg += "; "
-		}
-		j.errMsg += fmt.Sprintf("checkpoint: %v", err)
-		j.mu.Unlock()
+	return checkpoint.SaveFile(path, st)
+}
+
+// withCheckpointErr appends a checkpoint failure to a job's error
+// message. Persistence failures are recorded rather than failing the
+// job: a finished model is already published and servable.
+func withCheckpointErr(msg string, err error) string {
+	switch {
+	case err == nil:
+		return msg
+	case msg == "":
+		return fmt.Sprintf("checkpoint: %v", err)
+	default:
+		return fmt.Sprintf("%s; checkpoint: %v", msg, err)
 	}
 }
 

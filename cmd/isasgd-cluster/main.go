@@ -56,14 +56,15 @@
 //	                      constant steps oscillate once the star converges
 //	-mode name            shard preparation: auto | balance | shuffle |
 //	                      sorted | lpt (default auto)
-//	-wire name            transport encoding: f64 (JSON float64 arrays,
-//	                      default) | f32 (base64 little-endian float32,
-//	                      ~1/4 the payload, ~1e-7 relative narrowing)
+//	-wire name            width of the values in the binary pull and push
+//	                      frames: f64 (exact, default) | f32 (half the
+//	                      value bytes, ~1e-7 relative narrowing)
 //
 // The coordinator serves GET /v1/cluster/pull, POST /v1/cluster/push,
 // GET /v1/cluster/stats and GET /metrics (isasgd_cluster_* families).
 // Workers exit 0 when the coordinator reports the run done. See
-// internal/cluster for the protocol.
+// internal/cluster for the protocol, and internal/cluster/wire.go for
+// the frame that carries weights and deltas.
 package main
 
 import (
@@ -140,7 +141,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		step     = fs.Float64("step", 0.5, "SGD step size")
 		decay    = fs.Float64("step-decay", 1, "multiply step after each push round, in (0, 1]")
 		modeName = fs.String("mode", "auto", "shard preparation: auto | balance | shuffle | sorted | lpt")
-		wire     = fs.String("wire", "f64", "transport encoding: f64 | f32")
+		wire     = fs.String("wire", "f64", "value width in pull/push frames: f64 | f32")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -149,7 +149,8 @@
 // long-poll fresh versions, train importance-sampled rounds on
 // deterministic importance-balanced shards (every node derives the same
 // balance plan from the shared seed — no assignment traffic), and push
-// sparse accumulated updates back over stdlib HTTP. Each push's realized
+// sparse accumulated updates back over stdlib HTTP, weights and deltas
+// as one binary frame (internal/cluster/wire.go). Each push's realized
 // staleness — coordinator seq minus the seq it trained from, the
 // cross-machine analog of the paper's delay parameter τ — is measured,
 // exported (isasgd_cluster_* families), and bounded: pushes beyond the

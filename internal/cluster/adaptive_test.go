@@ -48,9 +48,7 @@ func TestCoordinatorAttenuatesStalePush(t *testing.T) {
 	}
 	cl := &rpcClient{hc: srv.Client(), base: srv.URL, policy: RetryPolicy{Max: -1}.withDefaults(),
 		rng: newTestRand(), log: quietLogger()}
-	var pr PushResponse
-	status, _, err := cl.do(context.Background(), http.MethodPost, "/v1/cluster/push", 0,
-		PushRequest{Seq: 1, Idx: []int{0}, Val: []float64{1}, Updates: 1}, &pr)
+	status, pr, err := sendPush(cl, PushRequest{Seq: 1, Idx: []int{0}, Val: []float64{1}, Updates: 1})
 	if err != nil || status != http.StatusOK || !pr.Applied {
 		t.Fatalf("stale push: status %d err %v applied %v", status, err, pr.Applied)
 	}
@@ -63,8 +61,7 @@ func TestCoordinatorAttenuatesStalePush(t *testing.T) {
 	}
 
 	// A fresh push is untouched by attenuation.
-	status, _, err = cl.do(context.Background(), http.MethodPost, "/v1/cluster/push", 0,
-		PushRequest{Seq: pr.Seq, Idx: []int{1}, Val: []float64{0.25}, Updates: 1}, &pr)
+	status, pr, err = sendPush(cl, PushRequest{Seq: pr.Seq, Idx: []int{1}, Val: []float64{0.25}, Updates: 1})
 	if err != nil || status != http.StatusOK || !pr.Applied {
 		t.Fatalf("fresh push: status %d err %v applied %v", status, err, pr.Applied)
 	}
@@ -90,9 +87,7 @@ func TestCoordinatorCompensatesDelayedPush(t *testing.T) {
 
 	// Fresh push from seq 1 moves w[0] to 0.4 and publishes seq 2. τ = 0
 	// means zero drift, so compensation cannot alter it.
-	var pr PushResponse
-	status, _, err := cl.do(context.Background(), http.MethodPost, "/v1/cluster/push", 0,
-		PushRequest{Seq: 1, Idx: []int{0}, Val: []float64{0.4}, Updates: 1}, &pr)
+	status, pr, err := sendPush(cl, PushRequest{Seq: 1, Idx: []int{0}, Val: []float64{0.4}, Updates: 1})
 	if err != nil || status != http.StatusOK || !pr.Applied {
 		t.Fatalf("first push: status %d err %v applied %v", status, err, pr.Applied)
 	}
@@ -106,8 +101,7 @@ func TestCoordinatorCompensatesDelayedPush(t *testing.T) {
 	// coordinator's (constant expressions fold at infinite precision).
 	d, now := 0.2, coord.Store().Load().Weights[0]
 	want := now + (d - lam*d*d*(now-0))
-	status, _, err = cl.do(context.Background(), http.MethodPost, "/v1/cluster/push", 0,
-		PushRequest{Seq: 1, Idx: []int{0}, Val: []float64{d}, Updates: 1}, &pr)
+	status, pr, err = sendPush(cl, PushRequest{Seq: 1, Idx: []int{0}, Val: []float64{d}, Updates: 1})
 	if err != nil || status != http.StatusOK || !pr.Applied {
 		t.Fatalf("delayed push: status %d err %v applied %v", status, err, pr.Applied)
 	}
@@ -136,14 +130,11 @@ func TestCoordinatorDCBaseEvicted(t *testing.T) {
 	})
 	cl := &rpcClient{hc: srv.Client(), base: srv.URL, policy: RetryPolicy{Max: -1}.withDefaults(),
 		rng: newTestRand(), log: quietLogger()}
-	var pr PushResponse
-	if _, _, err := cl.do(context.Background(), http.MethodPost, "/v1/cluster/push", 0,
-		PushRequest{Seq: 1, Idx: []int{0}, Val: []float64{0.4}, Updates: 1}, &pr); err != nil {
+	if _, _, err := sendPush(cl, PushRequest{Seq: 1, Idx: []int{0}, Val: []float64{0.4}, Updates: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Seq 1's version was evicted when seq 2 took its slot.
-	if _, _, err := cl.do(context.Background(), http.MethodPost, "/v1/cluster/push", 0,
-		PushRequest{Seq: 1, Idx: []int{0}, Val: []float64{0.2}, Updates: 1}, &pr); err != nil {
+	if _, _, err := sendPush(cl, PushRequest{Seq: 1, Idx: []int{0}, Val: []float64{0.2}, Updates: 1}); err != nil {
 		t.Fatal(err)
 	}
 	a, b := 0.4, 0.2
@@ -167,10 +158,8 @@ func TestCoordinatorEvalHistory(t *testing.T) {
 	})
 	cl := &rpcClient{hc: srv.Client(), base: srv.URL, policy: RetryPolicy{Max: -1}.withDefaults(),
 		rng: newTestRand(), log: quietLogger()}
-	var pr PushResponse
 	for i := 0; i < 3; i++ {
-		if _, _, err := cl.do(context.Background(), http.MethodPost, "/v1/cluster/push", 0,
-			PushRequest{Seq: uint64(i + 1), Idx: []int{i}, Val: []float64{0.1}, Updates: 5}, &pr); err != nil {
+		if _, _, err := sendPush(cl, PushRequest{Seq: uint64(i + 1), Idx: []int{i}, Val: []float64{0.1}, Updates: 5}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -70,10 +70,10 @@ func workerCfg(ds *dataset.Dataset, obj objective.Objective, id, n int, url stri
 	}
 }
 
-// runCluster drives n workers against a fresh coordinator until the
-// target is reached (or the update budget runs out) and returns the
+// runCluster drives n workers at step against a fresh coordinator until
+// the target is reached (or the update budget runs out) and returns the
 // coordinator's final stats.
-func runCluster(t *testing.T, n int, target float64, maxUpdates int64) Stats {
+func runCluster(t *testing.T, n int, step, target float64, maxUpdates int64) Stats {
 	t.Helper()
 	ds, obj := testCorpus(t)
 	c, srv := startCoordinator(t, CoordinatorConfig{
@@ -81,18 +81,43 @@ func runCluster(t *testing.T, n int, target float64, maxUpdates int64) Stats {
 		TargetLoss: target, MaxUpdates: maxUpdates,
 		PollTimeout: time.Second, Log: quietLogger(),
 	})
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		w, err := NewWorker(workerCfg(ds, obj, i, n, srv.URL))
-		if err != nil {
+	// A star on this corpus lasts a few milliseconds, about as long as
+	// building a worker or dialing its first connection. So every worker
+	// is built first, each gets its own transport and dials it with a
+	// warm-up request, and none starts until all are connected. Otherwise
+	// the first worker to start runs the opening rounds alone.
+	workers := make([]*Worker, n)
+	for i := range workers {
+		cfg := workerCfg(ds, obj, i, n, srv.URL)
+		cfg.Step = step
+		tr := &http.Transport{}
+		t.Cleanup(tr.CloseIdleConnections)
+		cfg.HTTPClient = &http.Client{Transport: tr}
+		var err error
+		if workers[i], err = NewWorker(cfg); err != nil {
 			t.Fatal(err)
 		}
-		wg.Add(1)
-		go func(i int) { defer wg.Done(); errs[i] = w.Run(ctx) }(i)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var wg, ready sync.WaitGroup
+	start := make(chan struct{})
+	errs := make([]error, n)
+	for i, w := range workers {
+		wg.Add(1)
+		ready.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = warmUp(w.cfg.HTTPClient, srv.URL)
+			ready.Done()
+			<-start
+			if errs[i] == nil {
+				errs[i] = w.Run(ctx)
+			}
+		}()
+	}
+	ready.Wait()
+	close(start)
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
@@ -102,10 +127,22 @@ func runCluster(t *testing.T, n int, target float64, maxUpdates int64) Stats {
 	return c.Stats()
 }
 
+// warmUp opens hc's connection to the coordinator and leaves it idle in
+// the pool for the worker's first pull.
+func warmUp(hc *http.Client, base string) error {
+	resp, err := hc.Get(base + "/v1/cluster/stats")
+	if err != nil {
+		return err
+	}
+	_, err = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return err
+}
+
 // TestClusterConverges is the end-to-end happy path: two workers drive
 // the global model to the loss target over real HTTP.
 func TestClusterConverges(t *testing.T) {
-	st := runCluster(t, 2, 0.45, 2_000_000)
+	st := runCluster(t, 2, 0.5, 0.45, 2_000_000)
 	if !st.Reached {
 		t.Fatalf("2-worker cluster never reached target: %+v", st)
 	}
@@ -121,20 +158,61 @@ func TestClusterConverges(t *testing.T) {
 // actually measure (single-core hosts can't show wall-clock wins): two
 // workers must reach the target without materially more global updates
 // than one worker — staleness is not allowed to destroy update quality.
+//
+// The stars run at step 0.1, not the 0.5 of the other tests. At 0.5 the
+// two-worker star makes about 13 pushes in about 4 ms, one OS scheduler
+// tick: a worker whose thread loses the CPU for one tick sits out most of
+// the run, and the other converges alone on half the data, which is not
+// staleness. At 0.1 it makes about 57 pushes, so one tick is a small
+// share of the run, and more pushes are stale, not fewer: mean staleness
+// stays about 0.45 (0.44 at 0.1, 0.46 at 0.5) over four times the pushes.
 func TestTwoWorkersNoSlowerInUpdates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("convergence comparison")
 	}
-	const target = 0.45
-	one := runCluster(t, 1, target, 4_000_000)
-	two := runCluster(t, 2, target, 4_000_000)
+	const step, target = 0.1, 0.45
+	one := runCluster(t, 1, step, target, 4_000_000)
+	two := runCluster(t, 2, step, target, 4_000_000)
 	if !one.Reached || !two.Reached {
 		t.Fatalf("runs did not converge: 1w=%+v 2w=%+v", one, two)
 	}
 	if float64(two.Updates) > 1.5*float64(one.Updates) {
 		t.Fatalf("2 workers needed %d updates vs %d for 1 (>1.5x)", two.Updates, one.Updates)
 	}
-	t.Logf("updates to target: 1 worker %d, 2 workers %d", one.Updates, two.Updates)
+	t.Logf("updates to target: 1 worker %d, 2 workers %d (mean staleness %.2f, max %d)",
+		one.Updates, two.Updates, two.MeanTau, two.MaxTau)
+}
+
+// TestZeroDeltaRoundStillPushes pins the all-zero round: at a step so
+// small that no coordinate moves, the round's delta is empty, but its
+// updates must still reach the coordinator. A worker that skipped the
+// push would then long-poll for a version only its own push could
+// publish, and the star would stall until the context expired.
+func TestZeroDeltaRoundStillPushes(t *testing.T) {
+	ds, obj := testCorpus(t)
+	c, srv := startCoordinator(t, CoordinatorConfig{
+		Dim: ds.Dim(), MaxUpdates: int64(ds.N()), PollTimeout: time.Second,
+	})
+	cfg := workerCfg(ds, obj, 0, 1, srv.URL)
+	cfg.Step = 5e-324 // the smallest positive float64: every step rounds to zero
+	w, err := NewWorker(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := w.Run(ctx); err != nil {
+		t.Fatalf("worker did not finish: %v (coordinator %+v)", err, c.Stats())
+	}
+	st := c.Stats()
+	if st.Applied != 1 || st.Updates != int64(ds.N()) || st.Seq != 2 {
+		t.Fatalf("zero-delta round not accounted: %+v, want 1 push of %d updates at seq 2", st, ds.N())
+	}
+	for j, v := range c.Store().Load().Weights {
+		if v != 0 {
+			t.Fatalf("coordinate %d moved to %g: the round was not all-zero", j, v)
+		}
+	}
 }
 
 // TestWorkerCrashMidPush models a worker dying mid-request: a truncated
@@ -150,15 +228,10 @@ func TestWorkerCrashMidPush(t *testing.T) {
 	})
 	before := c.Store().Seq()
 
-	// Half a JSON body, then the "connection" ends.
-	resp, err := http.Post(srv.URL+"/v1/cluster/push", "application/json",
-		strings.NewReader(`{"worker":0,"seq":1,"idx":[1,2],"val":[0.5`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("truncated push got status %d, want 422", resp.StatusCode)
+	// Half a frame, then the "connection" ends.
+	frame := appendPush(nil, &PushRequest{Seq: 1, Idx: []int{1, 2}, Val: []float64{0.5, 0.25}})
+	if status := postRaw(t, srv, frame[:len(frame)/2]); status != http.StatusUnprocessableEntity {
+		t.Fatalf("truncated push got status %d, want 422", status)
 	}
 	if got := c.Store().Seq(); got != before {
 		t.Fatalf("truncated push advanced seq %d -> %d", before, got)
@@ -212,9 +285,7 @@ func TestStalePushShedAndRejoin(t *testing.T) {
 	// A push from seq 1 now has tau = cur-1 > 2: shed.
 	cl := &rpcClient{hc: srv.Client(), base: srv.URL, policy: RetryPolicy{}.withDefaults(),
 		rng: newTestRand(), log: quietLogger()}
-	var pr PushResponse
-	status, _, err := cl.do(context.Background(), http.MethodPost, "/v1/cluster/push", 0,
-		PushRequest{Worker: 0, Seq: 1, Idx: []int{0}, Val: []float64{0.25}, Updates: 10}, &pr)
+	status, pr, err := sendPush(cl, PushRequest{Worker: 0, Seq: 1, Idx: []int{0}, Val: []float64{0.25}, Updates: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +300,7 @@ func TestStalePushShedAndRejoin(t *testing.T) {
 	}
 
 	// Rejoin: a fresh push against the current seq is admitted.
-	status, _, err = cl.do(context.Background(), http.MethodPost, "/v1/cluster/push", 0,
-		PushRequest{Worker: 0, Seq: cur, Idx: []int{0}, Val: []float64{0.25}, Updates: 10}, &pr)
+	status, pr, err = sendPush(cl, PushRequest{Worker: 0, Seq: cur, Idx: []int{0}, Val: []float64{0.25}, Updates: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,9 +342,8 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	// not be re-fed history.
 	cl := &rpcClient{hc: srv2.Client(), base: srv2.URL, policy: RetryPolicy{}.withDefaults(),
 		rng: newTestRand(), log: quietLogger()}
-	var pull PullResponse
-	_, _, err := cl.do(context.Background(), http.MethodGet,
-		fmt.Sprintf("/v1/cluster/pull?since=%d", seq), 3*time.Second, nil, &pull)
+	pull, _, err := cl.pull(context.Background(), fmt.Sprintf("/v1/cluster/pull?since=%d", seq),
+		3*time.Second, make([]float64, ds.Dim()), WireF64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,17 +385,16 @@ func TestRetryBackoffRecovers(t *testing.T) {
 			writeErr(w, http.StatusServiceUnavailable, "warming up")
 			return
 		}
-		writeJSON(w, http.StatusOK, PullResponse{Seq: 1, Weights: []float64{1, 2}})
+		writeFrame(w, appendPull(nil, &PullResponse{Seq: 1, Weights: []float64{1, 2}}))
 	})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 	cl := &rpcClient{hc: srv.Client(), base: srv.URL,
 		policy: RetryPolicy{Max: 5, Base: time.Millisecond, Cap: 5 * time.Millisecond, Timeout: time.Second},
 		rng:    newTestRand(), log: quietLogger()}
-	var pr PullResponse
-	status, attempts, err := cl.do(context.Background(), http.MethodGet, "/v1/cluster/pull", 0, nil, &pr)
-	if err != nil || status != http.StatusOK {
-		t.Fatalf("do: status %d err %v", status, err)
+	pr, attempts, err := cl.pull(context.Background(), "/v1/cluster/pull", 0, make([]float64, 2), WireF64)
+	if err != nil {
+		t.Fatalf("pull: %v", err)
 	}
 	if attempts != 3 {
 		t.Fatalf("attempts = %d, want 3", attempts)
@@ -340,7 +408,7 @@ func TestRetryBackoffRecovers(t *testing.T) {
 		policy: RetryPolicy{Max: 1, Base: time.Millisecond, Cap: 2 * time.Millisecond, Timeout: time.Second},
 		rng:    newTestRand(), log: quietLogger()}
 	calls.set(-1000) // stay in the failing regime
-	_, attempts, err = cl2.do(context.Background(), http.MethodGet, "/v1/cluster/pull", 0, nil, &pr)
+	_, attempts, err = cl2.pull(context.Background(), "/v1/cluster/pull", 0, make([]float64, 2), WireF64)
 	if err == nil {
 		t.Fatal("permanent 503 did not surface an error")
 	}
@@ -368,51 +436,43 @@ func TestBackoffJitterBounds(t *testing.T) {
 	}
 }
 
-// TestPushValidation sweeps malformed pushes: every one must 422
-// without touching the model.
+// TestPushValidation sweeps malformed push frames: every one must 422
+// without touching the model. Each case lies in one field; the cases the
+// JSON encoding had (length mismatch, negative or duplicate index,
+// negative worker, a literal that overflows to Inf, a wrong type) are
+// here as the frame's forms of the same lie.
 func TestPushValidation(t *testing.T) {
 	ds, _ := testCorpus(t)
 	c, srv := startCoordinator(t, CoordinatorConfig{Dim: ds.Dim(), PollTimeout: time.Second})
+	dim := uint64(ds.Dim())
 	cases := []struct {
-		name string
-		req  PushRequest
+		name  string
+		frame []byte
 	}{
-		{"len mismatch", PushRequest{Seq: 1, Idx: []int{1, 2}, Val: []float64{1}}},
-		{"index out of range", PushRequest{Seq: 1, Idx: []int{ds.Dim()}, Val: []float64{1}}},
-		{"negative index", PushRequest{Seq: 1, Idx: []int{-1}, Val: []float64{1}}},
-		{"negative worker", PushRequest{Worker: -1, Seq: 1, Idx: []int{0}, Val: []float64{1}}},
-		{"duplicate index", PushRequest{Seq: 1, Idx: []int{0, 0}, Val: []float64{1, 1}}},
-		{"duplicate overflow", PushRequest{Seq: 1, Idx: []int{0, 0},
-			Val: []float64{math.MaxFloat64, math.MaxFloat64}}},
+		{"empty body", nil},
+		{"fewer values than count", pushHead(0, 1, 0, 8, 2).uv(1, 1).f64(1).b},
+		{"index out of range", pushHead(0, 1, 0, 8, 1).uv(dim + 1).f64(1).b},
+		{"zero first gap (index -1)", pushHead(0, 1, 0, 8, 1).uv(0).f64(1).b},
+		{"worker id overflows int", pushHead(1<<63, 1, 0, 8, 1).uv(1).f64(1).b},
+		{"update count overflows int64", pushHead(0, 1, 1<<63, 8, 1).uv(1).f64(1).b},
+		{"duplicate index", pushHead(0, 1, 0, 8, 2).uv(1, 0).f64(1, 1).b},
+		{"duplicate overflow", pushHead(0, 1, 0, 8, 2).uv(1, 0).f64(math.MaxFloat64, math.MaxFloat64).b},
+		{"count over Dim", pushHead(0, 1, 0, 8, dim+1).uv(1).f64(1).b},
+		{"count over body", pushHead(0, 1, 0, 8, dim).uv(1).f64(1).b},
+		{"trailing bytes", pushHead(0, 1, 0, 8, 1).uv(1).f64(1).raw(0).b},
+		{"non-shortest varint", frameOf(0x80, 0x00).uv(1, 0).raw(8).uv(1, 1).f64(1).b},
+		{"value width 2", pushHead(0, 1, 0, 2, 1).uv(1).raw(0, 0).b},
+		{"+Inf value", pushHead(0, 1, 0, 8, 1).uv(1).f64(math.Inf(1)).b},
+		{"NaN value", pushHead(0, 1, 0, 8, 1).uv(1).f64(math.NaN()).b},
+		{"a JSON body", []byte(`{"seq":1,"idx":[0],"val":[1]}`)},
 	}
-	cl := &rpcClient{hc: srv.Client(), base: srv.URL, policy: RetryPolicy{Max: -1}.withDefaults(),
-		rng: newTestRand(), log: quietLogger()}
 	for _, tc := range cases {
-		var pr PushResponse
-		status, _, err := cl.do(context.Background(), http.MethodPost, "/v1/cluster/push", 0, tc.req, &pr)
-		if status != http.StatusUnprocessableEntity {
-			t.Fatalf("%s: status %d err %v, want 422", tc.name, status, err)
+		if status := postRaw(t, srv, tc.frame); status != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status %d, want 422", tc.name, status)
 		}
 	}
-	// JSON itself cannot carry NaN/Inf, so a non-finite literal arrives
-	// as a decode failure — still a 422, still counted bad.
-	rawCases := []string{
-		`{"seq":1,"idx":[0],"val":[1e999]}`, // overflows float64 at decode
-		`{"seq":1,"idx":[0],"val":["x"]}`,
-	}
-	for _, body := range rawCases {
-		resp, err := http.Post(srv.URL+"/v1/cluster/push", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusUnprocessableEntity {
-			t.Fatalf("raw %q: status %d, want 422", body, resp.StatusCode)
-		}
-	}
-	want := int64(len(cases) + len(rawCases))
-	if st := c.Stats(); st.Bad != want || st.Applied != 0 {
-		t.Fatalf("stats after malformed sweep: %+v (want %d bad)", st, want)
+	if st := c.Stats(); st.Bad != int64(len(cases)) || st.Applied != 0 {
+		t.Fatalf("stats after malformed sweep: %+v (want %d bad)", st, len(cases))
 	}
 	if c.Store().Seq() != 1 {
 		t.Fatalf("malformed pushes advanced seq to %d", c.Store().Seq())
@@ -421,15 +481,15 @@ func TestPushValidation(t *testing.T) {
 	// Finite deltas whose sum overflows are caught at apply time, before
 	// the authoritative vector is damaged: the first huge push is finite
 	// and admitted, the second would overflow coordinate 0 to +Inf.
-	var pr PushResponse
+	cl := &rpcClient{hc: srv.Client(), base: srv.URL, policy: RetryPolicy{Max: -1}.withDefaults(),
+		rng: newTestRand(), log: quietLogger()}
 	huge := PushRequest{Seq: 1, Idx: []int{0}, Val: []float64{math.MaxFloat64}}
-	status, _, err := cl.do(context.Background(), http.MethodPost, "/v1/cluster/push", 0, huge, &pr)
+	status, pr, err := sendPush(cl, huge)
 	if err != nil || !pr.Applied {
 		t.Fatalf("first huge push: status %d err %v applied %v", status, err, pr.Applied)
 	}
 	huge.Seq = pr.Seq
-	status, _, _ = cl.do(context.Background(), http.MethodPost, "/v1/cluster/push", 0, huge, &pr)
-	if status != http.StatusUnprocessableEntity {
+	if status, _, _ = sendPush(cl, huge); status != http.StatusUnprocessableEntity {
 		t.Fatalf("overflowing push: status %d, want 422", status)
 	}
 	if w0 := c.Store().Load().Weights[0]; math.IsInf(w0, 0) || math.IsNaN(w0) {
@@ -438,7 +498,7 @@ func TestPushValidation(t *testing.T) {
 	// The model must still accept publishes after every attack above —
 	// a poisoned authoritative vector would reject them all forever.
 	fresh := PushRequest{Seq: c.Store().Seq(), Idx: []int{1}, Val: []float64{0.5}}
-	status, _, err = cl.do(context.Background(), http.MethodPost, "/v1/cluster/push", 0, fresh, &pr)
+	status, pr, err = sendPush(cl, fresh)
 	if err != nil || status != http.StatusOK || !pr.Applied {
 		t.Fatalf("push after malformed sweep: status %d err %v applied %v", status, err, pr.Applied)
 	}
@@ -453,9 +513,7 @@ func TestSeqAheadPushResync(t *testing.T) {
 	c, srv := startCoordinator(t, CoordinatorConfig{Dim: ds.Dim(), PollTimeout: time.Second})
 	cl := &rpcClient{hc: srv.Client(), base: srv.URL, policy: RetryPolicy{Max: -1}.withDefaults(),
 		rng: newTestRand(), log: quietLogger()}
-	var pr PushResponse
-	status, _, err := cl.do(context.Background(), http.MethodPost, "/v1/cluster/push", 0,
-		PushRequest{Seq: 99, Idx: []int{0}, Val: []float64{1}, Updates: 5}, &pr)
+	status, pr, err := sendPush(cl, PushRequest{Seq: 99, Idx: []int{0}, Val: []float64{1}, Updates: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,8 +527,7 @@ func TestSeqAheadPushResync(t *testing.T) {
 		t.Fatalf("seq-ahead push miscounted: %+v", st)
 	}
 	// The resynced worker's next push against the real seq is admitted.
-	status, _, err = cl.do(context.Background(), http.MethodPost, "/v1/cluster/push", 0,
-		PushRequest{Seq: pr.Seq, Idx: []int{0}, Val: []float64{1}, Updates: 5}, &pr)
+	status, pr, err = sendPush(cl, PushRequest{Seq: pr.Seq, Idx: []int{0}, Val: []float64{1}, Updates: 5})
 	if err != nil || status != http.StatusOK || !pr.Applied {
 		t.Fatalf("rejoin push: status %d err %v applied %v", status, err, pr.Applied)
 	}
@@ -494,13 +551,13 @@ func TestWorkerResyncsAfterCoordinatorRegression(t *testing.T) {
 			if n == 1 {
 				// First pull: hand out a high seq, as if from a
 				// long-lived previous coordinator incarnation.
-				writeJSON(w, http.StatusOK, PullResponse{Seq: 50, Weights: weights})
+				writeFrame(w, appendPull(nil, &PullResponse{Seq: 50, Weights: weights}))
 				return
 			}
 			// After the regression verdict: record the cursor the worker
 			// came back with and end the run.
 			resyncSince.Store(since)
-			writeJSON(w, http.StatusOK, PullResponse{Seq: 51, Weights: weights, Done: true})
+			writeFrame(w, appendPull(nil, &PullResponse{Seq: 51, Weights: weights, Done: true}))
 		case "/v1/cluster/push":
 			// Restarted coordinator: back at seq 1, behind the worker.
 			writeJSON(w, http.StatusConflict, PushResponse{Seq: 1, Applied: false, Staleness: -49})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -66,10 +67,8 @@ type CoordinatorConfig struct {
 	TargetLoss  float64
 	MaxUpdates  int64
 
-	// PollTimeout bounds one pull long-poll (default 25s); MaxBody
-	// bounds a push body (default 64 MiB).
+	// PollTimeout bounds one pull long-poll (default 25s).
 	PollTimeout time.Duration
-	MaxBody     int64
 
 	Log *slog.Logger
 	Reg *obs.Registry // nil registers nothing
@@ -84,6 +83,8 @@ type Coordinator struct {
 	rec   *staleness.Recorder
 	ring  *adaptive.BaseRing // nil unless DCLambda > 0
 	log   *slog.Logger
+
+	maxPush int64 // largest push frame a model of Dim accepts
 
 	mu      sync.Mutex
 	w       []float64 // authoritative weights, mutated only under mu
@@ -144,9 +145,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.PollTimeout <= 0 {
 		cfg.PollTimeout = 25 * time.Second
 	}
-	if cfg.MaxBody <= 0 {
-		cfg.MaxBody = 64 << 20
-	}
 	if cfg.EvalEvery <= 0 {
 		cfg.EvalEvery = 1
 	}
@@ -158,6 +156,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		store:   snapshot.NewStore(),
 		rec:     staleness.NewRecorder(cfg.StalenessBound),
 		log:     cfg.Log,
+		maxPush: maxPushFrame(cfg.Dim),
 		w:       make([]float64, cfg.Dim),
 		workers: map[int]struct{}{},
 		acked:   map[int]struct{}{},
@@ -387,20 +386,14 @@ func (c *Coordinator) handlePull(w http.ResponseWriter, r *http.Request) {
 		v = c.store.Load() // window expired or done: answer with current state
 	}
 	resp := PullResponse{Seq: v.Seq, Epoch: v.Epoch, Iters: v.Iters,
-		Done: c.isDone(), Loss: wireLoss(c.lastLoss())}
+		Done: c.isDone(), Loss: wireLoss(c.lastLoss()), Wire: wire}
 	if v.Seq > since {
-		if wire == WireF32 {
-			// The version's cached float32 view (snapshot.Version.W32) is
-			// narrowed once per version; packing is the only per-pull cost.
-			resp.Weights32 = packF32s(nil, v.W32())
-		} else {
-			resp.Weights = v.Weights
-		}
+		resp.Weights = v.Weights
 	}
 	if resp.Done {
 		c.ackDone(worker)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeFrame(w, appendPull(nil, &resp))
 }
 
 func (c *Coordinator) handlePush(w http.ResponseWriter, r *http.Request) {
@@ -408,14 +401,16 @@ func (c *Coordinator) handlePush(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, c.cfg.MaxBody)
-	var req PushRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		c.rejectBad(w, "decoding push: "+err.Error())
+	// The buffer grows only with the bytes that arrive, never to a
+	// declared Content-Length up front.
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.maxPush))
+	if err != nil {
+		c.rejectBad(w, "reading push: "+err.Error())
 		return
 	}
-	if msg := c.validate(&req); msg != "" {
-		c.rejectBad(w, msg)
+	req, err := decodePush(body, len(c.w))
+	if err != nil {
+		c.rejectBad(w, err.Error())
 		return
 	}
 
@@ -480,9 +475,9 @@ func (c *Coordinator) handlePush(w http.ResponseWriter, r *http.Request) {
 	// Reject, atomically, any delta that would drive a coordinate
 	// non-finite: a diverged worker must not poison the global model
 	// (the snapshot store would refuse the publish, but by then the
-	// authoritative vector would already be damaged). validate rejected
-	// duplicate indices, so each coordinate is touched exactly once and
-	// this per-entry check is exactly the post-apply value.
+	// authoritative vector would already be damaged). The frame's indices
+	// are strictly increasing, so each coordinate is touched exactly once
+	// and this per-entry check is exactly the post-apply value.
 	for k, j := range req.Idx {
 		if nv := c.w[j] + req.Val[k]; math.IsNaN(nv) || math.IsInf(nv, 0) {
 			c.mu.Unlock()
@@ -582,58 +577,6 @@ func (c *Coordinator) recordEval(seq uint64, loss float64, applied, updates int6
 	return true
 }
 
-// validate checks push shape before anything touches shared state. A
-// push on the f32 wire (Val32 set) is decoded here: the packed deltas
-// are rejected while still float32 when any is non-finite — a NaN/Inf
-// bit pattern must not survive into the widened values — then widened
-// into Val so the rest of the pipeline is encoding-agnostic.
-func (c *Coordinator) validate(req *PushRequest) string {
-	if req.Worker < 0 {
-		return "negative worker id"
-	}
-	if len(req.Val32) > 0 {
-		if len(req.Val) > 0 {
-			return "push carries both val and val32"
-		}
-		v32, err := unpackF32(nil, req.Val32)
-		if err != nil {
-			return err.Error()
-		}
-		if len(v32) != len(req.Idx) {
-			return fmt.Sprintf("val32 carries %d values for %d indices", len(v32), len(req.Idx))
-		}
-		if j := model.FirstNonFinite32(v32); j >= 0 {
-			return fmt.Sprintf("non-finite f32 delta at position %d", j)
-		}
-		req.Val = make([]float64, len(v32))
-		for k, v := range v32 {
-			req.Val[k] = float64(v)
-		}
-	}
-	if len(req.Idx) != len(req.Val) {
-		return fmt.Sprintf("idx/val length mismatch: %d vs %d", len(req.Idx), len(req.Val))
-	}
-	if req.Updates < 0 {
-		return "negative update count"
-	}
-	seen := make(map[int]struct{}, len(req.Idx))
-	for k, j := range req.Idx {
-		if j < 0 || j >= len(c.w) {
-			return fmt.Sprintf("index %d out of range [0,%d)", j, len(c.w))
-		}
-		if _, dup := seen[j]; dup {
-			// Duplicates would let per-entry finiteness checks pass while
-			// the summed delta drives the coordinate non-finite.
-			return fmt.Sprintf("duplicate index %d", j)
-		}
-		seen[j] = struct{}{}
-		if v := req.Val[k]; math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Sprintf("non-finite delta at coordinate %d", j)
-		}
-	}
-	return ""
-}
-
 func (c *Coordinator) rejectBad(w http.ResponseWriter, msg string) {
 	c.mu.Lock()
 	c.bad++
@@ -683,4 +626,12 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeErr(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorBody{Error: msg})
+}
+
+// writeFrame answers 200 with a binary frame.
+func writeFrame(w http.ResponseWriter, frame []byte) {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(frame)
 }

@@ -3,19 +3,21 @@
 // dense weight vector behind an internal/snapshot.Store, and worker
 // nodes train importance-sampled gradient rounds on their
 // internal/balance-assigned shard of the corpus, exchanging state over
-// plain HTTP/JSON (stdlib net/http only).
+// stdlib net/http: weights and deltas as one binary frame (wire.go
+// describes it), verdicts, stats and errors as small JSON bodies.
 //
 // The protocol is two endpoints:
 //
-//	GET  /v1/cluster/pull?since=SEQ&worker=ID   long-poll the next model
-//	POST /v1/cluster/push                        submit a sparse update
+//	GET  /v1/cluster/pull?since=SEQ&worker=ID&wire=f64|f32   long-poll the next model
+//	POST /v1/cluster/push                                     submit a sparse update
 //
 // Pull blocks (bounded by the coordinator's poll window) until the store
 // holds a version newer than the caller's seq, so workers ride the
 // publish edge instead of busy-polling; the response omits the weight
 // vector when nothing changed. Push carries the worker's accumulated
 // sparse delta (index/value pairs of coordinates that moved during its
-// local round) plus the seq of the version the round started from. The
+// local round) plus the seq of the version the round started from; a
+// round that moved nothing still pushes its update count. The
 // coordinator measures the push's realized staleness — its current seq
 // minus the push's base seq, the cross-machine analogue of the SME delay
 // parameter τ — through an internal/staleness.Recorder and sheds pushes

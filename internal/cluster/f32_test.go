@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"math"
 	"net/http"
 	"sync"
@@ -10,35 +9,38 @@ import (
 	"time"
 )
 
-// TestWireF32PackRoundTrip pins the packing codec: every value survives
-// pack→unpack as its exact float32 narrowing, buffers are reused, and a
-// payload that is not a whole number of float32s is rejected.
-func TestWireF32PackRoundTrip(t *testing.T) {
+// TestPushFrameRoundTrip pins the push codec at both widths: a frame
+// decodes to the request it encodes, f64 values bit-exactly and f32
+// values as their exact float32 narrowing; re-encoding into a reused
+// buffer does not reallocate; and a truncated frame is rejected.
+func TestPushFrameRoundTrip(t *testing.T) {
 	vals := []float64{0, 1, -1, 0.1, 1e-40, 3.4e38, math.Pi, -2.5e-7}
-	b := packF32(nil, vals)
-	if len(b) != 4*len(vals) {
-		t.Fatalf("packed %d values into %d bytes, want %d", len(vals), len(b), 4*len(vals))
-	}
-	got, err := unpackF32(nil, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range vals {
-		if got[i] != float32(v) {
-			t.Fatalf("value %d: %g round-tripped to %g, want %g", i, v, got[i], float32(v))
+	idx := []int{0, 1, 2, 3, 127, 128, 16383, 16384}
+	for _, wire := range []string{WireF64, WireF32} {
+		req := PushRequest{Worker: 3, Seq: 1 << 40, Updates: 12345, Wire: wire, Idx: idx, Val: vals}
+		b := appendPush(nil, &req)
+		got, err := decodePush(b, 16385)
+		if err != nil {
+			t.Fatalf("%s: %v", wire, err)
 		}
-	}
-	// Reuse: unpack into the same slice must not allocate a new backing
-	// array when capacity suffices.
-	got2, err := unpackF32(got, packF32s(b[:0], got))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &got2[0] != &got[0] {
-		t.Fatal("unpackF32 reallocated despite sufficient capacity")
-	}
-	if _, err := unpackF32(nil, b[:5]); err == nil {
-		t.Fatal("truncated payload accepted")
+		if got.Worker != 3 || got.Seq != 1<<40 || got.Updates != 12345 || got.Wire != wire {
+			t.Fatalf("%s: header decoded as %+v", wire, got)
+		}
+		for k, v := range vals {
+			want := v
+			if wire == WireF32 {
+				want = float64(float32(v))
+			}
+			if got.Idx[k] != idx[k] || got.Val[k] != want {
+				t.Fatalf("%s: pair %d decoded as (%d, %g), want (%d, %g)", wire, k, got.Idx[k], got.Val[k], idx[k], want)
+			}
+		}
+		if again := appendPush(b[:0], &req); &again[0] != &b[0] {
+			t.Fatalf("%s: re-encoding reallocated despite sufficient capacity", wire)
+		}
+		if _, err := decodePush(b[:len(b)-1], 16385); err == nil {
+			t.Fatalf("%s: truncated frame accepted", wire)
+		}
 	}
 }
 
@@ -58,10 +60,10 @@ func TestParseWire(t *testing.T) {
 	}
 }
 
-// TestPullWireF32 exercises the pull endpoint's encoding switch: an
-// ?wire=f32 pull carries the packed float32 view (and no float64
-// array), bit-exactly the narrowing of the authoritative weights; an
-// unknown encoding name is a 400, not a silent f64 fallback.
+// TestPullWireF32 exercises the pull endpoint's width switch: an
+// ?wire=f32 pull carries 4-byte values, bit-exactly the narrowing of the
+// authoritative weights; an unknown width name is a 400, not a silent
+// f64 fallback.
 func TestPullWireF32(t *testing.T) {
 	ds, _ := testCorpus(t)
 	c, srv := startCoordinator(t, CoordinatorConfig{Dim: ds.Dim(), PollTimeout: time.Second})
@@ -75,24 +77,19 @@ func TestPullWireF32(t *testing.T) {
 
 	cl := &rpcClient{hc: srv.Client(), base: srv.URL, policy: RetryPolicy{Max: -1}.withDefaults(),
 		rng: newTestRand(), log: quietLogger()}
-	var pr PullResponse
-	status, _, err := cl.do(context.Background(), http.MethodGet,
-		"/v1/cluster/pull?worker=0&since=0&wire=f32", 3*time.Second, nil, &pr)
-	if err != nil || status != http.StatusOK {
-		t.Fatalf("f32 pull: status %d err %v", status, err)
-	}
-	if pr.Weights != nil {
-		t.Fatalf("f32 pull also carried %d float64 weights", len(pr.Weights))
-	}
-	w32, err := unpackF32(nil, pr.Weights32)
+	pr, _, err := cl.pull(context.Background(), "/v1/cluster/pull?worker=0&since=0&wire=f32",
+		3*time.Second, make([]float64, ds.Dim()), WireF32)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("f32 pull: %v", err)
 	}
-	if len(w32) != ds.Dim() {
-		t.Fatalf("f32 pull carried %d coordinates, want %d", len(w32), ds.Dim())
+	if pr.Wire != WireF32 {
+		t.Fatalf("f32 pull answered at width %q", pr.Wire)
 	}
-	for j, v := range w32 {
-		if v != float32(w0[j]) {
+	if len(pr.Weights) != ds.Dim() {
+		t.Fatalf("f32 pull carried %d coordinates, want %d", len(pr.Weights), ds.Dim())
+	}
+	for j, v := range pr.Weights {
+		if v != float64(float32(w0[j])) {
 			t.Fatalf("coordinate %d: pulled %g, want %g", j, v, float32(w0[j]))
 		}
 	}
@@ -107,35 +104,29 @@ func TestPullWireF32(t *testing.T) {
 	}
 }
 
-// TestPushValidationF32 sweeps malformed f32-wire pushes: NaN and Inf
-// must be caught on the float32 bit patterns themselves (before
-// widening could launder them), and shape violations — both encodings
-// at once, torn payloads, count mismatches — are all 422 without
-// touching the model.
+// TestPushValidationF32 sweeps malformed f32 push frames: NaN and Inf
+// must be caught on the float32 bit patterns (widening keeps them
+// non-finite, so nothing is laundered), and shape violations — a torn
+// value, a count the values do not fill, a duplicate index — are all
+// 422 without touching the model. A push carrying both widths at once
+// cannot be expressed: the frame has one width byte.
 func TestPushValidationF32(t *testing.T) {
 	ds, _ := testCorpus(t)
 	c, srv := startCoordinator(t, CoordinatorConfig{Dim: ds.Dim(), PollTimeout: time.Second})
-	nan := packF32s(nil, []float32{float32(math.NaN())})
-	inf := packF32s(nil, []float32{float32(math.Inf(1))})
 	cases := []struct {
-		name string
-		req  PushRequest
+		name  string
+		frame []byte
 	}{
-		{"nan delta", PushRequest{Seq: 1, Idx: []int{0}, Val32: nan}},
-		{"inf delta", PushRequest{Seq: 1, Idx: []int{0}, Val32: inf}},
-		{"both encodings", PushRequest{Seq: 1, Idx: []int{0},
-			Val: []float64{1}, Val32: packF32(nil, []float64{1})}},
-		{"torn payload", PushRequest{Seq: 1, Idx: []int{0}, Val32: []byte{1, 2, 3}}},
-		{"count mismatch", PushRequest{Seq: 1, Idx: []int{0, 1}, Val32: packF32(nil, []float64{1})}},
-		{"duplicate index", PushRequest{Seq: 1, Idx: []int{0, 0}, Val32: packF32(nil, []float64{1, 1})}},
+		{"nan delta", pushHead(0, 1, 0, 4, 1).uv(1).f32(float32(math.NaN())).b},
+		{"inf delta", pushHead(0, 1, 0, 4, 1).uv(1).f32(float32(math.Inf(1))).b},
+		{"-inf delta", pushHead(0, 1, 0, 4, 1).uv(1).f32(float32(math.Inf(-1))).b},
+		{"torn value", pushHead(0, 1, 0, 4, 1).uv(1).raw(1, 2, 3).b},
+		{"count mismatch", pushHead(0, 1, 0, 4, 2).uv(1, 1).f32(1).b},
+		{"duplicate index", pushHead(0, 1, 0, 4, 2).uv(1, 0).f32(1, 1).b},
 	}
-	cl := &rpcClient{hc: srv.Client(), base: srv.URL, policy: RetryPolicy{Max: -1}.withDefaults(),
-		rng: newTestRand(), log: quietLogger()}
 	for _, tc := range cases {
-		var pr PushResponse
-		status, _, err := cl.do(context.Background(), http.MethodPost, "/v1/cluster/push", 0, tc.req, &pr)
-		if status != http.StatusUnprocessableEntity {
-			t.Fatalf("%s: status %d err %v, want 422", tc.name, status, err)
+		if status := postRaw(t, srv, tc.frame); status != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status %d, want 422", tc.name, status)
 		}
 	}
 	if st := c.Stats(); st.Bad != int64(len(cases)) || st.Applied != 0 {
@@ -146,9 +137,9 @@ func TestPushValidationF32(t *testing.T) {
 	}
 
 	// A well-formed f32 push lands with the exact widened-float32 delta.
-	var pr PushResponse
-	status, _, err := cl.do(context.Background(), http.MethodPost, "/v1/cluster/push", 0,
-		PushRequest{Seq: 1, Idx: []int{2}, Val32: packF32(nil, []float64{0.1}), Updates: 3}, &pr)
+	cl := &rpcClient{hc: srv.Client(), base: srv.URL, policy: RetryPolicy{Max: -1}.withDefaults(),
+		rng: newTestRand(), log: quietLogger()}
+	status, pr, err := sendPush(cl, PushRequest{Seq: 1, Wire: WireF32, Idx: []int{2}, Val: []float64{0.1}, Updates: 3})
 	if err != nil || status != http.StatusOK || !pr.Applied {
 		t.Fatalf("valid f32 push: status %d err %v applied %v", status, err, pr.Applied)
 	}
@@ -157,31 +148,44 @@ func TestPushValidationF32(t *testing.T) {
 	}
 }
 
-// TestPushRequestWireShape pins the JSON encoding contract: the f32
-// payload travels as base64 (JSON's []byte form), and the unused
-// float64 array is omitted entirely rather than sent as null/[].
-func TestPushRequestWireShape(t *testing.T) {
-	raw, err := json.Marshal(PushRequest{Worker: 1, Seq: 2, Idx: []int{0},
-		Val32: packF32(nil, []float64{1})})
-	if err != nil {
-		t.Fatal(err)
+// TestPushFrameLayout pins the frame byte for byte against the layout
+// wire.go documents, so a change to the encoding cannot pass unnoticed.
+func TestPushFrameLayout(t *testing.T) {
+	got := appendPush(nil, &PushRequest{Worker: 1, Seq: 300, Updates: 2, Wire: WireF32,
+		Idx: []int{0, 130}, Val: []float64{1, -2}})
+	want := []byte{
+		1,          // worker
+		0xac, 0x02, // seq 300
+		2,          // updates
+		4,          // width
+		2,          // count
+		1,          // gap: index 0
+		0x82, 0x01, // gap 130: index 130
+		0x00, 0x00, 0x80, 0x3f, // float32 1
+		0x00, 0x00, 0x00, 0xc0, // float32 -2
 	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
+	if string(got) != string(want) {
+		t.Fatalf("push frame\n got % x\nwant % x", got, want)
 	}
-	if _, ok := m["val"]; ok {
-		t.Fatalf("f32 push still carries a val field: %s", raw)
+	pull := appendPull(nil, &PullResponse{Seq: 5, Epoch: 4, Iters: 3, Done: true, Loss: -1,
+		Weights: []float64{0.5}})
+	want = []byte{
+		5, 4, 3, // seq, epoch, iters
+		1,                                              // done
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0xbf, // loss -1
+		8,                                              // width
+		1,                                              // count
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, // float64 0.5
 	}
-	if s, ok := m["val32"].(string); !ok || s == "" {
-		t.Fatalf("val32 did not marshal as a base64 string: %s", raw)
+	if string(pull) != string(want) {
+		t.Fatalf("pull frame\n got % x\nwant % x", pull, want)
 	}
 }
 
-// TestClusterConvergesF32Wire is the end-to-end gate for the compact
-// encoding: two workers on the f32 wire — narrowed pulls, narrowed
-// pushed deltas — must still drive the global model to the same loss
-// target as the float64 wire.
+// TestClusterConvergesF32Wire is the end-to-end gate for the narrow
+// width: two workers on the f32 wire — narrowed pulls, narrowed pushed
+// deltas — must still drive the global model to the same loss target
+// as the float64 wire.
 func TestClusterConvergesF32Wire(t *testing.T) {
 	ds, obj := testCorpus(t)
 	c, srv := startCoordinator(t, CoordinatorConfig{

@@ -58,8 +58,9 @@ func (p RetryPolicy) backoff(attempt int, rng *xrand.Rand) time.Duration {
 	return half + time.Duration(rng.Float64()*float64(half))
 }
 
-// rpcClient is the worker side of the protocol: JSON over a shared
-// http.Client with retry/backoff on transient failures.
+// rpcClient is the worker side of the protocol: frames out, frames or
+// JSON verdicts back, over a shared http.Client with retry/backoff on
+// transient failures.
 type rpcClient struct {
 	hc     *http.Client
 	base   string // coordinator root, e.g. http://127.0.0.1:9090
@@ -68,31 +69,49 @@ type rpcClient struct {
 	log    *slog.Logger
 }
 
+// maxVerdict bounds a push verdict's JSON body.
+const maxVerdict = 64 << 10
+
+// pull issues a pull (path carries the query) and decodes the frame's
+// weights, if any, into dst, which is the model's Dim long. The
+// response is read no further than the largest frame of that Dim at
+// wire's width.
+func (c *rpcClient) pull(ctx context.Context, path string, timeout time.Duration, dst []float64, wire string) (pr PullResponse, attempts int, err error) {
+	_, attempts, err = c.do(ctx, http.MethodGet, path, timeout, nil, maxPullFrame(len(dst), wire),
+		func(raw []byte) (err error) {
+			pr, err = decodePull(raw, dst)
+			return err
+		})
+	return pr, attempts, err
+}
+
+// push sends one push frame and decodes the verdict.
+func (c *rpcClient) push(ctx context.Context, frame []byte) (status int, resp PushResponse, attempts int, err error) {
+	status, attempts, err = c.do(ctx, http.MethodPost, "/v1/cluster/push", 0, frame, maxVerdict,
+		func(raw []byte) error { return json.Unmarshal(raw, &resp) })
+	return status, resp, attempts, err
+}
+
 // retryable reports whether status warrants another attempt.
 func retryable(status int) bool {
 	return status >= 500 || status == http.StatusRequestTimeout ||
 		status == http.StatusTooManyRequests
 }
 
-// do issues method path with in as JSON body (nil for none), decoding
-// the response into out on 2xx and 409 (shed verdicts carry a normal
-// PushResponse body). timeout overrides the policy's per-attempt
-// deadline when positive — the pull long-poll passes its window plus
-// slack. It returns the final HTTP status, the number of attempts made,
-// and the terminal error if every attempt failed.
-func (c *rpcClient) do(ctx context.Context, method, path string, timeout time.Duration, in, out any) (status, attempts int, err error) {
-	var body []byte
-	if in != nil {
-		if body, err = json.Marshal(in); err != nil {
-			return 0, 0, err
-		}
-	}
+// do issues method path with body (nil for none). The response body,
+// refused if longer than limit bytes, goes to decode on 2xx and 409
+// (shed verdicts carry a normal PushResponse body). timeout overrides
+// the policy's per-attempt deadline when positive — the pull long-poll
+// passes its window plus slack. It returns the final HTTP status, the
+// number of attempts made, and the terminal error if every attempt
+// failed.
+func (c *rpcClient) do(ctx context.Context, method, path string, timeout time.Duration, body []byte, limit int, decode func([]byte) error) (status, attempts int, err error) {
 	if timeout <= 0 {
 		timeout = c.policy.Timeout
 	}
 	for attempt := 0; ; attempt++ {
 		attempts++
-		status, err = c.once(ctx, method, path, timeout, body, out)
+		status, err = c.once(ctx, method, path, timeout, body, limit, decode)
 		if err == nil && !retryable(status) {
 			return status, attempts, nil
 		}
@@ -119,7 +138,7 @@ func (c *rpcClient) do(ctx context.Context, method, path string, timeout time.Du
 	}
 }
 
-func (c *rpcClient) once(ctx context.Context, method, path string, timeout time.Duration, body []byte, out any) (int, error) {
+func (c *rpcClient) once(ctx context.Context, method, path string, timeout time.Duration, body []byte, limit int, decode func([]byte) error) (int, error) {
 	actx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	var rd io.Reader
@@ -131,23 +150,21 @@ func (c *rpcClient) once(ctx context.Context, method, path string, timeout time.
 		return 0, err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", "application/octet-stream")
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return 0, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	raw, err := readLimited(resp.Body, limit)
 	if err != nil {
-		return resp.StatusCode, err
+		return resp.StatusCode, fmt.Errorf("cluster: reading %s response: %w", path, err)
 	}
 	switch {
 	case resp.StatusCode >= 200 && resp.StatusCode < 300, resp.StatusCode == http.StatusConflict:
-		if out != nil {
-			if err := json.Unmarshal(raw, out); err != nil {
-				return resp.StatusCode, fmt.Errorf("cluster: decoding %s response: %w", path, err)
-			}
+		if err := decode(raw); err != nil {
+			return resp.StatusCode, fmt.Errorf("cluster: decoding %s response: %w", path, err)
 		}
 		return resp.StatusCode, nil
 	default:
@@ -162,4 +179,17 @@ func (c *rpcClient) once(ctx context.Context, method, path string, timeout time.
 		}
 		return resp.StatusCode, fmt.Errorf("cluster: %s %s rejected (%d): %s", method, path, resp.StatusCode, eb.Error)
 	}
+}
+
+// readLimited reads a whole response body, refusing one longer than
+// limit bytes.
+func readLimited(r io.Reader, limit int) ([]byte, error) {
+	raw, err := io.ReadAll(io.LimitReader(r, int64(limit)+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(raw) > limit {
+		return nil, fmt.Errorf("body exceeds %d bytes", limit)
+	}
+	return raw, nil
 }

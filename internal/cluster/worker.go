@@ -43,12 +43,10 @@ type WorkerConfig struct {
 	// shard-epoch displacement — so long races want a mild decay.
 	StepDecay float64
 
-	// Wire selects the transport encoding: WireF64 (or "", the default)
-	// exchanges JSON float64 arrays; WireF32 pulls weights and pushes
-	// deltas as base64-packed little-endian float32 — about a quarter of
-	// the textual payload. The f32 narrowing of a pushed delta is lossy
-	// (~1e-7 relative), one more bounded perturbation of the kind the
-	// asynchronous analysis already tolerates.
+	// Wire selects the width of the values inside the pull and push
+	// frames (see wire.go): WireF64 (or "", the default) ships exact
+	// float64 bits; WireF32 ships float32, half the value bytes, at a
+	// ~1e-7 relative narrowing of pulled weights and pushed deltas.
 	Wire string
 
 	// PollTimeout is the client-side ceiling on one pull long-poll; it
@@ -182,13 +180,12 @@ func (w *Worker) Stats() WorkerStats {
 // exhausted). A shed push discards the local round and resynchronizes
 // on the next pull.
 func (w *Worker) Run(ctx context.Context) error {
+	// prev is the pulled version: frames decode straight into it, and the
+	// round's delta is taken against it.
 	prev := make([]float64, w.dim)
 	var cur []float64
-	var idx []int
-	var val []float64
-	var w32 []float32 // f32-wire pull scratch
-	var pulled []float64
-	var packed []byte // f32-wire push scratch
+	req := PushRequest{Worker: w.cfg.ID, Wire: w.wire}
+	var frame []byte // push scratch
 	var since uint64
 	step := w.cfg.Step
 	log := w.cfg.Log
@@ -197,40 +194,14 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var pr PullResponse
-		path := fmt.Sprintf("/v1/cluster/pull?worker=%d&since=%d", w.cfg.ID, since)
-		if w.wire == WireF32 {
-			path += "&wire=f32"
-		}
-		_, attempts, err := w.rpc.do(ctx, http.MethodGet, path,
-			w.cfg.PollTimeout+5*time.Second, nil, &pr)
+		path := fmt.Sprintf("/v1/cluster/pull?worker=%d&since=%d&wire=%s", w.cfg.ID, since, w.wire)
+		pr, attempts, err := w.rpc.pull(ctx, path, w.cfg.PollTimeout+5*time.Second, prev, w.wire)
 		w.retries.Add(int64(attempts - 1))
 		if err != nil {
 			return fmt.Errorf("cluster: worker %d pull: %w", w.cfg.ID, err)
 		}
-		wts := pr.Weights
-		if pr.Weights32 != nil {
-			// f32 wire: widen the packed weights once; the widened values are
-			// the base the round's delta diffs against, so pull narrowing
-			// never leaks into the pushed update.
-			if w32, err = unpackF32(w32, pr.Weights32); err != nil {
-				return fmt.Errorf("cluster: worker %d pull: %w", w.cfg.ID, err)
-			}
-			if len(w32) != w.dim {
-				return fmt.Errorf("cluster: worker %d pull: f32 weights carry %d coordinates, want %d",
-					w.cfg.ID, len(w32), w.dim)
-			}
-			if pulled == nil {
-				pulled = make([]float64, w.dim)
-			}
-			for j, v := range w32 {
-				pulled[j] = float64(v)
-			}
-			wts = pulled
-		}
-		if wts != nil && pr.Seq > since {
-			w.eng.Model().Load(wts)
-			copy(prev, wts)
+		if pr.Weights != nil {
+			w.eng.Model().Load(prev)
 			since = pr.Seq
 		} else if !pr.Done {
 			continue // poll window expired with nothing new
@@ -248,23 +219,12 @@ func (w *Worker) Run(ctx context.Context) error {
 		w.rounds.Add(1)
 		w.updates.Add(roundUpdates)
 		cur = w.eng.Snapshot(cur)
-		idx, val = sparseDiff(prev, cur, idx, val)
-		if len(idx) == 0 {
-			continue
-		}
-		req := PushRequest{
-			Worker: w.cfg.ID, Seq: since, Idx: idx,
-			Rows:    int(w.eng.ItersPerEpoch()) * w.cfg.LocalEpochs,
-			Updates: roundUpdates,
-		}
-		if w.wire == WireF32 {
-			packed = packF32(packed[:0], val)
-			req.Val32 = packed
-		} else {
-			req.Val = val
-		}
-		var resp PushResponse
-		status, attempts, err := w.rpc.do(ctx, http.MethodPost, "/v1/cluster/push", 0, req, &resp)
+		// A round that moved nothing still pushes: its updates count, and
+		// the version the push publishes is what the next pull waits for.
+		req.Seq, req.Updates = since, roundUpdates
+		req.Idx, req.Val = sparseDiff(prev, cur, req.Idx, req.Val)
+		frame = appendPush(frame[:0], &req)
+		status, resp, attempts, err := w.rpc.push(ctx, frame)
 		w.retries.Add(int64(attempts - 1))
 		if err != nil {
 			return fmt.Errorf("cluster: worker %d push: %w", w.cfg.ID, err)

@@ -230,16 +230,3 @@ func (m *Atomic32) Load(src []float64) {
 // specialized float32 CAS kernels. All access through the returned slice
 // must remain Load/CompareAndSwap/Store.
 func (m *Atomic32) Bits32() []atomic.Uint32 { return m.bits }
-
-// FirstNonFinite32 returns the index of the first NaN or ±Inf entry of
-// w, or -1 when every weight is finite — the float32 analog of
-// FirstNonFinite, used by the f32 wire decoders.
-func FirstNonFinite32(w []float32) int {
-	for j, v := range w {
-		f := float64(v)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return j
-		}
-	}
-	return -1
-}

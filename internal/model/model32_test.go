@@ -188,15 +188,3 @@ func TestNewKinds32(t *testing.T) {
 		t.Fatal("As32 must map f64 kinds to their f32 counterparts")
 	}
 }
-
-func TestFirstNonFinite32(t *testing.T) {
-	if got := FirstNonFinite32([]float32{0, 1, -2}); got != -1 {
-		t.Fatalf("finite slice: got %d, want -1", got)
-	}
-	if got := FirstNonFinite32([]float32{0, float32(math.NaN()), float32(math.Inf(1))}); got != 1 {
-		t.Fatalf("NaN at 1: got %d", got)
-	}
-	if got := FirstNonFinite32([]float32{float32(math.Inf(-1))}); got != 0 {
-		t.Fatalf("-Inf at 0: got %d", got)
-	}
-}

@@ -1,13 +1,10 @@
-// Package wire32 is the compact float32 wire encoding shared by every
-// HTTP protocol in the project that ships weight vectors: little-endian
-// IEEE-754 float32, 4 bytes per coordinate, carried as a JSON []byte
-// (base64). Relative to a textual float64 JSON array it is roughly a
-// quarter of the payload; the narrowing it applies is lossless when the
-// producing run trained at float32 (snapshot.Store.DType) and one more
-// bounded perturbation of the kind the asynchronous analysis already
-// tolerates otherwise. The cluster push/pull protocol (internal/cluster)
-// and the serving replication protocol (internal/serve) both encode
-// with it, so a captured payload decodes the same way everywhere.
+// Package wire32 is the compact float32 wire encoding of the serving
+// replication protocol (internal/serve): little-endian IEEE-754
+// float32, 4 bytes per coordinate, carried as a JSON []byte (base64).
+// Relative to a textual float64 JSON array it is roughly a quarter of
+// the payload; the narrowing it applies is lossless when the producing
+// run trained at float32 (snapshot.Store.DType). The cluster protocol
+// has its own binary frame (internal/cluster/wire.go).
 package wire32
 
 import (
@@ -16,17 +13,8 @@ import (
 	"math"
 )
 
-// Append appends vals narrowed to little-endian float32 onto dst
-// (callers reuse dst across rounds to keep the encode allocation-free).
-func Append(dst []byte, vals []float64) []byte {
-	for _, v := range vals {
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(v)))
-	}
-	return dst
-}
-
-// AppendNarrow is Append over an already-narrow slice (publishers fed
-// from a version's cached float32 view pack without re-narrowing).
+// AppendNarrow appends vals as little-endian float32 onto dst
+// (publishers pack a version's cached float32 view).
 func AppendNarrow(dst []byte, vals []float32) []byte {
 	for _, v := range vals {
 		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
@@ -34,26 +22,10 @@ func AppendNarrow(dst []byte, vals []float32) []byte {
 	return dst
 }
 
-// Decode decodes a little-endian float32 packing into dst (grown as
-// needed). The byte length must be a multiple of 4; values are NOT
-// checked for finiteness — receivers validate after decoding.
-func Decode(dst []float32, b []byte) ([]float32, error) {
-	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("wire32: payload length %d is not a multiple of 4", len(b))
-	}
-	n := len(b) / 4
-	if cap(dst) < n {
-		dst = make([]float32, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return dst, nil
-}
-
 // DecodeWide decodes a little-endian float32 packing widened to float64
-// in dst (grown as needed) — the receiving side of a replication pull,
+// in dst (grown as needed). The byte length must be a multiple of 4;
+// values are NOT checked for finiteness — receivers validate after
+// decoding. It is the receiving side of a replication pull,
 // which republishes into a float64 snapshot store. Widening float32 to
 // float64 is exact, so for f32-stamped stores the round trip through the
 // wire is bitwise-lossless.

@@ -5,8 +5,12 @@
 #   2. go test -race over the concurrency-critical packages (RACE_PKGS;
 #      CI runs this script, so the list lives only here)
 #   3. a process check: nothing this repository builds or runs
-#      (isasgd binaries and test binaries, the benchmark's .bench_build
-#      tree, go run/test/build) may still be running afterwards
+#      (isasgd binaries, test binaries under a go-buildNNN temp dir, the
+#      benchmark's .bench_build tree, go run/test/build) may still be
+#      running afterwards
+#
+# Both go test runs time out after 3 minutes, so a protocol deadlock
+# fails with a goroutine dump instead of hanging the gate.
 #
 # Exits non-zero if any check fails or any process is left.
 #
@@ -33,16 +37,16 @@ check() {
 	fi
 }
 
-tier1() { go build ./... && go vet ./... && go test ./...; }
+tier1() { go build ./... && go vet ./... && go test -timeout 3m ./...; }
 check "build, vet, test" tier1
-check "race (${#RACE_PKGS[@]} packages)" go test -race "${RACE_PKGS[@]}"
+check "race (${#RACE_PKGS[@]} packages)" go test -race -timeout 3m "${RACE_PKGS[@]}"
 
 # The bracketed first characters keep the pattern from matching its own
 # command line; pgrep runs as a direct child writing to a file, so no
 # subshell of this script is listed, and the script and its parent are
 # skipped by PID.
 procs=$(mktemp)
-pgrep -fa '[i]sasgd|[.]bench_build|[g]o (run|test|build)' >"$procs"
+pgrep -fa '[i]sasgd|[.]bench_build|[g]o (run|test|build)|[g]o-build[0-9]+/' >"$procs"
 left=0
 while read -r pid cmd; do
 	if [ "$pid" = "$$" ] || [ "$pid" = "$PPID" ]; then

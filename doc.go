@@ -185,9 +185,10 @@
 // The same snapshot pipeline scales the read side out: isasgd-serve
 // -origin runs a read-only replica that mirrors every model of an
 // origin server through GET /v1/replicate — a long-poll on the origin's
-// snapshot store (float32 models ship the compact wire32 encoding), so
-// a new version propagates the moment it publishes and replicas report
-// their measured staleness (isasgd_replica_lag_seconds, and a
+// snapshot store that answers with one binary frame (internal/frame,
+// the codec the cluster's pulls use: raw little-endian weights, 4 bytes
+// each for float32 models), so a new version propagates the moment it
+// publishes and replicas report their measured staleness (isasgd_replica_lag_seconds, and a
 // lag_seconds field on /v1/models). Two mechanisms keep tail latency
 // bounded as concurrency climbs: predict micro-batching (-batch-window)
 // coalesces concurrent predicts per model onto one snapshot resolve and

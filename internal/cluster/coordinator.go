@@ -15,6 +15,7 @@ import (
 
 	"github.com/isasgd/isasgd/internal/adaptive"
 	"github.com/isasgd/isasgd/internal/dataset"
+	"github.com/isasgd/isasgd/internal/frame"
 	"github.com/isasgd/isasgd/internal/metrics"
 	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/objective"
@@ -629,9 +630,9 @@ func writeErr(w http.ResponseWriter, status int, msg string) {
 }
 
 // writeFrame answers 200 with a binary frame.
-func writeFrame(w http.ResponseWriter, frame []byte) {
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+func writeFrame(w http.ResponseWriter, b []byte) {
+	w.Header().Set("Content-Type", frame.ContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(frame)
+	_, _ = w.Write(b)
 }

@@ -4,7 +4,8 @@
 // nodes train importance-sampled gradient rounds on their
 // internal/balance-assigned shard of the corpus, exchanging state over
 // stdlib net/http: weights and deltas as one binary frame (wire.go
-// describes it), verdicts, stats and errors as small JSON bodies.
+// declares its headers; the codec is internal/frame, which snapshot
+// replication shares), verdicts, stats and errors as small JSON bodies.
 //
 // The protocol is two endpoints:
 //

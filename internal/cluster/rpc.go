@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"time"
 
+	"github.com/isasgd/isasgd/internal/frame"
 	"github.com/isasgd/isasgd/internal/xrand"
 )
 
@@ -150,7 +151,7 @@ func (c *rpcClient) once(ctx context.Context, method, path string, timeout time.
 		return 0, err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/octet-stream")
+		req.Header.Set("Content-Type", frame.ContentType)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {

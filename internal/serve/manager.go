@@ -529,6 +529,10 @@ func parseBalanceMode(s string) (balance.Mode, error) {
 	}
 }
 
+// maxModelDim bounds a model's dimension: a streaming job's dim, and the
+// Dim a replica accepts from its origin's model list.
+const maxModelDim = 1 << 28
+
 // compileStream validates a streaming spec and builds the
 // stream.Config. The source is Path (server-side file, confined to
 // streamRoot) or, when bodyFed, the upload body handed to SubmitStream.
@@ -562,7 +566,6 @@ func compileStream(spec JobSpec, bodyFed bool, streamRoot string) (*resolved, er
 
 	// Service-level resource bounds, mirroring compileBatch.
 	const (
-		maxDim       = 1 << 28
 		maxBlockSize = 1 << 22
 		maxWindow    = 1 << 12
 		maxUpdates   = 1 << 26
@@ -570,8 +573,8 @@ func compileStream(spec JobSpec, bodyFed bool, streamRoot string) (*resolved, er
 		maxThreads   = 1 << 10
 	)
 	switch {
-	case spec.Dim < 1 || spec.Dim > maxDim:
-		return nil, fmt.Errorf("serve: streaming jobs require dim in [1, %d], got %d", maxDim, spec.Dim)
+	case spec.Dim < 1 || spec.Dim > maxModelDim:
+		return nil, fmt.Errorf("serve: streaming jobs require dim in [1, %d], got %d", maxModelDim, spec.Dim)
 	case spec.BlockSize < 0 || spec.BlockSize > maxBlockSize:
 		return nil, fmt.Errorf("serve: block_size must be in [0, %d], got %d", maxBlockSize, spec.BlockSize)
 	case spec.WindowBlocks < 0 || spec.WindowBlocks > maxWindow:

@@ -1,11 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"io"
+	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -276,39 +283,32 @@ func TestReplicaSurvivesOriginRestart(t *testing.T) {
 }
 
 // TestReplicateEndpoint covers the origin handler's contract directly:
-// cursor semantics (weights only when behind), long-poll expiry, and the
-// error statuses.
+// cursor semantics (a frame with weights when behind, count 0 when
+// current), long-poll expiry, and JSON error statuses.
 func TestReplicateEndpoint(t *testing.T) {
 	mgr := NewManager(NewRegistry(), 1, t.TempDir())
 	ts := httptest.NewServer(NewServerOpts(mgr, ServerOptions{
 		ReplicateWindow: 80 * time.Millisecond,
 	}))
 	t.Cleanup(ts.Close)
-	if err := mgr.Registry().Publish(&Model{Name: "m", Store: snapshot.Of(2, 5, []float64{1, 2})}); err != nil {
+	if err := mgr.Registry().Publish(&Model{Name: "m", Algo: "is-asgd", Store: snapshot.Of(2, 5, []float64{1, 2})}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Behind cursor: full version with weights.
-	resp, err := http.Get(ts.URL + "/v1/replicate?model=m&since=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr := decodeBody[ReplicateResponse](t, resp)
-	if rr.Seq != 1 || len(rr.Weights) != 2 || rr.Epoch != 2 || rr.Iters != 5 {
-		t.Fatalf("replicate since=0: %+v, want seq 1 with 2 weights", rr)
+	rr := getFrame(t, ts.URL+"/v1/replicate?model=m&since=0", 2)
+	if rr.Seq != 1 || len(rr.Weights) != 2 || rr.Weights[1] != 2 || rr.Epoch != 2 || rr.Iters != 5 ||
+		rr.Algo != "is-asgd" || rr.DType != model.PrecisionF64 {
+		t.Fatalf("replicate since=0: %+v, want seq 1 with 2 f64 weights", rr)
 	}
 	if rr.PublishedUnix <= 0 {
 		t.Fatalf("replicate response missing publish timestamp: %+v", rr)
 	}
 
-	// At cursor: the long-poll expires and answers without weights.
+	// At cursor: the long-poll expires and answers count 0.
 	start := time.Now()
-	resp, err = http.Get(ts.URL + "/v1/replicate?model=m&since=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr = decodeBody[ReplicateResponse](t, resp)
-	if rr.Weights != nil || rr.Weights32 != nil || rr.Seq != 1 {
+	rr = getFrame(t, ts.URL+"/v1/replicate?model=m&since=1", 2)
+	if rr.Weights != nil || rr.Seq != 1 {
 		t.Fatalf("replicate since=current: %+v, want seq 1 without weights", rr)
 	}
 	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
@@ -330,6 +330,137 @@ func TestReplicateEndpoint(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Fatalf("GET %s: status %d, want %d", tc.path, resp.StatusCode, tc.want)
 		}
-		resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("GET %s: error Content-Type %q, want JSON", tc.path, ct)
+		}
+		if eb := decodeBody[errorBody](t, resp); eb.Error == "" {
+			t.Fatalf("GET %s: empty JSON error", tc.path)
+		}
+	}
+}
+
+// TestReplicaPullAbove64MiB replicates an f64 model whose frame is
+// larger than 64 MiB, the server's request-body cap, and checks that
+// every coordinate arrives: a pull is bounded by the count its frame
+// announces and the listed Dim, not by a fixed size.
+func TestReplicaPullAbove64MiB(t *testing.T) {
+	if testing.Short() || model.RaceEnabled {
+		t.Skip("moves a 67 MB frame")
+	}
+	const dim = 8_400_000 // 8 bytes each: 67.2 MB > 64 MiB
+	w := make([]float64, dim)
+	for j := range w {
+		w[j] = float64(j%1000-500) * 1e-5 // ~20 B each as indented JSON text
+	}
+	originMgr := NewManager(NewRegistry(), 1, t.TempDir())
+	originTS := httptest.NewServer(NewServerOpts(originMgr, ServerOptions{ReplicateWindow: time.Second}))
+	t.Cleanup(originTS.Close)
+	origin := snapshot.Of(1, 1, w)
+	if err := originMgr.Registry().Publish(&Model{Name: "big", Store: origin}); err != nil {
+		t.Fatal(err)
+	}
+	w = nil
+
+	repMgr, _ := replicaFixture(t, originTS.URL)
+	waitFor(t, 60*time.Second, "the replica to mirror the 67 MB model", func() bool {
+		m, ok := repMgr.Registry().Get("big")
+		return ok && m.Store.Seq() == 1
+	})
+	m, _ := repMgr.Registry().Get("big")
+	got, want := m.Store.Load().Weights, origin.Load().Weights
+	if len(got) != dim {
+		t.Fatalf("replicated %d coordinates, want %d", len(got), dim)
+	}
+	for j := range got {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("coordinate %d = %v, want %v", j, got[j], want[j])
+		}
+	}
+}
+
+// syncBuffer is a log sink safe for concurrent writers.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// TestReplicaRejectsJSONOrigin pins the mixed-version failure: an origin
+// that answers /v1/replicate with a 200 JSON body (one older than the
+// frame) costs the replica one error pull per answer, logged with the
+// content type, under the usual backoff — not a frame-decode error, and
+// not a hot retry loop.
+func TestReplicaRejectsJSONOrigin(t *testing.T) {
+	var polls atomic.Int64
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		switch r.URL.Path {
+		case "/v1/models":
+			io.WriteString(w, `[{"name":"m","dim":2,"seq":1}]`) //nolint:errcheck
+		case "/v1/replicate":
+			polls.Add(1)
+			io.WriteString(w, `{"model":"m","seq":1,"epoch":1,"iters":1,"weights":[1,2]}`) //nolint:errcheck
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(origin.Close)
+
+	var logs syncBuffer
+	mgr := NewManager(NewRegistry(), 1, t.TempDir())
+	ts := httptest.NewServer(NewServerOpts(mgr, ServerOptions{ReadOnly: true}))
+	t.Cleanup(ts.Close)
+	repl, err := NewReplicator(ReplicatorConfig{
+		Origin: origin.URL, Registry: mgr.Registry(),
+		Interval: 20 * time.Millisecond, PollWindow: time.Second,
+		RetryBase: 20 * time.Millisecond, RetryCap: 200 * time.Millisecond,
+		Log: slog.New(slog.NewTextHandler(&logs, nil)), Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		repl.Run(ctx) //nolint:errcheck // nil on cancel
+	}()
+	waitFor(t, 10*time.Second, "three rejected pulls", func() bool { return polls.Load() >= 3 })
+	time.Sleep(300 * time.Millisecond)
+	cancel()
+	<-done
+
+	// Backoff of 20 ms doubling to a 200 ms cap allows about 6 polls in
+	// the first 600 ms; a hot loop would make thousands.
+	n := polls.Load()
+	if n > 20 {
+		t.Fatalf("%d polls against a JSON origin: the replica is retrying hot", n)
+	}
+	// A poll in flight at the cancel is answered but not counted.
+	text := scrape(t, ts.URL)
+	series := `isasgd_replica_pulls_total{model="m",result="error"} `
+	if !strings.Contains(text, series+fmt.Sprint(n)+"\n") && !strings.Contains(text, series+fmt.Sprint(n-1)+"\n") {
+		t.Fatalf("want one error pull per poll (%d polls); got:\n%s", n, text)
+	}
+	out := logs.String()
+	if !strings.Contains(out, "application/json") {
+		t.Fatalf("log does not name the content type:\n%s", out)
+	}
+	if strings.Contains(out, "decoding replicate frame") {
+		t.Fatalf("JSON answer reported as a broken frame:\n%s", out)
+	}
+	if _, ok := mgr.Registry().Get("m"); ok {
+		t.Fatal("replica published a model from a JSON answer")
 	}
 }

@@ -2,20 +2,23 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/url"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"github.com/isasgd/isasgd/internal/model"
+	"github.com/isasgd/isasgd/internal/frame"
 	"github.com/isasgd/isasgd/internal/obs"
 	"github.com/isasgd/isasgd/internal/snapshot"
-	"github.com/isasgd/isasgd/internal/wire32"
 	"github.com/isasgd/isasgd/internal/xrand"
 )
 
@@ -27,6 +30,9 @@ import (
 // one puller goroutine per model that long-polls for fresher versions,
 // republishes them into the local registry at the origin's sequence
 // numbers (Store.Restore), and maintains the replication-lag telemetry.
+// Versions travel as the binary frame ReplicateResponse documents;
+// writeReplicate and readReplicate, at the end of this file, are its two
+// ends.
 //
 // Replica-local models carry no objective implementation (the origin's
 // objective arrives as a name, not code), so their labels fall back to
@@ -97,7 +103,10 @@ func (c ReplicatorConfig) withDefaults() ReplicatorConfig {
 // survives both replica and origin restarts:
 //
 //   - transport errors retry forever with capped jittered backoff, so a
-//     rebooting origin is rejoined as soon as it listens again;
+//     rebooting origin is rejoined as soon as it listens again; a frame
+//     that fails to decode, and a 200 that is not a frame at all (an
+//     origin older than the frame answers JSON), back off the same way,
+//     one error pull each;
 //   - an origin that came back with a reset sequence (restarted without
 //     its checkpoint) answers polls with Seq below the replica's cursor;
 //     the puller detects the regression, re-pulls from 0 and republishes
@@ -124,6 +133,7 @@ type Replicator struct {
 type puller struct {
 	cancel context.CancelFunc
 	done   chan struct{}
+	dim    atomic.Int64 // the model's Dim on the origin's last listing
 }
 
 // NewReplicator validates cfg and registers the replication telemetry on
@@ -185,9 +195,14 @@ func (r *Replicator) Run(ctx context.Context) error {
 // reconcile diffs the origin's model list against the running pullers:
 // new names get a puller, vanished names lose theirs and the local copy.
 func (r *Replicator) reconcile(ctx context.Context, list []ModelInfo) {
-	want := make(map[string]bool, len(list))
+	want := make(map[string]int, len(list)) // name → Dim
 	for _, info := range list {
-		want[info.Name] = true
+		if info.Dim < 0 || info.Dim > maxModelDim {
+			r.cfg.Log.Warn("replica: model not mirrored: dim outside the replica's limit",
+				"model", info.Name, "dim", info.Dim, "limit", maxModelDim)
+			continue
+		}
+		want[info.Name] = info.Dim
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -198,7 +213,9 @@ func (r *Replicator) reconcile(ctx context.Context, list []ModelInfo) {
 			continue
 		default:
 		}
-		if !want[name] {
+		if dim, ok := want[name]; ok {
+			p.dim.Store(int64(dim))
+		} else {
 			p.cancel()
 			delete(r.pullers, name)
 			if r.cfg.Registry.Delete(name) {
@@ -206,18 +223,19 @@ func (r *Replicator) reconcile(ctx context.Context, list []ModelInfo) {
 			}
 		}
 	}
-	for name := range want {
+	for name, dim := range want {
 		if _, ok := r.pullers[name]; ok {
 			continue
 		}
 		pctx, cancel := context.WithCancel(ctx)
 		p := &puller{cancel: cancel, done: make(chan struct{})}
+		p.dim.Store(int64(dim))
 		r.pullers[name] = p
 		r.wg.Add(1)
 		go func(name string) {
 			defer r.wg.Done()
 			defer close(p.done)
-			r.pull(pctx, name)
+			r.pull(pctx, name, &p.dim)
 		}(name)
 	}
 }
@@ -251,19 +269,20 @@ func (r *Replicator) fetchModels(ctx context.Context) ([]ModelInfo, error) {
 // restarts one if the model reappears).
 var errOriginGone = errors.New("model gone on origin")
 
-// pull is one model's replication loop: long-poll, apply, repeat.
-func (r *Replicator) pull(ctx context.Context, name string) {
+// pull is one model's replication loop: long-poll, apply, repeat. dim
+// is the model's Dim as the origin last listed it, the bound on a
+// frame's count.
+func (r *Replicator) pull(ctx context.Context, name string, dim *atomic.Int64) {
 	var (
 		since   uint64
 		store   *snapshot.Store
 		local   *Model
 		attempt int
 		rng     = xrand.New(r.cfg.Seed ^ hashName(name))
-		w       []float64 // decode buffer for f32 payloads, reused
 	)
 	log := r.cfg.Log.With("model", name, "origin", r.cfg.Origin)
 	for ctx.Err() == nil {
-		resp, err := r.pullOnce(ctx, name, since)
+		resp, err := r.pullOnce(ctx, name, since, int(dim.Load()))
 		if err != nil {
 			if errors.Is(err, errOriginGone) {
 				if r.cfg.Registry.Delete(name) {
@@ -288,7 +307,7 @@ func (r *Replicator) pull(ctx context.Context, name string) {
 		attempt = 0
 
 		switch {
-		case resp.Weights == nil && resp.Weights32 == nil:
+		case resp.Weights == nil:
 			if resp.Seq < since {
 				// The origin's sequence regressed below our cursor — it
 				// restarted without its checkpoint. Rewind the cursor; the
@@ -308,16 +327,7 @@ func (r *Replicator) pull(ctx context.Context, name string) {
 				r.lagGauge.With(name).Set(0)
 			}
 		default:
-			if resp.Weights32 != nil {
-				if w, err = wire32.DecodeWide(w, resp.Weights32); err != nil {
-					log.Warn("replica: bad f32 payload", "error", err)
-					r.pulls.With(name, "error").Inc()
-					since = resp.Seq // do not re-pull the same broken version hot
-					continue
-				}
-				resp.Weights = w
-			}
-			store, local = r.apply(log, name, resp, store, local)
+			store, local = r.apply(log, name, &resp, store, local)
 			since = resp.Seq
 		}
 	}
@@ -370,40 +380,43 @@ func (r *Replicator) apply(log *slog.Logger, name string, resp *ReplicateRespons
 	return store, local
 }
 
-// pullOnce issues one long-poll.
-func (r *Replicator) pullOnce(ctx context.Context, name string, since uint64) (*ReplicateResponse, error) {
+// pullOnce issues one long-poll. A 200 answer must be a replicate frame
+// of at most dim values.
+func (r *Replicator) pullOnce(ctx context.Context, name string, since uint64, dim int) (ReplicateResponse, error) {
 	rctx, cancel := context.WithTimeout(ctx, r.cfg.PollWindow)
 	defer cancel()
 	u := fmt.Sprintf("%s/v1/replicate?model=%s&since=%d", r.cfg.Origin, url.QueryEscape(name), since)
 	req, err := http.NewRequestWithContext(rctx, http.MethodGet, u, nil)
 	if err != nil {
-		return nil, err
+		return ReplicateResponse{}, err
 	}
 	hresp, err := r.cfg.Client.Do(req)
 	if err != nil {
-		return nil, err
+		return ReplicateResponse{}, err
 	}
 	defer hresp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(hresp.Body, int64(maxBodyBytes)))
-	if err != nil {
-		return nil, err
-	}
 	switch hresp.StatusCode {
 	case http.StatusOK:
-		var resp ReplicateResponse
-		if err := json.Unmarshal(body, &resp); err != nil {
-			return nil, fmt.Errorf("decoding replicate response: %w", err)
+		if ct := hresp.Header.Get("Content-Type"); ct != frame.ContentType {
+			// An origin that predates the frame answers JSON: say so
+			// rather than report its text as a broken frame.
+			return ReplicateResponse{}, fmt.Errorf("origin answered 200 with Content-Type %q, not a %s replicate frame (older origin?)",
+				ct, frame.ContentType)
 		}
-		return &resp, nil
+		resp, err := readReplicate(hresp.Body, dim)
+		if err != nil {
+			return ReplicateResponse{}, fmt.Errorf("decoding replicate frame: %w", err)
+		}
+		return resp, nil
 	case http.StatusNotFound:
-		return nil, errOriginGone
+		return ReplicateResponse{}, errOriginGone
 	default:
 		var eb errorBody
-		_ = json.Unmarshal(body, &eb)
+		_ = json.NewDecoder(io.LimitReader(hresp.Body, 64<<10)).Decode(&eb)
 		if eb.Error == "" {
 			eb.Error = http.StatusText(hresp.StatusCode)
 		}
-		return nil, fmt.Errorf("origin answered %d: %s", hresp.StatusCode, eb.Error)
+		return ReplicateResponse{}, fmt.Errorf("origin answered %d: %s", hresp.StatusCode, eb.Error)
 	}
 }
 
@@ -432,21 +445,83 @@ func hashName(s string) uint64 {
 // replicateResponseFor renders the origin side of one replication poll:
 // v (resolved by the handler, possibly after a Store.Wait) described
 // with m's metadata, weights included only when the caller's cursor is
-// behind. F32-stamped stores ship the compact packing of the version's
-// cached float32 view — lossless for f32-trained weights.
+// behind.
 func replicateResponseFor(m *Model, v *snapshot.Version, since uint64) ReplicateResponse {
 	resp := ReplicateResponse{
-		Model: m.Name, Algo: m.Algo, Objective: m.Objective, Dataset: m.Dataset,
+		Algo: m.Algo, Objective: m.Objective, Dataset: m.Dataset,
 		Seq: v.Seq, Epoch: v.Epoch, Iters: v.Iters,
 		Live: m.Live(), DType: m.Store.DType(),
 		PublishedUnix: v.At.UnixNano(),
 	}
 	if v.Seq > since {
-		if resp.DType == model.PrecisionF32 {
-			resp.Weights32 = wire32.AppendNarrow(nil, v.W32())
-		} else {
-			resp.Weights = v.Weights
-		}
+		resp.Weights = v.Weights
 	}
 	return resp
+}
+
+// maxReplicateHead is the longest frame head: five uvarints (the
+// header's four and the count), the live and width bytes, and three
+// strings of at most frame.MaxString bytes behind a 2-byte length.
+const maxReplicateHead = 5*binary.MaxVarintLen64 + 2 + 3*(2+frame.MaxString)
+
+// appendReplicate appends resp's frame to dst.
+func appendReplicate(dst []byte, resp *ReplicateResponse) []byte {
+	dst = binary.AppendUvarint(dst, resp.Seq)
+	dst = binary.AppendUvarint(dst, uint64(resp.Epoch))
+	dst = binary.AppendUvarint(dst, uint64(resp.Iters))
+	dst = binary.AppendUvarint(dst, uint64(max(resp.PublishedUnix, 0)))
+	dst = frame.AppendBool(dst, resp.Live)
+	dst = frame.AppendString(dst, resp.Algo)
+	dst = frame.AppendString(dst, resp.Objective)
+	dst = frame.AppendString(dst, resp.Dataset)
+	width := frame.WidthOf(resp.DType)
+	dst = append(dst, byte(width))
+	dst = binary.AppendUvarint(dst, uint64(len(resp.Weights)))
+	return frame.AppendValues(dst, resp.Weights, width)
+}
+
+// writeReplicate sends resp as a 200 frame.
+func writeReplicate(w http.ResponseWriter, resp *ReplicateResponse) {
+	size := maxReplicateHead + frame.WidthOf(resp.DType)*len(resp.Weights)
+	b := appendReplicate(make([]byte, 0, size), resp)
+	w.Header().Set("Content-Type", frame.ContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
+}
+
+// readReplicate reads and decodes one replicate frame of at most dim
+// values (0 ≤ dim ≤ maxModelDim). It reads no further than the longest
+// such frame, so memory grows only with the bytes that arrive; count is
+// bounded by dim and by the bytes left before the values are allocated.
+func readReplicate(rd io.Reader, dim int) (ReplicateResponse, error) {
+	b, err := io.ReadAll(io.LimitReader(rd, int64(maxReplicateHead+frame.F64*dim+1)))
+	if err != nil {
+		return ReplicateResponse{}, err
+	}
+	r := frame.NewReader(b)
+	resp := ReplicateResponse{
+		Seq:           r.Uvarint("seq", math.MaxUint64),
+		Epoch:         int(r.Uvarint("epoch", math.MaxInt)),
+		Iters:         int64(r.Uvarint("iters", math.MaxInt64)),
+		PublishedUnix: int64(r.Uvarint("published", math.MaxInt64)),
+		Live:          r.Bool("live"),
+		Algo:          r.String("algo"),
+		Objective:     r.String("objective"),
+		Dataset:       r.String("dataset"),
+	}
+	width := r.Width()
+	resp.DType = frame.NameOf(width)
+	count := r.Uvarint("count", uint64(dim))
+	if r.Err() == nil && count > uint64(len(r.Rest())/width) {
+		r.Fail("count %d exceeds what %d bytes can hold", count, len(r.Rest()))
+	}
+	if count > 0 && r.Err() == nil {
+		resp.Weights = make([]float64, count)
+	}
+	r.Values(resp.Weights, width)
+	if r.Err() != nil {
+		return ReplicateResponse{}, r.Err()
+	}
+	return resp, nil
 }

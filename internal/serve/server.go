@@ -461,7 +461,8 @@ func (s *Server) replicate(w http.ResponseWriter, r *http.Request) {
 		// version, weights omitted — the registry guarantees at least one.
 		v = m.Store.Load()
 	}
-	writeJSON(w, http.StatusOK, replicateResponseFor(m, v, since))
+	resp := replicateResponseFor(m, v, since)
+	writeReplicate(w, &resp)
 }
 
 func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {

@@ -21,9 +21,13 @@
 //	POST   /v1/models/{name}/predict     score sparse instances
 //	GET    /v1/models/{name}/checkpoint  export model as a checkpoint
 //	PUT    /v1/models/{name}/checkpoint  import a checkpoint as a model
-//	GET    /v1/replicate                 long-poll one model's newest weight version
+//	GET    /v1/replicate                 long-poll one model's newest weight version (binary frame)
 //	GET    /healthz                      liveness + basic counters
 //	GET    /metrics                      Prometheus-style text metrics
+//
+// Request and response bodies are JSON, errors included, except the
+// checkpoint bodies, the metrics text, and a 200 /v1/replicate answer,
+// which is one binary frame (see ReplicateResponse).
 //
 // The serving fleet grows horizontally from these pieces: an origin
 // process (training jobs enabled) exposes /v1/replicate, and replica
@@ -266,29 +270,48 @@ type ModelInfo struct {
 	Lag     *float64 `json:"lag_seconds,omitempty"`
 }
 
-// ReplicateResponse answers GET /v1/replicate?model=name&since=seq — one
-// model's newest weight version, long-polled: the origin blocks until its
-// store holds a version with Seq > since (or its poll window expires, in
-// which case Weights/Weights32 are omitted and Seq describes the version
-// the caller should already hold). Models whose training run stamped f32
-// storage precision ship Weights32 — the compact little-endian float32
-// packing (internal/wire32), ~¼ of the textual float64 payload and
-// lossless for f32-trained weights — instead of Weights. PublishedUnix
-// is the origin's wall clock at the version's publish, the reference
-// point for the replica's lag gauges.
+// ReplicateResponse is one answer of GET /v1/replicate?model=name&since=seq
+// — one model's newest weight version, long-polled: the origin blocks
+// until its store holds a version with Seq > since, or its poll window
+// expires, in which case Weights is nil and Seq describes the version
+// the caller should already hold. PublishedUnix is the origin's wall
+// clock at the version's publish (Unix nanoseconds, 0 when unknown),
+// the reference point for the replica's lag gauges.
+//
+// A 200 answer is one binary frame (Content-Type
+// application/octet-stream) built from internal/frame, the codec of the
+// cluster's pull frame; errors stay JSON (errorBody):
+//
+//	seq        uvarint
+//	epoch      uvarint
+//	iters      uvarint
+//	published  uvarint  PublishedUnix
+//	live       1 byte   0 or 1
+//	algo       string   uvarint length ≤ frame.MaxString (4096), then the bytes
+//	objective  string
+//	dataset    string
+//	width      1 byte   8 (f64 store) or 4 (f32-stamped store)
+//	count      uvarint  0 when the caller is current, else Dim
+//	values     count × width bytes, little-endian
+//
+// The width stands for the store's dtype. Width 4 packs the version's
+// float32 view (snapshot.Version.W32, the bytes of
+// wire32.AppendNarrow), half the bytes of width 8 and lossless for
+// f32-trained weights. The replica reads at most the longest frame of
+// the Dim the origin lists on /v1/models (itself capped at maxModelDim),
+// then decodes under frame.Reader's rules; count must fit that Dim and
+// the bytes that arrived before the values are allocated.
 type ReplicateResponse struct {
-	Model         string    `json:"model"`
-	Algo          string    `json:"algo,omitempty"`
-	Objective     string    `json:"objective,omitempty"`
-	Dataset       string    `json:"dataset,omitempty"`
-	Seq           uint64    `json:"seq"`
-	Epoch         int       `json:"epoch"`
-	Iters         int64     `json:"iters"`
-	Live          bool      `json:"live"`
-	DType         string    `json:"dtype,omitempty"`
-	PublishedUnix int64     `json:"published_unix_nano,omitempty"`
-	Weights       []float64 `json:"weights,omitempty"`
-	Weights32     []byte    `json:"weights32,omitempty"` // LE float32 packing (f32-stamped stores)
+	Seq           uint64
+	Epoch         int
+	Iters         int64
+	PublishedUnix int64
+	Live          bool
+	Algo          string
+	Objective     string
+	Dataset       string
+	DType         string    // model.PrecisionF64 (width 8) or model.PrecisionF32 (width 4)
+	Weights       []float64 // nil when the caller is current
 }
 
 // errorBody is the JSON error envelope every non-2xx response uses.

@@ -1,10 +1,9 @@
-// Package wire32 is the compact float32 wire encoding of the serving
-// replication protocol (internal/serve): little-endian IEEE-754
-// float32, 4 bytes per coordinate, carried as a JSON []byte (base64).
-// Relative to a textual float64 JSON array it is roughly a quarter of
-// the payload; the narrowing it applies is lossless when the producing
-// run trained at float32 (snapshot.Store.DType). The cluster protocol
-// has its own binary frame (internal/cluster/wire.go).
+// Package wire32 is the float32 packing of a weight vector:
+// little-endian IEEE-754 float32, 4 bytes per coordinate. It is exactly
+// the value body of a width-4 frame (internal/frame), which the cluster
+// wire and snapshot replication send, and the benchmark times it as an
+// isolated encode/decode probe. The narrowing is lossless when the
+// producing run trained at float32 (snapshot.Store.DType).
 package wire32
 
 import (

@@ -181,8 +181,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		},
 	}
 	srv := httpx.NewServer(serve.NewServerOpts(mgr, opts), timeouts)
-	fmt.Fprintf(out, "listening on http://%s (pool=%d)\n", ln.Addr(), *pool)
-
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
@@ -228,6 +226,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			}
 		}()
 	}
+	// Announced last, so a caller that waits for this line has seen
+	// every startup line before it.
+	fmt.Fprintf(out, "listening on http://%s (pool=%d)\n", ln.Addr(), *pool)
 
 	select {
 	case err := <-errc:

@@ -149,8 +149,10 @@
 // long-poll fresh versions, train importance-sampled rounds on
 // deterministic importance-balanced shards (every node derives the same
 // balance plan from the shared seed — no assignment traffic), and push
-// sparse accumulated updates back over stdlib HTTP, weights and deltas
-// as one binary frame (internal/cluster/wire.go). Each push's realized
+// sparse accumulated updates back over stdlib HTTP: deltas as a binary
+// push frame (internal/cluster/wire.go), weights as the version frame
+// of internal/frame, whose one long-poll handler and client step also
+// carry snapshot replication. Each push's realized
 // staleness — coordinator seq minus the seq it trained from, the
 // cross-machine analog of the paper's delay parameter τ — is measured,
 // exported (isasgd_cluster_* families), and bounded: pushes beyond the
@@ -184,10 +186,11 @@
 //
 // The same snapshot pipeline scales the read side out: isasgd-serve
 // -origin runs a read-only replica that mirrors every model of an
-// origin server through GET /v1/replicate — a long-poll on the origin's
-// snapshot store that answers with one binary frame (internal/frame,
-// the codec the cluster's pulls use: raw little-endian weights, 4 bytes
-// each for float32 models), so a new version propagates the moment it
+// origin server through GET /v1/replicate — the same version feed the
+// cluster's pulls follow (internal/frame: one long-poll handler on the
+// origin's snapshot store, one client step, one frame of raw
+// little-endian weights, 4 bytes each for float32 models), so a new
+// version propagates the moment it
 // publishes and replicas report their measured staleness (isasgd_replica_lag_seconds, and a
 // lag_seconds field on /v1/models). Two mechanisms keep tail latency
 // bounded as concurrency climbs: predict micro-batching (-batch-window)

@@ -2,7 +2,8 @@ package cluster
 
 import (
 	"context"
-	"fmt"
+	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"math"
@@ -17,6 +18,7 @@ import (
 
 	"github.com/isasgd/isasgd/internal/balance"
 	"github.com/isasgd/isasgd/internal/dataset"
+	"github.com/isasgd/isasgd/internal/frame"
 	"github.com/isasgd/isasgd/internal/metrics"
 	"github.com/isasgd/isasgd/internal/objective"
 	"github.com/isasgd/isasgd/internal/obs"
@@ -342,8 +344,7 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	// not be re-fed history.
 	cl := &rpcClient{hc: srv2.Client(), base: srv2.URL, policy: RetryPolicy{}.withDefaults(),
 		rng: newTestRand(), log: quietLogger()}
-	pull, _, err := cl.pull(context.Background(), fmt.Sprintf("/v1/cluster/pull?since=%d", seq),
-		3*time.Second, make([]float64, ds.Dim()), WireF64)
+	pull, _, err := cl.pull(context.Background(), "wire=f64", seq, 3*time.Second, make([]float64, ds.Dim()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,14 +386,14 @@ func TestRetryBackoffRecovers(t *testing.T) {
 			writeErr(w, http.StatusServiceUnavailable, "warming up")
 			return
 		}
-		writeFrame(w, appendPull(nil, &PullResponse{Seq: 1, Weights: []float64{1, 2}}))
+		writeVersion(w, frame.Header{Seq: 1}, []float64{1, 2})
 	})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 	cl := &rpcClient{hc: srv.Client(), base: srv.URL,
 		policy: RetryPolicy{Max: 5, Base: time.Millisecond, Cap: 5 * time.Millisecond, Timeout: time.Second},
 		rng:    newTestRand(), log: quietLogger()}
-	pr, attempts, err := cl.pull(context.Background(), "/v1/cluster/pull", 0, make([]float64, 2), WireF64)
+	pr, attempts, err := cl.pull(context.Background(), "", 0, time.Second, make([]float64, 2))
 	if err != nil {
 		t.Fatalf("pull: %v", err)
 	}
@@ -408,7 +409,7 @@ func TestRetryBackoffRecovers(t *testing.T) {
 		policy: RetryPolicy{Max: 1, Base: time.Millisecond, Cap: 2 * time.Millisecond, Timeout: time.Second},
 		rng:    newTestRand(), log: quietLogger()}
 	calls.set(-1000) // stay in the failing regime
-	_, attempts, err = cl2.pull(context.Background(), "/v1/cluster/pull", 0, make([]float64, 2), WireF64)
+	_, attempts, err = cl2.pull(context.Background(), "", 0, time.Second, make([]float64, 2))
 	if err == nil {
 		t.Fatal("permanent 503 did not surface an error")
 	}
@@ -417,22 +418,36 @@ func TestRetryBackoffRecovers(t *testing.T) {
 	}
 }
 
-// TestBackoffJitterBounds pins the backoff envelope: every delay lands
-// in [base/2·2^k, base·2^k] capped, so synchronized worker herds spread.
-func TestBackoffJitterBounds(t *testing.T) {
-	p := RetryPolicy{Base: 100 * time.Millisecond, Cap: 800 * time.Millisecond}.withDefaults()
-	rng := newTestRand()
-	for attempt := 1; attempt <= 6; attempt++ {
-		want := p.Base << uint(attempt-1)
-		if want > p.Cap || want <= 0 {
-			want = p.Cap
+// TestPushStatusMapping pins the push's answers through the shared
+// status mapping: a 409 shed is a verdict, a 503 retries, and a 4xx
+// rejection is terminal at once and carries the coordinator's message.
+func TestPushStatusMapping(t *testing.T) {
+	var calls atomic503
+	status := http.StatusConflict
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case status == http.StatusConflict:
+			writeJSON(w, status, PushResponse{Seq: 4})
+		case calls.next() == 1:
+			writeErr(w, http.StatusServiceUnavailable, "warming up")
+		default:
+			writeErr(w, status, "bad frame")
 		}
-		for i := 0; i < 50; i++ {
-			d := p.backoff(attempt, rng)
-			if d < want/2 || d > want {
-				t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, d, want/2, want)
-			}
-		}
+	}))
+	defer srv.Close()
+	cl := &rpcClient{hc: srv.Client(), base: srv.URL,
+		policy: RetryPolicy{Max: 5, Base: time.Millisecond, Cap: 5 * time.Millisecond, Timeout: time.Second},
+		rng:    newTestRand(), log: quietLogger()}
+	if got, resp, attempts, err := cl.push(context.Background(), nil); err != nil || got != status ||
+		resp.Seq != 4 || attempts != 1 {
+		t.Fatalf("409: status %d, %+v, %d attempts, %v; want the shed verdict", got, resp, attempts, err)
+	}
+	status = http.StatusUnprocessableEntity
+	got, _, attempts, err := cl.push(context.Background(), nil)
+	var se *frame.StatusError
+	if !errors.As(err, &se) || se.Msg != "bad frame" || got != status || attempts != 2 {
+		t.Fatalf("503 then 422: status %d, %d attempts, %v; want one retry, then the 422 and its message",
+			got, attempts, err)
 	}
 }
 
@@ -551,13 +566,13 @@ func TestWorkerResyncsAfterCoordinatorRegression(t *testing.T) {
 			if n == 1 {
 				// First pull: hand out a high seq, as if from a
 				// long-lived previous coordinator incarnation.
-				writeFrame(w, appendPull(nil, &PullResponse{Seq: 50, Weights: weights}))
+				writeVersion(w, frame.Header{Seq: 50}, weights)
 				return
 			}
 			// After the regression verdict: record the cursor the worker
 			// came back with and end the run.
 			resyncSince.Store(since)
-			writeFrame(w, appendPull(nil, &PullResponse{Seq: 51, Weights: weights, Done: true}))
+			writeVersion(w, frame.Header{Seq: 51, Done: true}, weights)
 		case "/v1/cluster/push":
 			// Restarted coordinator: back at seq 1, behind the worker.
 			writeJSON(w, http.StatusConflict, PushResponse{Seq: 1, Applied: false, Staleness: -49})
@@ -581,6 +596,83 @@ func TestWorkerResyncsAfterCoordinatorRegression(t *testing.T) {
 	}
 	if st := wk.Stats(); st.Shed != 1 {
 		t.Fatalf("regression verdict not counted as shed: %+v", st)
+	}
+}
+
+// TestWorkerRewindsOnPullRegression drives the worker loop against a
+// fake coordinator whose sequence regresses between pulls: the first
+// pull answers seq 50 with weights, and later pulls at since=50 answer
+// empty at seq 1, as a coordinator restarted without -state does once
+// its poll window passes. The worker must rewind its cursor to 0 and
+// re-pull the current version, not poll for seq 50 again.
+func TestWorkerRewindsOnPullRegression(t *testing.T) {
+	ds, obj := testCorpus(t)
+	weights := make([]float64, ds.Dim())
+	var pulls, stale atomic.Int64
+	var rewound atomic.Bool
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/cluster/pull":
+			since := r.URL.Query().Get("since")
+			switch {
+			case pulls.Add(1) == 1:
+				writeVersion(w, frame.Header{Seq: 50}, weights)
+			case since == "0":
+				rewound.Store(true)
+				writeVersion(w, frame.Header{Seq: 1, Done: true}, weights)
+			case stale.Add(1) < 5:
+				writeVersion(w, frame.Header{Seq: 1}, nil)
+			default:
+				// A worker that never rewinds would poll forever: end it.
+				writeVersion(w, frame.Header{Seq: 1, Done: true}, nil)
+			}
+		case "/v1/cluster/push":
+			writeJSON(w, http.StatusOK, PushResponse{Seq: 51, Applied: true})
+		default:
+			writeErr(w, http.StatusNotFound, r.URL.Path)
+		}
+	})
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	wk, err := NewWorker(workerCfg(ds, obj, 0, 1, srv.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := wk.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !rewound.Load() {
+		t.Fatalf("worker re-polled since=50 %d times after the coordinator answered seq 1; want a rewind to 0",
+			stale.Load())
+	}
+}
+
+// TestPullQueryValidation pins the pull endpoint's query parameters: a
+// malformed since, wire or worker is a JSON 400. A bad worker id used to
+// drop the caller from the done-ack quorum silently.
+func TestPullQueryValidation(t *testing.T) {
+	_, srv := startCoordinator(t, CoordinatorConfig{Dim: 4, PollTimeout: time.Second})
+	for _, tc := range []struct{ name, query string }{
+		{"since", "since=x"},
+		{"negative since", "since=-1"},
+		{"wire", "wire=bf16"},
+		{"worker", "worker=abc"},
+		{"negative worker", "worker=-2"},
+	} {
+		resp, err := srv.Client().Get(srv.URL + "/v1/cluster/pull?" + tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || resp.Header.Get("Content-Type") != "application/json" ||
+			err != nil || eb.Error == "" {
+			t.Fatalf("bad %s (%s): status %d, Content-Type %q, error %q (%v); want a JSON 400",
+				tc.name, tc.query, resp.StatusCode, resp.Header.Get("Content-Type"), eb.Error, err)
+		}
 	}
 }
 

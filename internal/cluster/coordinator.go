@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -342,59 +341,39 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
+// handlePull serves the coordinator's version feed (frame.Serve): the
+// poll wakes early once the run is done, so workers learn Done promptly
+// even when no further version will ever be published.
 func (c *Coordinator) handlePull(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	q := r.URL.Query()
-	var since uint64
-	if s := q.Get("since"); s != "" {
-		var err error
-		if since, err = strconv.ParseUint(s, 10, 64); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad since: "+err.Error())
-			return
-		}
-	}
 	worker := -1
 	if s := q.Get("worker"); s != "" {
-		if id, err := strconv.Atoi(s); err == nil {
-			worker = id
+		id, err := strconv.Atoi(s)
+		if err != nil || id < 0 {
+			writeErr(w, http.StatusBadRequest, fmt.Sprintf("bad worker %q: want a worker id ≥ 0", s))
+			return
 		}
+		worker = id
 	}
 	wire, err := parseWire(q.Get("wire"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if c.m.pulls != nil {
-		c.m.pulls.Inc()
-	}
-	// Wait for something newer, bounded by the poll window and woken
-	// early if the run completes (workers must learn Done promptly even
-	// when no further version will ever be published).
-	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.PollTimeout)
-	defer cancel()
-	go func() {
-		select {
-		case <-c.doneCh:
-			cancel()
-		case <-ctx.Done():
+	frame.Serve(w, r, c.store, c.cfg.PollTimeout, c.doneCh, func() frame.Header {
+		if c.m.pulls != nil {
+			c.m.pulls.Inc()
 		}
-	}()
-	v := c.store.Wait(ctx, since)
-	if v == nil {
-		v = c.store.Load() // window expired or done: answer with current state
-	}
-	resp := PullResponse{Seq: v.Seq, Epoch: v.Epoch, Iters: v.Iters,
-		Done: c.isDone(), Loss: wireLoss(c.lastLoss()), Wire: wire}
-	if v.Seq > since {
-		resp.Weights = v.Weights
-	}
-	if resp.Done {
-		c.ackDone(worker)
-	}
-	writeFrame(w, appendPull(nil, &resp))
+		done := c.isDone()
+		if done {
+			c.ackDone(worker)
+		}
+		return frame.Header{Done: done, Loss: wireLoss(c.lastLoss()), DType: wire}
+	})
 }
 
 func (c *Coordinator) handlePush(w http.ResponseWriter, r *http.Request) {
@@ -627,12 +606,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeErr(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorBody{Error: msg})
-}
-
-// writeFrame answers 200 with a binary frame.
-func writeFrame(w http.ResponseWriter, b []byte) {
-	w.Header().Set("Content-Type", frame.ContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(b)
 }

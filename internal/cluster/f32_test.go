@@ -77,13 +77,12 @@ func TestPullWireF32(t *testing.T) {
 
 	cl := &rpcClient{hc: srv.Client(), base: srv.URL, policy: RetryPolicy{Max: -1}.withDefaults(),
 		rng: newTestRand(), log: quietLogger()}
-	pr, _, err := cl.pull(context.Background(), "/v1/cluster/pull?worker=0&since=0&wire=f32",
-		3*time.Second, make([]float64, ds.Dim()), WireF32)
+	pr, _, err := cl.pull(context.Background(), "worker=0&wire=f32", 0, 3*time.Second, make([]float64, ds.Dim()))
 	if err != nil {
 		t.Fatalf("f32 pull: %v", err)
 	}
-	if pr.Wire != WireF32 {
-		t.Fatalf("f32 pull answered at width %q", pr.Wire)
+	if pr.DType != WireF32 {
+		t.Fatalf("f32 pull answered at width %q", pr.DType)
 	}
 	if len(pr.Weights) != ds.Dim() {
 		t.Fatalf("f32 pull carried %d coordinates, want %d", len(pr.Weights), ds.Dim())
@@ -166,19 +165,6 @@ func TestPushFrameLayout(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Fatalf("push frame\n got % x\nwant % x", got, want)
-	}
-	pull := appendPull(nil, &PullResponse{Seq: 5, Epoch: 4, Iters: 3, Done: true, Loss: -1,
-		Weights: []float64{0.5}})
-	want = []byte{
-		5, 4, 3, // seq, epoch, iters
-		1,                                              // done
-		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0xbf, // loss -1
-		8,                                              // width
-		1,                                              // count
-		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, // float64 0.5
-	}
-	if string(pull) != string(want) {
-		t.Fatalf("pull frame\n got % x\nwant % x", pull, want)
 	}
 }
 

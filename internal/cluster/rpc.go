@@ -16,11 +16,11 @@ import (
 )
 
 // RetryPolicy bounds a worker's RPC persistence: up to Max retries after
-// the first attempt, exponential backoff starting at Base and capped at
-// Cap with uniform jitter on the upper half, each attempt under its own
-// Timeout. Transient failures — transport errors, 5xx, 408 — retry;
-// anything the coordinator decided (2xx, 409 shed, 4xx rejection) does
-// not.
+// the first attempt, sleeping frame.Backoff(Base, Cap, …) between them,
+// each attempt under its own Timeout. Transient failures retry:
+// transport errors, 5xx, 408, 429, and a pull answer that fails to
+// decode or breaks the feed's cursor rule. Anything else the coordinator
+// decided (2xx, 409 shed, 4xx rejection) does not.
 type RetryPolicy struct {
 	Max     int           // retries after the first attempt (<0 means none)
 	Base    time.Duration // first backoff step
@@ -47,21 +47,10 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// backoff returns the sleep before retry number attempt (1-based):
-// min(Cap, Base·2^(attempt-1)), jittered uniformly over its upper half
-// so simultaneously-failing workers desynchronize.
-func (p RetryPolicy) backoff(attempt int, rng *xrand.Rand) time.Duration {
-	d := p.Base << uint(attempt-1)
-	if d <= 0 || d > p.Cap {
-		d = p.Cap
-	}
-	half := d / 2
-	return half + time.Duration(rng.Float64()*float64(half))
-}
-
-// rpcClient is the worker side of the protocol: frames out, frames or
-// JSON verdicts back, over a shared http.Client with retry/backoff on
-// transient failures.
+// rpcClient is the worker side of the protocol: pulls through the
+// version feed's client step, pushes as frames with JSON verdicts back,
+// both over a shared http.Client with retry/backoff on transient
+// failures.
 type rpcClient struct {
 	hc     *http.Client
 	base   string // coordinator root, e.g. http://127.0.0.1:9090
@@ -73,23 +62,26 @@ type rpcClient struct {
 // maxVerdict bounds a push verdict's JSON body.
 const maxVerdict = 64 << 10
 
-// pull issues a pull (path carries the query) and decodes the frame's
-// weights, if any, into dst, which is the model's Dim long. The
-// response is read no further than the largest frame of that Dim at
-// wire's width.
-func (c *rpcClient) pull(ctx context.Context, path string, timeout time.Duration, dst []float64, wire string) (pr PullResponse, attempts int, err error) {
-	_, attempts, err = c.do(ctx, http.MethodGet, path, timeout, nil, maxPullFrame(len(dst), wire),
-		func(raw []byte) (err error) {
-			pr, err = decodePull(raw, dst)
-			return err
-		})
-	return pr, attempts, err
+// pull long-polls for a version newer than since (query carries the
+// other parameters) and decodes its values, if any, into dst, which is
+// the model's Dim long. Each attempt runs under timeout.
+func (c *rpcClient) pull(ctx context.Context, query string, since uint64, timeout time.Duration, dst []float64) (a frame.Answer, attempts int, err error) {
+	url := c.base + "/v1/cluster/pull?" + query
+	_, attempts, err = c.retry(ctx, "pull", timeout, func(ctx context.Context) (int, error) {
+		var err error
+		if a, err = frame.Pull(ctx, c.hc, url, since, len(dst), dst); err != nil {
+			return 0, err
+		}
+		return http.StatusOK, nil
+	})
+	return a, attempts, err
 }
 
 // push sends one push frame and decodes the verdict.
-func (c *rpcClient) push(ctx context.Context, frame []byte) (status int, resp PushResponse, attempts int, err error) {
-	status, attempts, err = c.do(ctx, http.MethodPost, "/v1/cluster/push", 0, frame, maxVerdict,
-		func(raw []byte) error { return json.Unmarshal(raw, &resp) })
+func (c *rpcClient) push(ctx context.Context, body []byte) (status int, resp PushResponse, attempts int, err error) {
+	status, attempts, err = c.retry(ctx, "push", c.policy.Timeout, func(ctx context.Context) (int, error) {
+		return c.pushOnce(ctx, body, &resp)
+	})
 	return status, resp, attempts, err
 }
 
@@ -99,37 +91,40 @@ func retryable(status int) bool {
 		status == http.StatusTooManyRequests
 }
 
-// do issues method path with body (nil for none). The response body,
-// refused if longer than limit bytes, goes to decode on 2xx and 409
-// (shed verdicts carry a normal PushResponse body). timeout overrides
-// the policy's per-attempt deadline when positive — the pull long-poll
-// passes its window plus slack. It returns the final HTTP status, the
-// number of attempts made, and the terminal error if every attempt
-// failed.
-func (c *rpcClient) do(ctx context.Context, method, path string, timeout time.Duration, body []byte, limit int, decode func([]byte) error) (status, attempts int, err error) {
-	if timeout <= 0 {
-		timeout = c.policy.Timeout
-	}
-	for attempt := 0; ; attempt++ {
+// retry runs attempt, each time under its own timeout, until it
+// succeeds, fails terminally, or the policy's retries run out. attempt
+// returns the HTTP status of an answer it accepted, and its error
+// otherwise: a *frame.StatusError carries the status the coordinator
+// answered, and any other error (transport, decode, cursor) has none.
+// retry returns the final status, the number of attempts made, and the
+// terminal error if every attempt failed.
+func (c *rpcClient) retry(ctx context.Context, what string, timeout time.Duration, attempt func(context.Context) (int, error)) (status, attempts int, err error) {
+	for n := 0; ; n++ {
 		attempts++
-		status, err = c.once(ctx, method, path, timeout, body, limit, decode)
+		actx, cancel := context.WithTimeout(ctx, timeout)
+		status, err = attempt(actx)
+		cancel()
+		var se *frame.StatusError
+		if errors.As(err, &se) {
+			status = se.Status
+		}
 		if err == nil && !retryable(status) {
 			return status, attempts, nil
 		}
 		if err != nil && status != 0 && !retryable(status) {
-			// A coordinator verdict (4xx) or an undecodable success body:
+			// A coordinator verdict (4xx) or an undecodable verdict:
 			// retrying would re-send the same doomed request.
 			return status, attempts, err
 		}
-		if attempt >= c.policy.Max || ctx.Err() != nil {
+		if n >= c.policy.Max || ctx.Err() != nil {
 			if err == nil {
-				err = fmt.Errorf("cluster: %s %s: status %d after %d attempts", method, path, status, attempts)
+				err = fmt.Errorf("cluster: %s: status %d after %d attempts", what, status, attempts)
 			}
 			return status, attempts, err
 		}
-		d := c.policy.backoff(attempt+1, c.rng)
+		d := frame.Backoff(c.policy.Base, c.policy.Cap, n+1, c.rng)
 		if c.log != nil {
-			c.log.Debug("rpc retrying", "path", path, "attempt", attempt+1, "status", status, "err", err, "backoff", d)
+			c.log.Debug("rpc retrying", "rpc", what, "attempt", n+1, "status", status, "err", err, "backoff", d)
 		}
 		select {
 		case <-ctx.Done():
@@ -139,47 +134,31 @@ func (c *rpcClient) do(ctx context.Context, method, path string, timeout time.Du
 	}
 }
 
-func (c *rpcClient) once(ctx context.Context, method, path string, timeout time.Duration, body []byte, limit int, decode func([]byte) error) (int, error) {
-	actx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(actx, method, c.base+path, rd)
+// pushOnce posts body and decodes the verdict into resp: on 2xx, and on
+// 409 (shed verdicts carry a normal PushResponse body). Any other answer
+// is a *frame.StatusError.
+func (c *rpcClient) pushOnce(ctx context.Context, body []byte, resp *PushResponse) (int, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/cluster/push", bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", frame.ContentType)
-	}
-	resp, err := c.hc.Do(req)
+	req.Header.Set("Content-Type", frame.ContentType)
+	hresp, err := c.hc.Do(req)
 	if err != nil {
 		return 0, err
 	}
-	defer resp.Body.Close()
-	raw, err := readLimited(resp.Body, limit)
+	defer hresp.Body.Close()
+	if (hresp.StatusCode < 200 || hresp.StatusCode >= 300) && hresp.StatusCode != http.StatusConflict {
+		return 0, frame.ErrorOf(hresp)
+	}
+	raw, err := readLimited(hresp.Body, maxVerdict)
 	if err != nil {
-		return resp.StatusCode, fmt.Errorf("cluster: reading %s response: %w", path, err)
+		return hresp.StatusCode, fmt.Errorf("cluster: reading push verdict: %w", err)
 	}
-	switch {
-	case resp.StatusCode >= 200 && resp.StatusCode < 300, resp.StatusCode == http.StatusConflict:
-		if err := decode(raw); err != nil {
-			return resp.StatusCode, fmt.Errorf("cluster: decoding %s response: %w", path, err)
-		}
-		return resp.StatusCode, nil
-	default:
-		var eb errorBody
-		_ = json.Unmarshal(raw, &eb)
-		if eb.Error == "" {
-			eb.Error = http.StatusText(resp.StatusCode)
-		}
-		if retryable(resp.StatusCode) {
-			// Surfaced to the retry loop; terminal only once retries run out.
-			return resp.StatusCode, errors.New("cluster: " + eb.Error)
-		}
-		return resp.StatusCode, fmt.Errorf("cluster: %s %s rejected (%d): %s", method, path, resp.StatusCode, eb.Error)
+	if err := json.Unmarshal(raw, resp); err != nil {
+		return hresp.StatusCode, fmt.Errorf("cluster: decoding push verdict: %w", err)
 	}
+	return hresp.StatusCode, nil
 }
 
 // readLimited reads a whole response body, refusing one longer than

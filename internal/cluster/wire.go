@@ -10,34 +10,32 @@ import (
 	"github.com/isasgd/isasgd/internal/model"
 )
 
-// Weights and deltas travel as one binary frame: the body of a
-// POST /v1/cluster/push, and the 200 response of a GET /v1/cluster/pull.
-// Everything else (push verdicts, /v1/cluster/stats, errors) is small
-// JSON. The codec (varints, width byte, values, and the fail-closed
-// Reader) is internal/frame, shared with snapshot replication; this
-// file declares only the two headers:
+// Weights and deltas travel as binary frames (internal/frame): a
+// worker's deltas as the push frame below, the body of a
+// POST /v1/cluster/push, and the coordinator's weights as the version
+// frame of frame.Header, the 200 answer of a GET /v1/cluster/pull, which
+// snapshot replication answers too. Everything else (push verdicts,
+// /v1/cluster/stats, errors) is small JSON. A pull answer's header
+// carries the coordinator's done flag and last loss beside the version's
+// seq, epoch and iters; its count is 0 when nothing is newer than the
+// caller's since seq, and Dim otherwise. The push frame:
 //
-//	push frame                        pull frame
-//	  worker   uvarint                  seq     uvarint
-//	  seq      uvarint  base version    epoch   uvarint  applied pushes
-//	  updates  uvarint  SGD updates     iters   uvarint  worker updates
-//	                                    done    1 byte   0 or 1
-//	                                    loss    8 bytes  float64, finite
-//	  width    1 byte   8 (WireF64) or 4 (WireF32)
-//	  count    uvarint  push: pairs, ≤ Dim; pull: 0 or Dim
-//	  gaps     count uvarints ≥ 1       (none: a pull is dense)
-//	  values   count × width bytes
+//	worker   uvarint
+//	seq      uvarint  base version
+//	updates  uvarint  SGD updates
+//	width    1 byte   8 (WireF64) or 4 (WireF32)
+//	count    uvarint  pairs, ≤ Dim
+//	gaps     count uvarints ≥ 1
+//	values   count × width bytes
 //
 // A push carries the coordinates that moved in the round as index gaps:
 // index k is gap_0 + … + gap_k − 1, so every gap ≥ 1 makes the indices
-// strictly increasing, and a duplicate index cannot be expressed. A pull
-// carries count 0 when nothing is newer than the caller's since seq, and
-// the whole dense vector otherwise.
+// strictly increasing, and a duplicate index cannot be expressed.
 //
-// Both frames are outside input, and the decoders fail closed on
-// frame.Reader's rules. On top of them they bound count by Dim and by
-// the bytes left before allocating, and reject zero gaps and indices
-// ≥ Dim. So every accepted frame re-encodes to the same bytes.
+// Both frames are outside input, and their decoders fail closed on
+// frame.Reader's rules. On top of them decodePush bounds count by Dim
+// and by the bytes left before allocating, and rejects zero gaps and
+// indices ≥ Dim. So every accepted frame re-encodes to the same bytes.
 //
 // WireF64 ships the weights' exact bits. WireF32 halves the value bytes;
 // its narrowing (~1e-7 relative) is one more bounded perturbation of the
@@ -50,20 +48,6 @@ const (
 	WireF64 = model.PrecisionF64 // 8-byte float64 values (default)
 	WireF32 = model.PrecisionF32 // 4-byte float32 values
 )
-
-// PullResponse is a decoded pull frame. Weights is nil when the store
-// holds nothing newer than the caller's since seq (poll window expired,
-// or the run is done and the caller is already current); Seq, Epoch and
-// Iters then describe the version the caller should already hold.
-type PullResponse struct {
-	Seq     uint64
-	Epoch   int   // applied pushes at the cut
-	Iters   int64 // cumulative worker updates folded in
-	Done    bool
-	Loss    float64 // last evaluated objective; -1 before the first evaluation
-	Wire    string  // width of the values on the wire
-	Weights []float64
-}
 
 // PushRequest is one worker round: the coordinates that moved during the
 // round and by how much, relative to the version at Seq the round
@@ -140,20 +124,12 @@ func parseWire(s string) (string, error) {
 	return "", fmt.Errorf("cluster: unknown wire encoding %q (want f64 or f32)", s)
 }
 
-// Frame size bounds. A header holds at most four varints, a width byte,
-// and a pull's done byte and loss.
-const maxHeader = 4*binary.MaxVarintLen64 + 1 + 1 + 8
-
-// maxPullFrame is the largest pull frame a model of dim coordinates
-// answers at wire's width: the worker reads no further.
-func maxPullFrame(dim int, wire string) int { return maxHeader + frame.WidthOf(wire)*dim }
-
 // maxPushFrame is the largest push frame a model of dim coordinates
-// accepts: every coordinate, each with the longest gap and the widest
-// value.
+// accepts: a header of four varints and the width byte, then every
+// coordinate, each with the longest gap and the widest value.
 func maxPushFrame(dim int) int64 {
 	gapLen := (bits.Len64(uint64(dim)) + 6) / 7 // shortest uvarint of a gap ≤ dim
-	return int64(maxHeader) + int64(dim)*int64(gapLen+8)
+	return 4*binary.MaxVarintLen64 + 1 + int64(dim)*int64(gapLen+8)
 }
 
 // appendPush appends req's frame to dst. req.Idx must be strictly
@@ -170,19 +146,6 @@ func appendPush(dst []byte, req *PushRequest) []byte {
 		prev = j
 	}
 	return frame.AppendValues(dst, req.Val, frame.WidthOf(req.Wire))
-}
-
-// appendPull appends pr's frame to dst: the whole of pr.Weights, or a
-// count of 0 when it is nil.
-func appendPull(dst []byte, pr *PullResponse) []byte {
-	dst = binary.AppendUvarint(dst, pr.Seq)
-	dst = binary.AppendUvarint(dst, uint64(pr.Epoch))
-	dst = binary.AppendUvarint(dst, uint64(pr.Iters))
-	dst = frame.AppendBool(dst, pr.Done)
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(pr.Loss))
-	dst = append(dst, byte(frame.WidthOf(pr.Wire)))
-	dst = binary.AppendUvarint(dst, uint64(len(pr.Weights)))
-	return frame.AppendValues(dst, pr.Weights, frame.WidthOf(pr.Wire))
 }
 
 // decodePush decodes a push frame against a model of dim coordinates.
@@ -226,34 +189,6 @@ func decodePush(b []byte, dim int) (PushRequest, error) {
 		return PushRequest{}, frameErr(r.Err())
 	}
 	return req, nil
-}
-
-// decodePull decodes a pull frame. dst is the model's dense vector, Dim
-// long; a frame that carries weights is decoded into it, and Weights
-// then aliases dst.
-func decodePull(b []byte, dst []float64) (PullResponse, error) {
-	r := frame.NewReader(b)
-	pr := PullResponse{
-		Seq:   r.Uvarint("seq", math.MaxUint64),
-		Epoch: int(r.Uvarint("epoch", math.MaxInt)),
-		Iters: int64(r.Uvarint("iters", math.MaxInt64)),
-		Done:  r.Bool("done"),
-		Loss:  r.Float64("loss"),
-	}
-	width := r.Width()
-	pr.Wire = frame.NameOf(width)
-	switch n := r.Uvarint("count", uint64(len(dst))); {
-	case r.Err() != nil:
-	case n == uint64(len(dst)) && n > 0:
-		pr.Weights = dst
-	case n != 0:
-		r.Fail("count %d is neither 0 nor the model's %d", n, len(dst))
-	}
-	r.Values(pr.Weights, width)
-	if r.Err() != nil {
-		return PullResponse{}, frameErr(r.Err())
-	}
-	return pr, nil
 }
 
 // frameErr marks a frame decoding failure as the cluster's.

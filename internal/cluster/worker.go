@@ -189,27 +189,26 @@ func (w *Worker) Run(ctx context.Context) error {
 	var since uint64
 	step := w.cfg.Step
 	log := w.cfg.Log
+	query := fmt.Sprintf("worker=%d&wire=%s", w.cfg.ID, w.wire)
 
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		path := fmt.Sprintf("/v1/cluster/pull?worker=%d&since=%d&wire=%s", w.cfg.ID, since, w.wire)
-		pr, attempts, err := w.rpc.pull(ctx, path, w.cfg.PollTimeout+5*time.Second, prev, w.wire)
+		a, attempts, err := w.rpc.pull(ctx, query, since, w.cfg.PollTimeout+5*time.Second, prev)
 		w.retries.Add(int64(attempts - 1))
 		if err != nil {
 			return fmt.Errorf("cluster: worker %d pull: %w", w.cfg.ID, err)
 		}
-		if pr.Weights != nil {
-			w.eng.Model().Load(prev)
-			since = pr.Seq
-		} else if !pr.Done {
-			continue // poll window expired with nothing new
-		}
-		if pr.Done {
-			log.Info("coordinator reports done", "worker", w.cfg.ID, "seq", pr.Seq, "loss", pr.Loss)
+		since = a.Next
+		if a.Done {
+			log.Info("coordinator reports done", "worker", w.cfg.ID, "seq", a.Seq, "loss", a.Loss)
 			return nil
 		}
+		if a.Weights == nil {
+			continue // poll window expired with nothing new, or the cursor rewound
+		}
+		w.eng.Model().Load(prev)
 
 		var roundUpdates int64
 		for e := 0; e < w.cfg.LocalEpochs; e++ {

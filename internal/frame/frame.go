@@ -1,7 +1,13 @@
-// Package frame is the binary weight codec shared by the cluster wire
-// (internal/cluster: pulls and pushes) and snapshot replication
-// (internal/serve: GET /v1/replicate). Each protocol declares only its
-// own header; the pieces every frame is built from live here:
+// Package frame is the binary weight codec, and the one version feed
+// built on it. The cluster's push frame (internal/cluster) uses the
+// codec. The version frame answers both long-polls for a version newer
+// than a cursor: a worker's GET /v1/cluster/pull and a replica's
+// GET /v1/replicate (internal/serve). Serve, Pull and Backoff in feed.go
+// are the feed's one handler, one client step and one retry delay;
+// ErrorOf reads an answer other than 200, a pull's or a push's, as a
+// StatusError.
+//
+// Every frame is built from these pieces:
 //
 //   - integers are unsigned varints (encoding/binary's Uvarint) in their
 //     shortest form;
@@ -15,8 +21,8 @@
 // truncated or trailing bytes, non-shortest varints, integers over their
 // field's limit, flags other than 0 or 1, overlong strings, unknown
 // widths and non-finite values (a binary frame, unlike JSON text, can
-// carry NaN and Inf bit patterns). So every frame a protocol's decoder
-// accepts re-encodes to the same bytes.
+// carry NaN and Inf bit patterns). So every frame a decoder accepts
+// re-encodes to the same bytes.
 //
 // Narrowing a value to F32 costs ~1e-7 relative; widening it back is
 // exact, so a float32-trained vector crosses an F32 frame bitwise.
@@ -62,17 +68,17 @@ func NameOf(width int) string {
 	return model.PrecisionF64
 }
 
-// AppendBool appends a flag byte.
-func AppendBool(dst []byte, v bool) []byte {
+// appendBool appends a flag byte.
+func appendBool(dst []byte, v bool) []byte {
 	if v {
 		return append(dst, 1)
 	}
 	return append(dst, 0)
 }
 
-// AppendString appends s with its length in front. A string longer
-// than MaxString is written whole, and Reader.String refuses it.
-func AppendString(dst []byte, s string) []byte {
+// appendString appends s with its length in front. A string longer
+// than MaxString is written whole, and Reader.str refuses it.
+func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
@@ -153,8 +159,8 @@ func (r *Reader) u8(what string) byte {
 	return c
 }
 
-// Bool reads a flag byte, which must be 0 or 1.
-func (r *Reader) Bool(what string) bool {
+// flag reads a flag byte, which must be 0 or 1.
+func (r *Reader) flag(what string) bool {
 	switch c := r.u8(what); {
 	case r.err != nil:
 	case c == 1:
@@ -165,8 +171,8 @@ func (r *Reader) Bool(what string) bool {
 	return false
 }
 
-// Float64 reads one finite little-endian float64.
-func (r *Reader) Float64(what string) float64 {
+// float reads one finite little-endian float64.
+func (r *Reader) float(what string) float64 {
 	if r.err != nil {
 		return 0
 	}
@@ -183,8 +189,8 @@ func (r *Reader) Float64(what string) float64 {
 	return v
 }
 
-// String reads one length-prefixed string of at most MaxString bytes.
-func (r *Reader) String(what string) string {
+// str reads one length-prefixed string of at most MaxString bytes.
+func (r *Reader) str(what string) string {
 	n := r.Uvarint(what+" length", MaxString)
 	if r.err != nil {
 		return ""

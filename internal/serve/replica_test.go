@@ -296,20 +296,20 @@ func TestReplicateEndpoint(t *testing.T) {
 	}
 
 	// Behind cursor: full version with weights.
-	rr := getFrame(t, ts.URL+"/v1/replicate?model=m&since=0", 2)
-	if rr.Seq != 1 || len(rr.Weights) != 2 || rr.Weights[1] != 2 || rr.Epoch != 2 || rr.Iters != 5 ||
-		rr.Algo != "is-asgd" || rr.DType != model.PrecisionF64 {
-		t.Fatalf("replicate since=0: %+v, want seq 1 with 2 f64 weights", rr)
+	h, w := getFrame(t, ts.URL+"/v1/replicate?model=m&since=0", 2)
+	if h.Seq != 1 || len(w) != 2 || w[1] != 2 || h.Epoch != 2 || h.Iters != 5 ||
+		h.Algo != "is-asgd" || h.DType != model.PrecisionF64 {
+		t.Fatalf("replicate since=0: %+v with %d weights, want seq 1 with 2 f64 weights", h, len(w))
 	}
-	if rr.PublishedUnix <= 0 {
-		t.Fatalf("replicate response missing publish timestamp: %+v", rr)
+	if h.Published <= 0 {
+		t.Fatalf("replicate response missing publish timestamp: %+v", h)
 	}
 
 	// At cursor: the long-poll expires and answers count 0.
 	start := time.Now()
-	rr = getFrame(t, ts.URL+"/v1/replicate?model=m&since=1", 2)
-	if rr.Weights != nil || rr.Seq != 1 {
-		t.Fatalf("replicate since=current: %+v, want seq 1 without weights", rr)
+	h, w = getFrame(t, ts.URL+"/v1/replicate?model=m&since=1", 2)
+	if w != nil || h.Seq != 1 {
+		t.Fatalf("replicate since=current: %+v with %d weights, want seq 1 without weights", h, len(w))
 	}
 	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
 		t.Fatalf("empty poll answered in %v, want it held open to the window", elapsed)

@@ -2,16 +2,13 @@ package serve
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"net/url"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,16 +20,14 @@ import (
 )
 
 // This file is the serving fleet's replication layer. The origin side is
-// GET /v1/replicate (served by Server, see server.go): a per-model
-// long-poll over snapshot.Store.Wait, the same primitive the cluster
-// coordinator's pull endpoint is built on. The replica side is
+// GET /v1/replicate (served by Server, see server.go): each model's
+// store is a version feed served by frame.Serve, the handler behind the
+// cluster coordinator's pull endpoint too. The replica side is
 // Replicator: a discovery loop that mirrors the origin's model list plus
-// one puller goroutine per model that long-polls for fresher versions,
-// republishes them into the local registry at the origin's sequence
-// numbers (Store.Restore), and maintains the replication-lag telemetry.
-// Versions travel as the binary frame ReplicateResponse documents;
-// writeReplicate and readReplicate, at the end of this file, are its two
-// ends.
+// one puller goroutine per model that follows its feed with frame.Pull,
+// republishes fresher versions into the local registry at the origin's
+// sequence numbers (Store.Restore), and maintains the replication-lag
+// telemetry.
 //
 // Replica-local models carry no objective implementation (the origin's
 // objective arrives as a name, not code), so their labels fall back to
@@ -102,15 +97,16 @@ func (c ReplicatorConfig) withDefaults() ReplicatorConfig {
 // therefore converges to the origin's exact Seq, and a long-poll cursor
 // survives both replica and origin restarts:
 //
-//   - transport errors retry forever with capped jittered backoff, so a
-//     rebooting origin is rejoined as soon as it listens again; a frame
-//     that fails to decode, and a 200 that is not a frame at all (an
-//     origin older than the frame answers JSON), back off the same way,
-//     one error pull each;
+//   - transport errors retry forever with capped jittered backoff
+//     (frame.Backoff), so a rebooting origin is rejoined as soon as it
+//     listens again; a frame that fails to decode or breaks the feed's
+//     cursor rule, and a 200 that is not a frame at all (an origin older
+//     than the frame answers JSON), back off the same way, one error
+//     pull each;
 //   - an origin that came back with a reset sequence (restarted without
 //     its checkpoint) answers polls with Seq below the replica's cursor;
-//     the puller detects the regression, re-pulls from 0 and republishes
-//     the model over a fresh store.
+//     the feed's cursor rule (frame.Pull) rewinds the cursor to 0, and
+//     the next pull republishes the model over a fresh store.
 //
 // Telemetry (on the registry's obs): isasgd_replica_seq{model} — the
 // last applied sequence number; isasgd_replica_lag_seconds{model} —
@@ -264,11 +260,6 @@ func (r *Replicator) fetchModels(ctx context.Context) ([]ModelInfo, error) {
 	return list, nil
 }
 
-// errOriginGone marks a 404 pull: the model no longer exists on the
-// origin, so the puller withdraws the local copy and exits (discovery
-// restarts one if the model reappears).
-var errOriginGone = errors.New("model gone on origin")
-
 // pull is one model's replication loop: long-poll, apply, repeat. dim
 // is the model's Dim as the origin last listed it, the bound on a
 // frame's count.
@@ -280,22 +271,31 @@ func (r *Replicator) pull(ctx context.Context, name string, dim *atomic.Int64) {
 		attempt int
 		rng     = xrand.New(r.cfg.Seed ^ hashName(name))
 	)
+	u := r.cfg.Origin + "/v1/replicate?model=" + url.QueryEscape(name)
 	log := r.cfg.Log.With("model", name, "origin", r.cfg.Origin)
 	for ctx.Err() == nil {
-		resp, err := r.pullOnce(ctx, name, since, int(dim.Load()))
-		if err != nil {
-			if errors.Is(err, errOriginGone) {
-				if r.cfg.Registry.Delete(name) {
-					log.Info("replica: model withdrawn (gone on origin)")
-				}
-				return
+		pctx, cancel := context.WithTimeout(ctx, r.cfg.PollWindow)
+		// A nil buffer: each version decodes into its own slice, which is
+		// garbage once Store.Restore has copied it. A buffer kept per
+		// model would hold Dim values for the puller's life.
+		a, err := frame.Pull(pctx, r.cfg.Client, u, since, int(dim.Load()), nil)
+		cancel()
+		var se *frame.StatusError
+		switch {
+		case errors.As(err, &se) && se.Status == http.StatusNotFound:
+			// The model is gone on the origin: withdraw the local copy and
+			// exit (discovery restarts a puller if it reappears).
+			if r.cfg.Registry.Delete(name) {
+				log.Info("replica: model withdrawn (gone on origin)")
 			}
+			return
+		case err != nil:
 			if ctx.Err() != nil {
 				return
 			}
 			attempt++
 			r.pulls.With(name, "error").Inc()
-			d := backoff(r.cfg.RetryBase, r.cfg.RetryCap, attempt, rng)
+			d := frame.Backoff(r.cfg.RetryBase, r.cfg.RetryCap, attempt, rng)
 			log.Warn("replica: pull failed, backing off", "attempt", attempt, "backoff", d, "error", err)
 			select {
 			case <-ctx.Done():
@@ -303,59 +303,49 @@ func (r *Replicator) pull(ctx context.Context, name string, dim *atomic.Int64) {
 			case <-time.After(d):
 			}
 			continue
-		}
-		attempt = 0
-
-		switch {
-		case resp.Weights == nil:
-			if resp.Seq < since {
-				// The origin's sequence regressed below our cursor — it
-				// restarted without its checkpoint. Rewind the cursor; the
-				// next poll returns weights and the apply below swaps in a
-				// fresh store.
-				log.Warn("replica: origin sequence regressed, resyncing from scratch",
-					"origin_seq", resp.Seq, "replica_seq", since)
-				r.pulls.With(name, "reset").Inc()
-				since = 0
-				continue
-			}
+		case a.Weights != nil:
+			store, local = r.apply(log, name, &a, store, local)
+		case a.Next < since:
+			log.Warn("replica: origin sequence regressed, resyncing from scratch",
+				"origin_seq", a.Seq, "replica_seq", since)
+			r.pulls.With(name, "reset").Inc()
+		default:
 			// Poll window expired with nothing newer: we are current.
 			r.pulls.With(name, "current").Inc()
 			if local != nil {
-				local.live.Store(resp.Live)
+				local.live.Store(a.Live)
 				local.setReplicaLag(0)
 				r.lagGauge.With(name).Set(0)
 			}
-		default:
-			store, local = r.apply(log, name, &resp, store, local)
-			since = resp.Seq
 		}
+		attempt = 0
+		since = a.Next
 	}
 }
 
 // apply republishes one pulled version locally, swapping in a fresh
 // store (and model entry) on first contact or after an origin reset.
 // Returns the (possibly new) store/model pair.
-func (r *Replicator) apply(log *slog.Logger, name string, resp *ReplicateResponse,
+func (r *Replicator) apply(log *slog.Logger, name string, a *frame.Answer,
 	store *snapshot.Store, local *Model) (*snapshot.Store, *Model) {
-	if store == nil || store.Seq() >= resp.Seq {
+	if store == nil || store.Seq() >= a.Seq {
 		// First contact, or the origin restarted and its history begins
 		// again below our store's seq (Restore refuses to regress, so the
 		// reset takes a fresh store; in-flight predicts finish against the
 		// version they already resolved).
 		store = snapshot.NewStore()
-		store.SetDType(resp.DType)
+		store.SetDType(a.DType)
 		local = nil
 	}
-	if _, err := store.Restore(resp.Seq, resp.Epoch, resp.Iters, resp.Weights); err != nil {
-		log.Warn("replica: rejected pulled version", "seq", resp.Seq, "error", err)
+	if _, err := store.Restore(a.Seq, a.Epoch, a.Iters, a.Weights); err != nil {
+		log.Warn("replica: rejected pulled version", "seq", a.Seq, "error", err)
 		r.pulls.With(name, "error").Inc()
 		return store, local
 	}
 	if local == nil {
 		local = &Model{
-			Name: name, Algo: resp.Algo, Objective: resp.Objective,
-			Dataset: resp.Dataset, Store: store,
+			Name: name, Algo: a.Algo, Objective: a.Objective,
+			Dataset: a.Dataset, Store: store,
 		}
 		local.replica.Store(true)
 		if err := r.cfg.Registry.Publish(local); err != nil {
@@ -364,72 +354,20 @@ func (r *Replicator) apply(log *slog.Logger, name string, resp *ReplicateRespons
 			return store, nil
 		}
 	}
-	local.live.Store(resp.Live)
+	local.live.Store(a.Live)
 	lag := time.Duration(0)
-	if resp.PublishedUnix > 0 {
-		lag = time.Since(time.Unix(0, resp.PublishedUnix))
+	if a.Published > 0 {
+		lag = time.Since(time.Unix(0, a.Published))
 		if lag < 0 {
 			lag = 0
 		}
 	}
 	local.setReplicaLag(lag)
-	r.seqGauge.With(name).Set(float64(resp.Seq))
+	r.seqGauge.With(name).Set(float64(a.Seq))
 	r.lagGauge.With(name).Set(lag.Seconds())
 	r.pulls.With(name, "applied").Inc()
-	log.Debug("replica: applied version", "seq", resp.Seq, "lag", lag)
+	log.Debug("replica: applied version", "seq", a.Seq, "lag", lag)
 	return store, local
-}
-
-// pullOnce issues one long-poll. A 200 answer must be a replicate frame
-// of at most dim values.
-func (r *Replicator) pullOnce(ctx context.Context, name string, since uint64, dim int) (ReplicateResponse, error) {
-	rctx, cancel := context.WithTimeout(ctx, r.cfg.PollWindow)
-	defer cancel()
-	u := fmt.Sprintf("%s/v1/replicate?model=%s&since=%d", r.cfg.Origin, url.QueryEscape(name), since)
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, u, nil)
-	if err != nil {
-		return ReplicateResponse{}, err
-	}
-	hresp, err := r.cfg.Client.Do(req)
-	if err != nil {
-		return ReplicateResponse{}, err
-	}
-	defer hresp.Body.Close()
-	switch hresp.StatusCode {
-	case http.StatusOK:
-		if ct := hresp.Header.Get("Content-Type"); ct != frame.ContentType {
-			// An origin that predates the frame answers JSON: say so
-			// rather than report its text as a broken frame.
-			return ReplicateResponse{}, fmt.Errorf("origin answered 200 with Content-Type %q, not a %s replicate frame (older origin?)",
-				ct, frame.ContentType)
-		}
-		resp, err := readReplicate(hresp.Body, dim)
-		if err != nil {
-			return ReplicateResponse{}, fmt.Errorf("decoding replicate frame: %w", err)
-		}
-		return resp, nil
-	case http.StatusNotFound:
-		return ReplicateResponse{}, errOriginGone
-	default:
-		var eb errorBody
-		_ = json.NewDecoder(io.LimitReader(hresp.Body, 64<<10)).Decode(&eb)
-		if eb.Error == "" {
-			eb.Error = http.StatusText(hresp.StatusCode)
-		}
-		return ReplicateResponse{}, fmt.Errorf("origin answered %d: %s", hresp.StatusCode, eb.Error)
-	}
-}
-
-// backoff is min(cap, base·2^(attempt-1)) jittered uniformly over its
-// upper half — the cluster worker's retry shape, reused here so
-// simultaneously-disconnected replicas desynchronize their rejoins.
-func backoff(base, cap time.Duration, attempt int, rng *xrand.Rand) time.Duration {
-	d := base << uint(attempt-1)
-	if d <= 0 || d > cap {
-		d = cap
-	}
-	half := d / 2
-	return half + time.Duration(rng.Float64()*float64(half))
 }
 
 // hashName is FNV-1a, seeding per-model jitter streams.
@@ -440,88 +378,4 @@ func hashName(s string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// replicateResponseFor renders the origin side of one replication poll:
-// v (resolved by the handler, possibly after a Store.Wait) described
-// with m's metadata, weights included only when the caller's cursor is
-// behind.
-func replicateResponseFor(m *Model, v *snapshot.Version, since uint64) ReplicateResponse {
-	resp := ReplicateResponse{
-		Algo: m.Algo, Objective: m.Objective, Dataset: m.Dataset,
-		Seq: v.Seq, Epoch: v.Epoch, Iters: v.Iters,
-		Live: m.Live(), DType: m.Store.DType(),
-		PublishedUnix: v.At.UnixNano(),
-	}
-	if v.Seq > since {
-		resp.Weights = v.Weights
-	}
-	return resp
-}
-
-// maxReplicateHead is the longest frame head: five uvarints (the
-// header's four and the count), the live and width bytes, and three
-// strings of at most frame.MaxString bytes behind a 2-byte length.
-const maxReplicateHead = 5*binary.MaxVarintLen64 + 2 + 3*(2+frame.MaxString)
-
-// appendReplicate appends resp's frame to dst.
-func appendReplicate(dst []byte, resp *ReplicateResponse) []byte {
-	dst = binary.AppendUvarint(dst, resp.Seq)
-	dst = binary.AppendUvarint(dst, uint64(resp.Epoch))
-	dst = binary.AppendUvarint(dst, uint64(resp.Iters))
-	dst = binary.AppendUvarint(dst, uint64(max(resp.PublishedUnix, 0)))
-	dst = frame.AppendBool(dst, resp.Live)
-	dst = frame.AppendString(dst, resp.Algo)
-	dst = frame.AppendString(dst, resp.Objective)
-	dst = frame.AppendString(dst, resp.Dataset)
-	width := frame.WidthOf(resp.DType)
-	dst = append(dst, byte(width))
-	dst = binary.AppendUvarint(dst, uint64(len(resp.Weights)))
-	return frame.AppendValues(dst, resp.Weights, width)
-}
-
-// writeReplicate sends resp as a 200 frame.
-func writeReplicate(w http.ResponseWriter, resp *ReplicateResponse) {
-	size := maxReplicateHead + frame.WidthOf(resp.DType)*len(resp.Weights)
-	b := appendReplicate(make([]byte, 0, size), resp)
-	w.Header().Set("Content-Type", frame.ContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(b)
-}
-
-// readReplicate reads and decodes one replicate frame of at most dim
-// values (0 ≤ dim ≤ maxModelDim). It reads no further than the longest
-// such frame, so memory grows only with the bytes that arrive; count is
-// bounded by dim and by the bytes left before the values are allocated.
-func readReplicate(rd io.Reader, dim int) (ReplicateResponse, error) {
-	b, err := io.ReadAll(io.LimitReader(rd, int64(maxReplicateHead+frame.F64*dim+1)))
-	if err != nil {
-		return ReplicateResponse{}, err
-	}
-	r := frame.NewReader(b)
-	resp := ReplicateResponse{
-		Seq:           r.Uvarint("seq", math.MaxUint64),
-		Epoch:         int(r.Uvarint("epoch", math.MaxInt)),
-		Iters:         int64(r.Uvarint("iters", math.MaxInt64)),
-		PublishedUnix: int64(r.Uvarint("published", math.MaxInt64)),
-		Live:          r.Bool("live"),
-		Algo:          r.String("algo"),
-		Objective:     r.String("objective"),
-		Dataset:       r.String("dataset"),
-	}
-	width := r.Width()
-	resp.DType = frame.NameOf(width)
-	count := r.Uvarint("count", uint64(dim))
-	if r.Err() == nil && count > uint64(len(r.Rest())/width) {
-		r.Fail("count %d exceeds what %d bytes can hold", count, len(r.Rest()))
-	}
-	if count > 0 && r.Err() == nil {
-		resp.Weights = make([]float64, count)
-	}
-	r.Values(resp.Weights, width)
-	if r.Err() != nil {
-		return ReplicateResponse{}, r.Err()
-	}
-	return resp, nil
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"github.com/isasgd/isasgd/internal/checkpoint"
+	"github.com/isasgd/isasgd/internal/frame"
 	"github.com/isasgd/isasgd/internal/obs"
 )
 
@@ -426,13 +426,10 @@ func (s *Server) importModel(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// replicate answers one replication long-poll (GET /v1/replicate
-// ?model=name&since=seq): it blocks on the model's snapshot store until
-// a version newer than the caller's cursor exists — the same Store.Wait
-// primitive behind the cluster pull endpoint — or the server's poll
-// window expires, in which case the current version is described
-// without weights so the caller knows it is current and re-polls.
-// Replicas (serve.Replicator, cmd/isasgd-serve -origin) drive this in a
+// replicate serves one model's version feed (GET /v1/replicate
+// ?model=name&since=seq, frame.Serve): the answer describes the model's
+// newest version, with its weights when the caller's cursor is behind.
+// Replicas (serve.Replicator, cmd/isasgd-serve -origin) drive it in a
 // loop; it works equally against a replica, so replicas can chain.
 func (s *Server) replicate(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("model")
@@ -440,29 +437,15 @@ func (s *Server) replicate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing model query parameter")
 		return
 	}
-	var since uint64
-	if q := r.URL.Query().Get("since"); q != "" {
-		var err error
-		if since, err = strconv.ParseUint(q, 10, 64); err != nil {
-			writeError(w, http.StatusBadRequest, "bad since %q: %v", q, err)
-			return
-		}
-	}
 	m, ok := s.mgr.Registry().Get(name)
 	if !ok {
 		writeError(w, http.StatusNotFound, "model %q not found", name)
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.replWindow)
-	defer cancel()
-	v := m.Store.Wait(ctx, since)
-	if v == nil {
-		// Window expired (or the client left): describe the current
-		// version, weights omitted — the registry guarantees at least one.
-		v = m.Store.Load()
-	}
-	resp := replicateResponseFor(m, v, since)
-	writeReplicate(w, &resp)
+	frame.Serve(w, r, m.Store, s.replWindow, nil, func() frame.Header {
+		return frame.Header{Live: m.Live(), Algo: m.Algo, Objective: m.Objective,
+			Dataset: m.Dataset, DType: m.Store.DType()}
+	})
 }
 
 func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {

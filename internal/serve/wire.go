@@ -26,8 +26,19 @@
 //	GET    /metrics                      Prometheus-style text metrics
 //
 // Request and response bodies are JSON, errors included, except the
-// checkpoint bodies, the metrics text, and a 200 /v1/replicate answer,
-// which is one binary frame (see ReplicateResponse).
+// checkpoint bodies, the metrics text, and a 200 /v1/replicate answer.
+// That answer is one version frame (frame.Header documents its layout),
+// the same frame a cluster coordinator answers a worker's pull with:
+// /v1/replicate?model=name&since=seq is the model's version feed
+// (frame.Serve). It blocks until the model's store holds a version newer
+// than since, or the server's ReplicateWindow passes, and then
+// describes the newest version: seq, epoch, iters, publish time, live,
+// algo, objective and dataset, then the store's width (8 for f64, 4 for
+// an f32-stamped store, whose values are exactly its float32 view), and
+// the weights only when the caller's cursor is behind. A replica reads
+// at most the longest frame of the Dim the origin lists on /v1/models
+// (itself capped at maxModelDim), and decodes under frame.Reader's
+// rules.
 //
 // The serving fleet grows horizontally from these pieces: an origin
 // process (training jobs enabled) exposes /v1/replicate, and replica
@@ -268,50 +279,6 @@ type ModelInfo struct {
 	// confirmed it is current). Absent on origin-owned models.
 	Replica bool     `json:"replica,omitempty"`
 	Lag     *float64 `json:"lag_seconds,omitempty"`
-}
-
-// ReplicateResponse is one answer of GET /v1/replicate?model=name&since=seq
-// — one model's newest weight version, long-polled: the origin blocks
-// until its store holds a version with Seq > since, or its poll window
-// expires, in which case Weights is nil and Seq describes the version
-// the caller should already hold. PublishedUnix is the origin's wall
-// clock at the version's publish (Unix nanoseconds, 0 when unknown),
-// the reference point for the replica's lag gauges.
-//
-// A 200 answer is one binary frame (Content-Type
-// application/octet-stream) built from internal/frame, the codec of the
-// cluster's pull frame; errors stay JSON (errorBody):
-//
-//	seq        uvarint
-//	epoch      uvarint
-//	iters      uvarint
-//	published  uvarint  PublishedUnix
-//	live       1 byte   0 or 1
-//	algo       string   uvarint length ≤ frame.MaxString (4096), then the bytes
-//	objective  string
-//	dataset    string
-//	width      1 byte   8 (f64 store) or 4 (f32-stamped store)
-//	count      uvarint  0 when the caller is current, else Dim
-//	values     count × width bytes, little-endian
-//
-// The width stands for the store's dtype. Width 4 packs the version's
-// float32 view (snapshot.Version.W32, the bytes of
-// wire32.AppendNarrow), half the bytes of width 8 and lossless for
-// f32-trained weights. The replica reads at most the longest frame of
-// the Dim the origin lists on /v1/models (itself capped at maxModelDim),
-// then decodes under frame.Reader's rules; count must fit that Dim and
-// the bytes that arrived before the values are allocated.
-type ReplicateResponse struct {
-	Seq           uint64
-	Epoch         int
-	Iters         int64
-	PublishedUnix int64
-	Live          bool
-	Algo          string
-	Objective     string
-	Dataset       string
-	DType         string    // model.PrecisionF64 (width 8) or model.PrecisionF32 (width 4)
-	Weights       []float64 // nil when the caller is current
 }
 
 // errorBody is the JSON error envelope every non-2xx response uses.

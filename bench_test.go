@@ -255,13 +255,11 @@ func BenchmarkSVRGEpochCost(b *testing.B) {
 // and compare the Racy*/Ref pairs.
 
 // The kernel-benchmark workload shape: sparse rows of kernelBenchNNZ
-// support over a model sized to defeat the L2 cache, minibatches of
-// kernelBenchBatch.
+// support over a model sized to defeat the L2 cache.
 const (
-	kernelBenchRows  = 512
-	kernelBenchDim   = 1 << 16
-	kernelBenchNNZ   = 64
-	kernelBenchBatch = 16
+	kernelBenchRows = 512
+	kernelBenchDim  = 1 << 16
+	kernelBenchNNZ  = 64
 )
 
 // kernelWorkload is the synthesized benchmark input (see the
@@ -304,29 +302,6 @@ func benchKernelStep(b *testing.B, k kernel.Kernel) {
 	}
 }
 
-// benchKernelBatch measures the minibatch pattern: a score phase
-// (Dot + Deriv) followed by the write-back phase (Update), batch size
-// kernelBenchBatch. ns/op is per update.
-func benchKernelBatch(b *testing.B, k kernel.Kernel, obj objective.Objective) {
-	b.Helper()
-	const batch = kernelBenchBatch
-	wl := newKernelWorkload(0xfeed)
-	rows := len(wl.idx)
-	grads := make([]float64, batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += batch {
-		for c := 0; c < batch; c++ {
-			r := (i + c) % rows
-			grads[c] = obj.Deriv(k.Dot(wl.idx[r], wl.val[r]), wl.y[r])
-		}
-		for c := 0; c < batch; c++ {
-			r := (i + c) % rows
-			k.Update(wl.idx[r], wl.val[r], grads[c], 1e-4/batch)
-		}
-	}
-}
-
 var (
 	benchObjL1 = objective.LogisticL1{Eta: 1e-4}
 	benchObjL2 = objective.LeastSquaresL2{Eta: 1e-4}
@@ -352,14 +327,6 @@ func BenchmarkKernelStepAtomicL1(b *testing.B) {
 }
 func BenchmarkKernelStepAtomicL1Ref(b *testing.B) {
 	benchKernelStep(b, kernel.NewReference(model.NewAtomic(kernelBenchDim), benchObjL1))
-}
-
-// Minibatch path, Racy.
-func BenchmarkKernelBatchRacyL1(b *testing.B) {
-	benchKernelBatch(b, kernel.New(model.NewRacy(kernelBenchDim), benchObjL1), benchObjL1)
-}
-func BenchmarkKernelBatchRacyL1Ref(b *testing.B) {
-	benchKernelBatch(b, kernel.NewReference(model.NewRacy(kernelBenchDim), benchObjL1), benchObjL1)
 }
 
 // BenchmarkEvaluate measures the parallel metric evaluation pass.

@@ -8,32 +8,38 @@
 //	isasgd-cluster -role coordinator [flags]
 //	isasgd-cluster -role worker -coordinator http://host:port -id N -workers K [flags]
 //
-// Common flags:
+// The training knobs are the one training spec's (internal/spec; the
+// serve job spec's JSON names with '_' → '-'). Common ones:
 //
-//	-dataset name         synthetic corpus preset: small | news20
+//	-dataset name         synthetic corpus preset: small | news20s | urls |
+//	                      kddas | kddbs, or news20 | url | kdda | kddb
 //	                      (default small); every node must agree
-//	-data path            LibSVM file to train on instead of a preset;
-//	                      every node must load the identical file
-//	-scale f              preset size multiplier (default 1)
+//	-scale f              preset size multiplier in (0, 1] (default 1)
 //	-objective name       logistic-l1 | sqhinge-l2 | lsq-l2
 //	-eta f                regularization strength (default 1e-4)
 //	-seed n               corpus and shard-plan seed; must agree cluster-wide
+//
+// Run flags common to both roles:
+//
+//	-data path            LibSVM file to train on instead of a preset;
+//	                      every node must load the identical file
 //	-log-level level      debug | info | warn | error
 //	-version              print the build version and exit
 //
-// Coordinator flags:
+// Coordinator knobs and flags:
 //
-//	-addr host:port       listen address (default :9090)
 //	-staleness-bound n    shed pushes with measured staleness > n
-//	                      (-1 admits everything; default 64)
+//	                      (0 or -1 admits everything; default 64)
 //	-adapt-c f            attenuate each admitted push by 1/(1+f·τ)
 //	                      where τ is its measured staleness (0 disables)
 //	-dc-lambda f          DC-ASGD delay compensation strength: each delta
 //	                      coordinate d becomes d − λ·d²·(w_now − w_base)
 //	                      against the retained base version (0 disables)
-//	-target-loss f        stop when the evaluated objective reaches f
-//	-max-updates n        stop after n cumulative worker updates
 //	-eval-every n         evaluate every n applied pushes (default 4)
+//	-addr host:port       listen address (default :9090)
+//	-target-loss f        stop when the evaluated mean data loss (without
+//	                      the regularizer) reaches f
+//	-max-updates n        stop after n cumulative worker updates
 //	-state path           checkpoint file: restored on start if present,
 //	                      written on shutdown and completion ("" disables)
 //	-exit-on-done         exit 0 once the run converges and every worker
@@ -43,19 +49,19 @@
 //	-read-timeout d       full-request read deadline (default 1m)
 //	-idle-timeout d       keep-alive idle deadline (default 2m)
 //
-// Worker flags:
+// Worker knobs and flags:
 //
-//	-coordinator url      coordinator root URL (required)
-//	-id n                 this worker's shard index, 0-based (required)
-//	-workers k            total worker count (required, must agree)
 //	-threads t            local Hogwild width (default 1)
-//	-local-epochs e       shard passes per push round (default 1)
-//	-step f               SGD step size (default 0.5)
+//	-step f               SGD step size, finite and > 0 (default 0.5)
 //	-step-decay f         multiply the step after each push round, in
 //	                      (0, 1] (default 1, no decay) — long runs with
 //	                      constant steps oscillate once the star converges
-//	-mode name            shard preparation: auto | balance | shuffle |
+//	-balance name         shard preparation: auto | balance | shuffle |
 //	                      sorted | lpt (default auto)
+//	-coordinator url      coordinator root URL (required)
+//	-id n                 this worker's shard index, 0-based (required)
+//	-workers k            total worker count (required, must agree)
+//	-local-epochs e       shard passes per push round (default 1)
 //	-wire name            width of the values in the binary pull and push
 //	                      frames: f64 (exact, default) | f32 (half the
 //	                      value bytes, ~1e-7 relative narrowing)
@@ -82,12 +88,11 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/isasgd/isasgd/internal/balance"
 	"github.com/isasgd/isasgd/internal/cluster"
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/httpx"
-	"github.com/isasgd/isasgd/internal/objective"
 	"github.com/isasgd/isasgd/internal/obs"
+	"github.com/isasgd/isasgd/internal/spec"
 )
 
 func main() {
@@ -109,24 +114,17 @@ type checkpointFile struct {
 
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("isasgd-cluster", flag.ContinueOnError)
+	var s spec.Spec
+	s.Flags(fs, spec.Cluster)
 	var (
 		role    = fs.String("role", "", "coordinator | worker")
-		preset  = fs.String("dataset", "small", "synthetic corpus preset: small | news20")
 		data    = fs.String("data", "", "LibSVM file instead of a preset (identical on every node)")
-		scale   = fs.Float64("scale", 1, "preset size multiplier")
-		objName = fs.String("objective", "logistic-l1", "logistic-l1 | sqhinge-l2 | lsq-l2")
-		eta     = fs.Float64("eta", 1e-4, "regularization strength")
-		seed    = fs.Uint64("seed", 1, "corpus and shard-plan seed (must agree cluster-wide)")
 		logLvl  = fs.String("log-level", "info", "debug | info | warn | error")
 		version = fs.Bool("version", false, "print the build version and exit")
 
 		addr       = fs.String("addr", ":9090", "coordinator listen address")
-		bound      = fs.Int64("staleness-bound", 64, "shed pushes with staleness > n (-1 admits everything)")
-		adaptC     = fs.Float64("adapt-c", 0, "attenuate admitted pushes by 1/(1+c*tau) (0 disables)")
-		dcLambda   = fs.Float64("dc-lambda", 0, "DC-ASGD delay compensation strength (0 disables)")
-		targetLoss = fs.Float64("target-loss", 0, "stop when the evaluated objective reaches this (0 disables)")
+		targetLoss = fs.Float64("target-loss", 0, "stop when the evaluated mean data loss reaches this (0 disables)")
 		maxUpdates = fs.Int64("max-updates", 0, "stop after n cumulative worker updates (0 disables)")
-		evalEvery  = fs.Int("eval-every", 4, "evaluate every n applied pushes")
 		statePath  = fs.String("state", "", "coordinator checkpoint file (\"\" disables)")
 		exitDone   = fs.Bool("exit-on-done", false, "coordinator exits 0 once the run converges")
 		linger     = fs.Duration("linger", 15*time.Second, "with -exit-on-done, max wait for workers to acknowledge completion")
@@ -136,11 +134,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		coordURL = fs.String("coordinator", "", "coordinator root URL (worker)")
 		id       = fs.Int("id", -1, "worker shard index, 0-based")
 		workers  = fs.Int("workers", 0, "total worker count")
-		threads  = fs.Int("threads", 1, "local Hogwild width")
 		localEp  = fs.Int("local-epochs", 1, "shard passes per push round")
-		step     = fs.Float64("step", 0.5, "SGD step size")
-		decay    = fs.Float64("step-decay", 1, "multiply step after each push round, in (0, 1]")
-		modeName = fs.String("mode", "auto", "shard preparation: auto | balance | shuffle | sorted | lpt")
 		wire     = fs.String("wire", "f64", "value width in pull/push frames: f64 | f32")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -156,38 +150,32 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
-	obj, err := parseObjective(*objName, *eta)
-	if err != nil {
+	s.SetKind(spec.KindCluster, fs)
+	if err := s.Validate(); err != nil {
 		return err
 	}
-	ds, err := loadCorpus(*data, *preset, *scale, *seed)
+	ds, err := loadCorpus(*data, s)
 	if err != nil {
 		return err
 	}
 
 	switch *role {
 	case "coordinator":
-		return runCoordinator(ctx, out, logger, coordinatorOpts{
-			ds: ds, obj: obj, addr: *addr, bound: *bound,
-			adaptC: *adaptC, dcLambda: *dcLambda,
-			targetLoss: *targetLoss, maxUpdates: *maxUpdates, evalEvery: *evalEvery,
-			statePath: *statePath, exitDone: *exitDone, linger: *linger,
+		cfg := cluster.CoordinatorFromSpec(s, ds)
+		cfg.TargetLoss, cfg.MaxUpdates = *targetLoss, *maxUpdates
+		cfg.Log = logger
+		return runCoordinator(ctx, out, cfg, coordinatorOpts{
+			addr: *addr, statePath: *statePath, exitDone: *exitDone, linger: *linger,
 			readTO: *readTO, idleTO: *idleTO,
 		})
 	case "worker":
 		if *coordURL == "" {
 			return errors.New("worker needs -coordinator")
 		}
-		mode, err := parseMode(*modeName)
-		if err != nil {
-			return err
-		}
-		w, err := cluster.NewWorker(cluster.WorkerConfig{
-			ID: *id, Workers: *workers, Coordinator: *coordURL,
-			Data: ds, Obj: obj, Mode: mode, Seed: *seed,
-			Threads: *threads, LocalEpochs: *localEp, Step: *step,
-			StepDecay: *decay, Wire: *wire, Log: logger,
-		})
+		cfg := cluster.WorkerFromSpec(s, ds)
+		cfg.ID, cfg.Workers, cfg.Coordinator = *id, *workers, *coordURL
+		cfg.LocalEpochs, cfg.Wire, cfg.Log = *localEp, *wire, logger
+		w, err := cluster.NewWorker(cfg)
 		if err != nil {
 			return err
 		}
@@ -205,32 +193,21 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 }
 
+// coordinatorOpts are the coordinator's process settings: listener,
+// state file and shutdown.
 type coordinatorOpts struct {
-	ds         *dataset.Dataset
-	obj        objective.Objective
-	addr       string
-	bound      int64
-	adaptC     float64
-	dcLambda   float64
-	targetLoss float64
-	maxUpdates int64
-	evalEvery  int
-	statePath  string
-	exitDone   bool
-	linger     time.Duration
-	readTO     time.Duration
-	idleTO     time.Duration
+	addr      string
+	statePath string
+	exitDone  bool
+	linger    time.Duration
+	readTO    time.Duration
+	idleTO    time.Duration
 }
 
-func runCoordinator(ctx context.Context, out io.Writer, logger *slog.Logger, o coordinatorOpts) error {
+func runCoordinator(ctx context.Context, out io.Writer, cfg cluster.CoordinatorConfig, o coordinatorOpts) error {
+	logger := cfg.Log
 	reg := obs.NewRegistry()
-	cfg := cluster.CoordinatorConfig{
-		Dim: o.ds.Dim(), StalenessBound: o.bound,
-		AdaptC: o.adaptC, DCLambda: o.dcLambda,
-		EvalData: o.ds, Obj: o.obj, EvalEvery: o.evalEvery,
-		TargetLoss: o.targetLoss, MaxUpdates: o.maxUpdates,
-		Log: logger, Reg: reg,
-	}
+	cfg.Reg = reg
 	if o.statePath != "" {
 		if ck, err := readCheckpoint(o.statePath); err != nil {
 			return err
@@ -257,7 +234,7 @@ func runCoordinator(ctx context.Context, out io.Writer, logger *slog.Logger, o c
 	}
 	srv := httpx.NewServer(mux, httpx.Timeouts{Read: o.readTO, Idle: o.idleTO})
 	fmt.Fprintf(out, "coordinator listening on http://%s (dim=%d bound=%d target=%g)\n",
-		ln.Addr(), o.ds.Dim(), o.bound, o.targetLoss)
+		ln.Addr(), cfg.Dim, cfg.StalenessBound, cfg.TargetLoss)
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
@@ -335,8 +312,8 @@ func writeCheckpoint(path string, ck checkpointFile) error {
 }
 
 // loadCorpus returns the deterministic shared corpus: a LibSVM file or
-// a synthetic preset. Every node must resolve the same corpus.
-func loadCorpus(path, preset string, scale float64, seed uint64) (*dataset.Dataset, error) {
+// the spec's synthetic preset. Every node must resolve the same corpus.
+func loadCorpus(path string, s spec.Spec) (*dataset.Dataset, error) {
 	if path != "" {
 		f, err := os.Open(path)
 		if err != nil {
@@ -345,42 +322,9 @@ func loadCorpus(path, preset string, scale float64, seed uint64) (*dataset.Datas
 		defer f.Close()
 		return dataset.ParseLibSVM(f, path, 0)
 	}
-	switch preset {
-	case "small":
-		return dataset.Synthesize(dataset.Small(seed))
-	case "news20":
-		return dataset.Synthesize(dataset.News20Like(scale, seed))
-	default:
-		return nil, fmt.Errorf("bad -dataset %q: want small or news20", preset)
+	cfg, err := dataset.Preset(s.Dataset, s.Scale, s.Seed)
+	if err != nil {
+		return nil, err
 	}
-}
-
-func parseObjective(name string, eta float64) (objective.Objective, error) {
-	switch name {
-	case "logistic-l1":
-		return objective.LogisticL1{Eta: eta}, nil
-	case "sqhinge-l2":
-		return objective.SquaredHingeL2{Lambda: eta}, nil
-	case "lsq-l2":
-		return objective.LeastSquaresL2{Eta: eta}, nil
-	default:
-		return nil, fmt.Errorf("bad -objective %q: want logistic-l1, sqhinge-l2 or lsq-l2", name)
-	}
-}
-
-func parseMode(name string) (balance.Mode, error) {
-	switch name {
-	case "auto":
-		return balance.Auto, nil
-	case "balance":
-		return balance.ForceBalance, nil
-	case "shuffle":
-		return balance.ForceShuffle, nil
-	case "sorted":
-		return balance.Sorted, nil
-	case "lpt":
-		return balance.LPT, nil
-	default:
-		return 0, fmt.Errorf("bad -mode %q", name)
-	}
+	return dataset.Synthesize(cfg)
 }

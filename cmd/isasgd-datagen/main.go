@@ -5,7 +5,8 @@
 //
 //	isasgd-datagen -preset news20 -out news20s.libsvm [flags]
 //
-//	-preset name   news20 | url | kdda | kddb | small (default "small")
+//	-preset name   news20 | url | kdda | kddb | small, or the serve
+//	               spellings news20s | urls | kddas | kddbs (default "small")
 //	-scale x       preset size multiplier in (0,1] (default 0.25)
 //	-seed n        RNG seed (default 1)
 //	-out path      output file (default "<preset>.libsvm")
@@ -19,6 +20,7 @@ import (
 	"os"
 
 	isasgd "github.com/isasgd/isasgd"
+	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/obs"
 )
 
@@ -29,26 +31,9 @@ func main() {
 	}
 }
 
-func presetConfig(name string, scale float64, seed uint64) (isasgd.SynthConfig, error) {
-	switch name {
-	case "news20":
-		return isasgd.News20Like(scale, seed), nil
-	case "url":
-		return isasgd.URLLike(scale, seed), nil
-	case "kdda":
-		return isasgd.KDDALike(scale, seed), nil
-	case "kddb":
-		return isasgd.KDDBLike(scale, seed), nil
-	case "small":
-		return isasgd.SmallConfig(seed), nil
-	default:
-		return isasgd.SynthConfig{}, fmt.Errorf("unknown preset %q", name)
-	}
-}
-
 func run() error {
 	var (
-		preset  = flag.String("preset", "small", "news20 | url | kdda | kddb | small")
+		preset  = flag.String("preset", "small", "news20 | url | kdda | kddb | small (or news20s | urls | kddas | kddbs)")
 		scale   = flag.Float64("scale", 0.25, "preset size multiplier")
 		seed    = flag.Uint64("seed", 1, "RNG seed")
 		out     = flag.String("out", "", "output file (default <preset>.libsvm)")
@@ -63,7 +48,7 @@ func run() error {
 		return nil
 	}
 
-	cfg, err := presetConfig(*preset, *scale, *seed)
+	cfg, err := dataset.Preset(*preset, *scale, *seed)
 	if err != nil {
 		return err
 	}

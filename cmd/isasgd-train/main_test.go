@@ -1,27 +1,142 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
-	isasgd "github.com/isasgd/isasgd"
+	"github.com/isasgd/isasgd/internal/xrand"
 )
 
-func TestParseBalance(t *testing.T) {
-	cases := map[string]isasgd.BalanceMode{
-		"auto":    isasgd.BalanceAuto,
-		"":        isasgd.BalanceAuto,
-		"balance": isasgd.ForceBalance,
-		"shuffle": isasgd.ForceShuffle,
-		"sorted":  isasgd.SortedOrder,
-		"lpt":     isasgd.LPTOrder,
-	}
-	for in, want := range cases {
-		got, err := parseBalance(in)
-		if err != nil || got != want {
-			t.Errorf("parseBalance(%q) = %v, %v; want %v", in, got, err, want)
+func writeStreamCorpus(t *testing.T, n, dim int) string {
+	t.Helper()
+	rng := xrand.New(11)
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		j := rng.Intn(dim)
+		v := rng.NormFloat64()
+		y := 1
+		if v < 0 {
+			y = -1
 		}
+		fmt.Fprintf(&sb, "%d %d:%.6f\n", y, j+1, v)
 	}
-	if _, err := parseBalance("bogus"); err == nil {
-		t.Error("parseBalance accepted unknown mode")
+	path := filepath.Join(t.TempDir(), "corpus.libsvm")
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+type runCase struct {
+	name string
+	args []string
+	ok   bool
+}
+
+// checkRuns drives run with each argument list as a subtest. Every
+// rejected row must fail before training starts: nothing is printed.
+func checkRuns(t *testing.T, cases []runCase) {
+	t.Helper()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			err := run(context.Background(), tc.args, &out)
+			switch {
+			case tc.ok && err != nil:
+				t.Errorf("%v", err)
+			case !tc.ok && err == nil:
+				t.Errorf("accepted")
+			case !tc.ok && out.Len() > 0:
+				t.Errorf("failed after training started: %v\n%s", err, out.String())
+			}
+		})
+	}
+}
+
+func with(base []string, extra ...string) []string {
+	return append(append([]string(nil), base...), extra...)
+}
+
+func TestRunStream(t *testing.T) {
+	corpus := writeStreamCorpus(t, 256, 8)
+	modelOut := filepath.Join(t.TempDir(), "model.libsvm")
+	checkRuns(t, []runCase{{"stream", []string{"-stream", "-data", corpus, "-algo", "is-asgd",
+		"-objective", "logistic-l1", "-balance", "auto", "-eta", "1e-4", "-step", "0.5",
+		"-step-decay", "1", "-threads", "2", "-seed", "1", "-dim", "8", "-block-size", "64",
+		"-window-blocks", "2", "-model", modelOut}, true}})
+	got, err := os.ReadFile(modelOut)
+	if err != nil {
+		t.Fatalf("model output missing: %v", err)
+	}
+	if !strings.HasPrefix(string(got), "0") {
+		t.Fatalf("model output malformed: %q", got)
+	}
+}
+
+func TestRunStreamValidation(t *testing.T) {
+	tiny := writeStreamCorpus(t, 8, 4)
+	tinyStream := []string{"-stream", "-data", tiny, "-dim", "4"}
+	checkRuns(t, []runCase{
+		{"missing dim", []string{"-stream", "-data", tiny}, false},
+		{"bad algo", with(tinyStream, "-algo", "svrg-asgd"), false},
+		{"bad objective", with(tinyStream, "-objective", "bogus"), false},
+		{"bad balance", with(tinyStream, "-balance", "bogus"), false},
+		{"bad path", []string{"-stream", "-data", "/no/such/file", "-dim", "4"}, false},
+		{"NaN step", with(tinyStream, "-step", "NaN"), false},
+		{"+Inf step", with(tinyStream, "-step", "+Inf"), false},
+		{"NaN step-decay", with(tinyStream, "-step-decay", "NaN"), false},
+		{"epochs", with(tinyStream, "-epochs", "3"), false},
+		{"dc-lambda", with(tinyStream, "-dc-lambda", "0.1"), false},
+	})
+}
+
+// TestParseBalance checks every balance-mode name -balance takes, and
+// that an unknown one is rejected.
+func TestParseBalance(t *testing.T) {
+	batch := []string{"-data", writeStreamCorpus(t, 8, 4), "-epochs", "1"}
+	var cases []runCase
+	for _, mode := range []string{"auto", "", "balance", "shuffle", "sorted", "lpt"} {
+		cases = append(cases, runCase{"balance " + mode, with(batch, "-balance", mode), true})
+	}
+	checkRuns(t, append(cases, runCase{"balance bogus", with(batch, "-balance", "bogus"), false}))
+}
+
+// TestRun checks that batch-mode knobs are validated before training.
+func TestRun(t *testing.T) {
+	batch := []string{"-data", writeStreamCorpus(t, 8, 4), "-epochs", "1"}
+	checkRuns(t, []runCase{
+		{"batch importance", with(batch, "-importance", "loss"), false},
+		{"batch dim", with(batch, "-dim", "4"), false},
+		{"batch NaN eta", with(batch, "-eta", "NaN"), false},
+		{"batch NaN step", with(batch, "-step", "NaN"), false},
+		{"batch NaN step-decay", with(batch, "-step-decay", "NaN"), false},
+		{"batch f32 saga", with(batch, "-algo", "saga", "-precision", "f32"), false},
+		{"batch minibatch", with(batch, "-batch", "8"), false},
+		{"missing data", []string{"-epochs", "1"}, false},
+	})
+}
+
+// TestRunHoldout checks the held-out line reports the objective split
+// into the data loss and the regularizer.
+func TestRunHoldout(t *testing.T) {
+	var out bytes.Buffer
+	args := []string{"-data", writeStreamCorpus(t, 200, 8), "-epochs", "2", "-holdout", "0.25"}
+	if err := run(context.Background(), args, &out); err != nil {
+		t.Fatal(err)
+	}
+	var n int
+	var obj, loss, reg, rmse, errRate float64
+	line := out.String()[strings.Index(out.String(), "held-out"):]
+	if _, err := fmt.Sscanf(line, "held-out (%d samples): obj=%g loss=%g reg=%g rmse=%g err=%g",
+		&n, &obj, &loss, &reg, &rmse, &errRate); err != nil {
+		t.Fatalf("held-out line %q: %v", line, err)
+	}
+	if d := obj - (loss + reg); d > 1e-6 || d < -1e-6 || reg <= 0 {
+		t.Fatalf("obj %g != loss %g + reg %g", obj, loss, reg)
 	}
 }

@@ -3,123 +3,64 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
-	"runtime"
-	"syscall"
 
-	isasgd "github.com/isasgd/isasgd"
-	"github.com/isasgd/isasgd/internal/solver"
+	"github.com/isasgd/isasgd/internal/spec"
 	"github.com/isasgd/isasgd/internal/stream"
 )
-
-// streamFlags carries the parsed flag set into streaming mode.
-type streamFlags struct {
-	data, algo, objective, balance, modelOut string
-	precision, importance                    string
-	eta, step, decay, lossBeta, adaptC       float64
-	threads, dim, block, window              int
-	updatesPerBlock, reservoir, rebuildEvery int
-	stalenessBound                           int64
-	seed                                     uint64
-}
 
 // runStream trains online over the input file in bounded memory and
 // prints one progress row per ingested block (sliding-window metrics),
 // then a final full-corpus evaluation computed with a second bounded-
 // memory pass.
-func runStream(f streamFlags) error {
-	if f.dim < 1 {
-		return fmt.Errorf("streaming mode requires -dim (the model cannot grow mid-stream)")
-	}
-	obj, err := parseObjectiveFlag(f.objective, f.eta)
-	if err != nil {
-		return err
-	}
-	bal, err := parseBalance(f.balance)
-	if err != nil {
-		return err
-	}
-	algo, err := isasgd.ParseAlgo(f.algo)
-	if err != nil {
-		return err
-	}
-	uniform := false
-	threads := f.threads
-	switch algo {
-	case solver.SGD, solver.ISSGD:
-		threads = 1
-		uniform = algo == solver.SGD
-	case solver.ASGD:
-		uniform = true
-	case solver.ISASGD:
-	default:
-		return fmt.Errorf("algorithm %q does not support streaming (want sgd, is-sgd, asgd or is-asgd)", f.algo)
-	}
-	if threads < 1 {
-		threads = runtime.GOMAXPROCS(0)
-	}
-
-	tr, err := stream.NewTrainer(stream.Config{
-		Obj: obj, Dim: f.dim,
-		Workers: threads, Step: f.step, StepDecay: f.decay,
-		WindowBlocks: f.window, UpdatesPerBlock: f.updatesPerBlock,
-		Reservoir: f.reservoir, RebuildEvery: f.rebuildEvery,
-		Mode: bal, Uniform: uniform, Seed: f.seed,
-		Precision:  f.precision,
-		Importance: f.importance, LossBeta: f.lossBeta,
-		AdaptC: f.adaptC, StalenessBound: f.stalenessBound,
-	})
-	if err != nil {
-		return err
-	}
-	sampler := map[bool]string{true: "uniform", false: "online-is"}[uniform]
-	if f.importance == "loss" {
-		sampler = "loss-feedback-is"
-	}
-	fmt.Printf("streaming %s: dim %d, %d workers, sampler %s\n",
-		f.data, f.dim, threads, sampler)
-	fmt.Println(" block   win-rows      updates  win-obj    win-err   ρ̂          balanced")
-	tr.SetOnBlock(func(s stream.BlockStats) {
-		o, _, errRate, _ := tr.EvaluateWindow()
-		fmt.Printf("%6d %10d %12d  %-10.6f %-8.5f %-11.3e %v\n",
-			s.Block, s.WindowRows, s.Updates, o, errRate, s.EstRho, s.Balanced)
-	})
-
-	in, err := os.Open(f.data)
+func runStream(ctx context.Context, out io.Writer, s spec.Spec, data, modelOut string) error {
+	in, err := os.Open(data)
 	if err != nil {
 		return err
 	}
 	defer in.Close()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	res, err := tr.Run(ctx, stream.NewReader(in, f.data, f.block))
+	cfg := stream.FromSpec(s)
+	tr, err := stream.NewTrainer(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("streamed %d rows in %d blocks, %d updates\n", res.Rows, res.Blocks, res.Updates)
-	if f.stalenessBound > 0 {
-		fmt.Printf("staleness bound %d: shed %d updates\n", f.stalenessBound, tr.Shed())
+	sampler := map[bool]string{true: "uniform", false: "online-is"}[cfg.Uniform]
+	if s.Importance == "loss" {
+		sampler = "loss-feedback-is"
+	}
+	fmt.Fprintf(out, "streaming %s: dim %d, %d workers, sampler %s\n",
+		data, s.Dim, cfg.Workers, sampler)
+	fmt.Fprintln(out, " block   win-rows      updates  win-obj    win-err   ρ̂          balanced")
+	tr.SetOnBlock(func(b stream.BlockStats) {
+		o, _, errRate, _ := tr.EvaluateWindow()
+		fmt.Fprintf(out, "%6d %10d %12d  %-10.6f %-8.5f %-11.3e %v\n",
+			b.Block, b.WindowRows, b.Updates, o, errRate, b.EstRho, b.Balanced)
+	})
+
+	res, err := tr.Run(ctx, stream.NewReader(in, data, s.BlockSize))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "streamed %d rows in %d blocks, %d updates\n", res.Rows, res.Blocks, res.Updates)
+	if s.StalenessBound > 0 {
+		fmt.Fprintf(out, "staleness bound %d: shed %d updates\n", s.StalenessBound, tr.Shed())
 	}
 
 	// Second bounded-memory pass: evaluate the final model on the full
 	// corpus.
-	in2, err := os.Open(f.data)
+	in2, err := os.Open(data)
 	if err != nil {
 		return err
 	}
 	defer in2.Close()
-	o, rmse, errRate, n, err := stream.Evaluate(in2, f.data, f.block, obj, res.Weights)
+	o, rmse, errRate, n, err := stream.Evaluate(in2, data, s.BlockSize, cfg.Obj, res.Weights)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("full corpus (%d rows): obj=%.6f rmse=%.6f err=%.5f\n", n, o, rmse, errRate)
-
-	if f.modelOut != "" {
-		if err := writeModelFile(f.modelOut, res.Weights); err != nil {
-			return err
-		}
+	fmt.Fprintf(out, "full corpus (%d rows): obj=%.6f rmse=%.6f err=%.5f\n", n, o, rmse, errRate)
+	if modelOut != "" {
+		return writeModelFile(out, modelOut, res.Weights)
 	}
 	return nil
 }

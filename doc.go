@@ -49,6 +49,20 @@
 // the paper's evaluation, printing each beside the paper's own numbers.
 // See internal/README.md for the system inventory.
 //
+// # One training spec
+//
+// Every front end that starts a run — a serve job spec, the
+// isasgd-train flags, the isasgd-cluster flags — fills one
+// internal/spec.Spec. Its knob table declares each knob once: JSON name
+// (the flag name swaps '_' for '-'), the run kinds it applies to, and
+// each surface's default. One validator rejects unknown names,
+// non-finite or out-of-range numbers, and, through one capability table
+// (algo × kind × precision × feature), combinations the engines do not
+// run, before any training starts. Training reports its evaluation
+// split into the mean data loss the sparse kernels minimize and the
+// η·r(w) penalty (metrics.Eval.Loss, Reg), and a cluster's target-loss
+// gate reads the loss.
+//
 // # Serving
 //
 // Beyond the batch CLIs, cmd/isasgd-serve runs the library as a

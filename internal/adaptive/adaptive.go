@@ -72,6 +72,24 @@ func (p Policy) Validate() error {
 	return nil
 }
 
+// CheckStep is the one step-size rule of every training surface: the
+// base step λ must be finite and positive.
+func CheckStep(step float64) error {
+	if !(step > 0) || math.IsInf(step, 0) {
+		return fmt.Errorf("step must be positive and finite, got %g", step)
+	}
+	return nil
+}
+
+// CheckDecay is the one step-decay rule: the per-epoch (or per-block,
+// per-round) multiplier must lie in (0, 1]; 0 selects 1, no decay.
+func CheckDecay(decay float64) error {
+	if decay != 0 && !(decay > 0 && decay <= 1) {
+		return fmt.Errorf("step_decay must be in (0, 1], got %g", decay)
+	}
+	return nil
+}
+
 // Scale returns the staleness-adaptive step multiplier 1/(1+c·τ);
 // 1 when adaptation is off or τ is not positive.
 func (p Policy) Scale(tau int64) float64 {

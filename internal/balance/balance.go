@@ -50,6 +50,20 @@ const (
 	LPT
 )
 
+// ParseMode is the one balance-mode lookup: it resolves a String name;
+// "" selects Auto.
+func ParseMode(name string) (Mode, error) {
+	if name == "" {
+		return Auto, nil
+	}
+	for m := Auto; m <= LPT; m++ {
+		if name == m.String() {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown balance mode %q (want auto, balance, shuffle, sorted or lpt)", name)
+}
+
 // String returns the mode name.
 func (m Mode) String() string {
 	switch m {

@@ -328,3 +328,18 @@ func TestShardsDeterministicAcrossCallers(t *testing.T) {
 		t.Fatalf("covered %d of %d indices", len(seen), len(l))
 	}
 }
+
+// TestParseMode pins the one balance-mode lookup: every mode answers to
+// its String name, "" selects Auto, anything else is an error.
+func TestParseMode(t *testing.T) {
+	for in, want := range map[string]Mode{
+		"": Auto, "auto": Auto, "balance": ForceBalance, "shuffle": ForceShuffle, "sorted": Sorted, "lpt": LPT,
+	} {
+		if got, err := ParseMode(in); err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	if _, err := ParseMode("bogus"); err == nil {
+		t.Error("ParseMode accepted an unknown mode")
+	}
+}

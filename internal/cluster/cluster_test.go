@@ -371,8 +371,68 @@ func TestCoordinatorRestartResume(t *testing.T) {
 		t.Fatalf("seq did not advance past restored %d: %+v", seq, st)
 	}
 	ev := metrics.Evaluate(ds, obj, c2.Store().Load().Weights, 1)
-	if math.IsNaN(ev.Obj) || ev.Obj > 0.45 {
-		t.Fatalf("final model loss %g over target", ev.Obj)
+	if math.IsNaN(ev.Loss) || ev.Loss > 0.45 {
+		t.Fatalf("final model loss %g over target", ev.Loss)
+	}
+}
+
+// TestWorkerStepRules pins the one step and step-decay rule on
+// NewWorker: a non-finite step and a decay outside (0, 1], NaN
+// included, are refused.
+func TestWorkerStepRules(t *testing.T) {
+	ds, obj := testCorpus(t)
+	for name, mut := range map[string]func(*WorkerConfig){
+		"NaN step":      func(c *WorkerConfig) { c.Step = math.NaN() },
+		"+Inf step":     func(c *WorkerConfig) { c.Step = math.Inf(1) },
+		"zero step":     func(c *WorkerConfig) { c.Step = 0 },
+		"NaN decay":     func(c *WorkerConfig) { c.StepDecay = math.NaN() },
+		"decay above 1": func(c *WorkerConfig) { c.StepDecay = 1.5 },
+	} {
+		cfg := workerCfg(ds, obj, 0, 1, "http://127.0.0.1:1")
+		mut(&cfg)
+		if _, err := NewWorker(cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// TestTargetLossReadsHoldoutLoss runs a 1-worker star whose target is a
+// hold-out data loss the star reaches, at an η where the stated
+// objective (loss + η‖w‖₁) never comes down to it: the gate reads the
+// loss the kernels minimize, so the run stops on Reached, not on its
+// update budget.
+func TestTargetLossReadsHoldoutLoss(t *testing.T) {
+	full, err := dataset.Synthesize(dataset.Small(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, hold, err := full.SplitTrainTest(0.25, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := objective.LogisticL1{Eta: 1e-3}
+	const target = 0.55
+	c, srv := startCoordinator(t, CoordinatorConfig{
+		Dim: train.Dim(), EvalData: hold, Obj: obj,
+		TargetLoss: target, MaxUpdates: 40 * int64(train.N()),
+		PollTimeout: time.Second,
+	})
+	w, err := NewWorker(workerCfg(train, obj, 0, 1, srv.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := w.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if !st.Reached || st.Loss > target {
+		t.Fatalf("star did not stop on the hold-out loss target %g: %+v", target, st)
+	}
+	ev := metrics.Evaluate(hold, obj, c.Store().Load().Weights, 1)
+	if ev.Loss > target || ev.Obj <= target {
+		t.Fatalf("hold-out loss %g, objective %g: want loss <= %g < objective", ev.Loss, ev.Obj, target)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"github.com/isasgd/isasgd/internal/objective"
 	"github.com/isasgd/isasgd/internal/obs"
 	"github.com/isasgd/isasgd/internal/snapshot"
+	"github.com/isasgd/isasgd/internal/spec"
 	"github.com/isasgd/isasgd/internal/staleness"
 )
 
@@ -58,8 +59,9 @@ type CoordinatorConfig struct {
 
 	// EvalData/Obj drive the convergence gate: every EvalEvery applied
 	// pushes the coordinator evaluates the published weights and stops
-	// the run once the objective reaches TargetLoss (> 0) or cumulative
-	// worker updates reach MaxUpdates (> 0).
+	// the run once the mean data loss on EvalData (metrics.Eval.Loss, the
+	// term the sparse kernels minimize) reaches TargetLoss (> 0), or
+	// cumulative worker updates reach MaxUpdates (> 0).
 	EvalData    *dataset.Dataset
 	Obj         objective.Objective
 	EvalEvery   int
@@ -119,6 +121,19 @@ type coordMetrics struct {
 	seq         *obs.Gauge
 	updates     *obs.Counter
 	loss        *obs.Gauge
+}
+
+// CoordinatorFromSpec compiles a validated cluster spec into the
+// training half of a CoordinatorConfig, evaluating on evalData; the
+// caller adds the stop targets, restored state and transport. It
+// validates nothing: spec.Spec.Validate has.
+func CoordinatorFromSpec(s spec.Spec, evalData *dataset.Dataset) CoordinatorConfig {
+	obj, _ := objective.Parse(s.Objective, s.Eta)
+	return CoordinatorConfig{
+		Dim: evalData.Dim(), StalenessBound: s.StalenessBound,
+		AdaptC: s.AdaptC, DCLambda: s.DCLambda,
+		EvalData: evalData, Obj: obj, EvalEvery: s.EvalEvery,
+	}
 }
 
 // NewCoordinator validates cfg and seeds the store with the initial
@@ -511,8 +526,8 @@ func (c *Coordinator) handlePush(w http.ResponseWriter, r *http.Request) {
 	loss := c.lastLoss()
 	if c.cfg.EvalData != nil && c.cfg.Obj != nil && applied%int64(c.cfg.EvalEvery) == 0 {
 		ev := metrics.Evaluate(c.cfg.EvalData, c.cfg.Obj, v.Weights, c.cfg.EvalWorkers)
-		if c.recordEval(v.Seq, ev.Obj, applied, updates) {
-			loss = ev.Obj
+		if c.recordEval(v.Seq, ev.Loss, applied, updates) {
+			loss = ev.Loss
 		} else {
 			loss = c.lastLoss()
 		}

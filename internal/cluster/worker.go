@@ -8,11 +8,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/isasgd/isasgd/internal/adaptive"
 	"github.com/isasgd/isasgd/internal/balance"
 	"github.com/isasgd/isasgd/internal/core"
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/objective"
+	"github.com/isasgd/isasgd/internal/spec"
 	"github.com/isasgd/isasgd/internal/xrand"
 )
 
@@ -80,6 +82,19 @@ type Worker struct {
 	rounds, appliedN, shed, retries, updates atomic.Int64
 }
 
+// WorkerFromSpec compiles a validated cluster spec into the training
+// half of a WorkerConfig over the shared corpus; the caller adds the
+// node's identity, coordinator URL, wire width and transport. It
+// validates nothing: spec.Spec.Validate has.
+func WorkerFromSpec(s spec.Spec, data *dataset.Dataset) WorkerConfig {
+	obj, _ := objective.Parse(s.Objective, s.Eta)
+	mode, _ := balance.ParseMode(s.Balance)
+	return WorkerConfig{
+		Data: data, Obj: obj, Mode: mode, Seed: s.Seed,
+		Threads: s.Threads, Step: s.Step, StepDecay: s.StepDecay,
+	}
+}
+
 // NewWorker computes the node's shard (deterministically, no
 // coordination) and builds its local importance-sampling engine.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
@@ -101,14 +116,14 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.LocalEpochs < 1 {
 		cfg.LocalEpochs = 1
 	}
-	if cfg.Step <= 0 {
-		return nil, fmt.Errorf("cluster: step %g <= 0", cfg.Step)
+	if err := adaptive.CheckStep(cfg.Step); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	if err := adaptive.CheckDecay(cfg.StepDecay); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	if cfg.StepDecay == 0 {
 		cfg.StepDecay = 1
-	}
-	if !(cfg.StepDecay > 0 && cfg.StepDecay <= 1) {
-		return nil, fmt.Errorf("cluster: step decay %g outside (0, 1]", cfg.StepDecay)
 	}
 	if cfg.PollTimeout <= 0 {
 		cfg.PollTimeout = 30 * time.Second

@@ -11,20 +11,13 @@ import (
 )
 
 // TestSetAdaptiveValidation pins the rejection matrix: bad knobs are
-// refused, a disabled policy always detaches cleanly, and an adaptive
-// policy and a minibatch exclude each other whichever is set first —
-// SetBatch after SetAdaptive used to be accepted and silently ran the
-// minibatch loop with the policy ignored.
+// refused and a disabled policy always detaches cleanly.
 func TestSetAdaptiveValidation(t *testing.T) {
 	ds, obj := smallProblem(t)
-	newEngine := func() *Engine {
-		e, err := NewASGD(ds, obj, model.NewRacy(ds.Dim()), 2, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
+	e, err := NewASGD(ds, obj, model.NewRacy(ds.Dim()), 2, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	e := newEngine()
 	if err := e.SetAdaptive(adaptive.Policy{AdaptC: -1}); err == nil {
 		t.Fatal("negative AdaptC accepted")
 	}
@@ -36,30 +29,6 @@ func TestSetAdaptiveValidation(t *testing.T) {
 	}
 	if err := e.SetAdaptive(adaptive.Policy{}); err != nil {
 		t.Fatalf("disabling failed: %v", err)
-	}
-
-	if err := e.SetBatch(8); err != nil {
-		t.Fatalf("minibatch on a plain engine: %v", err)
-	}
-	if err := e.SetAdaptive(adaptive.Policy{AdaptC: 0.1}); err == nil {
-		t.Fatal("adaptive policy accepted on a minibatch engine")
-	}
-
-	e = newEngine()
-	if err := e.SetAdaptive(adaptive.Policy{StalenessBound: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SetBatch(8); err == nil {
-		t.Fatal("minibatch accepted on an adaptive engine")
-	}
-	if err := e.SetBatch(1); err != nil {
-		t.Fatalf("batch 1 is single-sample and must stay legal: %v", err)
-	}
-	if err := e.SetAdaptive(adaptive.Policy{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SetBatch(8); err != nil {
-		t.Fatalf("minibatch after detaching the policy: %v", err)
 	}
 }
 
@@ -225,24 +194,18 @@ func TestAdaptiveDCDeterministicDampens(t *testing.T) {
 
 // TestInstrumentedStaleness checks the τ histograms against the engine's
 // one update clock on every path of the worker loop, at both precisions:
-// a single worker never sees an interleaved update, so every logical
-// update — one per sample, or one per minibatch — observes exactly 0.
+// a single worker never sees an interleaved update, so every update
+// observes exactly 0.
 func TestInstrumentedStaleness(t *testing.T) {
 	ds, obj := smallProblem(t)
 	for _, kind := range []model.Kind{model.KindRacy, model.KindRacy32} {
-		for _, mode := range []string{"plain", "batch", "adaptive"} {
+		for _, mode := range []string{"plain", "adaptive"} {
 			e, err := NewISSGD(ds, obj, model.New(kind, ds.Dim()), 7, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := int64(ds.N())
-			switch mode {
-			case "batch":
-				if err := e.SetBatch(8); err != nil {
-					t.Fatal(err)
-				}
-				want = (want + 7) / 8
-			case "adaptive":
+			if mode == "adaptive" {
 				if err := e.SetAdaptive(adaptive.Policy{AdaptC: 0.5, StalenessBound: 1}); err != nil {
 					t.Fatal(err)
 				}

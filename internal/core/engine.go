@@ -64,11 +64,9 @@ type Engine struct {
 	seqs     [][]int32          // per worker: pre-generated local-position sequence; nil = online uniform draws
 	rngs     []*xrand.Rand      // per worker
 	samplers []sampling.Sampler // per worker; retained for sequence regeneration
-	scratch  []kernel.Scratch   // per worker: reusable minibatch buffers
 
 	shuffleSeq  bool // reuse one sequence, reshuffled per epoch (paper's Sec 4.2 trick)
 	partialBias bool // mix distribution with uniform (Needell et al. 2014)
-	batch       int  // minibatch size; 0/1 = single-sample updates
 	decision    balance.Decision
 
 	// Mid-training publication (PublishTo): every pubEvery completed
@@ -132,27 +130,12 @@ func (e *Engine) Instrument(ti *obs.TrainInstruments) {
 // 1/(1+c·τ) on the measured per-update staleness, updates shed over a
 // staleness bound, and DC-ASGD delay compensation against an epoch-start
 // base snapshot. A zero (disabled) policy detaches. Every model kind
-// runs it; minibatch engines do not (see checkAdaptiveBatch). Must not
-// be called while RunEpoch is in flight.
+// runs it. Must not be called while RunEpoch is in flight.
 func (e *Engine) SetAdaptive(p adaptive.Policy) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	if err := checkAdaptiveBatch(p, e.batch); err != nil {
-		return err
-	}
 	e.pol = p
-	return nil
-}
-
-// checkAdaptiveBatch is the one rule SetAdaptive and SetBatch share, so
-// either call order reaches it: the adaptive probe brackets a single
-// sample's gradient read and its write, and a minibatch has no such
-// pair.
-func checkAdaptiveBatch(p adaptive.Policy, batch int) error {
-	if p.Enabled() && batch > 1 {
-		return fmt.Errorf("core: adaptive updates require single-sample steps, got batch %d", batch)
-	}
 	return nil
 }
 
@@ -199,11 +182,7 @@ func newEngine(ds *dataset.Dataset, obj objective.Objective, m model.Params, thr
 	if threads > ds.N() {
 		threads = ds.N()
 	}
-	e := &Engine{
-		ds: ds, obj: obj, m: m, numT: threads,
-		idx:     ds.X.Idx,
-		scratch: make([]kernel.Scratch, threads),
-	}
+	e := &Engine{ds: ds, obj: obj, m: m, numT: threads, idx: ds.X.Idx}
 	// Bind the devirtualized update kernel once: the model's concrete
 	// type is fixed for the engine's lifetime, so the specialization
 	// chosen here serves every epoch.
@@ -243,23 +222,6 @@ func NewASGD(ds *dataset.Dataset, obj objective.Objective, m model.Params, threa
 	e.shards = balance.Split(order, e.Threads())
 	// Uniform online draws: no sequences, no scales.
 	return e, nil
-}
-
-// SetBatch configures mini-batch updates of size b (>= 1). Each step
-// draws b indices i.i.d. from the worker's distribution, computes all b
-// scaled gradients at the current model, and applies their average —
-// the i.i.d. minibatch importance sampling of Csiba & Richtárik (2016).
-// One epoch still touches len(shard) samples. b > 1 is rejected while an
-// adaptive policy is installed (see checkAdaptiveBatch).
-func (e *Engine) SetBatch(b int) error {
-	if b < 1 {
-		b = 1
-	}
-	if err := checkAdaptiveBatch(e.pol, b); err != nil {
-		return err
-	}
-	e.batch = b
-	return nil
 }
 
 // ISOptions configures the importance-sampling constructions.
@@ -519,55 +481,8 @@ func runShard[V float32 | float64](e *Engine, t int, step float64, k kernel.Ops[
 	if e.staleH != nil {
 		sh = e.staleH[t]
 	}
-	n := len(shard)
-
-	if b := e.batch; b > 1 {
-		// Minibatch: all b scores are computed against the same model
-		// state before any update is applied, then the averaged scaled
-		// gradients are written back. The draw/score buffers are
-		// per-worker scratch owned by the engine, so steady-state epochs
-		// allocate nothing.
-		pos, grads := e.scratch[t].Grow(b)
-		for it := 0; it < n; {
-			bb := min(b, n-it)
-			for c := 0; c < bb; c++ {
-				var p int
-				if seq != nil {
-					p = int(seq[it+c])
-				} else {
-					p = rng.Intn(n)
-				}
-				pos[c] = p
-				i := shard[p]
-				lo, hi := ptr[i], ptr[i+1]
-				g := obj.Deriv(k.Dot(idx[lo:hi], vals[lo:hi]), y[i])
-				if scale != nil {
-					g *= scale[p]
-				}
-				grads[c] = g
-			}
-			// The whole batch is one logical update against one model
-			// read, so staleness brackets the write-back phase, not each
-			// coordinate write.
-			inv := step / float64(bb)
-			var begin int64
-			if sh != nil {
-				begin = ck.Now()
-			}
-			for c := 0; c < bb; c++ {
-				i := shard[pos[c]]
-				lo, hi := ptr[i], ptr[i+1]
-				k.Update(idx[lo:hi], vals[lo:hi], grads[c], inv)
-			}
-			if sh != nil {
-				sh.Observe(ck.Tick() - begin - 1)
-			}
-			it += bb
-		}
-		return
-	}
-
 	var (
+		n     = len(shard)
 		pol   = e.pol
 		adapt = pol.Enabled()
 		base  = e.dcBase

@@ -13,9 +13,8 @@ import (
 // The float32 engine tests back the PR's end-to-end acceptance
 // criterion: IS-ASGD on the f32 data path must optimize the same
 // objective to the same region as f64, for every f32 model kind
-// (racy32 flat, racy32 feature-blocked, atomic32), on both the scalar
-// and minibatch hot loops, while staying allocation-free in steady
-// state. f64-vs-f32 weight trajectories diverge by accumulated
+// (racy32 flat, racy32 feature-blocked, atomic32), while staying
+// allocation-free in steady state. f64-vs-f32 weight trajectories diverge by accumulated
 // float32 rounding, so the comparison is on the achieved objective
 // value, not on weights.
 
@@ -24,7 +23,7 @@ var f32Kinds = []model.Kind{model.KindRacy32, model.KindRacy32Blocked, model.Kin
 // TestF32MatchesF64Objective runs identically-seeded serial engines —
 // one f64, one per f32 kind — and requires the f32 objectives to land
 // within 1% (relative) of the f64 result after every epoch, on both
-// kernel families and both the scalar and minibatch paths.
+// kernel families.
 func TestF32MatchesF64Objective(t *testing.T) {
 	ds, err := dataset.Synthesize(dataset.Small(23))
 	if err != nil {
@@ -34,44 +33,36 @@ func TestF32MatchesF64Objective(t *testing.T) {
 		objective.LogisticL1{Eta: 1e-4},
 		objective.LeastSquaresL2{Eta: 1e-3},
 	} {
-		for _, batch := range []int{1, 8} {
-			for _, kind := range f32Kinds {
-				name := obj.Name() + "/" + kind.String()
-				if batch > 1 {
-					name += "/minibatch"
+		for _, kind := range f32Kinds {
+			t.Run(obj.Name()+"/"+kind.String(), func(t *testing.T) {
+				ref := buildConstruction(t, "is-asgd", ds, obj, model.NewRacy(ds.Dim()))
+				e32 := buildConstruction(t, "is-asgd", ds, obj, model.New(kind, ds.Dim()))
+				before := objValue(ds, obj, ref.Snapshot(nil))
+				for epoch := 0; epoch < 5; epoch++ {
+					ref.RunEpochSerial(0.3)
+					e32.RunEpochSerial(0.3)
+					o64 := objValue(ds, obj, ref.Snapshot(nil))
+					o32 := objValue(ds, obj, e32.Snapshot(nil))
+					if math.Abs(o32-o64) > 1e-2*(1+math.Abs(o64)) {
+						t.Fatalf("epoch %d: f32 objective %g vs f64 %g — outside 1%% band",
+							epoch, o32, o64)
+					}
 				}
-				t.Run(name, func(t *testing.T) {
-					ref := buildConstruction(t, "is-asgd", ds, obj, model.NewRacy(ds.Dim()), batch)
-					e32 := buildConstruction(t, "is-asgd", ds, obj, model.New(kind, ds.Dim()), batch)
-					before := objValue(ds, obj, ref.Snapshot(nil))
-					for epoch := 0; epoch < 5; epoch++ {
-						ref.RunEpochSerial(0.3)
-						e32.RunEpochSerial(0.3)
-						o64 := objValue(ds, obj, ref.Snapshot(nil))
-						o32 := objValue(ds, obj, e32.Snapshot(nil))
-						if math.Abs(o32-o64) > 1e-2*(1+math.Abs(o64)) {
-							t.Fatalf("epoch %d: f32 objective %g vs f64 %g — outside 1%% band",
-								epoch, o32, o64)
-						}
-					}
-					// Progress check: the band above proves f32 tracks f64;
-					// this proves the pair is actually descending, not
-					// matching at a standstill. (Minibatch logistic descends
-					// slower per epoch than scalar, so the bar is descent,
-					// not a fixed ratio.)
-					after := objValue(ds, obj, e32.Snapshot(nil))
-					if after >= before {
-						t.Fatalf("f32 failed to optimize: %g -> %g", before, after)
-					}
-				})
-			}
+				// Progress check: the band above proves f32 tracks f64;
+				// this proves the pair is actually descending, not
+				// matching at a standstill.
+				after := objValue(ds, obj, e32.Snapshot(nil))
+				if after >= before {
+					t.Fatalf("f32 failed to optimize: %g -> %g", before, after)
+				}
+			})
 		}
 	}
 }
 
 // TestRunEpochZeroAlloc32 is TestRunEpochZeroAlloc for the f32 hot
 // loops: after warm-up, RunEpoch on a single-worker IS-SGD engine must
-// not allocate — for every f32 model kind, scalar and minibatch. The
+// not allocate — for every f32 model kind. The
 // blocked kind additionally proves the per-row physical-slot remap
 // (Engine.idx slicing) costs no steady-state allocations.
 func TestRunEpochZeroAlloc32(t *testing.T) {
@@ -84,28 +75,16 @@ func TestRunEpochZeroAlloc32(t *testing.T) {
 	}
 	obj := objective.LogisticL1{Eta: 1e-4}
 	for _, kind := range f32Kinds {
-		for _, tc := range []struct {
-			name  string
-			batch int
-		}{
-			{"scalar", 1},
-			{"minibatch", 16},
-		} {
-			t.Run(kind.String()+"/"+tc.name, func(t *testing.T) {
-				e, err := NewISSGD(ds, obj, model.New(kind, ds.Dim()), 41, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if tc.batch > 1 {
-					e.SetBatch(tc.batch)
-				}
-				e.RunEpoch(0.1) // warm up scratch
-				if n := testing.AllocsPerRun(5, func() { e.RunEpoch(0.1) }); n != 0 {
-					t.Errorf("%s/%s RunEpoch: %v steady-state allocs per epoch, want 0",
-						kind, tc.name, n)
-				}
-			})
-		}
+		t.Run(kind.String()+"/scalar", func(t *testing.T) {
+			e, err := NewISSGD(ds, obj, model.New(kind, ds.Dim()), 41, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.RunEpoch(0.1) // warm up
+			if n := testing.AllocsPerRun(5, func() { e.RunEpoch(0.1) }); n != 0 {
+				t.Errorf("%s RunEpoch: %v steady-state allocs per epoch, want 0", kind, n)
+			}
+		})
 	}
 }
 
@@ -123,12 +102,8 @@ func TestConcurrentEpochsAtomic32Model(t *testing.T) {
 		"is-asgd": func() (*Engine, error) {
 			return NewISASGD(ds, obj, model.NewAtomic32(ds.Dim()), threads, balance.Auto, 0, 1, false)
 		},
-		"is-asgd-batched": func() (*Engine, error) {
-			e, err := NewISASGD(ds, obj, model.NewAtomic32(ds.Dim()), threads, balance.ForceBalance, 0, 1, true)
-			if e != nil {
-				e.SetBatch(8)
-			}
-			return e, err
+		"is-asgd-balanced": func() (*Engine, error) {
+			return NewISASGD(ds, obj, model.NewAtomic32(ds.Dim()), threads, balance.ForceBalance, 0, 1, true)
 		},
 	}
 	for name, build := range builders {

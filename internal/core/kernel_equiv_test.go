@@ -11,9 +11,9 @@ import (
 )
 
 // buildConstruction instantiates one of the four paper constructions
-// with the given model, fixed seed and optional minibatch size.
+// with the given model and a fixed seed.
 func buildConstruction(t *testing.T, name string, ds *dataset.Dataset,
-	obj objective.Objective, m model.Params, batch int) *Engine {
+	obj objective.Objective, m model.Params) *Engine {
 	t.Helper()
 	const seed = 99
 	var (
@@ -35,16 +35,12 @@ func buildConstruction(t *testing.T, name string, ds *dataset.Dataset,
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batch > 1 {
-		e.SetBatch(batch)
-	}
 	return e
 }
 
 // TestKernelEquivalenceAcrossConstructions proves the specialized
 // kernels are bitwise-identical to the reference kernel end to end: for
-// every construction (SGD / ASGD / IS-SGD / IS-ASGD) × scalar/minibatch
-// × both model kinds, two engines with identical seeds — one on the
+// every construction (SGD / ASGD / IS-SGD / IS-ASGD) × both model kinds, two engines with identical seeds — one on the
 // devirtualized kernel, one forced onto the interface reference — run
 // epochs with workers serialized and must produce identical weight bit
 // patterns. (Serial worker execution makes the multi-worker
@@ -59,40 +55,32 @@ func TestKernelEquivalenceAcrossConstructions(t *testing.T) {
 		objective.LeastSquaresL2{Eta: 1e-3}, // → L2 kernels
 	} {
 		for _, construction := range []string{"sgd", "is-sgd", "asgd", "is-asgd"} {
-			for _, batch := range []int{1, 8} {
-				for _, kind := range []model.Kind{model.KindRacy, model.KindAtomic} {
-					name := construction + "/" + obj.Name() + "/" + kind.String()
-					if batch > 1 {
-						name += "/minibatch"
-					}
-					t.Run(name, func(t *testing.T) {
-						spec := buildConstruction(t, construction, ds, obj, model.New(kind, ds.Dim()), batch)
-						ref := buildConstruction(t, construction, ds, obj, model.New(kind, ds.Dim()), batch)
-						ref.UseReferenceKernel()
-						for epoch := 0; epoch < 3; epoch++ {
-							spec.RunEpochSerial(0.3)
-							ref.RunEpochSerial(0.3)
-							ws := spec.Snapshot(nil)
-							wr := ref.Snapshot(nil)
-							for j := range ws {
-								if math.Float64bits(ws[j]) != math.Float64bits(wr[j]) {
-									t.Fatalf("epoch %d, coordinate %d: specialized %x (%g) != reference %x (%g)",
-										epoch, j, math.Float64bits(ws[j]), ws[j], math.Float64bits(wr[j]), wr[j])
-								}
+			for _, kind := range []model.Kind{model.KindRacy, model.KindAtomic} {
+				t.Run(construction+"/"+obj.Name()+"/"+kind.String(), func(t *testing.T) {
+					spec := buildConstruction(t, construction, ds, obj, model.New(kind, ds.Dim()))
+					ref := buildConstruction(t, construction, ds, obj, model.New(kind, ds.Dim()))
+					ref.UseReferenceKernel()
+					for epoch := 0; epoch < 3; epoch++ {
+						spec.RunEpochSerial(0.3)
+						ref.RunEpochSerial(0.3)
+						ws := spec.Snapshot(nil)
+						wr := ref.Snapshot(nil)
+						for j := range ws {
+							if math.Float64bits(ws[j]) != math.Float64bits(wr[j]) {
+								t.Fatalf("epoch %d, coordinate %d: specialized %x (%g) != reference %x (%g)",
+									epoch, j, math.Float64bits(ws[j]), ws[j], math.Float64bits(wr[j]), wr[j])
 							}
 						}
-					})
-				}
+					}
+				})
 			}
 		}
 	}
 }
 
 // TestRunEpochZeroAlloc is the steady-state allocation guard: after the
-// first epoch, RunEpoch must not allocate — for the scalar kernel
-// (per-epoch sequence regeneration reuses its buffer in place) and for
-// the minibatch kernel (per-worker scratch is owned by the engine).
-// Single worker: goroutine spawning in the multi-worker path allocates
+// first epoch, RunEpoch must not allocate (per-epoch sequence
+// regeneration reuses its buffer in place). Single worker: goroutine spawning in the multi-worker path allocates
 // by design.
 func TestRunEpochZeroAlloc(t *testing.T) {
 	if model.RaceEnabled {
@@ -103,27 +91,16 @@ func TestRunEpochZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	obj := objective.LogisticL1{Eta: 1e-4}
-	for _, tc := range []struct {
-		name  string
-		batch int
-	}{
-		{"scalar", 1},
-		{"minibatch", 16},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			// IS-SGD exercises the full hot path: sequences, scales and
-			// end-of-epoch in-place regeneration.
-			e, err := NewISSGD(ds, obj, model.NewRacy(ds.Dim()), 41, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.batch > 1 {
-				e.SetBatch(tc.batch)
-			}
-			e.RunEpoch(0.1) // warm up scratch
-			if n := testing.AllocsPerRun(5, func() { e.RunEpoch(0.1) }); n != 0 {
-				t.Errorf("%s RunEpoch: %v steady-state allocs per epoch, want 0", tc.name, n)
-			}
-		})
-	}
+	t.Run("scalar", func(t *testing.T) {
+		// IS-SGD exercises the full hot path: sequences, scales and
+		// end-of-epoch in-place regeneration.
+		e, err := NewISSGD(ds, obj, model.NewRacy(ds.Dim()), 41, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.RunEpoch(0.1) // warm up
+		if n := testing.AllocsPerRun(5, func() { e.RunEpoch(0.1) }); n != 0 {
+			t.Errorf("RunEpoch: %v steady-state allocs per epoch, want 0", n)
+		}
+	})
 }

@@ -21,7 +21,7 @@ func weightHash(w []float64) uint64 {
 // TestPinnedWeights pins the worker loops bitwise: a single-worker
 // IS-SGD run with a fixed seed must end on exactly the weights recorded
 // before the per-precision loops were merged into the generic ones, for
-// every model kind on the plain, minibatch and adaptive paths. The f32
+// every model kind on the plain and adaptive paths. The f32
 // adaptive rows did not exist then (the f32 path rejected the policy);
 // they pin the behaviour the merge introduced. The adaptive policy runs
 // with τ = 0 (one worker), so it is the decomposed Dot → Deriv →
@@ -47,14 +47,10 @@ func TestPinnedWeights(t *testing.T) {
 	}{
 		{f64Kinds, "plain", "l1", 0xfcd6262c7f56c7e7},
 		{f64Kinds, "plain", "l2", 0x8395b89f5c7ccc04},
-		{f64Kinds, "batch", "l1", 0x87f48213f7e48425},
-		{f64Kinds, "batch", "l2", 0xaddea681b1b7e1bc},
 		{f64Kinds, "adaptive", "l1", 0x7e50625e165a42f1},
 		{f64Kinds, "adaptive", "l2", 0x8d406604b7f9f614},
 		{f32Kinds, "plain", "l1", 0x63982a102c21d18a},
 		{f32Kinds, "plain", "l2", 0xb91fec1c29892157},
-		{f32Kinds, "batch", "l1", 0x7bd397cb8de39b4f},
-		{f32Kinds, "batch", "l2", 0x5953f369c99a77f4},
 		{f32Kinds, "adaptive", "l1", 0xa1cfc9c1fc560135},
 		{f32Kinds, "adaptive", "l2", 0xafed2b4d1998d84b},
 	} {
@@ -65,10 +61,7 @@ func TestPinnedWeights(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				switch tc.mode {
-				case "batch":
-					e.SetBatch(8)
-				case "adaptive":
+				if tc.mode == "adaptive" {
 					if err := e.SetAdaptive(adaptive.Policy{AdaptC: 0.5, StalenessBound: 4, DCLambda: 0.05}); err != nil {
 						t.Fatal(err)
 					}

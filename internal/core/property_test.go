@@ -110,27 +110,3 @@ func TestSequencesCoverShardRangeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestBatchEquivalenceSingle: batch size 1 must take the exact same
-// trajectory as the unbatched path under the same seed (sequential).
-func TestBatchEquivalenceSingle(t *testing.T) {
-	ds, obj := smallProblem(t)
-	run := func(batch int) []float64 {
-		m := model.NewRacy(ds.Dim())
-		e, err := NewISSGD(ds, obj, m, 33, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.SetBatch(batch)
-		for ep := 0; ep < 2; ep++ {
-			e.RunEpoch(0.4)
-		}
-		return e.Snapshot(nil)
-	}
-	a, b := run(0), run(1)
-	for j := range a {
-		if a[j] != b[j] {
-			t.Fatal("batch=1 trajectory differs from unbatched")
-		}
-	}
-}

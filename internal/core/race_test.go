@@ -23,12 +23,8 @@ func TestConcurrentEpochsAtomicModel(t *testing.T) {
 		"is-asgd": func() (*Engine, error) {
 			return NewISASGD(ds, obj, model.NewAtomic(ds.Dim()), threads, balance.Auto, 0, 1, false)
 		},
-		"is-asgd-batched": func() (*Engine, error) {
-			e, err := NewISASGD(ds, obj, model.NewAtomic(ds.Dim()), threads, balance.ForceBalance, 0, 1, true)
-			if e != nil {
-				e.SetBatch(8)
-			}
-			return e, err
+		"is-asgd-balanced": func() (*Engine, error) {
+			return NewISASGD(ds, obj, model.NewAtomic(ds.Dim()), threads, balance.ForceBalance, 0, 1, true)
 		},
 	}
 	for name, build := range builders {

@@ -265,6 +265,29 @@ func Small(seed uint64) SynthConfig {
 	}
 }
 
+// Preset is the one preset-name lookup. Each preset answers to its
+// Name (small, news20s, urls, kddas, kddbs) and to the short spelling
+// (news20, url, kdda, kddb); seed goes to the generator unchanged and
+// scale must lie in (0, 1] (small ignores it).
+func Preset(name string, scale float64, seed uint64) (SynthConfig, error) {
+	if !(scale > 0 && scale <= 1) {
+		return SynthConfig{}, fmt.Errorf("scale must be in (0,1], got %g", scale)
+	}
+	switch name {
+	case "small":
+		return Small(seed), nil
+	case "news20s", "news20":
+		return News20Like(scale, seed), nil
+	case "urls", "url":
+		return URLLike(scale, seed), nil
+	case "kddas", "kdda":
+		return KDDALike(scale, seed), nil
+	case "kddbs", "kddb":
+		return KDDBLike(scale, seed), nil
+	}
+	return SynthConfig{}, fmt.Errorf("unknown dataset preset %q (want small, news20s, urls, kddas or kddbs)", name)
+}
+
 // Presets returns the four paper-analog configurations at the given
 // scale, in Table-1 order.
 func Presets(scale float64, seed uint64) []SynthConfig {

@@ -89,7 +89,6 @@
 // over the value type only and call an ordinary Ops[V] interface value,
 // which dispatches exactly as the concrete Kernel interface did.
 //
-// Scalar-step allocation is zero by construction; the minibatch path
-// keeps per-worker Scratch buffers owned by the caller so steady-state
-// epochs allocate nothing either (guarded by testing.AllocsPerRun).
+// Scalar-step allocation is zero by construction (guarded by
+// testing.AllocsPerRun).
 package kernel

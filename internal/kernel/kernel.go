@@ -6,8 +6,7 @@ import (
 )
 
 // Ops is the per-sample update surface of a kernel over rows whose
-// feature values have type V: every operation a single-sample or
-// minibatch worker loop performs. Kernel extends Ops[float64] with the
+// feature values have type V: every operation a worker loop performs. Kernel extends Ops[float64] with the
 // dense SVRG/SAGA operations; Kernel32 is Ops[float32]. Both precisions
 // have the whole surface, so a worker loop written once over V runs
 // every feature — adaptive steps, staleness shedding, delay
@@ -45,8 +44,7 @@ type Ops[V float32 | float64] interface {
 	StepClamped(idx []int32, val []V, y, s float64)
 	// Update applies the write-back half only, for a precomputed (and
 	// possibly importance-scaled or variance-reduced) derivative g:
-	// w[j] -= s·(g·val[k] + reg'(w[j])). Used by the minibatch second
-	// phase and the SVRG inner loop.
+	// w[j] -= s·(g·val[k] + reg'(w[j])). Used by the SVRG inner loop.
 	Update(idx []int32, val []V, g, s float64)
 	// UpdateClamped is Update restricted to indices inside the model —
 	// the streaming decomposed-step path (score, observe the loss, then

@@ -366,47 +366,3 @@ func BenchmarkRacyL2StepF32Blocked(b *testing.B) {
 		k.Step(idx[r], val[r], 1, 1e-6)
 	}
 }
-
-// Minibatch half of the acceptance pair: the two-phase score-then-
-// write-back pattern the batch engine runs, batch 16, both precisions.
-func benchBatchL2(b *testing.B, k64 Kernel, k32 Kernel32,
-	idx [][]int32, val64 [][]float64, val32 [][]float32) {
-	const batch = 16
-	obj := objective.LeastSquaresL2{Eta: 0.01}
-	grads := make([]float64, batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += batch {
-		if k32 != nil {
-			for c := 0; c < batch; c++ {
-				r := (i + c) & 511
-				grads[c] = obj.Deriv(k32.Dot(idx[r], val32[r]), 1)
-			}
-			for c := 0; c < batch; c++ {
-				r := (i + c) & 511
-				k32.Update(idx[r], val32[r], grads[c], 1e-6)
-			}
-			continue
-		}
-		for c := 0; c < batch; c++ {
-			r := (i + c) & 511
-			grads[c] = obj.Deriv(k64.Dot(idx[r], val64[r]), 1)
-		}
-		for c := 0; c < batch; c++ {
-			r := (i + c) & 511
-			k64.Update(idx[r], val64[r], grads[c], 1e-6)
-		}
-	}
-}
-
-func BenchmarkRacyL2BatchF64(b *testing.B) {
-	idx, val64, _ := benchRows32(benchDim32, 512, 64)
-	k := New(model.NewRacy(benchDim32), objective.LeastSquaresL2{Eta: 0.01})
-	benchBatchL2(b, k, nil, idx, val64, nil)
-}
-
-func BenchmarkRacyL2BatchF32(b *testing.B) {
-	idx, _, val32 := benchRows32(benchDim32, 512, 64)
-	k := New32(model.NewRacy32(benchDim32), objective.LeastSquaresL2{Eta: 0.01})
-	benchBatchL2(b, nil, k, idx, nil, val32)
-}

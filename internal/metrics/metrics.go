@@ -25,9 +25,14 @@ import (
 	"github.com/isasgd/isasgd/internal/objective"
 )
 
-// Eval is a full-dataset evaluation of a model.
+// Eval is a full-dataset evaluation of a model. Obj = Loss + Reg is the
+// stated objective F(w); the sparse kernels minimize Loss plus the
+// regularizer on each sample's support only (see package objective), so
+// Loss is the term training drives down.
 type Eval struct {
-	Obj     float64 // F(w) = mean loss + penalty
+	Obj     float64 // F(w) = Loss + Reg
+	Loss    float64 // mean data loss
+	Reg     float64 // η·r(w), the full penalty (η‖w‖₁ for logistic-l1)
 	RMSE    float64 // sqrt(mean loss²)
 	ErrRate float64 // misclassification fraction
 }
@@ -86,8 +91,11 @@ func Evaluate(d *dataset.Dataset, obj objective.Objective, w []float64, workers 
 		total.errs += pt.errs
 	}
 	fn := float64(n)
+	loss, reg := total.loss/fn, obj.Reg().Penalty(w)
 	return Eval{
-		Obj:     total.loss/fn + obj.Reg().Penalty(w),
+		Obj:     loss + reg,
+		Loss:    loss,
+		Reg:     reg,
 		RMSE:    math.Sqrt(total.lossSq / fn),
 		ErrRate: float64(total.errs) / fn,
 	}

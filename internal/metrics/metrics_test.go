@@ -258,3 +258,23 @@ func TestFormatPoint(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalSplitsObjective pins Obj = Loss + Reg, Reg the full penalty.
+func TestEvalSplitsObjective(t *testing.T) {
+	ds, err := dataset.Synthesize(dataset.Small(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := objective.LogisticL1{Eta: 1e-2}
+	w := make([]float64, ds.Dim())
+	for j := range w {
+		w[j] = float64(j%7) - 3
+	}
+	ev := Evaluate(ds, obj, w, 2)
+	if reg := obj.Reg().Penalty(w); ev.Reg != reg || ev.Reg <= 0 {
+		t.Fatalf("Reg %g, want the penalty %g", ev.Reg, reg)
+	}
+	if ev.Obj != ev.Loss+ev.Reg {
+		t.Fatalf("Obj %g != Loss %g + Reg %g", ev.Obj, ev.Loss, ev.Reg)
+	}
+}

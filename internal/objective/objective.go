@@ -20,6 +20,13 @@
 //
 // Per-sample importance weights L_i (Eq. 12) are derived from sample
 // norms via Lipschitz; Weights computes them for a whole dataset.
+//
+// The sparse update kernels (internal/kernel, used by core, stream and
+// the cluster worker) fuse the regularizer derivative η·r'(w_j) into
+// the gradient write on the sample's support only, as Hogwild does. In
+// expectation they therefore minimize mean loss + η·Σ_j π_j·|w_j| (π_j
+// the share of rows touching feature j), not the F(w) that Penalty
+// reports; metrics.Eval keeps the two terms apart (Loss, Reg).
 package objective
 
 import (
@@ -249,6 +256,20 @@ func signLabel(z float64) float64 {
 		return -1
 	}
 	return 1
+}
+
+// Parse is the one objective-name lookup: it resolves a name
+// (logistic-l1, sqhinge-l2 or lsq-l2) and the regularization strength η to an Objective.
+func Parse(name string, eta float64) (Objective, error) {
+	switch name {
+	case "logistic-l1":
+		return LogisticL1{Eta: eta}, nil
+	case "sqhinge-l2":
+		return SquaredHingeL2{Lambda: eta}, nil
+	case "lsq-l2":
+		return LeastSquaresL2{Eta: eta}, nil
+	}
+	return nil, fmt.Errorf("unknown objective %q (want logistic-l1, sqhinge-l2 or lsq-l2)", name)
 }
 
 // Weights returns the per-sample importance weights L_i (Eq. 12

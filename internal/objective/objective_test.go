@@ -257,3 +257,19 @@ func TestFullGradientDescentReducesObjective(t *testing.T) {
 		}
 	}
 }
+
+// TestParse pins the one objective-name lookup.
+func TestParse(t *testing.T) {
+	for name, want := range map[string]Objective{
+		"logistic-l1": LogisticL1{Eta: 0.5},
+		"sqhinge-l2":  SquaredHingeL2{Lambda: 0.5},
+		"lsq-l2":      LeastSquaresL2{Eta: 0.5},
+	} {
+		if got, err := Parse(name, 0.5); err != nil || got != want {
+			t.Errorf("Parse(%q) = %#v, %v; want %#v", name, got, err, want)
+		}
+	}
+	if _, err := Parse("bogus", 1); err == nil {
+		t.Error("Parse accepted an unknown objective")
+	}
+}

@@ -7,19 +7,19 @@ import (
 
 // TestCompileBatchAdaptiveValidation pins the synchronous 400 surface
 // for the adaptive knobs on batch jobs: stream-only fields, bad values
-// and unsupported algo/batch combinations must all fail at submission,
+// and unsupported algo combinations must all fail at submission,
 // while valid policies compile into the solver config at either
 // precision.
 func TestCompileBatchAdaptiveValidation(t *testing.T) {
 	base := func() JobSpec { return JobSpec{Dataset: "small", Algo: "asgd"} }
 	bad := map[string]func(*JobSpec){
-		"importance on batch":  func(s *JobSpec) { s.Importance = "loss" },
-		"loss_beta on batch":   func(s *JobSpec) { s.LossBeta = 0.5 },
-		"NaN adapt_c":          func(s *JobSpec) { s.AdaptC = math.NaN() },
-		"negative dc_lambda":   func(s *JobSpec) { s.DCLambda = -1 },
-		"negative bound":       func(s *JobSpec) { s.StalenessBound = -4 },
-		"adaptive on saga":     func(s *JobSpec) { s.Algo = "saga"; s.AdaptC = 0.1 },
-		"adaptive + minibatch": func(s *JobSpec) { s.Batch = 8; s.StalenessBound = 16 },
+		"importance on batch": func(s *JobSpec) { s.Importance = "loss" },
+		"loss_beta on batch":  func(s *JobSpec) { s.LossBeta = 0.5 },
+		"NaN adapt_c":         func(s *JobSpec) { s.AdaptC = math.NaN() },
+		"negative dc_lambda":  func(s *JobSpec) { s.DCLambda = -1 },
+		"negative bound":      func(s *JobSpec) { s.StalenessBound = -4 },
+		"adaptive on saga":    func(s *JobSpec) { s.Algo = "saga"; s.AdaptC = 0.1 },
+		"adaptive on svrg":    func(s *JobSpec) { s.Algo = "svrg-asgd"; s.StalenessBound = 16 },
 	}
 	for name, mutate := range bad {
 		spec := base()

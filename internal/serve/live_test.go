@@ -320,11 +320,11 @@ func TestLiveModelLifecycleRespectsExternalWriters(t *testing.T) {
 // does.
 func parsedObjective(t *testing.T) objective.Objective {
 	t.Helper()
-	obj, err := parseObjective(JobSpec{})
+	r, err := compile(JobSpec{Dataset: "small"}, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return obj
+	return r.obj
 }
 
 // TestRollbackRestoresPreviousModel: a live job over an existing name

@@ -15,8 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/isasgd/isasgd/internal/adaptive"
-	"github.com/isasgd/isasgd/internal/balance"
 	"github.com/isasgd/isasgd/internal/checkpoint"
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/metrics"
@@ -25,6 +23,7 @@ import (
 	"github.com/isasgd/isasgd/internal/obs"
 	"github.com/isasgd/isasgd/internal/snapshot"
 	"github.com/isasgd/isasgd/internal/solver"
+	"github.com/isasgd/isasgd/internal/spec"
 	"github.com/isasgd/isasgd/internal/stream"
 )
 
@@ -302,62 +301,81 @@ type resolved struct {
 	blockSize  int
 }
 
-// compile validates a spec and resolves names to library values.
-// Validation errors surface synchronously at submission time so the API
-// can answer 400 instead of parking a doomed job in the queue. bodyFed
-// reports that the streaming source is an upload body rather than Path;
-// streamRoot is the directory file-fed jobs are confined to ("" rejects
-// them).
-func compile(spec JobSpec, bodyFed bool, streamRoot string) (*resolved, error) {
-	switch spec.Kind {
-	case "", "batch":
+// maxModelDim bounds a model's dimension: a streaming job's dim, and the
+// Dim a replica accepts from its origin's model list.
+const maxModelDim = 1 << 28
+
+// compile validates a spec and resolves it to library values, so the API
+// answers 400 at submission instead of parking a doomed job in the
+// queue. The spec's defaults and rules are spec.Spec's; serve adds its
+// resource bounds and the job's source: a preset or inline data for a
+// batch job, Path (confined to streamRoot, "" rejects it) or, when
+// bodyFed, the upload body for a streaming job.
+func compile(s JobSpec, bodyFed bool, streamRoot string) (*resolved, error) {
+	switch s.Kind {
+	case "", spec.KindBatch:
 		if bodyFed {
 			return nil, fmt.Errorf("serve: upload-fed jobs must set kind \"stream\"")
 		}
-		return compileBatch(spec)
-	case "stream":
-		return compileStream(spec, bodyFed, streamRoot)
+	case spec.KindStream:
 	default:
-		return nil, fmt.Errorf("serve: unknown job kind %q (want batch or stream)", spec.Kind)
+		return nil, fmt.Errorf("serve: unknown job kind %q (want batch or stream)", s.Kind)
 	}
-}
-
-func compileBatch(spec JobSpec) (*resolved, error) {
+	s.Defaults(spec.Serve)
+	if err := s.Validate(); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	// The service's resource bounds: one request must not pin unbounded
+	// memory or spawn unbounded worker goroutines.
+	for _, b := range []struct {
+		name   string
+		v, max int
+	}{
+		{"epochs", s.Epochs, 100_000_000}, {"threads", s.Threads, 1 << 10},
+		{"dim", s.Dim, maxModelDim}, {"block_size", s.BlockSize, 1 << 22},
+		{"window_blocks", s.WindowBlocks, 1 << 12}, {"updates_per_block", s.UpdatesPerBlock, 1 << 26},
+		{"reservoir", s.Reservoir, 1 << 24},
+	} {
+		if b.v > b.max {
+			return nil, fmt.Errorf("serve: %s must be at most %d, got %d", b.name, b.max, b.v)
+		}
+	}
+	np := runtime.GOMAXPROCS(0) // more workers than cores only adds conflict
 	r := &resolved{}
-
-	if spec.Path != "" || spec.Dim != 0 || spec.BlockSize != 0 || spec.WindowBlocks != 0 ||
-		spec.UpdatesPerBlock != 0 || spec.Reservoir != 0 || spec.RebuildEvery != 0 {
-		return nil, fmt.Errorf("serve: streaming fields require kind \"stream\"")
+	if s.Kind == spec.KindStream {
+		switch {
+		case bodyFed && s.Path != "":
+			return nil, fmt.Errorf("serve: upload-fed streaming jobs must not also set path")
+		case !bodyFed && s.Path == "":
+			return nil, fmt.Errorf("serve: streaming jobs require a path (or use POST /v1/jobs/stream with a body)")
+		case !bodyFed:
+			p, err := resolveStreamPath(streamRoot, s.Path)
+			if err != nil {
+				return nil, err
+			}
+			fi, err := os.Stat(p)
+			if err != nil {
+				return nil, fmt.Errorf("serve: stream path: %w", err)
+			}
+			if fi.IsDir() {
+				return nil, fmt.Errorf("serve: stream path %q is a directory", s.Path)
+			}
+			r.streamPath = p
+		}
+		cfg := stream.FromSpec(s)
+		cfg.Workers = min(cfg.Workers, np)
+		r.stream, r.obj, r.blockSize = &cfg, cfg.Obj, s.BlockSize
+		// The solver config only reports the algo, step and seed.
+		algo, _ := solver.ParseAlgo(s.Algo)
+		r.cfg = solver.Config{Algo: algo, Step: cfg.Step, Seed: cfg.Seed, Threads: cfg.Workers}
+		return r, nil
 	}
 	switch {
-	case spec.Dataset != "" && spec.Data != "":
-		return nil, fmt.Errorf("serve: set either dataset or data, not both")
-	case spec.Dataset != "":
-		scale := spec.Scale
-		if scale == 0 {
-			scale = 1
-		}
-		if scale <= 0 || scale > 1 {
-			return nil, fmt.Errorf("serve: scale must be in (0,1], got %g", spec.Scale)
-		}
-		var cfg dataset.SynthConfig
-		switch spec.Dataset {
-		case "small":
-			cfg = dataset.Small(spec.Seed)
-		case "news20s":
-			cfg = dataset.News20Like(scale, spec.Seed)
-		case "urls":
-			cfg = dataset.URLLike(scale, spec.Seed)
-		case "kddas":
-			cfg = dataset.KDDALike(scale, spec.Seed)
-		case "kddbs":
-			cfg = dataset.KDDBLike(scale, spec.Seed)
-		default:
-			return nil, fmt.Errorf("serve: unknown dataset preset %q (want small, news20s, urls, kddas or kddbs)", spec.Dataset)
-		}
+	case s.Dataset != "":
+		cfg, _ := dataset.Preset(s.Dataset, s.Scale, s.Seed)
 		r.synth = &cfg
-	case spec.Data != "":
-		ds, err := dataset.ParseLibSVM(strings.NewReader(spec.Data), "inline", spec.MinDim)
+	case s.Data != "":
+		ds, err := dataset.ParseLibSVM(strings.NewReader(s.Data), "inline", s.MinDim)
 		if err != nil {
 			return nil, fmt.Errorf("serve: parse inline data: %w", err)
 		}
@@ -365,99 +383,9 @@ func compileBatch(spec JobSpec) (*resolved, error) {
 	default:
 		return nil, fmt.Errorf("serve: a dataset preset or inline data is required")
 	}
-
-	algoName := spec.Algo
-	if algoName == "" {
-		algoName = "is-asgd"
-	}
-	algo, err := solver.ParseAlgo(algoName)
-	if err != nil {
-		return nil, err
-	}
-	// Mirror the solver's precision validation synchronously: unknown
-	// names and the float64-only solvers answer 400 at submission, not an
-	// asynchronous failure.
-	prec, err := model.ParsePrecision(spec.Precision)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	if prec == model.PrecisionF32 && (algo == solver.SVRGSGD || algo == solver.SVRGASGD || algo == solver.SAGA) {
-		return nil, fmt.Errorf("serve: precision f32 is not supported for %s (dense correction passes are float64-only)", algoName)
-	}
-	if spec.Importance != "" || spec.LossBeta != 0 {
-		return nil, fmt.Errorf("serve: importance/loss_beta select the streaming sampler weighting and require kind \"stream\"")
-	}
-	// Mirror the solver's adaptive validation synchronously: the policy
-	// knobs are Engine-only (single-sample updates), so reject the dense-
-	// correction algos and minibatch at submission.
-	pol := adaptive.Policy{AdaptC: spec.AdaptC, StalenessBound: spec.StalenessBound, DCLambda: spec.DCLambda}
-	if err := pol.Validate(); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	if spec.StalenessBound < 0 {
-		return nil, fmt.Errorf("serve: staleness_bound must be non-negative, got %d", spec.StalenessBound)
-	}
-	if pol.Enabled() {
-		switch {
-		case algo == solver.SVRGSGD || algo == solver.SVRGASGD || algo == solver.SAGA:
-			return nil, fmt.Errorf("serve: adaptive knobs are not supported for %s", algoName)
-		case spec.Batch > 1:
-			return nil, fmt.Errorf("serve: adaptive knobs do not apply to minibatch jobs")
-		}
-	}
-
-	var err2 error
-	if r.obj, err2 = parseObjective(spec); err2 != nil {
-		return nil, err2
-	}
-	bal, err2 := parseBalanceMode(spec.Balance)
-	if err2 != nil {
-		return nil, err2
-	}
-
-	epochs := spec.Epochs
-	if epochs == 0 {
-		epochs = 10
-	}
-	step := spec.Step
-	if step == 0 {
-		step = 0.5
-	}
-	// Mirror solver validation synchronously (plus service-level resource
-	// bounds) so a doomed or abusive spec gets a 400 at submission instead
-	// of a 202 followed by an asynchronous failure — or a single request
-	// spawning an unbounded number of worker goroutines.
-	const (
-		maxEpochs  = 100_000_000
-		maxBatch   = 1 << 20
-		maxThreads = 1 << 10
-	)
-	switch {
-	case epochs < 0 || epochs > maxEpochs:
-		return nil, fmt.Errorf("serve: epochs must be in [1, %d], got %d", maxEpochs, spec.Epochs)
-	case step < 0 || math.IsNaN(step) || math.IsInf(step, 0):
-		return nil, fmt.Errorf("serve: step must be positive and finite, got %g", spec.Step)
-	case spec.StepDecay < 0 || spec.StepDecay > 1:
-		return nil, fmt.Errorf("serve: step_decay must be in (0, 1], got %g", spec.StepDecay)
-	case spec.Eta < 0 || math.IsNaN(spec.Eta) || math.IsInf(spec.Eta, 0):
-		return nil, fmt.Errorf("serve: eta must be non-negative and finite, got %g", spec.Eta)
-	case spec.Threads < 0 || spec.Threads > maxThreads:
-		return nil, fmt.Errorf("serve: threads must be in [0, %d], got %d", maxThreads, spec.Threads)
-	case spec.Batch < 0 || spec.Batch > maxBatch:
-		return nil, fmt.Errorf("serve: batch must be in [0, %d], got %d", maxBatch, spec.Batch)
-	case spec.EvalEvery < 0:
-		return nil, fmt.Errorf("serve: eval_every must be non-negative, got %d", spec.EvalEvery)
-	}
-	threads := spec.Threads
-	if np := runtime.GOMAXPROCS(0); threads > np {
-		threads = np // more workers than cores only adds conflict
-	}
-	r.cfg = solver.Config{
-		Algo: algo, Epochs: epochs, Step: step, StepDecay: spec.StepDecay,
-		Threads: threads, Balance: bal, Batch: spec.Batch, Seed: spec.Seed,
-		EvalEvery: spec.EvalEvery, Precision: prec,
-		AdaptC: spec.AdaptC, StalenessBound: spec.StalenessBound, DCLambda: spec.DCLambda,
-	}
+	r.obj, _ = objective.Parse(s.Objective, s.Eta)
+	r.cfg = solver.FromSpec(s)
+	r.cfg.Threads = min(r.cfg.Threads, np)
 	return r, nil
 }
 
@@ -491,190 +419,6 @@ func resolveStreamPath(root, p string) (string, error) {
 		return "", fmt.Errorf("serve: stream path %q escapes the stream root", p)
 	}
 	return real, nil
-}
-
-// parseObjective resolves the spec's objective name and regularization.
-func parseObjective(spec JobSpec) (objective.Objective, error) {
-	eta := spec.Eta
-	if eta == 0 {
-		eta = 1e-4
-	}
-	switch spec.Objective {
-	case "", "logistic-l1":
-		return objective.LogisticL1{Eta: eta}, nil
-	case "sqhinge-l2":
-		return objective.SquaredHingeL2{Lambda: eta}, nil
-	case "lsq-l2":
-		return objective.LeastSquaresL2{Eta: eta}, nil
-	default:
-		return nil, fmt.Errorf("serve: unknown objective %q", spec.Objective)
-	}
-}
-
-// parseBalanceMode resolves a balance-mode name.
-func parseBalanceMode(s string) (balance.Mode, error) {
-	switch s {
-	case "", "auto":
-		return balance.Auto, nil
-	case "balance":
-		return balance.ForceBalance, nil
-	case "shuffle":
-		return balance.ForceShuffle, nil
-	case "sorted":
-		return balance.Sorted, nil
-	case "lpt":
-		return balance.LPT, nil
-	default:
-		return 0, fmt.Errorf("serve: unknown balance mode %q", s)
-	}
-}
-
-// maxModelDim bounds a model's dimension: a streaming job's dim, and the
-// Dim a replica accepts from its origin's model list.
-const maxModelDim = 1 << 28
-
-// compileStream validates a streaming spec and builds the
-// stream.Config. The source is Path (server-side file, confined to
-// streamRoot) or, when bodyFed, the upload body handed to SubmitStream.
-func compileStream(spec JobSpec, bodyFed bool, streamRoot string) (*resolved, error) {
-	r := &resolved{}
-
-	switch {
-	case spec.Dataset != "" || spec.Data != "":
-		return nil, fmt.Errorf("serve: streaming jobs take a path or an upload body, not dataset/data")
-	case spec.Batch != 0 || spec.Epochs != 0 || spec.EvalEvery != 0:
-		return nil, fmt.Errorf("serve: batch/epochs/eval_every do not apply to streaming jobs")
-	case bodyFed && spec.Path != "":
-		return nil, fmt.Errorf("serve: upload-fed streaming jobs must not also set path")
-	case !bodyFed && spec.Path == "":
-		return nil, fmt.Errorf("serve: streaming jobs require a path (or use POST /v1/jobs/stream with a body)")
-	}
-	if !bodyFed {
-		p, err := resolveStreamPath(streamRoot, spec.Path)
-		if err != nil {
-			return nil, err
-		}
-		fi, err := os.Stat(p)
-		if err != nil {
-			return nil, fmt.Errorf("serve: stream path: %w", err)
-		}
-		if fi.IsDir() {
-			return nil, fmt.Errorf("serve: stream path %q is a directory", spec.Path)
-		}
-		r.streamPath = p
-	}
-
-	// Service-level resource bounds, mirroring compileBatch.
-	const (
-		maxBlockSize = 1 << 22
-		maxWindow    = 1 << 12
-		maxUpdates   = 1 << 26
-		maxReservoir = 1 << 24
-		maxThreads   = 1 << 10
-	)
-	switch {
-	case spec.Dim < 1 || spec.Dim > maxModelDim:
-		return nil, fmt.Errorf("serve: streaming jobs require dim in [1, %d], got %d", maxModelDim, spec.Dim)
-	case spec.BlockSize < 0 || spec.BlockSize > maxBlockSize:
-		return nil, fmt.Errorf("serve: block_size must be in [0, %d], got %d", maxBlockSize, spec.BlockSize)
-	case spec.WindowBlocks < 0 || spec.WindowBlocks > maxWindow:
-		return nil, fmt.Errorf("serve: window_blocks must be in [0, %d], got %d", maxWindow, spec.WindowBlocks)
-	case spec.UpdatesPerBlock < 0 || spec.UpdatesPerBlock > maxUpdates:
-		return nil, fmt.Errorf("serve: updates_per_block must be in [0, %d], got %d", maxUpdates, spec.UpdatesPerBlock)
-	case spec.Reservoir < 0 || spec.Reservoir > maxReservoir:
-		return nil, fmt.Errorf("serve: reservoir must be in [0, %d], got %d", maxReservoir, spec.Reservoir)
-	case spec.RebuildEvery < 0:
-		return nil, fmt.Errorf("serve: rebuild_every must be non-negative, got %d", spec.RebuildEvery)
-	case spec.Threads < 0 || spec.Threads > maxThreads:
-		return nil, fmt.Errorf("serve: threads must be in [0, %d], got %d", maxThreads, spec.Threads)
-	case spec.StepDecay < 0 || spec.StepDecay > 1:
-		return nil, fmt.Errorf("serve: step_decay must be in (0, 1], got %g", spec.StepDecay)
-	case spec.Eta < 0 || math.IsNaN(spec.Eta) || math.IsInf(spec.Eta, 0):
-		return nil, fmt.Errorf("serve: eta must be non-negative and finite, got %g", spec.Eta)
-	}
-
-	var err error
-	if r.obj, err = parseObjective(spec); err != nil {
-		return nil, err
-	}
-	bal, err := parseBalanceMode(spec.Balance)
-	if err != nil {
-		return nil, err
-	}
-	prec, err := model.ParsePrecision(spec.Precision)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-
-	// Algo selects the online sampler: the uniform baselines stream with
-	// uniform draws, the IS variants with the reservoir-backed importance
-	// state. Worker count is the async dial exactly as in batch jobs.
-	uniform := false
-	algoName := spec.Algo
-	if algoName == "" {
-		algoName = "is-asgd"
-	}
-	algo, err := solver.ParseAlgo(algoName)
-	if err != nil {
-		return nil, err
-	}
-	switch algo {
-	case solver.SGD, solver.ASGD:
-		uniform = true
-	case solver.ISSGD, solver.ISASGD:
-	default:
-		return nil, fmt.Errorf("serve: algo %q does not support streaming (want sgd, asgd, is-sgd or is-asgd)", algoName)
-	}
-
-	// Mirror the stream trainer's adaptive validation synchronously so a
-	// doomed spec answers 400 at submission instead of failing async.
-	switch spec.Importance {
-	case "", "bound":
-	case "loss":
-		if uniform {
-			return nil, fmt.Errorf("serve: importance \"loss\" requires an importance-sampling algo (is-sgd or is-asgd)")
-		}
-	default:
-		return nil, fmt.Errorf("serve: unknown importance %q (want bound or loss)", spec.Importance)
-	}
-	if spec.DCLambda != 0 {
-		return nil, fmt.Errorf("serve: dc_lambda applies to batch jobs only (streaming updates have no retained base)")
-	}
-	if err := (adaptive.Policy{AdaptC: spec.AdaptC, StalenessBound: spec.StalenessBound}).Validate(); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	if spec.StalenessBound < 0 {
-		return nil, fmt.Errorf("serve: staleness_bound must be non-negative, got %d", spec.StalenessBound)
-	}
-
-	step := spec.Step
-	if step == 0 {
-		step = 0.5
-	}
-	if step < 0 || math.IsNaN(step) || math.IsInf(step, 0) {
-		return nil, fmt.Errorf("serve: step must be positive and finite, got %g", spec.Step)
-	}
-	threads := spec.Threads
-	if algo == solver.SGD || algo == solver.ISSGD {
-		threads = 1 // sequential algos are sequential, matching isasgd-train -stream
-	}
-	if np := runtime.GOMAXPROCS(0); threads > np {
-		threads = np
-	}
-	r.blockSize = spec.BlockSize
-	r.stream = &stream.Config{
-		Obj: r.obj, Dim: spec.Dim,
-		Workers: threads, Step: step, StepDecay: spec.StepDecay,
-		WindowBlocks: spec.WindowBlocks, UpdatesPerBlock: spec.UpdatesPerBlock,
-		Reservoir: spec.Reservoir, RebuildEvery: spec.RebuildEvery,
-		Mode: bal, Uniform: uniform, Seed: spec.Seed,
-		Precision:  prec,
-		Importance: spec.Importance, LossBeta: spec.LossBeta,
-		AdaptC: spec.AdaptC, StalenessBound: spec.StalenessBound,
-	}
-	// Record the algo for status reporting.
-	r.cfg = solver.Config{Algo: algo, Step: step, Seed: spec.Seed, Threads: threads}
-	return r, nil
 }
 
 // register validates naming, allocates an id and enters the job into

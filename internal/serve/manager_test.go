@@ -185,7 +185,7 @@ func TestCompileValidation(t *testing.T) {
 		"bad step_decay":  {Dataset: "small", StepDecay: 2},
 		"negative eta":    {Dataset: "small", Eta: -1},
 		"huge threads":    {Dataset: "small", Threads: 1 << 20},
-		"negative batch":  {Dataset: "small", Batch: -1},
+		"negative eval":   {Dataset: "small", EvalEvery: -1},
 		"too many epochs": {Dataset: "small", Epochs: 1 << 40},
 		"negative step":   {Dataset: "small", Step: -0.5},
 	} {

@@ -202,7 +202,7 @@ func TestCompileStreamValidation(t *testing.T) {
 		"missing source":        {Kind: "stream", Dim: 8},
 		"dataset on stream":     func() JobSpec { s := base(); s.Dataset = "small"; return s }(),
 		"epochs on stream":      func() JobSpec { s := base(); s.Epochs = 3; return s }(),
-		"batch on stream":       func() JobSpec { s := base(); s.Batch = 4; return s }(),
+		"eval_every on stream":  func() JobSpec { s := base(); s.EvalEvery = 4; return s }(),
 		"bad algo":              func() JobSpec { s := base(); s.Algo = "svrg-sgd"; return s }(),
 		"bad kind":              {Kind: "bogus", Dataset: "small"},
 		"negative rebuild":      func() JobSpec { s := base(); s.RebuildEvery = -1; return s }(),

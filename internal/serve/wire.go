@@ -54,72 +54,14 @@ import (
 	"time"
 
 	"github.com/isasgd/isasgd/internal/metrics"
+	"github.com/isasgd/isasgd/internal/spec"
 )
 
-// JobSpec is the POST /v1/jobs request body.
-//
-// Batch jobs (Kind "" or "batch") require exactly one data source:
-// Dataset (a synthetic preset name: small, news20s, urls, kddas, kddbs)
-// or Data (an inline LibSVM payload). Zero-valued solver fields select
-// the same defaults as cmd/isasgd-train.
-//
-// Streaming jobs (Kind "stream") train online over a chunked LibSVM
-// stream with internal/stream's sliding-window trainer: the source is
-// either Path (a server-side file, trained asynchronously like any job)
-// or the request body of POST /v1/jobs/stream (trained while the upload
-// is in flight). Dim is required — a streaming model cannot grow
-// mid-stream. Algo selects the sampler: sgd/asgd train with uniform
-// draws, is-sgd/is-asgd (the default) with online importance sampling.
-type JobSpec struct {
-	// Model is the registry name the finished job publishes under;
-	// defaults to the job id.
-	Model string `json:"model,omitempty"`
-
-	Kind string `json:"kind,omitempty"` // ""|"batch"|"stream"
-
-	Dataset string  `json:"dataset,omitempty"` // synthetic preset name
-	Scale   float64 `json:"scale,omitempty"`   // preset scale in (0,1]; default 1
-	Data    string  `json:"data,omitempty"`    // inline LibSVM payload
-	MinDim  int     `json:"min_dim,omitempty"` // minimum dim for inline data
-
-	// Streaming source and window geometry (Kind "stream").
-	Path            string `json:"path,omitempty"`              // server-side LibSVM file
-	Dim             int    `json:"dim,omitempty"`               // fixed model dim; required
-	BlockSize       int    `json:"block_size,omitempty"`        // rows per chunk; default 1024
-	WindowBlocks    int    `json:"window_blocks,omitempty"`     // resident blocks; default 4
-	UpdatesPerBlock int    `json:"updates_per_block,omitempty"` // update budget per chunk; default block rows
-	Reservoir       int    `json:"reservoir,omitempty"`         // per-worker ISState capacity
-	RebuildEvery    int    `json:"rebuild_every,omitempty"`     // alias rebuild cadence; default once per block
-
-	// Adaptive update knobs (internal/adaptive). Importance selects the
-	// streaming sampler's row weighting — "" or "bound" for the static
-	// Lipschitz upper bound, "loss" for loss-feedback re-weighting
-	// (streaming jobs only; incompatible with the uniform algos).
-	// LossBeta is the loss-EMA observation weight for "loss" (0 selects
-	// the default). AdaptC attenuates stale updates by 1/(1+c·τ) and
-	// StalenessBound sheds updates with measured τ over the bound; both
-	// apply to streaming jobs and to batch Engine algos (sgd/asgd/
-	// is-sgd/is-asgd, batch ≤ 1). DCLambda enables DC-ASGD delay
-	// compensation on batch Engine jobs only.
-	Importance     string  `json:"importance,omitempty"`
-	LossBeta       float64 `json:"loss_beta,omitempty"`
-	AdaptC         float64 `json:"adapt_c,omitempty"`
-	StalenessBound int64   `json:"staleness_bound,omitempty"`
-	DCLambda       float64 `json:"dc_lambda,omitempty"`
-
-	Algo      string  `json:"algo,omitempty"`      // default is-asgd
-	Objective string  `json:"objective,omitempty"` // logistic-l1|sqhinge-l2|lsq-l2
-	Precision string  `json:"precision,omitempty"` // f64 (default) | f32; f32 trains half-width weights/features (not for svrg-*/saga)
-	Eta       float64 `json:"eta,omitempty"`       // regularization; default 1e-4
-	Epochs    int     `json:"epochs,omitempty"`    // default 10
-	Step      float64 `json:"step,omitempty"`      // default 0.5
-	StepDecay float64 `json:"step_decay,omitempty"`
-	Threads   int     `json:"threads,omitempty"`
-	Balance   string  `json:"balance,omitempty"` // auto|balance|shuffle|sorted|lpt
-	Batch     int     `json:"batch,omitempty"`
-	Seed      uint64  `json:"seed,omitempty"`
-	EvalEvery int     `json:"eval_every,omitempty"` // curve granularity; default 1
-}
+// JobSpec is the POST /v1/jobs request body: the one training spec
+// (spec.Spec documents every field). A zero knob takes the serve
+// surface's default; spec.Spec.Validate and the manager's resource
+// bounds answer 400 for the rest.
+type JobSpec = spec.Spec
 
 // JobState is the lifecycle phase of a job.
 type JobState string

@@ -6,83 +6,7 @@ import (
 
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/objective"
-	"github.com/isasgd/isasgd/internal/sparse"
 )
-
-func TestMiniBatchConverges(t *testing.T) {
-	ds, err := dataset.Synthesize(dataset.Small(71))
-	if err != nil {
-		t.Fatal(err)
-	}
-	obj := objective.LogisticL1{Eta: 1e-4}
-	for _, algo := range []Algo{SGD, ISSGD, ASGD, ISASGD} {
-		for _, batch := range []int{4, 16} {
-			// Averaging b draws cuts the gradient variance by b, which
-			// is what licenses the usual linear step-size scaling; an
-			// epoch makes n/b steps either way.
-			res, err := Train(context.Background(), ds, obj, Config{
-				Algo: algo, Epochs: 6, Step: 0.25 * float64(batch),
-				Threads: 4, Seed: 2, Batch: batch,
-			})
-			if err != nil {
-				t.Fatalf("%v batch=%d: %v", algo, batch, err)
-			}
-			// A batch of b averages b draws per step, so an epoch makes
-			// n/b steps — per-epoch progress is legitimately slower than
-			// single-sample SGD; the bar here is meaningful descent.
-			if res.Curve.Final().Obj >= res.Curve[0].Obj*0.85 {
-				t.Fatalf("%v batch=%d failed to optimize: %g -> %g",
-					algo, batch, res.Curve[0].Obj, res.Curve.Final().Obj)
-			}
-			if res.Iters != int64(6*ds.N()) {
-				t.Fatalf("%v batch=%d iters = %d, want %d (epochs still touch n samples)",
-					algo, batch, res.Iters, 6*ds.N())
-			}
-		}
-	}
-}
-
-func TestMiniBatchLargerThanShard(t *testing.T) {
-	rows := []sparse.Vector{
-		{Idx: []int32{0}, Val: []float64{1}},
-		{Idx: []int32{1}, Val: []float64{1}},
-		{Idx: []int32{0, 1}, Val: []float64{1, -1}},
-	}
-	ds, err := dataset.FromRows("three", 2, rows, []float64{1, -1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Batch far larger than the per-worker shard: must clamp, not hang.
-	res, err := Train(context.Background(), ds, objective.LeastSquaresL2{Eta: 0}, Config{
-		Algo: ASGD, Epochs: 2, Step: 0.1, Threads: 2, Seed: 1, Batch: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iters != int64(2*ds.N()) {
-		t.Fatalf("iters = %d", res.Iters)
-	}
-}
-
-func TestMiniBatchRejectedForDenseSolvers(t *testing.T) {
-	ds, err := dataset.Synthesize(dataset.Small(72))
-	if err != nil {
-		t.Fatal(err)
-	}
-	obj := objective.LogisticL1{Eta: 1e-4}
-	for _, algo := range []Algo{SVRGSGD, SVRGASGD, SAGA} {
-		if _, err := Train(context.Background(), ds, obj, Config{
-			Algo: algo, Epochs: 1, Step: 0.1, Batch: 8,
-		}); err == nil {
-			t.Errorf("%v accepted Batch > 1", algo)
-		}
-	}
-	if _, err := Train(context.Background(), ds, obj, Config{
-		Algo: SGD, Epochs: 1, Step: 0.1, Batch: -1,
-	}); err == nil {
-		t.Error("negative Batch accepted")
-	}
-}
 
 func TestWarmStart(t *testing.T) {
 	ds, err := dataset.Synthesize(dataset.Small(73))

@@ -1,0 +1,9 @@
+package solver
+
+import (
+	"testing"
+
+	"github.com/isasgd/isasgd/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

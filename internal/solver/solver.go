@@ -19,9 +19,7 @@ package solver
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
-	"strings"
 	"time"
 
 	"github.com/isasgd/isasgd/internal/adaptive"
@@ -33,6 +31,7 @@ import (
 	"github.com/isasgd/isasgd/internal/objective"
 	"github.com/isasgd/isasgd/internal/obs"
 	"github.com/isasgd/isasgd/internal/snapshot"
+	"github.com/isasgd/isasgd/internal/spec"
 )
 
 // Algo identifies a training algorithm.
@@ -72,19 +71,25 @@ func (a Algo) String() string {
 }
 
 // ParseAlgo resolves a name (case-insensitive, with or without dashes)
-// to an Algo.
+// to an Algo through the spec's capability table.
 func ParseAlgo(s string) (Algo, error) {
-	key := strings.ToLower(strings.ReplaceAll(strings.TrimSpace(s), "_", "-"))
-	for _, a := range []Algo{SGD, ISSGD, ASGD, ISASGD, SVRGSGD, SVRGASGD, SAGA} {
-		if key == a.String() {
+	c, err := spec.LookupAlgo(s)
+	if err != nil {
+		return 0, fmt.Errorf("solver: %w", err)
+	}
+	for a := SGD; a <= SAGA; a++ {
+		if c.Name == a.String() {
 			return a, nil
 		}
 	}
-	return 0, fmt.Errorf("solver: unknown algorithm %q", s)
+	return 0, fmt.Errorf("solver: algorithm %q has no solver", c.Name)
 }
 
 // Async reports whether the algorithm runs concurrent workers.
-func (a Algo) Async() bool { return a == ASGD || a == ISASGD || a == SVRGASGD }
+func (a Algo) Async() bool {
+	c, _ := spec.LookupAlgo(a.String())
+	return c.Async
+}
 
 // Config controls a training run. Zero values select documented defaults.
 type Config struct {
@@ -116,12 +121,11 @@ type Config struct {
 	AdaptEvery int
 
 	// Adaptive-update options (Engine-based algorithms — SGD, IS-SGD,
-	// ASGD, IS-ASGD — with single-sample steps, at either precision;
-	// rejected for SVRG/SAGA and minibatch runs). AdaptC > 0 attenuates
-	// each update's step by 1/(1+AdaptC·τ) on its measured staleness;
-	// StalenessBound > 0 sheds updates whose τ exceeds it; DCLambda > 0
-	// applies DC-ASGD delay compensation λ·d²·(w_now − w_base) against an
-	// epoch-start base snapshot. Zero values disable each knob; with all
+	// ASGD, IS-ASGD — at either precision; rejected for SVRG/SAGA).
+	// AdaptC > 0 attenuates each update's step by 1/(1+AdaptC·τ) on its
+	// measured staleness; StalenessBound > 0 sheds updates whose τ
+	// exceeds it; DCLambda > 0 applies DC-ASGD delay compensation
+	// λ·d²·(w_now − w_base) against an epoch-start base snapshot. Zero values disable each knob; with all
 	// three zero the plain hot loop runs untouched.
 	AdaptC         float64
 	StalenessBound int64
@@ -142,13 +146,6 @@ type Config struct {
 	// boundary. Rejected for the SVRG/SAGA solvers, whose dense
 	// correction passes are float64-only.
 	Precision string
-
-	// Batch selects mini-batch updates of the given size for the
-	// Engine-based algorithms (SGD, IS-SGD, ASGD, IS-ASGD): each step
-	// averages the scaled gradients of Batch i.i.d. draws (Csiba &
-	// Richtárik 2016). 0 or 1 means single-sample updates. Rejected for
-	// the SVRG/SAGA solvers.
-	Batch int
 
 	// InitWeights warm-starts the model (e.g. from a checkpoint). Must
 	// match the dataset dimensionality when non-nil.
@@ -221,43 +218,48 @@ func (c Config) validate(ds *dataset.Dataset) error {
 		return fmt.Errorf("solver: empty dataset")
 	case c.Epochs <= 0:
 		return fmt.Errorf("solver: Epochs must be positive, got %d", c.Epochs)
-	case c.Step <= 0 || math.IsNaN(c.Step) || math.IsInf(c.Step, 0):
-		return fmt.Errorf("solver: Step must be positive and finite, got %g", c.Step)
-	case c.StepDecay <= 0 || c.StepDecay > 1:
-		return fmt.Errorf("solver: StepDecay must be in (0, 1], got %g", c.StepDecay)
-	case c.Batch < 0:
-		return fmt.Errorf("solver: Batch must be non-negative, got %d", c.Batch)
-	case c.Batch > 1 && (c.Algo == SVRGSGD || c.Algo == SVRGASGD || c.Algo == SAGA):
-		return fmt.Errorf("solver: Batch is not supported for %v", c.Algo)
 	case c.InitWeights != nil && len(c.InitWeights) != ds.Dim():
 		return fmt.Errorf("solver: InitWeights length %d != dataset dim %d", len(c.InitWeights), ds.Dim())
 	case c.AdaptEvery < 0:
 		return fmt.Errorf("solver: AdaptEvery must be non-negative, got %d", c.AdaptEvery)
+	case c.StalenessBound < 0:
+		return fmt.Errorf("solver: StalenessBound must be non-negative, got %d", c.StalenessBound)
+	}
+	if err := adaptive.CheckStep(c.Step); err != nil {
+		return fmt.Errorf("solver: %w", err)
+	}
+	if err := adaptive.CheckDecay(c.StepDecay); err != nil {
+		return fmt.Errorf("solver: %w", err)
 	}
 	prec, err := model.ParsePrecision(c.Precision)
 	if err != nil {
 		return err
 	}
-	f32 := prec == model.PrecisionF32 || c.ModelKind.Is32()
-	if f32 && (c.Algo == SVRGSGD || c.Algo == SVRGASGD || c.Algo == SAGA) {
-		return fmt.Errorf("solver: f32 precision is not supported for %v (dense correction passes are float64-only)", c.Algo)
+	if c.ModelKind.Is32() {
+		prec = model.PrecisionF32
 	}
 	pol := adaptive.Policy{AdaptC: c.AdaptC, StalenessBound: c.StalenessBound, DCLambda: c.DCLambda}
 	if err := pol.Validate(); err != nil {
 		return fmt.Errorf("solver: %w", err)
 	}
-	if c.StalenessBound < 0 {
-		return fmt.Errorf("solver: StalenessBound must be non-negative, got %d", c.StalenessBound)
-	}
-	if pol.Enabled() {
-		switch {
-		case c.Algo == SVRGSGD || c.Algo == SVRGASGD || c.Algo == SAGA:
-			return fmt.Errorf("solver: adaptive updates are not supported for %v", c.Algo)
-		case c.Batch > 1:
-			return fmt.Errorf("solver: adaptive updates require single-sample steps, got Batch %d", c.Batch)
-		}
+	if err := spec.Check(c.Algo.String(), spec.KindBatch, prec, pol.Enabled(), ""); err != nil {
+		return fmt.Errorf("solver: %w", err)
 	}
 	return nil
+}
+
+// FromSpec compiles a validated spec into a batch Config. It validates
+// nothing: spec.Spec.Validate has.
+func FromSpec(s spec.Spec) Config {
+	algo, _ := ParseAlgo(s.Algo)
+	mode, _ := balance.ParseMode(s.Balance)
+	prec, _ := model.ParsePrecision(s.Precision)
+	return Config{
+		Algo: algo, Epochs: s.Epochs, Step: s.Step, StepDecay: s.StepDecay,
+		Threads: s.Threads, Balance: mode, Seed: s.Seed, EvalEvery: s.EvalEvery,
+		Precision: prec,
+		AdaptC:    s.AdaptC, StalenessBound: s.StalenessBound, DCLambda: s.DCLambda,
+	}
 }
 
 // Result is the outcome of a training run.
@@ -347,11 +349,6 @@ func Train(ctx context.Context, ds *dataset.Dataset, obj objective.Objective, cf
 	}
 	if err != nil {
 		return nil, err
-	}
-	if eng != nil && cfg.Batch > 1 {
-		if bErr := eng.SetBatch(cfg.Batch); bErr != nil {
-			return nil, fmt.Errorf("solver: %w", bErr)
-		}
 	}
 	if eng != nil {
 		pol := adaptive.Policy{AdaptC: cfg.AdaptC, StalenessBound: cfg.StalenessBound, DCLambda: cfg.DCLambda}

@@ -276,11 +276,31 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 		{Algo: ISASGD, Epochs: 2, Step: 0.1, AdaptC: -1},
 		{Algo: ISASGD, Epochs: 2, Step: 0.1, StalenessBound: -3},
 		{Algo: ISASGD, Epochs: 2, Step: 0.1, DCLambda: math.Inf(1)},
-		{Algo: ISASGD, Epochs: 2, Step: 0.1, AdaptC: 0.1, Batch: 8},
+		{Algo: SVRGASGD, Epochs: 2, Step: 0.1, StalenessBound: 8},
 	}
 	for i, cfg := range bad {
 		if _, err := Train(context.Background(), ds, obj, cfg); err == nil {
 			t.Errorf("adaptive config %d accepted", i)
+		}
+	}
+}
+
+// TestStepRules pins the one step and step-decay rule on Train: a
+// non-finite step and a decay outside (0, 1], NaN included, are refused
+// before training starts.
+func TestStepRules(t *testing.T) {
+	ds, obj := testProblem(t)
+	for name, cfg := range map[string]Config{
+		"NaN step":       {Step: math.NaN()},
+		"+Inf step":      {Step: math.Inf(1)},
+		"zero step":      {Step: 0},
+		"NaN decay":      {Step: 0.1, StepDecay: math.NaN()},
+		"negative decay": {Step: 0.1, StepDecay: -0.5},
+		"decay above 1":  {Step: 0.1, StepDecay: 1.5},
+	} {
+		cfg.Algo, cfg.Epochs = SGD, 1
+		if _, err := Train(context.Background(), ds, obj, cfg); err == nil {
+			t.Errorf("%s accepted", name)
 		}
 	}
 }

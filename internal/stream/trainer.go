@@ -17,6 +17,7 @@ import (
 	"github.com/isasgd/isasgd/internal/objective"
 	"github.com/isasgd/isasgd/internal/obs"
 	"github.com/isasgd/isasgd/internal/snapshot"
+	"github.com/isasgd/isasgd/internal/spec"
 	"github.com/isasgd/isasgd/internal/xrand"
 )
 
@@ -189,6 +190,31 @@ type Trainer struct {
 	shed     atomic.Int64
 }
 
+// FromSpec compiles a validated streaming spec into a Config. It
+// validates nothing: spec.Spec.Validate has. The sequential algos
+// (sgd, is-sgd) train with one worker; the uniform ones (sgd, asgd)
+// draw uniformly.
+func FromSpec(s spec.Spec) Config {
+	a, _ := spec.LookupAlgo(s.Algo)
+	obj, _ := objective.Parse(s.Objective, s.Eta)
+	mode, _ := balance.ParseMode(s.Balance)
+	prec, _ := model.ParsePrecision(s.Precision)
+	workers := s.Threads
+	if !a.Async {
+		workers = 1
+	}
+	return Config{
+		Obj: obj, Dim: s.Dim,
+		Workers: workers, Step: s.Step, StepDecay: s.StepDecay,
+		WindowBlocks: s.WindowBlocks, UpdatesPerBlock: s.UpdatesPerBlock,
+		Reservoir: s.Reservoir, RebuildEvery: s.RebuildEvery,
+		Mode: mode, Uniform: !a.Weighted, Seed: s.Seed,
+		Precision:  prec,
+		Importance: s.Importance, LossBeta: s.LossBeta,
+		AdaptC: s.AdaptC, StalenessBound: s.StalenessBound,
+	}
+}
+
 // NewTrainer validates cfg and returns a ready trainer.
 func NewTrainer(cfg Config) (*Trainer, error) {
 	if cfg.Obj == nil {
@@ -197,14 +223,14 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 	if cfg.Dim < 1 {
 		return nil, fmt.Errorf("stream: Config.Dim must be positive, got %d", cfg.Dim)
 	}
-	if cfg.Step <= 0 {
-		return nil, fmt.Errorf("stream: Config.Step must be positive, got %g", cfg.Step)
+	if err := adaptive.CheckStep(cfg.Step); err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
+	}
+	if err := adaptive.CheckDecay(cfg.StepDecay); err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
 	}
 	if cfg.StepDecay == 0 {
 		cfg.StepDecay = 1
-	}
-	if cfg.StepDecay < 0 || cfg.StepDecay > 1 {
-		return nil, fmt.Errorf("stream: Config.StepDecay must be in (0, 1], got %g", cfg.StepDecay)
 	}
 	if cfg.Workers < 1 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -234,21 +260,21 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 		// resolve by reference with no such point, so run flat.
 		cfg.ModelKind = model.KindRacy32
 	}
-	switch cfg.Importance {
-	case "", "bound":
-	case "loss":
-		if cfg.Uniform {
-			return nil, fmt.Errorf("stream: Importance=loss is incompatible with Uniform (uniform draws ignore weights)")
-		}
-	default:
-		return nil, fmt.Errorf("stream: Config.Importance must be %q, %q or %q, got %q", "", "bound", "loss", cfg.Importance)
-	}
 	pol := adaptive.Policy{AdaptC: cfg.AdaptC, StalenessBound: cfg.StalenessBound}
 	if err := pol.Validate(); err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
 	if cfg.StalenessBound < 0 {
 		return nil, fmt.Errorf("stream: Config.StalenessBound must be non-negative, got %d", cfg.StalenessBound)
+	}
+	// The trainer runs one of two samplers; asgd and is-asgd are the
+	// capability table's rows for them.
+	sampler := "is-asgd"
+	if cfg.Uniform {
+		sampler = "asgd"
+	}
+	if err := spec.Check(sampler, spec.KindStream, prec, pol.Enabled(), cfg.Importance); err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
 	}
 	t := &Trainer{
 		cfg:      cfg,

@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -284,6 +285,9 @@ func TestTrainerConfigValidation(t *testing.T) {
 		{Obj: obj, Step: 0.1},                       // missing Dim
 		{Obj: obj, Dim: 4},                          // missing Step
 		{Obj: obj, Dim: 4, Step: 0.1, StepDecay: 2}, // bad decay
+		{Obj: obj, Dim: 4, Step: math.NaN()},        // NaN step
+		{Obj: obj, Dim: 4, Step: math.Inf(1)},       // +Inf step
+		{Obj: obj, Dim: 4, Step: 0.1, StepDecay: math.NaN()},
 	}
 	for i, cfg := range cases {
 		if _, err := NewTrainer(cfg); err == nil {

@@ -2,9 +2,10 @@
 # Hand-off gate for a change to this repository. Runs, in order:
 #
 #   1. tier-1: go build ./... && go vet ./... && go test ./...; the test
-#      binaries of cluster, serve, stream, frame, cmd/isasgd-serve and
-#      cmd/isasgd-cluster also fail when their tests leave goroutines
-#      running (internal/leakcheck is their TestMain)
+#      binaries of core, solver, metrics, cluster, serve, stream, frame
+#      and the serve, cluster, train and loadgen commands also fail when
+#      their tests leave goroutines running (internal/leakcheck is their
+#      TestMain)
 #   2. go test -race over the concurrency-critical packages (RACE_PKGS;
 #      CI runs this script, so the list lives only here)
 #   3. a process check: nothing this repository builds or runs

@@ -172,7 +172,9 @@
 // exported (isasgd_cluster_* families), and bounded: pushes beyond the
 // configured staleness bound are shed and the worker resyncs, the
 // distributed counterpart of the bounded-delay assumption behind the
-// perturbed-iterate analysis. See README.md's Cluster quickstart.
+// perturbed-iterate analysis. Pushes only publish: the target-loss gate
+// is one evaluator that scores the newest version off the push path.
+// See README.md's Cluster quickstart.
 //
 // # Adaptive updates
 //

@@ -146,42 +146,6 @@ func TestCoordinatorDCBaseEvicted(t *testing.T) {
 	}
 }
 
-// TestCoordinatorEvalHistory pins the evaluation trajectory: each gate
-// evaluation appends one point carrying the applied-push and update
-// counters it was recorded at, oldest first, and History returns a
-// copy (mutating it must not touch the coordinator's record).
-func TestCoordinatorEvalHistory(t *testing.T) {
-	ds, obj := testCorpus(t)
-	coord, srv := startCoordinator(t, CoordinatorConfig{
-		Dim: ds.Dim(), EvalData: ds, Obj: obj,
-		EvalEvery: 1, PollTimeout: time.Second,
-	})
-	cl := &rpcClient{hc: srv.Client(), base: srv.URL, policy: RetryPolicy{Max: -1}.withDefaults(),
-		rng: newTestRand(), log: quietLogger()}
-	for i := 0; i < 3; i++ {
-		if _, _, err := sendPush(cl, PushRequest{Seq: uint64(i + 1), Idx: []int{i}, Val: []float64{0.1}, Updates: 5}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hist := coord.History()
-	if len(hist) != 3 {
-		t.Fatalf("history holds %d points, want 3", len(hist))
-	}
-	for i, p := range hist {
-		if p.Applied != int64(i+1) || p.Updates != int64(5*(i+1)) {
-			t.Fatalf("point %d records applied=%d updates=%d, want %d/%d",
-				i, p.Applied, p.Updates, i+1, 5*(i+1))
-		}
-		if math.IsNaN(p.Loss) || math.IsInf(p.Loss, 0) {
-			t.Fatalf("point %d carries non-finite loss %g", i, p.Loss)
-		}
-	}
-	hist[0].Loss = -1
-	if coord.History()[0].Loss == -1 {
-		t.Fatal("History returned the internal slice, not a copy")
-	}
-}
-
 // TestWorkerStepDecayValidation pins the new worker knob: 0 means no
 // decay, values outside (0, 1] are rejected.
 func TestWorkerStepDecayValidation(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -22,6 +23,7 @@ import (
 	"github.com/isasgd/isasgd/internal/metrics"
 	"github.com/isasgd/isasgd/internal/objective"
 	"github.com/isasgd/isasgd/internal/obs"
+	"github.com/isasgd/isasgd/internal/snapshot"
 	"github.com/isasgd/isasgd/internal/xrand"
 )
 
@@ -74,14 +76,27 @@ func workerCfg(ds *dataset.Dataset, obj objective.Objective, id, n int, url stri
 
 // runCluster drives n workers at step against a fresh coordinator until
 // the target is reached (or the update budget runs out) and returns the
-// coordinator's final stats.
-func runCluster(t *testing.T, n int, step, target float64, maxUpdates int64) Stats {
+// coordinator's final stats and the updates to target: the update count
+// of the first published version whose loss reaches it, or -1. The
+// coordinator's gate scores versions off the push path and may skip
+// some, so its final count also holds the updates pushed while it
+// caught up; every version is scored here instead.
+func runCluster(t *testing.T, n int, step, target float64, maxUpdates int64) (Stats, int64) {
 	t.Helper()
 	ds, obj := testCorpus(t)
 	c, srv := startCoordinator(t, CoordinatorConfig{
 		Dim: ds.Dim(), EvalData: ds, Obj: obj,
 		TargetLoss: target, MaxUpdates: maxUpdates,
 		PollTimeout: time.Second, Log: quietLogger(),
+	})
+	var (
+		mu       sync.Mutex
+		versions []*snapshot.Version
+	)
+	c.Store().SetOnPublish(func(v *snapshot.Version) {
+		mu.Lock()
+		versions = append(versions, v)
+		mu.Unlock()
 	})
 	// A star on this corpus lasts a few milliseconds, about as long as
 	// building a worker or dialing its first connection. So every worker
@@ -126,7 +141,14 @@ func runCluster(t *testing.T, n int, step, target float64, maxUpdates int64) Sta
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
-	return c.Stats()
+	mu.Lock()
+	defer mu.Unlock()
+	for _, v := range versions {
+		if metrics.Evaluate(ds, obj, v.Weights, 1).Loss <= target {
+			return c.Stats(), v.Iters
+		}
+	}
+	return c.Stats(), -1
 }
 
 // warmUp opens hc's connection to the coordinator and leaves it idle in
@@ -144,7 +166,7 @@ func warmUp(hc *http.Client, base string) error {
 // TestClusterConverges is the end-to-end happy path: two workers drive
 // the global model to the loss target over real HTTP.
 func TestClusterConverges(t *testing.T) {
-	st := runCluster(t, 2, 0.5, 0.45, 2_000_000)
+	st, _ := runCluster(t, 2, 0.5, 0.45, 2_000_000)
 	if !st.Reached {
 		t.Fatalf("2-worker cluster never reached target: %+v", st)
 	}
@@ -173,16 +195,16 @@ func TestTwoWorkersNoSlowerInUpdates(t *testing.T) {
 		t.Skip("convergence comparison")
 	}
 	const step, target = 0.1, 0.45
-	one := runCluster(t, 1, step, target, 4_000_000)
-	two := runCluster(t, 2, step, target, 4_000_000)
-	if !one.Reached || !two.Reached {
+	one, oneUpdates := runCluster(t, 1, step, target, 4_000_000)
+	two, twoUpdates := runCluster(t, 2, step, target, 4_000_000)
+	if !one.Reached || !two.Reached || oneUpdates < 0 || twoUpdates < 0 {
 		t.Fatalf("runs did not converge: 1w=%+v 2w=%+v", one, two)
 	}
-	if float64(two.Updates) > 1.5*float64(one.Updates) {
-		t.Fatalf("2 workers needed %d updates vs %d for 1 (>1.5x)", two.Updates, one.Updates)
+	if float64(twoUpdates) > 1.5*float64(oneUpdates) {
+		t.Fatalf("2 workers needed %d updates vs %d for 1 (>1.5x)", twoUpdates, oneUpdates)
 	}
 	t.Logf("updates to target: 1 worker %d, 2 workers %d (mean staleness %.2f, max %d)",
-		one.Updates, two.Updates, two.MeanTau, two.MaxTau)
+		oneUpdates, twoUpdates, two.MeanTau, two.MaxTau)
 }
 
 // TestZeroDeltaRoundStillPushes pins the all-zero round: at a step so
@@ -761,25 +783,206 @@ func TestDoneAckQuorumMembers(t *testing.T) {
 	}
 }
 
-// TestRecordEvalOrdering pins the eval store against out-of-order
-// completion: an older version's evaluation finishing late must not
-// overwrite a newer version's recorded loss.
-func TestRecordEvalOrdering(t *testing.T) {
+// TestStalenessBound pins the coordinator's staleness accounting, one
+// row per bound: a push is shed iff its τ exceeds a bound ≥ 0, MaxTau
+// counts shed pushes too, and MeanTau averages the admitted ones only.
+// A bound of 0 is the zero value and, like −1, admits everything.
+func TestStalenessBound(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		bound int64
+		taus  []int64
+		admit []bool
+		shed  int64
+		max   int64
+		mean  float64
+	}{
+		{"bound -1 admits all", -1, []int64{0, 5, 9}, []bool{true, true, true}, 0, 9, 14.0 / 3},
+		{"bound 0 (unset) admits all", 0, []int64{0, 5, 9}, []bool{true, true, true}, 0, 9, 14.0 / 3},
+		{"tau over bound 4 sheds, at it admits", 4, []int64{4, 5, 2}, []bool{true, false, true}, 1, 5, 3},
+		{"bound 1 sheds every push over it", 1, []int64{2, 0, 3}, []bool{false, true, false}, 2, 3, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, srv := startCoordinator(t, CoordinatorConfig{Dim: 4, StalenessBound: tc.bound, PollTimeout: time.Second})
+			for i := 0; i < 10; i++ { // seq 11: room for every τ
+				if err := c.ApplyModel([]float64{float64(i), 0, 0, 0}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cl := &rpcClient{hc: srv.Client(), base: srv.URL, policy: RetryPolicy{}.withDefaults(),
+				rng: newTestRand(), log: quietLogger()}
+			for i, tau := range tc.taus {
+				seq := c.Store().Seq() - uint64(tau)
+				status, pr, err := sendPush(cl, PushRequest{Seq: seq, Idx: []int{1}, Val: []float64{0.25}, Updates: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pr.Applied != tc.admit[i] || (status == http.StatusOK) != tc.admit[i] || pr.Staleness != tau {
+					t.Fatalf("push at τ=%d: status %d applied %v staleness %d, want admitted=%v",
+						tau, status, pr.Applied, pr.Staleness, tc.admit[i])
+				}
+			}
+			st := c.Stats()
+			if st.Shed != tc.shed || st.MaxTau != tc.max || math.Abs(st.MeanTau-tc.mean) > 1e-12 {
+				t.Fatalf("stats shed=%d max=%d mean=%g, want %d/%d/%g", st.Shed, st.MaxTau, st.MeanTau, tc.shed, tc.max, tc.mean)
+			}
+		})
+	}
+}
+
+// TestStalenessBoundConcurrent races pushes that all trained from seq 1
+// against a bound of 10. τ is measured under the same lock as the apply,
+// so exactly the pushes that find seq 1…11 are admitted, whatever the
+// interleaving, and every push is accounted once.
+func TestStalenessBoundConcurrent(t *testing.T) {
+	c, srv := startCoordinator(t, CoordinatorConfig{Dim: 4, StalenessBound: 10, PollTimeout: time.Second})
+	const senders, per = 8, 8
+	var wg sync.WaitGroup
+	errs := make(chan error, senders)
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl := &rpcClient{hc: srv.Client(), base: srv.URL, policy: RetryPolicy{}.withDefaults(),
+				rng: newTestRand(), log: quietLogger()}
+			for i := 0; i < per; i++ {
+				if _, _, err := sendPush(cl, PushRequest{Worker: s, Seq: 1, Idx: []int{s % 4}, Val: []float64{0.01}, Updates: 1}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.Applied+st.Shed+st.Bad != senders*per {
+		t.Fatalf("lost pushes: applied %d + shed %d + bad %d != %d", st.Applied, st.Shed, st.Bad, senders*per)
+	}
+	if st.Applied != 11 || st.MaxTau != 11 || st.MeanTau != 5 {
+		t.Fatalf("stats %+v, want 11 applied, max τ 11, mean τ 5", st)
+	}
+}
+
+// gatedLoss is the test objective whose Loss waits for gate to close, so
+// a test can hold the coordinator's evaluator mid-evaluation; entered
+// fires on its first call.
+type gatedLoss struct {
+	objective.LogisticL1
+	gate    <-chan struct{}
+	entered func()
+}
+
+func (g gatedLoss) Loss(z, y float64) float64 {
+	g.entered()
+	<-g.gate
+	return g.LogisticL1.Loss(z, y)
+}
+
+// TestEvalNeverBlocksPush holds the evaluator inside an evaluation and
+// pushes through it: pushes answer 200 while it is blocked, and once
+// released it skips to the newest version, whose loss is the one it
+// records and the one that reaches the target and ends the run. The
+// deltas walk the model to −k·d, back to 0, then to +k·d, with d the
+// label-weighted mean row, so only the last version is under target.
+func TestEvalNeverBlocksPush(t *testing.T) {
 	ds, _ := testCorpus(t)
-	c, _ := startCoordinator(t, CoordinatorConfig{Dim: ds.Dim(), PollTimeout: time.Second})
-	if !c.recordEval(5, 0.9, 1, 10) {
-		t.Fatal("first eval at seq 5 not recorded")
+	plain := objective.LogisticL1{Eta: 1e-4}
+	d := make([]float64, ds.Dim())
+	for i := 0; i < ds.N(); i++ {
+		row := ds.X.Row(i)
+		for k, j := range row.Idx {
+			d[j] += ds.Y[i] * row.Val[k] / float64(ds.N())
+		}
 	}
-	if c.recordEval(3, 0.1, 2, 20) {
-		t.Fatal("stale eval at seq 3 overwrote seq 5")
+	var idx []int
+	var val []float64
+	for j, v := range d {
+		if v != 0 {
+			idx, val = append(idx, j), append(val, v)
+		}
 	}
-	if got := c.lastLoss(); got != 0.9 {
-		t.Fatalf("lastLoss = %g after stale eval, want 0.9", got)
+	times := func(k float64) []float64 {
+		out := make([]float64, len(val))
+		for i, v := range val {
+			out[i] = k * v
+		}
+		return out
 	}
-	if !c.recordEval(6, 0.2, 3, 30) {
-		t.Fatal("newer eval at seq 6 not recorded")
+	lossAt := func(w []float64) float64 { return metrics.Evaluate(ds, plain, w, 1).Loss }
+	lossAtK := func(k float64) float64 {
+		w := make([]float64, ds.Dim())
+		for i, j := range idx {
+			w[j] = k * val[i]
+		}
+		return lossAt(w)
 	}
-	if got := c.lastLoss(); got != 0.2 {
-		t.Fatalf("lastLoss = %g, want 0.2", got)
+	bad, zero, good := lossAtK(-1), lossAtK(0), lossAtK(1)
+	target := (zero + good) / 2
+	if !(good < zero && zero < bad) {
+		t.Fatalf("deltas do not order the losses: bad %g, zero %g, good %g", bad, zero, good)
+	}
+
+	gate, entered := make(chan struct{}), make(chan struct{})
+	var enterOnce, releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(gate) }) }
+	defer release() // a failing test must not strand the evaluator
+	c, srv := startCoordinator(t, CoordinatorConfig{
+		Dim: ds.Dim(), EvalData: ds, EvalEvery: 1, EvalWorkers: 1, TargetLoss: target,
+		Obj:         gatedLoss{plain, gate, func() { enterOnce.Do(func() { close(entered) }) }},
+		PollTimeout: time.Second,
+	})
+	cl := &rpcClient{hc: srv.Client(), base: srv.URL, policy: RetryPolicy{}.withDefaults(),
+		rng: newTestRand(), log: quietLogger()}
+	push := func(seq uint64, k float64) PushResponse {
+		t.Helper()
+		type answer struct {
+			status int
+			pr     PushResponse
+			err    error
+		}
+		done := make(chan answer, 1)
+		go func() {
+			status, pr, err := sendPush(cl, PushRequest{Seq: seq, Idx: idx, Val: times(k), Updates: 1})
+			done <- answer{status, pr, err}
+		}()
+		select {
+		case a := <-done:
+			if a.err != nil || a.status != http.StatusOK || !a.pr.Applied {
+				t.Fatalf("push at seq %d: status %d applied %v err %v", seq, a.status, a.pr.Applied, a.err)
+			}
+			return a.pr
+		case <-time.After(10 * time.Second):
+			release()
+			t.Fatalf("push at seq %d blocked behind the evaluation", seq)
+		}
+		return PushResponse{}
+	}
+
+	push(1, -1) // starts the evaluator on seq 2
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the evaluator never started")
+	}
+	push(2, 1)
+	if pr := push(3, 1); pr.Seq != 4 || pr.Done || pr.Loss != -1 {
+		t.Fatalf("push during the evaluation answered %+v, want seq 4, not done, no loss yet", pr)
+	}
+	release()
+	select {
+	case <-c.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatalf("target %g never reached: %+v", target, c.Stats())
+	}
+	for c.evaluating.Load() {
+		runtime.Gosched()
+	}
+	st := c.Stats()
+	if want := lossAt(c.Store().Load().Weights); !st.Reached || st.Loss != want || st.Seq != 4 {
+		t.Fatalf("stats %+v: want reached with the loss %g of seq 4", st, want)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"github.com/isasgd/isasgd/internal/obs"
 	"github.com/isasgd/isasgd/internal/snapshot"
 	"github.com/isasgd/isasgd/internal/spec"
-	"github.com/isasgd/isasgd/internal/staleness"
 )
 
 // CoordinatorConfig configures the parameter-server side of the star.
@@ -39,8 +38,10 @@ type CoordinatorConfig struct {
 	InitIters int64
 
 	// StalenessBound sheds pushes whose measured τ = seq - push_seq
-	// exceeds it; negative admits everything, 0 admits only fresh
-	// pushes. Default -1 (unbounded).
+	// exceeds it, the SME-motivated guardrail (An, Lu & Ying; PAPERS.md):
+	// a push staler than the bound re-pulls instead of applying a
+	// gradient computed against a model that has since moved too far.
+	// 0 (unset) or negative admits everything.
 	StalenessBound int64
 
 	// AdaptC attenuates each admitted push by 1/(1+AdaptC·τ) before it
@@ -57,9 +58,10 @@ type CoordinatorConfig struct {
 	// ring retains (default 64; only used when DCLambda > 0).
 	BaseDepth int
 
-	// EvalData/Obj drive the convergence gate: every EvalEvery applied
-	// pushes the coordinator evaluates the published weights and stops
-	// the run once the mean data loss on EvalData (metrics.Eval.Loss, the
+	// EvalData/Obj drive the convergence gate: once EvalEvery pushes
+	// have been applied since the last version it scored, an evaluator
+	// off the push path scores the newest published version, and the run
+	// stops once the mean data loss on EvalData (metrics.Eval.Loss, the
 	// term the sparse kernels minimize) reaches TargetLoss (> 0), or
 	// cumulative worker updates reach MaxUpdates (> 0).
 	EvalData    *dataset.Dataset
@@ -82,7 +84,6 @@ type CoordinatorConfig struct {
 type Coordinator struct {
 	cfg   CoordinatorConfig
 	store *snapshot.Store
-	rec   *staleness.Recorder
 	ring  *adaptive.BaseRing // nil unless DCLambda > 0
 	log   *slog.Logger
 
@@ -94,15 +95,20 @@ type Coordinator struct {
 	updates int64     // cumulative worker SGD updates folded in
 	bad     int64     // malformed/non-finite pushes rejected
 	comp    int64     // pushes applied with DC compensation
+	shed    int64     // pushes over the staleness bound
+	maxTau  int64     // largest measured τ, shed pushes included
+	tauSum  int64     // τ summed over admitted pushes
+	tauN    int64     // pushes admitted since start (applied counts restored ones)
 	workers map[int]struct{}
 
-	evalMu   sync.Mutex
-	evalSeq  uint64        // seq of the version lossBits was evaluated at
-	evalHist []EvalPoint   // recorded evaluations, oldest first, capped
-	lossBits atomic.Uint64 // last evaluated objective (Float64bits)
-	reached  atomic.Bool
-	doneCh   chan struct{}
-	doneOnce sync.Once
+	// The evaluator: at most one goroutine runs it (evaluating), so it is
+	// the only writer of scored, lossBits and reached.
+	evaluating atomic.Bool
+	scored     atomic.Int64  // applied pushes of the last version scored
+	lossBits   atomic.Uint64 // last evaluated data loss (Float64bits)
+	reached    atomic.Bool
+	doneCh     chan struct{}
+	doneOnce   sync.Once
 
 	acked   map[int]struct{} // workers that saw a Done=true response
 	ackCh   chan struct{}
@@ -169,7 +175,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:     cfg,
 		store:   snapshot.NewStore(),
-		rec:     staleness.NewRecorder(cfg.StalenessBound),
 		log:     cfg.Log,
 		maxPush: maxPushFrame(cfg.Dim),
 		w:       make([]float64, cfg.Dim),
@@ -200,7 +205,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		c.m.updates = r.Counter("isasgd_cluster_updates_total",
 			"Worker SGD updates folded into the global model.")
 		c.m.loss = r.Gauge("isasgd_cluster_loss",
-			"Last evaluated training objective of the published model.")
+			"Last evaluated mean data loss of the published model on the hold-out.")
 		c.m.loss.Set(math.NaN())
 	}
 	var v *snapshot.Version
@@ -212,6 +217,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		}
 		c.applied = int64(cfg.InitEpoch)
 		c.updates = cfg.InitIters
+		c.scored.Store(c.applied)
 	} else {
 		if v = c.store.PublishCopy(0, 0, c.w); v == nil {
 			return nil, fmt.Errorf("cluster: initial weights are non-finite")
@@ -293,48 +299,25 @@ func wireLoss(f float64) float64 {
 // Stats snapshots the run state.
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
-	applied, updates, bad, comp, seen := c.applied, c.updates, c.bad, c.comp, len(c.workers)
-	c.mu.Unlock()
-	st := c.rec.Stats()
-	return Stats{
+	defer c.mu.Unlock()
+	st := Stats{
 		Seq:         c.store.Seq(),
-		Applied:     applied,
-		Shed:        st.Shed,
-		Bad:         bad,
-		Compensated: comp,
-		Updates:     updates,
+		Applied:     c.applied,
+		Shed:        c.shed,
+		Bad:         c.bad,
+		Compensated: c.comp,
+		Updates:     c.updates,
 		Loss:        c.lastLoss(),
 		Reached:     c.reached.Load(),
 		Done:        c.isDone(),
-		MaxTau:      st.Max,
-		MeanTau:     st.Mean,
-		Workers:     seen,
-		TargetObj:   c.cfg.TargetLoss,
+		MaxTau:      c.maxTau,
+		Workers:     len(c.workers),
+		TargetLoss:  c.cfg.TargetLoss,
 	}
-}
-
-// EvalPoint is one recorded convergence-gate evaluation: the objective
-// of the published model after a given number of applied pushes and
-// folded-in worker updates.
-type EvalPoint struct {
-	Applied int64   `json:"applied"`
-	Updates int64   `json:"updates"`
-	Loss    float64 `json:"loss"`
-}
-
-// evalHistoryCap bounds the retained evaluation trajectory; runs long
-// enough to overflow it keep their earliest points (the experiments
-// that read the history finish far below the cap).
-const evalHistoryCap = 1 << 16
-
-// History returns a copy of the recorded evaluation trajectory, oldest
-// first — the loss after each gate evaluation, in the order recordEval
-// accepted them (monotone in model seq). Experiments use it to measure
-// sustained convergence rather than first touch of a target.
-func (c *Coordinator) History() []EvalPoint {
-	c.evalMu.Lock()
-	defer c.evalMu.Unlock()
-	return append([]EvalPoint(nil), c.evalHist...)
+	if c.tauN > 0 {
+		st.MeanTau = float64(c.tauSum) / float64(c.tauN)
+	}
+	return st
 }
 
 // Handler returns the coordinator's HTTP surface.
@@ -409,6 +392,7 @@ func (c *Coordinator) handlePush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	c.mu.Lock()
 	cur := c.store.Seq()
 	tau := int64(cur) - int64(req.Seq)
 	if tau < 0 {
@@ -417,45 +401,31 @@ func (c *Coordinator) handlePush(w http.ResponseWriter, r *http.Request) {
 		// That is a protocol skew, not a malformed push: answer with the
 		// shed-style resync verdict so the worker re-pulls and rejoins
 		// (422 would be terminal and strand every survivor).
-		if c.m.pushShed != nil {
-			c.m.pushShed.Inc()
-		}
+		c.mu.Unlock()
 		c.log.Warn("push seq ahead of coordinator, resync",
 			"worker", req.Worker, "push_seq", req.Seq, "seq", cur)
-		if c.isDone() {
-			c.ackDone(req.Worker)
-		}
-		writeJSON(w, http.StatusConflict, PushResponse{
-			Seq: cur, Applied: false, Staleness: tau,
-			Done: c.isDone(), Loss: wireLoss(c.lastLoss())})
+		c.resync(w, req.Worker, cur, tau)
 		return
 	}
-	admit := c.rec.Observe(tau)
 	if c.m.stale != nil {
 		c.m.stale.Observe(tau)
 	}
-	if !admit {
-		if c.m.pushShed != nil {
-			c.m.pushShed.Inc()
-		}
+	c.maxTau = max(c.maxTau, tau)
+	if c.cfg.StalenessBound >= 0 && tau > c.cfg.StalenessBound {
+		c.shed++
+		c.mu.Unlock()
 		c.log.LogAttrs(r.Context(), slog.LevelInfo, "push shed: staleness over bound",
 			slog.Int("worker", req.Worker), slog.Int64("tau", tau),
-			slog.Int64("bound", c.rec.Bound()))
-		if c.isDone() {
-			c.ackDone(req.Worker)
-		}
-		writeJSON(w, http.StatusConflict, PushResponse{
-			Seq: cur, Applied: false, Staleness: tau,
-			Done: c.isDone(), Loss: wireLoss(c.lastLoss())})
+			slog.Int64("bound", c.cfg.StalenessBound))
+		c.resync(w, req.Worker, cur, tau)
 		return
 	}
+	c.tauN++
+	c.tauSum += tau
 
 	// Staleness-adaptive attenuation damps the whole delta by
-	// 1/(1+c·τ) before anything reads it; the buffer is request-local,
-	// so this needs no lock.
+	// 1/(1+c·τ) before anything reads it.
 	adaptive.AttenuateDelta(req.Val, c.cfg.AdaptC, tau)
-
-	c.mu.Lock()
 	// Delay compensation rewrites the delta against the exact base
 	// version the worker trained from, using the current authoritative
 	// weights — both only coherent under mu, and it must precede the
@@ -489,8 +459,8 @@ func (c *Coordinator) handlePush(w http.ResponseWriter, r *http.Request) {
 		c.comp++
 	}
 	c.workers[req.Worker] = struct{}{}
-	applied, updates := c.applied, c.updates
-	v := c.store.PublishCopy(int(applied), updates, c.w)
+	updates := c.updates
+	v := c.store.PublishCopy(int(c.applied), updates, c.w)
 	if v == nil {
 		// Unreachable given the pre-check above, but never serve or keep
 		// a poisoned vector: roll the authoritative weights back to the
@@ -519,18 +489,8 @@ func (c *Coordinator) handlePush(w http.ResponseWriter, r *http.Request) {
 			c.m.pushComp.Inc()
 		}
 	}
-
-	// Evaluate outside the lock on the immutable published version;
-	// recordEval keeps concurrent out-of-order completions from letting
-	// a stale version's loss overwrite a newer one's.
-	loss := c.lastLoss()
-	if c.cfg.EvalData != nil && c.cfg.Obj != nil && applied%int64(c.cfg.EvalEvery) == 0 {
-		ev := metrics.Evaluate(c.cfg.EvalData, c.cfg.Obj, v.Weights, c.cfg.EvalWorkers)
-		if c.recordEval(v.Seq, ev.Loss, applied, updates) {
-			loss = ev.Loss
-		} else {
-			loss = c.lastLoss()
-		}
+	if c.evalDue(v) && c.evaluating.CompareAndSwap(false, true) {
+		go c.evaluate()
 	}
 	if c.cfg.MaxUpdates > 0 && updates >= c.cfg.MaxUpdates {
 		c.markDone()
@@ -540,36 +500,64 @@ func (c *Coordinator) handlePush(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, PushResponse{
 		Seq: v.Seq, Applied: true, Staleness: tau,
-		Done: c.isDone(), Loss: wireLoss(loss)})
+		Done: c.isDone(), Loss: wireLoss(c.lastLoss())})
 }
 
-// recordEval stores an evaluation of the version at seq, refusing to
-// let a stale version's result overwrite a newer one's: pushes evaluate
-// concurrently outside mu, so completions can arrive out of order. The
-// target-loss gate only ever acts on the newest recorded evaluation.
-// It reports whether the result was recorded.
-func (c *Coordinator) recordEval(seq uint64, loss float64, applied, updates int64) bool {
-	c.evalMu.Lock()
-	defer c.evalMu.Unlock()
-	if seq <= c.evalSeq {
-		return false
+// resync answers a push that was not applied — over the staleness bound,
+// or from a seq ahead of the coordinator's — with the 409 that sends its
+// worker back to pull the current version.
+func (c *Coordinator) resync(w http.ResponseWriter, worker int, seq uint64, tau int64) {
+	if c.m.pushShed != nil {
+		c.m.pushShed.Inc()
 	}
-	c.evalSeq = seq
-	if len(c.evalHist) < evalHistoryCap {
-		c.evalHist = append(c.evalHist, EvalPoint{Applied: applied, Updates: updates, Loss: loss})
+	if c.isDone() {
+		c.ackDone(worker)
 	}
-	c.lossBits.Store(math.Float64bits(loss))
-	if c.m.loss != nil {
-		c.m.loss.Set(loss)
+	writeJSON(w, http.StatusConflict, PushResponse{
+		Seq: seq, Applied: false, Staleness: tau,
+		Done: c.isDone(), Loss: wireLoss(c.lastLoss())})
+}
+
+// evalDue reports whether the convergence gate should score v: it has
+// hold-out data, the run is not done, and at least EvalEvery pushes have
+// been applied since the version it scored last.
+func (c *Coordinator) evalDue(v *snapshot.Version) bool {
+	return c.cfg.EvalData != nil && c.cfg.Obj != nil && !c.isDone() &&
+		int64(v.Epoch)-c.scored.Load() >= int64(c.cfg.EvalEvery)
+}
+
+// evaluate is the convergence gate, off the push path. A push starts it
+// when an evaluation is due and none is running, so an idle coordinator
+// owns no goroutine. It scores the newest published version, skipping
+// the ones it could not keep up with, until it has caught up or the run
+// is done. Being the only writer, it records losses in seq order.
+func (c *Coordinator) evaluate() {
+	for {
+		v := c.store.Load()
+		if !c.evalDue(v) {
+			c.evaluating.Store(false)
+			// A push that published after the Load above found the flag
+			// still set and left its version to this goroutine: take it
+			// back, unless a newer evaluator already has.
+			if !c.evalDue(c.store.Load()) || !c.evaluating.CompareAndSwap(false, true) {
+				return
+			}
+			continue
+		}
+		loss := metrics.Evaluate(c.cfg.EvalData, c.cfg.Obj, v.Weights, c.cfg.EvalWorkers).Loss
+		c.scored.Store(int64(v.Epoch))
+		c.lossBits.Store(math.Float64bits(loss))
+		if c.m.loss != nil {
+			c.m.loss.Set(loss)
+		}
+		if c.cfg.TargetLoss > 0 && loss <= c.cfg.TargetLoss {
+			c.reached.Store(true)
+			c.log.Info("loss target reached",
+				"loss", loss, "target", c.cfg.TargetLoss,
+				"pushes", v.Epoch, "updates", v.Iters)
+			c.markDone()
+		}
 	}
-	if c.cfg.TargetLoss > 0 && loss <= c.cfg.TargetLoss {
-		c.reached.Store(true)
-		c.log.Info("loss target reached",
-			"loss", loss, "target", c.cfg.TargetLoss,
-			"pushes", applied, "updates", updates)
-		c.markDone()
-	}
-	return true
 }
 
 func (c *Coordinator) rejectBad(w http.ResponseWriter, msg string) {

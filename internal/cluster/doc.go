@@ -26,13 +26,22 @@
 // version the round started from; a round that moved nothing still
 // pushes its update count. The coordinator measures the push's realized
 // staleness — its current seq minus the push's base seq, the
-// cross-machine analogue of the SME delay parameter τ — through an internal/staleness.Recorder and sheds pushes
-// beyond the configured bound with 409 instead of folding arbitrarily
-// stale gradients into the model (the distributed counterpart of the
-// perturbed-iterate analysis's bounded-delay assumption). Admitted
-// deltas are validated finite before they touch the weights, applied
-// under the writer lock, and republished through the snapshot store,
-// which wakes every long-polling worker.
+// cross-machine analogue of the SME delay parameter τ — under the same
+// writer lock that applies it, and sheds pushes beyond the configured
+// bound with 409 instead of folding arbitrarily stale gradients into the
+// model (the distributed counterpart of the perturbed-iterate analysis's
+// bounded-delay assumption). Admitted deltas are validated finite before
+// they touch the weights, applied under the writer lock, and
+// republished through the snapshot store, which wakes every
+// long-polling worker.
+//
+// The push handler only publishes. The loss gate is one evaluator off
+// the push path: a push starts it when EvalEvery pushes have been
+// applied since the version it scored last and none is running; it
+// scores the newest version on the hold-out, skips the versions it
+// could not keep up with, ends the run on the target loss, and exits
+// once it has caught up. A push's answer carries the newest recorded
+// loss, not necessarily its own version's.
 //
 // Shard assignment needs no coordination traffic: every node loads the
 // same corpus, computes the same deterministic importance-balanced plan

@@ -67,7 +67,9 @@ type PushRequest struct {
 // the push was shed (HTTP 409) — either its staleness exceeded the
 // bound, or its base seq was ahead of the coordinator (a restart
 // without checkpoint; Staleness is then negative); the worker re-pulls
-// and rejoins from the current version in both cases.
+// and rejoins from the current version in both cases. Loss is the
+// newest recorded evaluation, which runs off the push path, so not
+// necessarily the one of the version this push published.
 type PushResponse struct {
 	Seq       uint64  `json:"seq"` // coordinator seq after the verdict
 	Applied   bool    `json:"applied"`
@@ -91,7 +93,7 @@ type Stats struct {
 	MaxTau      int64   `json:"max_staleness"`
 	MeanTau     float64 `json:"mean_staleness"`
 	Workers     int     `json:"workers_seen"`
-	TargetObj   float64 `json:"target_loss"`
+	TargetLoss  float64 `json:"target_loss"`
 }
 
 type errorBody struct {

@@ -25,7 +25,7 @@ import (
 //	published  uvarint  the version's publish instant, Unix nanoseconds
 //	live       1 byte   the publisher is still training the model
 //	done       1 byte   the publisher's run is over
-//	loss       8 bytes  float64, finite: the last evaluated objective
+//	loss       8 bytes  float64, finite: the last evaluated data loss
 //	algo       string
 //	objective  string
 //	dataset    string

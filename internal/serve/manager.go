@@ -484,31 +484,12 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 // and threaded through its lifecycle log lines. The context does NOT
 // cancel the job — jobs outlive their submitting request by design.
 func (m *Manager) SubmitCtx(ctx context.Context, spec JobSpec) (*Job, error) {
-	if spec.Precision == "" {
-		spec.Precision = m.defaultPrec
-	}
-	r, err := compile(spec, false, m.streamRoot)
+	j, jobCtx, r, err := m.submit(ctx, spec, false)
 	if err != nil {
 		return nil, err
 	}
-	j, jobCtx, err := m.register(spec, r, obs.RequestID(ctx))
-	if err != nil {
-		return nil, err
-	}
-	m.jobLog(j).LogAttrs(jobCtx, slog.LevelInfo, "job submitted",
-		slog.String("kind", j.kind), slog.String("algo", j.algoName),
-		slog.String("dataset", j.dsName))
-	go m.run(jobCtx, j, r)
+	go m.run(jobCtx, j, r, nil)
 	return j, nil
-}
-
-// jobLog returns the job-scoped structured logger.
-func (m *Manager) jobLog(j *Job) *slog.Logger {
-	return m.log.With(
-		slog.String("job", j.ID),
-		slog.String("model", j.model),
-		slog.String("request_id", j.reqID),
-	)
 }
 
 // SubmitStream registers a streaming job fed by body and trains it in
@@ -520,24 +501,43 @@ func (m *Manager) jobLog(j *Job) *slog.Logger {
 // job tables like any other.
 func (m *Manager) SubmitStream(ctx context.Context, spec JobSpec, body io.Reader) (*Job, error) {
 	spec.Kind = "stream"
+	j, jobCtx, r, err := m.submit(ctx, spec, true)
+	if err != nil {
+		return nil, err
+	}
+	stop := context.AfterFunc(ctx, j.cancel)
+	defer stop()
+	m.run(jobCtx, j, r, body)
+	return j, nil
+}
+
+// submit compiles spec, registers the job and logs its submission; the
+// caller starts it.
+func (m *Manager) submit(ctx context.Context, spec JobSpec, bodyFed bool) (*Job, context.Context, *resolved, error) {
 	if spec.Precision == "" {
 		spec.Precision = m.defaultPrec
 	}
-	r, err := compile(spec, true, m.streamRoot)
+	r, err := compile(spec, bodyFed, m.streamRoot)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	j, jobCtx, err := m.register(spec, r, obs.RequestID(ctx))
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	m.jobLog(j).LogAttrs(jobCtx, slog.LevelInfo, "job submitted",
 		slog.String("kind", j.kind), slog.String("algo", j.algoName),
 		slog.String("dataset", j.dsName))
-	stop := context.AfterFunc(ctx, j.cancel)
-	defer stop()
-	m.runStream(jobCtx, j, r, body)
-	return j, nil
+	return j, jobCtx, r, nil
+}
+
+// jobLog returns the job-scoped structured logger.
+func (m *Manager) jobLog(j *Job) *slog.Logger {
+	return m.log.With(
+		slog.String("job", j.ID),
+		slog.String("model", j.model),
+		slog.String("request_id", j.reqID),
+	)
 }
 
 // liveModel tracks a model published mid-training so the job's terminal
@@ -610,14 +610,98 @@ func (l *liveModel) rollback() {
 	l.mgr.registry.restoreIf(l.m.Name, l.m, l.prev)
 }
 
-// run executes one job: waits for a pool slot, trains — publishing live
-// weight snapshots at the manager's cadence — and checkpoints. It is the
-// only writer of terminal state.
-func (m *Manager) run(ctx context.Context, j *Job, r *resolved) {
-	if r.stream != nil {
-		m.runStream(ctx, j, r, nil)
-		return
+// stopped is where a job's training stopped: the epoch (block, for a
+// streaming job) and the updates its weights reached. It is one point,
+// so a checkpoint cut from it never pairs weights with another point's
+// counters.
+type stopped struct {
+	epoch   int
+	iters   int64
+	weights []float64
+}
+
+// training is what run hands a job kind's trainer: batchTrain or
+// streamTrain, the part of a job that differs by kind. A trainer gets
+// the data, calls started once training can begin, and trains,
+// reporting every curve point to progress.
+type training struct {
+	ins      *obs.TrainInstruments
+	store    *snapshot.Store // live-publication target; nil when it is off
+	every    int             // live-publication cadence
+	started  func(samples, dim int)
+	progress func(p metrics.Point, samples int) // once per curve point
+}
+
+// batchTrain trains with solver.Train on the spec's inline dataset or
+// its preset, synthesized here rather than in the submitting request.
+func batchTrain(ctx context.Context, t *training, r *resolved) (stopped, error) {
+	ds := r.ds
+	if r.synth != nil {
+		var err error
+		if ds, err = dataset.Synthesize(*r.synth); err != nil {
+			return stopped{}, fmt.Errorf("synthesize: %w", err)
+		}
 	}
+	t.started(ds.N(), ds.Dim())
+	cfg := r.cfg
+	cfg.Instruments, cfg.Snapshots, cfg.PublishEvery = t.ins, t.store, t.every
+	cfg.Progress = func(p metrics.Point) { t.progress(p, ds.N()) }
+	res, err := solver.Train(ctx, ds, r.obj, cfg)
+	if res == nil {
+		return stopped{}, err
+	}
+	return stopped{res.Epochs, res.Iters, res.Weights}, err
+}
+
+// streamTrain trains a stream.Trainer over body, or over the spec's path
+// when body is nil, scoring the trainer's window after every block.
+func streamTrain(ctx context.Context, t *training, r *resolved, body io.Reader) (stopped, error) {
+	src, name := body, "stream-upload"
+	if src == nil {
+		f, err := os.Open(r.streamPath)
+		if err != nil {
+			return stopped{}, fmt.Errorf("open stream: %w", err)
+		}
+		defer f.Close()
+		src, name = f, r.streamPath
+	}
+	t.started(0, r.stream.Dim)
+	cfg := *r.stream
+	cfg.Instruments, cfg.Snapshots, cfg.PublishEvery = t.ins, t.store, t.every
+	tr, err := stream.NewTrainer(cfg)
+	if err != nil {
+		return stopped{}, err
+	}
+	start, bestErr := time.Now(), math.Inf(1)
+	tr.SetOnBlock(func(s stream.BlockStats) {
+		obj, rmse, errRate, _ := tr.EvaluateWindow()
+		if errRate < bestErr {
+			bestErr = errRate
+		}
+		t.progress(metrics.Point{
+			Epoch: int(s.Block) + 1, Iters: s.Updates, Wall: time.Since(start),
+			Obj: obj, RMSE: rmse, ErrRate: errRate, BestErr: bestErr,
+		}, int(tr.Rows()))
+	})
+	res, err := tr.Run(ctx, stream.NewReader(src, name, r.blockSize))
+	if res == nil {
+		return stopped{}, err
+	}
+	if err == nil && res.Rows == 0 {
+		err = errors.New("stream contained no rows")
+	}
+	return stopped{int(res.Blocks), res.Updates, res.Weights}, err
+}
+
+// run owns one job from the queue to its terminal state, for both kinds:
+// it waits for a pool slot, trains through the kind's trainer —
+// publishing live weight snapshots at the manager's cadence — and ends
+// the job cancelled (rollback, partial checkpoint), failed (rollback) or
+// done (final cut, finalize, checkpoint). Checkpoints are written before
+// the terminal state, so a client that sees it also finds the file. run
+// is the only writer of terminal state; body feeds an upload-fed
+// streaming job.
+func (m *Manager) run(ctx context.Context, j *Job, r *resolved, body io.Reader) {
 	defer m.wg.Done()
 	defer close(j.done)
 	defer j.cancel()
@@ -628,60 +712,39 @@ func (m *Manager) run(ctx context.Context, j *Job, r *resolved) {
 	case m.sem <- struct{}{}:
 		defer func() { <-m.sem }()
 	case <-ctx.Done():
-		m.finish(j, StateCancelled, "cancelled while queued", nil)
+		m.finish(j, StateCancelled, "cancelled while queued")
 		return
 	}
 	// When cancellation and a free slot race (e.g. shutdown with queued
 	// jobs), select may pick the slot; re-check so we do not synthesize a
-	// large dataset and run an epoch-0 evaluation only to discard them.
+	// large dataset or open a stream only to discard them.
 	if ctx.Err() != nil {
-		m.finish(j, StateCancelled, "cancelled while queued", nil)
+		m.finish(j, StateCancelled, "cancelled while queued")
 		return
 	}
 
-	ds := r.ds
-	if r.synth != nil {
-		var err error
-		ds, err = dataset.Synthesize(*r.synth)
-		if err != nil {
-			m.finish(j, StateFailed, fmt.Sprintf("synthesize: %v", err), nil)
-			return
-		}
-	}
-
-	j.mu.Lock()
-	j.state = StateRunning
-	j.started = time.Now()
-	j.samples = ds.N()
-	j.dim = ds.Dim()
-	j.mu.Unlock()
-
 	log := m.jobLog(j)
-	log.LogAttrs(ctx, slog.LevelInfo, "job started",
-		slog.Int("samples", ds.N()), slog.Int("dim", ds.Dim()))
-
 	st := snapshot.NewStore()
-	live := m.newLiveModel(j, r.obj, ds.Name, st)
-
-	cfg := r.cfg
-	cfg.Instruments = obs.NewTrainInstruments(m.Obs(), j.model)
+	live := m.newLiveModel(j, r.obj, j.dsName, st)
+	t := &training{ins: obs.NewTrainInstruments(m.Obs(), j.model)}
 	// A publish rejected for non-finite weights means serving stops
 	// advancing while the job looks healthy — surface it immediately
 	// rather than waiting for the run's terminal divergence check.
 	st.SetOnReject(func(epoch int, iters int64) {
-		cfg.Instruments.SnapshotRejected.Inc()
+		t.ins.SnapshotRejected.Inc()
 		log.LogAttrs(ctx, slog.LevelWarn, "snapshot publish rejected: non-finite weights",
 			slog.Int("epoch", epoch), slog.Int64("iters", iters))
 	})
 	if m.publishEvery > 0 {
-		cfg.Snapshots = st
-		cfg.PublishEvery = m.publishEvery
+		t.store, t.every = st, m.publishEvery
 		// Register the live model from the publication hook rather than
 		// the (possibly sparse) evaluation cadence. A cold-start name goes
-		// live at the epoch-0 version — servable immediately, if briefly
-		// with untrained weights; a name already serving a finished model
-		// keeps serving it until this retrain has completed at least one
-		// epoch, so a fresh job never replaces good weights with zeros.
+		// live at its first version — a batch job's epoch-0 one, servable
+		// immediately if briefly with untrained weights; a name already
+		// serving a finished model keeps serving it until this retrain has
+		// trained at least one epoch (stream versions are cut after a
+		// block, so theirs always has), so a fresh job never replaces good
+		// weights with zeros.
 		_, retrain := m.registry.Get(j.model)
 		st.SetOnPublish(func(v *snapshot.Version) {
 			if v.Epoch >= 1 || !retrain {
@@ -692,10 +755,18 @@ func (m *Manager) run(ctx context.Context, j *Job, r *resolved) {
 				slog.Int64("iters", v.Iters))
 		})
 	}
-	cfg.Progress = func(p metrics.Point) {
+	t.started = func(samples, dim int) {
+		j.mu.Lock()
+		j.state, j.started = StateRunning, time.Now()
+		j.samples, j.dim = samples, dim
+		j.mu.Unlock()
+		log.LogAttrs(ctx, slog.LevelInfo, "job started", slog.String("dataset", j.dsName),
+			slog.Int("samples", samples), slog.Int("dim", dim))
+	}
+	t.progress = func(p metrics.Point, samples int) {
 		j.mu.Lock()
 		m.updates.Add(p.Iters - j.iters)
-		j.iters = p.Iters
+		j.iters, j.samples = p.Iters, samples
 		j.curve = append(j.curve, p)
 		j.mu.Unlock()
 		log.LogAttrs(ctx, slog.LevelDebug, "epoch",
@@ -703,7 +774,13 @@ func (m *Manager) run(ctx context.Context, j *Job, r *resolved) {
 			slog.Float64("obj", p.Obj), slog.Float64("err_rate", p.ErrRate))
 	}
 
-	res, err := solver.Train(ctx, ds, r.obj, cfg)
+	var out stopped
+	var err error
+	if r.stream != nil {
+		out, err = streamTrain(ctx, t, r, body)
+	} else {
+		out, err = batchTrain(ctx, t, r)
+	}
 	switch {
 	case err != nil && ctx.Err() != nil:
 		// Cancelled (DELETE or shutdown). Withdraw the live model (the
@@ -715,178 +792,35 @@ func (m *Manager) run(ctx context.Context, j *Job, r *resolved) {
 		live.rollback()
 		log.LogAttrs(ctx, slog.LevelInfo, "model rolled back")
 		msg := err.Error()
-		if res != nil && len(res.Weights) > 0 {
-			msg = withCheckpointErr(msg, m.saveCheckpoint(j, j.model+".partial", r.obj, res))
+		if len(out.weights) > 0 {
+			msg = withCheckpointErr(msg, m.saveCheckpoint(j, j.model+".partial", out))
 		}
-		m.finish(j, StateCancelled, msg, nil)
+		m.finish(j, StateCancelled, msg)
 	case err != nil:
 		live.rollback()
 		log.LogAttrs(ctx, slog.LevelInfo, "model rolled back")
-		m.finish(j, StateFailed, err.Error(), nil)
+		m.finish(j, StateFailed, err.Error())
 	default:
 		if st.Load() == nil {
 			// Live publication disabled: cut the single final version now.
-			st.PublishCopy(res.Curve.Final().Epoch, res.Iters, res.Weights)
+			st.PublishCopy(out.epoch, out.iters, out.weights)
 		}
-		if pubErr := live.finalize(); pubErr != nil {
-			m.finish(j, StateFailed, pubErr.Error(), nil)
+		if err := live.finalize(); err != nil {
+			m.finish(j, StateFailed, err.Error())
 			return
 		}
 		log.LogAttrs(ctx, slog.LevelInfo, "model finalized",
-			slog.Uint64("seq", st.Seq()), slog.Int64("iters", res.Iters))
-		m.finish(j, StateDone, withCheckpointErr("", m.saveCheckpoint(j, j.model, r.obj, res)), res)
+			slog.Uint64("seq", st.Seq()), slog.Int64("iters", out.iters))
+		m.finish(j, StateDone, withCheckpointErr("", m.saveCheckpoint(j, j.model, out)))
 	}
-}
-
-// runStream executes one streaming job: waits for a pool slot, drives a
-// stream.Trainer over the source (body, or the spec's path when body is
-// nil), records one curve point per ingested block (sliding-window
-// evaluation), and publishes + checkpoints the final model. Like run, it
-// is the only writer of terminal state for its job.
-func (m *Manager) runStream(ctx context.Context, j *Job, r *resolved, body io.Reader) {
-	defer m.wg.Done()
-	defer close(j.done)
-	defer j.cancel()
-
-	select {
-	case m.sem <- struct{}{}:
-		defer func() { <-m.sem }()
-	case <-ctx.Done():
-		m.finish(j, StateCancelled, "cancelled while queued", nil)
-		return
-	}
-	if ctx.Err() != nil {
-		m.finish(j, StateCancelled, "cancelled while queued", nil)
-		return
-	}
-
-	src := body
-	name := "stream-upload"
-	if src == nil {
-		f, err := os.Open(r.streamPath)
-		if err != nil {
-			m.finish(j, StateFailed, fmt.Sprintf("open stream: %v", err), nil)
-			return
-		}
-		defer f.Close()
-		src = f
-		name = r.streamPath
-	}
-
-	j.mu.Lock()
-	j.state = StateRunning
-	j.started = time.Now()
-	j.mu.Unlock()
-
-	log := m.jobLog(j)
-	log.LogAttrs(ctx, slog.LevelInfo, "job started",
-		slog.String("source", name), slog.Int("dim", j.dim))
-
-	st := snapshot.NewStore()
-	live := m.newLiveModel(j, r.obj, j.dsName, st)
-
-	scfg := *r.stream
-	scfg.Instruments = obs.NewTrainInstruments(m.Obs(), j.model)
-	st.SetOnReject(func(block int, updates int64) {
-		scfg.Instruments.SnapshotRejected.Inc()
-		log.LogAttrs(ctx, slog.LevelWarn, "snapshot publish rejected: non-finite weights",
-			slog.Int("block", block), slog.Int64("updates", updates))
-	})
-	if m.publishEvery > 0 {
-		scfg.Snapshots = st
-		scfg.PublishEvery = m.publishEvery
-		// Stream versions are always cut after training on a block, so the
-		// first published version is already trained — go live on it.
-		st.SetOnPublish(func(v *snapshot.Version) {
-			live.publish()
-			log.LogAttrs(ctx, slog.LevelDebug, "snapshot published",
-				slog.Uint64("seq", v.Seq), slog.Int("block", v.Epoch),
-				slog.Int64("updates", v.Iters))
-		})
-	}
-	tr, err := stream.NewTrainer(scfg)
-	if err != nil {
-		m.finish(j, StateFailed, err.Error(), nil)
-		return
-	}
-	start := time.Now()
-	bestErr := math.Inf(1)
-	tr.SetOnBlock(func(s stream.BlockStats) {
-		obj, rmse, errRate, _ := tr.EvaluateWindow()
-		if errRate < bestErr {
-			bestErr = errRate
-		}
-		p := metrics.Point{
-			Epoch: int(s.Block) + 1, Iters: s.Updates, Wall: time.Since(start),
-			Obj: obj, RMSE: rmse, ErrRate: errRate, BestErr: bestErr,
-		}
-		j.mu.Lock()
-		m.updates.Add(p.Iters - j.iters)
-		j.iters = p.Iters
-		j.samples = int(tr.Rows())
-		j.curve = append(j.curve, p)
-		j.mu.Unlock()
-	})
-
-	res, err := tr.Run(ctx, stream.NewReader(src, name, r.blockSize))
-	switch {
-	case err != nil && ctx.Err() != nil:
-		live.rollback()
-		log.LogAttrs(ctx, slog.LevelInfo, "model rolled back")
-		msg := err.Error()
-		if res != nil && len(res.Weights) > 0 {
-			msg = withCheckpointErr(msg, m.saveStreamCheckpoint(j, j.model+".partial", res))
-		}
-		m.finish(j, StateCancelled, msg, nil)
-	case err != nil:
-		live.rollback()
-		log.LogAttrs(ctx, slog.LevelInfo, "model rolled back")
-		m.finish(j, StateFailed, err.Error(), nil)
-	case res.Rows == 0:
-		live.rollback()
-		m.finish(j, StateFailed, "stream contained no rows", nil)
-	default:
-		if st.Load() == nil {
-			// Live publication disabled: cut the single final version now.
-			st.PublishCopy(int(res.Blocks), res.Updates, res.Weights)
-		}
-		if pubErr := live.finalize(); pubErr != nil {
-			m.finish(j, StateFailed, pubErr.Error(), nil)
-			return
-		}
-		log.LogAttrs(ctx, slog.LevelInfo, "model finalized",
-			slog.Uint64("seq", st.Seq()), slog.Int64("updates", res.Updates))
-		m.finish(j, StateDone, withCheckpointErr("", m.saveStreamCheckpoint(j, j.model, res)), nil)
-	}
-}
-
-// saveStreamCheckpoint persists a streaming result, as saveCheckpoint
-// does for a solver result.
-func (m *Manager) saveStreamCheckpoint(j *Job, name string, res *stream.Result) error {
-	path := m.CheckpointPath(name)
-	if path == "" {
-		return nil
-	}
-	j.mu.Lock()
-	st := &checkpoint.State{
-		Algo: j.algoName, Objective: j.objName, Dataset: j.dsName,
-		Epoch: int(res.Blocks), Iters: res.Updates,
-		Step: j.cfg.Step, Seed: j.cfg.Seed,
-		Dim: len(res.Weights), Weights: res.Weights, Curve: j.curve,
-	}
-	j.mu.Unlock()
-	return checkpoint.SaveFile(path, st)
 }
 
 // finish records a terminal state.
-func (m *Manager) finish(j *Job, state JobState, errMsg string, res *solver.Result) {
+func (m *Manager) finish(j *Job, state JobState, errMsg string) {
 	j.mu.Lock()
 	j.state = state
 	j.errMsg = errMsg
 	j.finished = time.Now()
-	if res != nil && len(j.curve) == 0 {
-		j.curve = res.Curve
-	}
 	dur := j.finished.Sub(j.submitted)
 	iters := j.iters
 	j.mu.Unlock()
@@ -895,20 +829,21 @@ func (m *Manager) finish(j *Job, state JobState, errMsg string, res *solver.Resu
 		slog.Int64("iters", iters), slog.Duration("duration", dur))
 }
 
-// saveCheckpoint persists the job's result under the given model name.
-// It runs before the job is marked terminal, so a client that sees the
-// terminal state also finds the checkpoint on disk.
-func (m *Manager) saveCheckpoint(j *Job, name string, obj objective.Objective, res *solver.Result) error {
+// saveCheckpoint persists where the job stopped, with its curve, under
+// the given model name.
+func (m *Manager) saveCheckpoint(j *Job, name string, out stopped) error {
 	path := m.CheckpointPath(name)
 	if path == "" {
 		return nil
 	}
+	j.mu.Lock()
 	st := &checkpoint.State{
-		Algo: res.Algo.String(), Objective: obj.Name(), Dataset: j.dsName,
-		Epoch: res.Curve.Final().Epoch, Iters: res.Iters,
+		Algo: j.algoName, Objective: j.objName, Dataset: j.dsName,
+		Epoch: out.epoch, Iters: out.iters,
 		Step: j.cfg.Step, Seed: j.cfg.Seed,
-		Dim: len(res.Weights), Weights: res.Weights, Curve: res.Curve,
+		Dim: len(out.weights), Weights: out.weights, Curve: j.curve,
 	}
+	j.mu.Unlock()
 	return checkpoint.SaveFile(path, st)
 }
 

@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
+
+	"github.com/isasgd/isasgd/internal/checkpoint"
 )
 
 // longSpec is a job that trains effectively forever (tiny inline
@@ -36,39 +40,125 @@ func waitState(t *testing.T, j *Job, want JobState) {
 	t.Fatalf("job %s never reached state %s (currently %s)", j.ID, want, j.Status().State)
 }
 
-func TestCancelRunningJob(t *testing.T) {
-	dir := t.TempDir()
-	mgr := NewManager(NewRegistry(), 1, dir)
-	defer mgr.Shutdown(context.Background())
+// jobKinds are the two job kinds the one lifecycle runs, each as a
+// spec factory: long jobs train until cancelled, short ones finish in
+// milliseconds. A stream job reads a corpus file under the manager's
+// stream root, one row per block; its long form runs 2^18 updates per
+// block.
+var jobKinds = []struct {
+	name string
+	spec func(t *testing.T, mgr *Manager, model string, long bool) JobSpec
+}{
+	{"batch", func(_ *testing.T, _ *Manager, model string, long bool) JobSpec {
+		s := longSpec(model)
+		if !long {
+			s.Epochs, s.EvalEvery = 300, 100
+		}
+		return s
+	}},
+	{"stream", func(t *testing.T, mgr *Manager, model string, long bool) JobSpec {
+		path := writeCorpusFile(t, streamCorpus(t, 512, 16, 3))
+		mgr.SetStreamRoot(filepath.Dir(path))
+		s := streamSpec(path)
+		s.Model = model
+		if long {
+			s.BlockSize, s.UpdatesPerBlock, s.Threads = 1, 1<<18, 1
+		}
+		return s
+	}},
+}
 
-	j, err := mgr.Submit(longSpec("slow"))
-	if err != nil {
-		t.Fatal(err)
+// TestCancelRunningJob cancels a live job of each kind: it ends
+// cancelled, its name is rolled back, and its progress lands in
+// <model>.partial.ckpt, never in <model>.ckpt, with the epoch and
+// updates its weights reached.
+func TestCancelRunningJob(t *testing.T) {
+	for _, kind := range jobKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			dir := t.TempDir()
+			mgr := NewManager(NewRegistry(), 1, dir)
+			defer mgr.Shutdown(context.Background())
+
+			j, err := mgr.Submit(kind.spec(t, mgr, "slow", true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, j, StateRunning)
+			for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+				if _, ok := mgr.Registry().Get("slow"); ok {
+					break // live: cancelling must roll the name back
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("running job never went live")
+				}
+			}
+			if err := mgr.Cancel(j.ID); err != nil {
+				t.Fatal(err)
+			}
+			<-j.Done()
+			st := j.Status()
+			if st.State != StateCancelled {
+				t.Fatalf("state = %s (%s), want cancelled", st.State, st.Error)
+			}
+			// Cancelled jobs never publish...
+			if _, ok := mgr.Registry().Get("slow"); ok {
+				t.Fatal("cancelled job must not publish its model")
+			}
+			// ...but do checkpoint partial progress for later
+			// inspection/resume, under "<model>.partial" so a finished
+			// model's checkpoint of the same name is never clobbered.
+			ck, err := checkpoint.LoadFile(mgr.CheckpointPath("slow.partial"))
+			if err != nil {
+				t.Fatalf("partial checkpoint missing: %v", err)
+			}
+			if _, err := os.Stat(mgr.CheckpointPath("slow")); err == nil {
+				t.Fatal("cancelled job wrote the finished-model checkpoint path")
+			}
+			// The checkpoint's epoch and updates are where its weights
+			// stopped: a batch epoch is 4 updates on longSpec's 4 rows, and
+			// every stream block is a curve point.
+			if kind.name == "batch" && ck.Iters != 4*int64(ck.Epoch) {
+				t.Fatalf("partial checkpoint epoch %d, iters %d: want iters = 4·epoch", ck.Epoch, ck.Iters)
+			}
+			if last := ck.Curve.Final(); kind.name == "stream" && (last.Epoch != ck.Epoch || last.Iters != ck.Iters) {
+				t.Fatalf("partial checkpoint at block %d, %d updates; its last curve point at %d, %d",
+					ck.Epoch, ck.Iters, last.Epoch, last.Iters)
+			}
+		})
 	}
-	waitState(t, j, StateRunning)
-	if err := mgr.Cancel(j.ID); err != nil {
-		t.Fatal(err)
-	}
-	<-j.Done()
-	st := j.Status()
-	if st.State != StateCancelled {
-		t.Fatalf("state = %s, want cancelled", st.State)
-	}
-	// Cancelled jobs never publish...
-	if _, ok := mgr.Registry().Get("slow"); ok {
-		t.Fatal("cancelled job must not publish its model")
-	}
-	// ...but do checkpoint partial progress for later inspection/resume,
-	// under "<model>.partial" so a finished model's checkpoint of the
-	// same name is never clobbered.
-	if _, err := os.Stat(mgr.CheckpointPath("slow.partial")); err != nil {
-		t.Fatalf("partial checkpoint missing: %v", err)
-	}
-	if _, err := os.Stat(mgr.CheckpointPath("slow")); err == nil {
-		t.Fatal("cancelled job wrote the finished-model checkpoint path")
-	}
+	mgr := NewManager(NewRegistry(), 1, "")
+	defer mgr.Shutdown(context.Background())
 	if err := mgr.Cancel("job-404404"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Cancel(unknown) = %v, want ErrNotFound", err)
+	}
+}
+
+// TestCheckpointBeforeTerminal pins, for each job kind, that a finished
+// model's checkpoint is on disk before the job reports done: the first
+// Status that reads done already finds <model>.ckpt.
+func TestCheckpointBeforeTerminal(t *testing.T) {
+	for _, kind := range jobKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			mgr := NewManager(NewRegistry(), 1, t.TempDir())
+			defer mgr.Shutdown(context.Background())
+			j, err := mgr.Submit(kind.spec(t, mgr, "quick", false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				st := j.Status()
+				if st.State == StateDone {
+					break
+				}
+				if st.State == StateFailed || st.State == StateCancelled {
+					t.Fatalf("job ended %s: %s", st.State, st.Error)
+				}
+				runtime.Gosched()
+			}
+			if _, err := os.Stat(mgr.CheckpointPath("quick")); err != nil {
+				t.Fatalf("job reported done before its checkpoint was written: %v", err)
+			}
+		})
 	}
 }
 

@@ -269,6 +269,7 @@ type Result struct {
 	Curve     metrics.Curve
 	Decision  balance.Decision // IS-ASGD's Algorithm-4 branch; zero otherwise
 	TrainTime time.Duration    // wall-clock spent optimizing (eval excluded)
+	Epochs    int              // epochs completed: the point Weights and Iters reached
 	Iters     int64
 	Threads   int
 	Shed      int64 // updates dropped by the adaptive staleness bound (0 unless StalenessBound > 0)
@@ -408,6 +409,7 @@ func Train(ctx context.Context, ds *dataset.Dataset, obj objective.Objective, cf
 		epochStart := time.Now()
 		n := alg.RunEpoch(step)
 		res.Iters += n
+		res.Epochs = epoch
 		cfg.Instruments.EpochDone(n, time.Since(epochStart))
 		if cfg.Snapshots != nil && eng == nil && epoch%cfg.PublishEvery == 0 {
 			// The Engine publishes from inside RunEpoch; the SVRG/SAGA

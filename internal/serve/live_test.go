@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -142,6 +145,65 @@ func TestPredictZeroAlloc(t *testing.T) {
 		resp.Release()
 	}); n != 0 {
 		t.Fatalf("steady-state predict allocates %.1f objects/op, want 0", n)
+	}
+}
+
+// TestPredictWireZeroAlloc extends TestPredictZeroAlloc to the body
+// path of the handler: reading and parsing a 32-nnz shorthand body and a
+// 4-instance body into the pooled scratch, scoring them and encoding
+// their answers allocate nothing once warm.
+func TestPredictWireZeroAlloc(t *testing.T) {
+	if model.RaceEnabled {
+		t.Skip("allocation accounting is not meaningful under the race detector")
+	}
+	reg := NewRegistry()
+	w := make([]float64, 1024)
+	for i := range w {
+		w[i] = float64(i) / 7
+	}
+	if err := reg.Publish(&Model{Name: "m", Store: snapshot.Of(1, 1, w)}); err != nil {
+		t.Fatal(err)
+	}
+	in := benchInstance(len(w), 32, 3)
+	shorthand, err := json.Marshal(PredictRequest{Indices: in.Indices, Values: in.Values})
+	if err != nil {
+		t.Fatal(err)
+	}
+	four, err := json.Marshal(PredictRequest{Instances: []Instance{
+		benchInstance(len(w), 8, 4), benchInstance(len(w), 8, 5),
+		benchInstance(len(w), 8, 6), benchInstance(len(w), 8, 7),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, rec := new(bytes.Reader), httptest.NewRecorder()
+	serve := func(body []byte) {
+		sc := getPredictScratch()
+		defer putPredictScratch(sc)
+		rd.Reset(body)
+		var req PredictRequest
+		if !decodePredict(rec, rd, sc, &req) {
+			t.Fatalf("%s: rejected: %s", body, rec.Body)
+		}
+		batch, ok := sc.batch(&req)
+		if !ok {
+			t.Fatalf("%s: no instances", body)
+		}
+		resp, err := reg.Predict("m", batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.out = appendPredictResponse(sc.out[:0], resp)
+		resp.Release()
+	}
+	for i := 0; i < 8; i++ {
+		serve(shorthand)
+		serve(four)
+	}
+	for _, body := range [][]byte{shorthand, four} {
+		if n := testing.AllocsPerRun(1000, func() { serve(body) }); n != 0 {
+			t.Fatalf("steady-state decode, predict and encode of %d bytes allocate %.1f objects/op, want 0", len(body), n)
+		}
 	}
 }
 

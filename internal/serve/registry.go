@@ -396,9 +396,11 @@ func (r *Registry) Predict(name string, batch []Instance) (*PredictResponse, err
 // predictAtVersion validates and scores one batch against an already
 // resolved model + version pair — the scoring core shared by the
 // unbatched path (Registry.Predict, which resolves per request) and the
-// micro-batcher (Batcher, which resolves once per coalesced flush). The
-// response comes from the pool and telemetry counts this batch as one
-// request; callers own the resolve discipline.
+// micro-batcher (Batcher, which resolves once per coalesced flush). A
+// batch with a score that is not finite (the sum overflowed, or a weight
+// is not finite) is an error, since JSON cannot carry it. The response
+// comes from the pool and telemetry counts this batch as one request;
+// callers own the resolve discipline.
 func predictAtVersion(m *Model, v *snapshot.Version, batch []Instance) (*PredictResponse, error) {
 	for i := range batch {
 		if err := batch[i].Validate(); err != nil {
@@ -416,7 +418,12 @@ func predictAtVersion(m *Model, v *snapshot.Version, batch []Instance) (*Predict
 	}
 	resp.Predictions = resp.Predictions[:len(batch)]
 	for i := range batch {
-		resp.Predictions[i] = m.predictAt(v, batch[i])
+		p := m.predictAt(v, batch[i])
+		if math.IsInf(p.Score, 0) || math.IsNaN(p.Score) {
+			resp.Release()
+			return nil, fmt.Errorf("serve: instance %d: score is not finite", i)
+		}
+		resp.Predictions[i] = p
 	}
 	m.requests.Add(1)
 	m.preds.Add(int64(len(batch)))

@@ -158,11 +158,18 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+// decodeJSON decodes body as exactly one JSON value into v, rejecting
+// unknown fields and anything but whitespace after the value; on failure
+// it answers 400.
+func decodeJSON(w http.ResponseWriter, body io.Reader, v any) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return false
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeError(w, http.StatusBadRequest, "bad request body: data after the JSON value")
 		return false
 	}
 	return true
@@ -170,7 +177,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 
 func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if !decodeJSON(w, r, &spec) {
+	if !decodeJSON(w, r.Body, &spec) {
 		return
 	}
 	j, err := s.mgr.SubmitCtx(r.Context(), spec)
@@ -310,9 +317,10 @@ func (s *Server) deleteModel(w http.ResponseWriter, r *http.Request) {
 }
 
 // predict scores a batch and stamps the handler's latency breakdown
-// into isasgd_predict_phase_seconds: decode (JSON parse), resolve (the
-// model-map and snapshot-version loads the batch is answered from),
-// score (validation + the dot products), encode (JSON render). The
+// into isasgd_predict_phase_seconds: decode (body read and parse, see
+// decodePredict), resolve (the model-map and snapshot-version loads the
+// batch is answered from), score (validation + the dot products),
+// encode (appendPredictResponse and the write). The
 // scoring core (Registry.Predict) itself stays allocation-free; the
 // phase timers are handler-side and cost four clock reads.
 func (s *Server) predict(w http.ResponseWriter, r *http.Request) {
@@ -335,20 +343,21 @@ func (s *Server) predict(w http.ResponseWriter, r *http.Request) {
 			defer g.Release()
 		}
 	}
+	// The scratch backs req's slices and the rendered answer; Predict,
+	// batched or not, is done with both before it returns.
+	sc := getPredictScratch()
+	defer putPredictScratch(sc)
 	var req PredictRequest
 	t0 := time.Now()
-	if !decodeJSON(w, r, &req) {
+	if !decodePredict(w, r.Body, sc, &req) {
 		return
 	}
 	t1 := time.Now()
 	s.phaseDecode.ObserveDuration(t1.Sub(t0))
-	batch := req.Instances
-	if batch == nil {
-		if len(req.Indices) == 0 && len(req.Values) == 0 {
-			writeError(w, http.StatusBadRequest, "provide instances or indices/values")
-			return
-		}
-		batch = []Instance{{Indices: req.Indices, Values: req.Values}}
+	batch, ok := sc.batch(&req)
+	if !ok {
+		writeError(w, http.StatusBadRequest, "provide instances or indices/values")
+		return
 	}
 	// Resolve phase: the same two atomic loads Predict performs — timed
 	// here so the breakdown separates snapshot resolution from scoring.
@@ -373,8 +382,11 @@ func (s *Server) predict(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.phaseScore.ObserveDuration(t3.Sub(t2))
 		s.mgr.Registry().ObserveLatency(name, t3.Sub(t1))
-		writeJSON(w, http.StatusOK, resp)
+		sc.out = appendPredictResponse(sc.out[:0], resp)
 		resp.Release()
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		w.Write(sc.out) //nolint:errcheck // the client is gone; nothing to answer
 		s.phaseEncode.ObserveDuration(time.Since(t3))
 	}
 }

@@ -27,6 +27,13 @@
 //
 // Request and response bodies are JSON, errors included, except the
 // checkpoint bodies, the metrics text, and a 200 /v1/replicate answer.
+// A JSON request body is exactly one value: anything but whitespace
+// after it is a 400 (earlier versions ignored trailing bytes). Predict
+// bodies take a byte-level fast path (predictwire.go): a body in its
+// grammar is parsed in place into bitwise the numbers encoding/json
+// would decode, and every other body goes to encoding/json, so what is
+// accepted and each error text are encoding/json's. A 200 predict
+// answer is appended byte for byte as encoding/json would write it.
 // That answer is one version frame (frame.Header documents its layout),
 // the same frame a cluster coordinator answers a worker's pull with:
 // /v1/replicate?model=name&since=seq is the model's version feed

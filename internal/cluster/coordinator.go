@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -101,6 +102,15 @@ type Coordinator struct {
 	tauN    int64     // pushes admitted since start (applied counts restored ones)
 	workers map[int]struct{}
 
+	// Membership, under mu: workers holds the IDs seen on a pull, an
+	// applied push or a done-ack; k is the run's worker count K, 0 while
+	// unknown, taken from the first admitted pull that declares one (see
+	// join); startCh, the start barrier, closes once IDs 0…k−1 have all
+	// been seen.
+	k         int
+	startCh   chan struct{}
+	startOnce sync.Once
+
 	// The evaluator: at most one goroutine runs it (evaluating), so it is
 	// the only writer of scored, lossBits and reached.
 	evaluating atomic.Bool
@@ -179,6 +189,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		maxPush: maxPushFrame(cfg.Dim),
 		w:       make([]float64, cfg.Dim),
 		workers: map[int]struct{}{},
+		startCh: make(chan struct{}),
 		acked:   map[int]struct{}{},
 		doneCh:  make(chan struct{}),
 		ackCh:   make(chan struct{}),
@@ -256,18 +267,20 @@ func (c *Coordinator) isDone() bool {
 
 func (c *Coordinator) markDone() { c.doneOnce.Do(func() { close(c.doneCh) }) }
 
-// DoneAcked is closed once the run is done AND every worker that ever
-// pushed has received a Done=true response — the signal that an
-// exit-on-done coordinator can stop serving without stranding workers
-// mid-protocol (their next RPC would hit a closed port).
+// DoneAcked is closed once the run is done AND every member has
+// received a Done=true response — the signal that an exit-on-done
+// coordinator can stop serving without stranding workers mid-protocol
+// (their next RPC would hit a closed port). The members are IDs 0…K−1
+// once the worker count K is known, and the workers seen so far before
+// (see join).
 func (c *Coordinator) DoneAcked() <-chan struct{} { return c.ackCh }
 
-// ackDone records that worker just saw Done=true; when every known
-// worker has, DoneAcked fires. An acking worker registers as a member
-// even if none of its pushes were applied (pull-only or shed-only
-// nodes), and the quorum is membership-based — every member must ack —
-// so a bystander's ack can never satisfy the quorum on behalf of a
-// worker that has not yet seen Done.
+// ackDone records that worker just saw Done=true; when every member
+// has, DoneAcked fires. An acking worker registers as seen even if none
+// of its pushes were applied (pull-only or shed-only nodes), and the
+// quorum is membership-based — every member must ack — so a bystander's
+// ack can never satisfy the quorum on behalf of a worker that has not
+// yet seen Done.
 func (c *Coordinator) ackDone(worker int) {
 	if worker < 0 {
 		return
@@ -276,12 +289,96 @@ func (c *Coordinator) ackDone(worker int) {
 	defer c.mu.Unlock()
 	c.workers[worker] = struct{}{}
 	c.acked[worker] = struct{}{}
+	if c.allIn(c.acked) {
+		c.ackOnce.Do(func() { close(c.ackCh) })
+	}
+}
+
+// allIn reports whether set holds every member: IDs 0…k−1 once the
+// worker count is known, every worker seen before. Callers hold mu.
+func (c *Coordinator) allIn(set map[int]struct{}) bool {
+	if c.k > 0 {
+		for id := 0; id < c.k; id++ {
+			if _, ok := set[id]; !ok {
+				return false
+			}
+		}
+		return true
+	}
 	for id := range c.workers {
-		if _, ok := c.acked[id]; !ok {
-			return
+		if _, ok := set[id]; !ok {
+			return false
 		}
 	}
-	c.ackOnce.Do(func() { close(c.ackCh) })
+	return true
+}
+
+// join admits a pull from worker (−1 when the puller gave no ID) that
+// declares a run of declared workers (0 when it declared none), and
+// opens the start barrier once IDs 0…k−1 have all been seen.
+//
+// The worker count K is the first admitted declaration: a declaring
+// pull must carry an ID inside its own count and agree with K once K is
+// known, so a refused pull never fixes K. cluster.Worker declares on
+// every pull. Until a declaration arrives, and for good when no client
+// declares, the members are the workers seen so far, which is racy: a
+// worker that reaches the target before another's first request lets
+// an exit-on-done coordinator close its port under the late worker, and
+// the late worker may find the run done before its first round.
+func (c *Coordinator) join(worker, declared int) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if declared > 0 {
+		if worker < 0 || worker >= declared {
+			return fmt.Errorf("worker count %d needs a worker id in 0…%d", declared, declared-1)
+		}
+		if c.k > 0 && declared != c.k {
+			return fmt.Errorf("worker count %d contradicts the run's %d", declared, c.k)
+		}
+	}
+	if err := c.checkID(worker); err != nil {
+		return err
+	}
+	if c.k == 0 {
+		c.k = declared
+	}
+	if worker >= 0 {
+		c.workers[worker] = struct{}{}
+	}
+	if c.k > 0 && c.allIn(c.workers) {
+		c.startOnce.Do(func() { close(c.startCh) })
+	}
+	return nil
+}
+
+// checkID refuses a worker ID outside 0…k−1 once the worker count is
+// known. Callers hold mu.
+func (c *Coordinator) checkID(worker int) error {
+	if c.k > 0 && worker >= c.k {
+		return fmt.Errorf("worker %d outside the run's ids 0…%d", worker, c.k-1)
+	}
+	return nil
+}
+
+// awaitStart is the start barrier of a worker's first pull: it returns
+// once every member has pulled, the run is done, the poll window has
+// passed or ctx is done. It returns at once while the worker count is
+// unknown.
+func (c *Coordinator) awaitStart(ctx context.Context) {
+	c.mu.Lock()
+	k := c.k
+	c.mu.Unlock()
+	if k == 0 {
+		return
+	}
+	t := time.NewTimer(c.cfg.PollTimeout)
+	defer t.Stop()
+	select {
+	case <-c.startCh:
+	case <-c.doneCh:
+	case <-t.C:
+	case <-ctx.Done():
+	}
 }
 
 func (c *Coordinator) lastLoss() float64 { return math.Float64frombits(c.lossBits.Load()) }
@@ -357,10 +454,26 @@ func (c *Coordinator) handlePull(w http.ResponseWriter, r *http.Request) {
 		}
 		worker = id
 	}
+	declared := 0
+	if s := q.Get("workers"); s != "" {
+		n, err := strconv.Atoi(s)
+		if err != nil || n < 1 {
+			writeErr(w, http.StatusBadRequest, fmt.Sprintf("bad workers %q: want a worker count ≥ 1", s))
+			return
+		}
+		declared = n
+	}
 	wire, err := parseWire(q.Get("wire"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
+	}
+	if err := c.join(worker, declared); err != nil {
+		writeErr(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	if s := q.Get("since"); worker >= 0 && (s == "" || s == "0") {
+		c.awaitStart(r.Context())
 	}
 	frame.Serve(w, r, c.store, c.cfg.PollTimeout, c.doneCh, func() frame.Header {
 		if c.m.pulls != nil {
@@ -393,6 +506,11 @@ func (c *Coordinator) handlePush(w http.ResponseWriter, r *http.Request) {
 	}
 
 	c.mu.Lock()
+	if err := c.checkID(req.Worker); err != nil {
+		c.mu.Unlock()
+		c.reject(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	cur := c.store.Seq()
 	tau := int64(cur) - int64(req.Seq)
 	if tau < 0 {
@@ -561,6 +679,12 @@ func (c *Coordinator) evaluate() {
 }
 
 func (c *Coordinator) rejectBad(w http.ResponseWriter, msg string) {
+	c.reject(w, http.StatusUnprocessableEntity, msg)
+}
+
+// reject counts a push the coordinator refuses as bad and answers it
+// with status and msg.
+func (c *Coordinator) reject(w http.ResponseWriter, status int, msg string) {
 	c.mu.Lock()
 	c.bad++
 	c.mu.Unlock()
@@ -568,7 +692,7 @@ func (c *Coordinator) rejectBad(w http.ResponseWriter, msg string) {
 		c.m.pushBad.Inc()
 	}
 	c.log.Warn("push rejected", "reason", msg)
-	writeErr(w, http.StatusUnprocessableEntity, msg)
+	writeErr(w, status, msg)
 }
 
 func (c *Coordinator) rejectBadf(w http.ResponseWriter, format string, args ...any) {

@@ -9,8 +9,8 @@
 //
 // The protocol is two endpoints:
 //
-//	GET  /v1/cluster/pull?since=SEQ&worker=ID&wire=f64|f32   long-poll the next model
-//	POST /v1/cluster/push                                     submit a sparse update
+//	GET  /v1/cluster/pull?since=SEQ&worker=ID&workers=K&wire=f64|f32   long-poll the next model
+//	POST /v1/cluster/push                                               submit a sparse update
 //
 // Pull is the coordinator's version feed, the one internal/frame serves
 // for snapshot replication too: frame.Serve blocks (bounded by the
@@ -20,6 +20,15 @@
 // vector when nothing changed, and its header carries the run's done
 // flag and last loss. The worker polls with frame.Pull, whose cursor
 // rule also catches a coordinator that restarted behind it.
+//
+// The run has K workers with IDs 0…K−1. Each worker declares K on every
+// pull (workers=K), and the coordinator takes K from the first pull it
+// admits, one whose ID lies inside its declared count. From then on a
+// worker's first pull, at since=0, waits within the poll window until
+// all K have pulled, so the star starts from version 1 together; the
+// done-ack quorum an exit-on-done coordinator waits for is all K IDs;
+// and a pull or push from an ID ≥ K, or a pull declaring another count,
+// is refused with 400.
 //
 // Push carries the worker's accumulated sparse delta (index/value pairs
 // of coordinates that moved during its local round) plus the seq of the

@@ -204,7 +204,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	var since uint64
 	step := w.cfg.Step
 	log := w.cfg.Log
-	query := fmt.Sprintf("worker=%d&wire=%s", w.cfg.ID, w.wire)
+	query := fmt.Sprintf("worker=%d&workers=%d&wire=%s", w.cfg.ID, w.cfg.Workers, w.wire)
 
 	for {
 		if err := ctx.Err(); err != nil {

@@ -9,7 +9,15 @@
 //
 //   - sample sequences are generated offline (Algorithm 2 line 3 /
 //     Algorithm 4 line 12), so the online kernel is identical to ASGD:
-//     one sparse dot, one scalar loss derivative, one sparse axpy;
+//     one sparse dot, one scalar loss derivative, one sparse axpy. The
+//     uniform constructions pre-generate theirs too, one epoch at a time;
+//   - because each worker's whole sequence is known before its pass, the
+//     worker loop looks ahead along it and touches the rows of upcoming
+//     updates (their CSR offsets, first index and value line, label and
+//     step scale) while the current update runs. A row is a chain of
+//     dependent cache misses, and on the atomic model every CAS is a
+//     fence that keeps the CPU from running ahead into the next row by
+//     itself; the early touches put those misses in flight beforehand;
 //   - each worker owns a contiguous shard of the (rearranged) dataset
 //     and a sampling distribution computed from its local Lipschitz
 //     constants (Algorithm 4 lines 9–11);
@@ -23,6 +31,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -61,7 +70,7 @@ type Engine struct {
 
 	shards   [][]int            // per worker: global row ids
 	scales   [][]float64        // per worker, per local position: step multiplier 1/(N_a·p_ai); nil = all ones
-	seqs     [][]int32          // per worker: pre-generated local-position sequence; nil = online uniform draws
+	seqs     [][]int32          // per worker: pre-generated local-position sequence, uniform or importance-sampled
 	rngs     []*xrand.Rand      // per worker
 	samplers []sampling.Sampler // per worker; retained for sequence regeneration
 
@@ -96,6 +105,11 @@ type Engine struct {
 	pol    adaptive.Policy
 	dcBase []float64
 	shed   atomic.Int64
+
+	// touched receives, once per shard pass, the fold of the values the
+	// worker loop touched ahead of use, so the compiler cannot drop those
+	// loads as dead. Nothing reads it.
+	touched atomic.Uint64
 }
 
 // PublishTo configures mid-training snapshot publication: after every
@@ -220,7 +234,19 @@ func NewASGD(ds *dataset.Dataset, obj objective.Objective, m model.Params, threa
 	}
 	order := e.rngs[0].Perm(ds.N())
 	e.shards = balance.Split(order, e.Threads())
-	// Uniform online draws: no sequences, no scales.
+	// Uniform draws with unit step scale: no scales. The positions are
+	// pre-generated one epoch at a time, so the worker loop looks ahead
+	// along them as it does on the IS arm; a refill makes one rng.Intn
+	// call per position, in order, so the run is the one that drawing
+	// each position inside the loop gives (TestPinnedWeightsUniform).
+	e.seqs = make([][]int32, e.Threads())
+	e.samplers = make([]sampling.Sampler, e.Threads())
+	for t, shard := range e.shards {
+		if len(shard) > 0 {
+			e.samplers[t] = sampling.NewUniform(len(shard))
+			e.seqs[t] = sampling.Sequence(e.samplers[t], e.rngs[t], len(shard))
+		}
+	}
 	return e, nil
 }
 
@@ -352,7 +378,7 @@ func (e *Engine) buildSamplers(l []float64) error {
 // impractical per-iteration but which is affordable at epoch
 // granularity. Must not be called while RunEpoch is in flight.
 func (e *Engine) Reweight(l []float64) error {
-	if e.samplers == nil {
+	if e.scales == nil {
 		return fmt.Errorf("core: Reweight on a uniform engine")
 	}
 	if len(l) != e.ds.N() {
@@ -451,11 +477,34 @@ func (e *Engine) runWorker(t int, step float64) {
 	}
 }
 
+// Lookahead distances of the worker loop, in updates. Each update's row
+// is a chain of dependent cache misses, seq[it] → shard[pos] →
+// IndPtr[i] → Idx/Val[lo], Y[i] and scale[pos], and the atomic model's
+// CAS acts as a fence, so the CPU cannot overlap one row's misses with
+// the previous update by itself. Resolving IndPtr aheadPtr updates early
+// and the row's first Idx/Val line, label and step scale aheadRow updates
+// early puts that chain's loads in flight before the row is needed.
+//
+// Measured on batch_sparse (throughput_per_s, 2 vCPU, alternating
+// pairs): (16, 8) beat the loop without lookahead in 10 of 10 pairs at a
+// median ×1.26, beat (8, 4) in 3 of 3 and (32, 16) in 7 of 8 (median
+// ×1.05), and was within noise of (16, 4). Also touching the model words
+// of the row 4 ahead measured ×1.00, ×0.86 and ×1.01 against touching
+// the row only, so the loop leaves the model alone.
+const (
+	aheadPtr = 16
+	aheadRow = 8
+)
+
 // runShard is the worker loop, written once over the feature value
 // type: k and vals are the engine's kernel and CSR value array in that
 // precision. The update arithmetic itself lives in internal/kernel —
-// the loops below resolve the next position, row and step scale and
-// hand the fused update to the kernel.
+// the loop below walks the pre-generated position sequence, resolves
+// each position's row and step scale, and hands the fused update to the
+// kernel. Because the whole sequence is known before the pass starts,
+// the loop first touches the rows aheadPtr and aheadRow updates ahead
+// (see their comment), before the body switch, so the plain,
+// instrumented and adaptive bodies and both precisions all get it.
 func runShard[V float32 | float64](e *Engine, t int, step float64, k kernel.Ops[V], vals []V) {
 	shard := e.shards[t]
 	if len(shard) == 0 {
@@ -464,17 +513,15 @@ func runShard[V float32 | float64](e *Engine, t int, step float64, k kernel.Ops[
 	var (
 		ptr   = e.ds.X.IndPtr
 		idx   = e.idx
+		nnz   = int64(len(idx))
 		y     = e.ds.Y
 		obj   = e.obj
-		rng   = e.rngs[t]
 		ck    = &e.ck
-		seq   []int32
+		n     = len(shard)
+		seq   = e.seqs[t][:n]
 		scale []float64
 		sh    *obs.Histogram
 	)
-	if e.seqs != nil {
-		seq = e.seqs[t]
-	}
 	if e.scales != nil {
 		scale = e.scales[t]
 	}
@@ -482,19 +529,29 @@ func runShard[V float32 | float64](e *Engine, t int, step float64, k kernel.Ops[
 		sh = e.staleH[t]
 	}
 	var (
-		n     = len(shard)
 		pol   = e.pol
 		adapt = pol.Enabled()
 		base  = e.dcBase
 		shed  int64
+		sink  uint64
 	)
-	for it := 0; it < n; it++ {
-		var pos int
-		if seq != nil {
-			pos = int(seq[it])
-		} else {
-			pos = rng.Intn(n)
+	for it, p := range seq {
+		if a := it + aheadPtr; a < n {
+			sink += uint64(ptr[shard[seq[a]]])
 		}
+		if a := it + aheadRow; a < n {
+			q := int(seq[a])
+			j := shard[q]
+			// An empty row at the end of the CSR starts at len(idx).
+			if lo := ptr[j]; lo < nnz {
+				sink += uint64(idx[lo]) + math.Float64bits(float64(vals[lo]))
+			}
+			sink += math.Float64bits(y[j])
+			if scale != nil {
+				sink += math.Float64bits(scale[q])
+			}
+		}
+		pos := int(p)
 		i := shard[pos]
 		lo, hi := ptr[i], ptr[i+1]
 		ri, rv := idx[lo:hi], vals[lo:hi]
@@ -532,6 +589,7 @@ func runShard[V float32 | float64](e *Engine, t int, step float64, k kernel.Ops[
 			k.Step(ri, rv, y[i], s)
 		}
 	}
+	e.touched.Store(sink)
 	if shed > 0 {
 		e.shed.Add(shed)
 		e.instr.ShedDone(shed)
@@ -539,11 +597,12 @@ func runShard[V float32 | float64](e *Engine, t int, step float64, k kernel.Ops[
 }
 
 // endOfEpoch refreshes worker t's sample sequence: regenerated in place
-// from the sampler (default), or shuffled in place when the paper's
-// Section-4.2 approximation is enabled. Both paths reuse the existing
-// buffer, keeping steady-state epochs allocation-free.
+// from the sampler (the default, and always on the uniform arm), or
+// shuffled in place when the paper's Section-4.2 approximation is
+// enabled. Both paths reuse the existing buffer, keeping steady-state
+// epochs allocation-free.
 func (e *Engine) endOfEpoch(t int) {
-	if e.seqs == nil || e.seqs[t] == nil {
+	if e.seqs[t] == nil {
 		return
 	}
 	if e.shuffleSeq {

@@ -103,4 +103,15 @@ func TestRunEpochZeroAlloc(t *testing.T) {
 			t.Errorf("RunEpoch: %v steady-state allocs per epoch, want 0", n)
 		}
 	})
+	t.Run("uniform", func(t *testing.T) {
+		// Plain SGD refills its uniform sequence in place every epoch.
+		e, err := NewSGD(ds, obj, model.NewRacy(ds.Dim()), 41)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.RunEpoch(0.1) // warm up
+		if n := testing.AllocsPerRun(5, func() { e.RunEpoch(0.1) }); n != 0 {
+			t.Errorf("RunEpoch: %v steady-state allocs per epoch, want 0", n)
+		}
+	})
 }

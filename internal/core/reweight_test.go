@@ -97,7 +97,8 @@ func TestReweight(t *testing.T) {
 
 func TestReweightErrors(t *testing.T) {
 	ds, obj := smallProblem(t)
-	// Uniform (ASGD) engines have no samplers to reweight.
+	// A uniform (ASGD) engine has no step scales or importance
+	// distribution to reweight.
 	ua, err := NewASGD(ds, obj, model.NewAtomic(ds.Dim()), 2, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -89,7 +89,10 @@
 // yields fixed-size row blocks, blocks slide through a bounded window,
 // each block is importance-balanced across workers, and sampling stays
 // O(1) via alias tables rebuilt from a bounded reservoir of observed
-// Lipschitz estimates. Trainer.Run is a two-stage pipeline: one
+// Lipschitz estimates. The window is one CSR arena, and each worker
+// turns its block's draws into a plan that the batch engine's update loop
+// (core.Loop) runs, so batch and stream training share one loop.
+// Trainer.Run is a two-stage pipeline: one
 // goroutine parses up to two blocks ahead (a constant — the slower stage
 // sets the pace at any depth) while the caller's trains and publishes,
 // with block, error and OnBlock/publish order exactly those of taking

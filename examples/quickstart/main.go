@@ -13,10 +13,16 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run() error {
 	// A small well-conditioned synthetic dataset (600 × 400, ~12 nnz/row).
 	ds, err := isasgd.Synthesize(isasgd.SmallConfig(1))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// The paper's evaluation objective: L1-regularized cross-entropy.
@@ -32,7 +38,7 @@ func main() {
 		Seed:    42,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	fmt.Printf("dataset: %d samples × %d features\n", ds.N(), ds.Dim())
@@ -45,4 +51,5 @@ func main() {
 	final := isasgd.Evaluate(ds, obj, res.Weights, 0)
 	fmt.Printf("final: objective %.6f, error rate %.4f, %d updates in %.3fs\n",
 		final.Obj, final.ErrRate, res.Iters, res.TrainTime.Seconds())
+	return nil
 }

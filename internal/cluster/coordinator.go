@@ -110,6 +110,12 @@ type Coordinator struct {
 	k         int
 	startCh   chan struct{}
 	startOnce sync.Once
+	// pushed holds the workers with an applied push, and opened the time
+	// of the first admitted pull from a worker, under mu: finish ends the
+	// run only once every member is in pushed or a poll window has
+	// passed since opened.
+	pushed map[int]struct{}
+	opened time.Time
 
 	// The evaluator: at most one goroutine runs it (evaluating), so it is
 	// the only writer of scored, lossBits and reached.
@@ -117,6 +123,7 @@ type Coordinator struct {
 	scored     atomic.Int64  // applied pushes of the last version scored
 	lossBits   atomic.Uint64 // last evaluated data loss (Float64bits)
 	reached    atomic.Bool
+	finishing  atomic.Bool // the loss target or the update budget was met
 	doneCh     chan struct{}
 	doneOnce   sync.Once
 
@@ -189,6 +196,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		maxPush: maxPushFrame(cfg.Dim),
 		w:       make([]float64, cfg.Dim),
 		workers: map[int]struct{}{},
+		pushed:  map[int]struct{}{},
 		startCh: make(chan struct{}),
 		acked:   map[int]struct{}{},
 		doneCh:  make(chan struct{}),
@@ -267,6 +275,25 @@ func (c *Coordinator) isDone() bool {
 
 func (c *Coordinator) markDone() { c.doneOnce.Do(func() { close(c.doneCh) }) }
 
+// finish marks the run done once it has met its loss target or update
+// budget and every member has had a push applied, or one poll window
+// has passed since the first worker pulled. The start barrier lines the
+// members' first pulls up, but a round can take microseconds, so without
+// the first condition one member could push, be scored and end the run
+// before another's first round; the window keeps a member that never
+// shows up from holding the run.
+func (c *Coordinator) finish() {
+	if !c.finishing.Load() || c.isDone() {
+		return
+	}
+	c.mu.Lock()
+	ok := c.allIn(c.pushed) || !c.opened.IsZero() && time.Since(c.opened) >= c.cfg.PollTimeout
+	c.mu.Unlock()
+	if ok {
+		c.markDone()
+	}
+}
+
 // DoneAcked is closed once the run is done AND every member has
 // received a Done=true response — the signal that an exit-on-done
 // coordinator can stop serving without stranding workers mid-protocol
@@ -344,6 +371,9 @@ func (c *Coordinator) join(worker, declared int) error {
 	}
 	if worker >= 0 {
 		c.workers[worker] = struct{}{}
+		if c.opened.IsZero() {
+			c.opened = time.Now()
+		}
 	}
 	if c.k > 0 && c.allIn(c.workers) {
 		c.startOnce.Do(func() { close(c.startCh) })
@@ -475,6 +505,7 @@ func (c *Coordinator) handlePull(w http.ResponseWriter, r *http.Request) {
 	if s := q.Get("since"); worker >= 0 && (s == "" || s == "0") {
 		c.awaitStart(r.Context())
 	}
+	c.finish()
 	frame.Serve(w, r, c.store, c.cfg.PollTimeout, c.doneCh, func() frame.Header {
 		if c.m.pulls != nil {
 			c.m.pulls.Inc()
@@ -577,6 +608,7 @@ func (c *Coordinator) handlePush(w http.ResponseWriter, r *http.Request) {
 		c.comp++
 	}
 	c.workers[req.Worker] = struct{}{}
+	c.pushed[req.Worker] = struct{}{}
 	updates := c.updates
 	v := c.store.PublishCopy(int(c.applied), updates, c.w)
 	if v == nil {
@@ -611,8 +643,9 @@ func (c *Coordinator) handlePush(w http.ResponseWriter, r *http.Request) {
 		go c.evaluate()
 	}
 	if c.cfg.MaxUpdates > 0 && updates >= c.cfg.MaxUpdates {
-		c.markDone()
+		c.finishing.Store(true)
 	}
+	c.finish()
 	if c.isDone() {
 		c.ackDone(req.Worker)
 	}
@@ -669,11 +702,13 @@ func (c *Coordinator) evaluate() {
 			c.m.loss.Set(loss)
 		}
 		if c.cfg.TargetLoss > 0 && loss <= c.cfg.TargetLoss {
-			c.reached.Store(true)
-			c.log.Info("loss target reached",
-				"loss", loss, "target", c.cfg.TargetLoss,
-				"pushes", v.Epoch, "updates", v.Iters)
-			c.markDone()
+			if !c.reached.Swap(true) {
+				c.log.Info("loss target reached",
+					"loss", loss, "target", c.cfg.TargetLoss,
+					"pushes", v.Epoch, "updates", v.Iters)
+			}
+			c.finishing.Store(true)
+			c.finish()
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 )
@@ -141,5 +142,85 @@ func TestExitOnDoneWaitsForAllK(t *testing.T) {
 	case <-c.DoneAcked():
 	case <-time.After(5 * time.Second):
 		t.Fatal("DoneAcked did not fire once both workers saw Done")
+	}
+}
+
+// delayPushes is a transport that holds each push back for delay and
+// records when the first one left for the coordinator.
+type delayPushes struct {
+	delay     time.Duration
+	mu        sync.Mutex
+	firstSent time.Time
+}
+
+func (d *delayPushes) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodPost {
+		time.Sleep(d.delay)
+		d.mu.Lock()
+		if d.firstSent.IsZero() {
+			d.firstSent = time.Now()
+		}
+		d.mu.Unlock()
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestDoneWaitsForEveryMembersPush: worker 0's first push spends the
+// update budget, but worker 1's pushes are held back on the wire. The
+// run must not be done until worker 1's first push has reached the
+// coordinator and been applied; the poll window is long enough that it
+// cannot be what ends the wait.
+func TestDoneWaitsForEveryMembersPush(t *testing.T) {
+	ds, obj := testCorpus(t)
+	probe, err := NewWorker(workerCfg(ds, obj, 0, 2, "http://127.0.0.1:1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, srv := startCoordinator(t, CoordinatorConfig{
+		Dim: ds.Dim(), MaxUpdates: int64(probe.ShardRows()), PollTimeout: 10 * time.Second,
+	})
+	var doneAt time.Time
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		<-c.Done()
+		doneAt = time.Now()
+	}()
+	slow := &delayPushes{delay: 300 * time.Millisecond}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	stats := make([]WorkerStats, 2)
+	var wg sync.WaitGroup
+	for id := range stats {
+		cfg := workerCfg(ds, obj, id, 2, srv.URL)
+		if id == 1 {
+			cfg.HTTPClient = &http.Client{Transport: slow}
+		}
+		w, err := NewWorker(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := w.Run(ctx); err != nil {
+				t.Errorf("worker %d: %v", id, err)
+			}
+			stats[id] = w.Stats()
+		}()
+	}
+	wg.Wait()
+	<-watched
+	if stats[1].Applied == 0 {
+		t.Fatalf("worker 1 had no push applied: %+v", stats[1])
+	}
+	slow.mu.Lock()
+	sent := slow.firstSent
+	slow.mu.Unlock()
+	if doneAt.Before(sent) {
+		t.Fatalf("the run was done %v before worker 1's first push left", sent.Sub(doneAt))
+	}
+	if d := doneAt.Sub(sent); d > 5*time.Second {
+		t.Fatalf("the run was done %v after worker 1's first push, not at it", d)
 	}
 }

@@ -25,20 +25,22 @@
 //     or random shuffling, adaptively on ρ (Algorithm 4 lines 2–6);
 //   - updates go through a shared model with either CAS (race-free) or
 //     plain (true Hogwild) writes, via internal/kernel's devirtualized
-//     fused update kernels — the worker loops only resolve the next row
+//     fused update kernels — the update loop only resolves the next row
 //     and step, and the arithmetic lives in exactly one place.
+//
+// The update loop itself (Loop, Rows) is the only one in the repository:
+// the streaming trainer (internal/stream) turns each worker's block
+// draws into the same (rows, sequence, scales) triple over its window's
+// CSR and runs it through the same Loop.Run.
 package core
 
 import (
 	"fmt"
-	"math"
 	"sync"
-	"sync/atomic"
 
 	"github.com/isasgd/isasgd/internal/adaptive"
 	"github.com/isasgd/isasgd/internal/balance"
 	"github.com/isasgd/isasgd/internal/dataset"
-	"github.com/isasgd/isasgd/internal/kernel"
 	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/objective"
 	"github.com/isasgd/isasgd/internal/obs"
@@ -56,17 +58,15 @@ type Engine struct {
 	m    model.Params
 	numT int
 
-	// The data path, bound once at construction. Exactly one kernel is
-	// set: kern32 (with val32, the dataset's float32 value copy) when the
-	// model stores float32 (model.Kind.Is32), kern otherwise. idx is the
-	// CSR index array the kernel sees — the dataset's own, or for the
-	// feature-blocked layout a one-time physical-slot remap of it — so the
-	// worker loops slice rows out of IndPtr/idx/values directly and pay
-	// nothing per update for the precision or the layout.
-	kern   kernel.Kernel
-	kern32 kernel.Kernel32
-	idx    []int32
-	val32  []float32
+	// The data path, bound once at construction: the update loop with
+	// its kernel, and the CSR view it reads. x.Idx is the dataset's own
+	// index array or, for the feature-blocked layout, a one-time
+	// physical-slot remap of it; x.Val32 is the dataset's float32 value
+	// copy when the model stores float32. The loop slices rows out of x
+	// directly and pays nothing per update for the precision or the
+	// layout.
+	loop Loop
+	x    Rows
 
 	shards   [][]int            // per worker: global row ids
 	scales   [][]float64        // per worker, per local position: step multiplier 1/(N_a·p_ai); nil = all ones
@@ -86,30 +86,6 @@ type Engine struct {
 	epochsDone int
 	itersDone  int64
 	pubRejects int64
-
-	// Update-staleness instrumentation (Instrument): per-worker τ
-	// histograms. Nil (the default) keeps the plain hot loop free of
-	// clock traffic.
-	instr  *obs.TrainInstruments
-	staleH []*obs.Histogram
-
-	// ck is the one logical update clock: it ticks once per applied
-	// update whenever something reads it — the τ histograms, the adaptive
-	// probe, or both.
-	ck adaptive.Clock
-
-	// Adaptive-update state (SetAdaptive): the policy (zero = disabled),
-	// the epoch-start base for delay compensation (refreshed by RunEpoch
-	// when DCLambda > 0, reused across epochs, indexed like idx), and the
-	// cumulative shed count.
-	pol    adaptive.Policy
-	dcBase []float64
-	shed   atomic.Int64
-
-	// touched receives, once per shard pass, the fold of the values the
-	// worker loop touched ahead of use, so the compiler cannot drop those
-	// loads as dead. Nothing reads it.
-	touched atomic.Uint64
 }
 
 // PublishTo configures mid-training snapshot publication: after every
@@ -125,39 +101,22 @@ func (e *Engine) PublishTo(st *snapshot.Store, every int) {
 	e.pub, e.pubEvery = st, every
 }
 
-// Instrument attaches training telemetry: every model update is
-// bracketed by the engine's update clock, so each worker's histogram
-// records the perturbed-iterate staleness τ — how many concurrent
-// updates landed between this update's read and its write, the
-// quantity the paper's SME analysis bounds. Single-worker runs observe
-// exactly 0. Must be called before RunEpoch; nil detaches.
-func (e *Engine) Instrument(ti *obs.TrainInstruments) {
-	e.instr = ti
-	if ti == nil {
-		e.staleH = nil
-		return
-	}
-	e.staleH = ti.WorkerStaleness(e.numT)
-}
+// Instrument attaches training telemetry: each worker's histogram
+// records the staleness τ of its updates (see Loop.Instrument). Must be
+// called before RunEpoch; nil detaches.
+func (e *Engine) Instrument(ti *obs.TrainInstruments) { e.loop.Instrument(ti, e.numT) }
 
-// SetAdaptive installs an adaptive-update policy: steps attenuated by
-// 1/(1+c·τ) on the measured per-update staleness, updates shed over a
-// staleness bound, and DC-ASGD delay compensation against an epoch-start
-// base snapshot. A zero (disabled) policy detaches. Every model kind
-// runs it. Must not be called while RunEpoch is in flight.
-func (e *Engine) SetAdaptive(p adaptive.Policy) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	e.pol = p
-	return nil
-}
+// SetAdaptive installs an adaptive-update policy (see Loop.SetAdaptive);
+// the delay-compensation base is the epoch-start model. A zero (disabled)
+// policy detaches. Every model kind runs it. Must not be called while
+// RunEpoch is in flight.
+func (e *Engine) SetAdaptive(p adaptive.Policy) error { return e.loop.SetAdaptive(p) }
 
 // Shed returns the cumulative number of updates dropped because their
 // measured staleness exceeded the policy's bound. Shed draws still
 // consume their epoch iteration — the budget measures work attempted,
 // not applied.
-func (e *Engine) Shed() int64 { return e.shed.Load() }
+func (e *Engine) Shed() int64 { return e.loop.Shed() }
 
 // Decision reports how the dataset order was prepared (Algorithm 4's
 // branch plus shard Φ statistics). Meaningful for IS-ASGD; zero for the
@@ -196,20 +155,14 @@ func newEngine(ds *dataset.Dataset, obj objective.Objective, m model.Params, thr
 	if threads > ds.N() {
 		threads = ds.N()
 	}
-	e := &Engine{ds: ds, obj: obj, m: m, numT: threads, idx: ds.X.Idx}
-	// Bind the devirtualized update kernel once: the model's concrete
-	// type is fixed for the engine's lifetime, so the specialization
-	// chosen here serves every epoch.
-	switch mm := m.(type) {
-	case *model.Racy32:
-		e.kern32, e.val32 = kernel.New32(m, obj), ds.X.EnsureVal32()
-		if mm.Blocked() {
-			e.idx = mm.RemapInto(make([]int32, len(ds.X.Idx)), ds.X.Idx)
+	e := &Engine{ds: ds, obj: obj, m: m, numT: threads}
+	e.loop.Bind(m, obj)
+	e.x = Rows{IndPtr: ds.X.IndPtr, Idx: ds.X.Idx, Val: ds.X.Val, Y: ds.Y}
+	if e.loop.kern32 != nil {
+		e.x.Val32 = ds.X.EnsureVal32()
+		if mm, ok := m.(*model.Racy32); ok && mm.Blocked() {
+			e.x.Idx = mm.RemapInto(make([]int32, len(ds.X.Idx)), ds.X.Idx)
 		}
-	case *model.Atomic32:
-		e.kern32, e.val32 = kernel.New32(m, obj), ds.X.EnsureVal32()
-	default:
-		e.kern = kernel.New(m, obj)
 	}
 	sm := xrand.NewSplitMix64(seed)
 	e.rngs = make([]*xrand.Rand, threads)
@@ -394,7 +347,7 @@ func (e *Engine) Reweight(l []float64) error {
 // with the given step size λ, concurrently when Threads() > 1. It returns
 // the number of updates applied.
 func (e *Engine) RunEpoch(step float64) int64 {
-	if e.pol.DCLambda > 0 {
+	if e.loop.pol.DCLambda > 0 {
 		e.refreshDCBase()
 	}
 	if e.Threads() == 1 {
@@ -452,148 +405,27 @@ func (e *Engine) SnapshotRejects() int64 { return e.pubRejects }
 func (e *Engine) refreshDCBase() {
 	mm, ok := e.m.(*model.Racy32)
 	if !ok || !mm.Blocked() {
-		e.dcBase = e.m.Snapshot(e.dcBase)
+		e.loop.dcBase = e.m.Snapshot(e.loop.dcBase)
 		return
 	}
-	raw := mm.Raw32()
-	if cap(e.dcBase) < len(raw) {
-		e.dcBase = make([]float64, len(raw))
+	base := e.loop.dcBase[:0]
+	for _, v := range mm.Raw32() {
+		base = append(base, float64(v))
 	}
-	e.dcBase = e.dcBase[:len(raw)]
-	for s, v := range raw {
-		e.dcBase[s] = float64(v)
-	}
+	e.loop.dcBase = base
 }
 
 // runWorker runs worker t's share of one epoch (Algorithm 4 lines
-// 13–15) on the engine's data path. It is shared by all four
-// constructions; the differences are entirely in the prepared
-// shard/sequence/scale tables.
+// 13–15): its pre-generated sequence over its shard, with its step
+// scales. It is shared by all four constructions; the differences are
+// entirely in the prepared shard/sequence/scale tables.
 func (e *Engine) runWorker(t int, step float64) {
-	if e.kern32 != nil {
-		runShard(e, t, step, e.kern32, e.val32)
-	} else {
-		runShard[float64](e, t, step, e.kern, e.ds.X.Val)
-	}
-}
-
-// Lookahead distances of the worker loop, in updates. Each update's row
-// is a chain of dependent cache misses, seq[it] → shard[pos] →
-// IndPtr[i] → Idx/Val[lo], Y[i] and scale[pos], and the atomic model's
-// CAS acts as a fence, so the CPU cannot overlap one row's misses with
-// the previous update by itself. Resolving IndPtr aheadPtr updates early
-// and the row's first Idx/Val line, label and step scale aheadRow updates
-// early puts that chain's loads in flight before the row is needed.
-//
-// Measured on batch_sparse (throughput_per_s, 2 vCPU, alternating
-// pairs): (16, 8) beat the loop without lookahead in 10 of 10 pairs at a
-// median ×1.26, beat (8, 4) in 3 of 3 and (32, 16) in 7 of 8 (median
-// ×1.05), and was within noise of (16, 4). Also touching the model words
-// of the row 4 ahead measured ×1.00, ×0.86 and ×1.01 against touching
-// the row only, so the loop leaves the model alone.
-const (
-	aheadPtr = 16
-	aheadRow = 8
-)
-
-// runShard is the worker loop, written once over the feature value
-// type: k and vals are the engine's kernel and CSR value array in that
-// precision. The update arithmetic itself lives in internal/kernel —
-// the loop below walks the pre-generated position sequence, resolves
-// each position's row and step scale, and hands the fused update to the
-// kernel. Because the whole sequence is known before the pass starts,
-// the loop first touches the rows aheadPtr and aheadRow updates ahead
-// (see their comment), before the body switch, so the plain,
-// instrumented and adaptive bodies and both precisions all get it.
-func runShard[V float32 | float64](e *Engine, t int, step float64, k kernel.Ops[V], vals []V) {
 	shard := e.shards[t]
-	if len(shard) == 0 {
-		return
-	}
-	var (
-		ptr   = e.ds.X.IndPtr
-		idx   = e.idx
-		nnz   = int64(len(idx))
-		y     = e.ds.Y
-		obj   = e.obj
-		ck    = &e.ck
-		n     = len(shard)
-		seq   = e.seqs[t][:n]
-		scale []float64
-		sh    *obs.Histogram
-	)
+	var scale []float64
 	if e.scales != nil {
 		scale = e.scales[t]
 	}
-	if e.staleH != nil {
-		sh = e.staleH[t]
-	}
-	var (
-		pol   = e.pol
-		adapt = pol.Enabled()
-		base  = e.dcBase
-		shed  int64
-		sink  uint64
-	)
-	for it, p := range seq {
-		if a := it + aheadPtr; a < n {
-			sink += uint64(ptr[shard[seq[a]]])
-		}
-		if a := it + aheadRow; a < n {
-			q := int(seq[a])
-			j := shard[q]
-			// An empty row at the end of the CSR starts at len(idx).
-			if lo := ptr[j]; lo < nnz {
-				sink += uint64(idx[lo]) + math.Float64bits(float64(vals[lo]))
-			}
-			sink += math.Float64bits(y[j])
-			if scale != nil {
-				sink += math.Float64bits(scale[q])
-			}
-		}
-		pos := int(p)
-		i := shard[pos]
-		lo, hi := ptr[i], ptr[i+1]
-		ri, rv := idx[lo:hi], vals[lo:hi]
-		s := step
-		if scale != nil {
-			s *= scale[pos]
-		}
-		switch {
-		case adapt:
-			// The step is decomposed around the adaptive probes: the dot
-			// and derivative are computed first so the measured staleness
-			// τ — logical updates other workers applied between this
-			// update's gradient read and its write — can shed the update
-			// or attenuate its step by 1/(1+c·τ), and the write-back goes
-			// through UpdateDC so the DC-ASGD correction
-			// λ·d²·(w_now − w_base) cancels the drift since the
-			// epoch-start base (a plain Update when DCLambda is 0).
-			begin := ck.Now()
-			g := obj.Deriv(k.Dot(ri, rv), y[i])
-			tau := ck.Now() - begin
-			if pol.Shed(tau) {
-				shed++
-				continue
-			}
-			k.UpdateDC(ri, rv, g, s*pol.Scale(tau), pol.DCLambda, base)
-			ck.Tick()
-			if sh != nil {
-				sh.Observe(tau)
-			}
-		case sh != nil:
-			begin := ck.Now()
-			k.Step(ri, rv, y[i], s)
-			sh.Observe(ck.Tick() - begin - 1)
-		default:
-			k.Step(ri, rv, y[i], s)
-		}
-	}
-	e.touched.Store(sink)
-	if shed > 0 {
-		e.shed.Add(shed)
-		e.instr.ShedDone(shed)
-	}
+	e.loop.Run(t, &e.x, shard, e.seqs[t][:len(shard)], scale, step, nil)
 }
 
 // endOfEpoch refreshes worker t's sample sequence: regenerated in place

@@ -6,7 +6,7 @@ import "github.com/isasgd/isasgd/internal/kernel"
 // interface-based reference implementation. Test hook for the
 // kernel-equivalence suite.
 func (e *Engine) UseReferenceKernel() {
-	e.kern = kernel.NewReference(e.m, e.obj)
+	e.loop.kern = kernel.NewReference(e.m, e.obj)
 }
 
 // RunEpochSerial executes one epoch with the workers run sequentially

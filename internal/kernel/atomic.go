@@ -32,54 +32,18 @@ func (k *atomic64) Dot(idx []int32, val []float64) float64 {
 	return s
 }
 
-// DotClamped keeps the range check inline: always-taken and predicted on
-// in-vocabulary rows.
-func (k *atomic64) DotClamped(idx []int32, val []float64) float64 {
-	bits := k.bits
-	dim := int32(len(bits))
-	s := 0.0
-	for p, j := range idx {
-		if j < dim {
-			s += val[p] * math.Float64frombits(bits[j].Load())
-		}
-	}
-	return s
-}
-
 func (k *atomic64) Step(idx []int32, val []float64, y, s float64) {
 	k.Update(idx, val, k.obj.Deriv(k.Dot(idx, val), y), s)
 }
 
 func (k *atomic64) StepClamped(idx []int32, val []float64, y, s float64) {
-	if maxIndex(idx) < int32(len(k.bits)) {
-		k.Step(idx, val, y, s)
-		return
-	}
-	k.updateChecked(idx, val, k.obj.Deriv(k.DotClamped(idx, val), y), s)
+	stepClamped[float64](k, k.obj, len(k.bits), idx, val, y, s)
 }
 
 func (k *atomic64) Update(idx []int32, val []float64, g, s float64) {
 	bits := k.bits
 	for p, j := range idx {
 		casReg(&bits[j], g*val[p], s, k.reg, k.eta)
-	}
-}
-
-func (k *atomic64) UpdateClamped(idx []int32, val []float64, g, s float64) {
-	if maxIndex(idx) < int32(len(k.bits)) {
-		k.Update(idx, val, g, s)
-		return
-	}
-	k.updateChecked(idx, val, g, s)
-}
-
-func (k *atomic64) updateChecked(idx []int32, val []float64, g, s float64) {
-	bits := k.bits
-	dim := int32(len(bits))
-	for p, j := range idx {
-		if j < dim {
-			casReg(&bits[j], g*val[p], s, k.reg, k.eta)
-		}
 	}
 }
 

@@ -41,30 +41,12 @@ func (k *atomic32) Dot(idx []int32, val []float32) float64 {
 	return float64((s0 + s1) + (s2 + s3))
 }
 
-// DotClamped keeps the range check inline: always-taken and predicted on
-// in-vocabulary rows.
-func (k *atomic32) DotClamped(idx []int32, val []float32) float64 {
-	bits := k.bits
-	dim := int32(len(bits))
-	var s float32
-	for p, j := range idx {
-		if j < dim {
-			s += val[p] * math.Float32frombits(bits[j].Load())
-		}
-	}
-	return float64(s)
-}
-
 func (k *atomic32) Step(idx []int32, val []float32, y, s float64) {
 	k.Update(idx, val, k.obj.Deriv(k.Dot(idx, val), y), s)
 }
 
 func (k *atomic32) StepClamped(idx []int32, val []float32, y, s float64) {
-	if maxIndex(idx) < int32(len(k.bits)) {
-		k.Step(idx, val, y, s)
-		return
-	}
-	k.updateChecked(idx, val, k.obj.Deriv(k.DotClamped(idx, val), y), s)
+	stepClamped[float32](k, k.obj, len(k.bits), idx, val, y, s)
 }
 
 func (k *atomic32) Update(idx []int32, val []float32, g, s float64) {
@@ -72,25 +54,6 @@ func (k *atomic32) Update(idx []int32, val []float32, g, s float64) {
 	fg, fs := float32(g), float32(s)
 	for p, j := range idx {
 		casReg32(&bits[j], fg*val[p], fs, k.reg, k.eta)
-	}
-}
-
-func (k *atomic32) UpdateClamped(idx []int32, val []float32, g, s float64) {
-	if maxIndex(idx) < int32(len(k.bits)) {
-		k.Update(idx, val, g, s)
-		return
-	}
-	k.updateChecked(idx, val, g, s)
-}
-
-func (k *atomic32) updateChecked(idx []int32, val []float32, g, s float64) {
-	bits := k.bits
-	dim := int32(len(bits))
-	fg, fs := float32(g), float32(s)
-	for p, j := range idx {
-		if j < dim {
-			casReg32(&bits[j], fg*val[p], fs, k.reg, k.eta)
-		}
 	}
 }
 

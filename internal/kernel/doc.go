@@ -1,8 +1,8 @@
 // Package kernel is the devirtualized hot-path layer shared by every
-// consumer of the per-sample SGD update: the Algorithm-4 engine
-// (internal/core), the streaming trainer (internal/stream), the
-// SVRG/SAGA solvers (internal/solver) and the prediction paths
-// (internal/serve, internal/stream evaluation).
+// consumer of the per-sample SGD update: the one update loop
+// (internal/core's Loop, which the batch engine and the streaming
+// trainer both run), the SVRG/SAGA solvers (internal/solver) and the
+// prediction paths (internal/serve, internal/stream evaluation).
 //
 // # Why it exists
 //
@@ -49,17 +49,20 @@
 // kind never changes under a kernel.
 //
 // Both precisions implement the whole per-sample surface, Ops[V]: Dot,
-// DotClamped, Step, StepClamped, Update, UpdateClamped, UpdateDC. That
-// is what lets core and stream write each worker loop once over the
-// value type and run every feature — adaptive steps, staleness
-// shedding, delay compensation, loss feedback — at either width. Kernel
-// adds the three dense SVRG/SAGA operations, which stay float64-only.
+// Step, StepClamped, Update, UpdateDC. That is what lets the update loop
+// be written once over the value type and run every feature — adaptive
+// steps, staleness shedding, delay compensation, loss feedback — at
+// either width. The loop's rows never carry an index beyond the model
+// (the streaming window drops such features when it admits a row), so
+// it calls only the unchecked entry points; StepClamped serves callers
+// replaying raw rows. Kernel adds the three dense SVRG/SAGA operations,
+// which stay float64-only.
 //
 // Reference is the executable specification: it speaks the model.Params
 // and objective.Regularizer interfaces in exactly the seed's loop shape,
 // and is never routed through the specialized types. Every f64
 // specialization must be bitwise-identical to it for the same inputs
-// (TestKernelEquivalence and the UpdateClamped/UpdateDC tables); every
+// (TestKernelEquivalence and the StepClamped/UpdateDC tables); every
 // f32 one must track it within the kernel32_test.go tolerance.
 //
 // # Why not one generic kernel

@@ -17,7 +17,7 @@ import (
 // concurrently, with the concurrency semantics of the underlying model
 // (CAS for Atomic, Hogwild races for Racy).
 //
-// The per-coordinate update applied by Step/StepClamped/Update is
+// The per-coordinate update applied by Step, StepClamped and Update is
 //
 //	w[j] -= s·(g·x[k] + reg'(w[j]))
 //
@@ -32,24 +32,18 @@ import (
 type Ops[V float32 | float64] interface {
 	// Dot returns Σ_k val[k]·w[idx[k]].
 	Dot(idx []int32, val []V) float64
-	// DotClamped is Dot restricted to indices inside the model; indices
-	// at or beyond Dim contribute 0 (the streaming/serving convention
-	// for out-of-vocabulary features).
-	DotClamped(idx []int32, val []V) float64
 	// Step performs one complete scalar update for a row with label y
 	// and effective step s: z := Dot(row), g := obj.Deriv(z, y), then
 	// the fused gradient+regularizer write-back.
 	Step(idx []int32, val []V, y, s float64)
-	// StepClamped is Step restricted to indices inside the model.
+	// StepClamped is Step restricted to indices inside the model;
+	// indices at or beyond Dim contribute nothing and are not written
+	// (the serving convention for out-of-vocabulary features).
 	StepClamped(idx []int32, val []V, y, s float64)
 	// Update applies the write-back half only, for a precomputed (and
 	// possibly importance-scaled or variance-reduced) derivative g:
 	// w[j] -= s·(g·val[k] + reg'(w[j])). Used by the SVRG inner loop.
 	Update(idx []int32, val []V, g, s float64)
-	// UpdateClamped is Update restricted to indices inside the model —
-	// the streaming decomposed-step path (score, observe the loss, then
-	// write back) on rows that may carry out-of-vocabulary features.
-	UpdateClamped(idx []int32, val []V, g, s float64)
 	// UpdateDC is Update with DC-ASGD delay compensation: the update
 	// direction d = g·val[k] gains the correction λ·d²·(w[j] − base[j])
 	// before the fused write-back, first-order-cancelling the drift the
@@ -110,6 +104,34 @@ func New32(m model.Params, obj objective.Objective) Kernel32 {
 	return &reference32{m: m, obj: obj, reg: obj.Reg()}
 }
 
+// stepClamped is StepClamped for a kernel k over a model of dim
+// coordinates: a row wholly inside the model takes k.Step; any other row
+// is scored and then written one in-range element at a time, through
+// k's own Dot and Update. The update loop never needs it — the streaming
+// window drops out-of-range features when it admits a row — so the
+// per-element calls buy one definition for every kernel type. For the
+// f64 kernels the result is bitwise the rolled checked loop's: the
+// score sums the same products in the same order, and each coordinate's
+// write-back depends on that coordinate alone.
+func stepClamped[V float32 | float64](k Ops[V], obj objective.Objective, dim int, idx []int32, val []V, y, s float64) {
+	if maxIndex(idx) < int32(dim) {
+		k.Step(idx, val, y, s)
+		return
+	}
+	z := 0.0
+	for p, j := range idx {
+		if j < int32(dim) {
+			z += k.Dot(idx[p:p+1], val[p:p+1])
+		}
+	}
+	g := obj.Deriv(z, y)
+	for p, j := range idx {
+		if j < int32(dim) {
+			k.Update(idx[p:p+1], val[p:p+1], g, s)
+		}
+	}
+}
+
 // NewReference returns the generic interface-dispatch kernel — the
 // executable specification every specialization is tested against, and
 // the fallback for out-of-tree model or regularizer implementations.
@@ -133,25 +155,6 @@ func (k *Reference) Dot(idx []int32, val []float64) float64 {
 	return k.m.Dot(idx, val)
 }
 
-// DotClamped returns the sparse dot restricted to in-range indices.
-// Rows that are fully in-vocabulary — the steady-state predict case —
-// skip the per-element range check entirely after one cheap index scan
-// (valid for any index order; kernel inputs are not required sorted).
-func (k *Reference) DotClamped(idx []int32, val []float64) float64 {
-	m := k.m
-	dim := int32(m.Dim())
-	if maxIndex(idx) < dim {
-		return m.Dot(idx, val)
-	}
-	s := 0.0
-	for kk, j := range idx {
-		if j < dim {
-			s += val[kk] * m.Get(j)
-		}
-	}
-	return s
-}
-
 // Step performs one fused scalar update through the interfaces.
 func (k *Reference) Step(idx []int32, val []float64, y, s float64) {
 	m := k.m
@@ -173,7 +176,13 @@ func (k *Reference) StepClamped(idx []int32, val []float64, y, s float64) {
 		return
 	}
 	reg := k.reg
-	g := k.obj.Deriv(k.DotClamped(idx, val), y)
+	z := 0.0
+	for kk, j := range idx {
+		if j < dim {
+			z += val[kk] * m.Get(j)
+		}
+	}
+	g := k.obj.Deriv(z, y)
 	for kk, j := range idx {
 		if j < dim {
 			m.Add(j, -s*(g*val[kk]+reg.DerivAt(m.Get(j))))
@@ -187,23 +196,6 @@ func (k *Reference) Update(idx []int32, val []float64, g, s float64) {
 	reg := k.reg
 	for kk, j := range idx {
 		m.Add(j, -s*(g*val[kk]+reg.DerivAt(m.Get(j))))
-	}
-}
-
-// UpdateClamped applies the write-back half restricted to in-range
-// indices; fully in-range rows take Update's unchecked loop.
-func (k *Reference) UpdateClamped(idx []int32, val []float64, g, s float64) {
-	m := k.m
-	dim := int32(m.Dim())
-	if maxIndex(idx) < dim {
-		k.Update(idx, val, g, s)
-		return
-	}
-	reg := k.reg
-	for kk, j := range idx {
-		if j < dim {
-			m.Add(j, -s*(g*val[kk]+reg.DerivAt(m.Get(j))))
-		}
 	}
 }
 

@@ -27,39 +27,16 @@ func (k *reference32) Dot(idx []int32, val []float32) float64 {
 	return s
 }
 
-func (k *reference32) DotClamped(idx []int32, val []float32) float64 {
-	m := k.m
-	dim := int32(m.Dim())
-	s := 0.0
-	for p, j := range idx {
-		if j < dim {
-			s += float64(val[p]) * m.Get(j)
-		}
-	}
-	return s
-}
-
 func (k *reference32) Step(idx []int32, val []float32, y, s float64) {
 	k.Update(idx, val, k.obj.Deriv(k.Dot(idx, val), y), s)
 }
 
 func (k *reference32) StepClamped(idx []int32, val []float32, y, s float64) {
-	k.UpdateClamped(idx, val, k.obj.Deriv(k.DotClamped(idx, val), y), s)
+	stepClamped[float32](k, k.obj, k.m.Dim(), idx, val, y, s)
 }
 
 func (k *reference32) Update(idx []int32, val []float32, g, s float64) {
 	k.UpdateDC(idx, val, g, s, 0, nil)
-}
-
-func (k *reference32) UpdateClamped(idx []int32, val []float32, g, s float64) {
-	m := k.m
-	reg := k.reg
-	dim := int32(m.Dim())
-	for p, j := range idx {
-		if j < dim {
-			m.Add(j, -s*(g*float64(val[p])+reg.DerivAt(m.Get(j))))
-		}
-	}
 }
 
 func (k *reference32) UpdateDC(idx []int32, val []float32, g, s, lam float64, base []float64) {

@@ -133,10 +133,6 @@ func TestKernel32Tolerance(t *testing.T) {
 						v32 := toF32(val[i])
 						v64 := preRound(val[i])
 						if overflow {
-							zs, zr := ks.DotClamped(pidx, v32), kr.DotClamped(idx[i], v64)
-							if !within32(zs, zr) {
-								t.Fatalf("row %d: DotClamped %g vs %g", i, zs, zr)
-							}
 							ks.StepClamped(pidx, v32, y[i], s)
 							kr.StepClamped(idx[i], v64, y[i], s)
 							requireWithin32(t, spec, ref, "StepClamped")

@@ -44,14 +44,14 @@ func newUnderTest(kind string, dim int, obj objective.Objective, init []float64)
 	return u
 }
 
-func (u *underTest) updateClamped(idx []int32, val []float64, g, s float64) {
+func (u *underTest) stepClamped(idx []int32, val []float64, y, s float64) {
 	if u.k32 == nil {
-		u.k64.UpdateClamped(idx, val, g, s)
-		u.kr.UpdateClamped(idx, val, g, s)
+		u.k64.StepClamped(idx, val, y, s)
+		u.kr.StepClamped(idx, val, y, s)
 		return
 	}
-	u.k32.UpdateClamped(mapIdx(u.spec, idx), toF32(val), g, s)
-	u.kr.UpdateClamped(idx, preRound(val), g, s)
+	u.k32.StepClamped(mapIdx(u.spec, idx), toF32(val), y, s)
+	u.kr.StepClamped(idx, preRound(val), y, s)
 }
 
 // updateDC takes base in logical order; the blocked layout's kernel gets
@@ -82,10 +82,11 @@ func (u *underTest) require(t *testing.T, stage string) {
 	}
 }
 
-// TestKernelUpdateClampedEquivalence drives the decomposed streaming
-// write-back through every specialization with identical inputs, in-range
-// and with out-of-vocabulary indices, and holds it to the Reference
-// kernel after every row.
+// TestKernelUpdateClampedEquivalence drives the clamped write-back —
+// the second half of StepClamped, the one entry point that accepts
+// out-of-vocabulary indices — through every specialization with
+// identical inputs, in-range and with out-of-vocabulary indices, and
+// holds it to the Reference kernel after every row.
 func TestKernelUpdateClampedEquivalence(t *testing.T) {
 	const (
 		dim  = 64
@@ -104,7 +105,7 @@ func TestKernelUpdateClampedEquivalence(t *testing.T) {
 				}
 				t.Run(name, func(t *testing.T) {
 					rng := xrand.New(0xadaf)
-					idx, val, _ := randRows(rng, rows, dim, nnz, overflow)
+					idx, val, y := randRows(rng, rows, dim, nnz, overflow)
 					init := make([]float64, dim)
 					for j := range init {
 						init[j] = rng.NormFloat64()
@@ -112,9 +113,8 @@ func TestKernelUpdateClampedEquivalence(t *testing.T) {
 					u := newUnderTest(kind, dim, obj, init)
 					for i := range idx {
 						s := 0.01 + 0.5*rng.Float64()
-						g := rng.NormFloat64()
-						u.updateClamped(idx[i], val[i], g, s)
-						u.require(t, "UpdateClamped")
+						u.stepClamped(idx[i], val[i], y[i], s)
+						u.require(t, "StepClamped")
 					}
 				})
 			}
@@ -197,8 +197,8 @@ func adaptiveAllocs[V float32 | float64](k Ops[V], val []V) float64 {
 	over := []int32{1, 5, 9, 40}
 	base := make([]float64, 16)
 	return testing.AllocsPerRun(100, func() {
-		k.UpdateClamped(idx, val, 0.1, 0.01)
-		k.UpdateClamped(over, val, 0.1, 0.01)
+		k.StepClamped(idx, val, 1, 0.01)
+		k.StepClamped(over, val, 1, 0.01)
 		k.UpdateDC(idx, val, 0.1, 0.01, 0.2, base)
 	})
 }

@@ -158,10 +158,7 @@ func TestKernelEquivalence(t *testing.T) {
 						g := rng.NormFloat64()
 						if overflow {
 							// Out-of-range indices are only legal on the
-							// clamped entry points.
-							if zs, zr := ks.DotClamped(idx[i], val[i]), kr.DotClamped(idx[i], val[i]); math.Float64bits(zs) != math.Float64bits(zr) {
-								t.Fatalf("row %d: DotClamped %x vs %x", i, math.Float64bits(zs), math.Float64bits(zr))
-							}
+							// clamped entry point.
 							ks.StepClamped(idx[i], val[i], y[i], s)
 							kr.StepClamped(idx[i], val[i], y[i], s)
 							requireBitwiseEqual(t, spec, ref, "StepClamped")

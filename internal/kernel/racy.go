@@ -75,18 +75,12 @@ type racy64 struct {
 
 func (k *racy64) Dot(idx []int32, val []float64) float64 { return Dot(k.w, idx, val) }
 
-func (k *racy64) DotClamped(idx []int32, val []float64) float64 { return DotClamped(k.w, idx, val) }
-
 func (k *racy64) Step(idx []int32, val []float64, y, s float64) {
 	k.Update(idx, val, k.obj.Deriv(Dot(k.w, idx, val), y), s)
 }
 
 func (k *racy64) StepClamped(idx []int32, val []float64, y, s float64) {
-	if maxIndex(idx) < int32(len(k.w)) {
-		k.Step(idx, val, y, s)
-		return
-	}
-	k.updateChecked(idx, val, k.obj.Deriv(DotClamped(k.w, idx, val), y), s)
+	stepClamped[float64](k, k.obj, len(k.w), idx, val, y, s)
 }
 
 // Update is the hot write-back. The loop is 4-way manually unrolled with
@@ -148,27 +142,6 @@ func (k *racy64) Update(idx []int32, val []float64, g, s float64) {
 		j := idx[p]
 		wj := w[j]
 		w[j] = wj - s*(g*val[p]+regAt(k.reg, wj, eta))
-	}
-}
-
-func (k *racy64) UpdateClamped(idx []int32, val []float64, g, s float64) {
-	if maxIndex(idx) < int32(len(k.w)) {
-		k.Update(idx, val, g, s)
-		return
-	}
-	k.updateChecked(idx, val, g, s)
-}
-
-// updateChecked is the write-back for a row with out-of-vocabulary
-// indices: rolled, each index range-checked.
-func (k *racy64) updateChecked(idx []int32, val []float64, g, s float64) {
-	w := k.w
-	dim := int32(len(w))
-	for p, j := range idx {
-		if j < dim {
-			wj := w[j]
-			w[j] = wj - s*(g*val[p]+regAt(k.reg, wj, k.eta))
-		}
 	}
 }
 

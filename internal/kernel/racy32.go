@@ -45,20 +45,12 @@ type racy32 struct {
 
 func (k *racy32) Dot(idx []int32, val []float32) float64 { return Dot32(k.w, idx, val) }
 
-func (k *racy32) DotClamped(idx []int32, val []float32) float64 {
-	return DotClamped32(k.w, idx, val)
-}
-
 func (k *racy32) Step(idx []int32, val []float32, y, s float64) {
 	k.Update(idx, val, k.obj.Deriv(Dot32(k.w, idx, val), y), s)
 }
 
 func (k *racy32) StepClamped(idx []int32, val []float32, y, s float64) {
-	if maxIndex(idx) < int32(len(k.w)) {
-		k.Step(idx, val, y, s)
-		return
-	}
-	k.updateChecked(idx, val, k.obj.Deriv(DotClamped32(k.w, idx, val), y), s)
+	stepClamped[float32](k, k.obj, len(k.w), idx, val, y, s)
 }
 
 // Update is racy64.Update in float32: 4-way unrolled sequential bodies
@@ -113,26 +105,6 @@ func (k *racy32) Update(idx []int32, val []float32, g, s float64) {
 		j := idx[p]
 		wj := w[j]
 		w[j] = wj - fs*(fg*val[p]+regAt32(k.reg, wj, eta))
-	}
-}
-
-func (k *racy32) UpdateClamped(idx []int32, val []float32, g, s float64) {
-	if maxIndex(idx) < int32(len(k.w)) {
-		k.Update(idx, val, g, s)
-		return
-	}
-	k.updateChecked(idx, val, g, s)
-}
-
-func (k *racy32) updateChecked(idx []int32, val []float32, g, s float64) {
-	w := k.w
-	dim := int32(len(w))
-	fg, fs := float32(g), float32(s)
-	for p, j := range idx {
-		if j < dim {
-			wj := w[j]
-			w[j] = wj - fs*(fg*val[p]+regAt32(k.reg, wj, k.eta))
-		}
 	}
 }
 

@@ -100,12 +100,11 @@ func TestClampedFastPathUnsorted(t *testing.T) {
 
 // The clamped-predict benchmark set. The package-level clamped dot
 // keeps its range checks inline (always-taken, predicted branches) and
-// should read within a few ns/op of the raw dot; the Reference kernel's
-// clamped entry points — which previously paid an interface Get call
-// per element — dispatch fully in-vocabulary rows to the model's own
-// dot after one branchless index scan, which is where the fast path
-// pays. Compare BenchmarkReferenceDotClampedInVocab against
-// BenchmarkDotClampedInVocab and the f64 step benchmarks.
+// should read within a few ns/op of the raw dot; a kernel's StepClamped
+// dispatches a fully in-vocabulary row to Step after one branchless
+// index scan. Compare BenchmarkDotClampedInVocab against
+// BenchmarkDotUnchecked, and BenchmarkStepClampedInVocab against the f64
+// step benchmarks.
 func benchDotRow(n int) ([]float64, []int32, []float64) {
 	rng := xrand.New(42)
 	w := make([]float64, 1<<16)
@@ -136,17 +135,6 @@ func BenchmarkDotClampedInVocab(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sinkF64 = DotClamped(w, idx, val)
-	}
-}
-
-func BenchmarkReferenceDotClampedInVocab(b *testing.B) {
-	w, idx, val := benchDotRow(64)
-	m := model.NewRacy(len(w))
-	m.Load(w)
-	k := NewReference(m, objective.LeastSquaresL2{Eta: 0.01})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sinkF64 = k.DotClamped(idx, val)
 	}
 }
 

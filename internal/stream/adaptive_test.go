@@ -310,7 +310,7 @@ func TestTrainerStalenessAdaptive(t *testing.T) {
 			t.Fatal(err)
 		}
 		if o, ok := cfg.Obj.(*racingObj); ok {
-			o.ck = &tr.ck
+			o.ck = tr.loop.Clock()
 		}
 		res, err := tr.Run(context.Background(), NewReader(strings.NewReader(corpus), "skew", bs))
 		if err != nil {

@@ -57,7 +57,8 @@ func FuzzChunkedReader(f *testing.F) {
 				t.Fatalf("block Start %d, want %d", b.Start, rows)
 			}
 			if wholeErr == nil {
-				for i, v := range b.Rows {
+				for i := range b.Y {
+					v := b.X.Row(i)
 					g := rows + i
 					if g >= whole.N() {
 						t.Fatalf("chunked yields more rows (%d+) than whole-file parse (%d)", g, whole.N())

@@ -54,14 +54,12 @@ type ISState struct {
 	rng          *xrand.Rand
 	sinceRebuild int
 
-	// All-time stream moments (never evicted): Σw, Σw², count. These back
-	// the EstMean/EstRho/EstPsi estimators for standalone ISState users;
+	// All-time stream moments (never evicted). These back the
+	// EstMean/EstRho/EstPsi estimators for standalone ISState users;
 	// Trainer sees whole blocks before sharding them across workers, so
 	// it accumulates its own global moments for the Algorithm-4 branch
 	// rather than merging per-worker ones.
-	count int64
-	sumW  float64
-	sumW2 float64
+	mom moments
 
 	// losses, when non-nil, switches the state into loss-feedback mode:
 	// rebuilds weight each entry by its observed loss EMA instead of its
@@ -152,9 +150,7 @@ func (s *ISState) Observe(ref int64, w float64) {
 		w = 0
 	}
 	s.mu.Lock()
-	s.count++
-	s.sumW += w
-	s.sumW2 += w * w
+	s.mom.add(w)
 	s.seen++
 	if len(s.entries) < s.cap {
 		s.entries = append(s.entries, Entry{Ref: ref, W: w})
@@ -303,7 +299,7 @@ func (s *ISState) Len() int {
 func (s *ISState) Observed() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.count
+	return s.mom.count
 }
 
 // EstMean returns the all-time mean importance weight (0 before any
@@ -311,14 +307,7 @@ func (s *ISState) Observed() int64 {
 func (s *ISState) EstMean() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.estMeanLocked()
-}
-
-func (s *ISState) estMeanLocked() float64 {
-	if s.count == 0 {
-		return 0
-	}
-	return s.sumW / float64(s.count)
+	return s.mom.mean()
 }
 
 // EstRho estimates the paper's imbalance potential ρ (Eq. 20, the
@@ -328,15 +317,7 @@ func (s *ISState) estMeanLocked() float64 {
 func (s *ISState) EstRho() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.count == 0 {
-		return 0
-	}
-	mean := s.sumW / float64(s.count)
-	v := s.sumW2/float64(s.count) - mean*mean
-	if v < 0 {
-		v = 0 // numerical floor
-	}
-	return v
+	return s.mom.rho()
 }
 
 // EstPsi estimates the convergence-improvement indicator ψ (Eq. 15,
@@ -344,8 +325,42 @@ func (s *ISState) EstRho() float64 {
 func (s *ISState) EstPsi() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.count == 0 || s.sumW2 == 0 {
+	return s.mom.psi()
+}
+
+// moments are the all-time moments of a stream of importance weights:
+// their count, Σw and Σw².
+type moments struct {
+	count      int64
+	sum, sumSq float64
+}
+
+func (m *moments) add(w float64) {
+	m.count++
+	m.sum += w
+	m.sumSq += w * w
+}
+
+// mean returns the mean weight, 0 before any.
+func (m *moments) mean() float64 {
+	if m.count == 0 {
 		return 0
 	}
-	return s.sumW * s.sumW / (float64(s.count) * s.sumW2)
+	return m.sum / float64(m.count)
+}
+
+// rho returns the population variance of the weights, ρ of Eq. 20,
+// floored at 0 against rounding.
+func (m *moments) rho() float64 {
+	mean := m.mean()
+	return max(m.sumSq/float64(max(m.count, 1))-mean*mean, 0)
+}
+
+// psi returns ψ of Eq. 15 in its normalized form, (Σw)²/(n·Σw²); 0
+// before any non-zero weight.
+func (m *moments) psi() float64 {
+	if m.sumSq == 0 {
+		return 0
+	}
+	return m.sum * m.sum / (float64(m.count) * m.sumSq)
 }

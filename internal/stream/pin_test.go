@@ -19,6 +19,14 @@ import (
 // had no loss feedback (Precision "f32" was rejected, and a bare f32
 // ModelKind silently trained in bound mode), so it pins the behaviour the
 // merge introduced.
+//
+// The three f32 rows were re-recorded once, when the window began to drop
+// a row's features at or beyond Dim at admission instead of skipping them
+// in clamped kernels: Dot32 assigns its four accumulators by position, so
+// removing entries from a row regroups the float32 sum. The parent
+// trainer fed rows pre-filtered the same way ends on exactly these
+// hashes; the f64 dots accumulate sequentially, so their rows did not
+// move.
 func TestPinnedWeights(t *testing.T) {
 	corpus := makeSkewedCorpus(1024, 64, 0.8, 7, 7)
 	for _, tc := range []struct {
@@ -29,9 +37,9 @@ func TestPinnedWeights(t *testing.T) {
 		{model.KindAtomic, "bound", 0x90c7f531bf38e598},
 		{model.KindAtomic, "uniform", 0xa3487b12ca665313},
 		{model.KindAtomic, "loss", 0x9c6b8f2d2157a641},
-		{model.KindRacy32, "bound", 0x9f588cadcab9d441},
-		{model.KindRacy32, "uniform", 0x22be25dcb2f28eab},
-		{model.KindRacy32, "loss", 0xa2360653d2c58a23},
+		{model.KindRacy32, "bound", 0x85b9265b6164bb84},
+		{model.KindRacy32, "uniform", 0xbc170e849116f7f8},
+		{model.KindRacy32, "loss", 0x38f53797bfcc575f},
 	} {
 		t.Run(tc.kind.String()+"/"+tc.mode, func(t *testing.T) {
 			cfg := streamConfig(48, tc.mode == "uniform")

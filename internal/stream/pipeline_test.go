@@ -6,11 +6,13 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
 	"time"
 
+	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/snapshot"
 )
@@ -185,39 +187,46 @@ func TestRunMatchesHandDrivenLoopBitwise(t *testing.T) {
 	}
 }
 
-// TestWindowEvictionReleasesBlocks: the window's backing array must not
-// keep evicted blocks reachable, or resident memory is bounded by the
-// array's capacity instead of WindowBlocks.
+// TestWindowEvictionReleasesBlocks: the window's arena must let go of
+// evicted rows, or resident memory is bounded by the stream's length
+// instead of WindowBlocks; and every resident ref must still map to its
+// own row by subtraction.
 func TestWindowEvictionReleasesBlocks(t *testing.T) {
+	const (
+		bs     = 32
+		blocks = 20
+	)
 	cfg := streamConfig(32, false)
 	cfg.WindowBlocks = 3
 	tr, err := NewTrainer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewReader(strings.NewReader(makeSkewedCorpus(20*32, 32, 0.5, 5, 5)), "evict", 32)
+	corpus := makeSkewedCorpus(blocks*bs, 32, 0.5, 5, 5)
+	r := NewReader(strings.NewReader(corpus), "evict", bs)
 	if _, err := handDriven(tr, r); err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.window) != 3 || cap(tr.window) != 4 {
-		t.Fatalf("window len %d cap %d after 20 blocks, want 3 and 4", len(tr.window), cap(tr.window))
+	w := &tr.win
+	if len(w.blocks) != 3 || w.rows() != 3*bs || w.first() != (blocks-3)*bs {
+		t.Fatalf("window holds blocks %v, %d rows from ref %d; want 3 blocks, %d rows from ref %d",
+			w.blocks, w.rows(), w.first(), 3*bs, (blocks-3)*bs)
 	}
-	for i, b := range tr.window[:cap(tr.window)] {
-		switch {
-		case i < 3 && (b == nil || b.Start != int64((17+i)*32)):
-			t.Fatalf("window slot %d holds %+v, want the block starting at row %d", i, b, (17+i)*32)
-		case i >= 3 && b != nil:
-			t.Fatalf("vacated window slot %d still references the block starting at row %d", i, b.Start)
+	// Compaction keeps the arena within twice the window plus one block.
+	if n := len(w.x.Y); n > 2*3*bs+bs {
+		t.Fatalf("arena holds %d rows for a %d-row window", n, 3*bs)
+	}
+	whole, err := dataset.ParseLibSVM(strings.NewReader(corpus), "whole", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ref := w.first(); ref < blocks*bs; ref++ {
+		i := int(ref - w.base)
+		lo, hi := w.x.IndPtr[i], w.x.IndPtr[i+1]
+		want := whole.X.Row(int(ref))
+		if w.x.Y[i] != whole.Y[ref] || !slices.Equal(w.x.Idx[lo:hi], want.Idx) || !slices.Equal(w.x.Val[lo:hi], want.Val) {
+			t.Fatalf("ref %d resolves to a row that is not its own", ref)
 		}
-	}
-	for ref := int64(0); ref < 20*32; ref++ {
-		b, k := tr.locate(ref)
-		if live := ref >= 17*32; live != (b != nil) || live && (b.Start+int64(k) != ref) {
-			t.Fatalf("locate(%d) = (%v, %d)", ref, b, k)
-		}
-	}
-	if b, _ := tr.locate(20 * 32); b != nil {
-		t.Fatal("locate resolved a row past the newest block")
 	}
 }
 

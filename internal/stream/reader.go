@@ -9,16 +9,27 @@
 // the same machinery maintained incrementally (Katharopoulos & Fleuret
 // 2018; Alain et al. 2015). This package provides:
 //
-//   - Reader: a chunked LibSVM reader that yields fixed-size row blocks
-//     from an io.Reader without loading the full file, reusing
-//     dataset.AppendLibSVMLine so it accepts exactly what the whole-file
-//     parser accepts;
+//   - Reader: a chunked LibSVM reader that yields fixed-size row blocks,
+//     each a CSR, from an io.Reader without loading the full file,
+//     reusing dataset.AppendLibSVMLine so it accepts exactly what the
+//     whole-file parser accepts; blocks handed back by Trainer.Run are
+//     refilled in place;
 //   - ISState: an online importance state holding per-row Lipschitz
 //     estimates in a bounded reservoir, periodically rebuilding a
 //     sampling.Alias table so the hot sampling path stays O(1);
-//   - Trainer: core-style multi-worker asynchronous updates over a
-//     sliding window of blocks, with per-block shard assignment reusing
+//   - Trainer: multi-worker asynchronous updates over a sliding window
+//     of blocks, with per-block shard assignment reusing
 //     internal/balance's importance balancing.
+//
+// The window is one CSR arena: a block's rows are appended at
+// admission, without the features the model cannot hold, and evicted
+// rows are compacted away in amortised O(block). A row's ref is its
+// position in ingest order, so a draw finds its window row by
+// subtraction. The alias table changes only at a block boundary, so a
+// worker's draws do not depend on the model: before its updates each
+// worker turns its quota of draws into a plan of (window row, step
+// scale) entries, and the plan runs through core.Loop — the batch
+// engine's update loop, the only one in the repository.
 //
 // The alias-rebuild cadence is the central trade-off: rebuilding after
 // every observation keeps the sampling distribution exact but costs
@@ -44,83 +55,29 @@ import (
 // choose one.
 const DefaultBlockSize = 1024
 
-// Block is one chunk of parsed rows. Start is the global index of
-// Rows[0] within the stream (blank and comment lines do not consume
-// indices), so Start+k identifies Rows[k] stream-wide. Rows from a Reader
-// are capacity-clipped windows into two flat arrays the block owns.
+// Block is one chunk of parsed rows, as a CSR: row k is X.Row(k) with
+// label Y[k], its indices strictly rising as the parser requires. Start is the global index of row 0 within the stream
+// (blank and comment lines do not consume indices), so Start+k
+// identifies row k stream-wide. X.Dim is the reader's MaxDim once the
+// block was parsed.
 type Block struct {
 	Start int64
-	Rows  []sparse.Vector
+	X     sparse.CSR
 	Y     []float64
-
-	// val32 holds per-row float32 views of the feature values, backed by
-	// one flat array; built once by EnsureVal32 for the f32 training path.
-	val32 [][]float32
 }
 
 // Len returns the number of rows in the block.
-func (b *Block) Len() int { return len(b.Rows) }
-
-// Val returns row k's float64 feature values — the f64 counterpart of
-// Val32, for code written once over the value type.
-func (b *Block) Val(k int) []float64 { return b.Rows[k].Val }
-
-// EnsureVal32 materializes the block's float32 feature values (one
-// conversion per row, all rows sharing a single backing array). Idempotent;
-// call during ingest, before the update workers run — the first call is
-// not safe to race with Val32 readers.
-func (b *Block) EnsureVal32() {
-	if b.val32 != nil {
-		return
-	}
-	nnz := 0
-	for _, v := range b.Rows {
-		nnz += v.NNZ()
-	}
-	flat := make([]float32, nnz)
-	b.val32 = make([][]float32, len(b.Rows))
-	off := 0
-	for i, v := range b.Rows {
-		dst := flat[off : off+len(v.Val)]
-		sparse.ToF32(dst, v.Val)
-		b.val32[i] = dst
-		off += len(v.Val)
-	}
-}
-
-// Val32 returns row k's float32 feature values. EnsureVal32 must have
-// run first.
-func (b *Block) Val32(k int) []float32 {
-	if b.val32 == nil {
-		panic("stream: Block.Val32 before EnsureVal32")
-	}
-	return b.val32[k]
-}
-
-// Weights returns the per-row importance weights L_i (Eq. 12 numerators)
-// under obj, the streaming analog of objective.Weights.
-func (b *Block) Weights(obj objective.Objective) []float64 {
-	l := make([]float64, len(b.Rows))
-	for i, v := range b.Rows {
-		l[i] = obj.Lipschitz(v.NormSq())
-	}
-	return l
-}
-
-// Dataset materializes the block as a dataset with the given fixed
-// dimensionality. Rows with features at or beyond dim fail validation;
-// streaming callers fix dim up front (the model cannot grow mid-stream).
-func (b *Block) Dataset(name string, dim int) (*dataset.Dataset, error) {
-	return dataset.FromRows(name, dim, b.Rows, b.Y)
-}
+func (b *Block) Len() int { return len(b.Y) }
 
 // Reader yields fixed-size row blocks from a LibSVM text stream. It
 // keeps only the current block in memory; the underlying source is read
 // once, line by line, so arbitrarily large inputs stream through in
 // O(blockSize) space. Lines are parsed with dataset.AppendLibSVMLine, the
 // same parser ParseLibSVM uses, so a stream concatenated back together
-// is row-for-row identical to a whole-file parse. A block costs a fixed
-// handful of allocations however many rows it holds.
+// is row-for-row identical to a whole-file parse. A new block costs a
+// fixed handful of allocations however many rows it holds, and a block
+// handed back for reuse (Trainer.Run does so once it has ingested it)
+// is refilled in place, which allocates nothing.
 //
 // A Reader is not safe for concurrent use; Trainer.Run hands it to its
 // read-ahead goroutine and gives it back when Run returns.
@@ -134,13 +91,19 @@ type Reader struct {
 	err       error
 	done      bool
 
-	// Per-block scratch, reused: where each row ends in the block's
-	// arenas, and the labels until the block's size is known.
-	ends []int
-	ys   []float64
-	// nnzHint sizes the next block's arenas from the last one's fill.
+	// free holds the blocks handed back by recycle, for Next to refill.
+	// It is a channel because the blocks come back from Run's training
+	// goroutine while the reading goroutine is inside Next.
+	free chan *Block
+	// nnzHint sizes a new block's arenas from the last block's fill.
 	nnzHint int
 }
+
+// poolDepth is how many handed-back blocks a Reader keeps. Under Run at
+// most readAhead+2 blocks are in flight — the queued ones, the one being
+// parsed and the one being ingested — so that many are enough for every
+// block to come back and the reader to stop allocating.
+const poolDepth = readAhead + 2
 
 // NewReader returns a chunked reader over r. blockSize <= 0 selects
 // DefaultBlockSize.
@@ -150,7 +113,16 @@ func NewReader(r io.Reader, name string, blockSize int) *Reader {
 	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	return &Reader{name: name, blockSize: blockSize, sc: sc, maxIdx: -1}
+	return &Reader{name: name, blockSize: blockSize, sc: sc, maxIdx: -1, free: make(chan *Block, poolDepth)}
+}
+
+// recycle hands b back for a later Next to refill; the caller must not
+// touch b afterwards. Safe to call while another goroutine is in Next.
+func (r *Reader) recycle(b *Block) {
+	select {
+	case r.free <- b:
+	default:
+	}
 }
 
 // Next returns the next block of up to blockSize rows. It returns
@@ -163,13 +135,26 @@ func (r *Reader) Next() (*Block, error) {
 	if r.done {
 		return nil, io.EOF
 	}
+	var b *Block
+	select {
+	case b = <-r.free:
+	default:
+		b = &Block{
+			X: sparse.CSR{
+				IndPtr: make([]int64, 0, r.blockSize+1),
+				Idx:    make([]int32, 0, r.nnzHint),
+				Val:    make([]float64, 0, r.nnzHint),
+			},
+			Y: make([]float64, 0, r.blockSize),
+		}
+	}
 	var (
-		idx  = make([]int32, 0, r.nnzHint)
-		val  = make([]float64, 0, r.nnzHint)
-		ends = r.ends[:0]
-		ys   = r.ys[:0]
+		ptr = append(b.X.IndPtr[:0], 0)
+		idx = b.X.Idx[:0]
+		val = b.X.Val[:0]
+		ys  = b.Y[:0]
 	)
-	for len(ends) < r.blockSize {
+	for len(ys) < r.blockSize {
 		if !r.sc.Scan() {
 			if err := r.sc.Err(); err != nil {
 				r.err = fmt.Errorf("libsvm %q: %w", r.name, err)
@@ -192,25 +177,21 @@ func (r *Reader) Next() (*Block, error) {
 		if !ok {
 			continue
 		}
-		ends = append(ends, len(idx))
-		ys = append(ys, y)
-	}
-	r.ends, r.ys = ends, ys
-	if len(ends) == 0 {
-		return nil, io.EOF
-	}
-	// Slice the rows only now: the arenas may have moved while they grew.
-	b := &Block{Start: r.rows, Rows: make([]sparse.Vector, len(ends)), Y: append([]float64(nil), ys...)}
-	lo := 0
-	for i, hi := range ends {
-		b.Rows[i] = sparse.Vector{Idx: idx[lo:hi:hi], Val: val[lo:hi:hi]}
-		if hi > lo && idx[hi-1] > r.maxIdx {
+		// Indices rise within a row, so its last one is its largest.
+		if hi := len(idx); int64(hi) > ptr[len(ptr)-1] && idx[hi-1] > r.maxIdx {
 			r.maxIdx = idx[hi-1]
 		}
-		lo = hi
+		ptr = append(ptr, int64(len(idx)))
+		ys = append(ys, y)
 	}
+	if len(ys) == 0 {
+		r.recycle(b)
+		return nil, io.EOF
+	}
+	b.Start, b.Y = r.rows, ys
+	b.X = sparse.CSR{Dim: r.MaxDim(), IndPtr: ptr, Idx: idx, Val: val}
 	r.nnzHint = len(idx) + len(idx)/8
-	r.rows += int64(len(b.Rows))
+	r.rows += int64(len(ys))
 	return b, nil
 }
 
@@ -239,16 +220,18 @@ func Evaluate(r io.Reader, name string, blockSize int, obj objective.Objective, 
 		if err != nil {
 			return 0, 0, 0, 0, err
 		}
-		for i, v := range b.Rows {
+		for i, y := range b.Y {
+			v := b.X.Row(i)
 			z := kernel.DotClamped(w, v.Idx, v.Val)
-			l := obj.Loss(z, b.Y[i])
+			l := obj.Loss(z, y)
 			loss += l
 			lossSq += l * l
-			if obj.Predict(z) != b.Y[i] {
+			if obj.Predict(z) != y {
 				errs++
 			}
 			n++
 		}
+		rd.recycle(b)
 	}
 	if n == 0 {
 		return 0, 0, 0, 0, nil

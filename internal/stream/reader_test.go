@@ -56,7 +56,8 @@ func TestReaderBlocksMatchWholeFileParse(t *testing.T) {
 			if b.Start != int64(rows) {
 				t.Fatalf("blockSize %d: block Start = %d, want %d", blockSize, b.Start, rows)
 			}
-			for i, v := range b.Rows {
+			for i := range b.Y {
+				v := b.X.Row(i)
 				g := rows + i
 				wr := want.X.Row(g)
 				if b.Y[i] != want.Y[g] {
@@ -138,6 +139,9 @@ func TestReaderEmptyInput(t *testing.T) {
 	}
 }
 
+// TestBlockDatasetAndWeights checks that a block's CSR is a valid
+// matrix whose importance weights are those of the same rows parsed as a
+// whole-file dataset.
 func TestBlockDatasetAndWeights(t *testing.T) {
 	r := NewReader(strings.NewReader(sampleLibSVM), "b", 100)
 	blocks := drain(t, r)
@@ -145,13 +149,19 @@ func TestBlockDatasetAndWeights(t *testing.T) {
 		t.Fatalf("want 1 block, got %d", len(blocks))
 	}
 	b := blocks[0]
-	obj := objective.LogisticL1{Eta: 1e-4}
-	d, err := b.Dataset("b", r.MaxDim())
+	if err := b.X.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := dataset.ParseLibSVM(strings.NewReader(sampleLibSVM), "whole", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if b.X.Dim != d.Dim() {
+		t.Fatalf("block Dim %d, want %d", b.X.Dim, d.Dim())
+	}
+	obj := objective.LogisticL1{Eta: 1e-4}
 	want := objective.Weights(d.X, obj)
-	got := b.Weights(obj)
+	got := objective.Weights(&b.X, obj)
 	if len(got) != len(want) {
 		t.Fatalf("weights length %d != %d", len(got), len(want))
 	}

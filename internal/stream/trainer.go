@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,11 +11,14 @@ import (
 
 	"github.com/isasgd/isasgd/internal/adaptive"
 	"github.com/isasgd/isasgd/internal/balance"
-	"github.com/isasgd/isasgd/internal/kernel"
+	"github.com/isasgd/isasgd/internal/core"
+	"github.com/isasgd/isasgd/internal/dataset"
+	"github.com/isasgd/isasgd/internal/metrics"
 	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/objective"
 	"github.com/isasgd/isasgd/internal/obs"
 	"github.com/isasgd/isasgd/internal/snapshot"
+	"github.com/isasgd/isasgd/internal/sparse"
 	"github.com/isasgd/isasgd/internal/spec"
 	"github.com/isasgd/isasgd/internal/xrand"
 )
@@ -88,9 +90,8 @@ type Config struct {
 	// ModelKind to its float32 counterpart and streams half-width weights
 	// and features through the f32 kernels. The feature-blocked layout
 	// (KindRacy32Blocked) requires the batch engine's one-time CSR remap
-	// and silently falls back to flat KindRacy32 here — streamed rows
-	// resolve by reference, with no remap point. Window evaluation and
-	// Snapshot stay float64.
+	// and silently falls back to flat KindRacy32 here — the window keeps
+	// logical indices. Window evaluation and Snapshot stay float64.
 	Precision string
 
 	Seed uint64
@@ -141,53 +142,124 @@ type Result struct {
 // sliding window of blocks. Each ingested block is shard-assigned to
 // workers with internal/balance (head–tail importance balancing or
 // shuffle, adaptively on the streamed ρ estimate), observed into the
-// workers' ISStates, and then trained on for UpdatesPerBlock
-// importance-sampled (or uniform) updates. Blocks older than
-// WindowBlocks are evicted, so memory stays O(WindowBlocks·blockSize)
-// regardless of stream length.
+// workers' ISStates, appended to the window, and then trained on for
+// UpdatesPerBlock importance-sampled (or uniform) updates. Blocks older
+// than WindowBlocks are evicted, so memory stays
+// O(WindowBlocks·blockSize) regardless of stream length.
+//
+// The window is one CSR arena, and the updates run through the batch
+// engine's update loop (core.Loop): before its updates, each worker
+// turns its draws into a plan of (window row, step scale) entries, which
+// the loop walks like a pre-generated epoch sequence.
 //
 // Ingest and the update phase alternate; the Trainer itself is not safe
 // for concurrent Ingest calls.
 type Trainer struct {
-	cfg Config
-	reg objective.Regularizer
-	m   model.Params
-	// Exactly one kernel is bound: kern32 iff the model stores float32 —
-	// the update workers then stream half-width weights and features
-	// through it, with blocks materializing their f32 value views at
-	// ingest — kern otherwise.
-	kern   kernel.Kernel
-	kern32 kernel.Kernel32
-	rngs   []*xrand.Rand // rngs[0] also drives shard planning
-	sts    []*ISState
+	cfg  Config
+	reg  objective.Regularizer
+	m    model.Params
+	loop core.Loop
+	rngs []*xrand.Rand // rngs[0] also drives shard planning
+	sts  []*ISState
 
-	window  []*Block // oldest first; at most WindowBlocks once Ingest returns
-	winRows int64
+	win      window
+	plans    []plan // per worker, reused block to block
+	lossMode bool   // loss-feedback importance: plans record losses
+
 	blocks  int64
 	updates int64
-	rows    int64
+	rows    int64 // rows ingested so far; also the next row's ref
 	step    float64
-	applied []int64 // per-worker update counts of the current block
 
 	// streamed weight moments for the Auto balance decision
-	count int64
-	sumW  float64
-	sumW2 float64
+	mom moments
+}
 
-	// per-worker staleness histograms; nil when uninstrumented
-	staleH []*obs.Histogram
+// window holds the resident rows as one CSR arena, oldest first: arena
+// row r is the row whose stream ref is base+r. Eviction only moves live
+// past the evicted rows; compact reclaims them once they are as many as
+// the live ones, so each compaction copies at most what was evicted
+// since the last one (amortised O(block) per eviction) and the arena
+// never holds more than twice the window plus one block.
+type window struct {
+	x      core.Rows
+	base   int64 // ref of arena row 0
+	live   int   // first resident arena row
+	blocks []int // row counts of the resident blocks, oldest first
+}
 
-	// ck is the one logical update clock: it ticks once per applied
-	// update whenever something reads it — the τ histograms, the adaptive
-	// probe, or both.
-	ck adaptive.Clock
+// admit appends b's rows to the arena without their features at or
+// beyond dim, which the model cannot hold, so the loop's kernels see
+// only in-range indices; with f32 it also keeps the values' float32
+// copy, converted once here. Indices rise within a row, so the dropped
+// features are each row's tail.
+func (w *window) admit(b *Block, dim int32, f32 bool) {
+	x, bx := &w.x, &b.X
+	if len(x.IndPtr) == 0 {
+		x.IndPtr = append(x.IndPtr, 0)
+	}
+	from := len(x.Val)
+	for i := range b.Y {
+		lo, hi := bx.IndPtr[i], bx.IndPtr[i+1]
+		for hi > lo && bx.Idx[hi-1] >= dim {
+			hi--
+		}
+		x.Idx = append(x.Idx, bx.Idx[lo:hi]...)
+		x.Val = append(x.Val, bx.Val[lo:hi]...)
+		x.IndPtr = append(x.IndPtr, int64(len(x.Idx)))
+	}
+	if f32 {
+		for _, v := range x.Val[from:] {
+			x.Val32 = append(x.Val32, float32(v))
+		}
+	}
+	x.Y = append(x.Y, b.Y...)
+	w.blocks = append(w.blocks, b.Len())
+}
 
-	// adaptive-update state: the policy (zero when disabled), whether
-	// loss-feedback importance is on, and the cumulative shed count (each
-	// worker adds its block's sheds once, when its quota is done).
-	pol      adaptive.Policy
-	lossMode bool
-	shed     atomic.Int64
+// evict drops the oldest blocks until at most keep remain, and compacts
+// the arena once the evicted rows are at least as many as the live ones.
+func (w *window) evict(keep int) {
+	for len(w.blocks) > keep {
+		w.live += w.blocks[0]
+		w.blocks = w.blocks[:copy(w.blocks, w.blocks[1:])]
+	}
+	if w.live == 0 || w.live < w.rows() {
+		return
+	}
+	x := &w.x
+	lo := x.IndPtr[w.live]
+	x.Idx = x.Idx[:copy(x.Idx, x.Idx[lo:])]
+	x.Val = x.Val[:copy(x.Val, x.Val[lo:])]
+	if x.Val32 != nil {
+		x.Val32 = x.Val32[:copy(x.Val32, x.Val32[lo:])]
+	}
+	x.IndPtr = x.IndPtr[:copy(x.IndPtr, x.IndPtr[w.live:])]
+	for i := range x.IndPtr {
+		x.IndPtr[i] -= lo
+	}
+	x.Y = x.Y[:copy(x.Y, x.Y[w.live:])]
+	w.base += int64(w.live)
+	w.live = 0
+}
+
+// rows returns the number of resident rows.
+func (w *window) rows() int { return len(w.x.Y) - w.live }
+
+// first returns the ref of the oldest resident row.
+func (w *window) first() int64 { return w.base + int64(w.live) }
+
+// plan is one worker's draws for an update phase: the window rows to
+// update, in order, their step scales (nil on the uniform arm, whose
+// scales are all 1), and in loss mode the losses the loop measured on
+// them.
+type plan struct {
+	rows    []int
+	scales  []float64
+	seq     []int32 // 0, 1, 2, …: the loop walks the plan in order
+	losses  []core.RowLoss
+	drawn   int // draws made this phase, dropped ones included
+	applied int64
 }
 
 // FromSpec compiles a validated streaming spec into a Config. It
@@ -256,8 +328,8 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 	}
 	if cfg.ModelKind == model.KindRacy32Blocked {
 		// The blocked scatter needs a one-time remap of every row's
-		// indices (the batch engine bakes it into the CSR); streamed rows
-		// resolve by reference with no such point, so run flat.
+		// indices (the batch engine bakes it into its CSR); the window's
+		// arena keeps logical indices, so run flat.
 		cfg.ModelKind = model.KindRacy32
 	}
 	pol := adaptive.Policy{AdaptC: cfg.AdaptC, StalenessBound: cfg.StalenessBound}
@@ -280,23 +352,18 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 		cfg:      cfg,
 		reg:      cfg.Obj.Reg(),
 		m:        model.New(cfg.ModelKind, cfg.Dim),
-		window:   make([]*Block, 0, cfg.WindowBlocks+1),
-		applied:  make([]int64, cfg.Workers),
+		plans:    make([]plan, cfg.Workers),
 		step:     cfg.Step,
-		pol:      pol,
 		lossMode: cfg.Importance == "loss",
 	}
-	// Same devirtualized hot path as the batch engine; rows whose
-	// features exceed Dim go through the clamped variants.
-	if cfg.ModelKind.Is32() {
-		t.kern32 = kernel.New32(t.m, cfg.Obj)
-		if cfg.Snapshots != nil {
-			// Stamp before the first publish so serving readers can take the
-			// lossless half-bandwidth f32 scoring path from version one.
-			cfg.Snapshots.SetDType(model.PrecisionF32)
-		}
-	} else {
-		t.kern = kernel.New(t.m, cfg.Obj)
+	// The batch engine's update loop, bound to this model.
+	t.loop.Bind(t.m, cfg.Obj)
+	t.loop.Instrument(cfg.Instruments, cfg.Workers)
+	t.loop.SetAdaptive(pol) // validated above
+	if cfg.ModelKind.Is32() && cfg.Snapshots != nil {
+		// Stamp before the first publish so serving readers can take the
+		// lossless half-bandwidth f32 scoring path from version one.
+		cfg.Snapshots.SetDType(model.PrecisionF32)
 	}
 	sm := xrand.NewSplitMix64(cfg.Seed)
 	t.rngs = make([]*xrand.Rand, cfg.Workers)
@@ -310,9 +377,6 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 		if ti := cfg.Instruments; ti != nil {
 			t.sts[w].SetOnRebuild(ti.RebuildObserved)
 		}
-	}
-	if ti := cfg.Instruments; ti != nil {
-		t.staleH = ti.WorkerStaleness(cfg.Workers)
 	}
 	return t, nil
 }
@@ -337,38 +401,22 @@ func (t *Trainer) Rows() int64 { return t.rows }
 
 // Shed returns the cumulative number of updates dropped because their
 // measured staleness exceeded Config.StalenessBound.
-func (t *Trainer) Shed() int64 { return t.shed.Load() }
+func (t *Trainer) Shed() int64 { return t.loop.Shed() }
 
 // EstRho returns the streaming estimate of ρ (Eq. 20) over all weights
 // observed so far.
-func (t *Trainer) EstRho() float64 {
-	if t.count == 0 {
-		return 0
-	}
-	mean := t.sumW / float64(t.count)
-	v := t.sumW2/float64(t.count) - mean*mean
-	if v < 0 {
-		v = 0
-	}
-	return v
-}
+func (t *Trainer) EstRho() float64 { return t.mom.rho() }
 
 // EstPsi returns the streaming estimate of ψ (Eq. 15, normalized).
-func (t *Trainer) EstPsi() float64 {
-	if t.count == 0 || t.sumW2 == 0 {
-		return 0
-	}
-	return t.sumW * t.sumW / (float64(t.count) * t.sumW2)
-}
+func (t *Trainer) EstPsi() float64 { return t.mom.psi() }
 
 // Ingest admits one block into the window, assigns its rows to worker
 // shards, slides the window, and runs the update budget.
 func (t *Trainer) Ingest(b *Block) BlockStats {
-	l := b.Weights(t.cfg.Obj)
+	// The weights come from the full rows, features beyond Dim included.
+	l := objective.Weights(&b.X, t.cfg.Obj)
 	for _, w := range l {
-		t.count++
-		t.sumW += w
-		t.sumW2 += w * w
+		t.mom.add(w)
 	}
 
 	// Resolve Algorithm 4's branch from streamed moments (the block alone
@@ -391,35 +439,22 @@ func (t *Trainer) Ingest(b *Block) BlockStats {
 	shards := balance.Split(order, t.cfg.Workers)
 	imbal := balance.Imbalance(balance.ImportanceSums(shards, l))
 
-	// Admit the block, then feed each worker its shard. The f32 path
-	// converts the block's feature values once, here, before any update
-	// worker can race the lazy build.
-	if t.kern32 != nil {
-		b.EnsureVal32()
-	}
-	t.window = append(t.window, b)
-	t.winRows += int64(b.Len())
+	// Admit the block, then feed each worker its shard. A row's ref is
+	// its position in the trainer's ingest order, so a window row is
+	// found from its ref by subtraction.
+	first := t.rows
+	t.win.admit(b, int32(t.cfg.Dim), t.cfg.ModelKind.Is32())
 	t.rows += int64(b.Len())
 	for w, shard := range shards {
 		for _, pos := range shard {
-			t.sts[w].Observe(b.Start+int64(pos), l[pos])
+			t.sts[w].Observe(first+int64(pos), l[pos])
 		}
 	}
 
-	// Slide the window and retire dead refs. Copying down (instead of
-	// re-slicing from the front) and clearing the vacated slot drops the
-	// last reference to the evicted block, so it is collectable at once.
-	for len(t.window) > t.cfg.WindowBlocks {
-		t.winRows -= int64(t.window[0].Len())
-		n := copy(t.window, t.window[1:])
-		t.window[n] = nil
-		t.window = t.window[:n]
-	}
-	if len(t.window) > 0 {
-		minRef := t.window[0].Start
-		for _, st := range t.sts {
-			st.EvictBefore(minRef)
-		}
+	// Slide the window and retire dead refs.
+	t.win.evict(t.cfg.WindowBlocks)
+	for _, st := range t.sts {
+		st.EvictBefore(t.win.first())
 	}
 	// Per-block rebuild cadence (see Config.RebuildEvery). Rebuilding
 	// after eviction also purges stale refs from the published tables.
@@ -434,16 +469,11 @@ func (t *Trainer) Ingest(b *Block) BlockStats {
 	}
 
 	before := t.updates
-	shedBefore := t.shed.Load()
 	start := time.Now()
 	t.runUpdates(b.Len())
 	if ti := t.cfg.Instruments; ti != nil {
 		ti.BlockDone(b.Len(), t.updates-before, time.Since(start))
-		ti.ShedDone(t.shed.Load() - shedBefore)
-		var ess float64
-		if t.sumW2 > 0 {
-			ess = t.sumW * t.sumW / t.sumW2
-		}
+		ess := t.EstPsi() * float64(t.mom.count)
 		reservoir := 0
 		for _, st := range t.sts {
 			reservoir += st.Len()
@@ -460,7 +490,7 @@ func (t *Trainer) Ingest(b *Block) BlockStats {
 	}
 
 	stats := BlockStats{
-		Block: t.blocks - 1, Rows: b.Len(), WindowRows: t.winRows,
+		Block: t.blocks - 1, Rows: b.Len(), WindowRows: int64(t.win.rows()),
 		Updates: t.updates, Balanced: balanced,
 		EstRho: t.EstRho(), EstPsi: t.EstPsi(), Imbalance: imbal,
 	}
@@ -499,15 +529,80 @@ func (t *Trainer) runUpdates(blockRows int) {
 		if w < rem {
 			quota++
 		}
-		if t.kern32 != nil {
-			t.applied[w] = workerUpdates(t, w, quota, t.kern32, (*Block).Val32)
-		} else {
-			t.applied[w] = workerUpdates[float64](t, w, quota, t.kern, (*Block).Val)
-		}
+		t.plans[w].applied = t.work(w, quota)
 	})
-	for _, n := range t.applied {
-		t.updates += n
+	for _, p := range t.plans {
+		t.updates += p.applied
 	}
+}
+
+// work applies worker w's quota of updates and returns how many it
+// applied. It draws a plan, runs it through the update loop, and draws
+// again for the updates the loop shed, until the quota is met or 4·quota
+// draws are spent: a shed update costs its draw but not the quota. The
+// draws come from the worker's generator in the order they are made, so
+// the draw sequence is the one that drawing each row inside the loop
+// gives. In loss mode the measured losses are folded into the worker's
+// ISState afterwards, in update order; nothing reads them before the
+// next rebuild.
+func (t *Trainer) work(w, quota int) int64 {
+	p := &t.plans[w]
+	p.drawn = 0
+	var losses *[]core.RowLoss
+	if t.lossMode {
+		p.losses = p.losses[:0]
+		losses = &p.losses
+	}
+	budget := 4 * quota
+	var applied int64
+	for int(applied) < quota {
+		live := t.draw(w, quota-int(applied), budget)
+		if n := len(p.rows); n > 0 {
+			applied += int64(n) - t.loop.Run(w, &t.win.x, p.rows, p.seq, p.scales, t.step, losses)
+		}
+		if !live || p.drawn >= budget {
+			break
+		}
+	}
+	for _, rl := range p.losses {
+		t.sts[w].ObserveLoss(t.win.base+int64(rl.Row), rl.Loss)
+	}
+	return applied
+}
+
+// draw refills worker w's plan with up to want draws from its ISState
+// while fewer than budget draws have been made this phase. A draw whose
+// row was evicted since the last rebuild, or whose scale is zero, spends
+// its draw and is dropped. It reports false when nothing has been
+// published to draw from.
+func (t *Trainer) draw(w, want, budget int) bool {
+	p, rng, st, first := &t.plans[w], t.rngs[w], t.sts[w], t.win.first()
+	p.rows, p.seq, p.scales = p.rows[:0], p.seq[:0], p.scales[:0]
+	for len(p.rows) < want && p.drawn < budget {
+		p.drawn++
+		var (
+			e     Entry
+			scale = 1.0
+			ok    bool
+		)
+		if t.cfg.Uniform {
+			e, ok = st.SampleUniform(rng)
+		} else {
+			e, scale, ok = st.Sample(rng)
+		}
+		if !ok {
+			return false
+		}
+		if e.Ref < first || scale <= 0 {
+			continue
+		}
+		p.seq = append(p.seq, int32(len(p.rows)))
+		p.rows = append(p.rows, int(e.Ref-t.win.base))
+		if !t.cfg.Uniform {
+			p.scales = append(p.scales, scale)
+		}
+	}
+	return true
 }
 
 // minCutRange is the fewest coordinates worth a worker of their own when
@@ -537,132 +632,21 @@ func (t *Trainer) publish() {
 	})
 }
 
-// workerUpdates is the hot loop, written once over the feature value
-// type (k and vals are the trainer's kernel and the blocks' value
-// accessor in that precision): draw a row from the worker's ISState,
-// fetch it from the window, apply one scaled sparse update. Stale draws
-// (rows evicted between rebuilds) are skipped; the attempt budget bounds
-// the loop when the worker's whole reservoir went stale.
-//
-// With an adaptive policy or loss feedback on, each step is decomposed
-// around the probes: the dot and derivative are computed first so the
-// measured staleness τ (updates other workers applied between the
-// gradient read and this write) can shed the update or attenuate its
-// step by 1/(1+c·τ), and in loss-feedback mode the sample's measured
-// loss is folded back into its reservoir EMA after the write. Shed
-// attempts consume the attempt budget but not the quota.
-func workerUpdates[V float32 | float64](t *Trainer, w, quota int, k kernel.Ops[V], vals func(*Block, int) []V) int64 {
-	var (
-		obj      = t.cfg.Obj
-		rng      = t.rngs[w]
-		st       = t.sts[w]
-		step     = t.step
-		pol      = t.pol
-		probe    = t.lossMode || pol.Enabled()
-		ck       = &t.ck
-		applied  int64
-		shed     int64
-		attempts = 4 * quota
-		sh       *obs.Histogram
-	)
-	if t.staleH != nil {
-		sh = t.staleH[w]
-	}
-	for int(applied) < quota && attempts > 0 {
-		attempts--
-		var (
-			e     Entry
-			scale float64
-			ok    bool
-		)
-		if t.cfg.Uniform {
-			e, ok = st.SampleUniform(rng)
-			scale = 1
-		} else {
-			e, scale, ok = st.Sample(rng)
-		}
-		if !ok {
-			break // nothing published yet
-		}
-		b, i := t.locate(e.Ref)
-		if b == nil || scale <= 0 {
-			continue // evicted between rebuilds, or zero-weight entry
-		}
-		idx, val, y := b.Rows[i].Idx, vals(b, i), b.Y[i]
-		s := step * scale
-		switch {
-		case probe:
-			begin := ck.Now()
-			z := k.DotClamped(idx, val)
-			g := obj.Deriv(z, y)
-			tau := ck.Now() - begin
-			if pol.Shed(tau) {
-				shed++
-				continue
-			}
-			k.UpdateClamped(idx, val, g, s*pol.Scale(tau))
-			ck.Tick()
-			if sh != nil {
-				sh.Observe(tau)
-			}
-			if t.lossMode {
-				st.ObserveLoss(e.Ref, obj.Loss(z, y))
-			}
-		case sh != nil:
-			begin := ck.Now()
-			k.StepClamped(idx, val, y, s)
-			sh.Observe(ck.Tick() - begin - 1)
-		default:
-			k.StepClamped(idx, val, y, s)
-		}
-		applied++
-	}
-	if shed > 0 {
-		t.shed.Add(shed)
-	}
-	return applied
-}
-
 // EvaluateWindow scores the current model on every resident row and
 // returns the mean objective (loss + penalty), RMSE and error rate over
 // the window, plus the row count. It costs O(window) and is intended for
 // between-block progress reporting; rows == 0 yields zeros.
 func (t *Trainer) EvaluateWindow() (obj, rmse, errRate float64, rows int64) {
-	if t.winRows == 0 {
+	n := t.win.rows()
+	if n == 0 {
 		return 0, 0, 0, 0
 	}
-	w := t.Snapshot(nil)
-	var loss, lossSq float64
-	var errs int64
-	for _, b := range t.window {
-		for i, v := range b.Rows {
-			z := kernel.DotClamped(w, v.Idx, v.Val)
-			l := t.cfg.Obj.Loss(z, b.Y[i])
-			loss += l
-			lossSq += l * l
-			if t.cfg.Obj.Predict(z) != b.Y[i] {
-				errs++
-			}
-		}
-	}
-	fn := float64(t.winRows)
-	return loss/fn + t.reg.Penalty(w), math.Sqrt(lossSq / fn), float64(errs) / fn, t.winRows
-}
-
-// locate resolves a global row ref to its resident block and the row's
-// position in it, or a nil block once the row has been evicted. The
-// window holds a handful of blocks and draws land in all of them, so a
-// scan from the newest beats a binary search's closure call.
-func (t *Trainer) locate(ref int64) (*Block, int) {
-	for i := len(t.window) - 1; i >= 0; i-- {
-		if b := t.window[i]; ref >= b.Start {
-			if k := int(ref - b.Start); k < b.Len() {
-				return b, k
-			}
-			break
-		}
-	}
-	return nil, 0
+	// The resident rows as a dataset: IndPtr's offsets are the arena's,
+	// so the view shares the arena's Idx and Val whole.
+	x, live := &t.win.x, t.win.live
+	d := &dataset.Dataset{X: &sparse.CSR{Dim: t.cfg.Dim, IndPtr: x.IndPtr[live:], Idx: x.Idx, Val: x.Val}, Y: x.Y[live:]}
+	ev := metrics.Evaluate(d, t.cfg.Obj, t.Snapshot(nil), 1)
+	return ev.Obj, ev.RMSE, ev.ErrRate, int64(n)
 }
 
 // readAhead is how many parsed blocks may wait between Run's reading
@@ -686,7 +670,9 @@ const readAhead = 2
 // and a version is published before its block's OnBlock fires — except
 // that r may have read up to readAhead+1 blocks past the last one
 // trained when Run stops early. Run returns only once the reading
-// goroutine is done with r.
+// goroutine is done with r. Each block goes back to r once it is
+// ingested, so after the first few blocks r refills old ones instead of
+// allocating.
 func (t *Trainer) Run(ctx context.Context, r *Reader) (*Result, error) {
 	type read struct {
 		b   *Block
@@ -734,6 +720,7 @@ func (t *Trainer) Run(ctx context.Context, r *Reader) (*Result, error) {
 			return t.result(), next.err
 		}
 		t.Ingest(next.b)
+		r.recycle(next.b)
 	}
 	if t.cfg.Snapshots != nil && t.blocks%int64(t.cfg.PublishEvery) != 0 {
 		// The cadence missed the last ingested block: publish the final

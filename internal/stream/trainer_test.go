@@ -184,8 +184,8 @@ func TestTrainerWindowBounded(t *testing.T) {
 			break
 		}
 		st := tr.Ingest(b)
-		if len(tr.window) > 2 {
-			t.Fatalf("window holds %d blocks, cap 2", len(tr.window))
+		if len(tr.win.blocks) > 2 {
+			t.Fatalf("window holds %d blocks, cap 2", len(tr.win.blocks))
 		}
 		if st.WindowRows > 2*128 {
 			t.Fatalf("window holds %d rows, cap %d", st.WindowRows, 2*128)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -272,17 +273,18 @@ func TestTrainerLossFeedbackEndToEnd(t *testing.T) {
 	}
 }
 
-// racingObj stands in for the other workers of a single-worker run: every
-// third gradient read, two foreign updates land on the trainer's clock
-// before the write, so that update measures τ = 2.
+// racingObj stands in for workers the trainer does not run: every third
+// gradient read, from any worker, two foreign updates land on the
+// trainer's clock before the write, so that update measures τ ≥ 2 (on a
+// single-worker run, exactly 2).
 type racingObj struct {
 	objective.LogisticL1
 	ck    *adaptive.Clock
-	reads int64
+	reads atomic.Int64
 }
 
 func (o *racingObj) Deriv(z, y float64) float64 {
-	if o.reads++; o.reads%3 == 0 {
+	if o.reads.Add(1)%3 == 0 {
 		o.ck.Tick()
 		o.ck.Tick()
 	}
@@ -346,11 +348,12 @@ func TestTrainerStalenessAdaptive(t *testing.T) {
 		racing := &racingObj{LogisticL1: objective.LogisticL1{Eta: 1e-4}}
 		cfg.Obj = racing
 		tr, res, _ = run(cfg)
-		if got, want := tr.Shed(), racing.reads/3; got != want || want == 0 {
-			t.Fatalf("precision %q: shed %d of %d gradient reads, want every third (%d)", precision, got, racing.reads, want)
+		reads := racing.reads.Load()
+		if got, want := tr.Shed(), reads/3; got != want || want == 0 {
+			t.Fatalf("precision %q: shed %d of %d gradient reads, want every third (%d)", precision, got, reads, want)
 		}
-		if res.Updates+tr.Shed() != racing.reads {
-			t.Fatalf("precision %q: applied %d + shed %d != %d gradient reads", precision, res.Updates, tr.Shed(), racing.reads)
+		if res.Updates+tr.Shed() != reads {
+			t.Fatalf("precision %q: applied %d + shed %d != %d gradient reads", precision, res.Updates, tr.Shed(), reads)
 		}
 	}
 }

@@ -6,10 +6,8 @@ import (
 	"io"
 	"math"
 	"strings"
-	"sync/atomic"
 	"testing"
 
-	"github.com/isasgd/isasgd/internal/adaptive"
 	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/objective"
 )
@@ -98,8 +96,8 @@ func TestPlanDropsEvictedDraws(t *testing.T) {
 }
 
 // TestPlanAllStaleSpendsBudget: when every row the table names has been
-// evicted, a worker makes 4·quota draws, applies nothing and leaves the
-// model untouched, as drawing row by row did.
+// evicted, a worker makes 4·quota draws and applies nothing, as drawing
+// row by row did.
 func TestPlanAllStaleSpendsBudget(t *testing.T) {
 	const bs = 32
 	cfg := streamConfig(16, false)
@@ -121,23 +119,6 @@ func TestPlanAllStaleSpendsBudget(t *testing.T) {
 	}
 }
 
-// lockedRacingObj stands in for other workers on a run that has its own:
-// every third gradient read, from any worker, lands two foreign updates
-// on the trainer's clock, so that read measures τ ≥ 2.
-type lockedRacingObj struct {
-	objective.LogisticL1
-	ck    *adaptive.Clock
-	reads atomic.Int64
-}
-
-func (o *lockedRacingObj) Deriv(z, y float64) float64 {
-	if o.reads.Add(1)%3 == 0 {
-		o.ck.Tick()
-		o.ck.Tick()
-	}
-	return o.LogisticL1.Deriv(z, y)
-}
-
 // TestShedUpdatesAreRedrawn runs two workers under AdaptC and the
 // tightest staleness bound, with foreign clock ticks so that updates
 // really are shed. Every shed update is redrawn: each block applies its
@@ -156,7 +137,7 @@ func TestShedUpdatesAreRedrawn(t *testing.T) {
 		cfg.Workers = 2
 		cfg.AdaptC = 0.5
 		cfg.StalenessBound = 1
-		obj := &lockedRacingObj{LogisticL1: objective.LogisticL1{Eta: 1e-4}}
+		obj := &racingObj{LogisticL1: objective.LogisticL1{Eta: 1e-4}}
 		cfg.Obj = obj
 		tr, err := NewTrainer(cfg)
 		if err != nil {
@@ -218,8 +199,8 @@ func TestTrainerF32OutOfRangeFeatures(t *testing.T) {
 			t.Fatalf("%q: %d float32 values for %d values", precision, len(x.Val32), len(x.Val))
 		}
 		w := tr.Snapshot(nil)
-		// Score with the full model width the corpus implies: the dropped
-		// features score 0, as they did in training.
+		// Evaluate clamps to w's Dim features, so the dropped features
+		// score 0, as they did in training.
 		loss, _, _, _, err := Evaluate(strings.NewReader(data), "oor", bs, cfg.Obj, w)
 		if err != nil {
 			t.Fatal(err)

@@ -333,9 +333,6 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 		cfg.ModelKind = model.KindRacy32
 	}
 	pol := adaptive.Policy{AdaptC: cfg.AdaptC, StalenessBound: cfg.StalenessBound}
-	if err := pol.Validate(); err != nil {
-		return nil, fmt.Errorf("stream: %w", err)
-	}
 	if cfg.StalenessBound < 0 {
 		return nil, fmt.Errorf("stream: Config.StalenessBound must be non-negative, got %d", cfg.StalenessBound)
 	}
@@ -359,7 +356,9 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 	// The batch engine's update loop, bound to this model.
 	t.loop.Bind(t.m, cfg.Obj)
 	t.loop.Instrument(cfg.Instruments, cfg.Workers)
-	t.loop.SetAdaptive(pol) // validated above
+	if err := t.loop.SetAdaptive(pol); err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
+	}
 	if cfg.ModelKind.Is32() && cfg.Snapshots != nil {
 		// Stamp before the first publish so serving readers can take the
 		// lossless half-bandwidth f32 scoring path from version one.

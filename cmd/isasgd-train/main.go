@@ -54,9 +54,8 @@
 //	-reservoir n           per-worker reservoir capacity
 //	-rebuild-every n       alias rebuild cadence (default once per block)
 //	-importance mode       reservoir row weighting: bound (static Lipschitz
-//	                       upper bound, the default) | loss (loss-feedback
-//	                       EMA re-weighting; is-sgd/is-asgd)
-//	-loss-beta x           loss-EMA observation weight for -importance loss
+//	                       upper bound, the default) | grad (the gradient
+//	                       norms |l'(z)|·‖x‖ the updates record; is-sgd/is-asgd)
 //
 // -adapt-c and -staleness-bound also apply in streaming mode; shed
 // update counts are printed after the run (and exported through the

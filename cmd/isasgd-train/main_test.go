@@ -110,7 +110,7 @@ func TestParseBalance(t *testing.T) {
 func TestRun(t *testing.T) {
 	batch := []string{"-data", writeStreamCorpus(t, 8, 4), "-epochs", "1"}
 	checkRuns(t, []runCase{
-		{"batch importance", with(batch, "-importance", "loss"), false},
+		{"batch importance", with(batch, "-importance", "grad"), false},
 		{"batch dim", with(batch, "-dim", "4"), false},
 		{"batch NaN eta", with(batch, "-eta", "NaN"), false},
 		{"batch NaN step", with(batch, "-step", "NaN"), false},

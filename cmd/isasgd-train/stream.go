@@ -26,8 +26,8 @@ func runStream(ctx context.Context, out io.Writer, s spec.Spec, data, modelOut s
 		return err
 	}
 	sampler := map[bool]string{true: "uniform", false: "online-is"}[cfg.Uniform]
-	if s.Importance == "loss" {
-		sampler = "loss-feedback-is"
+	if s.Importance == "grad" {
+		sampler = "grad-norm-is"
 	}
 	fmt.Fprintf(out, "streaming %s: dim %d, %d workers, sampler %s\n",
 		data, s.Dim, cfg.Workers, sampler)

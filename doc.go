@@ -183,18 +183,21 @@
 //
 // internal/adaptive makes the sampling distribution, the step size and
 // the delay handling respond to live training signals instead of being
-// fixed up front. Loss-feedback importance (stream.Config.Importance
-// "loss", isasgd-train -importance loss, the job spec's "importance"
-// field) maintains bounded per-row loss EMAs in the streaming reservoir
-// and rebuilds the alias table from a partially-biased blend of live
-// loss and Lipschitz bound — rows the model still gets wrong keep their
-// sampling mass, mastered rows lose it, and the 1/(n·p) correction
-// keeps updates unbiased (Katharopoulos & Fleuret's loss-based
-// importance, maintained online). A staleness-adaptive step schedule
-// scales each update by 1/(1+c·τ) on its measured staleness (AdaptC on
-// the core engine, streaming trainer and cluster coordinator;
-// -adapt-c on the CLIs), attenuating stale updates instead of shedding
-// them, with the shed bound still guarding the tail. And the cluster
+// fixed up front. Gradient-norm importance (solver.Config.Importance and
+// stream.Config.Importance "grad", isasgd-train -stream -importance
+// grad, the streaming job spec's "importance" field) is one signal for
+// both trainers: every update the loop applies stores its row's |ℓ'(z)|,
+// and at each epoch (batch) or block (stream) boundary the alias tables
+// are rebuilt from the Eq.-11 weights |ℓ'(z_i)|·‖x_i‖, mixed with
+// uniform so the 1/(n·p) correction stays at most 2 — rows the model
+// still gets wrong keep their sampling mass, mastered rows lose it, and
+// no extra pass over the data is made (the norm Katharopoulos & Fleuret
+// and Alain et al. reduce to for linear models). A staleness-adaptive
+// step schedule scales each update by 1/(1+c·τ) on its measured
+// staleness (AdaptC on the core engine, streaming trainer and cluster
+// coordinator; -adapt-c on the CLIs), attenuating stale updates
+// instead of shedding them, with the shed bound still guarding the
+// tail. And the cluster
 // coordinator can apply DC-ASGD delay compensation (-dc-lambda): each
 // delayed push's delta is corrected per coordinate by −λ·d²·(w_now −
 // w_base) against the exact retained base version it trained from,

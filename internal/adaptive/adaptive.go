@@ -1,11 +1,12 @@
 // Package adaptive makes importance sampling and step sizes respond to
 // live training signals, complementing the paper's static scheme:
 //
-//   - LossMap maintains bounded per-row loss EMAs so a streaming ISState
-//     can re-weight its reservoir as losses evolve (Katharopoulos &
-//     Fleuret 2018's loss-based importance with an upper-bound fallback
-//     for rows whose loss has not been observed yet; the 1/(n·p) bias
-//     correction of Eq. 8 keeps the reweighted updates unbiased);
+//   - GradWeights is the one adaptive importance rule: the Eq.-11
+//     weight ‖∇f_i(w)‖ = |ℓ'(z_i)|·‖x_i‖, read off the |ℓ'| the update
+//     loop records on every row it updates (Katharopoulos & Fleuret
+//     2018; Alain et al. 2015), mixed with uniform so the Eq.-8
+//     correction 1/(n·p_i) stays at most 2. The batch engine and the
+//     streaming trainer both weigh their rows through it;
 //   - Policy carries the staleness-adaptive step schedule η/(1+c·τ) and
 //     the update-shedding bound motivated by the SME analysis (An, Lu &
 //     Ying) of how delay distorts asynchronous SGD dynamics;
@@ -17,8 +18,8 @@
 //     CompensateDelta applies the DC-ASGD correction
 //     g + λ·g⊙g⊙(w_now − w_base) in delta form at push-apply time.
 //
-// Everything here is allocation-free on the steady-state paths: LossMap
-// only updates keys the ingest path seeded, Policy and Clock are plain
+// Everything here is allocation-free on the steady-state paths:
+// GradWeights writes into the caller's buffer, Policy and Clock are plain
 // arithmetic over pre-bound state, and CompensateDelta mutates the push
 // buffer in place.
 package adaptive
@@ -31,11 +32,6 @@ import (
 
 	"github.com/isasgd/isasgd/internal/snapshot"
 )
-
-// DefaultLossBeta is the EMA weight of a new loss observation when the
-// caller does not choose one: heavy enough that a few visits move a
-// row's weight, damped enough that one noisy step does not dominate.
-const DefaultLossBeta = 0.25
 
 // Policy configures the adaptive update behavior of a training surface.
 // The zero value disables everything.
@@ -117,98 +113,66 @@ func (c *Clock) Now() int64 { return c.c.Load() }
 // Tick advances the clock by one applied update and returns the new value.
 func (c *Clock) Tick() int64 { return c.c.Add(1) }
 
-// lossEntry is one row's loss state: the EMA once a loss has been
-// observed, the seeded upper-bound placeholder before that.
-type lossEntry struct {
-	ema  float64
-	seen bool
-}
-
-// LossMap holds bounded per-row loss EMAs keyed by global stream ref.
-// The ingest path seeds resident rows (Seed), the update hot loop feeds
-// observed losses (Observe — a no-op for rows that were never seeded, so
-// the steady state allocates nothing), and rebuilds read each row's
-// effective weight (Weight — the EMA when one exists, the caller's
-// static upper bound otherwise). Not safe for concurrent use; the owner
-// (stream.ISState) serializes access under its reservoir mutex.
-type LossMap struct {
-	beta float64
-	m    map[int64]lossEntry
-}
-
-// NewLossMap returns an empty map whose EMAs weight each new observation
-// by beta: ema ← (1−β)·ema + β·loss. beta outside (0, 1] selects
-// DefaultLossBeta.
-func NewLossMap(beta float64) *LossMap {
-	if beta <= 0 || beta > 1 || math.IsNaN(beta) {
-		beta = DefaultLossBeta
+// GradWeights writes into dst[k] the sampling weight of row rows[k] and
+// returns dst, grown to len(rows). norm[i] is row i's ‖x_i‖ and grad[i]
+// the |ℓ'(z)| the update loop last recorded for it; a negative (or NaN)
+// grad[i] marks a row never visited, which takes the largest |ℓ'|
+// recorded among rows — 1 when none is — an optimistic value in the same
+// units, so it still gets drawn and measured. With w_k = norm·|ℓ'| the
+// weight is the partially biased probability ½(1/n + w_k/Σw) (Needell et
+// al. 2014): every row keeps at least half its uniform share, so the
+// step correction 1/(n·p_k) is at most 2 however small a row's gradient
+// gets, and all-zero gradients give the uniform distribution. Products
+// that overflow count as MaxFloat64, and the sum is taken relative to
+// the largest one, so every weight is finite and positive.
+func GradWeights(dst []float64, rows []int, norm []float64, grad []float32) []float64 {
+	n := len(rows)
+	if cap(dst) < n {
+		dst = make([]float64, n)
 	}
-	return &LossMap{beta: beta, m: make(map[int64]lossEntry)}
-}
-
-// Beta returns the EMA observation weight.
-func (lm *LossMap) Beta() float64 { return lm.beta }
-
-// Seed registers ref as resident, preserving any loss state it already
-// has. Only seeded refs accept observations — Seed is the one place the
-// map grows, and it runs on the ingest path, not the update hot loop.
-func (lm *LossMap) Seed(ref int64) {
-	if _, ok := lm.m[ref]; !ok {
-		lm.m[ref] = lossEntry{}
-	}
-}
-
-// Observe folds one measured loss into ref's EMA. Non-finite or negative
-// losses and unseeded refs are dropped; it reports whether the
-// observation was recorded. Assigning to an existing key does not grow
-// the map, keeping the hot loop allocation-free.
-func (lm *LossMap) Observe(ref int64, loss float64) bool {
-	if loss < 0 || math.IsNaN(loss) || math.IsInf(loss, 0) {
-		return false
-	}
-	e, ok := lm.m[ref]
-	if !ok {
-		return false
-	}
-	if !e.seen {
-		e = lossEntry{ema: loss, seen: true}
-	} else {
-		next := (1-lm.beta)*e.ema + lm.beta*loss
-		if math.IsInf(next, 0) {
-			// Two near-MaxFloat64 terms can round past the representable
-			// range even though a true convex combination never exceeds
-			// max(ema, loss); clamp rather than poison the distribution.
-			next = math.MaxFloat64
-		}
-		e.ema = next
-	}
-	lm.m[ref] = e
-	return true
-}
-
-// Weight returns ref's effective importance weight: the loss EMA when
-// one has been observed, fallback (the static upper bound) otherwise —
-// unseen rows keep their optimistic weight so they still get sampled
-// and their loss measured.
-func (lm *LossMap) Weight(ref int64, fallback float64) float64 {
-	if e, ok := lm.m[ref]; ok && e.seen {
-		return e.ema
-	}
-	return fallback
-}
-
-// EvictBefore drops every ref below minRef — rows that slid out of the
-// owner's window and can never be observed again.
-func (lm *LossMap) EvictBefore(minRef int64) {
-	for ref := range lm.m {
-		if ref < minRef {
-			delete(lm.m, ref)
+	dst = dst[:n]
+	var gmax float32
+	seen := false
+	for _, i := range rows {
+		if g := grad[i]; g >= 0 {
+			gmax, seen = max(gmax, g), true
 		}
 	}
+	if !seen {
+		gmax = 1
+	}
+	wmax := 0.0
+	for k, i := range rows {
+		g := grad[i]
+		if !(g >= 0) {
+			g = gmax
+		}
+		w := norm[i] * float64(g)
+		switch {
+		case w > math.MaxFloat64:
+			w = math.MaxFloat64
+		case !(w >= 0):
+			w = 0
+		}
+		dst[k] = w
+		wmax = max(wmax, w)
+	}
+	inv := 1 / float64(n)
+	if wmax == 0 {
+		for k := range dst {
+			dst[k] = inv
+		}
+		return dst
+	}
+	sum := 0.0 // Σ w/wmax ∈ [1, n]: neither overflows nor underflows
+	for _, w := range dst {
+		sum += w / wmax
+	}
+	for k, w := range dst {
+		dst[k] = 0.5 * (inv + w/wmax/sum)
+	}
+	return dst
 }
-
-// Len returns the number of resident refs.
-func (lm *LossMap) Len() int { return len(lm.m) }
 
 // BaseRing retains the last capacity published model versions keyed by
 // sequence number, so a push that trained from seq s can be compensated

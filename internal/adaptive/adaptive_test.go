@@ -106,63 +106,6 @@ func TestClock(t *testing.T) {
 	}
 }
 
-func TestLossMapSeedObserveWeight(t *testing.T) {
-	lm := NewLossMap(0.5)
-	if lm.Observe(7, 1.0) {
-		t.Fatal("unseeded ref must not record")
-	}
-	lm.Seed(7)
-	if got := lm.Weight(7, 3.5); got != 3.5 {
-		t.Fatalf("seeded-but-unseen ref must fall back to the bound, got %g", got)
-	}
-	if !lm.Observe(7, 2.0) {
-		t.Fatal("seeded ref must record")
-	}
-	if got := lm.Weight(7, 3.5); got != 2.0 {
-		t.Fatalf("first observation sets the EMA, got %g", got)
-	}
-	lm.Observe(7, 4.0)
-	if got, want := lm.Weight(7, 0), 0.5*2.0+0.5*4.0; got != want {
-		t.Fatalf("EMA = %g, want %g", got, want)
-	}
-	// Seeding again must not reset the EMA (the row re-enters a shard).
-	lm.Seed(7)
-	if got := lm.Weight(7, 0); got != 3.0 {
-		t.Fatalf("re-seed reset the EMA to %g", got)
-	}
-	for _, bad := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if lm.Observe(7, bad) {
-			t.Fatalf("loss %g must be dropped", bad)
-		}
-	}
-	if got := lm.Weight(7, 0); got != 3.0 {
-		t.Fatalf("bad observations moved the EMA to %g", got)
-	}
-	if got := lm.Weight(99, 1.25); got != 1.25 {
-		t.Fatalf("unknown ref must fall back, got %g", got)
-	}
-}
-
-func TestLossMapEvictBefore(t *testing.T) {
-	lm := NewLossMap(0)
-	if lm.Beta() != DefaultLossBeta {
-		t.Fatalf("out-of-range beta must select the default, got %g", lm.Beta())
-	}
-	for ref := int64(0); ref < 10; ref++ {
-		lm.Seed(ref)
-	}
-	lm.EvictBefore(6)
-	if lm.Len() != 4 {
-		t.Fatalf("Len after evict = %d, want 4", lm.Len())
-	}
-	if lm.Observe(3, 1) {
-		t.Fatal("evicted ref must not record")
-	}
-	if !lm.Observe(6, 1) {
-		t.Fatal("surviving ref must record")
-	}
-}
-
 func TestBaseRing(t *testing.T) {
 	r := NewBaseRing(4)
 	if r.Get(1) != nil {
@@ -245,42 +188,4 @@ func TestAttenuateDelta(t *testing.T) {
 	if want := 1 / (1 + 0.5*2.0); val[0] != want || val[1] != -2*want {
 		t.Fatalf("attenuated to %v, want scale %g", val, want)
 	}
-}
-
-// TestLossMapNoSteadyStateAllocs guards the hot-loop contract: observing
-// losses for seeded rows must not allocate.
-func TestLossMapNoSteadyStateAllocs(t *testing.T) {
-	lm := NewLossMap(0.25)
-	for ref := int64(0); ref < 256; ref++ {
-		lm.Seed(ref)
-	}
-	ref := int64(0)
-	avg := testing.AllocsPerRun(1000, func() {
-		lm.Observe(ref, 1.5)
-		ref = (ref + 1) % 256
-	})
-	if avg != 0 {
-		t.Fatalf("LossMap.Observe allocates %.2f/op, want 0", avg)
-	}
-}
-
-// FuzzLossEMA drives the EMA update path with arbitrary loss streams and
-// checks the invariant the sampling layer depends on: a seeded row's
-// weight stays finite and non-negative no matter what losses arrive.
-func FuzzLossEMA(f *testing.F) {
-	f.Add(0.25, 1.0, 2.0, -1.0)
-	f.Add(0.5, math.MaxFloat64, math.MaxFloat64, math.MaxFloat64)
-	f.Add(1.0, 0.0, math.SmallestNonzeroFloat64, 1e300)
-	f.Fuzz(func(t *testing.T, beta, l1, l2, l3 float64) {
-		lm := NewLossMap(beta)
-		lm.Seed(1)
-		for _, l := range []float64{l1, l2, l3} {
-			lm.Observe(1, l)
-		}
-		w := lm.Weight(1, 1)
-		if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
-			t.Fatalf("beta=%g losses=(%g,%g,%g): weight %g escaped [0, +Inf)",
-				beta, l1, l2, l3, w)
-		}
-	})
 }

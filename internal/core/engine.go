@@ -78,6 +78,14 @@ type Engine struct {
 	partialBias bool // mix distribution with uniform (Needell et al. 2014)
 	decision    balance.Decision
 
+	// Gradient-norm importance (ISOptions.Importance "grad"), nil
+	// otherwise: norms[i] = ‖x_i‖, computed once, and grads[i] the |ℓ'|
+	// the loop last recorded on row i (-1 until it is first updated).
+	// Each is indexed by row id; a row is written only by the worker
+	// whose shard holds it.
+	norms []float64
+	grads []float32
+
 	// Mid-training publication (PublishTo): every pubEvery completed
 	// epochs the engine cuts a model snapshot into pub, so live serving
 	// consumers see the weights advance while training continues.
@@ -219,6 +227,14 @@ type ISOptions struct {
 	// sampling), which bounds the step correction 1/(n·p_i) below 2 and
 	// guards against variance blow-up from rarely-sampled points.
 	PartialBias bool
+	// Importance selects the sampling weights: "" or "bound" keeps the
+	// static Lipschitz bounds of Eq. 12 for the whole run; "grad" starts
+	// from them and, after every epoch, reweighs each worker's shard by
+	// the Eq.-11 gradient norms |ℓ'(z_i)|·‖x_i‖ its updates recorded
+	// (adaptive.GradWeights, always partially biased). The distribution
+	// then changes every epoch, so "grad" regenerates the sequences even
+	// with ShuffleSeq.
+	Importance string
 }
 
 // NewISSGD builds sequential importance-sampled SGD (Algorithm 2): one
@@ -257,6 +273,18 @@ func NewISASGDOpts(ds *dataset.Dataset, obj objective.Objective, m model.Params,
 	}
 	e.shuffleSeq = opts.ShuffleSeq
 	e.partialBias = opts.PartialBias
+	switch opts.Importance {
+	case "", "bound":
+	case "grad":
+		e.norms = make([]float64, ds.N())
+		e.grads = make([]float32, ds.N())
+		for i := range e.norms {
+			e.norms[i] = ds.X.Row(i).Norm2()
+			e.grads[i] = -1
+		}
+	default:
+		return nil, fmt.Errorf("core: unknown importance %q (want bound or grad)", opts.Importance)
+	}
 
 	l := objective.Weights(ds.X, obj)
 	if e.partialBias {
@@ -286,14 +314,12 @@ func partialBiasWeights(l []float64) []float64 {
 	return out
 }
 
-// buildSamplers (re)builds each worker's local distribution, step-scale
+// buildSamplers builds each worker's local distribution, step-scale
 // table and sample sequence from global weights l (indexed by row id).
 func (e *Engine) buildSamplers(l []float64) error {
-	if e.scales == nil {
-		e.scales = make([][]float64, e.Threads())
-		e.seqs = make([][]int32, e.Threads())
-		e.samplers = make([]sampling.Sampler, e.Threads())
-	}
+	e.scales = make([][]float64, e.Threads())
+	e.seqs = make([][]int32, e.Threads())
+	e.samplers = make([]sampling.Sampler, e.Threads())
 	for t, shard := range e.shards {
 		if len(shard) == 0 {
 			continue
@@ -302,45 +328,38 @@ func (e *Engine) buildSamplers(l []float64) error {
 		for k, i := range shard {
 			localL[k] = l[i]
 		}
-		al, err := sampling.NewAlias(localL)
-		if err != nil {
-			return fmt.Errorf("core: worker %d sampler: %w", t, err)
+		if err := e.setWeights(t, localL); err != nil {
+			return err
 		}
-		e.samplers[t] = al
-		na := float64(len(shard))
-		sc := make([]float64, len(shard))
-		for k := range sc {
-			p := al.Prob(k)
-			if p <= 0 {
-				// A zero-weight sample is never drawn; its scale is moot.
-				sc[k] = 0
-				continue
-			}
-			sc[k] = 1 / (na * p)
-		}
-		e.scales[t] = sc
-		e.seqs[t] = sampling.Sequence(al, e.rngs[t], len(shard))
 	}
 	return nil
 }
 
-// Reweight rebuilds the sampling distributions, step scales and
-// sequences from fresh global weights (indexed by row id), keeping the
-// shard layout. It implements periodic re-estimation of the Eq.-11
-// optimal distribution p_i ∝ ‖∇f_i(w_t)‖ — the scheme the paper deems
-// impractical per-iteration but which is affordable at epoch
-// granularity. Must not be called while RunEpoch is in flight.
-func (e *Engine) Reweight(l []float64) error {
-	if e.scales == nil {
-		return fmt.Errorf("core: Reweight on a uniform engine")
+// setWeights installs worker t's distribution from w, its shard's
+// weights by local position: the alias sampler, the step scales
+// 1/(N_a·p_ai), written over w, and a sequence drawn from it.
+func (e *Engine) setWeights(t int, w []float64) error {
+	al, err := sampling.NewAlias(w)
+	if err != nil {
+		return fmt.Errorf("core: worker %d sampler: %w", t, err)
 	}
-	if len(l) != e.ds.N() {
-		return fmt.Errorf("core: Reweight got %d weights for %d samples", len(l), e.ds.N())
+	e.samplers[t] = al
+	na := float64(len(w))
+	for k := range w {
+		p := al.Prob(k)
+		if p <= 0 {
+			// A zero-weight sample is never drawn; its scale is moot.
+			w[k] = 0
+			continue
+		}
+		w[k] = 1 / (na * p)
 	}
-	if e.partialBias {
-		l = partialBiasWeights(l)
+	e.scales[t] = w
+	if e.seqs[t] == nil {
+		e.seqs[t] = make([]int32, len(w))
 	}
-	return e.buildSamplers(l)
+	sampling.SequenceInto(e.seqs[t], al, e.rngs[t])
+	return nil
 }
 
 // RunEpoch performs one epoch: every worker executes len(shard) updates
@@ -425,16 +444,25 @@ func (e *Engine) runWorker(t int, step float64) {
 	if e.scales != nil {
 		scale = e.scales[t]
 	}
-	e.loop.Run(t, &e.x, shard, e.seqs[t][:len(shard)], scale, step, nil)
+	e.loop.Run(t, &e.x, shard, e.seqs[t][:len(shard)], scale, step, e.grads)
 }
 
 // endOfEpoch refreshes worker t's sample sequence: regenerated in place
 // from the sampler (the default, and always on the uniform arm), or
 // shuffled in place when the paper's Section-4.2 approximation is
 // enabled. Both paths reuse the existing buffer, keeping steady-state
-// epochs allocation-free.
+// epochs allocation-free. Under gradient-norm importance the worker
+// first reweighs its shard from the |ℓ'| its updates recorded, over the
+// old scale table, and draws the sequence from the new distribution.
 func (e *Engine) endOfEpoch(t int) {
 	if e.seqs[t] == nil {
+		return
+	}
+	if e.grads != nil {
+		w := adaptive.GradWeights(e.scales[t], e.shards[t], e.norms, e.grads)
+		if err := e.setWeights(t, w); err != nil {
+			panic(err) // GradWeights' weights are positive and finite
+		}
 		return
 	}
 	if e.shuffleSeq {

@@ -23,12 +23,6 @@ type Rows struct {
 	Y      []float64
 }
 
-// RowLoss is one applied update's row and the loss its dot measured.
-type RowLoss struct {
-	Row  int
-	Loss float64
-}
-
 // Loop is the state of the one update loop: the kernel bound to the
 // model, the update clock, the adaptive policy, the staleness histograms
 // and the shed counter. The batch engine and the streaming trainer each
@@ -111,13 +105,15 @@ func (l *Loop) Shed() int64 { return l.shed.Load() }
 
 // Run applies worker w's updates: for each position p of seq, in order,
 // one step on row rows[p] of x scaled by step·scale[p] (scale nil: all
-// ones). When losses is non-nil, each applied update appends its row
-// and measured loss to it. It returns how many updates the policy shed.
-func (l *Loop) Run(w int, x *Rows, rows []int, seq []int32, scale []float64, step float64, losses *[]RowLoss) int64 {
+// ones). When grads is non-nil (indexed like x's rows), each applied
+// update stores its row's |ℓ'(z)| there — the gradient-norm importance
+// signal; the caller keeps each row's slot owned by one worker. It
+// returns how many updates the policy shed.
+func (l *Loop) Run(w int, x *Rows, rows []int, seq []int32, scale []float64, step float64, grads []float32) int64 {
 	if l.kern32 != nil {
-		return runRows(l, w, x, x.Val32, l.kern32, rows, seq, scale, step, losses)
+		return runRows(l, w, x, x.Val32, l.kern32, rows, seq, scale, step, grads)
 	}
-	return runRows[float64](l, w, x, x.Val, l.kern, rows, seq, scale, step, losses)
+	return runRows[float64](l, w, x, x.Val, l.kern, rows, seq, scale, step, grads)
 }
 
 // Lookahead distances of the update loop, in updates. Each update's row
@@ -146,10 +142,10 @@ const (
 // position's row and step scale, and hands the fused update to the
 // kernel. Because the whole sequence is known before the loop starts,
 // it first touches the rows aheadPtr and aheadRow updates ahead (see
-// their comment), before the body switch, so the plain, instrumented and
-// probing bodies and both precisions all get it.
+// their comment), before the body switch, so the plain, instrumented,
+// recording and probing bodies and both precisions all get it.
 func runRows[V float32 | float64](l *Loop, w int, x *Rows, vals []V, k kernel.Ops[V],
-	rows []int, seq []int32, scale []float64, step float64, losses *[]RowLoss) int64 {
+	rows []int, seq []int32, scale []float64, step float64, grads []float32) int64 {
 	var (
 		ptr  = x.IndPtr
 		idx  = x.Idx
@@ -167,9 +163,10 @@ func runRows[V float32 | float64](l *Loop, w int, x *Rows, vals []V, k kernel.Op
 	if l.staleH != nil {
 		sh = l.staleH[w]
 	}
-	// The probing body runs under an adaptive policy, and whenever the
-	// caller records losses, which need the update's dot.
-	probe := pol.Enabled() || losses != nil
+	// The probing body runs under an adaptive policy, and when the
+	// staleness histograms and the gradient record are both wanted; the
+	// recording body is Step split around the store of |ℓ'|.
+	probe := pol.Enabled() || (sh != nil && grads != nil)
 	for it, p := range seq {
 		if a := it + aheadPtr; a < n {
 			sink += uint64(ptr[rows[seq[a]]])
@@ -217,9 +214,13 @@ func runRows[V float32 | float64](l *Loop, w int, x *Rows, vals []V, k kernel.Op
 			if sh != nil {
 				sh.Observe(tau)
 			}
-			if losses != nil {
-				*losses = append(*losses, RowLoss{Row: i, Loss: obj.Loss(z, y[i])})
+			if grads != nil {
+				grads[i] = float32(math.Abs(g))
 			}
+		case grads != nil:
+			g := obj.Deriv(k.Dot(ri, rv), y[i])
+			grads[i] = float32(math.Abs(g))
+			k.Update(ri, rv, g, s)
 		case sh != nil:
 			begin := ck.Now()
 			k.Step(ri, rv, y[i], s)

@@ -106,3 +106,24 @@ func TestSnapshotDuringEpochAtomic(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestConcurrentEpochsGrad runs gradient-norm importance with two
+// workers: each records |ℓ'| into the rows of its own shard while the
+// other trains, and reweighs its shard from them at its epoch's end.
+// Under -race it proves the record and the rebuilds share nothing but
+// the model.
+func TestConcurrentEpochsGrad(t *testing.T) {
+	for _, kind := range []model.Kind{model.KindAtomic, model.KindAtomic32} {
+		e := gradEngine(t, kind, 2, 3)
+		before := e.Snapshot(nil)
+		for epoch := 0; epoch < 4; epoch++ {
+			if n := e.RunEpoch(0.5); n != e.ItersPerEpoch() {
+				t.Fatalf("%v: epoch applied %d of %d updates", kind, n, e.ItersPerEpoch())
+			}
+		}
+		ds, obj := smallProblem(t)
+		if got, was := objValue(ds, obj, e.Snapshot(nil)), objValue(ds, obj, before); !(got < was*0.9) {
+			t.Fatalf("%v: grad-importance epochs moved the objective %g -> %g", kind, was, got)
+		}
+	}
+}

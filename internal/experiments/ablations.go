@@ -251,10 +251,10 @@ type AblAdaptiveResult struct {
 
 // AblationAdaptiveIS compares three IS weighting schemes on the lowest-ψ
 // preset (where IS matters most): the paper's static Lipschitz weights
-// (Eq. 12), Needell et al.'s partially biased mixture, and periodic
-// re-estimation of the optimal gradient-norm distribution (Eq. 11) at
-// epoch granularity — the extension the paper leaves as impractical at
-// per-iteration granularity.
+// (Eq. 12), Needell et al.'s partially biased mixture, and the optimal
+// gradient-norm distribution (Eq. 11) read off each epoch's own updates
+// — the extension the paper leaves as impractical at per-iteration
+// granularity.
 func (r *Runner) AblationAdaptiveIS(ctx context.Context) (*AblAdaptiveResult, error) {
 	r.section("Ablation: static vs partially-biased vs adaptive IS (Eq. 11/12)")
 	d, err := r.Dataset("kddbs")
@@ -269,7 +269,7 @@ func (r *Runner) AblationAdaptiveIS(ctx context.Context) (*AblAdaptiveResult, er
 	}{
 		{"static (Eq.12)", func(*solver.Config) {}},
 		{"partial-bias", func(c *solver.Config) { c.PartialBias = true }},
-		{"adaptive (Eq.11, /3 epochs)", func(c *solver.Config) { c.AdaptEvery = 3 }},
+		{"adaptive (Eq.11, per epoch)", func(c *solver.Config) { c.Importance = "grad" }},
 	}
 	res := &AblAdaptiveResult{}
 	var rows [][]string

@@ -17,7 +17,7 @@ type PsiRow struct {
 	TargetPsi    float64
 	MeasuredPsi  float64
 	IterSpeedup  float64 // mean epochs(ASGD)/epochs(IS-ASGD) over the error grid
-	AdaptSpeedup float64 // same, for IS-ASGD with AdaptEvery=3
+	AdaptSpeedup float64 // same, for IS-ASGD with gradient-norm importance
 	FinalErrASGD float64
 	FinalErrIS   float64
 	FinalErrAd   float64
@@ -55,28 +55,29 @@ func (r *Runner) PsiSweep(ctx context.Context) (*PsiSweepResult, error) {
 		st := dataset.ComputeStats(d, l)
 
 		epochs := r.epochsFor("kddas")
-		run := func(algo solver.Algo, adapt int, pb bool) (metrics.Curve, error) {
+		run := func(algo solver.Algo, importance string, pb bool) (metrics.Curve, error) {
 			out, err := solver.Train(ctx, d, obj, solver.Config{
 				Algo: algo, Epochs: epochs, Step: 0.5, Threads: tau,
-				Seed: r.Seed + 41, AdaptEvery: adapt, PartialBias: pb,
+				Seed: r.Seed + 41, Importance: importance, PartialBias: pb,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: ψ sweep %s %v: %w", cfg.Name, algo, err)
 			}
 			return out.Curve, nil
 		}
-		asgd, err := run(solver.ASGD, 0, false)
+		asgd, err := run(solver.ASGD, "", false)
 		if err != nil {
 			return nil, err
 		}
-		is, err := run(solver.ISASGD, 0, false)
+		is, err := run(solver.ISASGD, "bound", false)
 		if err != nil {
 			return nil, err
 		}
-		// Adaptive weights need the partial-bias mixture: re-estimated
-		// distributions can park samples near the probability floor,
-		// where the unmixed 1/(n·p_i) correction explodes the step.
-		adaptive, err := run(solver.ISASGD, 3, true)
+		// Gradient-norm weights are always mixed with uniform: a row
+		// whose recorded gradient vanished would otherwise park near
+		// probability 0, where the 1/(n·p_i) correction explodes the step.
+		// The first epoch, which samples the static bound, is mixed too.
+		adaptive, err := run(solver.ISASGD, "grad", true)
 		if err != nil {
 			return nil, err
 		}
@@ -126,9 +127,10 @@ func (r *Runner) PsiSweep(ctx context.Context) (*PsiSweepResult, error) {
 	r.printf("Eq. 15 predicts the static-IS gain grows as ψ falls. In this\n")
 	r.printf("generator large-norm rows also have large margins (easy samples),\n")
 	r.printf("so static Lipschitz weights over-sample already-solved points at\n")
-	r.printf("high skew. Adaptive Eq.-11 re-estimation (with the partial-bias\n")
-	r.printf("mixture bounding 1/(n·p_i) ≤ 2) corrects it and its advantage does\n")
-	r.printf("grow as ψ falls; pure norm-matched problems (examples/kaczmarz)\n")
-	r.printf("show the full static-IS gain because there L_i IS the gradient norm.\n")
+	r.printf("high skew. Adaptive Eq.-11 weights, the gradient norms each epoch's\n")
+	r.printf("updates record (mixed with uniform so 1/(n·p_i) ≤ 2), correct it,\n")
+	r.printf("and their advantage grows as ψ falls; pure norm-matched problems\n")
+	r.printf("(examples/kaczmarz) show the full static-IS gain because there L_i\n")
+	r.printf("IS the gradient norm.\n")
 	return res, nil
 }

@@ -51,8 +51,8 @@
 // Both precisions implement the whole per-sample surface, Ops[V]: Dot,
 // Step, StepClamped, Update, UpdateDC. That is what lets the update loop
 // be written once over the value type and run every feature — adaptive
-// steps, staleness shedding, delay compensation, loss feedback — at
-// either width. The loop's rows never carry an index beyond the model
+// steps, staleness shedding, delay compensation, gradient-norm
+// recording — at either width. The loop's rows never carry an index beyond the model
 // (the streaming window drops such features when it admits a row), so
 // it calls only the unchecked entry points; StepClamped serves callers
 // replaying raw rows. Kernel adds the three dense SVRG/SAGA operations,

@@ -28,38 +28,6 @@ func Dot32(w []float32, idx []int32, val []float32) float64 {
 	return float64((s0 + s1) + (s2 + s3))
 }
 
-// DotClamped32 is Dot32 restricted to indices inside w; out-of-range
-// indices contribute 0. The range checks stay inline (always-taken on
-// in-vocabulary traffic, cheaper than a pre-scan — see dot.go).
-func DotClamped32(w []float32, idx []int32, val []float32) float64 {
-	dim := int32(len(w))
-	var s0, s1, s2, s3 float32
-	if len(val) >= len(idx) {
-		val = val[:len(idx)]
-	}
-	k := 0
-	for ; k+4 <= len(idx); k += 4 {
-		if j := idx[k]; j < dim {
-			s0 += val[k] * w[j]
-		}
-		if j := idx[k+1]; j < dim {
-			s1 += val[k+1] * w[j]
-		}
-		if j := idx[k+2]; j < dim {
-			s2 += val[k+2] * w[j]
-		}
-		if j := idx[k+3]; j < dim {
-			s3 += val[k+3] * w[j]
-		}
-	}
-	for ; k < len(idx); k++ {
-		if j := idx[k]; j < dim {
-			s0 += val[k] * w[j]
-		}
-	}
-	return float64((s0 + s1) + (s2 + s3))
-}
-
 // DotClampedInts32 scores the serving wire format (int indices, float64
 // values) against float32 weights: the weight loads — the bandwidth
 // term, since the model dwarfs any one request row — run at half width,

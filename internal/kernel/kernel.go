@@ -10,7 +10,7 @@ import (
 // dense SVRG/SAGA operations; Kernel32 is Ops[float32]. Both precisions
 // have the whole surface, so a worker loop written once over V runs
 // every feature — adaptive steps, staleness shedding, delay
-// compensation, loss feedback — on either.
+// compensation, gradient-norm recording — on either.
 //
 // A kernel holds no mutable state of its own — the model is the only
 // thing written — so one value is shared by all of an engine's workers,

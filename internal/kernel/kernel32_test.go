@@ -168,9 +168,6 @@ func TestKernel32ClampedUnsorted(t *testing.T) {
 	w := []float32{1, 2, 3, 4}
 	idx := []int32{2, 99, 1}
 	val := []float32{1, 100, 1}
-	if got := DotClamped32(w, idx, val); got != 5 {
-		t.Fatalf("DotClamped32 = %g, want 5", got)
-	}
 	if got := DotClampedInts32(w, []int{2, -5, 1, 99}, []float64{1, 100, 1, 100}); got != 5 {
 		t.Fatalf("DotClampedInts32 = %g, want 5", got)
 	}
@@ -208,9 +205,6 @@ func TestDot32TailLengths(t *testing.T) {
 		if got := Dot32(w, idx, val); !within32(got, float64(naive)) {
 			t.Errorf("nnz %d: Dot32 = %g, naive = %g", nnz, got, naive)
 		}
-		if got := DotClamped32(w, idx, val); !within32(got, float64(naive)) {
-			t.Errorf("nnz %d: DotClamped32 = %g, naive = %g", nnz, got, naive)
-		}
 	}
 }
 
@@ -245,7 +239,6 @@ func TestKernel32ZeroAlloc(t *testing.T) {
 	v64 := []float64{0.3, -0.7, 1.1, 0.2}
 	if n := testing.AllocsPerRun(100, func() {
 		sinkF64 = Dot32(w32, idx, val)
-		sinkF64 = DotClamped32(w32, idx, val)
 		sinkF64 = DotClampedInts32(w32, iidx, v64)
 	}); n != 0 {
 		t.Errorf("f32 dots: %v allocs per call round, want 0", n)

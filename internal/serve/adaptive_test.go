@@ -13,8 +13,7 @@ import (
 func TestCompileBatchAdaptiveValidation(t *testing.T) {
 	base := func() JobSpec { return JobSpec{Dataset: "small", Algo: "asgd"} }
 	bad := map[string]func(*JobSpec){
-		"importance on batch": func(s *JobSpec) { s.Importance = "loss" },
-		"loss_beta on batch":  func(s *JobSpec) { s.LossBeta = 0.5 },
+		"importance on batch": func(s *JobSpec) { s.Importance = "grad" },
 		"NaN adapt_c":         func(s *JobSpec) { s.AdaptC = math.NaN() },
 		"negative dc_lambda":  func(s *JobSpec) { s.DCLambda = -1 },
 		"negative bound":      func(s *JobSpec) { s.StalenessBound = -4 },
@@ -51,7 +50,8 @@ func TestCompileStreamAdaptiveValidation(t *testing.T) {
 	base := func() JobSpec { return JobSpec{Kind: "stream", Dim: 8} }
 	bad := map[string]func(*JobSpec){
 		"unknown importance": func(s *JobSpec) { s.Importance = "entropy" },
-		"loss with uniform":  func(s *JobSpec) { s.Importance = "loss"; s.Algo = "sgd" },
+		"grad with uniform":  func(s *JobSpec) { s.Importance = "grad"; s.Algo = "sgd" },
+		"loss importance":    func(s *JobSpec) { s.Importance = "loss" },
 		"dc_lambda on stream": func(s *JobSpec) {
 			s.DCLambda = 0.1
 		},
@@ -69,8 +69,7 @@ func TestCompileStreamAdaptiveValidation(t *testing.T) {
 	for _, precision := range []string{"", "f32"} {
 		spec := base()
 		spec.Precision = precision
-		spec.Importance = "loss"
-		spec.LossBeta = 0.5
+		spec.Importance = "grad"
 		spec.AdaptC = 0.1
 		spec.StalenessBound = 32
 		r, err := compile(spec, true, "")
@@ -80,7 +79,7 @@ func TestCompileStreamAdaptiveValidation(t *testing.T) {
 		if r.stream == nil {
 			t.Fatal("streaming spec did not compile a stream config")
 		}
-		if r.stream.Importance != "loss" || r.stream.LossBeta != 0.5 ||
+		if r.stream.Importance != "grad" ||
 			r.stream.AdaptC != 0.1 || r.stream.StalenessBound != 32 {
 			t.Fatalf("adaptive knobs not wired into stream config: %+v", r.stream)
 		}

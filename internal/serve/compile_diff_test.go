@@ -81,7 +81,6 @@ func diffSpecs() []diffCase {
 		{"staleness_bound": -1},
 		{"dc_lambda": 0.1},
 		{"importance": "loss"},
-		{"importance": "bound", "loss_beta": 0.5},
 	}
 	for _, kd := range kinds {
 		for _, a := range algos {
@@ -125,7 +124,6 @@ func diffSpecs() []diffCase {
 		"staleness_bound":   {-1, 0, 16},
 		"dc_lambda":         {-1, 0.1},
 		"importance":        {"", "bound", "loss", "bogus"},
-		"loss_beta":         {0, 0.5, 2},
 		"dim":               {0, 1, -1, 1 << 28, 1<<28 + 1},
 		"block_size":        {-1, 0, 64, 1 << 22, 1<<22 + 1},
 		"window_blocks":     {-1, 0, 2, 1 << 12, 1<<12 + 1},
@@ -203,10 +201,15 @@ func renderResolved(r *resolved) string {
 		fmt.Fprintf(&b, "inline=%s n=%d dim=%d\n", r.ds.Name, r.ds.N(), r.ds.Dim())
 	}
 	fmt.Fprintf(&b, "obj=%#v\n", r.obj)
+	// The layout is the golden's. A field the configs no longer have
+	// prints the value every job had then — no spec set the batch
+	// adaptive re-estimation cadence, and the loss-EMA weight only with
+	// its own knob, whose cases are gone — so the hashes of jobs that did
+	// not change still match.
 	c := r.cfg
 	fmt.Fprintf(&b, "cfg=algo:%v epochs:%d step:%g decay:%g threads:%d balance:%v zeta:%g seed:%d eval:%d prec:%q adapt_c:%g bound:%d dc:%g shufseq:%v partial:%v adaptevery:%d skipmu:%v kind:%v\n",
 		c.Algo, c.Epochs, c.Step, c.StepDecay, c.Threads, c.Balance, c.Zeta, c.Seed, c.EvalEvery, c.Precision,
-		c.AdaptC, c.StalenessBound, c.DCLambda, c.ShuffleSequence, c.PartialBias, c.AdaptEvery, c.SkipMu, c.ModelKind)
+		c.AdaptC, c.StalenessBound, c.DCLambda, c.ShuffleSequence, c.PartialBias, 0, c.SkipMu, c.ModelKind)
 	if s := r.stream; s != nil {
 		rel := ""
 		if r.streamPath != "" {
@@ -214,7 +217,7 @@ func renderResolved(r *resolved) string {
 		}
 		fmt.Fprintf(&b, "stream=obj:%#v dim:%d workers:%d step:%g decay:%g window:%d upb:%d reservoir:%d rebuild:%d mode:%v zeta:%g uniform:%v importance:%q beta:%g adapt_c:%g bound:%d kind:%v prec:%q seed:%d publish:%d\n",
 			s.Obj, s.Dim, s.Workers, s.Step, s.StepDecay, s.WindowBlocks, s.UpdatesPerBlock, s.Reservoir, s.RebuildEvery,
-			s.Mode, s.Zeta, s.Uniform, s.Importance, s.LossBeta, s.AdaptC, s.StalenessBound, s.ModelKind, s.Precision, s.Seed, s.PublishEvery)
+			s.Mode, s.Zeta, s.Uniform, s.Importance, 0.0, s.AdaptC, s.StalenessBound, s.ModelKind, s.Precision, s.Seed, s.PublishEvery)
 		fmt.Fprintf(&b, "block=%d path=%q\n", r.blockSize, rel)
 	}
 	return b.String()
@@ -237,6 +240,9 @@ func intendedDiff(c diffCase) string {
 	if ds, _ := m["dataset"].(string); presetAlias[ds] != "" {
 		return "alias"
 	}
+	if m["importance"] == "loss" {
+		return "loss" // loss importance is gone: grad replaced it
+	}
 	if m["kind"] == "stream" || c.upload {
 		for _, k := range []string{"scale", "min_dim"} {
 			if v, ok := m[k]; ok && v != float64(0) {
@@ -257,7 +263,9 @@ var presetAlias = map[string]string{"news20": "news20s", "url": "urls", "kdda": 
 // differences: a spec naming batch is a 400 (minibatch was deleted);
 // the alias preset spellings compile exactly like serve's spelling; a
 // streaming spec setting scale or min_dim is a 400 (they were silently
-// ignored).
+// ignored); importance loss is a 400 (gradient-norm importance, grad,
+// replaced the loss EMA). The cases that set the loss-EMA weight knob
+// left the golden with it.
 func TestCompileDifferential(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	root := diffRoot(t)
@@ -309,7 +317,7 @@ func TestCompileDifferential(t *testing.T) {
 			got[1] = renderHash(r)
 		}
 		switch intendedDiff(c) {
-		case "batch", "stream-ignored":
+		case "batch", "stream-ignored", "loss":
 			if st != 400 {
 				t.Errorf("%s: status %d, want 400", c.key(), st)
 			}

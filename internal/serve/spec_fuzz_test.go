@@ -30,7 +30,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"dataset":"small","threads":1048576}`,
 		`{"dataset":"small","dim":8,"block_size":64}`,
 		`{"kind":"stream","path":"c.libsvm","dim":8,"dc_lambda":0.1}`,
-		`{"kind":"stream","path":"c.libsvm","dim":8,"algo":"sgd","importance":"loss"}`,
+		`{"kind":"stream","path":"c.libsvm","dim":8,"algo":"sgd","importance":"grad"}`,
 		`{"kind":"stream","path":"c.libsvm","dim":268435456,"precision":"f32","adapt_c":0.5}`,
 		`{"dataset":"small","algo":"bogus"}`,
 		`{"dataset":"small","objective":"bogus"}`,

@@ -50,12 +50,13 @@ func streamSpec(path string) JobSpec {
 // TestStreamJobFromPath runs the asynchronous file-fed streaming path
 // end to end: submit, poll, inspect the per-block curve, and predict
 // from the published model — for the default spec and for an f32 job
-// with loss-feedback importance and the staleness knobs on.
+// with gradient-norm importance (the loss feedback the update loop
+// records) and the staleness knobs on.
 func TestStreamJobFromPath(t *testing.T) {
 	t.Run("default", func(t *testing.T) { testStreamJobFromPath(t, func(*JobSpec) {}) })
 	t.Run("f32-loss-adaptive", func(t *testing.T) {
 		testStreamJobFromPath(t, func(s *JobSpec) {
-			s.Precision, s.Importance, s.AdaptC, s.StalenessBound = "f32", "loss", 0.1, 64
+			s.Precision, s.Importance, s.AdaptC, s.StalenessBound = "f32", "grad", 0.1, 64
 		})
 	})
 }

@@ -3,62 +3,65 @@ package solver
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/objective"
 )
 
+// TestGradNormWeights checks that Importance reaches the engine: the
+// first epoch of gradient-norm importance samples from the static bound
+// and ends on the bound run's weights, and the later epochs, which
+// sample from the gradient norms the updates recorded, do not.
 func TestGradNormWeights(t *testing.T) {
 	ds, err := dataset.Synthesize(dataset.Small(61))
 	if err != nil {
 		t.Fatal(err)
 	}
 	obj := objective.LogisticL1{Eta: 1e-4}
-	w := make([]float64, ds.Dim())
-
-	seq := gradNormWeights(ds, obj, w, 1)
-	par := gradNormWeights(ds, obj, w, 8)
-	if len(seq) != ds.N() {
-		t.Fatalf("weights length %d", len(seq))
+	run := func(importance string, epochs int) []float64 {
+		res, err := Train(context.Background(), ds, obj, Config{
+			Algo: ISSGD, Epochs: epochs, Step: 0.5, Seed: 4, Importance: importance,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Weights
 	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("parallel weights differ at %d: %g vs %g", i, par[i], seq[i])
-		}
-		if seq[i] <= 0 || math.IsNaN(seq[i]) {
-			t.Fatalf("weight %d = %g not positive", i, seq[i])
-		}
+	if !slices.Equal(run("bound", 1), run("grad", 1)) {
+		t.Fatal("the first grad epoch left the static bound")
 	}
-	// At w = 0 the logistic derivative is ±1/2, so l_i = ‖x_i‖/2.
-	for i := 0; i < 10; i++ {
-		want := ds.X.Row(i).Norm2() / 2
-		if math.Abs(seq[i]-want) > 1e-12*(1+want) {
-			t.Fatalf("weight %d = %g, want %g", i, seq[i], want)
-		}
+	if slices.Equal(run("bound", 3), run("grad", 3)) {
+		t.Fatal("grad epochs after the first still sample the static bound")
 	}
 }
 
+// TestGradNormWeightsFloor warm-starts gradient-norm importance where
+// most gradients are exactly zero — squared hinge past its margin — so
+// most rows record |ℓ'| = 0. The uniform half of the mix keeps them
+// drawn, and the run stays finite and keeps its objective.
 func TestGradNormWeightsFloor(t *testing.T) {
-	// Squared hinge on perfectly separated data: gradients can be exactly
-	// zero; the floor must keep all weights positive.
 	ds, err := dataset.Synthesize(dataset.Small(62))
 	if err != nil {
 		t.Fatal(err)
 	}
 	obj := objective.SquaredHingeL2{Lambda: 1e-3}
-	// Train first so most samples are correctly classified with margin.
-	res, err := Train(context.Background(), ds, obj, Config{
+	warm, err := Train(context.Background(), ds, obj, Config{
 		Algo: SGD, Epochs: 10, Step: 0.5, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := gradNormWeights(ds, obj, res.Weights, 4)
-	for i, v := range l {
-		if v <= 0 {
-			t.Fatalf("weight %d = %g; floor failed", i, v)
-		}
+	res, err := Train(context.Background(), ds, obj, Config{
+		Algo: ISASGD, Epochs: 4, Step: 0.1, Threads: 2, Seed: 1,
+		Importance: "grad", InitWeights: warm.Weights,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, was := res.Curve.Final().Obj, res.Curve[0].Obj; math.IsNaN(got) || got > was*1.1 {
+		t.Fatalf("grad importance from a warm start moved the objective %g -> %g", was, got)
 	}
 }
 
@@ -71,33 +74,15 @@ func TestAdaptiveISConverges(t *testing.T) {
 	for _, algo := range []Algo{ISSGD, ISASGD} {
 		res, err := Train(context.Background(), ds, obj, Config{
 			Algo: algo, Epochs: 8, Step: 0.5, Threads: 4, Seed: 2,
-			AdaptEvery: 2,
+			Importance: "grad",
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
 		if res.Curve.Final().Obj >= res.Curve[0].Obj*0.7 {
-			t.Fatalf("%v with AdaptEvery failed to optimize: %g -> %g",
+			t.Fatalf("%v with grad importance failed to optimize: %g -> %g",
 				algo, res.Curve[0].Obj, res.Curve.Final().Obj)
 		}
-	}
-}
-
-func TestAdaptEveryIgnoredForNonIS(t *testing.T) {
-	ds, err := dataset.Synthesize(dataset.Small(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	obj := objective.LogisticL1{Eta: 1e-4}
-	// ASGD has no sampler; AdaptEvery must be a harmless no-op.
-	res, err := Train(context.Background(), ds, obj, Config{
-		Algo: ASGD, Epochs: 3, Step: 0.5, Threads: 4, Seed: 2, AdaptEvery: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Curve) == 0 {
-		t.Fatal("no curve")
 	}
 }
 

@@ -52,16 +52,3 @@ func TestWarmStartDimValidation(t *testing.T) {
 		t.Fatal("wrong-length InitWeights accepted")
 	}
 }
-
-func TestAdaptEveryNegativeRejected(t *testing.T) {
-	ds, err := dataset.Synthesize(dataset.Small(75))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Train(context.Background(), ds, objective.LogisticL1{Eta: 1e-4}, Config{
-		Algo: ISSGD, Epochs: 1, Step: 0.1, AdaptEvery: -1,
-	})
-	if err == nil {
-		t.Fatal("negative AdaptEvery accepted")
-	}
-}

@@ -113,12 +113,14 @@ type Config struct {
 	// p_i = ½(1/n + L_i/ΣL) (Needell et al. 2014), bounding the step
 	// correction 1/(n·p_i) below 2.
 	PartialBias bool
-	// AdaptEvery, when positive, re-estimates the sampling distribution
-	// every k epochs from the current per-sample gradient norms — the
-	// Eq.-11 optimal weights p_i ∝ ‖∇f_i(w)‖ that the paper deems
-	// impractical to refresh per iteration, applied at epoch
-	// granularity instead (extension; applies to ISSGD and ISASGD).
-	AdaptEvery int
+	// Importance selects the sampling weights of IS-SGD and IS-ASGD: ""
+	// or "bound" keeps the static Lipschitz bounds of Eq. 12; "grad"
+	// reweighs every epoch by the Eq.-11 gradient norms |ℓ'(z_i)|·‖x_i‖
+	// the updates themselves recorded — the optimal weights the paper
+	// deems impractical to refresh per iteration, read off the epoch's
+	// own updates (see core.ISOptions.Importance). Rejected for the
+	// uniform algorithms.
+	Importance string
 
 	// Adaptive-update options (Engine-based algorithms — SGD, IS-SGD,
 	// ASGD, IS-ASGD — at either precision; rejected for SVRG/SAGA).
@@ -220,8 +222,6 @@ func (c Config) validate(ds *dataset.Dataset) error {
 		return fmt.Errorf("solver: Epochs must be positive, got %d", c.Epochs)
 	case c.InitWeights != nil && len(c.InitWeights) != ds.Dim():
 		return fmt.Errorf("solver: InitWeights length %d != dataset dim %d", len(c.InitWeights), ds.Dim())
-	case c.AdaptEvery < 0:
-		return fmt.Errorf("solver: AdaptEvery must be non-negative, got %d", c.AdaptEvery)
 	case c.StalenessBound < 0:
 		return fmt.Errorf("solver: StalenessBound must be non-negative, got %d", c.StalenessBound)
 	}
@@ -242,7 +242,7 @@ func (c Config) validate(ds *dataset.Dataset) error {
 	if err := pol.Validate(); err != nil {
 		return fmt.Errorf("solver: %w", err)
 	}
-	if err := spec.Check(c.Algo.String(), spec.KindBatch, prec, pol.Enabled(), ""); err != nil {
+	if err := spec.Check(c.Algo.String(), spec.KindBatch, prec, pol.Enabled(), c.Importance); err != nil {
 		return fmt.Errorf("solver: %w", err)
 	}
 	return nil
@@ -295,7 +295,7 @@ func Train(ctx context.Context, ds *dataset.Dataset, obj objective.Objective, cf
 
 	var (
 		alg algorithm
-		eng *core.Engine // set for the IS constructions (adaptive reweighting)
+		eng *core.Engine // set for the Engine-based algorithms
 		dec balance.Decision
 		err error
 	)
@@ -320,6 +320,7 @@ func Train(ctx context.Context, ds *dataset.Dataset, obj objective.Objective, cf
 		eng, err = core.NewISASGDOpts(ds, obj, mdl, 1, core.ISOptions{
 			Mode: balance.ForceShuffle, Seed: cfg.Seed,
 			ShuffleSeq: cfg.ShuffleSequence, PartialBias: cfg.PartialBias,
+			Importance: cfg.Importance,
 		})
 		if eng != nil {
 			dec = eng.Decision()
@@ -334,6 +335,7 @@ func Train(ctx context.Context, ds *dataset.Dataset, obj objective.Objective, cf
 		eng, err = core.NewISASGDOpts(ds, obj, mdl, cfg.Threads, core.ISOptions{
 			Mode: cfg.Balance, Zeta: cfg.Zeta, Seed: cfg.Seed,
 			ShuffleSeq: cfg.ShuffleSequence, PartialBias: cfg.PartialBias,
+			Importance: cfg.Importance,
 		})
 		if eng != nil {
 			dec = eng.Decision()
@@ -415,16 +417,6 @@ func Train(ctx context.Context, ds *dataset.Dataset, obj objective.Objective, cf
 			// The Engine publishes from inside RunEpoch; the SVRG/SAGA
 			// solvers publish here at the same cadence.
 			cfg.Snapshots.Publish(epoch, res.Iters, alg.Snapshot)
-		}
-		if eng != nil && (cfg.Algo == ISSGD || cfg.Algo == ISASGD) &&
-			cfg.AdaptEvery > 0 && epoch%cfg.AdaptEvery == 0 && epoch != cfg.Epochs {
-			// Periodic re-estimation of the Eq.-11 optimal distribution.
-			// The estimation pass counts as training time.
-			w = alg.Snapshot(w)
-			if rwErr := eng.Reweight(gradNormWeights(ds, obj, w, cfg.EvalThreads)); rwErr != nil {
-				sw.Pause()
-				return res, rwErr
-			}
 		}
 		sw.Pause()
 		step *= cfg.StepDecay

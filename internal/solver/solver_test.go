@@ -277,6 +277,9 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 		{Algo: ISASGD, Epochs: 2, Step: 0.1, StalenessBound: -3},
 		{Algo: ISASGD, Epochs: 2, Step: 0.1, DCLambda: math.Inf(1)},
 		{Algo: SVRGASGD, Epochs: 2, Step: 0.1, StalenessBound: 8},
+		{Algo: ASGD, Epochs: 2, Step: 0.1, Importance: "grad"},
+		{Algo: SAGA, Epochs: 2, Step: 0.1, Importance: "grad"},
+		{Algo: ISASGD, Epochs: 2, Step: 0.1, Importance: "loss"},
 	}
 	for i, cfg := range bad {
 		if _, err := Train(context.Background(), ds, obj, cfg); err == nil {

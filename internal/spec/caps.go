@@ -12,7 +12,7 @@ import (
 type Algo struct {
 	Name     string
 	Async    bool // runs concurrent workers
-	Weighted bool // importance-sampled: takes importance "loss"
+	Weighted bool // importance-sampled: takes importance "grad"
 	// Engine marks the single-sample core.Engine algorithms: they stream
 	// (KindStream), train at f32 and take the adaptive knobs. The
 	// SVRG/SAGA solvers run dense float64 correction passes and do none
@@ -45,7 +45,7 @@ func LookupAlgo(name string) (Algo, error) {
 
 // Check is the capability table's verdict on running algo as kind at
 // precision prec, with the adaptive knobs on or off and the given
-// streaming importance mode. It is the only source of "not supported"
+// importance mode. It is the only source of "not supported"
 // errors; solver.Train and stream.NewTrainer call it too.
 func Check(algo, kind, prec string, adaptive bool, importance string) error {
 	a, err := LookupAlgo(algo)
@@ -62,12 +62,12 @@ func Check(algo, kind, prec string, adaptive bool, importance string) error {
 	}
 	switch importance {
 	case "", "bound":
-	case "loss":
+	case "grad":
 		if !a.Weighted {
-			return fmt.Errorf("importance loss is not supported for %s (uniform draws ignore weights; want is-sgd or is-asgd)", a.Name)
+			return fmt.Errorf("importance grad is not supported for %s (uniform draws ignore weights; want is-sgd or is-asgd)", a.Name)
 		}
 	default:
-		return fmt.Errorf("unknown importance %q (want bound or loss)", importance)
+		return fmt.Errorf("unknown importance %q (want bound or grad)", importance)
 	}
 	return nil
 }

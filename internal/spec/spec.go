@@ -81,15 +81,13 @@ type Spec struct {
 
 	// Adaptive update knobs (internal/adaptive). Importance selects the
 	// streaming sampler's row weighting: "" or "bound" for the static
-	// Lipschitz upper bound, "loss" for loss-feedback re-weighting
-	// (importance-sampling algos only). LossBeta is the loss-EMA
-	// observation weight for "loss" (0 selects the default). AdaptC
+	// Lipschitz upper bound, "grad" for the gradient norms |ℓ'(z)|·‖x‖
+	// the updates record (importance-sampling algos only). AdaptC
 	// attenuates stale updates by 1/(1+c·τ) and StalenessBound sheds
 	// updates with measured τ over the bound (0 disables; on a cluster
 	// coordinator −1 admits everything). DCLambda enables DC-ASGD delay
 	// compensation (batch and cluster runs).
 	Importance     string  `json:"importance,omitempty"`
-	LossBeta       float64 `json:"loss_beta,omitempty"`
 	AdaptC         float64 `json:"adapt_c,omitempty"`
 	StalenessBound int64   `json:"staleness_bound,omitempty"`
 	DCLambda       float64 `json:"dc_lambda,omitempty"`
@@ -141,8 +139,7 @@ var knobs = []knob{
 	{"updates_per_block", streamOnly, [numSurfaces]any{0, 0}, "update budget per chunk (0: the block's rows)"},
 	{"reservoir", streamOnly, [numSurfaces]any{0, 0}, "per-worker reservoir capacity (0: 16384)"},
 	{"rebuild_every", streamOnly, [numSurfaces]any{0, 0}, "alias rebuild cadence in observations (0: once per block)"},
-	{"importance", streamOnly, [numSurfaces]any{"", ""}, "streaming row weighting: bound (default) | loss"},
-	{"loss_beta", streamOnly, [numSurfaces]any{0.0, 0.0}, "loss-EMA observation weight for importance loss (0 selects the default)"},
+	{"importance", streamOnly, [numSurfaces]any{"", ""}, "streaming row weighting: bound (default) | grad"},
 	{"adapt_c", allKinds, [numSurfaces]any{0.0, 0.0, 0.0}, "staleness-adaptive step scaling 1/(1+c*tau) (0 disables)"},
 	{"staleness_bound", allKinds, [numSurfaces]any{int64(0), int64(0), int64(64)},
 		"shed updates with measured staleness > n (0 disables; a coordinator admits everything at -1)"},

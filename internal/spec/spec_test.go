@@ -64,7 +64,7 @@ func TestSurfaceDefaults(t *testing.T) {
 // knob, and every flag name is the JSON name with '_' → '-'.
 func TestFlagSets(t *testing.T) {
 	want := map[Surface]string{
-		Train: "adapt-c algo balance block-size dc-lambda dim epochs eta importance loss-beta objective " +
+		Train: "adapt-c algo balance block-size dc-lambda dim epochs eta importance objective " +
 			"precision rebuild-every reservoir seed staleness-bound step step-decay threads updates-per-block window-blocks",
 		Cluster: "adapt-c balance dataset dc-lambda eta eval-every objective scale seed staleness-bound " +
 			"step step-decay threads",
@@ -137,7 +137,7 @@ func TestValidate(t *testing.T) {
 			s.StalenessBound = 8
 			s.DCLambda = 0.1
 		}),
-		stream(func(s *Spec) { s.Algo = "is-sgd"; s.Importance = "loss" }),
+		stream(func(s *Spec) { s.Algo = "is-sgd"; s.Importance = "grad" }),
 		stream(func(s *Spec) { s.Algo = "sgd"; s.AdaptC = 0.1 }),
 		cluster(func(s *Spec) { s.StalenessBound = -1 }),
 		cluster(func(s *Spec) { s.Dataset = "kdda"; s.Scale = 0.1 }),
@@ -179,8 +179,9 @@ func TestValidate(t *testing.T) {
 		"svrg on stream":        stream(func(s *Spec) { s.Algo = "svrg-sgd" }),
 		"f32 saga":              batch(func(s *Spec) { s.Algo = "saga"; s.Precision = "f32" }),
 		"adaptive svrg":         batch(func(s *Spec) { s.Algo = "svrg-asgd"; s.StalenessBound = 8 }),
-		"loss importance asgd":  stream(func(s *Spec) { s.Algo = "asgd"; s.Importance = "loss" }),
-		"loss importance batch": batch(func(s *Spec) { s.Importance = "loss" }),
+		"grad importance asgd":  stream(func(s *Spec) { s.Algo = "asgd"; s.Importance = "grad" }),
+		"grad importance batch": batch(func(s *Spec) { s.Importance = "grad" }),
+		"loss importance":       stream(func(s *Spec) { s.Importance = "loss" }),
 	}
 	for name, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -192,16 +193,16 @@ func TestValidate(t *testing.T) {
 // TestCheckExhaustive walks the whole capability table: algo × kind ×
 // precision × adaptive × importance. The rows it accepts are exactly
 // the Engine algorithms' combinations, plus the dense-correction
-// solvers as plain f64 batch runs; loss importance needs a weighted
+// solvers as plain f64 batch runs; grad importance needs a weighted
 // sampler; no other verdict exists.
 func TestCheckExhaustive(t *testing.T) {
 	for _, a := range algos {
 		for _, kind := range []string{KindBatch, KindStream} {
 			for _, prec := range []string{"f64", "f32"} {
 				for _, adaptive := range []bool{false, true} {
-					for _, imp := range []string{"", "bound", "loss"} {
+					for _, imp := range []string{"", "bound", "grad"} {
 						want := (a.Engine || (kind == KindBatch && prec == "f64" && !adaptive)) &&
-							(imp != "loss" || a.Weighted)
+							(imp != "grad" || a.Weighted)
 						err := Check(a.Name, kind, prec, adaptive, imp)
 						if (err == nil) != want {
 							t.Errorf("%s/%s/%s/adaptive=%v/importance=%q: err %v, want ok=%v",
@@ -211,6 +212,10 @@ func TestCheckExhaustive(t *testing.T) {
 				}
 			}
 		}
+	}
+	if err := Check("is-asgd", KindStream, "f64", false, "loss"); err == nil ||
+		!strings.Contains(err.Error(), "bound") || !strings.Contains(err.Error(), "grad") {
+		t.Errorf("importance loss: err %v, want one naming bound and grad", err)
 	}
 	if err := Check("bogus", KindBatch, "f64", false, ""); err == nil {
 		t.Error("unknown algo accepted")

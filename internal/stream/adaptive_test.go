@@ -2,6 +2,8 @@ package stream
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"math"
 	"strings"
 	"sync"
@@ -15,28 +17,27 @@ import (
 	"github.com/isasgd/isasgd/internal/xrand"
 )
 
-// TestISStateLossFeedbackReweights pins the loss-feedback rebuild: a row
-// whose observed loss EMA dominates must be drawn with the probability
-// its partially-biased weight (1−lossBias)·ema + lossBias·bound implies,
-// while an unvisited row keeps its static bound as the fallback weight.
-func TestISStateLossFeedbackReweights(t *testing.T) {
+// gradWindow is a window of n rows with the given norms and recorded
+// |ℓ'|, admitted as refs 0…n-1, for driving an ISState's rebuilds.
+func gradWindow(norm []float64, grad []float32) *window {
+	w := &window{record: true, norm: norm, grad: grad}
+	w.x.Y = make([]float64, len(norm))
+	w.blocks = []int{len(norm)}
+	return w
+}
+
+// TestISStateLossFeedbackWeighs pins the rebuild under gradient-norm
+// importance, the loss feedback the update loop records: two rows with
+// the same static bound are drawn with the probabilities
+// ½(1/n + w_i/Σw) that their ‖x‖·|ℓ'| imply, not 50/50, with a step
+// correction of 1/(n·p).
+func TestISStateLossFeedbackWeighs(t *testing.T) {
 	s := NewISState(8, 0, 1)
-	s.EnableLossFeedback(0.5)
-	if !s.LossFeedback() {
-		t.Fatal("loss feedback not enabled")
-	}
-	// Same static bound for both rows: without loss feedback they would be
-	// drawn 50/50.
+	s.win = gradWindow([]float64{1, 1}, []float32{0.75, 0.25})
 	s.Observe(0, 1.0)
 	s.Observe(1, 1.0)
-	if !s.ObserveLoss(0, 9.0) {
-		t.Fatal("loss observation for a resident row must record")
-	}
-	// Row 0: blended weight (1−lossBias)·9 + lossBias·1. Row 1 never
-	// observed: weight falls back to its bound 1.0.
 	s.Rebuild()
-	w0, w1 := (1-lossBias)*9.0+lossBias*1.0, 1.0
-	want := w0 / (w0 + w1)
+	want := 0.5 * (0.5 + 0.75)
 	rng := xrand.New(7)
 	const draws = 20000
 	hits := 0
@@ -45,33 +46,85 @@ func TestISStateLossFeedbackReweights(t *testing.T) {
 		if !ok {
 			t.Fatal("sample failed after rebuild")
 		}
-		if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
-			t.Fatalf("invalid importance scale %g", scale)
-		}
-		if e.Ref == 0 {
+		p := want
+		if e.Ref == 1 {
+			p = 1 - want
+		} else {
 			hits++
 		}
+		if math.Abs(scale-1/(2*p)) > 1e-12 {
+			t.Fatalf("ref %d: scale %g, want 1/(n·p) = %g", e.Ref, scale, 1/(2*p))
+		}
 	}
-	frac := float64(hits) / draws
-	if math.Abs(frac-want) > 0.05 {
-		t.Fatalf("high-loss row drawn %.3f of draws, want ≈ %.3f", frac, want)
+	if frac := float64(hits) / draws; math.Abs(frac-want) > 0.02 {
+		t.Fatalf("high-gradient row drawn %.3f of draws, want ≈ %.3f", frac, want)
 	}
 }
 
-// TestISStateLossFeedbackEvicts ties the loss map to the reservoir
-// window: refs evicted from the reservoir stop accepting observations.
+// tagObj makes each row's recorded |ℓ'| name the row: its derivative is
+// tag·y whatever the score, and the corpus gives every row its own
+// label, so a recorded value can be traced to the update that wrote it.
+type tagObj struct{ objective.LogisticL1 }
+
+const tag = 1e-6
+
+func (tagObj) Deriv(_, y float64) float64 { return tag * y }
+
+// TestISStateLossFeedbackEvicts checks that the recorded |ℓ'| move with
+// their rows: after evictions have compacted the window's arena, every
+// surviving row holds either -1 (never updated) or the value its own
+// update wrote, tag·y of its own label. Were the array left in place
+// while the rows moved, the survivors would read values other rows
+// wrote.
 func TestISStateLossFeedbackEvicts(t *testing.T) {
-	s := NewISState(16, 0, 1)
-	s.EnableLossFeedback(0)
-	for ref := int64(0); ref < 8; ref++ {
-		s.Observe(ref, 1)
+	var sb strings.Builder
+	for r := 0; r < 2048; r++ {
+		fmt.Fprintf(&sb, "%d %d:1 %d:0.5\n", 1+r, 1+r%61, 62+r%3)
 	}
-	s.EvictBefore(4)
-	if s.ObserveLoss(2, 1.0) {
-		t.Fatal("evicted ref must not record a loss")
+	cfg := streamConfig(64, false)
+	cfg.Obj = tagObj{}
+	cfg.Importance = "grad"
+	cfg.WindowBlocks = 3
+	tr, err := NewTrainer(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !s.ObserveLoss(5, 1.0) {
-		t.Fatal("resident ref must record a loss")
+	r := NewReader(strings.NewReader(sb.String()), "tags", 128)
+	compactions, checked := 0, 0
+	for {
+		b, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := tr.win.base
+		tr.Ingest(b)
+		if tr.win.base == base {
+			continue
+		}
+		compactions++
+		w := &tr.win
+		if len(w.grad) != len(w.x.Y) || len(w.norm) != len(w.x.Y) {
+			t.Fatalf("arena holds %d rows but %d gradients and %d norms", len(w.x.Y), len(w.grad), len(w.norm))
+		}
+		for row := w.live; row < len(w.x.Y); row++ {
+			y := w.x.Y[row]
+			if y != float64(1+w.base+int64(row)) {
+				t.Fatalf("arena row %d holds label %g, want its ref's", row, y)
+			}
+			switch g := w.grad[row]; g {
+			case -1:
+			case float32(tag * y):
+				checked++
+			default:
+				t.Fatalf("row of label %g recorded %g, want %g (its own update's)", y, g, float32(tag*y))
+			}
+		}
+	}
+	if compactions == 0 || checked == 0 {
+		t.Fatalf("%d compactions, %d recorded rows checked: the test exercised nothing", compactions, checked)
 	}
 }
 
@@ -142,15 +195,23 @@ type Counter struct {
 
 func (c *Counter) Inc() { c.mu.Lock(); c.n++; c.mu.Unlock() }
 
-// TestISStateLossWeightsValidUnderConcurrency is the property test behind
-// the loss-feedback sampler: whatever interleaving of Observe,
-// ObserveLoss (including garbage losses), EvictBefore and Rebuild runs,
-// every published generation must remain a valid distribution — samples
-// resolve to live entries and the importance correction 1/(n·p) stays
-// finite and non-negative.
+// TestISStateLossWeightsValidUnderConcurrency is the property test
+// behind gradient-norm importance: whatever |ℓ'| the window holds —
+// unvisited rows, zeros, NaN, +Inf, huge — and whatever interleaving of
+// Observe, EvictBefore and Rebuild runs beside the samplers, every
+// published generation is a valid distribution: the correction 1/(n·p)
+// stays finite, non-negative and at most 2.
 func TestISStateLossWeightsValidUnderConcurrency(t *testing.T) {
+	const rows = 3 * 4000
+	norm := make([]float64, rows)
+	grad := make([]float32, rows)
+	rng := xrand.New(4)
+	for i := range norm {
+		norm[i] = rng.Float64() * 10
+		grad[i] = []float32{-1, 0, float32(math.NaN()), float32(math.Inf(1)), 3e38, float32(rng.Float64())}[i%6]
+	}
 	s := NewISState(128, 32, 5)
-	s.EnableLossFeedback(0.25)
+	s.win = gradWindow(norm, grad)
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
@@ -160,21 +221,14 @@ func TestISStateLossWeightsValidUnderConcurrency(t *testing.T) {
 			for i := 0; i < 4000; i++ {
 				ref := int64(g*4000 + i)
 				s.Observe(ref, rng.Float64()*10)
-				switch i % 5 {
-				case 0:
-					s.ObserveLoss(ref, rng.Float64()*100)
-				case 1:
-					s.ObserveLoss(ref, math.NaN())
-				case 2:
-					s.ObserveLoss(ref, math.Inf(1))
-				case 3:
-					s.ObserveLoss(ref, -1)
-				}
 				if i%512 == 0 {
 					s.EvictBefore(ref - 256)
 				}
 			}
 		}(g)
+	}
+	check := func(scale float64) bool {
+		return !(math.IsNaN(scale) || math.IsInf(scale, 0) || scale < 0 || scale > 2+1e-9)
 	}
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
@@ -182,12 +236,8 @@ func TestISStateLossWeightsValidUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			rng := xrand.New(uint64(200 + g))
 			for i := 0; i < 20000; i++ {
-				e, scale, ok := s.Sample(rng)
-				if !ok {
-					continue
-				}
-				if math.IsNaN(scale) || math.IsInf(scale, 0) || scale < 0 {
-					t.Errorf("scale %g escaped [0, +Inf) for ref %d", scale, e.Ref)
+				if e, scale, ok := s.Sample(rng); ok && !check(scale) {
+					t.Errorf("scale %g escaped [0, 2] for ref %d", scale, e.Ref)
 					return
 				}
 			}
@@ -197,31 +247,29 @@ func TestISStateLossWeightsValidUnderConcurrency(t *testing.T) {
 	// One quiescent rebuild: the final generation must be a coherent
 	// distribution over the surviving reservoir.
 	s.Rebuild()
-	rng := xrand.New(999)
+	rng = xrand.New(999)
 	n := s.Len()
 	for i := 0; i < 1000; i++ {
 		_, scale, ok := s.Sample(rng)
 		if !ok {
 			t.Fatal("final generation unsampleable")
 		}
-		if scale < 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
+		if !check(scale) || scale == 0 {
 			t.Fatalf("final scale %g invalid", scale)
 		}
-		if scale > 0 {
-			// scale = 1/(n·p) ⇒ p = 1/(n·scale) must be a probability.
-			p := 1 / (float64(n) * scale)
-			if p <= 0 || p > 1+1e-9 {
-				t.Fatalf("implied probability %g outside (0, 1]", p)
-			}
+		// scale = 1/(n·p) ⇒ p = 1/(n·scale) must be a probability.
+		if p := 1 / (float64(n) * scale); p <= 0 || p > 1+1e-9 {
+			t.Fatalf("implied probability %g outside (0, 1]", p)
 		}
 	}
 }
 
-// TestTrainerLossFeedbackEndToEnd runs the loss-feedback mode through the
-// full streaming path on the skewed corpus and requires it to remain a
-// working trainer: full budget applied, finite weights, and a held-out
-// loss no worse than uniform baseline's — at f64 and at f32, the f32 run
-// landing in the f64 run's band.
+// TestTrainerLossFeedbackEndToEnd runs gradient-norm importance, the
+// loss feedback the update loop records, through the full streaming path
+// on the skewed corpus and requires it to remain a working trainer: full
+// budget applied, finite weights, and a held-out loss below the uniform
+// baseline's — at f64 and at f32, the f32 run landing in the f64 run's
+// band.
 func TestTrainerLossFeedbackEndToEnd(t *testing.T) {
 	const (
 		n    = 2048
@@ -258,18 +306,18 @@ func TestTrainerLossFeedbackEndToEnd(t *testing.T) {
 		return loss
 	}
 
-	lossFB := run("loss", false, "")
-	lossFB32 := run("loss", false, "f32")
+	grad := run("grad", false, "")
+	grad32 := run("grad", false, "f32")
 	uniform := run("", true, "")
-	t.Logf("held-out loss: loss-feedback=%.6f (f32 %.6f) uniform=%.6f", lossFB, lossFB32, uniform)
-	if !(lossFB < uniform) {
-		t.Fatalf("loss-feedback (%.6f) should beat uniform (%.6f) on the skewed corpus", lossFB, uniform)
+	t.Logf("held-out loss: grad=%.6f (f32 %.6f) uniform=%.6f", grad, grad32, uniform)
+	if !(grad < uniform) {
+		t.Fatalf("grad importance (%.6f) should beat uniform (%.6f) on the skewed corpus", grad, uniform)
 	}
-	if !(lossFB32 < uniform) {
-		t.Fatalf("f32 loss-feedback (%.6f) should beat uniform (%.6f) on the skewed corpus", lossFB32, uniform)
+	if !(grad32 < uniform) {
+		t.Fatalf("f32 grad importance (%.6f) should beat uniform (%.6f) on the skewed corpus", grad32, uniform)
 	}
-	if math.Abs(lossFB32-lossFB) > 0.05*(1+lossFB) {
-		t.Fatalf("f32 loss-feedback %.6f vs f64 %.6f — outside the 5%% band", lossFB32, lossFB)
+	if math.Abs(grad32-grad) > 0.05*(1+grad) {
+		t.Fatalf("f32 grad importance %.6f vs f64 %.6f — outside the 5%% band", grad32, grad)
 	}
 }
 
@@ -364,7 +412,8 @@ func TestTrainerAdaptiveConfigValidation(t *testing.T) {
 	base := func() Config { return streamConfig(64, false) }
 	for name, mutate := range map[string]func(*Config){
 		"bad importance":    func(c *Config) { c.Importance = "entropy" },
-		"loss with uniform": func(c *Config) { c.Importance = "loss"; c.Uniform = true },
+		"grad with uniform": func(c *Config) { c.Importance = "grad"; c.Uniform = true },
+		"loss importance":   func(c *Config) { c.Importance = "loss" },
 		"negative adaptC":   func(c *Config) { c.AdaptC = -1 },
 		"NaN adaptC":        func(c *Config) { c.AdaptC = math.NaN() },
 		"negative bound":    func(c *Config) { c.StalenessBound = -5 },
@@ -377,15 +426,45 @@ func TestTrainerAdaptiveConfigValidation(t *testing.T) {
 	}
 	for name, mutate := range map[string]func(*Config){
 		"bound importance": func(c *Config) { c.Importance = "bound" },
-		"loss importance":  func(c *Config) { c.Importance = "loss"; c.LossBeta = 0.5 },
+		"grad importance":  func(c *Config) { c.Importance = "grad" },
 		"adaptive f64":     func(c *Config) { c.AdaptC = 0.25; c.StalenessBound = 16 },
-		"loss with f32":    func(c *Config) { c.Importance = "loss"; c.Precision = "f32" },
+		"grad with f32":    func(c *Config) { c.Importance = "grad"; c.Precision = "f32" },
 		"adaptive f32":     func(c *Config) { c.AdaptC = 0.25; c.StalenessBound = 16; c.Precision = "f32" },
 	} {
 		cfg := base()
 		mutate(&cfg)
 		if _, err := NewTrainer(cfg); err != nil {
 			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestTrainerGradConcurrent runs gradient-norm importance with two
+// workers, plain and with the staleness histograms on (the probing body
+// records then): each worker's updates store |ℓ'| into the window rows
+// of its own reservoir while the other trains. Under -race it proves
+// the record shares nothing between workers but the model.
+func TestTrainerGradConcurrent(t *testing.T) {
+	corpus := makeSkewedCorpus(2048, 64, 0.5, 5, 6)
+	for _, precision := range []string{"", "f32"} {
+		for _, instrumented := range []bool{false, true} {
+			cfg := streamConfig(64, false)
+			cfg.Importance = "grad"
+			cfg.Precision = precision
+			if instrumented {
+				cfg.Instruments = obs.NewTrainInstruments(obs.NewRegistry(), "m")
+			}
+			tr, err := NewTrainer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := tr.Run(context.Background(), NewReader(strings.NewReader(corpus), "skew", 256))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Updates != 2048 {
+				t.Fatalf("precision %q instrumented %v: applied %d updates, want 2048", precision, instrumented, res.Updates)
+			}
 		}
 	}
 }

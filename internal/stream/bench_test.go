@@ -78,24 +78,34 @@ func BenchmarkTrainerIngest(b *testing.B) {
 // enough (512 KB) for the cut to matter. Per corpus pass; compare with
 // BenchmarkTrainerRunByHand, the same work taking turns.
 func BenchmarkTrainerRun(b *testing.B) {
-	benchTrainerRun(b, func(tr *Trainer, r *Reader) error {
-		_, err := tr.Run(context.Background(), r)
-		return err
-	})
+	benchTrainerRun(b, "bound", runAll)
+}
+
+// BenchmarkTrainerRunGrad is BenchmarkTrainerRun under gradient-norm
+// importance: every update also stores its |ℓ'|, admission computes
+// each row's norm and every rebuild weighs the reservoir by them.
+func BenchmarkTrainerRunGrad(b *testing.B) {
+	benchTrainerRun(b, "grad", runAll)
+}
+
+func runAll(tr *Trainer, r *Reader) error {
+	_, err := tr.Run(context.Background(), r)
+	return err
 }
 
 // BenchmarkTrainerRunByHand drives Next and Ingest from one goroutine.
 func BenchmarkTrainerRunByHand(b *testing.B) {
-	benchTrainerRun(b, func(tr *Trainer, r *Reader) error {
+	benchTrainerRun(b, "bound", func(tr *Trainer, r *Reader) error {
 		_, err := handDriven(tr, r)
 		return err
 	})
 }
 
-func benchTrainerRun(b *testing.B, run func(*Trainer, *Reader) error) {
+func benchTrainerRun(b *testing.B, importance string, run func(*Trainer, *Reader) error) {
 	const dim = 1 << 16
 	corpus := makeSkewedCorpus(16384, dim, 0.5, 1, 1)
 	cfg := streamConfigBench(dim)
+	cfg.Importance = importance
 	b.SetBytes(int64(len(corpus)))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -61,11 +61,12 @@ type ISState struct {
 	// rather than merging per-worker ones.
 	mom moments
 
-	// losses, when non-nil, switches the state into loss-feedback mode:
-	// rebuilds weight each entry by its observed loss EMA instead of its
-	// static Lipschitz bound (unseen rows keep the bound as an optimistic
-	// fallback). Guarded by mu like the reservoir it shadows.
-	losses *adaptive.LossMap
+	// win, when set, switches rebuilds to gradient-norm importance:
+	// entries are weighed by adaptive.GradWeights over the ‖x‖ and |ℓ'|
+	// the trainer's window keeps for their rows, not by their static
+	// bounds. The trainer sets it, and rebuilds only between update
+	// phases, when nothing writes the window.
+	win *window
 
 	// onRebuild, when non-nil, receives each Rebuild's wall-clock cost
 	// (snapshot + alias construction + publish). Published atomically so
@@ -103,43 +104,6 @@ func (s *ISState) SetOnRebuild(fn func(time.Duration)) {
 	s.onRebuild.Store(&fn)
 }
 
-// lossBias is the static-bound fraction in loss-feedback rebuild
-// weights: w = (1−lossBias)·lossEMA + lossBias·bound. See rebuild.
-const lossBias = 0.5
-
-// EnableLossFeedback switches the state into loss-feedback importance
-// mode: ObserveLoss folds measured losses into per-row EMAs and Rebuild
-// weights entries by a partially biased blend of those EMAs with the
-// static bound, falling back to the bound alone until a row's loss is
-// first observed. beta outside (0, 1] selects adaptive.DefaultLossBeta.
-// Enabling is idempotent; it does not clear accumulated loss state.
-func (s *ISState) EnableLossFeedback(beta float64) {
-	s.mu.Lock()
-	if s.losses == nil {
-		s.losses = adaptive.NewLossMap(beta)
-	}
-	s.mu.Unlock()
-}
-
-// LossFeedback reports whether loss-feedback mode is enabled.
-func (s *ISState) LossFeedback() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.losses != nil
-}
-
-// ObserveLoss folds one measured training loss into ref's EMA. A no-op
-// unless loss-feedback mode is enabled and ref is resident (Observe
-// seeded it); reports whether the observation was recorded.
-func (s *ISState) ObserveLoss(ref int64, loss float64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.losses == nil {
-		return false
-	}
-	return s.losses.Observe(ref, loss)
-}
-
 // Observe records one row's importance weight. Non-finite or negative
 // weights are clamped to 0 (the row stays referenced but is never drawn
 // once a rebuild happens). When the reservoir is full, the new entry
@@ -156,11 +120,6 @@ func (s *ISState) Observe(ref int64, w float64) {
 		s.entries = append(s.entries, Entry{Ref: ref, W: w})
 	} else if slot := s.rng.Uint64n(uint64(s.seen)); slot < uint64(s.cap) {
 		s.entries[slot] = Entry{Ref: ref, W: w}
-	}
-	if s.losses != nil {
-		// Entry.W keeps the static bound (the fallback weight); the loss
-		// EMA shadows it from the ingest-seeded map.
-		s.losses.Seed(ref)
 	}
 	rebuild := false
 	if s.rebuildEvery > 0 {
@@ -192,9 +151,6 @@ func (s *ISState) EvictBefore(minRef int64) {
 	}
 	s.entries = kept
 	s.seen = int64(len(kept))
-	if s.losses != nil {
-		s.losses.EvictBefore(minRef)
-	}
 }
 
 // Rebuild constructs a fresh alias table from the current reservoir and
@@ -216,29 +172,20 @@ func (s *ISState) rebuild() {
 	s.mu.Lock()
 	snap := make([]Entry, len(s.entries))
 	copy(snap, s.entries)
-	var w []float64
-	if s.losses != nil {
-		// Loss-feedback weights must be captured under the same lock as
-		// the snapshot: Observe/ObserveLoss may mutate the map the moment
-		// mu is released. Observed EMAs are blended with the static bound
-		// (partially biased sampling, Needell et al.): a pure loss weight
-		// can decay to ~0 on mastered rows, and the 1/(n·p) correction
-		// then makes their rare draws arbitrarily large-variance. The
-		// mixture floors every seen row's weight at lossBias·bound, so
-		// corrections stay bounded while high-loss rows are still favored.
-		w = make([]float64, len(snap))
-		for i, e := range snap {
-			w[i] = (1-lossBias)*s.losses.Weight(e.Ref, e.W) + lossBias*e.W
-		}
-	}
 	s.mu.Unlock()
 
 	if len(snap) == 0 {
 		s.table.Store(&aliasTable{})
 		return
 	}
-	if w == nil {
-		w = make([]float64, len(snap))
+	w := make([]float64, len(snap))
+	if win := s.win; win != nil {
+		rows := make([]int, len(snap))
+		for i, e := range snap {
+			rows[i] = int(e.Ref - win.base)
+		}
+		adaptive.GradWeights(w, rows, win.norm, win.grad)
+	} else {
 		for i, e := range snap {
 			w[i] = e.W
 		}

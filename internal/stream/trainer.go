@@ -62,17 +62,14 @@ type Config struct {
 	Uniform bool
 
 	// Importance selects the sampling-weight source: "" or "bound" keeps
-	// the paper's static Lipschitz upper bounds; "loss" re-weights each
-	// worker's reservoir by observed per-row loss EMAs (loss-feedback
-	// importance), falling back to the bound for rows whose loss has not
-	// been measured yet. Loss mode decomposes each update into
-	// score → write-back so the measured loss feeds straight back into the
-	// sampler; it is incompatible with Uniform (uniform draws ignore
-	// weights entirely).
+	// the paper's static Lipschitz upper bounds; "grad" weighs each
+	// worker's reservoir, at every rebuild, by the gradient norms
+	// |ℓ'(z)|·‖x‖ its updates recorded (adaptive.GradWeights; a row not
+	// yet updated takes the largest recorded |ℓ'|). The update loop
+	// stores each applied update's |ℓ'| beside the window's rows, so the
+	// signal costs no extra pass. It is incompatible with Uniform
+	// (uniform draws ignore weights entirely).
 	Importance string
-	// LossBeta is the loss-EMA observation weight in loss mode; values
-	// outside (0, 1] select adaptive.DefaultLossBeta.
-	LossBeta float64
 
 	// AdaptC, when > 0, scales each update's step by 1/(1+AdaptC·τ) where
 	// τ is that update's measured staleness (asynchronous updates other
@@ -162,9 +159,8 @@ type Trainer struct {
 	rngs []*xrand.Rand // rngs[0] also drives shard planning
 	sts  []*ISState
 
-	win      window
-	plans    []plan // per worker, reused block to block
-	lossMode bool   // loss-feedback importance: plans record losses
+	win   window
+	plans []plan // per worker, reused block to block
 
 	blocks  int64
 	updates int64
@@ -182,7 +178,14 @@ type Trainer struct {
 // since the last one (amortised O(block) per eviction) and the arena
 // never holds more than twice the window plus one block.
 type window struct {
-	x      core.Rows
+	x core.Rows
+	// Under gradient-norm importance (record), norm and grad run beside
+	// x's rows: ‖x_r‖ of the admitted row, and the |ℓ'| the update loop
+	// last stored for it, -1 until its first update. Compaction moves
+	// them with the rows.
+	record bool
+	norm   []float64
+	grad   []float32
 	base   int64 // ref of arena row 0
 	live   int   // first resident arena row
 	blocks []int // row counts of the resident blocks, oldest first
@@ -191,8 +194,9 @@ type window struct {
 // admit appends b's rows to the arena without their features at or
 // beyond dim, which the model cannot hold, so the loop's kernels see
 // only in-range indices; with f32 it also keeps the values' float32
-// copy, converted once here. Indices rise within a row, so the dropped
-// features are each row's tail.
+// copy, converted once here, and when recording the admitted rows'
+// norms. Indices rise within a row, so the dropped features are each
+// row's tail.
 func (w *window) admit(b *Block, dim int32, f32 bool) {
 	x, bx := &w.x, &b.X
 	if len(x.IndPtr) == 0 {
@@ -207,6 +211,10 @@ func (w *window) admit(b *Block, dim int32, f32 bool) {
 		x.Idx = append(x.Idx, bx.Idx[lo:hi]...)
 		x.Val = append(x.Val, bx.Val[lo:hi]...)
 		x.IndPtr = append(x.IndPtr, int64(len(x.Idx)))
+		if w.record {
+			w.norm = append(w.norm, sparse.Vector{Val: bx.Val[lo:hi]}.Norm2())
+			w.grad = append(w.grad, -1)
+		}
 	}
 	if f32 {
 		for _, v := range x.Val[from:] {
@@ -239,6 +247,10 @@ func (w *window) evict(keep int) {
 		x.IndPtr[i] -= lo
 	}
 	x.Y = x.Y[:copy(x.Y, x.Y[w.live:])]
+	if w.record {
+		w.norm = w.norm[:copy(w.norm, w.norm[w.live:])]
+		w.grad = w.grad[:copy(w.grad, w.grad[w.live:])]
+	}
 	w.base += int64(w.live)
 	w.live = 0
 }
@@ -250,15 +262,13 @@ func (w *window) rows() int { return len(w.x.Y) - w.live }
 func (w *window) first() int64 { return w.base + int64(w.live) }
 
 // plan is one worker's draws for an update phase: the window rows to
-// update, in order, their step scales (nil on the uniform arm, whose
-// scales are all 1), and in loss mode the losses the loop measured on
-// them.
+// update, in order, and their step scales (nil on the uniform arm, whose
+// scales are all 1).
 type plan struct {
 	rows    []int
 	scales  []float64
 	seq     []int32 // 0, 1, 2, …: the loop walks the plan in order
-	losses  []core.RowLoss
-	drawn   int // draws made this phase, dropped ones included
+	drawn   int     // draws made this phase, dropped ones included
 	applied int64
 }
 
@@ -282,8 +292,8 @@ func FromSpec(s spec.Spec) Config {
 		Reservoir: s.Reservoir, RebuildEvery: s.RebuildEvery,
 		Mode: mode, Uniform: !a.Weighted, Seed: s.Seed,
 		Precision:  prec,
-		Importance: s.Importance, LossBeta: s.LossBeta,
-		AdaptC: s.AdaptC, StalenessBound: s.StalenessBound,
+		Importance: s.Importance,
+		AdaptC:     s.AdaptC, StalenessBound: s.StalenessBound,
 	}
 }
 
@@ -346,12 +356,12 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
 	t := &Trainer{
-		cfg:      cfg,
-		reg:      cfg.Obj.Reg(),
-		m:        model.New(cfg.ModelKind, cfg.Dim),
-		plans:    make([]plan, cfg.Workers),
-		step:     cfg.Step,
-		lossMode: cfg.Importance == "loss",
+		cfg:   cfg,
+		reg:   cfg.Obj.Reg(),
+		m:     model.New(cfg.ModelKind, cfg.Dim),
+		plans: make([]plan, cfg.Workers),
+		step:  cfg.Step,
+		win:   window{record: cfg.Importance == "grad"},
 	}
 	// The batch engine's update loop, bound to this model.
 	t.loop.Bind(t.m, cfg.Obj)
@@ -370,8 +380,8 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 	for w := range t.rngs {
 		t.rngs[w] = xrand.New(sm.Uint64())
 		t.sts[w] = NewISState(cfg.Reservoir, cfg.RebuildEvery, sm.Uint64())
-		if t.lossMode {
-			t.sts[w].EnableLossFeedback(cfg.LossBeta)
+		if t.win.record {
+			t.sts[w].win = &t.win
 		}
 		if ti := cfg.Instruments; ti != nil {
 			t.sts[w].SetOnRebuild(ti.RebuildObserved)
@@ -541,30 +551,22 @@ func (t *Trainer) runUpdates(blockRows int) {
 // draws are spent: a shed update costs its draw but not the quota. The
 // draws come from the worker's generator in the order they are made, so
 // the draw sequence is the one that drawing each row inside the loop
-// gives. In loss mode the measured losses are folded into the worker's
-// ISState afterwards, in update order; nothing reads them before the
-// next rebuild.
+// gives. Under gradient-norm importance the loop stores each update's
+// |ℓ'| beside its window row, which only this worker's draws reach;
+// nothing reads them before the next rebuild.
 func (t *Trainer) work(w, quota int) int64 {
 	p := &t.plans[w]
 	p.drawn = 0
-	var losses *[]core.RowLoss
-	if t.lossMode {
-		p.losses = p.losses[:0]
-		losses = &p.losses
-	}
 	budget := 4 * quota
 	var applied int64
 	for int(applied) < quota {
 		live := t.draw(w, quota-int(applied), budget)
 		if n := len(p.rows); n > 0 {
-			applied += int64(n) - t.loop.Run(w, &t.win.x, p.rows, p.seq, p.scales, t.step, losses)
+			applied += int64(n) - t.loop.Run(w, &t.win.x, p.rows, p.seq, p.scales, t.step, t.win.grad)
 		}
 		if !live || p.drawn >= budget {
 			break
 		}
-	}
-	for _, rl := range p.losses {
-		t.sts[w].ObserveLoss(t.win.base+int64(rl.Row), rl.Loss)
 	}
 	return applied
 }

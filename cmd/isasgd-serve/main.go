@@ -45,19 +45,6 @@
 //	                      read-only — mutating endpoints answer 403,
 //	                      predictions and model listings work locally,
 //	                      and /v1/models rows report replication lag
-//	-batch-window d       predict micro-batching: coalesce concurrent
-//	                      predicts per model for up to this long onto one
-//	                      snapshot resolve and scoring pass (0 disables;
-//	                      try 100us-500us under high concurrency)
-//	-batch-max n          flush a forming micro-batch early at n requests
-//	                      (default 64)
-//	-admit-inflight n     admission control: max concurrently scoring
-//	                      predicts per model (0 disables admission
-//	                      control entirely)
-//	-admit-queue n        max predicts queued per model behind the
-//	                      in-flight limit before requests are shed with
-//	                      429 + Retry-After (default 0: shed as soon as
-//	                      every slot is busy)
 //	-version              print the build version and exit
 //
 // On SIGINT or SIGTERM the server stops accepting requests, cancels
@@ -115,10 +102,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		readTO      = fs.Duration("read-timeout", 0, "full-request read deadline (0 = unlimited; headers are always bounded)")
 		idleTO      = fs.Duration("idle-timeout", httpx.DefaultIdle, "keep-alive idle-connection deadline (negative disables)")
 		origin      = fs.String("origin", "", "replica mode: mirror this origin server's models and serve them read-only")
-		batchWindow = fs.Duration("batch-window", 0, "predict micro-batch window (0 disables micro-batching)")
-		batchMax    = fs.Int("batch-max", 64, "micro-batch early-flush size")
-		admitFlight = fs.Int("admit-inflight", 0, "max concurrently scoring predicts per model (0 disables admission control)")
-		admitQueue  = fs.Int("admit-queue", 0, "max queued predicts per model before shedding with 429")
 		version     = fs.Bool("version", false, "print the build version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -173,13 +156,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// body is still arriving; write deadlines stay off for long-running
 	// responses (/debug/trace, large model downloads).
 	timeouts := httpx.Timeouts{Read: *readTO, Idle: *idleTO}
-	opts := serve.ServerOptions{
-		ReadOnly: *origin != "",
-		Batch:    serve.BatcherConfig{Window: *batchWindow, MaxBatch: *batchMax},
-		Admission: serve.AdmissionConfig{
-			MaxInFlight: *admitFlight, MaxQueue: *admitQueue,
-		},
-	}
+	opts := serve.ServerOptions{ReadOnly: *origin != ""}
 	srv := httpx.NewServer(serve.NewServerOpts(mgr, opts), timeouts)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()

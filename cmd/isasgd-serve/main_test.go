@@ -215,10 +215,9 @@ func startRun(t *testing.T, args ...string) (string, *notifyWriter, func()) {
 }
 
 // TestReplicaMode drives the fleet CLI path: an origin trains a model,
-// a second process started with -origin (micro-batched, admission-
-// controlled) mirrors it, serves predictions read-only, reports lag on
-// /v1/models, refuses job submission, and ends on the origin's final
-// seq.
+// a second process started with -origin mirrors it, serves predictions
+// read-only, reports lag on /v1/models, refuses job submission, and ends
+// on the origin's final seq.
 func TestReplicaMode(t *testing.T) {
 	originAddr, _, stopOrigin := startRun(t, "-pool", "1")
 	defer stopOrigin()
@@ -242,8 +241,7 @@ func TestReplicaMode(t *testing.T) {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
 
-	repAddr, repOut, stopReplica := startRun(t, "-pool", "1", "-origin", base,
-		"-batch-window", "200us", "-admit-inflight", "64", "-admit-queue", "256")
+	repAddr, repOut, stopReplica := startRun(t, "-pool", "1", "-origin", base)
 	defer stopReplica()
 	repBase := "http://" + repAddr
 	if !strings.Contains(repOut.String(), "replica mode") {

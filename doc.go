@@ -214,15 +214,11 @@
 // little-endian weights, 4 bytes each for float32 models), so a new
 // version propagates the moment it
 // publishes and replicas report their measured staleness (isasgd_replica_lag_seconds, and a
-// lag_seconds field on /v1/models). Two mechanisms keep tail latency
-// bounded as concurrency climbs: predict micro-batching (-batch-window)
-// coalesces concurrent predicts per model onto one snapshot resolve and
-// one scoring pass — a leader/follower combiner whose batched path
-// stays zero-allocation per request — and admission control
-// (-admit-inflight/-admit-queue) bounds per-model scoring concurrency
-// and queue depth, shedding the excess with 429 + Retry-After instead
-// of letting queues collapse the percentiles. cmd/isasgd-loadgen drives
-// a deployed fleet closed- or open-loop (open-loop latency is measured
-// from scheduled arrival, so client-side queueing is charged to the
-// percentiles). See README.md's Serving fleet quickstart.
+// lag_seconds field on /v1/models). Every predict takes one path: the
+// handler decodes the body and the registry scores it against one
+// resolved version, allocation-free in the steady state. The
+// benchmark's serve_fleet workload loads an origin and a replica with
+// closed and open loops (open-loop latency is measured from scheduled
+// arrival, so client-side queueing is charged to the percentiles). See
+// README.md's Serving fleet quickstart.
 package isasgd

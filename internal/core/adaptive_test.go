@@ -40,7 +40,7 @@ func TestSetAdaptiveValidation(t *testing.T) {
 // update only when λ = 0 — so the policy here enables scaling+bound only).
 func TestAdaptiveSingleWorkerMatchesPlain(t *testing.T) {
 	ds, obj := smallProblem(t)
-	for _, kind := range []model.Kind{model.KindRacy, model.KindRacy32, model.KindRacy32Blocked, model.KindAtomic32} {
+	for _, kind := range []model.Kind{model.KindRacy, model.KindRacy32, model.KindAtomic32} {
 		plain, err := NewISSGD(ds, obj, model.New(kind, ds.Dim()), 7, false)
 		if err != nil {
 			t.Fatal(err)
@@ -142,7 +142,7 @@ func TestAdaptiveZeroAllocEpoch(t *testing.T) {
 		t.Skip("allocation accounting differs under the race detector")
 	}
 	ds, obj := smallProblem(t)
-	for _, kind := range []model.Kind{model.KindRacy, model.KindRacy32, model.KindRacy32Blocked, model.KindAtomic32} {
+	for _, kind := range []model.Kind{model.KindRacy, model.KindRacy32, model.KindAtomic32} {
 		e, err := NewISSGD(ds, obj, model.New(kind, ds.Dim()), 7, true)
 		if err != nil {
 			t.Fatal(err)

@@ -59,12 +59,10 @@ type Engine struct {
 	numT int
 
 	// The data path, bound once at construction: the update loop with
-	// its kernel, and the CSR view it reads. x.Idx is the dataset's own
-	// index array or, for the feature-blocked layout, a one-time
-	// physical-slot remap of it; x.Val32 is the dataset's float32 value
-	// copy when the model stores float32. The loop slices rows out of x
-	// directly and pays nothing per update for the precision or the
-	// layout.
+	// its kernel, and the CSR view it reads. x is the dataset's own CSR;
+	// x.Val32 is its float32 value copy when the model stores float32.
+	// The loop slices rows out of x directly and pays nothing per update
+	// for the precision.
 	loop Loop
 	x    Rows
 
@@ -168,9 +166,6 @@ func newEngine(ds *dataset.Dataset, obj objective.Objective, m model.Params, thr
 	e.x = Rows{IndPtr: ds.X.IndPtr, Idx: ds.X.Idx, Val: ds.X.Val, Y: ds.Y}
 	if e.loop.kern32 != nil {
 		e.x.Val32 = ds.X.EnsureVal32()
-		if mm, ok := m.(*model.Racy32); ok && mm.Blocked() {
-			e.x.Idx = mm.RemapInto(make([]int32, len(ds.X.Idx)), ds.X.Idx)
-		}
 	}
 	sm := xrand.NewSplitMix64(seed)
 	e.rngs = make([]*xrand.Rand, threads)
@@ -337,10 +332,16 @@ func (e *Engine) buildSamplers(l []float64) error {
 
 // setWeights installs worker t's distribution from w, its shard's
 // weights by local position: the alias sampler, the step scales
-// 1/(N_a·p_ai), written over w, and a sequence drawn from it.
+// 1/(N_a·p_ai), written over w, and a sequence drawn from it. A worker
+// that already has an alias table rebuilds it in place (only worker t
+// draws from it, and not while it is being reweighed), so a
+// gradient-norm reweigh allocates nothing.
 func (e *Engine) setWeights(t int, w []float64) error {
-	al, err := sampling.NewAlias(w)
-	if err != nil {
+	al, ok := e.samplers[t].(*sampling.Alias)
+	if !ok {
+		al = new(sampling.Alias)
+	}
+	if err := al.Rebuild(w); err != nil {
 		return fmt.Errorf("core: worker %d sampler: %w", t, err)
 	}
 	e.samplers[t] = al
@@ -417,21 +418,9 @@ func (e *Engine) SnapshotRejects() int64 { return e.pubRejects }
 
 // refreshDCBase re-reads the delay-compensation base: the epoch-start
 // weights are what every worker's gradient reads drift away from. The
-// buffer is reused, so steady-state epochs stay allocation-free. The
-// base is indexed the way the kernel indexes the model — logical order,
-// except for the feature-blocked layout, whose physical storage is
-// widened as it lies.
+// buffer is reused, so steady-state epochs stay allocation-free.
 func (e *Engine) refreshDCBase() {
-	mm, ok := e.m.(*model.Racy32)
-	if !ok || !mm.Blocked() {
-		e.loop.dcBase = e.m.Snapshot(e.loop.dcBase)
-		return
-	}
-	base := e.loop.dcBase[:0]
-	for _, v := range mm.Raw32() {
-		base = append(base, float64(v))
-	}
-	e.loop.dcBase = base
+	e.loop.dcBase = e.m.Snapshot(e.loop.dcBase)
 }
 
 // runWorker runs worker t's share of one epoch (Algorithm 4 lines

@@ -13,12 +13,12 @@ import (
 // The float32 engine tests back the PR's end-to-end acceptance
 // criterion: IS-ASGD on the f32 data path must optimize the same
 // objective to the same region as f64, for every f32 model kind
-// (racy32 flat, racy32 feature-blocked, atomic32), while staying
-// allocation-free in steady state. f64-vs-f32 weight trajectories diverge by accumulated
-// float32 rounding, so the comparison is on the achieved objective
-// value, not on weights.
+// (racy32, atomic32), while staying allocation-free in steady state.
+// f64-vs-f32 weight trajectories diverge by accumulated float32
+// rounding, so the comparison is on the achieved objective value, not
+// on weights.
 
-var f32Kinds = []model.Kind{model.KindRacy32, model.KindRacy32Blocked, model.KindAtomic32}
+var f32Kinds = []model.Kind{model.KindRacy32, model.KindAtomic32}
 
 // TestF32MatchesF64Objective runs identically-seeded serial engines —
 // one f64, one per f32 kind — and requires the f32 objectives to land
@@ -62,9 +62,7 @@ func TestF32MatchesF64Objective(t *testing.T) {
 
 // TestRunEpochZeroAlloc32 is TestRunEpochZeroAlloc for the f32 hot
 // loops: after warm-up, RunEpoch on a single-worker IS-SGD engine must
-// not allocate — for every f32 model kind. The
-// blocked kind additionally proves the per-row physical-slot remap
-// (Engine.idx slicing) costs no steady-state allocations.
+// not allocate — for every f32 model kind.
 func TestRunEpochZeroAlloc32(t *testing.T) {
 	if model.RaceEnabled {
 		t.Skip("allocation accounting differs under the race detector")
@@ -127,7 +125,7 @@ func TestConcurrentEpochsAtomic32Model(t *testing.T) {
 }
 
 // TestConcurrentEpochsRacy32Model exercises the f32 true-Hogwild write
-// path — flat and feature-blocked — with many workers. Races on f32
+// path with many workers. Races on f32
 // coordinates are the documented noise model, so this skips under
 // -race; without the detector it checks full update counts and finite
 // weights.
@@ -136,7 +134,7 @@ func TestConcurrentEpochsRacy32Model(t *testing.T) {
 		t.Skip("racy model is deliberately unsynchronized; skipped under -race")
 	}
 	ds, obj := smallProblem(t)
-	for _, kind := range []model.Kind{model.KindRacy32, model.KindRacy32Blocked} {
+	for _, kind := range []model.Kind{model.KindRacy32} {
 		t.Run(kind.String(), func(t *testing.T) {
 			e, err := NewISASGD(ds, obj, model.New(kind, ds.Dim()), 8, balance.Auto, 0, 1, false)
 			if err != nil {

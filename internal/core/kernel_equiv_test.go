@@ -80,8 +80,9 @@ func TestKernelEquivalenceAcrossConstructions(t *testing.T) {
 
 // TestRunEpochZeroAlloc is the steady-state allocation guard: after the
 // first epoch, RunEpoch must not allocate (per-epoch sequence
-// regeneration reuses its buffer in place). Single worker: goroutine spawning in the multi-worker path allocates
-// by design.
+// regeneration and the gradient-norm reweigh reuse their buffers in
+// place). Single worker: goroutine spawning in the multi-worker path
+// allocates by design.
 func TestRunEpochZeroAlloc(t *testing.T) {
 	if model.RaceEnabled {
 		t.Skip("allocation accounting differs under the race detector")
@@ -95,6 +96,18 @@ func TestRunEpochZeroAlloc(t *testing.T) {
 		// IS-SGD exercises the full hot path: sequences, scales and
 		// end-of-epoch in-place regeneration.
 		e, err := NewISSGD(ds, obj, model.NewRacy(ds.Dim()), 41, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.RunEpoch(0.1) // warm up
+		if n := testing.AllocsPerRun(5, func() { e.RunEpoch(0.1) }); n != 0 {
+			t.Errorf("RunEpoch: %v steady-state allocs per epoch, want 0", n)
+		}
+	})
+	t.Run("grad", func(t *testing.T) {
+		// Gradient-norm importance also reweighs the shard every epoch:
+		// the alias table and the step scales are rebuilt in place.
+		e, err := NewISASGDOpts(ds, obj, model.NewRacy(ds.Dim()), 1, ISOptions{Seed: 41, Importance: "grad"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -74,7 +74,7 @@ func lookaheadCorpora(t *testing.T) map[string]*dataset.Dataset {
 //     distance (rows30 is two 15-row shards, run serially);
 //   - trailing empty rows, which the uniform arm draws and whose row
 //     start is one past the last stored index;
-//   - every f32 kind, KindRacy32Blocked's remapped index array included;
+//   - every f32 kind;
 //   - two concurrent workers on KindAtomic (under -race in the hand-off
 //     gate), deterministic because no two rows share a coordinate.
 func TestLookaheadEdges(t *testing.T) {

@@ -20,7 +20,7 @@ func weightHash(w []float64) uint64 {
 
 var (
 	pinF64Kinds = []model.Kind{model.KindAtomic, model.KindRacy}
-	pinF32Kinds = []model.Kind{model.KindRacy32, model.KindRacy32Blocked, model.KindAtomic32}
+	pinF32Kinds = []model.Kind{model.KindRacy32, model.KindAtomic32}
 )
 
 // pinRow is one pinned single-worker run: every kind of a precision

@@ -21,9 +21,8 @@
 //
 // There are four specialized kernel types, one per (storage, element
 // width): racy64 on model.Racy's []float64, atomic64 on model.Atomic's
-// CAS bit patterns, and racy32 / atomic32 on their float32 counterparts
-// (racy32 also serves the feature-blocked layout — it sees only physical
-// storage). Each is written once and carries the regularizer as a small
+// CAS bit patterns, and racy32 / atomic32 on their float32 counterparts.
+// Each is written once and carries the regularizer as a small
 // field (regKind: None, L1 or L2, with its strength). New and New32
 // type-switch once, at construction — the model's concrete type never
 // changes mid-run — and fall back to the interface-based kernels

@@ -25,22 +25,9 @@ func newModel32(kind string, d int) model.Params {
 	switch kind {
 	case "racy32":
 		return model.NewRacy32(d)
-	case "racy32-blocked":
-		return model.NewRacy32Blocked(d)
 	default:
 		return model.NewAtomic32(d)
 	}
-}
-
-// mapIdx returns the physical-index view of logical idx for blocked
-// models (identity otherwise) — what the engine's ingestion remap does.
-func mapIdx(m model.Params, idx []int32) []int32 {
-	r, ok := m.(*model.Racy32)
-	if !ok || !r.Blocked() {
-		return idx
-	}
-	out := make([]int32, len(idx))
-	return r.RemapInto(out, idx)
 }
 
 func toF32(val []float64) []float32 {
@@ -74,7 +61,7 @@ func requireWithin32(t *testing.T, spec, ref model.Params, stage string) {
 // TestKernel32SpecializationSelected pins the New32 type switch: every
 // shipped (f32 model, objective) pairing must get a monomorphic kernel.
 func TestKernel32SpecializationSelected(t *testing.T) {
-	for _, kind := range []string{"racy32", "racy32-blocked", "atomic32"} {
+	for _, kind := range []string{"racy32", "atomic32"} {
 		for _, obj := range testObjectives() {
 			if _, isRef := New32(newModel32(kind, 8), obj).(*reference32); isRef {
 				t.Errorf("New32(%s, %s) fell back to reference32", kind, obj.Name())
@@ -92,20 +79,16 @@ func TestKernel32SpecializationSelected(t *testing.T) {
 // TestKernel32Tolerance is the f32 analog of TestKernelEquivalence:
 // every f32 specialization, driven through every operation with
 // identical pre-rounded inputs, must track the f64 Reference within
-// tol32 at every step. Blocked models run on Slot-remapped indices, so
-// this also proves the scatter layout is numerically invisible.
+// tol32 at every step.
 func TestKernel32Tolerance(t *testing.T) {
 	const (
 		dim  = 64
 		rows = 40
 		nnz  = 9
 	)
-	for _, kind := range []string{"racy32", "racy32-blocked", "atomic32"} {
+	for _, kind := range []string{"racy32", "atomic32"} {
 		for _, obj := range testObjectives() {
 			for _, overflow := range []bool{false, true} {
-				if overflow && kind == "racy32-blocked" {
-					continue // blocked is batch-engine-only; rows are pre-validated in-range
-				}
 				name := kind + "/" + obj.Name()
 				if overflow {
 					name += "/overflow"
@@ -129,29 +112,28 @@ func TestKernel32Tolerance(t *testing.T) {
 					for i := range idx {
 						s := 0.01 + 0.5*rng.Float64()
 						g := rng.NormFloat64()
-						pidx := mapIdx(spec, idx[i])
 						v32 := toF32(val[i])
 						v64 := preRound(val[i])
 						if overflow {
-							ks.StepClamped(pidx, v32, y[i], s)
+							ks.StepClamped(idx[i], v32, y[i], s)
 							kr.StepClamped(idx[i], v64, y[i], s)
 							requireWithin32(t, spec, ref, "StepClamped")
 							continue
 						}
-						if zs, zr := ks.Dot(pidx, v32), kr.Dot(idx[i], v64); !within32(zs, zr) {
+						if zs, zr := ks.Dot(idx[i], v32), kr.Dot(idx[i], v64); !within32(zs, zr) {
 							t.Fatalf("row %d: Dot %g vs %g", i, zs, zr)
 						}
 						switch i % 3 {
 						case 0:
-							ks.Step(pidx, v32, y[i], s)
+							ks.Step(idx[i], v32, y[i], s)
 							kr.Step(idx[i], v64, y[i], s)
 							requireWithin32(t, spec, ref, "Step")
 						case 1:
-							ks.StepClamped(pidx, v32, y[i], s)
+							ks.StepClamped(idx[i], v32, y[i], s)
 							kr.StepClamped(idx[i], v64, y[i], s)
 							requireWithin32(t, spec, ref, "StepClamped(in-range)")
 						case 2:
-							ks.Update(pidx, v32, g, s)
+							ks.Update(idx[i], v32, g, s)
 							kr.Update(idx[i], v64, g, s)
 							requireWithin32(t, spec, ref, "Update")
 						}
@@ -222,7 +204,6 @@ func TestKernel32ZeroAlloc(t *testing.T) {
 		k    Kernel32
 	}{
 		{"racy32", New32(model.NewRacy32(16), obj)},
-		{"racy32-blocked", New32(model.NewRacy32Blocked(16), obj)},
 		{"atomic32", New32(model.NewAtomic32(16), obj)},
 	} {
 		if n := testing.AllocsPerRun(100, func() {
@@ -333,21 +314,6 @@ func BenchmarkRacyL2StepF64(b *testing.B) {
 func BenchmarkRacyL2StepF32(b *testing.B) {
 	idx, _, val := benchRows32(benchDim32, 512, 64)
 	k := New32(model.NewRacy32(benchDim32), objective.LeastSquaresL2{Eta: 0.01})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := i & 511
-		k.Step(idx[r], val[r], 1, 1e-6)
-	}
-}
-
-func BenchmarkRacyL2StepF32Blocked(b *testing.B) {
-	m := model.NewRacy32Blocked(benchDim32)
-	idx, _, val := benchRows32(benchDim32, 512, 64)
-	for i := range idx {
-		m.RemapInto(idx[i], idx[i])
-	}
-	k := New32(m, objective.LeastSquaresL2{Eta: 0.01})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -12,14 +12,13 @@ import (
 // allKinds lists every specialization: the f64 pair, held bitwise to
 // Reference, and the three f32 kinds, held to the f64 Reference under the
 // kernel32_test.go tolerance contract.
-var allKinds = []string{"racy", "atomic", "racy32", "racy32-blocked", "atomic32"}
+var allKinds = []string{"racy", "atomic", "racy32", "atomic32"}
 
 // underTest is one specialization next to the Reference it is held to,
 // both loaded with the same weights and driven with the same logical
 // rows: an f64 kind must stay bitwise-identical to a Reference over the
-// same storage; an f32 kind sees the row narrowed (and Slot-remapped for
-// the blocked layout) and must stay within tol32 of an f64 Reference fed
-// the pre-rounded values.
+// same storage; an f32 kind sees the row narrowed and must stay within
+// tol32 of an f64 Reference fed the pre-rounded values.
 type underTest struct {
 	spec, ref model.Params
 	k64       Kernel   // f64 kinds
@@ -50,26 +49,18 @@ func (u *underTest) stepClamped(idx []int32, val []float64, y, s float64) {
 		u.kr.StepClamped(idx, val, y, s)
 		return
 	}
-	u.k32.StepClamped(mapIdx(u.spec, idx), toF32(val), y, s)
+	u.k32.StepClamped(idx, toF32(val), y, s)
 	u.kr.StepClamped(idx, preRound(val), y, s)
 }
 
-// updateDC takes base in logical order; the blocked layout's kernel gets
-// it permuted to physical slots, like its indices.
+// updateDC drives both kernels' delay-compensated update with one base.
 func (u *underTest) updateDC(idx []int32, val []float64, g, s, lam float64, base []float64) {
 	if u.k32 == nil {
 		u.k64.UpdateDC(idx, val, g, s, lam, base)
 		u.kr.UpdateDC(idx, val, g, s, lam, base)
 		return
 	}
-	pbase := base
-	if r, ok := u.spec.(*model.Racy32); ok && r.Blocked() {
-		pbase = make([]float64, len(r.Raw32()))
-		for j, v := range base {
-			pbase[r.Slot(int32(j))] = v
-		}
-	}
-	u.k32.UpdateDC(mapIdx(u.spec, idx), toF32(val), g, s, lam, pbase)
+	u.k32.UpdateDC(idx, toF32(val), g, s, lam, base)
 	u.kr.UpdateDC(idx, preRound(val), g, s, lam, base)
 }
 
@@ -96,9 +87,6 @@ func TestKernelUpdateClampedEquivalence(t *testing.T) {
 	for _, kind := range allKinds {
 		for _, obj := range testObjectives() {
 			for _, overflow := range []bool{false, true} {
-				if overflow && kind == "racy32-blocked" {
-					continue // blocked is batch-engine-only; rows are pre-validated in-range
-				}
 				name := kind + "/" + obj.Name()
 				if overflow {
 					name += "/overflow"
@@ -180,9 +168,9 @@ func TestKernelUpdateDCZeroLambda(t *testing.T) {
 					dc.k64.UpdateDC(idx[i], val[i], g, s, 0, nil)
 					plain.k64.Update(idx[i], val[i], g, s)
 				} else {
-					pidx, v32 := mapIdx(dc.spec, idx[i]), toF32(val[i])
-					dc.k32.UpdateDC(pidx, v32, g, s, 0, nil)
-					plain.k32.Update(pidx, v32, g, s)
+					v32 := toF32(val[i])
+					dc.k32.UpdateDC(idx[i], v32, g, s, 0, nil)
+					plain.k32.Update(idx[i], v32, g, s)
 				}
 				requireBitwiseEqual(t, dc.spec, plain.spec, kind+"/"+obj.Name()+"/lambda=0")
 			}
@@ -212,13 +200,12 @@ func TestKernelAdaptiveZeroAlloc(t *testing.T) {
 	obj := objective.LogisticL1{Eta: 1e-3}
 	val := []float64{0.3, -0.7, 1.1, 0.2}
 	for name, n := range map[string]float64{
-		"racy":           adaptiveAllocs[float64](New(model.NewRacy(16), obj), val),
-		"atomic":         adaptiveAllocs[float64](New(model.NewAtomic(16), obj), val),
-		"reference":      adaptiveAllocs[float64](NewReference(model.NewRacy(16), obj), val),
-		"racy32":         adaptiveAllocs(New32(model.NewRacy32(16), obj), toF32(val)),
-		"racy32-blocked": adaptiveAllocs(New32(model.NewRacy32Blocked(16), obj), toF32(val)),
-		"atomic32":       adaptiveAllocs(New32(model.NewAtomic32(16), obj), toF32(val)),
-		"reference32":    adaptiveAllocs(New32(model.NewRacy(16), obj), toF32(val)),
+		"racy":        adaptiveAllocs[float64](New(model.NewRacy(16), obj), val),
+		"atomic":      adaptiveAllocs[float64](New(model.NewAtomic(16), obj), val),
+		"reference":   adaptiveAllocs[float64](NewReference(model.NewRacy(16), obj), val),
+		"racy32":      adaptiveAllocs(New32(model.NewRacy32(16), obj), toF32(val)),
+		"atomic32":    adaptiveAllocs(New32(model.NewAtomic32(16), obj), toF32(val)),
+		"reference32": adaptiveAllocs(New32(model.NewRacy(16), obj), toF32(val)),
 	} {
 		if n != 0 {
 			t.Errorf("%s kernel: %v allocs per adaptive update round, want 0", name, n)

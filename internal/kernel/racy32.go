@@ -32,10 +32,7 @@ func regAt32(kind regKind, wj, eta float32) float32 {
 // semantics as racy64 at half the memory traffic, and the same shape
 // method for method. Scalars cross the API as float64 and are narrowed
 // once per call. The dots use Dot32's four independent accumulators,
-// since the f32 path is only tolerance-bound, not bitwise-bound. Models
-// with the blocked layout use this type too: it sees only physical
-// storage, and callers feed Slot-remapped indices (and, for UpdateDC, a
-// base in the same physical order).
+// since the f32 path is only tolerance-bound, not bitwise-bound.
 type racy32 struct {
 	w   []float32
 	obj objective.Objective

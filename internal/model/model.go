@@ -193,10 +193,6 @@ const (
 	KindAtomic32
 	// KindRacy32 is the unsynchronized float32 model.
 	KindRacy32
-	// KindRacy32Blocked is KindRacy32 with the feature-blocked
-	// (cache-line-grouped) weight layout that scatters id-adjacent
-	// coordinates across cache lines to cut Hogwild false sharing.
-	KindRacy32Blocked
 )
 
 // String returns the kind name.
@@ -210,8 +206,6 @@ func (k Kind) String() string {
 		return "atomic32"
 	case KindRacy32:
 		return "racy32"
-	case KindRacy32Blocked:
-		return "racy32-blocked"
 	default:
 		return "unknown"
 	}
@@ -219,7 +213,7 @@ func (k Kind) String() string {
 
 // Is32 reports whether the kind stores float32 coordinates.
 func (k Kind) Is32() bool {
-	return k == KindAtomic32 || k == KindRacy32 || k == KindRacy32Blocked
+	return k == KindAtomic32 || k == KindRacy32
 }
 
 // As32 returns the float32 counterpart of a float64 kind (identity for
@@ -262,8 +256,6 @@ func New(k Kind, d int) Params {
 		return NewAtomic32(d)
 	case KindRacy32:
 		return NewRacy32(d)
-	case KindRacy32Blocked:
-		return NewRacy32Blocked(d)
 	default:
 		return NewAtomic(d)
 	}

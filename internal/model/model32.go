@@ -12,17 +12,6 @@
 // interface boundary (Snapshot/Load/Get/Add/Dot); the hot paths go
 // through internal/kernel's monomorphic float32 specializations, which
 // access the raw storage via Raw32/Bits32 and never convert per element.
-//
-// Racy32 additionally offers a feature-blocked (cache-line-grouped)
-// layout: coordinate j is scattered to slot (j mod 16)·stride + j/16, so
-// id-adjacent features — typically co-hot under frequency-ordered
-// encodings — land on distinct 64-byte lines, cutting false sharing
-// between Hogwild workers. The scatter is arithmetic (no permutation
-// table, no extra loads); consumers remap row indices once at ingestion
-// (see Slot/RemapInto) and the update kernels run unchanged on the
-// physical slots. Snapshot/Load translate between the logical and
-// physical orders, so everything outside the hot loop — checkpoints,
-// snapshot publication, serving — sees canonical coordinate order.
 package model
 
 import (
@@ -30,66 +19,26 @@ import (
 	"sync/atomic"
 )
 
-// lanes32 is the blocked-layout group width: 16 float32 per 64-byte
-// cache line.
-const lanes32 = 16
-
 // Racy32 is the float32 Hogwild model vector: plain loads and stores,
 // conflicting concurrent writers may lose updates (the algorithm's noise
 // model, exactly as Racy).
 type Racy32 struct {
-	w      []float32
-	dim    int
-	stride int // 0 = flat identity layout; > 0 = blocked scatter
+	w []float32
 }
 
-// NewRacy32 returns a zero-initialized flat Racy32 of dimension d.
-func NewRacy32(d int) *Racy32 { return &Racy32{w: make([]float32, d), dim: d} }
+// NewRacy32 returns a zero-initialized Racy32 of dimension d.
+func NewRacy32(d int) *Racy32 { return &Racy32{w: make([]float32, d)} }
 
-// NewRacy32Blocked returns a zero-initialized Racy32 of logical
-// dimension d in the feature-blocked layout. The physical slice is
-// padded to a multiple of 16 coordinates; padding slots are never
-// addressed by a valid logical index and stay zero.
-func NewRacy32Blocked(d int) *Racy32 {
-	stride := (d + lanes32 - 1) / lanes32
-	return &Racy32{w: make([]float32, stride*lanes32), dim: d, stride: stride}
-}
+// Dim returns the dimensionality.
+func (m *Racy32) Dim() int { return len(m.w) }
 
-// Dim returns the logical dimensionality.
-func (m *Racy32) Dim() int { return m.dim }
+// Get returns coordinate j with a plain load.
+func (m *Racy32) Get(j int32) float64 { return float64(m.w[j]) }
 
-// Blocked reports whether the model uses the feature-blocked layout.
-func (m *Racy32) Blocked() bool { return m.stride > 0 }
-
-// Slot maps a logical coordinate to its physical index. Identity for
-// flat models.
-func (m *Racy32) Slot(j int32) int32 {
-	if m.stride == 0 {
-		return j
-	}
-	return (j%lanes32)*int32(m.stride) + j/lanes32
-}
-
-// RemapInto writes the physical slot of every logical index in idx to
-// dst (which must be at least as long) and returns dst[:len(idx)].
-// Consumers remap each row once at ingestion so the hot loop indexes
-// physical storage directly.
-func (m *Racy32) RemapInto(dst, idx []int32) []int32 {
-	dst = dst[:len(idx)]
-	for k, j := range idx {
-		dst[k] = m.Slot(j)
-	}
-	return dst
-}
-
-// Get returns logical coordinate j with a plain load.
-func (m *Racy32) Get(j int32) float64 { return float64(m.w[m.Slot(j)]) }
-
-// Add adds delta to logical coordinate j with a plain read-modify-write
+// Add adds delta to coordinate j with a plain read-modify-write
 // (Hogwild semantics; the sum rounds through float32).
 func (m *Racy32) Add(j int32, delta float64) {
-	s := m.Slot(j)
-	m.w[s] = float32(float64(m.w[s]) + delta)
+	m.w[j] = float32(float64(m.w[j]) + delta)
 }
 
 // Dot returns Σ_k val[k]·w[idx[k]] with plain loads, accumulating in
@@ -97,70 +46,45 @@ func (m *Racy32) Add(j int32, delta float64) {
 // float32-native path instead).
 func (m *Racy32) Dot(idx []int32, val []float64) float64 {
 	s := 0.0
-	if m.stride == 0 {
-		for k, j := range idx {
-			s += val[k] * float64(m.w[j])
-		}
-		return s
-	}
 	for k, j := range idx {
-		s += val[k] * float64(m.w[m.Slot(j)])
+		s += val[k] * float64(m.w[j])
 	}
 	return s
 }
 
-// Snapshot copies the model into dst in logical coordinate order,
-// widening to float64 — the one conversion point between the f32
-// training path and every f64 consumer (evaluation, checkpoints,
-// snapshot publication).
+// Snapshot copies the model into dst, widening to float64 — the one
+// conversion point between the f32 training path and every f64 consumer
+// (evaluation, checkpoints, snapshot publication).
 func (m *Racy32) Snapshot(dst []float64) []float64 {
-	dst = sized(dst, m.dim)
-	m.SnapshotRange(dst, 0, m.dim)
+	dst = sized(dst, len(m.w))
+	m.SnapshotRange(dst, 0, len(dst))
 	return dst
 }
 
-// SnapshotRange widens logical coordinates [lo, hi) into dst[lo:hi] and
-// reports whether all of them are finite.
+// SnapshotRange widens coordinates [lo, hi) into dst[lo:hi] and reports
+// whether all of them are finite.
 func (m *Racy32) SnapshotRange(dst []float64, lo, hi int) bool {
+	src, dst := m.w[lo:hi], dst[lo:hi]
 	var acc uint32
-	if m.stride == 0 {
-		src, dst := m.w[lo:hi], dst[lo:hi]
-		for j := range dst {
-			dst[j] = float64(src[j])
-			acc |= nonFinite32(math.Float32bits(src[j]))
-		}
-		return acc>>31 == 0
-	}
-	for j := lo; j < hi; j++ {
-		v := m.w[m.Slot(int32(j))]
-		dst[j] = float64(v)
-		acc |= nonFinite32(math.Float32bits(v))
+	for j := range dst {
+		dst[j] = float64(src[j])
+		acc |= nonFinite32(math.Float32bits(src[j]))
 	}
 	return acc>>31 == 0
 }
 
-// Load overwrites the model with src (logical order), rounding to
-// float32.
+// Load overwrites the model with src, rounding to float32.
 func (m *Racy32) Load(src []float64) {
-	if m.stride == 0 {
-		for j, v := range src {
-			m.w[j] = float32(v)
-		}
-		return
-	}
 	for j, v := range src {
-		m.w[m.Slot(int32(j))] = float32(v)
+		m.w[j] = float32(v)
 	}
 }
 
-// Raw32 exposes the physical backing slice for the devirtualized float32
-// kernels. For blocked models the slice is padded and physically
-// permuted — indices passed to the kernels must already be Slot-mapped.
+// Raw32 exposes the backing slice for the devirtualized float32 kernels.
 func (m *Racy32) Raw32() []float32 { return m.w }
 
 // Atomic32 is the race-free float32 model vector: CAS loops on uint32
-// bit patterns. Always flat (the CAS path's cost is the contention
-// itself, which blocking does not address).
+// bit patterns.
 type Atomic32 struct {
 	bits []atomic.Uint32
 }

@@ -245,7 +245,7 @@ func TestSnapshotRangeMatchesSnapshot(t *testing.T) {
 	const dim = 100
 	models := map[string]Params{
 		"atomic": NewAtomic(dim), "racy": NewRacy(dim),
-		"atomic32": NewAtomic32(dim), "racy32": NewRacy32(dim), "racy32-blocked": NewRacy32Blocked(dim),
+		"atomic32": NewAtomic32(dim), "racy32": NewRacy32(dim),
 	}
 	bounds := []int{0, 1, 17, 64, dim}
 	for name, m := range models {

@@ -25,7 +25,7 @@ func TestNormalizeErrorPaths(t *testing.T) {
 	}
 	for name, w := range cases {
 		t.Run(name, func(t *testing.T) {
-			p, err := normalize(w)
+			p, err := normalize(nil, w)
 			if err == nil {
 				t.Fatalf("normalize accepted %v -> %v", w, p)
 			}
@@ -56,7 +56,7 @@ func TestNormalizeAcceptsEdgeCases(t *testing.T) {
 	}
 	for name, w := range cases {
 		t.Run(name, func(t *testing.T) {
-			p, err := normalize(w)
+			p, err := normalize(nil, w)
 			if err != nil {
 				t.Fatalf("normalize rejected %v: %v", w, err)
 			}

@@ -43,7 +43,10 @@ type Weighted interface {
 // negative or non-finite entry, or sums to zero.
 var ErrBadWeights = errors.New("sampling: weights must be non-negative, finite, and not all zero")
 
-func normalize(weights []float64) ([]float64, error) {
+// normalize writes weights/Σweights into dst, reusing its capacity, and
+// returns it. It checks every weight before writing any, so on error
+// dst is untouched.
+func normalize(dst, weights []float64) ([]float64, error) {
 	if len(weights) == 0 {
 		return nil, ErrBadWeights
 	}
@@ -62,7 +65,7 @@ func normalize(weights []float64) ([]float64, error) {
 		// silently produce an all-zero "distribution".
 		return nil, fmt.Errorf("%w (sum overflows to %g)", ErrBadWeights, sum)
 	}
-	p := make([]float64, len(weights))
+	p := resize(dst, len(weights))
 	inv := 1 / sum
 	if math.IsInf(inv, 0) {
 		// sum is denormal-small: its reciprocal overflows, which would
@@ -76,6 +79,15 @@ func normalize(weights []float64) ([]float64, error) {
 		p[i] = w * inv
 	}
 	return p, nil
+}
+
+// resize returns s with length n, reallocating only when its capacity
+// falls short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Uniform samples uniformly over [0, n).
@@ -110,24 +122,42 @@ type Alias struct {
 	prob  []float64 // acceptance threshold per bucket
 	alias []int32   // fallback index per bucket
 	p     []float64 // normalized distribution, for Prob
+
+	// Vose's worklists, kept between Rebuilds so that a rebuild
+	// allocates nothing. NewAlias drops them: a table built once keeps
+	// only what draws read.
+	scaled       []float64
+	small, large []int32
 }
 
 // NewAlias builds an alias table from non-negative weights.
 func NewAlias(weights []float64) (*Alias, error) {
-	p, err := normalize(weights)
-	if err != nil {
+	a := new(Alias)
+	if err := a.Rebuild(weights); err != nil {
 		return nil, err
 	}
-	n := len(p)
-	a := &Alias{
-		prob:  make([]float64, n),
-		alias: make([]int32, n),
-		p:     p,
+	a.scaled, a.small, a.large = nil, nil, nil
+	return a, nil
+}
+
+// Rebuild rebuilds the table in place from non-negative weights, reusing
+// its slices: the table it leaves is bit for bit the one NewAlias builds
+// from the same weights, and once a table has held as many entries, a
+// rebuild allocates nothing. On error the table is unchanged. A table
+// must not be rebuilt while another goroutine draws from it.
+func (a *Alias) Rebuild(weights []float64) error {
+	p, err := normalize(a.p, weights)
+	if err != nil {
+		return err
 	}
+	n := len(p)
+	a.p = p
+	a.prob = resize(a.prob, n)
+	a.alias = resize(a.alias, n)
 	// Vose's stable construction with explicit small/large worklists.
-	scaled := make([]float64, n)
-	small := make([]int32, 0, n)
-	large := make([]int32, 0, n)
+	scaled := resize(a.scaled, n)
+	small := resize(a.small, n)[:0]
+	large := resize(a.large, n)[:0]
 	for i, pi := range p {
 		scaled[i] = pi * float64(n)
 		if scaled[i] < 1 {
@@ -159,7 +189,8 @@ func NewAlias(weights []float64) (*Alias, error) {
 		a.prob[s] = 1
 		a.alias[s] = s
 	}
-	return a, nil
+	a.scaled, a.small, a.large = scaled, small, large
+	return nil
 }
 
 // Sample draws one index in O(1).
@@ -196,7 +227,7 @@ type CDF struct {
 
 // NewCDF builds a CDF sampler from non-negative weights.
 func NewCDF(weights []float64) (*CDF, error) {
-	p, err := normalize(weights)
+	p, err := normalize(nil, weights)
 	if err != nil {
 		return nil, err
 	}

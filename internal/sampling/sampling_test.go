@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -130,6 +131,63 @@ func TestAliasAndCDFAgreeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAliasRebuildMatchesNewAlias: a table rebuilt in place over
+// earlier tables of other sizes and skews holds bit for bit the table
+// NewAlias builds from the same weights, a failed rebuild leaves it as
+// it was, and a rebuild that fits the table's slices allocates nothing.
+func TestAliasRebuildMatchesNewAlias(t *testing.T) {
+	r := xrand.New(7)
+	weights := func(n int) []float64 {
+		w := make([]float64, n)
+		for i := range w {
+			w[i] = math.Exp(3 * r.NormFloat64())
+		}
+		if n > 1 && r.Intn(3) == 0 {
+			w[r.Intn(n)] = 0 // a zero weight is never drawn
+		}
+		return w
+	}
+	same := func(a, b *Alias) bool {
+		if len(a.prob) != len(b.prob) || len(a.p) != len(b.p) {
+			return false
+		}
+		for i := range a.prob {
+			if math.Float64bits(a.prob[i]) != math.Float64bits(b.prob[i]) ||
+				a.alias[i] != b.alias[i] || math.Float64bits(a.p[i]) != math.Float64bits(b.p[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	a, err := NewAlias(weights(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want *Alias
+	for _, n := range []int{1, 40, 3, 40, 17, 64, 64, 2} {
+		w := weights(n)
+		if want, err = NewAlias(w); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Rebuild(w); err != nil {
+			t.Fatal(err)
+		}
+		if !same(a, want) {
+			t.Fatalf("n=%d: rebuilt table differs from NewAlias", n)
+		}
+	}
+	if err := a.Rebuild([]float64{1, -1, 2}); !errors.Is(err, ErrBadWeights) {
+		t.Fatalf("Rebuild accepted bad weights: %v", err)
+	}
+	if !same(a, want) {
+		t.Fatal("a failed rebuild changed the table")
+	}
+	w := weights(64)
+	if n := testing.AllocsPerRun(10, func() { a.Rebuild(w) }); n != 0 {
+		t.Fatalf("Rebuild within capacity: %v allocs, want 0", n)
 	}
 }
 

@@ -401,7 +401,7 @@ func (p *parser) instances() bool {
 // appendPredictResponse appends exactly the bytes writeJSON(w, 200,
 // resp) writes: encoding/json's two-space indent, its number and string
 // formats, and the trailing newline. Every score must be finite, which
-// predictAtVersion guarantees.
+// Registry.Predict guarantees.
 func appendPredictResponse(b []byte, resp *PredictResponse) []byte {
 	b = append(b, "{\n  \"model\": "...)
 	b = appendQuoted(b, resp.Model)

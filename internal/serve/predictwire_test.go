@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
-	"time"
 
 	"github.com/isasgd/isasgd/internal/snapshot"
 )
@@ -231,30 +230,25 @@ func TestAppendPredictResponse(t *testing.T) {
 }
 
 // TestPredictScoreNotFinite: a score that overflows is a 400 naming the
-// instance, on the unbatched and the batched server alike, whichever
-// decoder read the body.
+// instance, whichever decoder read the body.
 func TestPredictScoreNotFinite(t *testing.T) {
-	for _, opts := range []ServerOptions{{}, {Batch: BatcherConfig{Window: 50 * time.Microsecond}}} {
-		mgr := NewManager(NewRegistry(), 1, "")
-		predictWireModel(t, mgr.Registry(), "big")
-		ts := httptest.NewServer(NewServerOpts(mgr, opts))
-		for _, tc := range []struct{ body, want string }{
-			{`{"indices":[4],"values":[1e308]}`, "instance 0: score is not finite"},
-			{`{"instances":[{"indices":[0],"values":[1]},{"indices":[4,4],"values":[1e308,1e308]}]}`,
-				"instance 1: score is not finite"},
-			{`{"indices":[4],"values":[1],"values":[2]}`, "instance 0: score is not finite"},
-		} {
-			resp, err := http.Post(ts.URL+"/v1/models/big/predict", "application/json", strings.NewReader(tc.body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), tc.want) {
-				t.Errorf("batch %v, %s: got %d %q, want 400 %q", opts.Batch.Window > 0, tc.body, resp.StatusCode, b, tc.want)
-			}
+	ts, mgr, _ := testServer(t, 1)
+	predictWireModel(t, mgr.Registry(), "big")
+	for _, tc := range []struct{ body, want string }{
+		{`{"indices":[4],"values":[1e308]}`, "instance 0: score is not finite"},
+		{`{"instances":[{"indices":[0],"values":[1]},{"indices":[4,4],"values":[1e308,1e308]}]}`,
+			"instance 1: score is not finite"},
+		{`{"indices":[4],"values":[1],"values":[2]}`, "instance 0: score is not finite"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/models/big/predict", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
 		}
-		ts.Close()
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), tc.want) {
+			t.Errorf("%s: got %d %q, want 400 %q", tc.body, resp.StatusCode, b, tc.want)
+		}
 	}
 }
 

@@ -380,7 +380,8 @@ func (p *PredictResponse) Release() {
 // pool the caller returns it to via Release. Telemetry records both the
 // request and the len(batch) instances it scored. An unknown name yields
 // an error wrapping ErrNotFound so callers can distinguish it from a bad
-// batch.
+// batch; a batch with a score that is not finite (the sum overflowed, or
+// a weight is not finite) is an error too, since JSON cannot carry it.
 func (r *Registry) Predict(name string, batch []Instance) (*PredictResponse, error) {
 	m, ok := r.load()[name]
 	if !ok {
@@ -390,18 +391,6 @@ func (r *Registry) Predict(name string, batch []Instance) (*PredictResponse, err
 	if v == nil {
 		return nil, fmt.Errorf("serve: model %q has no published version: %w", name, ErrNotFound)
 	}
-	return predictAtVersion(m, v, batch)
-}
-
-// predictAtVersion validates and scores one batch against an already
-// resolved model + version pair — the scoring core shared by the
-// unbatched path (Registry.Predict, which resolves per request) and the
-// micro-batcher (Batcher, which resolves once per coalesced flush). A
-// batch with a score that is not finite (the sum overflowed, or a weight
-// is not finite) is an error, since JSON cannot carry it. The response
-// comes from the pool and telemetry counts this batch as one request;
-// callers own the resolve discipline.
-func predictAtVersion(m *Model, v *snapshot.Version, batch []Instance) (*PredictResponse, error) {
 	for i := range batch {
 		if err := batch[i].Validate(); err != nil {
 			return nil, fmt.Errorf("serve: instance %d: %w", i, err)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -28,14 +27,6 @@ type ServerOptions struct {
 	// writes belong on the origin, replicas serve reads. Predict stays
 	// available (it is a read despite its POST method).
 	ReadOnly bool
-	// Batch enables predict micro-batching when Batch.Window > 0:
-	// concurrent predicts for one model coalesce onto a single snapshot
-	// resolve and scoring pass (see Batcher).
-	Batch BatcherConfig
-	// Admission enables per-model admission control when
-	// Admission.MaxInFlight > 0: bounded concurrency and queueing with
-	// 429 + Retry-After shedding past the bound (see Admission).
-	Admission AdmissionConfig
 	// ReplicateWindow is the server-side long-poll ceiling of
 	// GET /v1/replicate: a poll with no fresher version to report is
 	// answered (without weights) after this long. Default 25s.
@@ -53,9 +44,6 @@ type Server struct {
 	start   time.Time
 
 	readOnly   bool
-	batcher    *Batcher   // nil = unbatched predicts
-	admit      *Admission // nil = no admission control
-	retryAfter string     // precomputed Retry-After header value for sheds
 	replWindow time.Duration
 
 	// Predict latency breakdown, pre-resolved at construction so the
@@ -72,20 +60,13 @@ type Server struct {
 func NewServer(mgr *Manager) *Server { return NewServerOpts(mgr, ServerOptions{}) }
 
 // NewServerOpts is NewServer with fleet options (read-only replica
-// posture, predict micro-batching, admission control).
+// posture, replication long-poll window).
 func NewServerOpts(mgr *Manager, opts ServerOptions) *Server {
 	s := &Server{mgr: mgr, mux: http.NewServeMux(), start: time.Now()}
 	s.readOnly = opts.ReadOnly
 	s.replWindow = opts.ReplicateWindow
 	if s.replWindow <= 0 {
 		s.replWindow = 25 * time.Second
-	}
-	if opts.Batch.Window > 0 {
-		s.batcher = NewBatcher(mgr.Registry(), opts.Batch)
-	}
-	if opts.Admission.MaxInFlight > 0 {
-		s.admit = NewAdmission(mgr.Obs(), opts.Admission)
-		s.retryAfter = strconv.Itoa(s.admit.RetryAfterSeconds())
 	}
 	s.mux.HandleFunc("POST /v1/jobs", s.submitJob)
 	s.mux.HandleFunc("POST /v1/jobs/stream", s.submitStreamJob)
@@ -325,26 +306,8 @@ func (s *Server) deleteModel(w http.ResponseWriter, r *http.Request) {
 // phase timers are handler-side and cost four clock reads.
 func (s *Server) predict(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	// Admission control first, before any decode work is spent: a shed
-	// request costs the server almost nothing, which is the point —
-	// saturation degrades to fast 429s with a Retry-After hint instead
-	// of every request crawling through an unbounded queue. Unknown
-	// names bypass the gate (they 404 below without holding a slot, and
-	// name-scanning traffic cannot grow the per-model gate map).
-	if s.admit != nil {
-		if _, known := s.mgr.Registry().Get(name); known {
-			g, ok := s.admit.Admit(r.Context(), name)
-			if !ok {
-				w.Header().Set("Retry-After", s.retryAfter)
-				writeError(w, http.StatusTooManyRequests,
-					"model %q admission queue is full, retry after %ss", name, s.retryAfter)
-				return
-			}
-			defer g.Release()
-		}
-	}
-	// The scratch backs req's slices and the rendered answer; Predict,
-	// batched or not, is done with both before it returns.
+	// The scratch backs req's slices and the rendered answer; Predict is
+	// done with both before it returns.
 	sc := getPredictScratch()
 	defer putPredictScratch(sc)
 	var req PredictRequest
@@ -366,13 +329,7 @@ func (s *Server) predict(w http.ResponseWriter, r *http.Request) {
 	}
 	t2 := time.Now()
 	s.phaseResolve.ObserveDuration(t2.Sub(t1))
-	var resp *PredictResponse
-	var err error
-	if s.batcher != nil {
-		resp, err = s.batcher.Predict(name, batch)
-	} else {
-		resp, err = s.mgr.Registry().Predict(name, batch)
-	}
+	resp, err := s.mgr.Registry().Predict(name, batch)
 	t3 := time.Now()
 	switch {
 	case errors.Is(err, ErrNotFound):

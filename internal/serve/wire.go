@@ -51,9 +51,9 @@
 // process (training jobs enabled) exposes /v1/replicate, and replica
 // processes (Replicator, cmd/isasgd-serve -origin) long-poll it, mirror
 // every published model into their own registries and serve the read
-// traffic — see replicate.go. Predict handling can additionally coalesce
-// concurrent requests per model (Batcher) and shed load past a bounded
-// per-model admission queue (Admission) — see ServerOptions.
+// traffic — see replicate.go. Every predict, on the origin or a
+// replica, takes one path: Server.predict decodes the body and
+// Registry.Predict scores it against one resolved version.
 package serve
 
 import (

@@ -53,7 +53,7 @@ func TestPrecisionPromotesModelKind(t *testing.T) {
 	}{
 		{"asgd-atomic32", Config{Algo: ASGD, ModelKind: model.KindAtomic, Precision: "f32"}},
 		{"sgd-racy32", Config{Algo: SGD, Precision: "F32"}}, // case-insensitive
-		{"isasgd-explicit-blocked", Config{Algo: ISASGD, ModelKind: model.KindRacy32Blocked}},
+		{"isasgd-explicit-racy32", Config{Algo: ISASGD, ModelKind: model.KindRacy32}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg

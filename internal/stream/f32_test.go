@@ -55,35 +55,6 @@ func TestTrainerF32MatchesF64(t *testing.T) {
 	}
 }
 
-// TestTrainerBlockedKindFallsBackFlat pins the documented downgrade:
-// the feature-blocked layout needs the batch engine's one-time CSR
-// remap, so a streaming trainer asked for it must run on the flat
-// float32 model instead — and still train.
-func TestTrainerBlockedKindFallsBackFlat(t *testing.T) {
-	cfg := streamConfig(32, false)
-	cfg.Workers = 1
-	cfg.ModelKind = model.KindRacy32Blocked
-	tr, err := NewTrainer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, ok := tr.Model().(*model.Racy32)
-	if !ok {
-		t.Fatalf("model is %T, want *model.Racy32", tr.Model())
-	}
-	if m.Blocked() {
-		t.Fatal("streaming trainer kept the blocked layout; want flat fallback")
-	}
-	corpus := makeSkewedCorpus(256, 32, 0.5, 3, 3)
-	res, err := tr.Run(context.Background(), NewReader(strings.NewReader(corpus), "blk", 64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Updates == 0 {
-		t.Fatal("no updates applied")
-	}
-}
-
 // TestTrainerF32StampsSnapshotDType: an f32 streaming trainer must
 // declare its storage precision on the snapshot store at construction
 // (before any block is published); f64 trainers leave the default.

@@ -85,10 +85,8 @@ type Config struct {
 	// Precision selects the training data-path width: model.PrecisionF64
 	// (the default; "" means f64) or model.PrecisionF32, which promotes
 	// ModelKind to its float32 counterpart and streams half-width weights
-	// and features through the f32 kernels. The feature-blocked layout
-	// (KindRacy32Blocked) requires the batch engine's one-time CSR remap
-	// and silently falls back to flat KindRacy32 here — the window keeps
-	// logical indices. Window evaluation and Snapshot stay float64.
+	// and features through the f32 kernels. Window evaluation and
+	// Snapshot stay float64.
 	Precision string
 
 	Seed uint64
@@ -335,12 +333,6 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 	}
 	if prec == model.PrecisionF32 {
 		cfg.ModelKind = cfg.ModelKind.As32()
-	}
-	if cfg.ModelKind == model.KindRacy32Blocked {
-		// The blocked scatter needs a one-time remap of every row's
-		// indices (the batch engine bakes it into its CSR); the window's
-		// arena keeps logical indices, so run flat.
-		cfg.ModelKind = model.KindRacy32
 	}
 	pol := adaptive.Policy{AdaptC: cfg.AdaptC, StalenessBound: cfg.StalenessBound}
 	if cfg.StalenessBound < 0 {

@@ -102,9 +102,6 @@ const (
 	ModelAtomic32 = model.KindAtomic32
 	// ModelRacy32 is ModelRacy at float32 width — half the memory traffic.
 	ModelRacy32 = model.KindRacy32
-	// ModelRacy32Blocked is ModelRacy32 with the cache-line-scattered
-	// weight layout that cuts Hogwild false sharing.
-	ModelRacy32Blocked = model.KindRacy32Blocked
 )
 
 // Precision values (Config.Precision): PrecisionF64 trains on float64

@@ -3,8 +3,8 @@
 #
 #   1. tier-1: go build ./... && go vet ./... && go test ./...; the test
 #      binaries of core, solver, metrics, cluster, serve, stream, frame
-#      and the serve, cluster, train and loadgen commands also fail when
-#      their tests leave goroutines running (internal/leakcheck is their
+#      and the serve, cluster and train commands also fail when their
+#      tests leave goroutines running (internal/leakcheck is their
 #      TestMain)
 #   2. go test -race over the concurrency-critical packages (RACE_PKGS;
 #      CI runs this script, so the list lives only here)

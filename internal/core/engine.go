@@ -32,6 +32,18 @@
 // the streaming trainer (internal/stream) turns each worker's block
 // draws into the same (rows, sequence, scales) triple over its window's
 // CSR and runs it through the same Loop.Run.
+//
+// RunEpochDelayed runs the same update on a deterministic delayed
+// executor, the perturbed-iterate model of the paper's Section 3 (Mania
+// et al. 2017): the workers take turns on the calling goroutine, one
+// position each per round, and each update's write waits in a ring of τ
+// pending writes, so its gradient is read exactly τ writes before it is
+// applied. It uses the bound kernel in either precision, the one model
+// vector and the loop's clock, policy, histograms and |ℓ'| record, and
+// allocates nothing per epoch once its ring exists. P threads racing in
+// lockstep are P workers at τ = P − 1; unlike threads, two runs at a seed
+// are bitwise equal, which is what the ψ and τ sweeps of
+// internal/experiments need. No product path runs it.
 package core
 
 import (
@@ -385,6 +397,33 @@ func (e *Engine) RunEpoch(step float64) int64 {
 		}(t)
 	}
 	wg.Wait()
+	return e.finishEpoch()
+}
+
+// RunEpochDelayed performs one epoch on the deterministic delayed
+// executor instead of on goroutines: the Threads() workers run their
+// sequences round-robin on the calling goroutine, and every update's
+// gradient is read tau writes before it is applied (see runDelayed).
+// The sequence refresh, the counters and publication are RunEpoch's.
+// Two engines built alike give bitwise-equal runs at any tau, and at
+// tau = 0 a 1-worker engine runs exactly RunEpoch's updates. P threads
+// racing in lockstep correspond to P workers at tau = P − 1. It returns
+// the number of updates the epoch performed.
+func (e *Engine) RunEpochDelayed(step float64, tau int) int64 {
+	if tau < 0 {
+		panic(fmt.Sprintf("core: negative delay %d", tau))
+	}
+	if e.loop.pol.DCLambda > 0 {
+		e.refreshDCBase()
+	}
+	if l := &e.loop; l.kern32 != nil {
+		runDelayed(l, &e.x, e.x.Val32, l.kern32, e.shards, e.seqs, e.scales, step, e.grads, tau)
+	} else {
+		runDelayed[float64](l, &e.x, e.x.Val, l.kern, e.shards, e.seqs, e.scales, step, e.grads, tau)
+	}
+	for t := range e.shards {
+		e.endOfEpoch(t)
+	}
 	return e.finishEpoch()
 }
 

@@ -55,6 +55,10 @@ type Loop struct {
 	// touched ahead of use, so the compiler cannot drop those loads as
 	// dead. Nothing reads it.
 	touched atomic.Uint64
+
+	// ring holds the delayed executor's pending writes (runDelayed); it
+	// grows to the largest τ asked for and is reused after that.
+	ring []pending
 }
 
 // Bind selects the devirtualized kernel for m once: the model's
@@ -235,4 +239,93 @@ func runRows[V float32 | float64](l *Loop, w int, x *Rows, vals []V, k kernel.Op
 		l.instr.ShedDone(shed)
 	}
 	return shed
+}
+
+// pending is one update the delayed executor has read but not yet
+// written: worker w's row, the derivative g and step s read off the
+// model, and the clock when it was read.
+type pending struct {
+	w, row int
+	g, s   float64
+	begin  int64
+}
+
+// runDelayed is the deterministic delayed executor, the perturbed-iterate
+// model run by the real update loop: every worker's sequence (rows,
+// seqs and scales indexed by worker, as runRows takes one) runs on the
+// calling goroutine, round-robin, one position per worker per round. The
+// read phase is k.Dot then obj.Deriv on the one model vector; the result
+// joins a ring of the tau pending writes before it, and the write phase
+// applies the oldest one after each read. So, once tau updates are
+// pending, every update's gradient is read exactly tau writes before it
+// is applied; the ring drains at the end, the barrier of a threaded
+// epoch.
+//
+// The write phase ticks the clock, so the staleness it measures is the
+// injected delay (0, 1, …, tau−1 while the ring fills, tau after), and
+// the policy, the τ histograms, the DC base and the |ℓ'| record act on it
+// exactly as in runRows' probing body. A shed write ticks too: it keeps
+// its slot in the schedule, so the delay every later write reads is
+// still the injected one. At tau = 0 with one worker the arithmetic is
+// runRows' (Step is Update of Deriv of Dot), bit for bit.
+func runDelayed[V float32 | float64](l *Loop, x *Rows, vals []V, k kernel.Ops[V],
+	rows [][]int, seqs [][]int32, scales [][]float64, step float64, grads []float32, tau int) {
+	if cap(l.ring) <= tau {
+		l.ring = make([]pending, tau+1)
+	}
+	var (
+		ring     = l.ring[:tau+1]
+		ptr, idx = x.IndPtr, x.Idx
+		ck       = &l.ck
+		pol      = l.pol
+		rounds   int
+		reads    int
+		shed     int64
+	)
+	write := func(p pending) {
+		tau := ck.Now() - p.begin
+		ck.Tick()
+		if pol.Shed(tau) {
+			shed++
+			return
+		}
+		lo, hi := ptr[p.row], ptr[p.row+1]
+		k.UpdateDC(idx[lo:hi], vals[lo:hi], p.g, p.s*pol.Scale(tau), pol.DCLambda, l.dcBase)
+		if l.staleH != nil {
+			l.staleH[p.w].Observe(tau)
+		}
+		if grads != nil {
+			grads[p.row] = float32(math.Abs(p.g))
+		}
+	}
+	for _, wr := range rows {
+		rounds = max(rounds, len(wr))
+	}
+	for r := range rounds {
+		for w, wr := range rows {
+			if r >= len(wr) {
+				continue
+			}
+			pos := int(seqs[w][r])
+			i := wr[pos]
+			lo, hi := ptr[i], ptr[i+1]
+			p := pending{w: w, row: i, s: step, begin: ck.Now()}
+			if scales != nil {
+				p.s *= scales[w][pos]
+			}
+			p.g = l.obj.Deriv(k.Dot(idx[lo:hi], vals[lo:hi]), x.Y[i])
+			ring[reads%len(ring)] = p
+			if reads >= tau {
+				write(ring[(reads-tau)%len(ring)])
+			}
+			reads++
+		}
+	}
+	for j := max(reads-tau, 0); j < reads; j++ {
+		write(ring[j%len(ring)])
+	}
+	if shed > 0 {
+		l.shed.Add(shed)
+		l.instr.ShedDone(shed)
+	}
 }

@@ -22,11 +22,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
 
+	"github.com/isasgd/isasgd/internal/core"
 	"github.com/isasgd/isasgd/internal/dataset"
+	"github.com/isasgd/isasgd/internal/metrics"
 	"github.com/isasgd/isasgd/internal/objective"
 )
 
@@ -164,4 +167,30 @@ func (r *Runner) section(title string) {
 
 func fmtDur(d time.Duration) string {
 	return fmt.Sprintf("%.3fs", d.Seconds())
+}
+
+// delayedEvalWorkers is the evaluation's worker count on the delayed
+// executor's curves. It is fixed, not GOMAXPROCS, because it sets the
+// order the loss sum is added in, and the reports built on those curves
+// are to repeat bit for bit on any machine.
+const delayedEvalWorkers = 4
+
+// delayedCurve runs epochs of e on the delayed executor at delay tau
+// and records the model's evaluation before the first epoch and after
+// each one: the iterative axis of a convergence curve (Wall stays 0).
+func delayedCurve(ctx context.Context, d *dataset.Dataset, obj objective.Objective, e *core.Engine,
+	epochs int, step float64, tau int) (metrics.Curve, error) {
+	rec := metrics.NewRecorder()
+	w := e.Snapshot(nil)
+	rec.Add(0, 0, 0, metrics.Evaluate(d, obj, w, delayedEvalWorkers))
+	var iters int64
+	for epoch := 1; epoch <= epochs; epoch++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		iters += e.RunEpochDelayed(step, tau)
+		w = e.Snapshot(w)
+		rec.Add(epoch, iters, 0, metrics.Evaluate(d, obj, w, delayedEvalWorkers))
+	}
+	return rec.Curve(), nil
 }

@@ -388,3 +388,22 @@ func TestRunKeyString(t *testing.T) {
 		t.Fatal("async key format")
 	}
 }
+
+// TestSweepsRepeat runs the ψ and τ sweeps twice at one seed: both run
+// on the delayed executor, so the two reports must be byte-identical.
+func TestSweepsRepeat(t *testing.T) {
+	report := func() string {
+		var buf bytes.Buffer
+		r := tiny(&buf)
+		if _, err := r.PsiSweep(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.TauSweep(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	if a, b := report(), report(); a != b {
+		t.Fatalf("reports differ:\n%s\n---\n%s", a, b)
+	}
+}

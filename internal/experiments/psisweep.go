@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/isasgd/isasgd/internal/balance"
+	"github.com/isasgd/isasgd/internal/core"
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/metrics"
+	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/objective"
 	"github.com/isasgd/isasgd/internal/plot"
-	"github.com/isasgd/isasgd/internal/solver"
 )
 
 // PsiRow is one ψ level of the sweep.
@@ -34,11 +36,15 @@ type PsiSweepResult struct {
 // [0.877, 0.972], where the predicted gain is ≤ 12%; this sweep extends
 // the axis to ψ ≈ 0.1, where importance weighting should dominate.
 // The comparison is on the iterative axis (epochs to reach common error
-// levels), which is insensitive to machine timing noise.
+// levels). Each arm runs on the delayed executor
+// (core.Engine.RunEpochDelayed) instead of on threads: the scale's
+// largest thread count P becomes P workers whose updates each read the
+// model τ = P − 1 writes before they are applied, so the table repeats
+// bit for bit at a seed.
 func (r *Runner) PsiSweep(ctx context.Context) (*PsiSweepResult, error) {
 	r.section("ψ sweep: IS-ASGD iterative gain vs spectrum skew (Eq. 15)")
 	obj := r.Objective()
-	tau := r.Scale.Threads[len(r.Scale.Threads)-1]
+	threads := r.Scale.Threads[len(r.Scale.Threads)-1]
 	res := &PsiSweepResult{}
 	var rows [][]string
 	for _, psi := range []float64{0.97, 0.9, 0.6, 0.3, 0.1} {
@@ -55,21 +61,27 @@ func (r *Runner) PsiSweep(ctx context.Context) (*PsiSweepResult, error) {
 		st := dataset.ComputeStats(d, l)
 
 		epochs := r.epochsFor("kddas")
-		run := func(algo solver.Algo, importance string, pb bool) (metrics.Curve, error) {
-			out, err := solver.Train(ctx, d, obj, solver.Config{
-				Algo: algo, Epochs: epochs, Step: 0.5, Threads: tau,
-				Seed: r.Seed + 41, Importance: importance, PartialBias: pb,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: ψ sweep %s %v: %w", cfg.Name, algo, err)
+		// importance "" is the uniform ASGD arm.
+		run := func(importance string, pb bool) (metrics.Curve, error) {
+			m := model.NewRacy(d.Dim())
+			var e *core.Engine
+			if importance == "" {
+				e, err = core.NewASGD(d, obj, m, threads, r.Seed+41)
+			} else {
+				e, err = core.NewISASGDOpts(d, obj, m, threads, core.ISOptions{
+					Mode: balance.Auto, Seed: r.Seed + 41, Importance: importance, PartialBias: pb,
+				})
 			}
-			return out.Curve, nil
+			if err != nil {
+				return nil, fmt.Errorf("experiments: ψ sweep %s %q: %w", cfg.Name, importance, err)
+			}
+			return delayedCurve(ctx, d, obj, e, epochs, 0.5, threads-1)
 		}
-		asgd, err := run(solver.ASGD, "", false)
+		asgd, err := run("", false)
 		if err != nil {
 			return nil, err
 		}
-		is, err := run(solver.ISASGD, "bound", false)
+		is, err := run("bound", false)
 		if err != nil {
 			return nil, err
 		}
@@ -77,7 +89,7 @@ func (r *Runner) PsiSweep(ctx context.Context) (*PsiSweepResult, error) {
 		// whose recorded gradient vanished would otherwise park near
 		// probability 0, where the 1/(n·p_i) correction explodes the step.
 		// The first epoch, which samples the static bound, is mixed too.
-		adaptive, err := run(solver.ISASGD, "grad", true)
+		adaptive, err := run("grad", true)
 		if err != nil {
 			return nil, err
 		}
@@ -124,13 +136,12 @@ func (r *Runner) PsiSweep(ctx context.Context) (*PsiSweepResult, error) {
 		[]string{"target ψ", "measured ψ", "static IS speedup", "adaptive IS speedup", "ASGD err", "static-IS err", "adaptive-IS err"},
 		rows,
 	))
-	r.printf("Eq. 15 predicts the static-IS gain grows as ψ falls. In this\n")
-	r.printf("generator large-norm rows also have large margins (easy samples),\n")
-	r.printf("so static Lipschitz weights over-sample already-solved points at\n")
-	r.printf("high skew. Adaptive Eq.-11 weights, the gradient norms each epoch's\n")
-	r.printf("updates record (mixed with uniform so 1/(n·p_i) ≤ 2), correct it,\n")
-	r.printf("and their advantage grows as ψ falls; pure norm-matched problems\n")
-	r.printf("(examples/kaczmarz) show the full static-IS gain because there L_i\n")
-	r.printf("IS the gradient norm.\n")
+	r.printf("Each arm runs %d workers on the delayed executor (τ = %d), so the\n", threads, threads-1)
+	r.printf("table repeats bit for bit at a seed. Eq. 15 predicts the static-IS\n")
+	r.printf("gain grows as ψ falls. In this generator large-norm rows also have\n")
+	r.printf("large margins (easy samples), so static Lipschitz weights\n")
+	r.printf("over-sample already-solved points, more so at high skew. Adaptive\n")
+	r.printf("Eq.-11 weights, the gradient norms each epoch's updates record\n")
+	r.printf("(mixed with uniform so 1/(n·p_i) ≤ 2), correct for that.\n")
 	return res, nil
 }

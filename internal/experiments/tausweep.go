@@ -5,11 +5,11 @@ import (
 	"fmt"
 
 	"github.com/isasgd/isasgd/internal/conflict"
+	"github.com/isasgd/isasgd/internal/core"
 	"github.com/isasgd/isasgd/internal/dataset"
-	"github.com/isasgd/isasgd/internal/metrics"
+	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/objective"
 	"github.com/isasgd/isasgd/internal/plot"
-	"github.com/isasgd/isasgd/internal/staleness"
 	"github.com/isasgd/isasgd/internal/xrand"
 )
 
@@ -28,12 +28,18 @@ type TauSweepResult struct {
 	Rows     []TauRow
 }
 
-// TauSweep measures convergence as an exact function of the delay τ
-// using the perturbed-iterate simulator — the quantity real Hogwild runs
-// only realize implicitly through thread count. Physical machines cap τ
-// near the core count; the simulator extends the axis by orders of
-// magnitude, exposing where the asynchrony noise term δ of Eq. 25 stops
-// being an order-wise constant, to compare against the Eq.-27 bound.
+// TauSweep measures convergence as an exact function of the delay τ:
+// each row is a 1-worker SGD or IS-SGD engine run on the delayed
+// executor (core.Engine.RunEpochDelayed), the real update loop with
+// every gradient read τ writes before it is applied — the quantity real
+// Hogwild runs only realize implicitly through thread count. Physical
+// machines cap τ near the core count; the executor extends the axis by
+// orders of magnitude, exposing where the asynchrony noise term δ of
+// Eq. 25 stops being an order-wise constant, to compare against the
+// Eq.-27 bound. The delay holds from the τ-th update of an epoch on (the
+// epoch barrier drains the pending writes), so a τ at or past the
+// epoch's n updates reads every gradient of an epoch at its start. The
+// runs are sequential, so the table repeats bit for bit at a seed.
 func (r *Runner) TauSweep(ctx context.Context) (*TauSweepResult, error) {
 	r.section("τ sweep: convergence vs exact staleness (Sec. 3, Eq. 27)")
 	cfg := dataset.News20Like(r.Scale.DataScale*0.5, r.Seed+50)
@@ -66,15 +72,21 @@ func (r *Runner) TauSweep(ctx context.Context) (*TauSweepResult, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			sim, err := staleness.New(d, obj, tau, importance, r.Seed+52)
+			m := model.NewRacy(d.Dim())
+			var e *core.Engine
+			if importance {
+				e, err = core.NewISSGD(d, obj, m, r.Seed+52, false)
+			} else {
+				e, err = core.NewSGD(d, obj, m, r.Seed+52)
+			}
 			if err != nil {
 				return nil, err
 			}
-			for e := 0; e < epochs; e++ {
-				sim.RunEpoch(stepFor("news20s"))
+			c, err := delayedCurve(ctx, d, obj, e, epochs, stepFor("news20s"), tau)
+			if err != nil {
+				return nil, err
 			}
-			sim.Flush()
-			ev := metrics.Evaluate(d, obj, sim.Weights(), 0)
+			ev := c.Final()
 			row := TauRow{
 				Tau: tau, FinalObj: ev.Obj, FinalErr: ev.ErrRate,
 				InEq27: params.SpeedupRegion(tau), Importance: importance,

@@ -17,8 +17,8 @@
 //   - Exposition is correct for scrapers: every family carries # HELP
 //     and # TYPE lines, label values are escaped, families and series
 //     are emitted in deterministic sorted order, and the Content-Type
-//     advertises text format 0.0.4. Lint parses an exposition and is
-//     used by the e2e tests as a scrape-cleanliness gate.
+//     advertises text format 0.0.4. obstest.Lint parses an exposition
+//     and is the tests' scrape-cleanliness gate.
 //   - Latency families reuse internal/metrics.Histogram (fixed
 //     log2-bucket, atomic, mergeable) so per-model histograms merge
 //     exactly across replicas; obs adds only unit scaling (raw int64

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/isasgd/isasgd/internal/obs/obstest"
 )
 
 func TestWorkerStalenessGrowsAndIsStable(t *testing.T) {
@@ -67,7 +69,7 @@ func TestISStatsAndRebuild(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", fam, out)
 		}
 	}
-	if err := Lint(strings.NewReader(out)); err != nil {
+	if err := obstest.Lint(strings.NewReader(out)); err != nil {
 		t.Errorf("Lint: %v", err)
 	}
 }

@@ -1,11 +1,22 @@
-package obs
+// Package obstest holds what the tests of the telemetry layer share:
+// Lint, a format check of the Prometheus text exposition that
+// obs.Registry writes. Only tests import it.
+package obstest
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"regexp"
 	"strconv"
 	"strings"
+)
+
+// The exposition format's metric and label name rules, checked
+// independently of the registry's own validation.
+var (
+	metricName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	labelName  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
 )
 
 // Lint parses a Prometheus text exposition and returns the first format
@@ -57,7 +68,7 @@ func lintComment(text string, typed map[string]string, helped map[string]bool) e
 	}
 	switch fields[1] {
 	case "HELP":
-		if !validMetricName(fields[2]) {
+		if !metricName.MatchString(fields[2]) {
 			return fmt.Errorf("HELP for invalid metric name %q", fields[2])
 		}
 		helped[fields[2]] = true
@@ -66,7 +77,7 @@ func lintComment(text string, typed map[string]string, helped map[string]bool) e
 			return fmt.Errorf("TYPE line %q missing type", text)
 		}
 		name, typ := fields[2], fields[3]
-		if !validMetricName(name) {
+		if !metricName.MatchString(name) {
 			return fmt.Errorf("TYPE for invalid metric name %q", name)
 		}
 		switch typ {
@@ -123,7 +134,7 @@ func splitName(text string) (name, rest string, err error) {
 		return "", "", fmt.Errorf("malformed sample %q", text)
 	}
 	name = text[:i]
-	if !validMetricName(name) {
+	if !metricName.MatchString(name) {
 		return "", "", fmt.Errorf("invalid metric name %q", name)
 	}
 	return name, text[i:], nil
@@ -157,7 +168,7 @@ func lintLabels(s string) (rest string, err error) {
 			return "", fmt.Errorf("label block missing '='")
 		}
 		lname := s[:eq]
-		if lname != "quantile" && lname != "le" && !validLabelName(lname) {
+		if lname != "quantile" && lname != "le" && !labelName.MatchString(lname) {
 			return "", fmt.Errorf("invalid label name %q", lname)
 		}
 		s = s[eq+1:]

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/isasgd/isasgd/internal/obs/obstest"
 )
 
 func exposition(t *testing.T, r *Registry) string {
@@ -40,7 +42,7 @@ func TestCounterGaugeExposition(t *testing.T) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)
 		}
 	}
-	if err := Lint(strings.NewReader(out)); err != nil {
+	if err := obstest.Lint(strings.NewReader(out)); err != nil {
 		t.Errorf("Lint: %v", err)
 	}
 	// Families are sorted by name: test_gauge before test_total.
@@ -68,7 +70,7 @@ func TestSummaryExposition(t *testing.T) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)
 		}
 	}
-	if err := Lint(strings.NewReader(out)); err != nil {
+	if err := obstest.Lint(strings.NewReader(out)); err != nil {
 		t.Errorf("Lint: %v", err)
 	}
 	if got := h.Count(); got != 100 {
@@ -87,7 +89,7 @@ func TestLabelEscaping(t *testing.T) {
 	if !strings.Contains(out, want) {
 		t.Fatalf("escaped series %q missing in:\n%s", want, out)
 	}
-	if err := Lint(strings.NewReader(out)); err != nil {
+	if err := obstest.Lint(strings.NewReader(out)); err != nil {
 		t.Errorf("Lint: %v", err)
 	}
 }
@@ -99,7 +101,7 @@ func TestHelpEscaping(t *testing.T) {
 	if !strings.Contains(out, `# HELP multi line one\nline two \\ backslash`+"\n") {
 		t.Fatalf("HELP not escaped:\n%s", out)
 	}
-	if err := Lint(strings.NewReader(out)); err != nil {
+	if err := obstest.Lint(strings.NewReader(out)); err != nil {
 		t.Errorf("Lint: %v", err)
 	}
 }
@@ -142,7 +144,7 @@ func TestCollectReplaceAndSorting(t *testing.T) {
 	if di < 0 || ri < 0 || di > ri {
 		t.Errorf("collect samples missing or unsorted:\n%s", out)
 	}
-	if err := Lint(strings.NewReader(out)); err != nil {
+	if err := obstest.Lint(strings.NewReader(out)); err != nil {
 		t.Errorf("Lint: %v", err)
 	}
 }
@@ -155,7 +157,7 @@ func TestHandlerContentType(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("Content-Type = %q, want text/plain; version=0.0.4", ct)
 	}
-	if err := Lint(strings.NewReader(rec.Body.String())); err != nil {
+	if err := obstest.Lint(strings.NewReader(rec.Body.String())); err != nil {
 		t.Errorf("Lint: %v", err)
 	}
 }
@@ -212,7 +214,7 @@ func TestConcurrentRegisterObserveExpose(t *testing.T) {
 					t.Errorf("WriteText: %v", err)
 					return
 				}
-				if err := Lint(strings.NewReader(sb.String())); err != nil {
+				if err := obstest.Lint(strings.NewReader(sb.String())); err != nil {
 					t.Errorf("Lint mid-registration: %v", err)
 					return
 				}
@@ -244,7 +246,7 @@ func TestLintRejectsMalformed(t *testing.T) {
 		"trailing field": "# HELP a h\n# TYPE a gauge\na 1 2 3\n",
 	}
 	for name, in := range cases {
-		if err := Lint(strings.NewReader(in)); err == nil {
+		if err := obstest.Lint(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: Lint accepted %q", name, in)
 		}
 	}
@@ -253,7 +255,7 @@ func TestLintRejectsMalformed(t *testing.T) {
 func TestLintAcceptsSummaryChildren(t *testing.T) {
 	in := "# HELP s h\n# TYPE s summary\n" +
 		`s{quantile="0.5"} 1` + "\ns_sum 2\ns_count 3\n"
-	if err := Lint(strings.NewReader(in)); err != nil {
+	if err := obstest.Lint(strings.NewReader(in)); err != nil {
 		t.Errorf("Lint: %v", err)
 	}
 }
@@ -282,7 +284,7 @@ func TestRuntimeGauges(t *testing.T) {
 			t.Errorf("runtime family %q missing in:\n%s", fam, out)
 		}
 	}
-	if err := Lint(strings.NewReader(out)); err != nil {
+	if err := obstest.Lint(strings.NewReader(out)); err != nil {
 		t.Errorf("Lint: %v", err)
 	}
 }

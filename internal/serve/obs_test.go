@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/isasgd/isasgd/internal/obs"
+	"github.com/isasgd/isasgd/internal/obs/obstest"
 )
 
 // scrape fetches /metrics once and returns the exposition body.
@@ -61,7 +62,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 
 	body := scrape(t, ts.URL)
-	if err := obs.Lint(strings.NewReader(body)); err != nil {
+	if err := obstest.Lint(strings.NewReader(body)); err != nil {
 		t.Fatalf("exposition does not lint: %v", err)
 	}
 

@@ -371,26 +371,43 @@ func (p *PredictResponse) Release() {
 	predictResponses.Put(p)
 }
 
-// Predict validates and scores a batch against the named model. The
-// whole request runs lock-free and, on the steady state, allocation-free:
-// one atomic load resolves the model map, one more resolves the weight
-// version the entire batch is scored against (so a batch is always
-// internally consistent, even while the model hot-advances), the batch
-// is validated before any buffer is taken, and the response comes from a
-// pool the caller returns it to via Release. Telemetry records both the
-// request and the len(batch) instances it scored. An unknown name yields
-// an error wrapping ErrNotFound so callers can distinguish it from a bad
-// batch; a batch with a score that is not finite (the sum overflowed, or
-// a weight is not finite) is an error too, since JSON cannot carry it.
+// Predict validates and scores a batch against the named model: resolve
+// then score. The whole request runs lock-free and, on the steady state,
+// allocation-free: one atomic load resolves the model map, one more
+// resolves the weight version the entire batch is scored against (so a
+// batch is always internally consistent, even while the model
+// hot-advances), the batch is validated before any buffer is taken, and
+// the response comes from a pool the caller returns it to via Release.
+// Telemetry records both the request and the len(batch) instances it
+// scored. An unknown name yields an error wrapping ErrNotFound so callers
+// can distinguish it from a bad batch; a batch with a score that is not
+// finite (the sum overflowed, or a weight is not finite) is an error too,
+// since JSON cannot carry it.
 func (r *Registry) Predict(name string, batch []Instance) (*PredictResponse, error) {
+	m, v, err := r.resolve(name)
+	if err != nil {
+		return nil, err
+	}
+	return m.score(v, batch)
+}
+
+// resolve is Predict's first phase: the model under name and the weight
+// version its batch is scored against. Errors wrap ErrNotFound.
+func (r *Registry) resolve(name string) (*Model, *snapshot.Version, error) {
 	m, ok := r.load()[name]
 	if !ok {
-		return nil, fmt.Errorf("serve: model %q: %w", name, ErrNotFound)
+		return nil, nil, fmt.Errorf("serve: model %q: %w", name, ErrNotFound)
 	}
 	v := m.Store.Load()
 	if v == nil {
-		return nil, fmt.Errorf("serve: model %q has no published version: %w", name, ErrNotFound)
+		return nil, nil, fmt.Errorf("serve: model %q has no published version: %w", name, ErrNotFound)
 	}
+	return m, v, nil
+}
+
+// score is Predict's second phase: validate batch and score it against
+// version v of m.
+func (m *Model) score(v *snapshot.Version, batch []Instance) (*PredictResponse, error) {
 	for i := range batch {
 		if err := batch[i].Validate(); err != nil {
 			return nil, fmt.Errorf("serve: instance %d: %w", i, err)
@@ -417,14 +434,4 @@ func (r *Registry) Predict(name string, batch []Instance) (*PredictResponse, err
 	m.requests.Add(1)
 	m.preds.Add(int64(len(batch)))
 	return resp, nil
-}
-
-// ObserveLatency records one served predict latency against the named
-// model's histogram (no-op for unknown names). It lives on the registry
-// so the HTTP layer can stamp end-to-end handler time without holding a
-// model reference across the request.
-func (r *Registry) ObserveLatency(name string, d time.Duration) {
-	if m, ok := r.load()[name]; ok && m.lat != nil {
-		m.lat.ObserveDuration(d)
-	}
 }

@@ -301,9 +301,10 @@ func (s *Server) deleteModel(w http.ResponseWriter, r *http.Request) {
 // into isasgd_predict_phase_seconds: decode (body read and parse, see
 // decodePredict), resolve (the model-map and snapshot-version loads the
 // batch is answered from), score (validation + the dot products),
-// encode (appendPredictResponse and the write). The
-// scoring core (Registry.Predict) itself stays allocation-free; the
-// phase timers are handler-side and cost four clock reads.
+// encode (appendPredictResponse and the write). It runs Registry.Predict's
+// two phases itself, so each is timed around the one call that does it.
+// The scoring core stays allocation-free; the phase timers are
+// handler-side and cost four clock reads.
 func (s *Server) predict(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	// The scratch backs req's slices and the rendered answer; Predict is
@@ -322,30 +323,27 @@ func (s *Server) predict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "provide instances or indices/values")
 		return
 	}
-	// Resolve phase: the same two atomic loads Predict performs — timed
-	// here so the breakdown separates snapshot resolution from scoring.
-	if m, ok := s.mgr.Registry().Get(name); ok {
-		_ = m.Version()
-	}
+	m, v, err := s.mgr.Registry().resolve(name)
 	t2 := time.Now()
 	s.phaseResolve.ObserveDuration(t2.Sub(t1))
-	resp, err := s.mgr.Registry().Predict(name, batch)
-	t3 := time.Now()
-	switch {
-	case errors.Is(err, ErrNotFound):
+	if err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
-	case err != nil:
-		writeError(w, http.StatusBadRequest, "%v", err)
-	default:
-		s.phaseScore.ObserveDuration(t3.Sub(t2))
-		s.mgr.Registry().ObserveLatency(name, t3.Sub(t1))
-		sc.out = appendPredictResponse(sc.out[:0], resp)
-		resp.Release()
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(sc.out) //nolint:errcheck // the client is gone; nothing to answer
-		s.phaseEncode.ObserveDuration(time.Since(t3))
+		return
 	}
+	resp, err := m.score(v, batch)
+	t3 := time.Now()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	s.phaseScore.ObserveDuration(t3.Sub(t2))
+	m.lat.ObserveDuration(t3.Sub(t1))
+	sc.out = appendPredictResponse(sc.out[:0], resp)
+	resp.Release()
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(sc.out) //nolint:errcheck // the client is gone; nothing to answer
+	s.phaseEncode.ObserveDuration(time.Since(t3))
 }
 
 func (s *Server) exportModel(w http.ResponseWriter, r *http.Request) {

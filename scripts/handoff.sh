@@ -25,7 +25,7 @@ cd "$(dirname "$0")/.."
 RACE_PKGS=(
 	./internal/serve/ ./cmd/isasgd-serve/ ./internal/stream/ ./internal/core/
 	./internal/model/ ./internal/kernel/ ./internal/snapshot/ ./internal/obs/
-	./internal/cluster/ ./internal/httpx/ ./internal/staleness/
+	./internal/cluster/ ./internal/httpx/
 	./internal/adaptive/ ./internal/dataset/ ./internal/solver/
 	./internal/frame/
 )

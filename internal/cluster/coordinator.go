@@ -230,7 +230,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	var v *snapshot.Version
 	var err error
 	if cfg.InitSeq > 0 {
-		v, err = c.store.Restore(cfg.InitSeq, cfg.InitEpoch, cfg.InitIters, c.w)
+		// Restore keeps the slice it is given, and c.w goes on changing.
+		v, err = c.store.Restore(cfg.InitSeq, cfg.InitEpoch, cfg.InitIters, append([]float64(nil), c.w...))
 		if err != nil {
 			return nil, err
 		}

@@ -332,19 +332,27 @@ func TestTauSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 14 { // 7 delays × {uniform, IS}
-		t.Fatalf("rows = %d", len(res.Rows))
+	// Every delay is below n (larger ones are all the τ = n schedule),
+	// ascending and swept once per arm: at n = 200 that is 0, 4, 16, 64
+	// and 100, for uniform and then IS.
+	if res.N != 200 || len(res.Rows) != 10 {
+		t.Fatalf("n = %d, rows = %d; want 200 and 5 delays × {uniform, IS}", res.N, len(res.Rows))
 	}
 	if res.TauBound <= 0 {
 		t.Fatalf("τ bound = %g", res.TauBound)
 	}
-	for _, row := range res.Rows {
-		if row.FinalObj <= 0 {
+	for i, row := range res.Rows {
+		if row.FinalObj <= 0 || row.FinalLoss <= 0 || row.FinalLoss > row.FinalObj {
 			t.Fatalf("row not populated: %+v", row)
 		}
+		if row.Tau >= res.N || row.Importance != (i >= 5) || (i%5 > 0 && row.Tau <= res.Rows[i-1].Tau) {
+			t.Fatalf("row %d: τ %d (importance %v) out of order", i, row.Tau, row.Importance)
+		}
 	}
-	if !strings.Contains(buf.String(), "τ sweep") {
-		t.Fatal("report missing")
+	for _, want := range []string{"τ sweep", "final loss", "uniform: ", "IS: "} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("report lacks %q:\n%s", want, buf.String())
+		}
 	}
 }
 

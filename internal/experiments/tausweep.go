@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/isasgd/isasgd/internal/conflict"
 	"github.com/isasgd/isasgd/internal/core"
@@ -16,7 +17,8 @@ import (
 // TauRow is one delay level of the sweep.
 type TauRow struct {
 	Tau        int
-	FinalObj   float64
+	FinalObj   float64 // the stated objective, mean loss + penalty
+	FinalLoss  float64 // the mean loss alone, the term training drives down
 	FinalErr   float64
 	InEq27     bool
 	Importance bool
@@ -24,8 +26,42 @@ type TauRow struct {
 
 // TauSweepResult is the Section-3 delay study.
 type TauSweepResult struct {
+	N        int // the corpus's row count, which every swept τ is below
 	TauBound float64
 	Rows     []TauRow
+}
+
+// tauDelays are the delays the sweep tries: a geometric ladder plus
+// n/2. The executor drains its pending writes at each epoch's end, so
+// every τ at or past an epoch's n updates is one schedule; only those
+// below n are swept, ascending and each once.
+func tauDelays(n int) []int {
+	ds := []int{0, 4, 16, 64, 256, 1024, n / 2}
+	slices.Sort(ds)
+	ds = slices.Compact(ds)
+	for i, d := range ds {
+		if d >= n {
+			return ds[:i]
+		}
+	}
+	return ds
+}
+
+// tauDegraded is the rise in final loss over the τ = 0 row's, as a
+// share of it, that the sweep's summary calls a degradation.
+const tauDegraded = 0.01
+
+// tauSummary says, for one sampling arm's rows (τ = 0 first), where the
+// final loss first rose by more than tauDegraded over the τ = 0 row's,
+// or that it never did and how far it moved at the largest τ.
+func tauSummary(rows []TauRow) string {
+	base, last := rows[0].FinalLoss, rows[len(rows)-1]
+	for _, row := range rows[1:] {
+		if rise := row.FinalLoss/base - 1; rise > tauDegraded {
+			return fmt.Sprintf("degraded from τ = %d (loss %+.1f %%)", row.Tau, 100*rise)
+		}
+	}
+	return fmt.Sprintf("not degraded up to τ = %d (loss %+.2f %% there)", last.Tau, 100*(last.FinalLoss/base-1))
 }
 
 // TauSweep measures convergence as an exact function of the delay τ:
@@ -38,8 +74,11 @@ type TauSweepResult struct {
 // Eq. 25 stops being an order-wise constant, to compare against the
 // Eq.-27 bound. The delay holds from the τ-th update of an epoch on (the
 // epoch barrier drains the pending writes), so a τ at or past the
-// epoch's n updates reads every gradient of an epoch at its start. The
-// runs are sequential, so the table repeats bit for bit at a seed.
+// epoch's n updates reads every gradient of an epoch at its start, and
+// the sweep stops below n. The table reports the final mean loss beside
+// the stated objective, and its closing lines say, per arm, where the
+// loss first rose past τ = 0's. The runs are sequential, so the table
+// repeats bit for bit at a seed.
 func (r *Runner) TauSweep(ctx context.Context) (*TauSweepResult, error) {
 	r.section("τ sweep: convergence vs exact staleness (Sec. 3, Eq. 27)")
 	cfg := dataset.News20Like(r.Scale.DataScale*0.5, r.Seed+50)
@@ -63,12 +102,14 @@ func (r *Runner) TauSweep(ctx context.Context) (*TauSweepResult, error) {
 		Mu:       r.eta(), MeanL: st.MeanL, InfL: st.MinL, SupL: st.MaxL,
 		Sigma2: sigma2, Eps: 0.01, Eps0: 1,
 	}
-	res := &TauSweepResult{TauBound: params.TauBound()}
+	res := &TauSweepResult{N: d.N(), TauBound: params.TauBound()}
 
 	epochs := r.Scale.EpochsA
 	var rows [][]string
+	var summary []string
 	for _, importance := range []bool{false, true} {
-		for _, tau := range []int{0, 4, 16, 64, 256, 1024, d.N() / 2} {
+		from := len(res.Rows)
+		for _, tau := range tauDelays(d.N()) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
@@ -88,7 +129,7 @@ func (r *Runner) TauSweep(ctx context.Context) (*TauSweepResult, error) {
 			}
 			ev := c.Final()
 			row := TauRow{
-				Tau: tau, FinalObj: ev.Obj, FinalErr: ev.ErrRate,
+				Tau: tau, FinalObj: ev.Obj, FinalLoss: ev.Loss, FinalErr: ev.ErrRate,
 				InEq27: params.SpeedupRegion(tau), Importance: importance,
 			}
 			res.Rows = append(res.Rows, row)
@@ -100,17 +141,26 @@ func (r *Runner) TauSweep(ctx context.Context) (*TauSweepResult, error) {
 				name,
 				fmt.Sprintf("%d", tau),
 				fmt.Sprintf("%.5f", ev.Obj),
+				fmt.Sprintf("%.5f", ev.Loss),
 				fmt.Sprintf("%.5f", ev.ErrRate),
 				boolWord(row.InEq27, "in", "out"),
 			})
 		}
+		name := "uniform"
+		if importance {
+			name = "IS"
+		}
+		summary = append(summary, name+": "+tauSummary(res.Rows[from:]))
 	}
 	r.printf("%s\n", plot.Table(
-		[]string{"sampling", "τ (exact delay)", "final obj", "final err", "Eq.27 region"},
+		[]string{"sampling", "τ (exact delay)", "final obj", "final loss", "final err", "Eq.27 region"},
 		rows,
 	))
-	r.printf("Eq.27 τ bound with µ=η, σ²@w₀ proxies: %.3g — the bound's n/Δ̄ term\n", res.TauBound)
-	r.printf("is extremely conservative for Zipf-popular features (Δ̄ ≈ n), while\n")
-	r.printf("measured degradation appears only at τ orders of magnitude larger.\n")
+	r.printf("Eq.27 τ bound with µ=η, σ²@w₀ proxies: %.3g (n = %d); the bound's n/Δ̄\n", res.TauBound, res.N)
+	r.printf("term is conservative for Zipf-popular features (Δ̄ ≈ n). Final loss\n")
+	r.printf("against τ = 0, degraded when more than %.0f %% higher:\n", 100*tauDegraded)
+	for _, line := range summary {
+		r.printf("  %s\n", line)
+	}
 	return res, nil
 }

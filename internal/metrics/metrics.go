@@ -107,6 +107,7 @@ type Point struct {
 	Iters   int64         // cumulative update count
 	Wall    time.Duration // cumulative training time, evaluation excluded
 	Obj     float64
+	Loss    float64
 	RMSE    float64
 	ErrRate float64
 	BestErr float64 // best-so-far error rate (the paper's reported metric)
@@ -157,7 +158,7 @@ func (r *Recorder) Add(epoch int, iters int64, wall time.Duration, e Eval) {
 	}
 	r.points = append(r.points, Point{
 		Epoch: epoch, Iters: iters, Wall: wall,
-		Obj: e.Obj, RMSE: e.RMSE, ErrRate: e.ErrRate, BestErr: r.bestErr,
+		Obj: e.Obj, Loss: e.Loss, RMSE: e.RMSE, ErrRate: e.ErrRate, BestErr: r.bestErr,
 	})
 }
 

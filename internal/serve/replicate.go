@@ -275,9 +275,9 @@ func (r *Replicator) pull(ctx context.Context, name string, dim *atomic.Int64) {
 	log := r.cfg.Log.With("model", name, "origin", r.cfg.Origin)
 	for ctx.Err() == nil {
 		pctx, cancel := context.WithTimeout(ctx, r.cfg.PollWindow)
-		// A nil buffer: each version decodes into its own slice, which is
-		// garbage once Store.Restore has copied it. A buffer kept per
-		// model would hold Dim values for the puller's life.
+		// A nil buffer: each version decodes into its own slice, which
+		// Store.Restore then keeps as the version's weights. A buffer
+		// kept per model would hold Dim values for the puller's life.
 		a, err := frame.Pull(pctx, r.cfg.Client, u, since, int(dim.Load()), nil)
 		cancel()
 		var se *frame.StatusError

@@ -1,7 +1,7 @@
 // Package snapshot is the versioned model-publication pipeline: an
 // immutable, sequence-numbered weight snapshot (Version) and a
 // single-writer/many-reader Store built on an atomic pointer, so the
-// serving read path is one atomic load — no locks, no allocation — while
+// serving read path is two atomic loads — no locks, no allocation — while
 // a training job keeps publishing fresher versions underneath it.
 //
 // The design leans on the same snapshot-tolerance argument the paper's
@@ -12,12 +12,19 @@
 // is therefore allowed — encouraged — while workers are still updating
 // the model.
 //
-// Reclamation: a retired Version is released to the garbage collector,
-// not recycled, because lock-free readers may hold a *Version across an
-// arbitrary number of later publishes; proving quiescence would need
-// per-read tracking (hazard pointers, epochs) whose cost lands on the hot
-// read path. Publication is the cold path — one O(dim) copy per epoch or
-// block — so the GC trade keeps the fast path fast.
+// Reclamation: a version anyone was handed — by Load, Wait, the publish
+// hook or a return value — is never written again and goes to the
+// garbage collector once it is retired, because lock-free readers may
+// hold it across any number of later publishes. A version retired before
+// anyone was handed it cannot be held by anyone, so the store keeps it
+// (struct and weights) as a one-slot spare and the next publish of the
+// same length cuts into it instead of allocating. A producer whose
+// versions are rarely read (the stream trainer under an evaluator that
+// loads one version in sixteen) therefore allocates one buffer per
+// version read rather than per version published, and skips zeroing and
+// faulting in a fresh dim-sized slice for the others. Each version
+// records whether it was handed out; the mark costs Load one atomic
+// load once it is set (see Load for why that is enough).
 package snapshot
 
 import (
@@ -45,11 +52,23 @@ type Version struct {
 	// publish it applied — the isasgd_replica_lag_seconds signal.
 	At time.Time
 
+	// seen is unseen, claimed or handed: how far the store has gone in
+	// handing this version out (see Store.Load). It never decreases, and
+	// only a version retired while still unseen is reused.
+	seen atomic.Uint32
+
 	// w32 is the lazily narrowed float32 view behind W32; sound to cache
 	// precisely because versions are immutable after publication.
 	w32     []float32
 	w32Once sync.Once
 }
+
+// The values of Version.seen.
+const (
+	unseen  = iota // no one was handed the version: it may be reused once retired
+	claimed        // a Load marked it before checking that it was still current
+	handed         // someone holds it: it is never written again
+)
 
 // Dim returns the snapshot dimensionality.
 func (v *Version) Dim() int { return len(v.Weights) }
@@ -74,12 +93,14 @@ func (v *Version) W32() []float32 {
 }
 
 // Store is a single-writer/many-reader holder of the current Version.
-// Load is wait-free (one atomic pointer load); Publish serializes
-// writers internally, so multiple producers (a training loop plus a
-// finalizing job manager) may share one store.
+// Load is wait-free in steady state and lock-free always; Publish
+// serializes writers internally, so multiple producers (a training loop
+// plus a finalizing job manager) may share one store.
 type Store struct {
 	cur       atomic.Pointer[Version]
-	mu        sync.Mutex // serializes writers; readers never take it
+	seq       atomic.Uint64 // cur's Seq, read without touching a version the store may reuse
+	mu        sync.Mutex    // serializes writers; readers never take it
+	spare     *Version      // guarded by mu: retired before anyone was handed it, reused by the next publish
 	onPublish func(*Version)
 	onReject  func(epoch int, iters int64)
 	rejects   atomic.Int64
@@ -116,7 +137,8 @@ func (s *Store) DType() string {
 // successful publish, on the publisher's goroutine with the writer lock
 // held (hooks observe versions in order and must not call back into
 // Publish). Serving consumers use it to register a model the moment its
-// store becomes servable, independent of any evaluation cadence.
+// store becomes servable, independent of any evaluation cadence. The
+// hook is handed every version, so a hooked store reuses none of them.
 // Install before the first publish.
 func (s *Store) SetOnPublish(fn func(*Version)) { s.onPublish = fn }
 
@@ -147,22 +169,53 @@ func Of(epoch int, iters int64, w []float64) *Store {
 // Load returns the current version, or nil if nothing was published yet.
 // The returned version is immutable and remains valid (and constant)
 // regardless of later publishes.
-func (s *Store) Load() *Version { return s.cur.Load() }
+//
+// Load marks the version before it returns it, so that the store never
+// reuses it. A version already marked handed is returned at once: the
+// one extra atomic load of the steady state. Otherwise Load marks it
+// claimed, reads cur again, and returns the version only if it is still
+// current (marking it handed); if not, it retries. The publisher stores
+// cur first and reads the retired version's mark after, and Go's atomics
+// are sequentially consistent, so either the second read here sees the
+// newer version and this Load drops the old one, or the publisher sees
+// the mark and does not reuse it. A claim that loses the race still
+// keeps the version from reuse, which costs nothing but one allocation.
+// Only a mark set after such a check is trusted without one: a claim
+// alone may be made on a version that was retired unseen and is already
+// being refilled.
+func (s *Store) Load() *Version {
+	for {
+		if v := s.cur.Load(); s.hand(v) {
+			return v
+		}
+	}
+}
+
+// hand reports whether Load may return v, which it read from cur,
+// marking v handed when it may.
+func (s *Store) hand(v *Version) bool {
+	if v == nil || v.seen.Load() == handed {
+		return true
+	}
+	v.seen.CompareAndSwap(unseen, claimed)
+	if s.cur.Load() != v {
+		return false
+	}
+	v.seen.Store(handed)
+	return true
+}
 
 // Seq returns the current publication sequence number (0 before the
 // first publish).
-func (s *Store) Seq() uint64 {
-	if v := s.cur.Load(); v != nil {
-		return v.Seq
-	}
-	return 0
-}
+func (s *Store) Seq() uint64 { return s.seq.Load() }
 
 // Publish cuts a new version: fill receives a buffer sized like the
 // previous version's weights (nil on the first publish — fill is
 // expected to allocate then, which model.Params.Snapshot does) and
-// returns the filled slice. The new version becomes visible to Load
-// before Publish returns, with Seq one past the previous version's.
+// returns the filled slice. The buffer may hold the weights of an older
+// version that no one was handed, so fill must overwrite all of it. The
+// new version becomes visible to Load before Publish returns, with Seq
+// one past the previous version's.
 //
 // A snapshot containing a non-finite weight is rejected (Publish
 // returns nil and the store keeps its current version): mid-training
@@ -170,8 +223,10 @@ func (s *Store) Seq() uint64 {
 // went NaN/Inf must not reach serving readers. The training loop itself
 // detects the divergence at completion (solver.Train's finiteness
 // check) and fails the run, which withdraws the live model.
+//
+// The returned version counts as handed out: it is never reused.
 func (s *Store) Publish(epoch int, iters int64, fill func(dst []float64) []float64) *Version {
-	return s.PublishChecked(epoch, iters, func(dst []float64) ([]float64, bool) {
+	return s.publish(epoch, iters, true, func(dst []float64) ([]float64, bool) {
 		w := fill(dst)
 		return w, model.FirstNonFinite(w) < 0
 	})
@@ -181,39 +236,74 @@ func (s *Store) Publish(epoch int, iters int64, fill func(dst []float64) []float
 // it copies (model.Params.SnapshotRange does): fill also reports whether
 // every weight it returns is finite, and the store takes its word
 // instead of scanning the weights a second time. A false report rejects
-// the version exactly as Publish does.
-func (s *Store) PublishChecked(epoch int, iters int64, fill func(dst []float64) (w []float64, finite bool)) *Version {
+// the version exactly as Publish does. fill's buffer follows Publish's
+// rule: it may hold older weights and must be overwritten in full.
+//
+// It reports whether the version was accepted, and returns no version:
+// one that no reader loads before the next publish is reused by it.
+func (s *Store) PublishChecked(epoch int, iters int64, fill func(dst []float64) (w []float64, finite bool)) bool {
+	return s.publish(epoch, iters, false, fill) != nil
+}
+
+// publish cuts and installs one version under the writer lock, into the
+// spare's weights when their length is the current version's. handOut
+// marks the version handed before anyone else can reach it, for callers
+// that return it. A rejected cut drops the buffer fill was given.
+func (s *Store) publish(epoch int, iters int64, handOut bool, fill func(dst []float64) ([]float64, bool)) *Version {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	v := s.spare
+	s.spare = nil
 	prev := s.cur.Load()
 	var seq uint64 = 1
 	var dst []float64
 	if prev != nil {
 		seq = prev.Seq + 1
-		// A fresh buffer per publish: prev.Weights may still be referenced
-		// by readers (see the package comment on reclamation).
-		dst = make([]float64, len(prev.Weights))
+		if v != nil && len(v.Weights) == len(prev.Weights) {
+			dst = v.Weights
+		} else {
+			dst = make([]float64, len(prev.Weights))
+		}
 	}
 	w, finite := fill(dst)
 	if !finite {
-		s.rejects.Add(1)
-		if s.onReject != nil {
-			s.onReject(epoch, iters)
-		}
+		s.reject(epoch, iters)
 		return nil
 	}
-	v := &Version{Seq: seq, Epoch: epoch, Iters: iters, Weights: w}
+	if v == nil {
+		v = new(Version)
+	}
+	v.Seq, v.Epoch, v.Iters, v.Weights = seq, epoch, iters, w
+	if handOut {
+		v.seen.Store(handed)
+	}
 	s.install(v)
 	return v
 }
 
-// install makes v the current version and wakes long-poll waiters.
-// Caller holds s.mu.
-func (s *Store) install(v *Version) {
-	if v.At.IsZero() {
-		v.At = time.Now()
+// reject counts a refused cut and tells the reject hook.
+func (s *Store) reject(epoch int, iters int64) {
+	s.rejects.Add(1)
+	if s.onReject != nil {
+		s.onReject(epoch, iters)
 	}
-	s.cur.Store(v)
+}
+
+// install makes v the current version, keeps the retired one as the
+// spare if no one was handed it, and wakes long-poll waiters. Caller
+// holds s.mu.
+func (s *Store) install(v *Version) {
+	v.At = time.Now()
+	if s.onPublish != nil {
+		v.seen.Store(handed)
+	}
+	// Store cur first, read the retired version's mark after: the order
+	// Load's argument rests on.
+	prev := s.cur.Swap(v)
+	s.seq.Store(v.Seq)
+	if prev != nil && prev.seen.Load() == unseen {
+		s.spare = prev
+	}
 	if s.changed != nil {
 		close(s.changed)
 		s.changed = nil
@@ -230,15 +320,17 @@ func (s *Store) install(v *Version) {
 // left off instead of re-observing history from 1. Restore refuses to
 // move the sequence backwards and applies the same non-finite rejection
 // as Publish.
+//
+// The store takes ownership of w: the version's Weights is w itself, so
+// the caller must not write to it afterwards (a caller that keeps
+// working on its vector passes a copy). The returned version counts as
+// handed out.
 func (s *Store) Restore(seq uint64, epoch int, iters int64, w []float64) (*Version, error) {
 	if seq == 0 {
 		return nil, fmt.Errorf("snapshot: Restore needs seq >= 1")
 	}
 	if j := model.FirstNonFinite(w); j >= 0 {
-		s.rejects.Add(1)
-		if s.onReject != nil {
-			s.onReject(epoch, iters)
-		}
+		s.reject(epoch, iters)
 		return nil, fmt.Errorf("snapshot: non-finite weight %g at coordinate %d", w[j], j)
 	}
 	s.mu.Lock()
@@ -246,7 +338,8 @@ func (s *Store) Restore(seq uint64, epoch int, iters int64, w []float64) (*Versi
 	if prev := s.cur.Load(); prev != nil && prev.Seq >= seq {
 		return nil, fmt.Errorf("snapshot: Restore seq %d would not advance current seq %d", seq, prev.Seq)
 	}
-	v := &Version{Seq: seq, Epoch: epoch, Iters: iters, Weights: append([]float64(nil), w...)}
+	v := &Version{Seq: seq, Epoch: epoch, Iters: iters, Weights: w}
+	v.seen.Store(handed)
 	s.install(v)
 	return v, nil
 }
@@ -255,12 +348,14 @@ func (s *Store) Restore(seq uint64, epoch int, iters int64, w []float64) (*Versi
 // it) or ctx is done (returning nil) — the long-poll primitive behind
 // the cluster pull endpoint. A satisfying version is returned
 // immediately without blocking; concurrent waiters are all woken by the
-// publish that satisfies them.
+// publish that satisfies them. Like Load, Wait marks what it returns as
+// handed out.
 func (s *Store) Wait(ctx context.Context, since uint64) *Version {
 	for {
 		s.mu.Lock()
 		v := s.cur.Load()
 		if v != nil && v.Seq > since {
+			v.seen.Store(handed)
 			s.mu.Unlock()
 			return v
 		}

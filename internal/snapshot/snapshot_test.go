@@ -166,12 +166,16 @@ func TestRestore(t *testing.T) {
 	if _, err := s.Restore(1, 0, 0, []float64{math.Inf(1)}); err == nil {
 		t.Fatal("Restore with non-finite weights succeeded, want error")
 	}
-	v, err := s.Restore(41, 5, 500, []float64{1, 2})
+	w := []float64{1, 2}
+	v, err := s.Restore(41, 5, 500, w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Seq != 41 || s.Seq() != 41 {
 		t.Fatalf("restored seq = %d / %d, want 41", v.Seq, s.Seq())
+	}
+	if &v.Weights[0] != &w[0] {
+		t.Fatal("Restore copied the weights; want the caller's slice kept")
 	}
 	// Publishes continue past the restored seq.
 	if v2 := s.PublishCopy(6, 600, []float64{3, 4}); v2.Seq != 42 {
@@ -235,16 +239,250 @@ func TestPublishCheckedTrustsTheProducer(t *testing.T) {
 	fill := func(finite bool) func([]float64) ([]float64, bool) {
 		return func(dst []float64) ([]float64, bool) { return append(dst[:0], 1, 2, 3), finite }
 	}
-	if v := s.PublishChecked(1, 10, fill(true)); v == nil || v.Seq != 1 || len(v.Weights) != 3 {
+	if !s.PublishChecked(1, 10, fill(true)) {
+		t.Fatal("finite checked publish refused")
+	}
+	if v := s.Load(); v == nil || v.Seq != 1 || len(v.Weights) != 3 {
 		t.Fatalf("checked publish = %+v", v)
 	}
-	if v := s.PublishChecked(2, 20, fill(false)); v != nil {
-		t.Fatalf("producer reported non-finite weights, store published %+v", v)
+	if s.PublishChecked(2, 20, fill(false)) {
+		t.Fatalf("producer reported non-finite weights, store published seq %d", s.Seq())
 	}
 	if s.Seq() != 1 || s.Rejects() != 1 || len(rejected) != 1 || rejected[0] != 2 {
 		t.Fatalf("after the refusal: seq %d, rejects %d, hook saw %v", s.Seq(), s.Rejects(), rejected)
 	}
-	if v := s.PublishChecked(3, 30, fill(true)); v == nil || v.Seq != 2 || v.Epoch != 3 {
+	if !s.PublishChecked(3, 30, fill(true)) {
+		t.Fatal("publish after a refusal refused")
+	}
+	if v := s.Load(); v.Seq != 2 || v.Epoch != 3 {
 		t.Fatalf("publish after a refusal = %+v", v)
+	}
+}
+
+// fillSeq is a checked fill that writes seq into every coordinate of a
+// dim-long buffer, reusing dst when it has the length.
+func fillSeq(dim int, seq uint64) func([]float64) ([]float64, bool) {
+	return func(dst []float64) ([]float64, bool) {
+		if len(dst) != dim {
+			dst = make([]float64, dim)
+		}
+		for j := range dst {
+			dst[j] = float64(seq)
+		}
+		return dst, true
+	}
+}
+
+// TestPublishCheckedReusesUnseen: a version retired before anyone was
+// handed it lends its buffer to the next cut, which finds the older
+// weights there; a version a reader loaded, a hook saw, or a return
+// value handed out is never given to a cut again.
+func TestPublishCheckedReusesUnseen(t *testing.T) {
+	const dim = 4
+	s := NewStore()
+	var got []float64 // the dst of the latest cut
+	cut := func(seq uint64) bool {
+		return s.PublishChecked(int(seq), 0, func(dst []float64) ([]float64, bool) {
+			got = append(got[:0], dst...)
+			return fillSeq(dim, seq)(dst)
+		})
+	}
+	cut(1)
+	cut(2) // version 1 retires unseen: the spare
+	cut(3) // cut into version 1's buffer
+	if len(got) != dim || got[0] != 1 {
+		t.Fatalf("third cut's buffer = %v, want version 1's weights", got)
+	}
+	held := s.Load() // version 3, handed
+	cut(4)
+	cut(5) // version 4 retired unseen; version 3 stays held
+	cut(6)
+	if got[0] != 4 {
+		t.Fatalf("sixth cut's buffer = %v, want version 4's weights", got)
+	}
+	for j, w := range held.Weights {
+		if held.Seq != 3 || w != 3 {
+			t.Fatalf("held version %d written again: weights[%d] = %g", held.Seq, j, w)
+		}
+	}
+
+	// A hooked store hands every version out, so nothing is reused.
+	hooked := NewStore()
+	var seen []*Version
+	hooked.SetOnPublish(func(v *Version) { seen = append(seen, v) })
+	for seq := uint64(1); seq <= 4; seq++ {
+		hooked.PublishChecked(int(seq), 0, fillSeq(dim, seq))
+	}
+	for _, v := range seen {
+		if v.Weights[0] != float64(v.Seq) {
+			t.Fatalf("hooked version %d written again: %v", v.Seq, v.Weights)
+		}
+	}
+}
+
+// TestStaleClaimIsNotTrusted replays the interleaving a concurrent test
+// rarely hits: a version retires unseen and becomes the spare, a Load
+// that read it from cur before the publish claims it, finds it stale and
+// drops it, and a second Load that read it just as early must not take
+// the claim for a hand-out, because the next cut refills that buffer.
+func TestStaleClaimIsNotTrusted(t *testing.T) {
+	s := NewStore()
+	s.PublishChecked(1, 1, fillSeq(2, 1))
+	early := s.cur.Load() // what both Loads read before the next publish
+	s.PublishChecked(2, 2, fillSeq(2, 2))
+	if s.spare != early {
+		t.Fatal("version 1 retired unseen but is not the spare")
+	}
+	if s.hand(early) {
+		t.Fatal("first Load returned a retired version")
+	}
+	if s.hand(early) {
+		t.Fatal("second Load trusted a stale claim on the spare")
+	}
+	if v := s.Load(); v.Seq != 2 || v.Weights[0] != 2 {
+		t.Fatalf("Load = %+v, want version 2", v)
+	}
+}
+
+// TestConcurrentReadersChecked is TestConcurrentReaders through the
+// reusing path: the writer cuts with PublishChecked, whose fill writes
+// the seq into every coordinate, while readers load versions by Load and
+// Wait, hold each across later publishes, and check every weight again
+// before they drop it. A version reused while a reader held it shows up
+// as a weight that is not its own seq (and, under -race, as a race).
+func TestConcurrentReadersChecked(t *testing.T) {
+	const dim, hold = 256, 4
+	s := NewStore()
+	var stop atomic.Bool
+	var writer, readers sync.WaitGroup
+
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for !stop.Load() {
+			seq := s.Seq() + 1
+			s.PublishChecked(int(seq), int64(seq), fillSeq(dim, seq))
+		}
+	}()
+
+	check := func(v *Version) bool {
+		seq := v.Seq
+		for j, w := range v.Weights {
+			if w != float64(seq) {
+				t.Errorf("version %d written after it was handed out: weights[%d] = %g", seq, j, w)
+				return false
+			}
+		}
+		return true
+	}
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			var held [hold]*Version
+			var lastSeq uint64
+			for n := 0; n < 4000; n++ {
+				var v *Version
+				if r%2 == 0 {
+					v = s.Load()
+				} else {
+					ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+					v = s.Wait(ctx, lastSeq)
+					cancel()
+				}
+				if v == nil {
+					continue
+				}
+				if v.Seq < lastSeq {
+					t.Errorf("Seq went backwards: %d after %d", v.Seq, lastSeq)
+					return
+				}
+				lastSeq = v.Seq
+				if old := held[n%hold]; old != nil && !check(old) {
+					return
+				}
+				if !check(v) {
+					return
+				}
+				held[n%hold] = v
+			}
+			for _, v := range held {
+				if v != nil && !check(v) {
+					return
+				}
+			}
+		}(r)
+	}
+	readers.Wait()
+	stop.Store(true)
+	writer.Wait()
+}
+
+// TestPublishCheckedAllocs: a steady-state checked publish that no
+// reader loads allocates nothing; when every version is loaded, each
+// publish allocates one Version and one buffer.
+func TestPublishCheckedAllocs(t *testing.T) {
+	const dim = 1 << 10
+	s := NewStore()
+	seq := uint64(0)
+	fill := func(dst []float64) ([]float64, bool) {
+		if len(dst) != dim {
+			dst = make([]float64, dim)
+		}
+		for j := range dst {
+			dst[j] = float64(seq)
+		}
+		return dst, true
+	}
+	publish := func() {
+		seq++
+		s.PublishChecked(int(seq), int64(seq), fill)
+	}
+	publish()
+	publish()
+	if n := testing.AllocsPerRun(100, publish); n != 0 {
+		t.Fatalf("unloaded checked publish: %g allocations, want 0", n)
+	}
+	loaded := func() { publish(); s.Load() }
+	loaded() // the spare the unloaded publishes left behind is used up here
+	if n := testing.AllocsPerRun(100, loaded); n != 2 {
+		t.Fatalf("loaded checked publish: %g allocations, want 2 (the version and its buffer)", n)
+	}
+}
+
+// BenchmarkPublish times one checked publish of a dim-600 000 model (the
+// stream benchmark's size), copying from a model-sized source: unseen,
+// where no reader loads a version and the store reuses the retired
+// buffer, and seen, where every version is loaded and each publish
+// allocates its own.
+func BenchmarkPublish(b *testing.B) {
+	const dim = 600_000
+	src := make([]float64, dim)
+	for j := range src {
+		src[j] = float64(j)
+	}
+	fill := func(dst []float64) ([]float64, bool) {
+		if len(dst) != dim {
+			dst = make([]float64, dim)
+		}
+		copy(dst, src)
+		return dst, true
+	}
+	for _, loaded := range []bool{false, true} {
+		name := "unseen"
+		if loaded {
+			name = "seen"
+		}
+		b.Run(name, func(b *testing.B) {
+			s := NewStore()
+			b.SetBytes(dim * 8)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.PublishChecked(i, int64(i), fill)
+				if loaded {
+					s.Load()
+				}
+			}
+		})
 	}
 }

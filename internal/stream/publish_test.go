@@ -96,8 +96,10 @@ func TestRunFailsOnDivergence(t *testing.T) {
 // TestRangedCutEqualsSnapshot: the version the trainer publishes — cut
 // range by range on its workers, finiteness checked on the way — holds
 // exactly what Model().Snapshot copies from the same quiescent model,
-// for every model kind; and a non-finite weight in any worker's range
-// rejects the version.
+// for every model kind; a non-finite weight in any worker's range
+// rejects the version; and over a run of cuts in which a reader loads
+// only some versions, every version it loaded still equals the Snapshot
+// taken at its cut after later cuts reused the buffers of the others.
 func TestRangedCutEqualsSnapshot(t *testing.T) {
 	const dim = 3*minCutRange + 17 // three ranges of unequal length
 	kinds := []struct {
@@ -138,6 +140,29 @@ func TestRangedCutEqualsSnapshot(t *testing.T) {
 			tr.publish()
 			if st.Seq() != 1 || st.Rejects() != int64(r+1) {
 				t.Fatalf("%v/%s: %g at %d: seq %d, rejects %d; want the version refused", k.kind, k.precision, bad[j], j, st.Seq(), st.Rejects())
+			}
+		}
+
+		type cut struct {
+			v    *snapshot.Version
+			want []float64
+		}
+		var held []cut
+		for c := 0; c < 9; c++ {
+			for j := range w {
+				w[j] = float64((j*(c+3))%1001-500) / 64
+			}
+			tr.Model().Load(w)
+			tr.publish()
+			if c%3 == 0 {
+				held = append(held, cut{st.Load(), tr.Model().Snapshot(nil)})
+			}
+		}
+		for _, h := range held {
+			for j, x := range h.want {
+				if h.v.Weights[j] != x {
+					t.Fatalf("%v/%s: version %d, coordinate %d: %g after later cuts, %g at its cut", k.kind, k.precision, h.v.Seq, j, h.v.Weights[j], x)
+				}
 			}
 		}
 	}

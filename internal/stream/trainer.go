@@ -100,7 +100,11 @@ type Config struct {
 	// (cut after the block's update budget, before OnBlock fires) plus a
 	// final version when Run drains if the cadence missed the last block.
 	// Serving consumers read the store lock-free mid-stream — Epoch counts
-	// ingested blocks, mirroring BlockStats.
+	// ingested blocks, mirroring BlockStats. The trainer publishes with
+	// PublishChecked and keeps no version, so a version no reader loaded
+	// (by Load, Wait or a publish hook) before the next block lends its
+	// buffer to that block's cut: a store read every k blocks allocates
+	// about one model-sized buffer per k publishes, not one per publish.
 	Snapshots *snapshot.Store
 	// PublishEvery is the Snapshots cadence in blocks; <= 0 selects 1.
 	PublishEvery int
@@ -606,7 +610,8 @@ const minCutRange = 1 << 14
 // one fused copy-and-finiteness pass over the model, split into
 // contiguous ranges across the workers, which are idle between update
 // phases — instead of a single-goroutine copy followed by the store's own
-// finiteness scan.
+// finiteness scan. The ranges cover all of dst, which may be the buffer
+// of an older version that no reader was handed.
 func (t *Trainer) publish() {
 	t.cfg.Snapshots.PublishChecked(int(t.blocks), t.updates, func(dst []float64) ([]float64, bool) {
 		dim := t.cfg.Dim

@@ -291,20 +291,23 @@ func ParseLibSVM(r io.Reader, name string, minDim int) (*Dataset, error) {
 	return d, nil
 }
 
-// WriteLibSVM writes d in LibSVM text format with 1-based indices.
+// WriteLibSVM writes d in LibSVM text format with 1-based indices, each
+// number in the shortest form that parses back to it (fmt's %g). Each
+// row is appended into one reused buffer and written whole.
 func WriteLibSVM(w io.Writer, d *Dataset) error {
 	bw := bufio.NewWriter(w)
+	var line []byte
 	for i := 0; i < d.N(); i++ {
-		if _, err := fmt.Fprintf(bw, "%g", d.Y[i]); err != nil {
-			return err
-		}
+		line = strconv.AppendFloat(line[:0], d.Y[i], 'g', -1, 64)
 		row := d.X.Row(i)
 		for k, j := range row.Idx {
-			if _, err := fmt.Fprintf(bw, " %d:%g", j+1, row.Val[k]); err != nil {
-				return err
-			}
+			line = append(line, ' ')
+			line = strconv.AppendInt(line, int64(j)+1, 10)
+			line = append(line, ':')
+			line = strconv.AppendFloat(line, row.Val[k], 'g', -1, 64)
 		}
-		if err := bw.WriteByte('\n'); err != nil {
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}

@@ -182,3 +182,69 @@ func FuzzByteParserMatchesReference(f *testing.F) {
 		}
 	})
 }
+
+// referenceWriteLibSVM is the fmt-based writer WriteLibSVM replaced,
+// kept as its executable specification.
+func referenceWriteLibSVM(d *Dataset) string {
+	var sb strings.Builder
+	for i := 0; i < d.N(); i++ {
+		fmt.Fprintf(&sb, "%g", d.Y[i])
+		row := d.X.Row(i)
+		for k, j := range row.Idx {
+			fmt.Fprintf(&sb, " %d:%g", j+1, row.Val[k])
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+// TestWriteLibSVMMatchesFmt: WriteLibSVM writes byte for byte what
+// formatting every label and value with %g writes, on random datasets
+// whose numbers are negative, tiny, huge, in exponent form, negative
+// zero and non-finite, over empty rows and indices up to the int32 limit.
+func TestWriteLibSVMMatchesFmt(t *testing.T) {
+	special := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.1, -2.5, 1e21, 1e20, 123456789, 1e-7, 1e-5, -1e-300,
+		5e-324, math.MaxFloat64, -math.SmallestNonzeroFloat64, 1.0 / 3, 2.5e-8, 6.02214076e23,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	rng := xrand.New(11)
+	num := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return special[rng.Intn(len(special))]
+		case 1:
+			return rng.NormFloat64()
+		case 2:
+			return math.Ldexp(rng.NormFloat64(), rng.Intn(2100)-1050)
+		default:
+			return float64(rng.Intn(2001) - 1000)
+		}
+	}
+	for trial := 0; trial < 50; trial++ {
+		n := rng.Intn(40)
+		x := &sparse.CSR{Dim: math.MaxInt32, IndPtr: []int64{0}}
+		y := make([]float64, n)
+		for i := range y {
+			y[i] = num()
+			j := int32(-1)
+			for nnz := rng.Intn(6); nnz > 0; nnz-- {
+				j += 1 + int32(rng.Intn(1<<rng.Intn(31)))
+				if j < 0 || j == math.MaxInt32 {
+					break
+				}
+				x.Idx = append(x.Idx, j)
+				x.Val = append(x.Val, num())
+			}
+			x.IndPtr = append(x.IndPtr, int64(len(x.Idx)))
+		}
+		d := &Dataset{Name: "w", X: x, Y: y}
+		var sb strings.Builder
+		if err := WriteLibSVM(&sb, d); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sb.String(), referenceWriteLibSVM(d); got != want {
+			t.Fatalf("trial %d: WriteLibSVM wrote\n%q\nfmt writes\n%q", trial, got, want)
+		}
+	}
+}

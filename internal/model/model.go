@@ -49,6 +49,12 @@ type Params interface {
 	// be cut from different goroutines at once; together they make the
 	// same (inconsistent under concurrent updates) cut Snapshot makes.
 	SnapshotRange(dst []float64, lo, hi int) bool
+	// SnapshotIdx is SnapshotRange over the listed coordinates instead of
+	// a range: it copies coordinate j into dst[j] for every j in idx and
+	// reports whether every value copied is finite. The other entries of
+	// dst are left as they are, and a coordinate listed twice is copied
+	// twice.
+	SnapshotIdx(dst []float64, idx []int32) bool
 	// Load overwrites the model with src.
 	Load(src []float64)
 }
@@ -112,6 +118,18 @@ func (m *Atomic) SnapshotRange(dst []float64, lo, hi int) bool {
 	return acc>>63 == 0
 }
 
+// SnapshotIdx copies the listed coordinates into dst and reports
+// whether all of them are finite.
+func (m *Atomic) SnapshotIdx(dst []float64, idx []int32) bool {
+	var acc uint64
+	for _, j := range idx {
+		b := m.bits[j].Load()
+		dst[j] = math.Float64frombits(b)
+		acc |= nonFinite64(b)
+	}
+	return acc>>63 == 0
+}
+
 // Load overwrites the model with src.
 func (m *Atomic) Load(src []float64) {
 	for i, v := range src {
@@ -169,6 +187,18 @@ func (m *Racy) Snapshot(dst []float64) []float64 {
 func (m *Racy) SnapshotRange(dst []float64, lo, hi int) bool {
 	copy(dst[lo:hi], m.w[lo:hi])
 	return FirstNonFinite(dst[lo:hi]) < 0
+}
+
+// SnapshotIdx copies the listed coordinates into dst and reports
+// whether all of them are finite.
+func (m *Racy) SnapshotIdx(dst []float64, idx []int32) bool {
+	var acc uint64
+	for _, j := range idx {
+		v := m.w[j]
+		dst[j] = v
+		acc |= nonFinite64(math.Float64bits(v))
+	}
+	return acc>>63 == 0
 }
 
 // Load overwrites the model with src.

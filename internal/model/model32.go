@@ -73,6 +73,18 @@ func (m *Racy32) SnapshotRange(dst []float64, lo, hi int) bool {
 	return acc>>31 == 0
 }
 
+// SnapshotIdx widens the listed coordinates into dst and reports
+// whether all of them are finite.
+func (m *Racy32) SnapshotIdx(dst []float64, idx []int32) bool {
+	var acc uint32
+	for _, j := range idx {
+		v := m.w[j]
+		dst[j] = float64(v)
+		acc |= nonFinite32(math.Float32bits(v))
+	}
+	return acc>>31 == 0
+}
+
 // Load overwrites the model with src, rounding to float32.
 func (m *Racy32) Load(src []float64) {
 	for j, v := range src {
@@ -138,6 +150,18 @@ func (m *Atomic32) SnapshotRange(dst []float64, lo, hi int) bool {
 	for i := range dst {
 		b := src[i].Load()
 		dst[i] = float64(math.Float32frombits(b))
+		acc |= nonFinite32(b)
+	}
+	return acc>>31 == 0
+}
+
+// SnapshotIdx widens the listed coordinates into dst and reports
+// whether all of them are finite.
+func (m *Atomic32) SnapshotIdx(dst []float64, idx []int32) bool {
+	var acc uint32
+	for _, j := range idx {
+		b := m.bits[j].Load()
+		dst[j] = float64(math.Float32frombits(b))
 		acc |= nonFinite32(b)
 	}
 	return acc>>31 == 0

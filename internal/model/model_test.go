@@ -277,3 +277,57 @@ func TestSnapshotRangeMatchesSnapshot(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotIdxMatchesSnapshotRange: cutting a quiescent model at a
+// list of coordinates copies each listed one exactly as a one-wide
+// SnapshotRange does, leaves the rest of dst alone, and reports a
+// non-finite coordinate exactly when the list holds it — for every model
+// kind, with duplicates and out-of-order lists.
+func TestSnapshotIdxMatchesSnapshotRange(t *testing.T) {
+	const dim, at = 100, 40
+	models := map[string]Params{
+		"atomic": NewAtomic(dim), "racy": NewRacy(dim),
+		"atomic32": NewAtomic32(dim), "racy32": NewRacy32(dim),
+	}
+	every := make([]int32, dim)
+	for j := range every {
+		every[j] = int32(j)
+	}
+	lists := [][]int32{
+		nil,
+		every,
+		{17, 18, 19, 63},
+		{99, 3, 40, 3, 0, 40}, // holds at, twice
+		{41, 39, 39, 98},
+	}
+	for name, m := range models {
+		w := make([]float64, dim)
+		for j := range w {
+			w[j] = float64(j*j-300) / 8 // exact in float32
+		}
+		for _, bad := range []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			w[at] = bad
+			m.Load(w)
+			for _, idx := range lists {
+				got, want := make([]float64, dim), make([]float64, dim)
+				for j := range got {
+					got[j], want[j] = -1, -1
+				}
+				wantFinite := true
+				for _, j := range idx {
+					if !m.SnapshotRange(want, int(j), int(j)+1) {
+						wantFinite = false
+					}
+				}
+				if finite := m.SnapshotIdx(got, idx); finite != wantFinite {
+					t.Fatalf("%s: %v with %g at %d reports finite=%v, want %v", name, idx, bad, at, finite, wantFinite)
+				}
+				for j := range got {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("%s: %v: dst[%d] = %g, SnapshotRange gives %g", name, idx, j, got[j], want[j])
+					}
+				}
+			}
+		}
+	}
+}

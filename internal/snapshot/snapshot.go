@@ -22,9 +22,12 @@
 // versions are rarely read (the stream trainer under an evaluator that
 // loads one version in sixteen) therefore allocates one buffer per
 // version read rather than per version published, and skips zeroing and
-// faulting in a fresh dim-sized slice for the others. Each version
-// records whether it was handed out; the mark costs Load one atomic
-// load once it is set (see Load for why that is enough).
+// faulting in a fresh dim-sized slice for the others. PublishChecked
+// also tells its fill which version the reused buffer holds (its Seq),
+// so a producer that knows what it wrote since that version's cut
+// patches only those coordinates instead of copying the whole model.
+// Each version records whether it was handed out; the mark costs Load
+// one atomic load once it is set (see Load for why that is enough).
 package snapshot
 
 import (
@@ -226,7 +229,7 @@ func (s *Store) Seq() uint64 { return s.seq.Load() }
 //
 // The returned version counts as handed out: it is never reused.
 func (s *Store) Publish(epoch int, iters int64, fill func(dst []float64) []float64) *Version {
-	return s.publish(epoch, iters, true, func(dst []float64) ([]float64, bool) {
+	return s.publish(epoch, iters, true, func(dst []float64, _ uint64) ([]float64, bool) {
 		w := fill(dst)
 		return w, model.FirstNonFinite(w) < 0
 	})
@@ -236,36 +239,46 @@ func (s *Store) Publish(epoch int, iters int64, fill func(dst []float64) []float
 // it copies (model.Params.SnapshotRange does): fill also reports whether
 // every weight it returns is finite, and the store takes its word
 // instead of scanning the weights a second time. A false report rejects
-// the version exactly as Publish does. fill's buffer follows Publish's
-// rule: it may hold older weights and must be overwritten in full.
+// the version exactly as Publish does.
 //
-// It reports whether the version was accepted, and returns no version:
-// one that no reader loads before the next publish is reused by it.
-func (s *Store) PublishChecked(epoch int, iters int64, fill func(dst []float64) (w []float64, finite bool)) bool {
-	return s.publish(epoch, iters, false, fill) != nil
+// held is the Seq of the version whose weights dst holds: the spare's,
+// when the store hands fill a retired buffer, and 0 when dst is nil or
+// freshly made (all zeros). A producer that knows which coordinates
+// changed since cut held may overwrite only those; with held 0 it must
+// overwrite all of dst, as Publish's fill does.
+//
+// It returns the Seq of the version it installed, or 0 when fill
+// rejected the cut, and returns no version: one that no reader loads
+// before the next publish is reused by it.
+func (s *Store) PublishChecked(epoch int, iters int64, fill func(dst []float64, held uint64) (w []float64, finite bool)) uint64 {
+	if v := s.publish(epoch, iters, false, fill); v != nil {
+		return v.Seq
+	}
+	return 0
 }
 
 // publish cuts and installs one version under the writer lock, into the
-// spare's weights when their length is the current version's. handOut
-// marks the version handed before anyone else can reach it, for callers
-// that return it. A rejected cut drops the buffer fill was given.
-func (s *Store) publish(epoch int, iters int64, handOut bool, fill func(dst []float64) ([]float64, bool)) *Version {
+// spare's weights when their length is the current version's, telling
+// fill the spare's Seq then. handOut marks the version handed before
+// anyone else can reach it, for callers that return it. A rejected cut
+// drops the buffer fill was given.
+func (s *Store) publish(epoch int, iters int64, handOut bool, fill func(dst []float64, held uint64) ([]float64, bool)) *Version {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v := s.spare
 	s.spare = nil
 	prev := s.cur.Load()
-	var seq uint64 = 1
+	var seq, held uint64 = 1, 0
 	var dst []float64
 	if prev != nil {
 		seq = prev.Seq + 1
 		if v != nil && len(v.Weights) == len(prev.Weights) {
-			dst = v.Weights
+			dst, held = v.Weights, v.Seq
 		} else {
 			dst = make([]float64, len(prev.Weights))
 		}
 	}
-	w, finite := fill(dst)
+	w, finite := fill(dst, held)
 	if !finite {
 		s.reject(epoch, iters)
 		return nil

@@ -236,23 +236,23 @@ func TestPublishCheckedTrustsTheProducer(t *testing.T) {
 	s := NewStore()
 	var rejected []int
 	s.SetOnReject(func(epoch int, _ int64) { rejected = append(rejected, epoch) })
-	fill := func(finite bool) func([]float64) ([]float64, bool) {
-		return func(dst []float64) ([]float64, bool) { return append(dst[:0], 1, 2, 3), finite }
+	fill := func(finite bool) func([]float64, uint64) ([]float64, bool) {
+		return func(dst []float64, _ uint64) ([]float64, bool) { return append(dst[:0], 1, 2, 3), finite }
 	}
-	if !s.PublishChecked(1, 10, fill(true)) {
-		t.Fatal("finite checked publish refused")
+	if seq := s.PublishChecked(1, 10, fill(true)); seq != 1 {
+		t.Fatalf("finite checked publish returned seq %d, want 1", seq)
 	}
 	if v := s.Load(); v == nil || v.Seq != 1 || len(v.Weights) != 3 {
 		t.Fatalf("checked publish = %+v", v)
 	}
-	if s.PublishChecked(2, 20, fill(false)) {
-		t.Fatalf("producer reported non-finite weights, store published seq %d", s.Seq())
+	if seq := s.PublishChecked(2, 20, fill(false)); seq != 0 {
+		t.Fatalf("producer reported non-finite weights, store published seq %d", seq)
 	}
 	if s.Seq() != 1 || s.Rejects() != 1 || len(rejected) != 1 || rejected[0] != 2 {
 		t.Fatalf("after the refusal: seq %d, rejects %d, hook saw %v", s.Seq(), s.Rejects(), rejected)
 	}
-	if !s.PublishChecked(3, 30, fill(true)) {
-		t.Fatal("publish after a refusal refused")
+	if seq := s.PublishChecked(3, 30, fill(true)); seq != 2 {
+		t.Fatalf("publish after a refusal returned seq %d, want 2", seq)
 	}
 	if v := s.Load(); v.Seq != 2 || v.Epoch != 3 {
 		t.Fatalf("publish after a refusal = %+v", v)
@@ -261,8 +261,8 @@ func TestPublishCheckedTrustsTheProducer(t *testing.T) {
 
 // fillSeq is a checked fill that writes seq into every coordinate of a
 // dim-long buffer, reusing dst when it has the length.
-func fillSeq(dim int, seq uint64) func([]float64) ([]float64, bool) {
-	return func(dst []float64) ([]float64, bool) {
+func fillSeq(dim int, seq uint64) func([]float64, uint64) ([]float64, bool) {
+	return func(dst []float64, _ uint64) ([]float64, bool) {
 		if len(dst) != dim {
 			dst = make([]float64, dim)
 		}
@@ -281,10 +281,10 @@ func TestPublishCheckedReusesUnseen(t *testing.T) {
 	const dim = 4
 	s := NewStore()
 	var got []float64 // the dst of the latest cut
-	cut := func(seq uint64) bool {
-		return s.PublishChecked(int(seq), 0, func(dst []float64) ([]float64, bool) {
+	cut := func(seq uint64) uint64 {
+		return s.PublishChecked(int(seq), 0, func(dst []float64, held uint64) ([]float64, bool) {
 			got = append(got[:0], dst...)
-			return fillSeq(dim, seq)(dst)
+			return fillSeq(dim, seq)(dst, held)
 		})
 	}
 	cut(1)
@@ -316,6 +316,67 @@ func TestPublishCheckedReusesUnseen(t *testing.T) {
 	for _, v := range seen {
 		if v.Weights[0] != float64(v.Seq) {
 			t.Fatalf("hooked version %d written again: %v", v.Seq, v.Weights)
+		}
+	}
+}
+
+// TestPublishCheckedHeld: fill is told which version its buffer holds —
+// the spare's Seq when the store reuses one, 0 on the first publish and
+// whenever the buffer is fresh (after a loaded version, a rejected cut or
+// a change of length) — and a reused buffer holds exactly that
+// version's weights.
+func TestPublishCheckedHeld(t *testing.T) {
+	const dim = 3
+	s := NewStore()
+	var held []uint64
+	cut := func(n int, finite bool) uint64 {
+		return s.PublishChecked(0, 0, func(dst []float64, h uint64) ([]float64, bool) {
+			held = append(held, h)
+			if h != 0 && dst[0] != float64(h) {
+				t.Fatalf("told the buffer holds version %d, it holds %v", h, dst)
+			}
+			if h == 0 {
+				for _, w := range dst {
+					if w != 0 {
+						t.Fatalf("fresh buffer holds %v", dst)
+					}
+				}
+			}
+			seq := s.Seq() + 1
+			w, _ := fillSeq(n, seq)(dst, h)
+			return w, finite
+		})
+	}
+	steps := []struct {
+		dim    int
+		finite bool
+		load   bool
+		seq    uint64 // PublishChecked's return
+	}{
+		{dim, true, false, 1},      // first: nil buffer
+		{dim, true, false, 2},      // no spare yet: fresh
+		{dim, true, false, 3},      // version 1's buffer
+		{dim, true, true, 4},       // version 2's; then version 4 is loaded
+		{dim, true, false, 5},      // version 3's
+		{dim, true, false, 6},      // version 4 was handed: fresh
+		{dim, false, false, 0},     // version 5's, then rejected and dropped
+		{dim, true, false, 7},      // fresh
+		{dim, true, false, 8},      // version 6's
+		{dim + 1, true, false, 9},  // version 7's, which fill leaves for a longer one
+		{dim + 1, true, false, 10}, // version 8 is shorter than version 9: fresh
+	}
+	want := []uint64{0, 0, 1, 2, 3, 0, 5, 0, 6, 7, 0}
+	for i, st := range steps {
+		if got := cut(st.dim, st.finite); got != st.seq {
+			t.Fatalf("publish %d returned seq %d, want %d", i+1, got, st.seq)
+		}
+		if st.load {
+			s.Load()
+		}
+	}
+	for i := range want {
+		if held[i] != want[i] {
+			t.Fatalf("held per publish = %v, want %v", held, want)
 		}
 	}
 }
@@ -425,7 +486,7 @@ func TestPublishCheckedAllocs(t *testing.T) {
 	const dim = 1 << 10
 	s := NewStore()
 	seq := uint64(0)
-	fill := func(dst []float64) ([]float64, bool) {
+	fill := func(dst []float64, _ uint64) ([]float64, bool) {
 		if len(dst) != dim {
 			dst = make([]float64, dim)
 		}
@@ -461,7 +522,7 @@ func BenchmarkPublish(b *testing.B) {
 	for j := range src {
 		src[j] = float64(j)
 	}
-	fill := func(dst []float64) ([]float64, bool) {
+	fill := func(dst []float64, _ uint64) ([]float64, bool) {
 		if len(dst) != dim {
 			dst = make([]float64, dim)
 		}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/isasgd/isasgd/internal/snapshot"
 	"github.com/isasgd/isasgd/internal/xrand"
@@ -125,4 +126,52 @@ func streamConfigBench(dim int) Config {
 	cfg := streamConfig(dim, false)
 	cfg.Workers = 2
 	return cfg
+}
+
+// BenchmarkTrainerPublish times the per-block cut of a dim-600 000 model
+// (the stream benchmark's size) on two workers, each after a block of
+// 1 024 updates: patched, where the store hands the cut the buffer of
+// the trainer's version before last and the cut copies the coordinates
+// the two blocks since wrote, and full, where the trainer has forgotten
+// its cuts and copies the whole model into the same reused buffer.
+// publish-ns/op is the cut alone (ns/op adds the block's updates), and
+// listed/op how many coordinates a patched cut copies.
+func BenchmarkTrainerPublish(b *testing.B) {
+	const dim, bs = 600_000, 1024
+	corpus := makeSkewedCorpus(4*bs, dim, 0.3, 1, 1)
+	for _, full := range []bool{false, true} {
+		name := "patched"
+		if full {
+			name = "full"
+		}
+		b.Run(name, func(b *testing.B) {
+			cfg := streamConfigBench(dim)
+			cfg.Snapshots = snapshot.NewStore()
+			tr, err := NewTrainer(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := tr.Run(context.Background(), NewReader(strings.NewReader(corpus), "bench", bs)); err != nil {
+				b.Fatal(err)
+			}
+			var cut time.Duration
+			listed := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr.runUpdates(bs)
+				if full {
+					tr.cuts.s1, tr.cuts.s2 = 0, 0
+				}
+				listed += len(tr.cuts.last) + tr.cuts.pendingLen()
+				start := time.Now()
+				tr.publish()
+				cut += time.Since(start)
+			}
+			b.ReportMetric(float64(cut.Nanoseconds())/float64(b.N), "publish-ns/op")
+			if !full {
+				b.ReportMetric(float64(listed)/float64(b.N), "listed/op")
+			}
+		})
+	}
 }

@@ -2,6 +2,8 @@ package stream
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -95,7 +97,7 @@ func TestRunFailsOnDivergence(t *testing.T) {
 
 // TestRangedCutEqualsSnapshot: the version the trainer publishes — cut
 // range by range on its workers, finiteness checked on the way — holds
-// exactly what Model().Snapshot copies from the same quiescent model,
+// exactly what Snapshot copies from the same quiescent model,
 // for every model kind; a non-finite weight in any worker's range
 // rejects the version; and over a run of cuts in which a reader loads
 // only some versions, every version it loaded still equals the Snapshot
@@ -122,13 +124,13 @@ func TestRangedCutEqualsSnapshot(t *testing.T) {
 		for j := range w {
 			w[j] = float64(j%1001-500) / 64 // exact in float32 too
 		}
-		tr.Model().Load(w)
+		tr.load(w)
 		tr.publish()
 		v := st.Load()
 		if v == nil || v.Seq != 1 || st.Rejects() != 0 {
 			t.Fatalf("%v/%s: finite model not published (version %+v, %d rejects)", k.kind, k.precision, v, st.Rejects())
 		}
-		for j, x := range tr.Model().Snapshot(nil) {
+		for j, x := range tr.Snapshot(nil) {
 			if v.Weights[j] != x || x != w[j] {
 				t.Fatalf("%v/%s: coordinate %d: published %g, Snapshot %g, loaded %g", k.kind, k.precision, j, v.Weights[j], x, w[j])
 			}
@@ -136,7 +138,7 @@ func TestRangedCutEqualsSnapshot(t *testing.T) {
 		for r, j := range []int{5, dim / 2, dim - 1} { // one in each worker's range
 			bad := append([]float64(nil), w...)
 			bad[j] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[r]
-			tr.Model().Load(bad)
+			tr.load(bad)
 			tr.publish()
 			if st.Seq() != 1 || st.Rejects() != int64(r+1) {
 				t.Fatalf("%v/%s: %g at %d: seq %d, rejects %d; want the version refused", k.kind, k.precision, bad[j], j, st.Seq(), st.Rejects())
@@ -152,10 +154,10 @@ func TestRangedCutEqualsSnapshot(t *testing.T) {
 			for j := range w {
 				w[j] = float64((j*(c+3))%1001-500) / 64
 			}
-			tr.Model().Load(w)
+			tr.load(w)
 			tr.publish()
 			if c%3 == 0 {
-				held = append(held, cut{st.Load(), tr.Model().Snapshot(nil)})
+				held = append(held, cut{st.Load(), tr.Snapshot(nil)})
 			}
 		}
 		for _, h := range held {
@@ -166,4 +168,187 @@ func TestRangedCutEqualsSnapshot(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPatchedCutEqualsSnapshot: over real Ingest blocks, where most cuts
+// patch the buffer of an older version with only the coordinates the
+// updates wrote since, a reader that loads and holds every k-th version
+// finds each held version equal, bit for bit, to the Snapshot taken at
+// its cut — for every model kind, at one and three workers and under an
+// adaptive policy, whose loop body attenuates steps and sheds updates as
+// concurrent workers make them stale — and the patch path ran.
+// Concurrent racy workers are the Hogwild race itself, so the racy kinds
+// run at three workers only without the race detector.
+func TestPatchedCutEqualsSnapshot(t *testing.T) {
+	const (
+		dim    = 1 << 16 // a full cut splits it over the workers
+		bs     = 128
+		blocks = 24
+		k      = 5
+	)
+	corpus := makeSkewedCorpus(blocks*bs, dim, 0.3, 3, 3)
+	type run struct {
+		kind      model.Kind
+		precision string
+		workers   int
+		adaptive  bool
+	}
+	var runs []run
+	for _, kind := range []model.Kind{model.KindAtomic, model.KindRacy} {
+		for _, precision := range []string{"", model.PrecisionF32} {
+			for _, workers := range []int{1, 3} {
+				if kind == model.KindRacy && workers > 1 && model.RaceEnabled {
+					continue
+				}
+				runs = append(runs, run{kind, precision, workers, false})
+			}
+		}
+	}
+	runs = append(runs, run{model.KindAtomic, "", 3, true})
+	for _, r := range runs {
+		name := fmt.Sprintf("%v/%s/%d workers/adaptive %v", r.kind, r.precision, r.workers, r.adaptive)
+		st := snapshot.NewStore()
+		cfg := streamConfig(dim, false)
+		cfg.Workers, cfg.ModelKind, cfg.Precision, cfg.Snapshots = r.workers, r.kind, r.precision, st
+		if r.adaptive {
+			cfg.AdaptC, cfg.StalenessBound = 0.5, 1
+		}
+		tr, err := NewTrainer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type cut struct {
+			v    *snapshot.Version
+			want []float64
+		}
+		var held []cut
+		tr.SetOnBlock(func(b BlockStats) {
+			if b.Block%k == k-1 {
+				held = append(held, cut{st.Load(), tr.Snapshot(nil)})
+			}
+		})
+		res, err := tr.Run(context.Background(), NewReader(strings.NewReader(corpus), "patch", bs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Blocks != blocks || st.Seq() != blocks || st.Rejects() != 0 {
+			t.Fatalf("%s: %d blocks, seq %d, %d rejects", name, res.Blocks, st.Seq(), st.Rejects())
+		}
+		// The first two cuts are full, and so is the second cut after
+		// each held version: the store has no spare for it.
+		if want := blocks - 2 - blocks/k; tr.cuts.patched != want {
+			t.Fatalf("%s: %d of %d cuts patched, want %d", name, tr.cuts.patched, blocks, want)
+		}
+		for _, h := range held {
+			if h.v.Epoch%k != 0 {
+				t.Fatalf("%s: held version %d cut at block %d", name, h.v.Seq, h.v.Epoch)
+			}
+			for j, x := range h.want {
+				if math.Float64bits(h.v.Weights[j]) != math.Float64bits(x) {
+					t.Fatalf("%s: version %d, coordinate %d: %g, Snapshot at its cut %g", name, h.v.Seq, j, h.v.Weights[j], x)
+				}
+			}
+		}
+	}
+}
+
+// TestPatchedCutRejectsNonFinite: a patched cut screens every coordinate
+// it copies, so weights that blow up between two cuts reject the cut, and
+// the store keeps serving its last finite version.
+func TestPatchedCutRejectsNonFinite(t *testing.T) {
+	const dim, bs = 1 << 12, 64
+	var sb strings.Builder
+	for i := 0; i < 8*bs; i++ {
+		fmt.Fprintf(&sb, "%d %d:1000.0\n", 1-2*(i%2), 1+i%dim)
+	}
+	st := snapshot.NewStore()
+	tr, err := NewTrainer(Config{
+		Obj: objective.LeastSquaresL2{Eta: 1e-4}, Dim: dim,
+		Workers: 1, Step: 1e-9, WindowBlocks: 1, Seed: 3, Snapshots: st,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(strings.NewReader(sb.String()), "d", bs)
+	ingest := func() {
+		b, err := r.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Ingest(b)
+	}
+	for i := 0; i < 4; i++ {
+		ingest()
+	}
+	good := st.Load()
+	if good == nil || good.Seq != 4 || tr.cuts.patched == 0 {
+		t.Fatalf("before the blow-up: version %+v, %d patched cuts", good, tr.cuts.patched)
+	}
+	ingest() // patches version 3's buffer; version 4 was handed, so no spare after
+	ingest() // a full cut
+	want := tr.Snapshot(nil)
+	patched := tr.cuts.patched
+	tr.step = 1e300
+	ingest() // patches version 5's buffer
+	if tr.cuts.patched != patched+1 {
+		t.Fatalf("the diverged cut did not patch (%d patched cuts before, %d after)", patched, tr.cuts.patched)
+	}
+	if j := model.FirstNonFinite(tr.Snapshot(nil)); j < 0 {
+		t.Fatal("the model did not diverge")
+	}
+	if st.Seq() != 6 || st.Rejects() != 1 {
+		t.Fatalf("diverged cut: seq %d, %d rejects; want seq 6 kept and one reject", st.Seq(), st.Rejects())
+	}
+	for j, w := range st.Load().Weights {
+		if w != want[j] {
+			t.Fatalf("store serves %g at %d, version 6 was cut with %g", w, j, want[j])
+		}
+	}
+}
+
+// TestPatchedPublishAllocs: once its lists have grown, a block's updates
+// and the patched cut after them allocate nothing.
+func TestPatchedPublishAllocs(t *testing.T) {
+	if model.RaceEnabled {
+		t.Skip("allocation accounting differs under the race detector")
+	}
+	const dim, bs = 1 << 16, 256
+	cfg := streamConfig(dim, false)
+	cfg.Workers, cfg.Snapshots = 1, snapshot.NewStore()
+	tr, err := NewTrainer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(strings.NewReader(makeSkewedCorpus(4*bs, dim, 0.3, 5, 5)), "a", bs)
+	for {
+		b, err := r.Next()
+		if err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		tr.Ingest(b)
+	}
+	block := func() {
+		tr.work(0, bs)
+		tr.publish()
+	}
+	for i := 0; i < 4; i++ {
+		block()
+	}
+	patched := tr.cuts.patched
+	if n := testing.AllocsPerRun(50, block); n != 0 {
+		t.Fatalf("updates and a patched cut allocate %g objects, want 0", n)
+	}
+	if tr.cuts.patched != patched+51 {
+		t.Fatalf("%d of 51 cuts patched", tr.cuts.patched-patched)
+	}
+}
+
+// load overwrites the model with w and forgets the recent cuts, so the
+// next cut copies the whole model: a write outside the update loop is
+// one the trainer's lists do not see.
+func (t *Trainer) load(w []float64) {
+	t.m.Load(w)
+	t.cuts.s1, t.cuts.s2 = 0, 0
 }

@@ -105,6 +105,10 @@ type Config struct {
 	// (by Load, Wait or a publish hook) before the next block lends its
 	// buffer to that block's cut: a store read every k blocks allocates
 	// about one model-sized buffer per k publishes, not one per publish.
+	// Such a buffer holds one of the trainer's two latest cuts, so the cut
+	// into it copies only the coordinates the updates wrote since then
+	// (see Trainer.publish); a store with a publish hook hands every
+	// version out and each cut copies the whole model.
 	Snapshots *snapshot.Store
 	// PublishEvery is the Snapshots cadence in blocks; <= 0 selects 1.
 	PublishEvery int
@@ -163,6 +167,7 @@ type Trainer struct {
 
 	win   window
 	plans []plan // per worker, reused block to block
+	cuts  cutLog
 
 	blocks  int64
 	updates int64
@@ -359,6 +364,9 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 		step:  cfg.Step,
 		win:   window{record: cfg.Importance == "grad"},
 	}
+	if cfg.Snapshots != nil {
+		t.cuts.pending = make([][]int32, cfg.Workers)
+	}
 	// The batch engine's update loop, bound to this model.
 	t.loop.Bind(t.m, cfg.Obj)
 	t.loop.Instrument(cfg.Instruments, cfg.Workers)
@@ -385,9 +393,6 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 	}
 	return t, nil
 }
-
-// Model exposes the shared model.
-func (t *Trainer) Model() model.Params { return t.m }
 
 // SetOnBlock installs (or replaces) the per-block progress callback.
 // Callers that need the trainer itself inside the callback (e.g. to call
@@ -539,6 +544,7 @@ func (t *Trainer) runUpdates(blockRows int) {
 	for _, p := range t.plans {
 		t.updates += p.applied
 	}
+	t.cuts.bound(t.cfg.Dim / maxPatchFrac)
 }
 
 // work applies worker w's quota of updates and returns how many it
@@ -549,7 +555,8 @@ func (t *Trainer) runUpdates(blockRows int) {
 // the draw sequence is the one that drawing each row inside the loop
 // gives. Under gradient-norm importance the loop stores each update's
 // |ℓ'| beside its window row, which only this worker's draws reach;
-// nothing reads them before the next rebuild.
+// nothing reads them before the next rebuild. The supports of the rows
+// it ran go on the worker's own list for the next cut (cutLog).
 func (t *Trainer) work(w, quota int) int64 {
 	p := &t.plans[w]
 	p.drawn = 0
@@ -559,6 +566,7 @@ func (t *Trainer) work(w, quota int) int64 {
 		live := t.draw(w, quota-int(applied), budget)
 		if n := len(p.rows); n > 0 {
 			applied += int64(n) - t.loop.Run(w, &t.win.x, p.rows, p.seq, p.scales, t.step, t.win.grad)
+			t.cuts.wrote(w, &t.win.x, p.rows)
 		}
 		if !live || p.drawn >= budget {
 			break
@@ -606,15 +614,119 @@ func (t *Trainer) draw(w, want, budget int) bool {
 // a snapshot is cut; smaller models are copied by the caller alone.
 const minCutRange = 1 << 14
 
-// publish cuts the current weights into the snapshot store. The cut is
-// one fused copy-and-finiteness pass over the model, split into
-// contiguous ranges across the workers, which are idle between update
-// phases — instead of a single-goroutine copy followed by the store's own
-// finiteness scan. The ranges cover all of dst, which may be the buffer
-// of an older version that no reader was handed.
+// maxPatchFrac bounds a patched cut: one whose lists name more than
+// Dim/maxPatchFrac coordinates copies the whole model instead, and lists
+// that grow past that are dropped. A listed coordinate is a random
+// gather and scatter on one goroutine, a full cut a sequential copy on
+// every worker. BenchmarkTrainerPublish (dim 600 000, 2 workers, 2 vCPU,
+// coordinates spread uniformly, so no repeat hits the cache) timed a
+// patch at 12–21 ns per listed coordinate for 16 k to 260 k coordinates
+// and the full cut at 0.72–1.03 ms of wall time, about twice that of
+// CPU. At Dim/16 = 37 500 coordinates a patch costs about a full cut's
+// wall time and half its CPU. A stream_e2e block lists about 10 000, and
+// a patch copies two blocks' lists.
+const maxPatchFrac = 16
+
+// cutLog records which coordinates the updates wrote, so a cut into the
+// buffer of one of the trainer's recent versions copies only those.
+// Between two cuts the model changes only in the supports of the rows
+// the workers' plans ran: every update the loop applies (plain, DC or
+// shed, which writes nothing) and the regularizer term it fuses touch
+// only its row's support, and nothing else writes the model.
+type cutLog struct {
+	// s1 < s2 are the seqs of the trainer's last two accepted cuts; 0 is
+	// unknown, after a dropped list or before the first two cuts.
+	s1, s2 uint64
+	// last lists the coordinates written between cuts s1 and s2, and
+	// pending[w] those worker w wrote since cut s2. A coordinate may be
+	// listed many times; it is copied as many. pending is nil when the
+	// trainer publishes nothing.
+	last    []int32
+	pending [][]int32
+	// patched counts the cuts that copied only the listed coordinates.
+	patched int
+}
+
+// wrote lists the supports of worker w's plan rows after the loop ran
+// them.
+func (c *cutLog) wrote(w int, x *core.Rows, rows []int) {
+	if c.pending == nil {
+		return
+	}
+	p := c.pending[w]
+	for _, r := range rows {
+		p = append(p, x.Idx[x.IndPtr[r]:x.IndPtr[r+1]]...)
+	}
+	c.pending[w] = p
+}
+
+// pendingLen returns how many coordinates pending lists.
+func (c *cutLog) pendingLen() int {
+	n := 0
+	for _, p := range c.pending {
+		n += len(p)
+	}
+	return n
+}
+
+// bound drops pending once it lists more than limit coordinates: no
+// patch would use it, and it would otherwise grow without bound across
+// rejected cuts or a long PublishEvery. Cut s2 is then unknown.
+func (c *cutLog) bound(limit int) {
+	if c.pending == nil || c.pendingLen() <= limit {
+		return
+	}
+	for w := range c.pending {
+		c.pending[w] = c.pending[w][:0]
+	}
+	c.s1, c.s2 = 0, 0
+}
+
+// patch copies and screens last (nil for none) and then pending from m
+// into dst, which holds the cut before them.
+func (c *cutLog) patch(m model.Params, dst []float64, last []int32) bool {
+	finite := m.SnapshotIdx(dst, last)
+	for _, p := range c.pending {
+		finite = m.SnapshotIdx(dst, p) && finite
+	}
+	c.patched++
+	return finite
+}
+
+// accepted moves the lists on past the store's acceptance of cut seq:
+// pending becomes last and starts empty.
+func (c *cutLog) accepted(seq uint64) {
+	c.s1, c.s2 = c.s2, seq
+	c.last = c.last[:0]
+	for w, p := range c.pending {
+		c.last = append(c.last, p...)
+		c.pending[w] = p[:0]
+	}
+}
+
+// publish cuts the current weights into the snapshot store. When the
+// store hands it the buffer of the trainer's last accepted cut, only the
+// coordinates written since (pending) are copied; when it holds the cut
+// before that, last and then pending are. Each listed coordinate is
+// screened for finiteness as it is copied; the others are unchanged since
+// the held cut, which the store accepted, so they are finite and already
+// equal to the model's values. Any other buffer — the first, a fresh one,
+// one another producer filled, or a patch over Dim/maxPatchFrac
+// coordinates — takes the full cut: one fused copy-and-finiteness pass
+// over the model, split into contiguous ranges across the workers, which
+// are idle between update phases. A rejected cut keeps pending, since the
+// model still differs from cut s2 exactly there.
 func (t *Trainer) publish() {
-	t.cfg.Snapshots.PublishChecked(int(t.blocks), t.updates, func(dst []float64) ([]float64, bool) {
+	c := &t.cuts
+	seq := t.cfg.Snapshots.PublishChecked(int(t.blocks), t.updates, func(dst []float64, held uint64) ([]float64, bool) {
 		dim := t.cfg.Dim
+		switch {
+		case held == 0:
+		case held == c.s2:
+			return dst, c.patch(t.m, dst, nil)
+		case held == c.s1 && len(c.last)+c.pendingLen() <= dim/maxPatchFrac:
+			return dst, c.patch(t.m, dst, c.last)
+		}
 		if cap(dst) < dim {
 			dst = make([]float64, dim)
 		}
@@ -628,6 +740,9 @@ func (t *Trainer) publish() {
 		})
 		return dst, !nonFinite.Load()
 	})
+	if seq != 0 {
+		c.accepted(seq)
+	}
 }
 
 // EvaluateWindow scores the current model on every resident row and

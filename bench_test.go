@@ -1,17 +1,14 @@
-// Benchmarks regenerating the paper's tables and figures (one bench per
-// artifact) plus kernel-level throughput microbenchmarks. Experiment
-// benches run at "quick" scale so `go test -bench=. -benchmem` completes
-// in minutes; use cmd/isasgd-bench for the full-scale reports. End-to-end
-// performance numbers come from `bash bench/run.sh` (see bench/README.md).
+// Throughput, kernel and evaluation microbenchmarks. The paper's tables
+// and figures are counts, not timings: cmd/isasgd-bench prints them and
+// internal/experiments' report golden pins them. End-to-end performance
+// numbers come from `bash bench/run.sh` (see bench/README.md).
 package isasgd_test
 
 import (
 	"context"
-	"io"
 	"testing"
 
 	isasgd "github.com/isasgd/isasgd"
-	"github.com/isasgd/isasgd/internal/experiments"
 	"github.com/isasgd/isasgd/internal/kernel"
 	"github.com/isasgd/isasgd/internal/metrics"
 	"github.com/isasgd/isasgd/internal/model"
@@ -19,164 +16,6 @@ import (
 	"github.com/isasgd/isasgd/internal/solver"
 	"github.com/isasgd/isasgd/internal/xrand"
 )
-
-func quickRunner(b *testing.B) *experiments.Runner {
-	b.Helper()
-	return experiments.NewRunner(io.Discard, experiments.Quick(), 1)
-}
-
-// BenchmarkTable1 regenerates the dataset-statistics table.
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := quickRunner(b)
-		if _, err := r.Table1(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig1SparseVsDense regenerates the Figure-1 cost comparison
-// and reports the dense/sparse cost ratio at the largest dimension.
-func BenchmarkFig1SparseVsDense(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		r := quickRunner(b)
-		res, err := r.Fig1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = res.Points[len(res.Points)-1].Ratio
-	}
-	b.ReportMetric(ratio, "dense/sparse-ratio")
-}
-
-// BenchmarkFig2Balancing regenerates the Section-2.3 worked example.
-func BenchmarkFig2Balancing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := quickRunner(b)
-		if _, err := r.Fig2(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchConvPanel runs one dataset's Figure-3/4/5 panel (training sweep +
-// all three renderings) and reports the mean IS-ASGD speedup over ASGD.
-func benchConvPanel(b *testing.B, preset string, withSVRG bool) {
-	b.Helper()
-	var mean float64
-	for i := 0; i < b.N; i++ {
-		r := quickRunner(b)
-		cr, err := r.Convergence(context.Background(), preset, withSVRG)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r.RenderIterative(cr) // Figure 3 view
-		r.RenderAbsolute(cr)  // Figure 4 view
-		sums := r.RenderSpeedups(cr)
-		total, n := 0.0, 0
-		for _, s := range sums {
-			if s.MeanOverASGD > 0 {
-				total += s.MeanOverASGD
-				n++
-			}
-		}
-		if n > 0 {
-			mean = total / float64(n)
-		}
-	}
-	b.ReportMetric(mean, "mean-speedup-vs-asgd")
-}
-
-// Benchmarks for the four panels of Figures 3, 4 and 5 (sub-figures a–d:
-// News20, KDD-Algebra, URL, KDD-Bridge). SVRG-ASGD participates only in
-// the News20 panel, as in the paper.
-func BenchmarkFig345aNews20(b *testing.B) { benchConvPanel(b, "news20s", true) }
-
-// BenchmarkFig345bKDDAlgebra is panel (b).
-func BenchmarkFig345bKDDAlgebra(b *testing.B) { benchConvPanel(b, "kddas", false) }
-
-// BenchmarkFig345cURL is panel (c).
-func BenchmarkFig345cURL(b *testing.B) { benchConvPanel(b, "urls", false) }
-
-// BenchmarkFig345dKDDBridge is panel (d).
-func BenchmarkFig345dKDDBridge(b *testing.B) { benchConvPanel(b, "kddbs", false) }
-
-// BenchmarkTheory evaluates the Section-3 bound table.
-func BenchmarkTheory(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := quickRunner(b)
-		if _, err := r.Theory(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationBalancing compares shard-preparation modes.
-func BenchmarkAblationBalancing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := quickRunner(b)
-		if _, err := r.AblationBalancing(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationSVRGSkipMu compares strict SVRG with the public-code
-// approximation and reports their maximum RMSE divergence.
-func BenchmarkAblationSVRGSkipMu(b *testing.B) {
-	var diff float64
-	for i := 0; i < b.N; i++ {
-		r := quickRunner(b)
-		res, err := r.AblationSVRGSkipMu(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		diff = res.MaxDiff
-	}
-	b.ReportMetric(diff, "max-rmse-divergence")
-}
-
-// BenchmarkAblationModelKind compares atomic CAS with racy Hogwild
-// model storage.
-func BenchmarkAblationModelKind(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := quickRunner(b)
-		if _, err := r.AblationModelKind(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationSequence compares per-epoch sequence regeneration
-// with the paper's shuffle-once approximation and reports the final
-// RMSE gap the approximation costs.
-func BenchmarkAblationSequence(b *testing.B) {
-	var gap float64
-	for i := 0; i < b.N; i++ {
-		r := quickRunner(b)
-		res, err := r.AblationSequence(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		gap = res.FinalGap
-	}
-	b.ReportMetric(gap, "final-rmse-gap")
-}
-
-// BenchmarkOverheadIS measures the IS setup cost fraction (Sec. 4.2).
-func BenchmarkOverheadIS(b *testing.B) {
-	var frac float64
-	for i := 0; i < b.N; i++ {
-		r := quickRunner(b)
-		res, err := r.OverheadIS(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		frac = res.Fraction
-	}
-	b.ReportMetric(100*frac, "setup-%")
-}
 
 // benchThroughput measures raw update throughput of one algorithm at a
 // given concurrency, in updates per second.

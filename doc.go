@@ -45,9 +45,15 @@
 // LibSVM I/O, synthetic dataset generators reproducing the scale
 // signatures of the paper's four evaluation datasets, conflict-graph
 // analysis with the paper's convergence bounds, and an experiment
-// harness (cmd/isasgd-bench) that regenerates every table and figure of
-// the paper's evaluation, printing each beside the paper's own numbers.
-// See internal/README.md for the system inventory.
+// harness (cmd/isasgd-bench) that regenerates the paper's tables and
+// figures, printing each beside the paper's own numbers. The harness
+// trains on a deterministic delayed executor, so its report counts
+// updates and repeats byte for byte at a seed: Figure 1 is a count of
+// touched coordinates, Figure 5 counts updates to each error level, and
+// absolute time is measured only by bench/ (setup_s, core.is_overhead),
+// so the wall-clock Figure 4 has no counterpart. The SVRG-ASGD arm of
+// the News20 panel waits until SVRG runs on the shared update loop
+// (ROADMAP item 7). See internal/README.md for the system inventory.
 //
 // # One training spec
 //

@@ -2,36 +2,83 @@
 // evaluation (Section 4) on the synthetic dataset analogs:
 //
 //	Table 1   dataset statistics                     (Runner.Table1)
-//	Figure 1  sparse vs dense update cost            (Runner.Fig1)
+//	Figure 1  sparse vs dense update size, a count   (Runner.Fig1)
 //	Figure 2  importance balancing worked example    (Runner.Fig2)
 //	Figure 3  iterative convergence curves           (Runner.Convergence → RenderIterative)
-//	Figure 4  absolute (wall-clock) convergence      (same runs → RenderAbsolute)
-//	Figure 5  error-rate→speedup slices              (same runs → RenderSpeedups)
+//	Figure 5  error-rate → speedup in updates        (same runs → RenderSpeedups)
 //	Sec. 4.2  speedup summary numbers                (Runner.Summary)
 //	Sec. 3    conflict-graph / τ-bound theory check  (Runner.Theory)
-//	Ablations balancing mode, SVRG skip-µ, model kind (Runner.Ablation*)
+//	Ablations balancing mode, SVRG skip-µ, sequence, adaptive IS (Runner.Ablation*)
+//	Sweeps    ψ (Eq. 15) and exact delay τ (Eq. 27)  (Runner.PsiSweep, Runner.TauSweep)
 //
-// Each experiment prints the same rows/series the paper reports, with
-// the paper's reference values beside the measured ones where the paper
-// gives them, and returns a structured result (the Write*CSV emitters
-// export it). Absolute numbers are not expected to match the paper's
-// 44-core Xeon testbed; the shapes (who wins, by what factor, where the
-// crossovers are) are the reproduction target. Performance is not
-// measured here: `bash bench/run.sh` is the benchmark (see
-// bench/README.md).
+// Each experiment prints the same rows the paper reports, with the
+// paper's reference values beside the measured ones where the paper
+// gives them, and returns a structured result. Figures print their
+// curve values as tables. Absolute numbers are not expected to match
+// the paper's 44-core testbed; the shapes (who wins, by what factor,
+// where the crossovers are) are the reproduction target.
+//
+// Every training run but the SVRG skip-µ ablation runs on core's
+// delayed executor (core.Engine.RunEpochDelayed): P threads become P
+// workers whose gradients each read the model τ = P − 1 writes before
+// they are applied, and sequential SGD is one worker at τ = 0. So the
+// reports count updates, not seconds, and repeat byte for byte at a
+// seed on any machine; testdata/report.golden pins them. Figure 1 is a
+// count of touched coordinates. Absolute time is measured only by `bash
+// bench/run.sh` (its setup_s and core.is_overhead; see bench/README.md),
+// so the paper's Figure 4 (wall-clock axis) has no counterpart here.
+// The SVRG-ASGD arm of the News20 panel waits until SVRG runs on
+// core.Loop (ROADMAP item 7).
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"time"
+	"slices"
+	"strings"
 
 	"github.com/isasgd/isasgd/internal/core"
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/metrics"
 	"github.com/isasgd/isasgd/internal/objective"
 )
+
+// Names lists every experiment Run accepts, in the order it runs them.
+// fig3, fig5 and summary name one sweep: any of them runs Summary,
+// which prints all three.
+var Names = []string{"table1", "fig1", "fig2", "fig3", "fig5", "summary", "theory", "ablations", "psisweep", "tausweep"}
+
+// Run runs the experiments whose names are set in want, in Names order,
+// and returns the convergence sweep's result when one ran.
+func (r *Runner) Run(ctx context.Context, want map[string]bool) (*SummaryResult, error) {
+	var sum *SummaryResult
+	steps := []struct {
+		names []string
+		run   func() error
+	}{
+		{[]string{"table1"}, func() error { _, err := r.Table1(); return err }},
+		{[]string{"fig1"}, func() error { _, err := r.Fig1(); return err }},
+		{[]string{"fig2"}, func() error { _, err := r.Fig2(); return err }},
+		{[]string{"fig3", "fig5", "summary"}, func() (err error) { sum, err = r.Summary(ctx); return err }},
+		{[]string{"theory"}, func() error { _, err := r.Theory(); return err }},
+		{[]string{"ablations"}, func() error { _, err := r.AblationBalancing(ctx); return err }},
+		{[]string{"ablations"}, func() error { _, err := r.AblationSVRGSkipMu(ctx); return err }},
+		{[]string{"ablations"}, func() error { _, err := r.AblationSequence(ctx); return err }},
+		{[]string{"ablations"}, func() error { _, err := r.AblationAdaptiveIS(ctx); return err }},
+		{[]string{"psisweep"}, func() error { _, err := r.PsiSweep(ctx); return err }},
+		{[]string{"tausweep"}, func() error { _, err := r.TauSweep(ctx); return err }},
+	}
+	for _, s := range steps {
+		if !slices.ContainsFunc(s.names, func(n string) bool { return want[n] }) {
+			continue
+		}
+		if err := s.run(); err != nil {
+			return nil, err
+		}
+	}
+	return sum, nil
+}
 
 // Scale bundles the knobs that trade fidelity for runtime.
 type Scale struct {
@@ -165,8 +212,41 @@ func (r *Runner) section(title string) {
 	r.printf("\n=== %s ===\n\n", title)
 }
 
-func fmtDur(d time.Duration) string {
-	return fmt.Sprintf("%.3fs", d.Seconds())
+// table prints rows under a header as a fixed-width text table,
+// followed by a blank line.
+func (r *Runner) table(header []string, rows [][]string) {
+	widths := make([]int, len(header))
+	for _, row := range append([][]string{header}, rows...) {
+		for i, cell := range row {
+			widths[i] = max(widths[i], len(cell))
+		}
+	}
+	var b strings.Builder
+	writeRow := func(cells []string) {
+		for i, cell := range cells {
+			if i > 0 {
+				b.WriteString("  ")
+			}
+			fmt.Fprintf(&b, "%-*s", widths[i], cell)
+		}
+		b.WriteByte('\n')
+	}
+	writeRow(header)
+	sep := make([]string, len(header))
+	for i := range sep {
+		sep[i] = strings.Repeat("-", widths[i])
+	}
+	writeRow(sep)
+	for _, row := range rows {
+		writeRow(row)
+	}
+	r.printf("%s\n", b.String())
+}
+
+// widest is the scale's largest concurrency level P: the ablations and
+// the ψ sweep run P workers at τ = P − 1.
+func (r *Runner) widest() int {
+	return r.Scale.Threads[len(r.Scale.Threads)-1]
 }
 
 // delayedEvalWorkers is the evaluation's worker count on the delayed

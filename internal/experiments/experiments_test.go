@@ -72,17 +72,22 @@ func TestFig1RatioGrows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) < 3 {
-		t.Fatalf("points = %d", len(res.Points))
+	if len(res.Rows) != 4 {
+		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	// The dense/sparse cost ratio must grow with dimensionality and hit
-	// at least two orders of magnitude at the top (Figure 1's claim).
-	first, last := res.Points[0], res.Points[len(res.Points)-1]
-	if last.Ratio <= first.Ratio {
-		t.Fatalf("ratio not growing: %.0f -> %.0f", first.Ratio, last.Ratio)
-	}
-	if last.Ratio < 100 {
-		t.Fatalf("dense/sparse ratio at d=%d only %.0fx", last.Dim, last.Ratio)
+	// The ratio is the exact count d/nnz, and it grows down Table 1 as
+	// the paper's datasets grow sparser (Figure 1's claim).
+	for i, row := range res.Rows {
+		d, err := r.Dataset(row.Dataset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := float64(d.Dim()) / (float64(d.X.NNZ()) / float64(d.N())); row.Ratio != want {
+			t.Errorf("%s: ratio %g, want d/(nnz/n) = %g", row.Dataset, row.Ratio, want)
+		}
+		if i > 0 && row.Ratio <= res.Rows[i-1].Ratio {
+			t.Errorf("ratio not growing: %s %.0f -> %s %.0f", res.Rows[i-1].Dataset, res.Rows[i-1].Ratio, row.Dataset, row.Ratio)
+		}
 	}
 }
 
@@ -119,18 +124,21 @@ func TestFig2MatchesPaperNumbers(t *testing.T) {
 func TestConvergenceAndRenders(t *testing.T) {
 	var buf bytes.Buffer
 	r := tiny(&buf)
-	cr, err := r.Convergence(context.Background(), "news20s", true)
+	cr, err := r.Convergence(context.Background(), "news20s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 1 SGD + (ASGD, IS-ASGD, SVRG-ASGD) × 2 thread levels = 7 runs.
-	if len(cr.Curves) != 7 {
-		t.Fatalf("curves = %d, want 7", len(cr.Curves))
+	// 1 SGD + (ASGD, IS-ASGD) × 2 thread levels = 5 runs.
+	if len(cr.Curves) != 5 {
+		t.Fatalf("curves = %d, want 5", len(cr.Curves))
 	}
-	// All runs must have optimized.
+	// All runs must have optimized, each epoch n updates.
 	for k, c := range cr.Curves {
 		if c.Final().Obj >= c[0].Obj {
 			t.Errorf("%s did not reduce the objective (%g -> %g)", k, c[0].Obj, c.Final().Obj)
+		}
+		if want := int64(cr.Epochs * cr.Stats.N); c.Final().Iters != want {
+			t.Errorf("%s ran %d updates, want %d", k, c.Final().Iters, want)
 		}
 	}
 	// IS-ASGD decisions recorded with the expected Algorithm-4 branch
@@ -143,13 +151,12 @@ func TestConvergenceAndRenders(t *testing.T) {
 	}
 
 	r.RenderIterative(cr)
-	r.RenderAbsolute(cr)
 	sums := r.RenderSpeedups(cr)
 	if len(sums) != len(cr.Threads) {
 		t.Fatalf("speedup summaries = %d", len(sums))
 	}
 	out := buf.String()
-	for _, want := range []string{"Figure 3", "Figure 4", "Figure 5", "is-asgd/2", "svrg-asgd"} {
+	for _, want := range []string{"Figure 3", "Figure 5", "is-asgd/2 RMSE", "asgd/4 err"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render output missing %q", want)
 		}
@@ -159,7 +166,7 @@ func TestConvergenceAndRenders(t *testing.T) {
 func TestConvergenceUnknownPreset(t *testing.T) {
 	var buf bytes.Buffer
 	r := tiny(&buf)
-	if _, err := r.Convergence(context.Background(), "nope", false); err == nil {
+	if _, err := r.Convergence(context.Background(), "nope"); err == nil {
 		t.Fatal("unknown preset accepted")
 	}
 }
@@ -169,7 +176,7 @@ func TestConvergenceCancelled(t *testing.T) {
 	r := tiny(&buf)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := r.Convergence(ctx, "news20s", false); err == nil {
+	if _, err := r.Convergence(ctx, "news20s"); err == nil {
 		t.Fatal("cancelled context accepted")
 	}
 }
@@ -212,23 +219,6 @@ func TestAblationSVRGSkipMu(t *testing.T) {
 	}
 }
 
-func TestAblationModelKind(t *testing.T) {
-	var buf bytes.Buffer
-	r := tiny(&buf)
-	res, err := r.AblationModelKind(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-	for _, row := range res.Rows {
-		if row.FinalRMSE <= 0 || row.TrainTime <= 0 {
-			t.Fatalf("row not populated: %+v", row)
-		}
-	}
-}
-
 func TestAblationSequence(t *testing.T) {
 	var buf bytes.Buffer
 	r := tiny(&buf)
@@ -260,24 +250,9 @@ func TestAblationAdaptiveIS(t *testing.T) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	for _, row := range res.Rows {
-		if row.FinalRMSE <= 0 || row.TrainTime <= 0 {
+		if row.FinalRMSE <= 0 || row.FinalErr <= 0 {
 			t.Fatalf("row not populated: %+v", row)
 		}
-	}
-}
-
-func TestOverheadIS(t *testing.T) {
-	var buf bytes.Buffer
-	r := tiny(&buf)
-	res, err := r.OverheadIS(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Fraction < 0 || res.Fraction > 1 {
-		t.Fatalf("fraction = %g", res.Fraction)
-	}
-	if res.SetupTime <= 0 || res.EpochTimeIS <= 0 || res.EpochASGD <= 0 {
-		t.Fatalf("timings not populated: %+v", res)
 	}
 }
 
@@ -359,7 +334,7 @@ func TestTauSweep(t *testing.T) {
 func TestWriteCurvesCSV(t *testing.T) {
 	var buf bytes.Buffer
 	r := tiny(&buf)
-	cr, err := r.Convergence(context.Background(), "urls", false)
+	cr, err := r.Convergence(context.Background(), "urls")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,16 +377,44 @@ func TestRunKeyString(t *testing.T) {
 func TestSweepsRepeat(t *testing.T) {
 	report := func() string {
 		var buf bytes.Buffer
-		r := tiny(&buf)
-		if _, err := r.PsiSweep(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.TauSweep(context.Background()); err != nil {
+		if _, err := tiny(&buf).Run(context.Background(), map[string]bool{"psisweep": true, "tausweep": true}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
 	}
 	if a, b := report(), report(); a != b {
 		t.Fatalf("reports differ:\n%s\n---\n%s", a, b)
+	}
+}
+
+func TestTable(t *testing.T) {
+	var buf bytes.Buffer
+	tiny(&buf).table([]string{"name", "value"}, [][]string{
+		{"alpha", "1"},
+		{"b", "22222"},
+	})
+	lines := strings.Split(buf.String(), "\n")
+	// Header, separator, two rows, the blank line after the table and
+	// the empty string after its newline.
+	if len(lines) != 6 || lines[4] != "" {
+		t.Fatalf("lines = %q", lines)
+	}
+	if !strings.HasPrefix(lines[0], "name") {
+		t.Fatalf("header = %q", lines[0])
+	}
+	if !strings.Contains(lines[1], "-----") {
+		t.Fatalf("separator = %q", lines[1])
+	}
+	// Columns aligned: "value" column must start at the same offset.
+	if idx0, idx2 := strings.Index(lines[0], "value"), strings.Index(lines[2], "1"); idx0 != idx2 {
+		t.Fatalf("columns misaligned: %d vs %d", idx0, idx2)
+	}
+}
+
+func TestTableWideCell(t *testing.T) {
+	var buf bytes.Buffer
+	tiny(&buf).table([]string{"h"}, [][]string{{"wide-cell-content"}})
+	if !strings.Contains(buf.String(), "wide-cell-content") {
+		t.Fatal("cell truncated")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/isasgd/isasgd/internal/balance"
-	"github.com/isasgd/isasgd/internal/plot"
 	"github.com/isasgd/isasgd/internal/xrand"
 )
 
@@ -60,10 +59,7 @@ func (r *Runner) Fig2() (*Fig2Result, error) {
 			fmt.Sprintf("%.2f", bal),
 		})
 	}
-	r.printf("%s\n", plot.Table(
-		[]string{"sample", "L_i", "global p_i (IS-SGD)", "naive-split local p", "balanced local p"},
-		rows,
-	))
+	r.table([]string{"sample", "L_i", "global p_i (IS-SGD)", "naive-split local p", "balanced local p"}, rows)
 	r.printf("naive split Φ = %v (imbalance %.2f); balanced Φ = %v (imbalance %.2f)\n",
 		res.NaivePhi, res.NaiveImbal, res.BalPhi, res.BalImbalance)
 	r.printf("paper's distortion: naive makes p4 (%.2f) < p2 (%.2f) although globally p4 = 2·p2\n",

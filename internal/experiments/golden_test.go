@@ -2,31 +2,26 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"flag"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
-	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/metrics"
 	"github.com/isasgd/isasgd/internal/solver"
 )
 
-var update = flag.Bool("update", false, "rewrite golden files with current emitter output")
+var update = flag.Bool("update", false, "rewrite golden files with current output")
 
 // checkGolden compares got against testdata/<name>.golden, rewriting
-// the file under -update. Any drift in CSV column order, headers or
-// number formatting fails here, so reproduction artifacts cannot change
-// silently.
+// the file under -update. Any drift in the reproduction's numbers, or
+// in CSV column order, headers or number formatting, fails here, so
+// neither can change silently.
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name+".golden")
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -34,72 +29,43 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("read golden (run `go test -run Golden -update ./internal/experiments/` after intentional format changes): %v", err)
+		t.Fatalf("read golden (run `go test -run Golden -update ./internal/experiments/` after intentional changes): %v", err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s drifted from golden file.\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
 	}
 }
 
-func emit(t *testing.T, f func(io.Writer) error) []byte {
-	t.Helper()
+// TestReportGolden runs every experiment at the tiny scale and pins the
+// whole report. Training runs on the delayed executor and evaluation on
+// a fixed worker count, so the bytes are the same at any GOMAXPROCS
+// (CI runs this with -cpu 1,4).
+func TestReportGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := f(&buf); err != nil {
+	all := map[string]bool{}
+	for _, name := range Names {
+		all[name] = true
+	}
+	if _, err := tiny(&buf).Run(context.Background(), all); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
-}
-
-func TestGoldenFig1CSV(t *testing.T) {
-	// Timings are machine-dependent, so the golden fixture pins the
-	// format on fixed values rather than a live measurement.
-	res := &Fig1Result{Points: []Fig1Point{
-		{Dim: 1 << 12, NNZ: 20, SparseNs: 12.5, DenseNs: 1800, Ratio: 144},
-		{Dim: 1 << 16, NNZ: 20, SparseNs: 12.5, DenseNs: 28800, Ratio: 2304},
-		{Dim: 1 << 20, NNZ: 20, SparseNs: 12.5, DenseNs: 460800, Ratio: 36864},
-	}}
-	checkGolden(t, "fig1", emit(t, func(w io.Writer) error { return WriteFig1CSV(w, res) }))
-}
-
-func TestGoldenFig2CSV(t *testing.T) {
-	// Fig2 is fully deterministic (the paper's {1,2,3,4} worked example),
-	// so the golden test runs the real experiment.
-	r := NewRunner(io.Discard, Quick(), 1)
-	res, err := r.Fig2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "fig2", emit(t, func(w io.Writer) error { return WriteFig2CSV(w, res) }))
-}
-
-func TestGoldenTable1CSV(t *testing.T) {
-	res := &Table1Result{Rows: []Table1Row{
-		{
-			Stats: dataset.Stats{Name: "news20s", Dim: 67760, N: 1000,
-				Density: 9.5e-4, Psi: 0.972132, Rho: 5.1e-4, Balanced: true},
-			Paper: PaperTable1[0],
-		},
-		{
-			Stats: dataset.Stats{Name: "urls", Dim: 161598, N: 119807,
-				Density: 1.2e-5, Psi: 0.963514, Rho: 2.9e-4, Balanced: false},
-			Paper: PaperTable1[1],
-		},
-	}}
-	checkGolden(t, "table1", emit(t, func(w io.Writer) error { return WriteTable1CSV(w, res) }))
+	checkGolden(t, "report", buf.Bytes())
 }
 
 func TestGoldenCurvesCSV(t *testing.T) {
 	curves := map[RunKey]metrics.Curve{
 		{Algo: solver.ASGD, Threads: 8}: {
-			{Epoch: 0, Iters: 0, Wall: 0, Obj: 0.693147, RMSE: 0.693147, ErrRate: 0.5, BestErr: 0.5},
-			{Epoch: 1, Iters: 1000, Wall: 120 * time.Millisecond, Obj: 0.41, RMSE: 0.45, ErrRate: 0.12, BestErr: 0.12},
+			{Epoch: 0, Iters: 0, Obj: 0.693147, RMSE: 0.693147, ErrRate: 0.5, BestErr: 0.5},
+			{Epoch: 1, Iters: 1000, Obj: 0.41, RMSE: 0.45, ErrRate: 0.12, BestErr: 0.12},
 		},
 		{Algo: solver.ISASGD, Threads: 8}: {
-			{Epoch: 0, Iters: 0, Wall: 0, Obj: 0.693147, RMSE: 0.693147, ErrRate: 0.5, BestErr: 0.5},
-			{Epoch: 1, Iters: 1000, Wall: 110 * time.Millisecond, Obj: 0.35, RMSE: 0.40, ErrRate: 0.09, BestErr: 0.09},
+			{Epoch: 0, Iters: 0, Obj: 0.693147, RMSE: 0.693147, ErrRate: 0.5, BestErr: 0.5},
+			{Epoch: 1, Iters: 1000, Obj: 0.35, RMSE: 0.40, ErrRate: 0.09, BestErr: 0.09},
 		},
 	}
-	checkGolden(t, "curves", emit(t, func(w io.Writer) error {
-		return WriteCurvesCSV(w, "news20s", curves)
-	}))
+	var buf bytes.Buffer
+	if err := WriteCurvesCSV(&buf, "news20s", curves); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "curves", buf.Bytes())
 }

@@ -11,7 +11,6 @@ import (
 	"github.com/isasgd/isasgd/internal/metrics"
 	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/objective"
-	"github.com/isasgd/isasgd/internal/plot"
 )
 
 // PsiRow is one ψ level of the sweep.
@@ -35,16 +34,16 @@ type PsiSweepResult struct {
 // (Eq. 13 vs Eq. 14). The paper's own datasets only span ψ ∈
 // [0.877, 0.972], where the predicted gain is ≤ 12%; this sweep extends
 // the axis to ψ ≈ 0.1, where importance weighting should dominate.
-// The comparison is on the iterative axis (epochs to reach common error
-// levels). Each arm runs on the delayed executor
-// (core.Engine.RunEpochDelayed) instead of on threads: the scale's
+// The comparison is on the iterative axis, by Figure 5's rule (epochs
+// to reach common error levels, averaged). Each arm runs on the delayed
+// executor (core.Engine.RunEpochDelayed) instead of on threads: the scale's
 // largest thread count P becomes P workers whose updates each read the
 // model τ = P − 1 writes before they are applied, so the table repeats
 // bit for bit at a seed.
 func (r *Runner) PsiSweep(ctx context.Context) (*PsiSweepResult, error) {
 	r.section("ψ sweep: IS-ASGD iterative gain vs spectrum skew (Eq. 15)")
 	obj := r.Objective()
-	threads := r.Scale.Threads[len(r.Scale.Threads)-1]
+	threads := r.widest()
 	res := &PsiSweepResult{}
 	var rows [][]string
 	for _, psi := range []float64{0.97, 0.9, 0.6, 0.3, 0.1} {
@@ -93,30 +92,11 @@ func (r *Runner) PsiSweep(ctx context.Context) (*PsiSweepResult, error) {
 		if err != nil {
 			return nil, err
 		}
-
-		// Iterative speedup: ratio of (fractional) epochs to reach each
-		// error level both curves attain.
-		iterSpeedup := func(base, accel metrics.Curve) float64 {
-			levels := metrics.ErrLevels(base, accel, r.Scale.SpeedupK)
-			total, count := 0.0, 0
-			for _, lv := range levels {
-				ea, okA := metrics.EpochsToReach(base, lv)
-				ei, okI := metrics.EpochsToReach(accel, lv)
-				if okA && okI && ei > 0 {
-					total += ea / ei
-					count++
-				}
-			}
-			if count == 0 {
-				return 0
-			}
-			return total / float64(count)
-		}
 		row := PsiRow{
 			TargetPsi:    psi,
 			MeasuredPsi:  st.Psi,
-			IterSpeedup:  iterSpeedup(asgd, is),
-			AdaptSpeedup: iterSpeedup(asgd, adaptive),
+			IterSpeedup:  metrics.MeanSpeedup(r.speedups(asgd, is)),
+			AdaptSpeedup: metrics.MeanSpeedup(r.speedups(asgd, adaptive)),
 			FinalErrASGD: asgd.BestErrRate(),
 			FinalErrIS:   is.BestErrRate(),
 			FinalErrAd:   adaptive.BestErrRate(),
@@ -132,10 +112,7 @@ func (r *Runner) PsiSweep(ctx context.Context) (*PsiSweepResult, error) {
 			fmt.Sprintf("%.5f", row.FinalErrAd),
 		})
 	}
-	r.printf("%s\n", plot.Table(
-		[]string{"target ψ", "measured ψ", "static IS speedup", "adaptive IS speedup", "ASGD err", "static-IS err", "adaptive-IS err"},
-		rows,
-	))
+	r.table([]string{"target ψ", "measured ψ", "static IS speedup", "adaptive IS speedup", "ASGD err", "static-IS err", "adaptive-IS err"}, rows)
 	r.printf("Each arm runs %d workers on the delayed executor (τ = %d), so the\n", threads, threads-1)
 	r.printf("table repeats bit for bit at a seed. Eq. 15 predicts the static-IS\n")
 	r.printf("gain grows as ψ falls. In this generator large-norm rows also have\n")

@@ -5,7 +5,6 @@ import (
 
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/objective"
-	"github.com/isasgd/isasgd/internal/plot"
 )
 
 // Table1Row pairs a measured dataset signature with the paper's
@@ -65,10 +64,7 @@ func (r *Runner) Table1() (*Table1Result, error) {
 			fmt.Sprintf("(paper: %s %.3f / %.0e)", PaperTable1[i].Name, PaperTable1[i].Psi, PaperTable1[i].Rho),
 		})
 	}
-	r.printf("%s\n", plot.Table(
-		[]string{"Name", "Dimension", "Instances", "∇fi-Spa.", "ψ", "ρ", "Alg4", "Reference"},
-		rows,
-	))
+	r.table([]string{"Name", "Dimension", "Instances", "∇fi-Spa.", "ψ", "ρ", "Alg4", "Reference"}, rows)
 	return res, nil
 }
 

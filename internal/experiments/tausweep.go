@@ -10,7 +10,6 @@ import (
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/objective"
-	"github.com/isasgd/isasgd/internal/plot"
 	"github.com/isasgd/isasgd/internal/xrand"
 )
 
@@ -152,10 +151,7 @@ func (r *Runner) TauSweep(ctx context.Context) (*TauSweepResult, error) {
 		}
 		summary = append(summary, name+": "+tauSummary(res.Rows[from:]))
 	}
-	r.printf("%s\n", plot.Table(
-		[]string{"sampling", "τ (exact delay)", "final obj", "final loss", "final err", "Eq.27 region"},
-		rows,
-	))
+	r.table([]string{"sampling", "τ (exact delay)", "final obj", "final loss", "final err", "Eq.27 region"}, rows)
 	r.printf("Eq.27 τ bound with µ=η, σ²@w₀ proxies: %.3g (n = %d); the bound's n/Δ̄\n", res.TauBound, res.N)
 	r.printf("term is conservative for Zipf-popular features (Δ̄ ≈ n). Final loss\n")
 	r.printf("against τ = 0, degraded when more than %.0f %% higher:\n", 100*tauDegraded)

@@ -7,7 +7,6 @@ import (
 	"github.com/isasgd/isasgd/internal/conflict"
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/objective"
-	"github.com/isasgd/isasgd/internal/plot"
 	"github.com/isasgd/isasgd/internal/xrand"
 )
 
@@ -86,10 +85,7 @@ func (r *Runner) Theory() (*TheoryResult, error) {
 			fmt.Sprintf("%.3g", row.KUniform),
 		})
 	}
-	r.printf("%s\n", plot.Table(
-		[]string{"dataset", "Δ̄ (MC)", "n/Δ̄", "τ bound (Eq.27)", "k_IS (Eq.26)", "k_uniform (Eq.28)"},
-		rows,
-	))
+	r.table([]string{"dataset", "Δ̄ (MC)", "n/Δ̄", "τ bound (Eq.27)", "k_IS (Eq.26)", "k_uniform (Eq.28)"}, rows)
 	for _, row := range res.Rows {
 		var in, out []int
 		for _, tau := range r.Scale.Threads {

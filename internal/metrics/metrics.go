@@ -1,7 +1,7 @@
 // Package metrics implements the paper's two evaluation metrics (Section
-// 4 "Metrics"), convergence-curve recording on both the iterative (epoch)
-// and absolute (wall-clock) axes, and the time-to-error interpolation
-// that produces the Figure-5 speedup slices.
+// 4 "Metrics"), convergence-curve recording (each point carries its
+// epoch, update count and training wall-clock), and the epochs-to-error
+// interpolation that produces the Figure-5 speedup slices.
 //
 // RMSE: the paper defines it as "objective value as the error"; we
 // compute sqrt(mean_i loss_i(w)²) over the per-sample losses and also
@@ -128,7 +128,7 @@ func (c Curve) Final() Point {
 // The minimum is taken over the actual points — mirroring the Recorder's
 // BestErr bookkeeping — so a curve whose error rates all exceed 1 (e.g.
 // unnormalized losses recorded as rates) still reports a value some
-// point attains, keeping TimeToReach(c, c.BestErrRate()) reachable.
+// point attains, keeping EpochsToReach(c, c.BestErrRate()) reachable.
 func (c Curve) BestErrRate() float64 {
 	if len(c) == 0 {
 		return 1
@@ -196,31 +196,11 @@ func (s *Stopwatch) Elapsed() time.Duration {
 	return s.acc
 }
 
-// TimeToReach returns the earliest wall-clock seconds at which the
+// EpochsToReach returns the earliest (fractional) epoch at which the
 // curve's BestErr falls to target or below, linearly interpolating
 // between the bracketing points (the paper's Figure-5 protocol: "values
 // are linearly interpolated when needed"). ok is false if the curve
 // never reaches the target.
-func TimeToReach(c Curve, target float64) (seconds float64, ok bool) {
-	for i, p := range c {
-		if p.BestErr <= target {
-			if i == 0 {
-				return p.Wall.Seconds(), true
-			}
-			prev := c[i-1]
-			span := prev.BestErr - p.BestErr
-			if span <= 0 {
-				return p.Wall.Seconds(), true
-			}
-			frac := (prev.BestErr - target) / span
-			return prev.Wall.Seconds() + frac*(p.Wall.Seconds()-prev.Wall.Seconds()), true
-		}
-	}
-	return 0, false
-}
-
-// EpochsToReach is TimeToReach on the iterative axis: the (fractional)
-// epoch at which BestErr falls to target.
 func EpochsToReach(c Curve, target float64) (epochs float64, ok bool) {
 	for i, p := range c {
 		if p.BestErr <= target {
@@ -240,25 +220,27 @@ func EpochsToReach(c Curve, target float64) (epochs float64, ok bool) {
 }
 
 // SpeedupPoint is one slice of Figure 5: at error level Err, the slow
-// curve took SlowSec and the fast one FastSec, for a speedup ratio.
+// curve took SlowEpochs and the fast one FastEpochs, for a speedup
+// ratio.
 type SpeedupPoint struct {
-	Err     float64
-	SlowSec float64
-	FastSec float64
-	Speedup float64
+	Err        float64
+	SlowEpochs float64
+	FastEpochs float64
+	Speedup    float64
 }
 
-// SpeedupGrid computes fast-vs-slow speedups at each error level both
-// curves reach. Levels unreachable by either curve are skipped.
+// SpeedupGrid computes fast-vs-slow speedups in epochs (EpochsToReach)
+// at each error level both curves reach. Levels unreachable by either
+// curve, or reached by the fast one at epoch 0, are skipped.
 func SpeedupGrid(slow, fast Curve, levels []float64) []SpeedupPoint {
 	var out []SpeedupPoint
 	for _, lv := range levels {
-		ts, okS := TimeToReach(slow, lv)
-		tf, okF := TimeToReach(fast, lv)
-		if !okS || !okF || tf <= 0 {
+		es, okS := EpochsToReach(slow, lv)
+		ef, okF := EpochsToReach(fast, lv)
+		if !okS || !okF || ef <= 0 {
 			continue
 		}
-		out = append(out, SpeedupPoint{Err: lv, SlowSec: ts, FastSec: tf, Speedup: ts / tf})
+		out = append(out, SpeedupPoint{Err: lv, SlowEpochs: es, FastEpochs: ef, Speedup: es / ef})
 	}
 	return out
 }

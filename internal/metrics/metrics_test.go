@@ -137,80 +137,56 @@ func TestStopwatchPauses(t *testing.T) {
 	sw.Pause() // double pause is a no-op
 }
 
-func mkCurve(pts ...[3]float64) Curve {
-	// each point: {wallSeconds, errRate, epoch}
+// mkCurve builds a curve from {errRate, epoch} pairs, stamping the
+// best-so-far error as a Recorder does.
+func mkCurve(pts ...[2]float64) Curve {
 	var c Curve
 	best := math.Inf(1)
 	for _, p := range pts {
-		if p[1] < best {
-			best = p[1]
-		}
-		c = append(c, Point{
-			Epoch:   int(p[2]),
-			Wall:    time.Duration(p[0] * float64(time.Second)),
-			ErrRate: p[1],
-			BestErr: best,
-		})
+		best = math.Min(best, p[0])
+		c = append(c, Point{Epoch: int(p[1]), ErrRate: p[0], BestErr: best})
 	}
 	return c
 }
 
-func TestTimeToReach(t *testing.T) {
-	c := mkCurve(
-		[3]float64{0, 0.5, 0},
-		[3]float64{10, 0.3, 1},
-		[3]float64{20, 0.1, 2},
-	)
+func TestEpochsToReach(t *testing.T) {
+	c := mkCurve([2]float64{0.5, 0}, [2]float64{0.3, 2}, [2]float64{0.1, 4})
 	// Exact hits.
-	if s, ok := TimeToReach(c, 0.5); !ok || s != 0 {
-		t.Fatalf("target 0.5: %g %v", s, ok)
+	if e, ok := EpochsToReach(c, 0.5); !ok || e != 0 {
+		t.Fatalf("target 0.5: %g %v", e, ok)
 	}
-	if s, ok := TimeToReach(c, 0.1); !ok || math.Abs(s-20) > 1e-9 {
-		t.Fatalf("target 0.1: %g %v", s, ok)
+	if e, ok := EpochsToReach(c, 0.1); !ok || math.Abs(e-4) > 1e-9 {
+		t.Fatalf("target 0.1: %g %v", e, ok)
 	}
-	// Interpolated: 0.2 lies halfway between 0.3@10s and 0.1@20s → 15s.
-	if s, ok := TimeToReach(c, 0.2); !ok || math.Abs(s-15) > 1e-9 {
-		t.Fatalf("target 0.2: %g %v", s, ok)
+	// Interpolated: 0.2 lies halfway between 0.3 at epoch 2 and 0.1 at
+	// epoch 4, so epoch 3.
+	if e, ok := EpochsToReach(c, 0.2); !ok || math.Abs(e-3) > 1e-9 {
+		t.Fatalf("target 0.2: %g %v", e, ok)
 	}
 	// Unreachable.
-	if _, ok := TimeToReach(c, 0.05); ok {
+	if _, ok := EpochsToReach(c, 0.05); ok {
 		t.Fatal("unreachable target reported reachable")
 	}
 }
 
-func TestEpochsToReach(t *testing.T) {
-	c := mkCurve(
-		[3]float64{0, 0.4, 0},
-		[3]float64{1, 0.2, 1},
-		[3]float64{2, 0.0, 2},
-	)
-	if e, ok := EpochsToReach(c, 0.1); !ok || math.Abs(e-1.5) > 1e-9 {
-		t.Fatalf("EpochsToReach = %g %v", e, ok)
-	}
-}
-
-func TestTimeToReachPlateau(t *testing.T) {
+func TestEpochsToReachPlateau(t *testing.T) {
 	// A flat stretch (span == 0) must not divide by zero.
-	c := mkCurve(
-		[3]float64{0, 0.5, 0},
-		[3]float64{5, 0.5, 1},
-		[3]float64{10, 0.2, 2},
-	)
-	if s, ok := TimeToReach(c, 0.5); !ok || s != 0 {
-		t.Fatalf("plateau start: %g %v", s, ok)
+	c := mkCurve([2]float64{0.5, 0}, [2]float64{0.5, 1}, [2]float64{0.2, 2})
+	if e, ok := EpochsToReach(c, 0.5); !ok || e != 0 {
+		t.Fatalf("plateau start: %g %v", e, ok)
 	}
 }
 
 func TestSpeedupGrid(t *testing.T) {
-	slow := mkCurve([3]float64{0, 0.5, 0}, [3]float64{20, 0.1, 1})
-	fast := mkCurve([3]float64{0, 0.5, 0}, [3]float64{10, 0.1, 1})
+	slow := mkCurve([2]float64{0.5, 0}, [2]float64{0.1, 2})
+	fast := mkCurve([2]float64{0.5, 0}, [2]float64{0.1, 1})
 	grid := SpeedupGrid(slow, fast, []float64{0.3, 0.2, 0.1})
 	if len(grid) != 3 {
 		t.Fatalf("grid size = %d", len(grid))
 	}
 	for _, g := range grid {
-		if math.Abs(g.Speedup-2) > 1e-9 {
-			t.Fatalf("speedup at %g = %g, want 2", g.Err, g.Speedup)
+		if math.Abs(g.Speedup-2) > 1e-9 || math.Abs(g.SlowEpochs-2*g.FastEpochs) > 1e-9 {
+			t.Fatalf("speedup at %g = %g (%g / %g epochs), want 2", g.Err, g.Speedup, g.SlowEpochs, g.FastEpochs)
 		}
 	}
 	if MeanSpeedup(grid) != 2 {
@@ -222,8 +198,8 @@ func TestSpeedupGrid(t *testing.T) {
 }
 
 func TestSpeedupGridSkipsUnreachable(t *testing.T) {
-	slow := mkCurve([3]float64{0, 0.5, 0}, [3]float64{20, 0.3, 1})
-	fast := mkCurve([3]float64{0, 0.5, 0}, [3]float64{10, 0.1, 1})
+	slow := mkCurve([2]float64{0.5, 0}, [2]float64{0.3, 2})
+	fast := mkCurve([2]float64{0.5, 0}, [2]float64{0.1, 1})
 	grid := SpeedupGrid(slow, fast, []float64{0.4, 0.2})
 	if len(grid) != 1 || grid[0].Err != 0.4 {
 		t.Fatalf("grid = %+v", grid)
@@ -231,8 +207,8 @@ func TestSpeedupGridSkipsUnreachable(t *testing.T) {
 }
 
 func TestErrLevels(t *testing.T) {
-	a := mkCurve([3]float64{0, 0.5, 0}, [3]float64{10, 0.1, 1})
-	b := mkCurve([3]float64{0, 0.4, 0}, [3]float64{10, 0.2, 1})
+	a := mkCurve([2]float64{0.5, 0}, [2]float64{0.1, 1})
+	b := mkCurve([2]float64{0.4, 0}, [2]float64{0.2, 1})
 	levels := ErrLevels(a, b, 5)
 	if len(levels) != 5 {
 		t.Fatalf("levels = %v", levels)

@@ -4,29 +4,28 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"github.com/isasgd/isasgd/internal/xrand"
 )
 
-// randomCurve builds a well-formed curve: monotone wall clock, monotone
-// BestErr, arbitrary ErrRate wiggle.
+// randomCurve builds a well-formed curve: monotone epochs with random
+// gaps, monotone BestErr, arbitrary ErrRate wiggle.
 func randomCurve(r *xrand.Rand, n int) Curve {
 	rec := NewRecorder()
-	wall := time.Duration(0)
+	epoch := 0
 	err := 0.2 + 0.8*r.Float64()
 	for i := 0; i < n; i++ {
-		wall += time.Duration(1+r.Intn(1000)) * time.Millisecond
+		epoch += 1 + r.Intn(5)
 		err = math.Max(0, err+0.1*(r.Float64()-0.7)) // drifts down, can wiggle up
-		rec.Add(i, int64(i*100), wall, Eval{ErrRate: err, Obj: err, RMSE: err})
+		rec.Add(epoch, int64(epoch*100), 0, Eval{ErrRate: err, Obj: err, RMSE: err})
 	}
 	return rec.Curve()
 }
 
-func TestTimeToReachMonotoneProperty(t *testing.T) {
-	// Property: for a fixed curve, a tighter target never takes less
-	// time: target1 >= target2 implies time(target1) <= time(target2)
-	// whenever both are reachable.
+func TestEpochsToReachMonotoneProperty(t *testing.T) {
+	// Property: for a fixed curve, a tighter target never takes fewer
+	// epochs: target1 >= target2 implies epochs(target1) <=
+	// epochs(target2) whenever both are reachable.
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
 		c := randomCurve(r, 2+r.Intn(30))
@@ -40,8 +39,8 @@ func TestTimeToReachMonotoneProperty(t *testing.T) {
 		if t1 < t2 {
 			t1, t2 = t2, t1
 		}
-		s1, ok1 := TimeToReach(c, t1)
-		s2, ok2 := TimeToReach(c, t2)
+		s1, ok1 := EpochsToReach(c, t1)
+		s2, ok2 := EpochsToReach(c, t2)
 		if !ok1 || !ok2 {
 			return !ok2 || !ok1 // reaching the looser target is implied by the tighter
 		}
@@ -52,18 +51,18 @@ func TestTimeToReachMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestTimeToReachWithinCurveSpanProperty(t *testing.T) {
-	// Property: any reachable target is reached within the curve's wall
-	// span, and the time is non-negative.
+func TestEpochsToReachWithinCurveSpanProperty(t *testing.T) {
+	// Property: any reachable target is reached within the curve's epoch
+	// span.
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
 		c := randomCurve(r, 2+r.Intn(30))
 		target := c.BestErrRate()
-		s, ok := TimeToReach(c, target)
+		e, ok := EpochsToReach(c, target)
 		if !ok {
 			return false // its own best is always reachable
 		}
-		return s >= 0 && s <= c.Final().Wall.Seconds()+1e-9
+		return e >= float64(c[0].Epoch) && e <= float64(c.Final().Epoch)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
@@ -102,7 +101,7 @@ func TestSpeedupGridSymmetryProperty(t *testing.T) {
 			return false
 		}
 		for i := range fwd {
-			if fwd[i].FastSec <= 0 || rev[i].FastSec <= 0 {
+			if fwd[i].FastEpochs <= 0 || rev[i].FastEpochs <= 0 {
 				continue
 			}
 			prod := fwd[i].Speedup * rev[i].Speedup

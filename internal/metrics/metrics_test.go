@@ -150,6 +150,13 @@ func mkCurve(pts ...[2]float64) Curve {
 }
 
 func TestEpochsToReach(t *testing.T) {
+	c := mkCurve([2]float64{0.4, 0}, [2]float64{0.2, 1}, [2]float64{0.0, 2})
+	if e, ok := EpochsToReach(c, 0.1); !ok || math.Abs(e-1.5) > 1e-9 {
+		t.Fatalf("EpochsToReach = %g %v", e, ok)
+	}
+}
+
+func TestEpochsToReachHitsAndInterpolates(t *testing.T) {
 	c := mkCurve([2]float64{0.5, 0}, [2]float64{0.3, 2}, [2]float64{0.1, 4})
 	// Exact hits.
 	if e, ok := EpochsToReach(c, 0.5); !ok || e != 0 {

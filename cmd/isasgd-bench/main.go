@@ -1,13 +1,14 @@
 // Command isasgd-bench regenerates the tables and figures of the
 // IS-ASGD paper's evaluation (Section 4) on synthetic dataset analogs.
-// Every training run but the SVRG skip-µ ablation runs on the
+// Every training run runs on the
 // deterministic delayed executor, so the report counts epochs and
 // updates and repeats byte for byte at a seed, on any machine and at
 // any GOMAXPROCS. Figure 1 is a count of touched coordinates. Time is
 // not measured here: `bash bench/run.sh` is the benchmark (its setup_s
 // and core.is_overhead are the IS overhead; see bench/README.md), so
-// the paper's wall-clock Figure 4 has no counterpart. The SVRG-ASGD
-// arm of the News20 panel waits until SVRG runs on core's update loop.
+// the paper's wall-clock Figure 4 has no counterpart. SVRG runs on
+// core's update loop, but the SVRG-ASGD arm of the News20 panel is not
+// back in the report yet.
 //
 // Usage:
 //

@@ -48,7 +48,7 @@
 //	-version              print the build version and exit
 //
 // On SIGINT or SIGTERM the server stops accepting requests, cancels
-// running jobs (solver.Train returns between epochs), checkpoints their
+// running jobs (core.Train returns between epochs), checkpoints their
 // partial progress, and exits once the pool drains or the grace period
 // expires. See the package comment of internal/serve for the endpoint
 // list and README.md for a curl quickstart.

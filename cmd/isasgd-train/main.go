@@ -8,7 +8,7 @@
 // The training knobs are the one training spec's (internal/spec; the
 // serve job spec's JSON names with '_' → '-'):
 //
-//	-algo name           sgd|is-sgd|asgd|is-asgd|svrg-sgd|svrg-asgd|saga
+//	-algo name           sgd|is-sgd|asgd|is-asgd|svrg-sgd|svrg-asgd
 //	                     (default "is-asgd")
 //	-objective name      logistic-l1 | sqhinge-l2 | lsq-l2 (default logistic-l1)
 //	-eta x               regularization strength (default 1e-4)
@@ -19,13 +19,12 @@
 //	-balance mode        auto|balance|shuffle|sorted|lpt (default auto)
 //	-seed n              RNG seed (default 1)
 //	-precision p         f64 | f32 — f32 trains on float32 weights and
-//	                     features (half the memory traffic; not available
-//	                     for the SVRG/SAGA solvers) (default f64)
+//	                     features (half the memory traffic) (default f64)
 //	-adapt-c x           staleness-adaptive step scaling: each update runs
 //	                     at step/(1+x·τ) where τ is its measured staleness
-//	                     (Engine algorithms; 0 disables)
+//	                     (not for svrg-*; 0 disables)
 //	-staleness-bound n   shed updates whose measured staleness exceeds n
-//	                     (Engine algorithms; 0 disables)
+//	                     (not for svrg-*; 0 disables)
 //	-dc-lambda x         DC-ASGD delay compensation strength λ: updates gain
 //	                     λ·g²·(w_now − w_epoch_base) (batch mode only;
 //	                     0 disables)
@@ -74,10 +73,10 @@ import (
 	"syscall"
 
 	isasgd "github.com/isasgd/isasgd"
+	"github.com/isasgd/isasgd/internal/core"
 	"github.com/isasgd/isasgd/internal/metrics"
 	"github.com/isasgd/isasgd/internal/objective"
 	"github.com/isasgd/isasgd/internal/obs"
-	"github.com/isasgd/isasgd/internal/solver"
 	"github.com/isasgd/isasgd/internal/sparse"
 	"github.com/isasgd/isasgd/internal/spec"
 )
@@ -144,7 +143,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fmt.Fprintf(out, "dataset %s: %d samples × %d features, density %.2e, ψ=%.3f, ρ=%.2e\n",
 		ds.Name, st.N, st.Dim, st.Density, st.Psi, st.Rho)
 
-	cfg := solver.FromSpec(s)
+	cfg := core.FromSpec(s)
 	if *resume != "" {
 		ckpt, err := isasgd.LoadCheckpoint(*resume)
 		if err != nil {

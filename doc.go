@@ -8,10 +8,12 @@
 // Lock-free asynchronous SGD (Hogwild) is the de-facto solver for
 // large-scale sparse empirical risk minimization. Variance-reduction
 // techniques accelerate SGD's convergence per iteration, but the popular
-// SVRG family needs the dense true gradient µ at every update, turning
-// an O(nnz) sparse update into an O(d) dense one — a 10³–10⁷× blowup on
-// high-dimensional sparse data, and more conflict between lock-free
-// writers. Importance sampling (IS) achieves variance reduction with no
+// SVRG family, in the strict form the paper describes, needs the dense
+// true gradient µ at every update, turning an O(nnz) sparse update into
+// an O(d) dense one — a 10³–10⁷× blowup on high-dimensional sparse
+// data, and more conflict between lock-free writers. This package's
+// SVRG is the sparse form of the later literature (KroMagnon, ASAGA),
+// which applies µ_j·n/n_j on each row's support only and costs O(nnz). Importance sampling (IS) achieves variance reduction with no
 // online overhead at all: sample training points proportionally to their
 // gradient Lipschitz constants L_i, scale steps by 1/(n·p_i), and keep
 // the computation kernel identical to plain ASGD.
@@ -39,8 +41,9 @@
 //
 // # What is in the box
 //
-// Seven solvers behind one Train call (SGD, IS-SGD, ASGD, IS-ASGD,
-// SVRG-SGD, SVRG-ASGD, SAGA), three generalized-linear objectives
+// Six algorithms behind one Train call (SGD, IS-SGD, ASGD, IS-ASGD,
+// SVRG-SGD, SVRG-ASGD), each an engine construction of internal/core run
+// by its one update loop, three generalized-linear objectives
 // (L1-regularized logistic, L2 squared-hinge SVM, ridge regression),
 // LibSVM I/O, synthetic dataset generators reproducing the scale
 // signatures of the paper's four evaluation datasets, conflict-graph
@@ -51,9 +54,10 @@
 // updates and repeats byte for byte at a seed: Figure 1 is a count of
 // touched coordinates, Figure 5 counts updates to each error level, and
 // absolute time is measured only by bench/ (setup_s, core.is_overhead),
-// so the wall-clock Figure 4 has no counterpart. The SVRG-ASGD arm of
-// the News20 panel waits until SVRG runs on the shared update loop
-// (ROADMAP item 7). See internal/README.md for the system inventory.
+// so the wall-clock Figure 4 has no counterpart. SVRG runs on the
+// shared update loop, but the SVRG-ASGD arm of the News20 panel is not
+// back in the report yet (ROADMAP item 7). See internal/README.md for
+// the system inventory.
 //
 // # One training spec
 //
@@ -63,7 +67,7 @@
 // (the flag name swaps '_' for '-'), the run kinds it applies to, and
 // each surface's default. One validator rejects unknown names,
 // non-finite or out-of-range numbers, and, through one capability table
-// (algo × kind × precision × feature), combinations the engines do not
+// (algo × kind × feature), combinations the engines do not
 // run, before any training starts. Training reports its evaluation
 // split into the mean data loss the sparse kernels minimize and the
 // η·r(w) penalty (metrics.Eval.Loss, Reg), and a cluster's target-loss
@@ -111,7 +115,7 @@
 //
 // # Performance and precision
 //
-// Every solver's inner loop runs on internal/kernel: one monomorphic,
+// Every algorithm's update runs on internal/kernel: one monomorphic,
 // allocation-free update kernel per weight storage (racy or atomic, at
 // float64 or — behind Config.Precision "f32" — float32), each proven
 // against a generic reference kernel that remains the executable
@@ -136,7 +140,7 @@
 // score. Responses are pooled, making the steady-state predict path
 // allocation-free (testing.AllocsPerRun-guarded). The same pipeline
 // enables publish-while-training: core.Engine, stream.Trainer and
-// solver.Train cut mid-training snapshot versions at a configurable
+// core.Train cut mid-training snapshot versions at a configurable
 // cadence (isasgd-serve -publish-every), the job manager registers the
 // model as live at the first progress tick, and predictions answer with
 // the seq/epoch they were scored against — hot-advancing until the job
@@ -189,7 +193,7 @@
 //
 // internal/adaptive makes the sampling distribution, the step size and
 // the delay handling respond to live training signals instead of being
-// fixed up front. Gradient-norm importance (solver.Config.Importance and
+// fixed up front. Gradient-norm importance (Config.Importance and
 // stream.Config.Importance "grad", isasgd-train -stream -importance
 // grad, the streaming job spec's "importance" field) is one signal for
 // both trainers: every update the loop applies stores its row's |ℓ'(z)|,

@@ -11,21 +11,44 @@ import (
 	"github.com/isasgd/isasgd/internal/objective"
 )
 
-// benchImportance runs fn as a sub-benchmark for each importance mode at
-// 1 and 2 workers, on an IS-ASGD engine over a kdda-like corpus (30k
-// rows, atomic f64 model), and reports fn's updates as ns/update.
-func benchImportance(b *testing.B, fn func(e *Engine) int64) {
+// benchArms are the constructions the loop benchmarks compare: IS-ASGD
+// under both importance modes, uniform ASGD, and sparse SVRG, whose
+// epoch-start pass has run once so its anchors and shift are real.
+var benchArms = []struct {
+	name  string
+	build func(ds *dataset.Dataset, obj objective.Objective, threads int) (*Engine, error)
+}{
+	{"bound", func(ds *dataset.Dataset, obj objective.Objective, threads int) (*Engine, error) {
+		return NewISASGDOpts(ds, obj, model.NewAtomic(ds.Dim()), threads, ISOptions{Mode: balance.ForceShuffle, Seed: 1})
+	}},
+	{"grad", func(ds *dataset.Dataset, obj objective.Objective, threads int) (*Engine, error) {
+		return NewISASGDOpts(ds, obj, model.NewAtomic(ds.Dim()), threads, ISOptions{Mode: balance.ForceShuffle, Seed: 1, Importance: "grad"})
+	}},
+	{"asgd", func(ds *dataset.Dataset, obj objective.Objective, threads int) (*Engine, error) {
+		return NewASGD(ds, obj, model.NewAtomic(ds.Dim()), threads, 1)
+	}},
+	{"svrg", func(ds *dataset.Dataset, obj objective.Objective, threads int) (*Engine, error) {
+		e, err := NewSVRG(ds, obj, model.NewAtomic(ds.Dim()), threads, 1)
+		if err == nil {
+			e.svrgEpoch(false)
+		}
+		return e, err
+	}},
+}
+
+// benchEngines runs fn as a sub-benchmark for each arm at 1 and 2
+// workers, on a kdda-like corpus (30k rows, atomic f64 model), and
+// reports fn's updates as ns/update.
+func benchEngines(b *testing.B, fn func(e *Engine) int64) {
 	ds, err := dataset.Synthesize(dataset.KDDALike(0.1, 1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	obj := objective.LogisticL1{Eta: 1e-4}
-	for _, importance := range []string{"bound", "grad"} {
+	for _, arm := range benchArms {
 		for _, threads := range []int{1, 2} {
-			b.Run(fmt.Sprintf("%s/t%d", importance, threads), func(b *testing.B) {
-				e, err := NewISASGDOpts(ds, obj, model.NewAtomic(ds.Dim()), threads, ISOptions{
-					Mode: balance.ForceShuffle, Seed: 1, Importance: importance,
-				})
+			b.Run(fmt.Sprintf("%s/t%d", arm.name, threads), func(b *testing.B) {
+				e, err := arm.build(ds, obj, threads)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -42,9 +65,11 @@ func benchImportance(b *testing.B, fn func(e *Engine) int64) {
 
 // BenchmarkLoop times the update loop alone — every worker's pass over
 // its sequence, concurrently, with no end-of-epoch refresh — so "grad"
-// against "bound" is the cost of storing |ℓ'| on every update.
+// against "bound" is the cost of storing |ℓ'| on every update, and
+// "svrg" against "asgd" the cost of the anchor read and the shifted
+// write-back (the probing body's clock reads included).
 func BenchmarkLoop(b *testing.B) {
-	benchImportance(b, func(e *Engine) int64 {
+	benchEngines(b, func(e *Engine) int64 {
 		var wg sync.WaitGroup
 		for t := range e.shards {
 			wg.Add(1)
@@ -60,7 +85,8 @@ func BenchmarkLoop(b *testing.B) {
 
 // BenchmarkEpoch times whole epochs: beside the updates, "grad" rebuilds
 // each shard's alias table and step scales from the recorded |ℓ'| at
-// the end of every epoch, where "bound" only redraws the sequence.
+// the end of every epoch, where "bound" only redraws the sequence, and
+// "svrg" opens every epoch with its anchor pass.
 func BenchmarkEpoch(b *testing.B) {
-	benchImportance(b, func(e *Engine) int64 { return e.RunEpoch(0.1) })
+	benchEngines(b, func(e *Engine) int64 { return e.RunEpoch(0.1) })
 }

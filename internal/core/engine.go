@@ -4,6 +4,9 @@
 // importance sampling is IS-SGD (Algorithm 2), many workers with uniform
 // sampling is Hogwild ASGD (Recht et al. 2011), and many workers with
 // importance-balanced shards and local importance sampling is IS-ASGD.
+// SVRG (NewSVRG) is the uniform construction plus a per-epoch anchor
+// pass, in the sparse form that keeps its update O(nnz). Train drives
+// any of them through epochs, evaluation and publication.
 //
 // The engine follows the paper's performance recipe exactly:
 //
@@ -62,8 +65,8 @@ import (
 )
 
 // Engine runs epochs of (possibly asynchronous, possibly importance-
-// sampled) SGD over fixed worker shards. Construct with NewSGD, NewISSGD,
-// NewASGD or NewISASGD.
+// sampled, possibly variance-reduced) SGD over fixed worker shards.
+// Construct with NewSGD, NewISSGD, NewASGD, NewISASGD or NewSVRG.
 type Engine struct {
 	ds   *dataset.Dataset
 	obj  objective.Objective
@@ -95,6 +98,14 @@ type Engine struct {
 	// whose shard holds it.
 	norms []float64
 	grads []float32
+
+	// Sparse SVRG (NewSVRG), nil otherwise: colScale[j] is D_j = n/n_j
+	// for the n_j rows that hold coordinate j (0 where none does), snap
+	// the epoch's snapshot s̃, and acc[t] worker t's sum of
+	// ℓ'(s̃·x_i)·x_i over its shard. The loop holds the anchors and µ·D.
+	colScale []float64
+	snap     []float64
+	acc      [][]float64
 
 	// Mid-training publication (PublishTo): every pubEvery completed
 	// epochs the engine cuts a model snapshot into pub, so live serving
@@ -128,7 +139,12 @@ func (e *Engine) Instrument(ti *obs.TrainInstruments) { e.loop.Instrument(ti, e.
 // the delay-compensation base is the epoch-start model. A zero (disabled)
 // policy detaches. Every model kind runs it. Must not be called while
 // RunEpoch is in flight.
-func (e *Engine) SetAdaptive(p adaptive.Policy) error { return e.loop.SetAdaptive(p) }
+func (e *Engine) SetAdaptive(p adaptive.Policy) error {
+	if e.colScale != nil && p.DCLambda > 0 {
+		return fmt.Errorf("core: delay compensation does not apply to SVRG")
+	}
+	return e.loop.SetAdaptive(p)
+}
 
 // Shed returns the cumulative number of updates dropped because their
 // measured staleness exceeded the policy's bound. Shed draws still
@@ -216,6 +232,85 @@ func NewASGD(ds *dataset.Dataset, obj objective.Objective, m model.Params, threa
 		}
 	}
 	return e, nil
+}
+
+// NewSVRG builds SVRG (Johnson & Zhang 2013) on the uniform ASGD
+// construction: one worker is SVRG-SGD, more are SVRG-ASGD, the paper's
+// Algorithm 1. It runs the sparse form of Mania et al.'s KroMagnon and
+// Leblond et al.'s ASAGA: each epoch opens with svrgEpoch, and each
+// update writes
+//
+//	w_j −= λ·((ℓ'(w·x_i) − ℓ'(s̃·x_i))·x_ij + µ_j·D_j + reg'(w_j))
+//
+// on the row's support only. A uniform draw holds coordinate j with
+// probability n_j/n = 1/D_j, so the µ term's mean is µ_j: the update is
+// unbiased for the strict form's, which adds the dense µ to all d
+// coordinates, at O(nnz) instead of O(d).
+func NewSVRG(ds *dataset.Dataset, obj objective.Objective, m model.Params, threads int, seed uint64) (*Engine, error) {
+	e, err := NewASGD(ds, obj, m, threads, seed)
+	if err != nil {
+		return nil, err
+	}
+	e.colScale = make([]float64, ds.Dim())
+	for _, j := range ds.X.Idx {
+		e.colScale[j]++
+	}
+	for j, nj := range e.colScale {
+		if nj > 0 {
+			e.colScale[j] = float64(ds.N()) / nj
+		}
+	}
+	e.acc = make([][]float64, e.numT)
+	for t := range e.acc {
+		e.acc[t] = make([]float64, ds.Dim())
+	}
+	e.loop.anchor, e.loop.shift = make([]float64, ds.N()), make([]float64, ds.Dim())
+	return e, nil
+}
+
+// svrgEpoch opens an SVRG epoch (Algorithm 1 lines 4–6): it snapshots
+// s̃, runs one pass over the workers' shards, on goroutines when
+// parallel, that stores each row's ℓ'(s̃·x_i) as its anchor and sums
+// ℓ'(s̃·x_i)·x_i into the worker's accumulator, and sets the loop's
+// shift to µ_j·D_j with µ = (1/n)·Σ_i ℓ'(s̃·x_i)·x_i. The accumulators
+// are summed in worker order, so the shift is the same either way.
+func (e *Engine) svrgEpoch(parallel bool) {
+	e.snap = e.m.Snapshot(e.snap)
+	if parallel && e.numT > 1 {
+		var wg sync.WaitGroup
+		for t := range e.shards {
+			wg.Add(1)
+			go func(t int) {
+				defer wg.Done()
+				e.svrgPass(t)
+			}(t)
+		}
+		wg.Wait()
+	} else {
+		for t := range e.shards {
+			e.svrgPass(t)
+		}
+	}
+	inv := 1 / float64(e.ds.N())
+	for j, d := range e.colScale {
+		sum := 0.0
+		for _, acc := range e.acc {
+			sum += acc[j]
+		}
+		e.loop.shift[j] = sum * inv * d
+	}
+}
+
+// svrgPass is worker t's share of svrgEpoch.
+func (e *Engine) svrgPass(t int) {
+	acc := e.acc[t]
+	clear(acc)
+	for _, i := range e.shards[t] {
+		row := e.ds.X.Row(i)
+		g := e.obj.Deriv(row.Dot(e.snap), e.ds.Y[i])
+		e.loop.anchor[i] = g
+		row.AddTo(acc, g)
+	}
 }
 
 // ISOptions configures the importance-sampling constructions.
@@ -382,6 +477,9 @@ func (e *Engine) RunEpoch(step float64) int64 {
 	if e.loop.pol.DCLambda > 0 {
 		e.refreshDCBase()
 	}
+	if e.colScale != nil {
+		e.svrgEpoch(true)
+	}
 	if e.Threads() == 1 {
 		e.runWorker(0, step)
 		e.endOfEpoch(0)
@@ -415,6 +513,9 @@ func (e *Engine) RunEpochDelayed(step float64, tau int) int64 {
 	}
 	if e.loop.pol.DCLambda > 0 {
 		e.refreshDCBase()
+	}
+	if e.colScale != nil {
+		e.svrgEpoch(false)
 	}
 	if l := &e.loop; l.kern32 != nil {
 		runDelayed(l, &e.x, e.x.Val32, l.kern32, e.shards, e.seqs, e.scales, step, e.grads, tau)
@@ -464,8 +565,9 @@ func (e *Engine) refreshDCBase() {
 
 // runWorker runs worker t's share of one epoch (Algorithm 4 lines
 // 13–15): its pre-generated sequence over its shard, with its step
-// scales. It is shared by all four constructions; the differences are
-// entirely in the prepared shard/sequence/scale tables.
+// scales. It is shared by every construction; the differences are in
+// the prepared shard/sequence/scale tables and, for SVRG, the loop's
+// anchors and shift.
 func (e *Engine) runWorker(t int, step float64) {
 	shard := e.shards[t]
 	var scale []float64

@@ -25,6 +25,15 @@ func objValue(ds *dataset.Dataset, obj objective.Objective, w []float64) float64
 	return metrics.Evaluate(ds, obj, w, 1).Obj
 }
 
+// maxAbsDiff returns max_j |a_j − b_j| for equal-length vectors.
+func maxAbsDiff(a, b []float64) float64 {
+	m := 0.0
+	for j := range a {
+		m = max(m, math.Abs(a[j]-b[j]))
+	}
+	return m
+}
+
 func TestNewEngineValidation(t *testing.T) {
 	ds, obj := smallProblem(t)
 	if _, err := NewASGD(ds, obj, model.NewRacy(ds.Dim()+1), 2, 1); err == nil {
@@ -184,7 +193,7 @@ func TestSequentialDeterminism(t *testing.T) {
 		return e.Snapshot(nil)
 	}
 	a, b := run(), run()
-	if sparse.MaxAbsDiff(a, b) != 0 {
+	if maxAbsDiff(a, b) != 0 {
 		t.Fatal("sequential IS-SGD not deterministic under fixed seed")
 	}
 }

@@ -59,6 +59,13 @@ type Loop struct {
 	// ring holds the delayed executor's pending writes (runDelayed); it
 	// grows to the largest τ asked for and is reused after that.
 	ring []pending
+
+	// anchor and shift are sparse SVRG's epoch state, nil for every other
+	// algorithm: anchor[i] is ℓ'(s̃·x_i) at the epoch's snapshot s̃,
+	// indexed like the rows, and shift[j] is µ_j·D_j (Engine.svrgEpoch).
+	// With shift set, every update takes the probing body and writes the
+	// derivative difference ℓ'(w·x_i) − anchor[i] through UpdateShift.
+	anchor, shift []float64
 }
 
 // Bind selects the devirtualized kernel for m once: the model's
@@ -167,10 +174,11 @@ func runRows[V float32 | float64](l *Loop, w int, x *Rows, vals []V, k kernel.Op
 	if l.staleH != nil {
 		sh = l.staleH[w]
 	}
-	// The probing body runs under an adaptive policy, and when the
-	// staleness histograms and the gradient record are both wanted; the
-	// recording body is Step split around the store of |ℓ'|.
-	probe := pol.Enabled() || (sh != nil && grads != nil)
+	// The probing body runs under an adaptive policy, under SVRG, and
+	// when the staleness histograms and the gradient record are both
+	// wanted; the recording body is Step split around the store of |ℓ'|.
+	anchor, shift := l.anchor, l.shift
+	probe := pol.Enabled() || shift != nil || (sh != nil && grads != nil)
 	for it, p := range seq {
 		if a := it + aheadPtr; a < n {
 			sink += uint64(ptr[rows[seq[a]]])
@@ -204,7 +212,8 @@ func runRows[V float32 | float64](l *Loop, w int, x *Rows, vals []V, k kernel.Op
 			// attenuate its step by 1/(1+c·τ), and the write-back goes
 			// through UpdateDC so the DC-ASGD correction
 			// λ·d²·(w_now − w_base) cancels the drift since the base (a
-			// plain Update when DCLambda is 0).
+			// plain Update when DCLambda is 0), or through UpdateShift
+			// under SVRG.
 			begin := ck.Now()
 			z := k.Dot(ri, rv)
 			g := obj.Deriv(z, y[i])
@@ -213,7 +222,11 @@ func runRows[V float32 | float64](l *Loop, w int, x *Rows, vals []V, k kernel.Op
 				shed++
 				continue
 			}
-			k.UpdateDC(ri, rv, g, s*pol.Scale(tau), pol.DCLambda, base)
+			if shift != nil {
+				k.UpdateShift(ri, rv, g-anchor[i], s*pol.Scale(tau), shift)
+			} else {
+				k.UpdateDC(ri, rv, g, s*pol.Scale(tau), pol.DCLambda, base)
+			}
 			ck.Tick()
 			if sh != nil {
 				sh.Observe(tau)
@@ -263,10 +276,10 @@ type pending struct {
 //
 // The write phase ticks the clock, so the staleness it measures is the
 // injected delay (0, 1, …, tau−1 while the ring fills, tau after), and
-// the policy, the τ histograms, the DC base and the |ℓ'| record act on it
-// exactly as in runRows' probing body. A shed write ticks too: it keeps
-// its slot in the schedule, so the delay every later write reads is
-// still the injected one. At tau = 0 with one worker the arithmetic is
+// the policy, the τ histograms, the DC base, the |ℓ'| record and the
+// SVRG write-back act on it exactly as in runRows' probing body. A shed
+// write ticks too: it keeps its slot in the schedule, so the delay every
+// later write reads is still the injected one. At tau = 0 with one worker the arithmetic is
 // runRows' (Step is Update of Deriv of Dot), bit for bit.
 func runDelayed[V float32 | float64](l *Loop, x *Rows, vals []V, k kernel.Ops[V],
 	rows [][]int, seqs [][]int32, scales [][]float64, step float64, grads []float32, tau int) {
@@ -290,7 +303,11 @@ func runDelayed[V float32 | float64](l *Loop, x *Rows, vals []V, k kernel.Ops[V]
 			return
 		}
 		lo, hi := ptr[p.row], ptr[p.row+1]
-		k.UpdateDC(idx[lo:hi], vals[lo:hi], p.g, p.s*pol.Scale(tau), pol.DCLambda, l.dcBase)
+		if l.shift != nil {
+			k.UpdateShift(idx[lo:hi], vals[lo:hi], p.g-l.anchor[p.row], p.s*pol.Scale(tau), l.shift)
+		} else {
+			k.UpdateDC(idx[lo:hi], vals[lo:hi], p.g, p.s*pol.Scale(tau), pol.DCLambda, l.dcBase)
+		}
 		if l.staleH != nil {
 			l.staleH[p.w].Observe(tau)
 		}

@@ -1,4 +1,4 @@
-package solver
+package core
 
 import (
 	"context"
@@ -105,16 +105,14 @@ func TestPrecisionStampsSnapshotDType(t *testing.T) {
 	}
 }
 
-// TestPrecisionValidation: unknown names and the float64-only solvers
-// must be rejected up front, however the f32 request is spelled.
+// TestPrecisionValidation: unknown precision names must be rejected up
+// front, for every algorithm.
 func TestPrecisionValidation(t *testing.T) {
 	ds, obj := testProblem(t)
 	bad := []Config{
 		{Algo: SGD, Epochs: 1, Step: 0.1, Precision: "f16"},
-		{Algo: SVRGSGD, Epochs: 1, Step: 0.1, Precision: "f32"},
-		{Algo: SVRGASGD, Epochs: 1, Step: 0.1, Precision: "f32"},
-		{Algo: SAGA, Epochs: 1, Step: 0.1, Precision: "f32"},
-		{Algo: SAGA, Epochs: 1, Step: 0.1, ModelKind: model.KindRacy32},
+		{Algo: SVRGSGD, Epochs: 1, Step: 0.1, Precision: "f16"},
+		{Algo: SVRGASGD, Epochs: 1, Step: 0.1, Precision: "half"},
 	}
 	for i, cfg := range bad {
 		if _, err := Train(context.Background(), ds, obj, cfg); err == nil {

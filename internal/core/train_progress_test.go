@@ -1,4 +1,4 @@
-package solver
+package core
 
 import (
 	"context"

@@ -1,4 +1,4 @@
-package solver
+package core
 
 import (
 	"context"
@@ -11,7 +11,7 @@ import (
 )
 
 // TestTrainPublishesSnapshots pins the snapshot pipeline across the
-// solver surface: with Config.Snapshots set, every algorithm publishes
+// Train surface: with Config.Snapshots set, every algorithm publishes
 // an epoch-0 version before training, versions at the cadence, and a
 // final version matching the returned weights.
 func TestTrainPublishesSnapshots(t *testing.T) {
@@ -21,7 +21,7 @@ func TestTrainPublishesSnapshots(t *testing.T) {
 	}
 	obj := objective.LogisticL1{Eta: 1e-4}
 
-	for _, algo := range []Algo{SGD, ISSGD, ASGD, ISASGD, SVRGSGD, SAGA} {
+	for _, algo := range []Algo{SGD, ISSGD, ASGD, ISASGD, SVRGSGD, SVRGASGD} {
 		t.Run(algo.String(), func(t *testing.T) {
 			st := snapshot.NewStore()
 			var seqAtProgress uint64

@@ -1,4 +1,4 @@
-package solver
+package core
 
 import (
 	"context"
@@ -27,7 +27,7 @@ func TestParseAlgo(t *testing.T) {
 		"sgd": SGD, "SGD": SGD,
 		"is-sgd": ISSGD, "IS_SGD": ISSGD,
 		"asgd": ASGD, "is-asgd": ISASGD, " is-asgd ": ISASGD,
-		"svrg-sgd": SVRGSGD, "svrg-asgd": SVRGASGD, "saga": SAGA,
+		"svrg-sgd": SVRGSGD, "svrg-asgd": SVRGASGD,
 	}
 	for s, want := range cases {
 		got, err := ParseAlgo(s)
@@ -35,13 +35,15 @@ func TestParseAlgo(t *testing.T) {
 			t.Errorf("ParseAlgo(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	if _, err := ParseAlgo("adam"); err == nil {
-		t.Error("ParseAlgo accepted unknown name")
+	for _, name := range []string{"adam", "saga"} {
+		if _, err := ParseAlgo(name); err == nil {
+			t.Errorf("ParseAlgo accepted unknown name %q", name)
+		}
 	}
 }
 
 func TestAlgoStringRoundTrip(t *testing.T) {
-	for _, a := range []Algo{SGD, ISSGD, ASGD, ISASGD, SVRGSGD, SVRGASGD, SAGA} {
+	for _, a := range []Algo{SGD, ISSGD, ASGD, ISASGD, SVRGSGD, SVRGASGD} {
 		back, err := ParseAlgo(a.String())
 		if err != nil || back != a {
 			t.Errorf("round trip failed for %v", a)
@@ -50,7 +52,7 @@ func TestAlgoStringRoundTrip(t *testing.T) {
 }
 
 func TestAsync(t *testing.T) {
-	if SGD.Async() || ISSGD.Async() || SVRGSGD.Async() || SAGA.Async() {
+	if SGD.Async() || ISSGD.Async() || SVRGSGD.Async() {
 		t.Error("sequential algo reported async")
 	}
 	if !ASGD.Async() || !ISASGD.Async() || !SVRGASGD.Async() {
@@ -84,7 +86,7 @@ func TestConfigValidation(t *testing.T) {
 // conditioned problem, and produce a well-formed curve.
 func TestAllAlgorithmsConverge(t *testing.T) {
 	ds, obj := testProblem(t)
-	for _, algo := range []Algo{SGD, ISSGD, ASGD, ISASGD, SVRGSGD, SVRGASGD, SAGA} {
+	for _, algo := range []Algo{SGD, ISSGD, ASGD, ISASGD, SVRGSGD, SVRGASGD} {
 		algo := algo
 		t.Run(algo.String(), func(t *testing.T) {
 			t.Parallel()
@@ -232,7 +234,7 @@ func TestDeterministicSequentialRuns(t *testing.T) {
 		}
 		return res.Weights
 	}
-	if sparse.MaxAbsDiff(run(), run()) != 0 {
+	if maxAbsDiff(run(), run()) != 0 {
 		t.Fatal("IS-SGD not reproducible under fixed seed")
 	}
 }
@@ -272,13 +274,13 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 	ds, obj := testProblem(t)
 	bad := []Config{
 		{Algo: SVRGSGD, Epochs: 2, Step: 0.1, AdaptC: 0.1},
-		{Algo: SAGA, Epochs: 2, Step: 0.1, DCLambda: 0.1},
+		{Algo: SVRGSGD, Epochs: 2, Step: 0.1, DCLambda: 0.1},
 		{Algo: ISASGD, Epochs: 2, Step: 0.1, AdaptC: -1},
 		{Algo: ISASGD, Epochs: 2, Step: 0.1, StalenessBound: -3},
 		{Algo: ISASGD, Epochs: 2, Step: 0.1, DCLambda: math.Inf(1)},
 		{Algo: SVRGASGD, Epochs: 2, Step: 0.1, StalenessBound: 8},
 		{Algo: ASGD, Epochs: 2, Step: 0.1, Importance: "grad"},
-		{Algo: SAGA, Epochs: 2, Step: 0.1, Importance: "grad"},
+		{Algo: SVRGASGD, Epochs: 2, Step: 0.1, Importance: "grad"},
 		{Algo: ISASGD, Epochs: 2, Step: 0.1, Importance: "loss"},
 	}
 	for i, cfg := range bad {

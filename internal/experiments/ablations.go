@@ -9,7 +9,6 @@ import (
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/metrics"
 	"github.com/isasgd/isasgd/internal/model"
-	"github.com/isasgd/isasgd/internal/solver"
 )
 
 // AblBalanceRow is one balancing-mode result.
@@ -69,52 +68,6 @@ func (r *Runner) AblationBalancing(ctx context.Context) (*AblBalanceResult, erro
 		})
 	}
 	r.table([]string{"mode", "Φ imbalance", "final RMSE", "final best err"}, rows)
-	return res, nil
-}
-
-// AblSVRGResult compares strict SVRG with the public-code skip-µ
-// approximation.
-type AblSVRGResult struct {
-	Strict  metrics.Curve
-	SkipMu  metrics.Curve
-	MaxDiff float64 // max |RMSE_strict − RMSE_skip| across epochs
-}
-
-// AblationSVRGSkipMu reproduces the paper's Section-1.2 observation that
-// the public SVRG-ASGD code, which applies n·µ once per epoch instead of
-// µ every iteration, yields a convergence curve "far from the literature
-// version". SVRG is not on the delayed executor; it runs sequential
-// SVRG-SGD through solver.Train, which repeats at a seed.
-func (r *Runner) AblationSVRGSkipMu(ctx context.Context) (*AblSVRGResult, error) {
-	r.section("Ablation: strict SVRG vs public-code skip-µ (Sec. 1.2)")
-	d, err := r.Dataset("news20s")
-	if err != nil {
-		return nil, err
-	}
-	obj := r.Objective()
-	res := &AblSVRGResult{}
-	for _, skip := range []bool{false, true} {
-		out, err := solver.Train(ctx, d, obj, solver.Config{
-			Algo: solver.SVRGSGD, Epochs: r.Scale.EpochsA, Step: 0.1,
-			Seed: r.Seed + 4, SkipMu: skip, EvalThreads: delayedEvalWorkers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if skip {
-			res.SkipMu = out.Curve
-		} else {
-			res.Strict = out.Curve
-		}
-	}
-	var rows [][]string
-	for i := 0; i < len(res.Strict) && i < len(res.SkipMu); i++ {
-		a, b := res.Strict[i].RMSE, res.SkipMu[i].RMSE
-		res.MaxDiff = max(res.MaxDiff, a-b, b-a)
-		rows = append(rows, []string{fmt.Sprintf("%d", res.Strict[i].Epoch), fmt.Sprintf("%.5f", a), fmt.Sprintf("%.5f", b)})
-	}
-	r.table([]string{"epoch", "SVRG-SGD RMSE (strict)", "SVRG-SGD RMSE (skip-µ)"}, rows)
-	r.printf("max per-epoch RMSE divergence: %.5f\n", res.MaxDiff)
 	return res, nil
 }
 

@@ -11,12 +11,11 @@ import (
 	"github.com/isasgd/isasgd/internal/metrics"
 	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/objective"
-	"github.com/isasgd/isasgd/internal/solver"
 )
 
 // RunKey identifies one training run within a convergence experiment.
 type RunKey struct {
-	Algo    solver.Algo
+	Algo    core.Algo
 	Threads int
 }
 
@@ -60,15 +59,15 @@ func (r *Runner) Convergence(ctx context.Context, preset string) (*ConvResult, e
 		Decisions: map[RunKey]balance.Decision{},
 	}
 
-	runs := []RunKey{{Algo: solver.SGD, Threads: 1}}
+	runs := []RunKey{{Algo: core.SGD, Threads: 1}}
 	for _, p := range r.Scale.Threads {
-		runs = append(runs, RunKey{Algo: solver.ASGD, Threads: p}, RunKey{Algo: solver.ISASGD, Threads: p})
+		runs = append(runs, RunKey{Algo: core.ASGD, Threads: p}, RunKey{Algo: core.ISASGD, Threads: p})
 	}
 	for _, k := range runs {
 		m := model.NewRacy(d.Dim())
 		seed := r.Seed + uint64(k.Threads)*13 + uint64(k.Algo)
 		var e *core.Engine
-		if k.Algo == solver.ISASGD {
+		if k.Algo == core.ISASGD {
 			e, err = core.NewISASGD(d, obj, m, k.Threads, balance.Auto, 0, seed, false)
 		} else {
 			e, err = core.NewASGD(d, obj, m, k.Threads, seed)
@@ -147,12 +146,12 @@ type SpeedupSummary struct {
 // RenderSpeedups prints the Figure-5 slices and returns their summaries.
 func (r *Runner) RenderSpeedups(cr *ConvResult) []SpeedupSummary {
 	r.section(fmt.Sprintf("Figure 5 (%s): error rate → speedup in updates", cr.Dataset))
-	sgd := cr.Curves[RunKey{Algo: solver.SGD, Threads: 1}]
+	sgd := cr.Curves[RunKey{Algo: core.SGD, Threads: 1}]
 	var out []SpeedupSummary
 	var levels, rows [][]string
 	for _, p := range cr.Threads {
-		asgd := cr.Curves[RunKey{Algo: solver.ASGD, Threads: p}]
-		is := cr.Curves[RunKey{Algo: solver.ISASGD, Threads: p}]
+		asgd := cr.Curves[RunKey{Algo: core.ASGD, Threads: p}]
+		is := cr.Curves[RunKey{Algo: core.ISASGD, Threads: p}]
 		grid := r.speedups(asgd, is)
 		s := SpeedupSummary{
 			Dataset:         cr.Dataset,
@@ -187,9 +186,9 @@ func (r *Runner) RenderSpeedups(cr *ConvResult) []SpeedupSummary {
 // paper's legend order (SGD, ASGD, IS-ASGD).
 func panelKeys(p int) []RunKey {
 	return []RunKey{
-		{Algo: solver.SGD, Threads: 1},
-		{Algo: solver.ASGD, Threads: p},
-		{Algo: solver.ISASGD, Threads: p},
+		{Algo: core.SGD, Threads: 1},
+		{Algo: core.ASGD, Threads: p},
+		{Algo: core.ISASGD, Threads: p},
 	}
 }
 

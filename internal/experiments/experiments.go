@@ -8,7 +8,7 @@
 //	Figure 5  error-rate → speedup in updates        (same runs → RenderSpeedups)
 //	Sec. 4.2  speedup summary numbers                (Runner.Summary)
 //	Sec. 3    conflict-graph / τ-bound theory check  (Runner.Theory)
-//	Ablations balancing mode, SVRG skip-µ, sequence, adaptive IS (Runner.Ablation*)
+//	Ablations balancing mode, sequence, adaptive IS   (Runner.Ablation*)
 //	Sweeps    ψ (Eq. 15) and exact delay τ (Eq. 27)  (Runner.PsiSweep, Runner.TauSweep)
 //
 // Each experiment prints the same rows the paper reports, with the
@@ -18,8 +18,7 @@
 // the paper's 44-core testbed; the shapes (who wins, by what factor,
 // where the crossovers are) are the reproduction target.
 //
-// Every training run but the SVRG skip-µ ablation runs on core's
-// delayed executor (core.Engine.RunEpochDelayed): P threads become P
+// Every training run runs on core's delayed executor (core.Engine.RunEpochDelayed): P threads become P
 // workers whose gradients each read the model τ = P − 1 writes before
 // they are applied, and sequential SGD is one worker at τ = 0. So the
 // reports count updates, not seconds, and repeat byte for byte at a
@@ -27,8 +26,9 @@
 // count of touched coordinates. Absolute time is measured only by `bash
 // bench/run.sh` (its setup_s and core.is_overhead; see bench/README.md),
 // so the paper's Figure 4 (wall-clock axis) has no counterpart here.
-// The SVRG-ASGD arm of the News20 panel waits until SVRG runs on
-// core.Loop (ROADMAP item 7).
+// SVRG now runs on core.Loop in its sparse form (core.NewSVRG), but the
+// SVRG-ASGD arm of the News20 panel is not back on the referee yet
+// (ROADMAP item 7).
 package experiments
 
 import (
@@ -63,7 +63,6 @@ func (r *Runner) Run(ctx context.Context, want map[string]bool) (*SummaryResult,
 		{[]string{"fig3", "fig5", "summary"}, func() (err error) { sum, err = r.Summary(ctx); return err }},
 		{[]string{"theory"}, func() error { _, err := r.Theory(); return err }},
 		{[]string{"ablations"}, func() error { _, err := r.AblationBalancing(ctx); return err }},
-		{[]string{"ablations"}, func() error { _, err := r.AblationSVRGSkipMu(ctx); return err }},
 		{[]string{"ablations"}, func() error { _, err := r.AblationSequence(ctx); return err }},
 		{[]string{"ablations"}, func() error { _, err := r.AblationAdaptiveIS(ctx); return err }},
 		{[]string{"psisweep"}, func() error { _, err := r.PsiSweep(ctx); return err }},

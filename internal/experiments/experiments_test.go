@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"github.com/isasgd/isasgd/internal/balance"
-	"github.com/isasgd/isasgd/internal/solver"
+	"github.com/isasgd/isasgd/internal/core"
 )
 
 // tiny returns a runner at an even smaller scale than Quick, for unit
@@ -144,7 +144,7 @@ func TestConvergenceAndRenders(t *testing.T) {
 	// IS-ASGD decisions recorded with the expected Algorithm-4 branch
 	// (news20s has ρ ≥ ζ → balanced).
 	for _, tau := range cr.Threads {
-		d := cr.Decisions[RunKey{Algo: solver.ISASGD, Threads: tau}]
+		d := cr.Decisions[RunKey{Algo: core.ISASGD, Threads: tau}]
 		if !d.Balanced {
 			t.Errorf("τ=%d: news20s IS-ASGD not balanced (ρ=%g)", tau, d.Rho)
 		}
@@ -201,21 +201,6 @@ func TestAblationBalancing(t *testing.T) {
 	}
 	if byMode[balance.LPT].Imbalance >= byMode[balance.Sorted].Imbalance {
 		t.Error("LPT imbalance not better than sorted")
-	}
-}
-
-func TestAblationSVRGSkipMu(t *testing.T) {
-	var buf bytes.Buffer
-	r := tiny(&buf)
-	res, err := r.AblationSVRGSkipMu(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MaxDiff <= 0 {
-		t.Fatal("skip-µ curve identical to strict")
-	}
-	if len(res.Strict) == 0 || len(res.SkipMu) == 0 {
-		t.Fatal("curves missing")
 	}
 }
 
@@ -364,10 +349,10 @@ func TestWriteCurvesCSV(t *testing.T) {
 }
 
 func TestRunKeyString(t *testing.T) {
-	if (RunKey{Algo: solver.SGD, Threads: 1}).String() != "sgd" {
+	if (RunKey{Algo: core.SGD, Threads: 1}).String() != "sgd" {
 		t.Fatal("sequential key format")
 	}
-	if (RunKey{Algo: solver.ISASGD, Threads: 8}).String() != "is-asgd/8" {
+	if (RunKey{Algo: core.ISASGD, Threads: 8}).String() != "is-asgd/8" {
 		t.Fatal("async key format")
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/isasgd/isasgd/internal/core"
 	"github.com/isasgd/isasgd/internal/metrics"
-	"github.com/isasgd/isasgd/internal/solver"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
@@ -54,11 +54,11 @@ func TestReportGolden(t *testing.T) {
 
 func TestGoldenCurvesCSV(t *testing.T) {
 	curves := map[RunKey]metrics.Curve{
-		{Algo: solver.ASGD, Threads: 8}: {
+		{Algo: core.ASGD, Threads: 8}: {
 			{Epoch: 0, Iters: 0, Obj: 0.693147, RMSE: 0.693147, ErrRate: 0.5, BestErr: 0.5},
 			{Epoch: 1, Iters: 1000, Obj: 0.41, RMSE: 0.45, ErrRate: 0.12, BestErr: 0.12},
 		},
-		{Algo: solver.ISASGD, Threads: 8}: {
+		{Algo: core.ISASGD, Threads: 8}: {
 			{Epoch: 0, Iters: 0, Obj: 0.693147, RMSE: 0.693147, ErrRate: 0.5, BestErr: 0.5},
 			{Epoch: 1, Iters: 1000, Obj: 0.35, RMSE: 0.40, ErrRate: 0.09, BestErr: 0.09},
 		},

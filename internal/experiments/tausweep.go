@@ -9,7 +9,6 @@ import (
 	"github.com/isasgd/isasgd/internal/core"
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/model"
-	"github.com/isasgd/isasgd/internal/objective"
 	"github.com/isasgd/isasgd/internal/xrand"
 )
 
@@ -86,21 +85,7 @@ func (r *Runner) TauSweep(ctx context.Context) (*TauSweepResult, error) {
 		return nil, err
 	}
 	obj := r.Objective()
-	l := objective.Weights(d.X, obj)
-	st := dataset.ComputeStats(d, l)
-
-	// Eq.-27 bound with the documented proxies (µ = η, σ² at w₀ = 0).
-	sigma2 := 0.0
-	for i := 0; i < d.N(); i++ {
-		sigma2 += d.X.Row(i).NormSq()
-	}
-	sigma2 /= 4 * float64(d.N())
-	params := conflict.Params{
-		N:        d.N(),
-		DeltaBar: conflict.AverageDegreeMC(d, 100_000, xrand.New(r.Seed+51)),
-		Mu:       r.eta(), MeanL: st.MeanL, InfL: st.MinL, SupL: st.MaxL,
-		Sigma2: sigma2, Eps: 0.01, Eps0: 1,
-	}
+	params := r.eq27Params(d, conflict.AverageDegreeMC(d, 100_000, xrand.New(r.Seed+51)))
 	res := &TauSweepResult{N: d.N(), TauBound: params.TauBound()}
 
 	epochs := r.Scale.EpochsA

@@ -58,24 +58,10 @@ func (k *atomic64) UpdateDC(idx []int32, val []float64, g, s, lam float64, base 
 	}
 }
 
-func (k *atomic64) Axpy(idx []int32, val []float64, s float64) {
+func (k *atomic64) UpdateShift(idx []int32, val []float64, g, s float64, shift []float64) {
 	bits := k.bits
 	for p, j := range idx {
-		casAdd(&bits[j], s*val[p])
-	}
-}
-
-func (k *atomic64) ApplyDense(g []float64, s float64) {
-	bits := k.bits
-	for j := range g {
-		casReg(&bits[j], g[j], s, k.reg, k.eta)
-	}
-}
-
-func (k *atomic64) AxpyDense(v []float64, s float64) {
-	bits := k.bits
-	for j := range v {
-		casAdd(&bits[j], s*v[j])
+		casReg(&bits[j], g*val[p]+shift[j], s, k.reg, k.eta)
 	}
 }
 
@@ -101,18 +87,6 @@ func casDC(b *atomic.Uint64, d, s, lam, base float64, kind regKind, eta float64)
 		wj := math.Float64frombits(old)
 		dd := d + lam*d*d*(wj-base)
 		next := math.Float64bits(wj - s*(dd+regAt(kind, wj, eta)))
-		if b.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// casAdd retries w ← w + delta until the CAS lands (model.Atomic.Add's
-// loop, without the interface hop).
-func casAdd(b *atomic.Uint64, delta float64) {
-	for {
-		old := b.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
 		if b.CompareAndSwap(old, next) {
 			return
 		}

@@ -69,6 +69,14 @@ func (k *atomic32) UpdateDC(idx []int32, val []float32, g, s, lam float64, base 
 	}
 }
 
+func (k *atomic32) UpdateShift(idx []int32, val []float32, g, s float64, shift []float64) {
+	bits := k.bits
+	fg, fs := float32(g), float32(s)
+	for p, j := range idx {
+		casReg32(&bits[j], fg*val[p]+float32(shift[j]), fs, k.reg, k.eta)
+	}
+}
+
 // casReg32 retries w ← w − s·(gv + reg'(w)) until the CAS lands.
 func casReg32(b *atomic.Uint32, gv, s float32, kind regKind, eta float32) {
 	for {

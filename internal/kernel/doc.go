@@ -1,7 +1,7 @@
 // Package kernel is the devirtualized hot-path layer shared by every
 // consumer of the per-sample SGD update: the one update loop
-// (internal/core's Loop, which the batch engine and the streaming
-// trainer both run), the SVRG/SAGA solvers (internal/solver) and the
+// (internal/core's Loop, which the batch engine — every algorithm,
+// sparse SVRG included — and the streaming trainer run) and the
 // prediction paths (internal/serve, internal/stream evaluation).
 //
 // # Why it exists
@@ -14,7 +14,7 @@
 // coordinate, plus a second Get per coordinate to evaluate the
 // regularizer derivative that Add's own load had already fetched, and
 // the loop was duplicated (with drift) across core, stream and the
-// SVRG/SAGA solvers. This package makes the update semantics live in
+// variance-reduced solvers. This package makes the update semantics live in
 // exactly one place and makes the common case monomorphic.
 //
 // # One kernel per weight storage
@@ -42,27 +42,29 @@
 // racy kernels' Update — the 4-way-unrolled write-back every Step ends
 // in — hoists one switch on the kind around three unrolled bodies, so
 // the inner loop is branch-free straight-line code per regularizer.
-// Everything else (clamped and delay-compensated write-backs, dense
-// applies, unroll tails, and every CAS attempt) calls regAt(kind, w, η),
+// Everything else (clamped, delay-compensated and shifted write-backs,
+// unroll tails, and every CAS attempt) calls regAt(kind, w, η),
 // an inlined three-way switch per element that predicts perfectly: the
 // kind never changes under a kernel.
 //
 // Both precisions implement the whole per-sample surface, Ops[V]: Dot,
-// Step, StepClamped, Update, UpdateDC. That is what lets the update loop
-// be written once over the value type and run every feature — adaptive
-// steps, staleness shedding, delay compensation, gradient-norm
-// recording — at either width. The loop's rows never carry an index beyond the model
+// Step, StepClamped, Update, UpdateDC, UpdateShift. That is what lets
+// the update loop be written once over the value type and run every
+// feature — adaptive steps, staleness shedding, delay compensation,
+// gradient-norm recording, sparse SVRG's shifted write-back — at either
+// width; Kernel is Ops[float64] and Kernel32 is Ops[float32]. The loop's rows never carry an index beyond the model
 // (the streaming window drops such features when it admits a row), so
 // it calls only the unchecked entry points; StepClamped serves callers
-// replaying raw rows. Kernel adds the three dense SVRG/SAGA operations,
-// which stay float64-only.
+// replaying raw rows. No operation is dense: each touches the row's
+// support only.
 //
 // Reference is the executable specification: it speaks the model.Params
 // and objective.Regularizer interfaces in exactly the seed's loop shape,
 // and is never routed through the specialized types. Every f64
 // specialization must be bitwise-identical to it for the same inputs
-// (TestKernelEquivalence and the StepClamped/UpdateDC tables); every
-// f32 one must track it within the kernel32_test.go tolerance.
+// (TestKernelEquivalence and the StepClamped/UpdateDC/UpdateShift
+// tables); every f32 one must track it within the kernel32_test.go
+// tolerance.
 //
 // # Why not one generic kernel
 //

@@ -6,11 +6,11 @@ import (
 )
 
 // Ops is the per-sample update surface of a kernel over rows whose
-// feature values have type V: every operation a worker loop performs. Kernel extends Ops[float64] with the
-// dense SVRG/SAGA operations; Kernel32 is Ops[float32]. Both precisions
+// feature values have type V: every operation a worker loop performs.
+// Kernel is Ops[float64] and Kernel32 is Ops[float32]. Both precisions
 // have the whole surface, so a worker loop written once over V runs
 // every feature — adaptive steps, staleness shedding, delay
-// compensation, gradient-norm recording — on either.
+// compensation, gradient-norm recording, variance reduction — on either.
 //
 // A kernel holds no mutable state of its own — the model is the only
 // thing written — so one value is shared by all of an engine's workers,
@@ -41,8 +41,8 @@ type Ops[V float32 | float64] interface {
 	// (the serving convention for out-of-vocabulary features).
 	StepClamped(idx []int32, val []V, y, s float64)
 	// Update applies the write-back half only, for a precomputed (and
-	// possibly importance-scaled or variance-reduced) derivative g:
-	// w[j] -= s·(g·val[k] + reg'(w[j])). Used by the SVRG inner loop.
+	// possibly importance-scaled) derivative g:
+	// w[j] -= s·(g·val[k] + reg'(w[j])).
 	Update(idx []int32, val []V, g, s float64)
 	// UpdateDC is Update with DC-ASGD delay compensation: the update
 	// direction d = g·val[k] gains the correction λ·d²·(w[j] − base[j])
@@ -51,22 +51,17 @@ type Ops[V float32 | float64] interface {
 	// is bitwise-identical to Update. base is indexed like the model's
 	// storage and must span it; indices must be in range.
 	UpdateDC(idx []int32, val []V, g, s, lam float64, base []float64)
+	// UpdateShift is Update with a per-coordinate shift added to the
+	// direction on the row's support: w[j] -= s·(g·val[k] + shift[j] +
+	// reg'(w[j])). It is the sparse SVRG write-back, with g the
+	// derivative difference ℓ'(w·x) − ℓ'(s̃·x) and shift the mean
+	// gradient µ_j scaled by D_j = n/n_j. shift is indexed like the
+	// model's storage and must span it.
+	UpdateShift(idx []int32, val []V, g, s float64, shift []float64)
 }
 
-// Kernel is the float64 kernel: the per-sample surface plus the dense
-// operations of the variance-reduced solvers, which stay float64-only.
-type Kernel interface {
-	Ops[float64]
-	// Axpy applies w[j] += s·val[k] over the row support, with no
-	// regularization (SAGA's sparse variance-reduction term).
-	Axpy(idx []int32, val []float64, s float64)
-	// ApplyDense applies w[j] -= s·(g[j] + reg'(w[j])) over all
-	// coordinates (SAGA's dense running-average term).
-	ApplyDense(g []float64, s float64)
-	// AxpyDense applies w[j] += s·v[j] over all coordinates (SVRG's
-	// dense µ term).
-	AxpyDense(v []float64, s float64)
-}
+// Kernel is the float64 kernel.
+type Kernel = Ops[float64]
 
 // Kernel32 is the float32 kernel: fused sparse SGD updates against a
 // float32 model, consuming float32 feature rows so both the weight and
@@ -217,28 +212,11 @@ func (k *Reference) UpdateDC(idx []int32, val []float64, g, s, lam float64, base
 	}
 }
 
-// Axpy applies the unregularized sparse axpy.
-func (k *Reference) Axpy(idx []int32, val []float64, s float64) {
-	m := k.m
-	for kk, j := range idx {
-		m.Add(j, s*val[kk])
-	}
-}
-
-// ApplyDense applies the fused dense gradient+regularizer update.
-func (k *Reference) ApplyDense(g []float64, s float64) {
+// UpdateShift applies the shifted write-back through the interfaces.
+func (k *Reference) UpdateShift(idx []int32, val []float64, g, s float64, shift []float64) {
 	m := k.m
 	reg := k.reg
-	for j := range g {
-		jj := int32(j)
-		m.Add(jj, -s*(g[j]+reg.DerivAt(m.Get(jj))))
-	}
-}
-
-// AxpyDense applies the dense axpy.
-func (k *Reference) AxpyDense(v []float64, s float64) {
-	m := k.m
-	for j := range v {
-		m.Add(int32(j), s*v[j])
+	for kk, j := range idx {
+		m.Add(j, -s*(g*val[kk]+shift[j]+reg.DerivAt(m.Get(j))))
 	}
 }

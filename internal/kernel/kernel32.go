@@ -51,3 +51,11 @@ func (k *reference32) UpdateDC(idx []int32, val []float32, g, s, lam float64, ba
 		m.Add(j, -s*(d+reg.DerivAt(wj)))
 	}
 }
+
+func (k *reference32) UpdateShift(idx []int32, val []float32, g, s float64, shift []float64) {
+	m := k.m
+	reg := k.reg
+	for p, j := range idx {
+		m.Add(j, -s*(g*float64(val[p])+shift[j]+reg.DerivAt(m.Get(j))))
+	}
+}

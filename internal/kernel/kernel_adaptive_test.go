@@ -64,6 +64,17 @@ func (u *underTest) updateDC(idx []int32, val []float64, g, s, lam float64, base
 	u.kr.UpdateDC(idx, preRound(val), g, s, lam, base)
 }
 
+// updateShift drives both kernels' shifted update with one shift.
+func (u *underTest) updateShift(idx []int32, val []float64, g, s float64, shift []float64) {
+	if u.k32 == nil {
+		u.k64.UpdateShift(idx, val, g, s, shift)
+		u.kr.UpdateShift(idx, val, g, s, shift)
+		return
+	}
+	u.k32.UpdateShift(idx, toF32(val), g, s, shift)
+	u.kr.UpdateShift(idx, preRound(val), g, s, shift)
+}
+
 func (u *underTest) require(t *testing.T, stage string) {
 	t.Helper()
 	if u.k32 == nil {
@@ -137,6 +148,38 @@ func TestKernelUpdateDCEquivalence(t *testing.T) {
 					lam := 0.5 * rng.Float64()
 					u.updateDC(idx[i], val[i], g, s, lam, base)
 					u.require(t, "UpdateDC")
+				}
+			})
+		}
+	}
+}
+
+// TestKernelUpdateShiftEquivalence drives the shifted write-back of
+// sparse SVRG through every specialization against the Reference kernel,
+// with one random shift vector (float32-exact, so the f32 kinds read the
+// same shift the Reference does).
+func TestKernelUpdateShiftEquivalence(t *testing.T) {
+	const (
+		dim  = 64
+		rows = 40
+		nnz  = 9
+	)
+	for _, kind := range allKinds {
+		for _, obj := range testObjectives() {
+			t.Run(kind+"/"+obj.Name(), func(t *testing.T) {
+				rng := xrand.New(0x5417)
+				idx, val, _ := randRows(rng, rows, dim, nnz, false)
+				init := make([]float64, dim)
+				shift := make([]float64, dim)
+				for j := range init {
+					init[j] = rng.NormFloat64()
+					shift[j] = 0.1 * rng.NormFloat64()
+				}
+				shift = preRound(shift)
+				u := newUnderTest(kind, dim, obj, init)
+				for i := range idx {
+					u.updateShift(idx[i], val[i], rng.NormFloat64(), 0.01+0.5*rng.Float64(), shift)
+					u.require(t, "UpdateShift")
 				}
 			})
 		}

@@ -148,9 +148,9 @@ func TestKernelEquivalence(t *testing.T) {
 					ks := New(spec, obj)
 					kr := NewReference(ref, obj)
 
-					dense := make([]float64, dim)
-					for j := range dense {
-						dense[j] = rng.NormFloat64()
+					shift := make([]float64, dim)
+					for j := range shift {
+						shift[j] = rng.NormFloat64()
 					}
 
 					for i := range idx {
@@ -180,17 +180,10 @@ func TestKernelEquivalence(t *testing.T) {
 							ks.Update(idx[i], val[i], g, s)
 							kr.Update(idx[i], val[i], g, s)
 							requireBitwiseEqual(t, spec, ref, "Update")
-						case 3:
-							ks.Axpy(idx[i], val[i], -s*g)
-							kr.Axpy(idx[i], val[i], -s*g)
-							requireBitwiseEqual(t, spec, ref, "Axpy")
-						case 4:
-							ks.ApplyDense(dense, s)
-							kr.ApplyDense(dense, s)
-							requireBitwiseEqual(t, spec, ref, "ApplyDense")
-							ks.AxpyDense(dense, -s)
-							kr.AxpyDense(dense, -s)
-							requireBitwiseEqual(t, spec, ref, "AxpyDense")
+						case 3, 4:
+							ks.UpdateShift(idx[i], val[i], g, s, shift)
+							kr.UpdateShift(idx[i], val[i], g, s, shift)
+							requireBitwiseEqual(t, spec, ref, "UpdateShift")
 						}
 					}
 				})
@@ -247,6 +240,7 @@ func TestKernelZeroAlloc(t *testing.T) {
 	obj := objective.LogisticL1{Eta: 1e-3}
 	idx := []int32{1, 5, 9, 13}
 	val := []float64{0.3, -0.7, 1.1, 0.2}
+	shift := make([]float64, 16)
 	for _, tc := range []struct {
 		name string
 		k    Kernel
@@ -258,7 +252,7 @@ func TestKernelZeroAlloc(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() {
 			tc.k.Step(idx, val, 1, 0.01)
 			tc.k.Update(idx, val, 0.1, 0.01)
-			tc.k.Axpy(idx, val, 0.01)
+			tc.k.UpdateShift(idx, val, 0.1, 0.01, shift)
 		}); n != 0 {
 			t.Errorf("%s kernel: %v allocs per update round, want 0", tc.name, n)
 		}
@@ -268,24 +262,25 @@ func TestKernelZeroAlloc(t *testing.T) {
 // TestAtomicKernelConcurrent hammers the CAS kernels from many
 // goroutines; run under -race it proves the specializations inherit
 // Atomic's race-freedom, and the final sum checks no update was lost on
-// the Axpy path (pure additions commute exactly when they land on
-// disjoint magnitudes; here we use ±1 increments and count).
+// the UpdateShift path: with g = 0, no regularizer and a shift of −1 at
+// step 1, each call adds exactly 1 to every coordinate of the row.
 func TestAtomicKernelConcurrent(t *testing.T) {
 	const (
 		workers = 8
 		perW    = 2000
 	)
 	m := model.NewAtomic(4)
-	k := New(m, objective.LogisticL1{Eta: 1e-4})
+	k := New(m, noneObj{})
 	idx := []int32{0, 1, 2, 3}
 	val := []float64{1, 1, 1, 1}
+	shift := []float64{-1, -1, -1, -1}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
-				k.Axpy(idx, val, 1)
+				k.UpdateShift(idx, val, 0, 1, shift)
 				k.Step(idx, val, 1, 1e-9)
 				z := k.Dot(idx, val)
 				if math.IsNaN(z) {
@@ -296,7 +291,7 @@ func TestAtomicKernelConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// Axpy added exactly workers*perW to each coordinate; the tiny Step
+	// UpdateShift added exactly workers*perW to each coordinate; the tiny Step
 	// perturbations cannot push the total below that minus 1.
 	want := float64(workers * perW)
 	w := m.Snapshot(nil)

@@ -35,8 +35,8 @@ func regOf(r objective.Regularizer) (kind regKind, eta float64, ok bool) {
 // 0 at ±0 — bit-for-bit DerivAt's value for every non-NaN wj. The one
 // divergence is wj = NaN, where DerivAt's switch returns 0 but Copysign
 // returns ±η; a NaN weight means the run already diverged, both paths
-// still produce NaN from the subsequent update, and solver.checkFinite
-// rejects the result before use. Copysign compiles to two bit ops, so
+// still produce NaN from the subsequent update, and core.Train's
+// finiteness check rejects the result before use. Copysign compiles to two bit ops, so
 // the common case is branch-free where the reference's three-way switch
 // is not.
 func l1At(wj, eta float64) float64 {
@@ -159,35 +159,10 @@ func (k *racy64) UpdateDC(idx []int32, val []float64, g, s, lam float64, base []
 	}
 }
 
-// Axpy is unrolled like Update (sequential bodies; duplicate-safe).
-func (k *racy64) Axpy(idx []int32, val []float64, s float64) {
+func (k *racy64) UpdateShift(idx []int32, val []float64, g, s float64, shift []float64) {
 	w := k.w
-	if len(val) >= len(idx) {
-		val = val[:len(idx)]
-	}
-	p := 0
-	for ; p+4 <= len(idx); p += 4 {
-		w[idx[p]] += s * val[p]
-		w[idx[p+1]] += s * val[p+1]
-		w[idx[p+2]] += s * val[p+2]
-		w[idx[p+3]] += s * val[p+3]
-	}
-	for ; p < len(idx); p++ {
-		w[idx[p]] += s * val[p]
-	}
-}
-
-func (k *racy64) ApplyDense(g []float64, s float64) {
-	w := k.w
-	for j := range g {
+	for p, j := range idx {
 		wj := w[j]
-		w[j] = wj - s*(g[j]+regAt(k.reg, wj, k.eta))
-	}
-}
-
-func (k *racy64) AxpyDense(v []float64, s float64) {
-	w := k.w
-	for j := range v {
-		w[j] += s * v[j]
+		w[j] = wj - s*(g*val[p]+shift[j]+regAt(k.reg, wj, k.eta))
 	}
 }

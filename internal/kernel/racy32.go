@@ -119,3 +119,12 @@ func (k *racy32) UpdateDC(idx []int32, val []float32, g, s, lam float64, base []
 		w[j] = wj - fs*(d+regAt32(k.reg, wj, k.eta))
 	}
 }
+
+func (k *racy32) UpdateShift(idx []int32, val []float32, g, s float64, shift []float64) {
+	w := k.w
+	fg, fs := float32(g), float32(s)
+	for p, j := range idx {
+		wj := w[j]
+		w[j] = wj - fs*(fg*val[p]+float32(shift[j])+regAt32(k.reg, wj, k.eta))
+	}
+}

@@ -66,9 +66,10 @@ func TestUpdateTailLengthsAndDuplicates(t *testing.T) {
 			ks.Update(idx, val, 0.7, 0.05)
 			kr.Update(idx, val, 0.7, 0.05)
 			requireBitwiseEqual(t, spec, ref, obj.Name()+"/dup Update")
-			ks.Axpy(idx, val, -0.3)
-			kr.Axpy(idx, val, -0.3)
-			requireBitwiseEqual(t, spec, ref, obj.Name()+"/dup Axpy")
+			shift := []float64{0.25, -0.5, 1}
+			ks.UpdateShift(idx, val, -0.3, 0.05, shift)
+			kr.UpdateShift(idx, val, -0.3, 0.05, shift)
+			requireBitwiseEqual(t, spec, ref, obj.Name()+"/dup UpdateShift")
 		}
 	}
 }

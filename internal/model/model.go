@@ -310,7 +310,7 @@ func nonFinite32(b uint32) uint32 { return b&(0xff<<23) + 1<<23 }
 
 // FirstNonFinite returns the index of the first NaN or ±Inf entry of w,
 // or -1 when every weight is finite. It is the one shared divergence
-// check behind solver.Train's finiteness gate, the streaming trainer,
+// check behind core.Train's finiteness gate, the streaming trainer,
 // checkpoint validation and snapshot publication.
 func FirstNonFinite(w []float64) int {
 	// Finite throughout is the case that matters: screen without

@@ -8,7 +8,7 @@ import (
 // TestCompileBatchAdaptiveValidation pins the synchronous 400 surface
 // for the adaptive knobs on batch jobs: stream-only fields, bad values
 // and unsupported algo combinations must all fail at submission,
-// while valid policies compile into the solver config at either
+// while valid policies compile into the batch config at either
 // precision.
 func TestCompileBatchAdaptiveValidation(t *testing.T) {
 	base := func() JobSpec { return JobSpec{Dataset: "small", Algo: "asgd"} }
@@ -39,7 +39,7 @@ func TestCompileBatchAdaptiveValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		if r.cfg.AdaptC != 0.05 || r.cfg.StalenessBound != 64 || r.cfg.DCLambda != 0.02 {
-			t.Fatalf("adaptive knobs not wired into solver config: %+v", r.cfg)
+			t.Fatalf("adaptive knobs not wired into the batch config: %+v", r.cfg)
 		}
 	}
 }

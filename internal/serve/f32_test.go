@@ -95,17 +95,22 @@ func TestPredictF32ZeroAlloc(t *testing.T) {
 }
 
 // TestJobSpecPrecisionValidation: bad precision specs answer at
-// submission (400 through the HTTP layer), mirroring solver validation.
+// submission (400 through the HTTP layer), mirroring core.Train
+// validation; every algorithm, SVRG included, takes f32.
 func TestJobSpecPrecisionValidation(t *testing.T) {
 	for _, spec := range []JobSpec{
 		{Dataset: "small", Precision: "f16"},
-		{Dataset: "small", Algo: "svrg-sgd", Precision: "f32"},
-		{Dataset: "small", Algo: "svrg-asgd", Precision: "f32"},
+		{Dataset: "small", Algo: "svrg-sgd", Precision: "f16"},
 		{Dataset: "small", Algo: "saga", Precision: "f32"},
 		{Kind: "stream", Path: "x", Dim: 8, Precision: "f16"},
 	} {
 		if _, err := compile(spec, false, "/"); err == nil {
 			t.Errorf("spec %+v accepted, want error", spec)
+		}
+	}
+	for _, algo := range []string{"svrg-sgd", "svrg-asgd"} {
+		if _, err := compile(JobSpec{Dataset: "small", Algo: algo, Precision: "f32"}, false, "/"); err != nil {
+			t.Errorf("%s at f32 refused: %v", algo, err)
 		}
 	}
 }

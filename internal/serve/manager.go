@@ -16,13 +16,13 @@ import (
 	"time"
 
 	"github.com/isasgd/isasgd/internal/checkpoint"
+	"github.com/isasgd/isasgd/internal/core"
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/metrics"
 	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/objective"
 	"github.com/isasgd/isasgd/internal/obs"
 	"github.com/isasgd/isasgd/internal/snapshot"
-	"github.com/isasgd/isasgd/internal/solver"
 	"github.com/isasgd/isasgd/internal/spec"
 	"github.com/isasgd/isasgd/internal/stream"
 )
@@ -44,8 +44,8 @@ type Job struct {
 	reqID string
 
 	mu        sync.Mutex
-	cfg       solver.Config // compiled config (defaults applied)
-	kind      string        // "" for batch jobs, "stream" for streaming jobs
+	cfg       core.Config // compiled config (defaults applied)
+	kind      string      // "" for batch jobs, "stream" for streaming jobs
 	model     string
 	state     JobState
 	algoName  string
@@ -288,13 +288,13 @@ func validName(s string) bool {
 }
 
 // resolved is a JobSpec compiled against the library: everything the
-// worker goroutine needs to call solver.Train (batch) or drive a
+// worker goroutine needs to call core.Train (batch) or drive a
 // stream.Trainer (streaming).
 type resolved struct {
 	synth *dataset.SynthConfig // preset jobs synthesize in the worker
 	ds    *dataset.Dataset     // inline jobs parse at submission
 	obj   objective.Objective
-	cfg   solver.Config
+	cfg   core.Config
 
 	stream     *stream.Config // non-nil for streaming jobs
 	streamPath string         // server-side source ("" = fed from an upload body)
@@ -365,9 +365,9 @@ func compile(s JobSpec, bodyFed bool, streamRoot string) (*resolved, error) {
 		cfg := stream.FromSpec(s)
 		cfg.Workers = min(cfg.Workers, np)
 		r.stream, r.obj, r.blockSize = &cfg, cfg.Obj, s.BlockSize
-		// The solver config only reports the algo, step and seed.
-		algo, _ := solver.ParseAlgo(s.Algo)
-		r.cfg = solver.Config{Algo: algo, Step: cfg.Step, Seed: cfg.Seed, Threads: cfg.Workers}
+		// The batch config only reports the algo, step and seed.
+		algo, _ := core.ParseAlgo(s.Algo)
+		r.cfg = core.Config{Algo: algo, Step: cfg.Step, Seed: cfg.Seed, Threads: cfg.Workers}
 		return r, nil
 	}
 	switch {
@@ -384,7 +384,7 @@ func compile(s JobSpec, bodyFed bool, streamRoot string) (*resolved, error) {
 		return nil, fmt.Errorf("serve: a dataset preset or inline data is required")
 	}
 	r.obj, _ = objective.Parse(s.Objective, s.Eta)
-	r.cfg = solver.FromSpec(s)
+	r.cfg = core.FromSpec(s)
 	r.cfg.Threads = min(r.cfg.Threads, np)
 	return r, nil
 }
@@ -632,7 +632,7 @@ type training struct {
 	progress func(p metrics.Point, samples int) // once per curve point
 }
 
-// batchTrain trains with solver.Train on the spec's inline dataset or
+// batchTrain trains with core.Train on the spec's inline dataset or
 // its preset, synthesized here rather than in the submitting request.
 func batchTrain(ctx context.Context, t *training, r *resolved) (stopped, error) {
 	ds := r.ds
@@ -646,7 +646,7 @@ func batchTrain(ctx context.Context, t *training, r *resolved) (stopped, error) 
 	cfg := r.cfg
 	cfg.Instruments, cfg.Snapshots, cfg.PublishEvery = t.ins, t.store, t.every
 	cfg.Progress = func(p metrics.Point) { t.progress(p, ds.N()) }
-	res, err := solver.Train(ctx, ds, r.obj, cfg)
+	res, err := core.Train(ctx, ds, r.obj, cfg)
 	if res == nil {
 		return stopped{}, err
 	}

@@ -14,7 +14,7 @@ import (
 
 // longSpec is a job that trains effectively forever (tiny inline
 // dataset, a huge epoch budget, sparse evaluation) so tests can observe
-// queued/running states and exercise cancellation; solver.Train checks
+// queued/running states and exercise cancellation; core.Train checks
 // its context between epochs, and epochs here take microseconds, so
 // cancellation is prompt.
 func longSpec(model string) JobSpec {

@@ -10,8 +10,8 @@ import (
 	"testing"
 
 	"github.com/isasgd/isasgd/internal/cluster"
+	"github.com/isasgd/isasgd/internal/core"
 	"github.com/isasgd/isasgd/internal/dataset"
-	"github.com/isasgd/isasgd/internal/solver"
 	"github.com/isasgd/isasgd/internal/sparse"
 	"github.com/isasgd/isasgd/internal/spec"
 	"github.com/isasgd/isasgd/internal/stream"
@@ -20,7 +20,7 @@ import (
 // FuzzJobSpec decodes bytes as a JSON job spec, the way POST /v1/jobs
 // does, and compiles it for both submission paths. Oracle: compile
 // answers an error, or configs every library constructor accepts —
-// solver.Train's validation, stream.NewTrainer, and, for the same spec
+// core.Train's validation, stream.NewTrainer, and, for the same spec
 // read as a cluster run, cluster.NewWorker and cluster.NewCoordinator.
 // So the one validator is complete: nothing it passes fails later.
 func FuzzJobSpec(f *testing.F) {
@@ -81,8 +81,8 @@ func FuzzJobSpec(f *testing.F) {
 				continue
 			}
 			// A cancelled run validates, builds and stops before epoch 1.
-			if _, err := solver.Train(cancelled, tiny, r.obj, r.cfg); !errors.Is(err, context.Canceled) {
-				t.Fatalf("compiled %s, but solver.Train refused it: %v", body, err)
+			if _, err := core.Train(cancelled, tiny, r.obj, r.cfg); !errors.Is(err, context.Canceled) {
+				t.Fatalf("compiled %s, but core.Train refused it: %v", body, err)
 			}
 		}
 

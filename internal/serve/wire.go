@@ -1,8 +1,8 @@
 // Package serve is the training-job and prediction service behind
 // cmd/isasgd-serve: a stdlib-only net/http API that runs asynchronous
-// training jobs on a bounded worker pool (solver.Train with context
+// training jobs on a bounded worker pool (core.Train with context
 // cancellation, incremental convergence reporting through
-// solver.Config.Progress, checkpoint persistence) and serves online
+// core.Config.Progress, checkpoint persistence) and serves online
 // predictions from a lock-free, copy-on-write model registry backed by
 // versioned weight snapshots (internal/snapshot): jobs publish
 // mid-training versions while they run — live models hot-advance under

@@ -224,7 +224,7 @@ func (s *Store) Seq() uint64 { return s.seq.Load() }
 // returns nil and the store keeps its current version): mid-training
 // inconsistency is tolerated, divergence is not — a run whose weights
 // went NaN/Inf must not reach serving readers. The training loop itself
-// detects the divergence at completion (solver.Train's finiteness
+// detects the divergence at completion (core.Train's finiteness
 // check) and fails the run, which withdraws the live model.
 //
 // The returned version counts as handed out: it is never reused.

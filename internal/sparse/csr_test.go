@@ -113,32 +113,8 @@ func TestCSRBuilderLarge(t *testing.T) {
 }
 
 func TestDenseKernels(t *testing.T) {
-	a := []float64{1, 2, 3}
-	bb := []float64{4, 5, 6}
-	if got := DenseDot(a, bb); got != 32 {
-		t.Fatalf("DenseDot = %g", got)
-	}
-	y := []float64{1, 1, 1}
-	Axpy(y, 2, a)
-	if y[0] != 3 || y[1] != 5 || y[2] != 7 {
-		t.Fatalf("Axpy = %v", y)
-	}
 	if got := DenseNormSq([]float64{3, 4}); got != 25 {
 		t.Fatalf("DenseNormSq = %g", got)
-	}
-	if got := DenseNorm2([]float64{3, 4}); got != 5 {
-		t.Fatalf("DenseNorm2 = %g", got)
-	}
-	Scale(a, -1)
-	if a[0] != -1 || a[2] != -3 {
-		t.Fatalf("Scale = %v", a)
-	}
-	Zero(a)
-	if a[0] != 0 || a[1] != 0 || a[2] != 0 {
-		t.Fatalf("Zero = %v", a)
-	}
-	if got := MaxAbsDiff([]float64{1, 2}, []float64{1, 5}); got != 3 {
-		t.Fatalf("MaxAbsDiff = %g", got)
 	}
 }
 
@@ -166,18 +142,5 @@ func BenchmarkSparseAddTo(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v.AddTo(w, 1e-9)
-	}
-}
-
-func BenchmarkDenseAxpy(b *testing.B) {
-	const dim = 1 << 20
-	x := make([]float64, dim)
-	y := make([]float64, dim)
-	for i := range x {
-		x[i] = 1
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Axpy(y, 1e-9, x)
 	}
 }

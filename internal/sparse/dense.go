@@ -1,30 +1,5 @@
 package sparse
 
-import "math"
-
-// Dense BLAS-1 kernels. These are the O(d) operations that make
-// SVRG-style ASGD slow on high-dimensional data; keeping them next to the
-// sparse kernels lets the Figure-1 bench compare like with like.
-
-// Axpy computes y += alpha * x over full dense vectors.
-// x and y must have equal length.
-func Axpy(y []float64, alpha float64, x []float64) {
-	_ = y[len(x)-1] // eliminate bounds checks in the loop
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
-}
-
-// DenseDot returns the inner product of two equal-length dense vectors.
-func DenseDot(a, b []float64) float64 {
-	_ = b[len(a)-1]
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
 // DenseNormSq returns the squared Euclidean norm of a.
 func DenseNormSq(a []float64) float64 {
 	s := 0.0
@@ -32,32 +7,4 @@ func DenseNormSq(a []float64) float64 {
 		s += x * x
 	}
 	return s
-}
-
-// DenseNorm2 returns the Euclidean norm of a.
-func DenseNorm2(a []float64) float64 { return math.Sqrt(DenseNormSq(a)) }
-
-// Scale multiplies a by s in place.
-func Scale(a []float64, s float64) {
-	for i := range a {
-		a[i] *= s
-	}
-}
-
-// Zero clears a in place.
-func Zero(a []float64) {
-	for i := range a {
-		a[i] = 0
-	}
-}
-
-// MaxAbsDiff returns max_i |a_i - b_i| for equal-length vectors.
-func MaxAbsDiff(a, b []float64) float64 {
-	m := 0.0
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
-		}
-	}
-	return m
 }

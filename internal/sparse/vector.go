@@ -1,14 +1,12 @@
-// Package sparse implements the index-compressed sparse vectors, CSR
-// matrices and dense BLAS-1 kernels that every solver in this repository is
-// built on.
+// Package sparse implements the index-compressed sparse vectors and CSR
+// matrices that every trainer in this repository is built on.
 //
-// The package exists to make the paper's Figure-1 argument executable: a
-// stochastic gradient of a generalized linear model is a scaled copy of the
-// training sample, so it has the sample's sparsity (1e-3 … 1e-7 of the
-// dimensionality) and updates touch only nnz coordinates. SVRG-style
-// variance reduction adds the dense true gradient µ every iteration and
-// therefore pays O(d) per step. Both code paths live here so the cost gap
-// can be benchmarked directly.
+// A stochastic gradient of a generalized linear model is a scaled copy of
+// the training sample, so it has the sample's sparsity (1e-3 … 1e-7 of
+// the dimensionality) and updates touch only nnz coordinates — the
+// paper's Figure-1 argument. Strict SVRG adds the dense true gradient µ
+// every iteration and so pays O(d) per step; this repository's SVRG
+// (core.NewSVRG) is the sparse form, which does not.
 package sparse
 
 import (
@@ -80,40 +78,6 @@ func (v Vector) NormSq() float64 {
 // Norm2 returns the Euclidean norm of v.
 func (v Vector) Norm2() float64 { return math.Sqrt(v.NormSq()) }
 
-// Scale multiplies all stored values by s in place.
-func (v Vector) Scale(s float64) {
-	for k := range v.Val {
-		v.Val[k] *= s
-	}
-}
-
-// Clone returns a deep copy of v.
-func (v Vector) Clone() Vector {
-	c := Vector{Idx: make([]int32, len(v.Idx)), Val: make([]float64, len(v.Val))}
-	copy(c.Idx, v.Idx)
-	copy(c.Val, v.Val)
-	return c
-}
-
-// Dot2 returns the inner product of two sparse vectors, merging by index.
-func Dot2(a, b Vector) float64 {
-	s := 0.0
-	i, j := 0, 0
-	for i < len(a.Idx) && j < len(b.Idx) {
-		switch {
-		case a.Idx[i] < b.Idx[j]:
-			i++
-		case a.Idx[i] > b.Idx[j]:
-			j++
-		default:
-			s += a.Val[i] * b.Val[j]
-			i++
-			j++
-		}
-	}
-	return s
-}
-
 // Intersects reports whether a and b share at least one index. This is the
 // conflict-graph adjacency predicate of the paper's Section 3.
 func Intersects(a, b Vector) bool {
@@ -146,13 +110,4 @@ func FromDense(w []float64) (Vector, error) {
 		v.Val = append(v.Val, x)
 	}
 	return v, nil
-}
-
-// ToDense scatters v into a fresh dense vector of length dim.
-func (v Vector) ToDense(dim int) []float64 {
-	w := make([]float64, dim)
-	for k, j := range v.Idx {
-		w[j] = v.Val[k]
-	}
-	return w
 }

@@ -72,7 +72,10 @@ func TestDotMatchesDense(t *testing.T) {
 		for i := range w {
 			w[i] = r.NormFloat64()
 		}
-		want := DenseDot(v.ToDense(dim), w)
+		want := 0.0
+		for j, x := range toDense(v, dim) {
+			want += x * w[j]
+		}
 		if got := v.Dot(w); math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
 			t.Fatalf("Dot = %g, dense reference = %g", got, want)
 		}
@@ -92,9 +95,11 @@ func TestAddToMatchesDense(t *testing.T) {
 			w2[i] = w1[i]
 		}
 		v.AddTo(w1, scale)
-		Axpy(w2, scale, v.ToDense(dim))
-		if MaxAbsDiff(w1, w2) > 1e-12 {
-			t.Fatalf("AddTo differs from dense axpy by %g", MaxAbsDiff(w1, w2))
+		for j, x := range toDense(v, dim) {
+			w2[j] += scale * x
+		}
+		if d := maxAbsDiff(w1, w2); d > 1e-12 {
+			t.Fatalf("AddTo differs from dense axpy by %g", d)
 		}
 	}
 }
@@ -106,19 +111,6 @@ func TestNormSq(t *testing.T) {
 	}
 	if got := v.Norm2(); got != 5 {
 		t.Fatalf("Norm2 = %g, want 5", got)
-	}
-}
-
-func TestDot2MatchesDense(t *testing.T) {
-	r := xrand.New(3)
-	for trial := 0; trial < 200; trial++ {
-		dim := 1 + r.Intn(48)
-		a := randVector(r, dim, r.Intn(dim+1))
-		b := randVector(r, dim, r.Intn(dim+1))
-		want := DenseDot(a.ToDense(dim), b.ToDense(dim))
-		if got := Dot2(a, b); math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
-			t.Fatalf("Dot2 = %g, want %g", got, want)
-		}
 	}
 }
 
@@ -174,9 +166,8 @@ func TestFromDenseRoundTrip(t *testing.T) {
 	if v.NNZ() != 3 {
 		t.Fatalf("NNZ = %d, want 3", v.NNZ())
 	}
-	back := v.ToDense(len(w))
-	if MaxAbsDiff(w, back) != 0 {
-		t.Fatal("FromDense/ToDense round trip mismatch")
+	if maxAbsDiff(w, toDense(v, len(w))) != 0 {
+		t.Fatal("FromDense round trip mismatch")
 	}
 }
 
@@ -189,20 +180,20 @@ func TestFromDenseRejectsNonFinite(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	v := Vector{Idx: []int32{0, 1}, Val: []float64{1, 2}}
-	c := v.Clone()
-	c.Val[0] = 99
-	c.Idx[1] = 5
-	if v.Val[0] != 1 || v.Idx[1] != 1 {
-		t.Fatal("Clone shares storage with original")
+// toDense scatters v into a fresh dense vector of length dim.
+func toDense(v Vector, dim int) []float64 {
+	w := make([]float64, dim)
+	for k, j := range v.Idx {
+		w[j] = v.Val[k]
 	}
+	return w
 }
 
-func TestScale(t *testing.T) {
-	v := Vector{Idx: []int32{0, 1}, Val: []float64{1, -2}}
-	v.Scale(-3)
-	if v.Val[0] != -3 || v.Val[1] != 6 {
-		t.Fatalf("Scale produced %v", v.Val)
+// maxAbsDiff returns max_i |a_i − b_i| for equal-length vectors.
+func maxAbsDiff(a, b []float64) float64 {
+	m := 0.0
+	for i := range a {
+		m = max(m, math.Abs(a[i]-b[i]))
 	}
+	return m
 }

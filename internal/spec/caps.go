@@ -3,61 +3,60 @@ package spec
 import (
 	"fmt"
 	"strings"
-
-	"github.com/isasgd/isasgd/internal/model"
 )
 
 // Algo is one algorithm's row of the capability table: what the
-// algorithm is and which kinds, precisions and features it runs with.
+// algorithm is and which kinds and features it runs with. Every
+// algorithm trains at either precision.
 type Algo struct {
 	Name     string
 	Async    bool // runs concurrent workers
 	Weighted bool // importance-sampled: takes importance "grad"
-	// Engine marks the single-sample core.Engine algorithms: they stream
-	// (KindStream), train at f32 and take the adaptive knobs. The
-	// SVRG/SAGA solvers run dense float64 correction passes and do none
-	// of these.
-	Engine bool
+	// Plain marks the plain single-sample updates: they stream
+	// (KindStream) and take the adaptive knobs. SVRG's update reads the
+	// anchors of its epoch's full pass, which a stream window never
+	// makes, and takes no adaptive knob.
+	Plain bool
 }
 
-// algos is the capability table, in solver.Algo order.
+// algos is the capability table, in core.Algo order.
 var algos = []Algo{
-	{Name: "sgd", Engine: true},
-	{Name: "is-sgd", Weighted: true, Engine: true},
-	{Name: "asgd", Async: true, Engine: true},
-	{Name: "is-asgd", Async: true, Weighted: true, Engine: true},
+	{Name: "sgd", Plain: true},
+	{Name: "is-sgd", Weighted: true, Plain: true},
+	{Name: "asgd", Async: true, Plain: true},
+	{Name: "is-asgd", Async: true, Weighted: true, Plain: true},
 	{Name: "svrg-sgd"},
 	{Name: "svrg-asgd", Async: true},
-	{Name: "saga"},
 }
 
 // LookupAlgo is the one algorithm-name lookup: case-insensitive, with
-// '_' or '-', surrounding space ignored.
+// '_' or '-', surrounding space ignored. An unknown name's error lists
+// the valid ones.
 func LookupAlgo(name string) (Algo, error) {
 	key := strings.ToLower(strings.ReplaceAll(strings.TrimSpace(name), "_", "-"))
+	names := make([]string, 0, len(algos))
 	for _, a := range algos {
 		if a.Name == key {
 			return a, nil
 		}
+		names = append(names, a.Name)
 	}
-	return Algo{}, fmt.Errorf("unknown algorithm %q", name)
+	return Algo{}, fmt.Errorf("unknown algorithm %q (want %s)", name, strings.Join(names, ", "))
 }
 
-// Check is the capability table's verdict on running algo as kind at
-// precision prec, with the adaptive knobs on or off and the given
-// importance mode. It is the only source of "not supported"
-// errors; solver.Train and stream.NewTrainer call it too.
-func Check(algo, kind, prec string, adaptive bool, importance string) error {
+// Check is the capability table's verdict on running algo as kind, with
+// the adaptive knobs on or off and the given importance mode. It is the
+// only source of "not supported" errors; core.Train and
+// stream.NewTrainer call it too.
+func Check(algo, kind string, adaptive bool, importance string) error {
 	a, err := LookupAlgo(algo)
 	if err != nil {
 		return err
 	}
 	switch {
-	case kind == KindStream && !a.Engine:
+	case kind == KindStream && !a.Plain:
 		return fmt.Errorf("algo %s is not supported for kind stream (want sgd, is-sgd, asgd or is-asgd)", a.Name)
-	case prec == model.PrecisionF32 && !a.Engine:
-		return fmt.Errorf("precision f32 is not supported for %s (dense correction passes are float64-only)", a.Name)
-	case adaptive && !a.Engine:
+	case adaptive && !a.Plain:
 		return fmt.Errorf("adaptive knobs are not supported for %s", a.Name)
 	}
 	switch importance {

@@ -8,10 +8,10 @@
 // Spec.Validate all read that table; Validate is the only validator of
 // a spec. The capability table in caps.go is the only source of "not
 // supported" and "does not apply" errors, and the library constructors
-// (solver.Train, stream.NewTrainer) consult it too.
+// (core.Train, stream.NewTrainer) consult it too.
 //
 // Compiling a validated spec into an engine config is the library's
-// job: solver.FromSpec, stream.FromSpec and cluster.WorkerFromSpec /
+// job: core.FromSpec, stream.FromSpec and cluster.WorkerFromSpec /
 // cluster.CoordinatorFromSpec. None of them validates anything.
 package spec
 
@@ -33,7 +33,7 @@ import (
 
 // Run kinds. A serve job spec leaves Kind "" for a batch job.
 const (
-	KindBatch   = "batch"   // solver.Train over a resident dataset
+	KindBatch   = "batch"   // core.Train over a resident dataset
 	KindStream  = "stream"  // stream.Trainer over a chunked LibSVM source
 	KindCluster = "cluster" // a parameter-server star node
 )
@@ -94,7 +94,7 @@ type Spec struct {
 
 	Algo      string  `json:"algo,omitempty"`      // default is-asgd
 	Objective string  `json:"objective,omitempty"` // logistic-l1|sqhinge-l2|lsq-l2
-	Precision string  `json:"precision,omitempty"` // f64 (default) | f32; f32 trains half-width weights/features (not for svrg-*/saga)
+	Precision string  `json:"precision,omitempty"` // f64 (default) | f32; f32 trains half-width weights/features
 	Eta       float64 `json:"eta,omitempty"`       // regularization; default 1e-4
 	Epochs    int     `json:"epochs,omitempty"`    // default 10
 	Step      float64 `json:"step,omitempty"`      // default 0.5
@@ -144,9 +144,9 @@ var knobs = []knob{
 	{"staleness_bound", allKinds, [numSurfaces]any{int64(0), int64(0), int64(64)},
 		"shed updates with measured staleness > n (0 disables; a coordinator admits everything at -1)"},
 	{"dc_lambda", batchOrStar, [numSurfaces]any{0.0, 0.0, 0.0}, "DC-ASGD delay compensation strength (batch and cluster; 0 disables)"},
-	{"algo", local, [numSurfaces]any{"is-asgd", "is-asgd"}, "training algorithm: sgd | is-sgd | asgd | is-asgd | svrg-sgd | svrg-asgd | saga"},
+	{"algo", local, [numSurfaces]any{"is-asgd", "is-asgd"}, "training algorithm: sgd | is-sgd | asgd | is-asgd | svrg-sgd | svrg-asgd"},
 	{"objective", allKinds, [numSurfaces]any{"logistic-l1", "logistic-l1", "logistic-l1"}, "objective: logistic-l1 | sqhinge-l2 | lsq-l2"},
-	{"precision", local, [numSurfaces]any{"", "f64"}, "training precision: f64 | f32 (not for svrg-*/saga)"},
+	{"precision", local, [numSurfaces]any{"", "f64"}, "training precision: f64 | f32"},
 	{"eta", allKinds, [numSurfaces]any{1e-4, 1e-4, 1e-4}, "regularization strength"},
 	{"epochs", batchOnly, [numSurfaces]any{10, 15}, "training epochs"},
 	{"step", allKinds, [numSurfaces]any{0.5, 0.5, 0.5}, "step size λ"},
@@ -249,8 +249,7 @@ func (s Spec) Validate() error {
 	if _, err := balance.ParseMode(s.Balance); err != nil {
 		return err
 	}
-	prec, err := model.ParsePrecision(s.Precision)
-	if err != nil {
+	if _, err := model.ParsePrecision(s.Precision); err != nil {
 		return err
 	}
 	switch {
@@ -302,5 +301,5 @@ func (s Spec) Validate() error {
 	if kind == KindCluster {
 		return nil // the star runs is-asgd at f64; algo and precision do not apply
 	}
-	return Check(s.Algo, kind, prec, pol.Enabled(), s.Importance)
+	return Check(s.Algo, kind, pol.Enabled(), s.Importance)
 }

@@ -191,34 +191,34 @@ func TestValidate(t *testing.T) {
 }
 
 // TestCheckExhaustive walks the whole capability table: algo × kind ×
-// precision × adaptive × importance. The rows it accepts are exactly
-// the Engine algorithms' combinations, plus the dense-correction
-// solvers as plain f64 batch runs; grad importance needs a weighted
-// sampler; no other verdict exists.
+// adaptive × importance. The rows it accepts are exactly the plain
+// algorithms' combinations, plus SVRG as non-adaptive batch runs; grad
+// importance needs a weighted sampler; no other verdict exists.
 func TestCheckExhaustive(t *testing.T) {
 	for _, a := range algos {
 		for _, kind := range []string{KindBatch, KindStream} {
-			for _, prec := range []string{"f64", "f32"} {
-				for _, adaptive := range []bool{false, true} {
-					for _, imp := range []string{"", "bound", "grad"} {
-						want := (a.Engine || (kind == KindBatch && prec == "f64" && !adaptive)) &&
-							(imp != "grad" || a.Weighted)
-						err := Check(a.Name, kind, prec, adaptive, imp)
-						if (err == nil) != want {
-							t.Errorf("%s/%s/%s/adaptive=%v/importance=%q: err %v, want ok=%v",
-								a.Name, kind, prec, adaptive, imp, err, want)
-						}
+			for _, adaptive := range []bool{false, true} {
+				for _, imp := range []string{"", "bound", "grad"} {
+					want := (a.Plain || (kind == KindBatch && !adaptive)) &&
+						(imp != "grad" || a.Weighted)
+					err := Check(a.Name, kind, adaptive, imp)
+					if (err == nil) != want {
+						t.Errorf("%s/%s/adaptive=%v/importance=%q: err %v, want ok=%v",
+							a.Name, kind, adaptive, imp, err, want)
 					}
 				}
 			}
 		}
 	}
-	if err := Check("is-asgd", KindStream, "f64", false, "loss"); err == nil ||
+	if err := Check("is-asgd", KindStream, false, "loss"); err == nil ||
 		!strings.Contains(err.Error(), "bound") || !strings.Contains(err.Error(), "grad") {
 		t.Errorf("importance loss: err %v, want one naming bound and grad", err)
 	}
-	if err := Check("bogus", KindBatch, "f64", false, ""); err == nil {
-		t.Error("unknown algo accepted")
+	for _, name := range []string{"bogus", "saga"} {
+		err := Check(name, KindBatch, false, "")
+		if err == nil || !strings.Contains(err.Error(), "sgd, is-sgd, asgd, is-asgd, svrg-sgd, svrg-asgd") {
+			t.Errorf("algo %s: err %v, want one naming the valid algos", name, err)
+		}
 	}
 }
 

@@ -62,7 +62,7 @@ func TestTrainerPublishesSnapshots(t *testing.T) {
 }
 
 // TestRunFailsOnDivergence: a step size that blows the weights up to
-// non-finite values must fail the run (mirroring solver.Train), not
+// non-finite values must fail the run (mirroring core.Train), not
 // complete with NaN weights that the snapshot store silently refused to
 // serve.
 func TestRunFailsOnDivergence(t *testing.T) {

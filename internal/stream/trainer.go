@@ -353,7 +353,7 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 	if cfg.Uniform {
 		sampler = "asgd"
 	}
-	if err := spec.Check(sampler, spec.KindStream, prec, pol.Enabled(), cfg.Importance); err != nil {
+	if err := spec.Check(sampler, spec.KindStream, pol.Enabled(), cfg.Importance); err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
 	t := &Trainer{

@@ -8,12 +8,12 @@ import (
 	"github.com/isasgd/isasgd/internal/balance"
 	"github.com/isasgd/isasgd/internal/checkpoint"
 	"github.com/isasgd/isasgd/internal/conflict"
+	"github.com/isasgd/isasgd/internal/core"
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/experiments"
 	"github.com/isasgd/isasgd/internal/metrics"
 	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/objective"
-	"github.com/isasgd/isasgd/internal/solver"
 	"github.com/isasgd/isasgd/internal/xrand"
 )
 
@@ -30,11 +30,11 @@ type (
 	// Objective is a generalized linear objective.
 	Objective = objective.Objective
 	// Config controls a training run.
-	Config = solver.Config
+	Config = core.Config
 	// Result is a training outcome: weights, curve, timings.
-	Result = solver.Result
+	Result = core.Result
 	// Algo selects a training algorithm.
-	Algo = solver.Algo
+	Algo = core.Algo
 	// Curve is a recorded convergence curve.
 	Curve = metrics.Curve
 	// Point is one convergence-curve record.
@@ -63,19 +63,18 @@ type (
 // Training algorithms.
 const (
 	// SGD is the sequential uniform-sampling baseline.
-	SGD = solver.SGD
+	SGD = core.SGD
 	// ISSGD is sequential importance-sampled SGD (Algorithm 2).
-	ISSGD = solver.ISSGD
+	ISSGD = core.ISSGD
 	// ASGD is lock-free asynchronous SGD (Hogwild).
-	ASGD = solver.ASGD
+	ASGD = core.ASGD
 	// ISASGD is the paper's contribution (Algorithm 4).
-	ISASGD = solver.ISASGD
-	// SVRGSGD is sequential stochastic variance-reduced gradient.
-	SVRGSGD = solver.SVRGSGD
-	// SVRGASGD is asynchronous SVRG (Algorithm 1).
-	SVRGASGD = solver.SVRGASGD
-	// SAGA is the sequential SAGA solver (extension).
-	SAGA = solver.SAGA
+	ISASGD = core.ISASGD
+	// SVRGSGD is sequential stochastic variance-reduced gradient, in
+	// its sparse form (core.NewSVRG).
+	SVRGSGD = core.SVRGSGD
+	// SVRGASGD is asynchronous SVRG (Algorithm 1), in its sparse form.
+	SVRGASGD = core.SVRGASGD
 )
 
 // Balancing modes (Config.Balance).
@@ -115,13 +114,13 @@ const (
 // DefaultZeta is the paper's ρ threshold ζ = 5e-4 (Section 2.4).
 const DefaultZeta = balance.DefaultZeta
 
-// Train runs the configured algorithm on (ds, obj); see solver.Train.
+// Train runs the configured algorithm on (ds, obj); see core.Train.
 func Train(ctx context.Context, ds *Dataset, obj Objective, cfg Config) (*Result, error) {
-	return solver.Train(ctx, ds, obj, cfg)
+	return core.Train(ctx, ds, obj, cfg)
 }
 
 // ParseAlgo resolves an algorithm name ("is-asgd", "svrg-sgd", ...).
-func ParseAlgo(s string) (Algo, error) { return solver.ParseAlgo(s) }
+func ParseAlgo(s string) (Algo, error) { return core.ParseAlgo(s) }
 
 // Evaluate computes objective, RMSE and error rate of weights w on ds
 // with the given parallelism (<= 0 means GOMAXPROCS).

@@ -45,7 +45,7 @@ func TestPublicAPIAllAlgos(t *testing.T) {
 	obj := isasgd.LogisticL1(1e-4)
 	for _, algo := range []isasgd.Algo{
 		isasgd.SGD, isasgd.ISSGD, isasgd.ASGD, isasgd.ISASGD,
-		isasgd.SVRGSGD, isasgd.SVRGASGD, isasgd.SAGA,
+		isasgd.SVRGSGD, isasgd.SVRGASGD,
 	} {
 		res, err := isasgd.Train(context.Background(), ds, obj, isasgd.Config{
 			Algo: algo, Epochs: 3, Step: 0.4, Threads: 2, Seed: 1,

@@ -2,7 +2,7 @@
 # Hand-off gate for a change to this repository. Runs, in order:
 #
 #   1. tier-1: go build ./... && go vet ./... && go test ./...; the test
-#      binaries of core, solver, metrics, cluster, serve, stream, frame
+#      binaries of core, metrics, cluster, serve, stream, frame
 #      and the serve, cluster and train commands also fail when their
 #      tests leave goroutines running (internal/leakcheck is their
 #      TestMain)
@@ -26,7 +26,7 @@ RACE_PKGS=(
 	./internal/serve/ ./cmd/isasgd-serve/ ./internal/stream/ ./internal/core/
 	./internal/model/ ./internal/kernel/ ./internal/snapshot/ ./internal/obs/
 	./internal/cluster/ ./internal/httpx/
-	./internal/adaptive/ ./internal/dataset/ ./internal/solver/
+	./internal/adaptive/ ./internal/dataset/
 	./internal/frame/
 )
 

@@ -19,9 +19,10 @@
 package balance
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/isasgd/isasgd/internal/xrand"
 )
@@ -121,17 +122,17 @@ func Psi(l []float64) float64 {
 	return sum * sum / (float64(n) * sumSq)
 }
 
-// HeadTail implements Algorithm 3: sort indices by L ascending, then
-// interleave head and tail (Ds[0], Ds[n-1], Ds[1], Ds[n-2], ...) so that
-// contiguous shards receive near-equal importance sums. Returns the
-// rearranged index order Dr.
+// HeadTail implements Algorithm 3: sort indices by L ascending, ties in
+// index order, then interleave head and tail (Ds[0], Ds[n-1], Ds[1],
+// Ds[n-2], ...) so that contiguous shards receive near-equal importance
+// sums. Returns the rearranged index order Dr.
 func HeadTail(l []float64) []int {
 	n := len(l)
 	ds := make([]int, n)
 	for i := range ds {
 		ds[i] = i
 	}
-	sort.SliceStable(ds, func(a, b int) bool { return l[ds[a]] < l[ds[b]] })
+	slices.SortFunc(ds, func(a, b int) int { return cmp.Or(cmp.Compare(l[a], l[b]), a-b) })
 	dr := make([]int, 0, n)
 	for i := 0; i < n/2; i++ {
 		dr = append(dr, ds[i], ds[n-1-i])
@@ -147,14 +148,14 @@ func Shuffle(n int, r *xrand.Rand) []int {
 	return r.Perm(n)
 }
 
-// SortedDesc returns indices ordered by descending L (ablation worst case
-// for contiguous sharding).
+// SortedDesc returns indices ordered by descending L, ties in index
+// order (ablation worst case for contiguous sharding).
 func SortedDesc(l []float64) []int {
 	ds := make([]int, len(l))
 	for i := range ds {
 		ds[i] = i
 	}
-	sort.SliceStable(ds, func(a, b int) bool { return l[ds[a]] > l[ds[b]] })
+	slices.SortFunc(ds, func(a, b int) int { return cmp.Or(cmp.Compare(l[b], l[a]), a-b) })
 	return ds
 }
 

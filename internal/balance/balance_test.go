@@ -2,6 +2,8 @@ package balance
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -341,5 +343,43 @@ func TestParseMode(t *testing.T) {
 	}
 	if _, err := ParseMode("bogus"); err == nil {
 		t.Error("ParseMode accepted an unknown mode")
+	}
+}
+
+// TestSortsMatchStableReference: HeadTail and SortedDesc break ties on
+// the index, which is the order sort.SliceStable gives from the
+// identity, on untied weights and on weights with a few tied levels.
+func TestSortsMatchStableReference(t *testing.T) {
+	r := xrand.New(9)
+	for _, levels := range []int{0, 1, 3, 50} { // 0: continuous, untied
+		for _, n := range []int{0, 1, 2, 7, 1000} {
+			l := make([]float64, n)
+			for i := range l {
+				if levels == 0 {
+					l[i] = r.Float64()
+				} else {
+					l[i] = float64(r.Intn(levels))
+				}
+			}
+			asc, desc := make([]int, n), make([]int, n)
+			for i := range asc {
+				asc[i], desc[i] = i, i
+			}
+			sort.SliceStable(asc, func(a, b int) bool { return l[asc[a]] < l[asc[b]] })
+			sort.SliceStable(desc, func(a, b int) bool { return l[desc[a]] > l[desc[b]] })
+			var headTail []int
+			for i := 0; i < n/2; i++ {
+				headTail = append(headTail, asc[i], asc[n-1-i])
+			}
+			if n%2 == 1 {
+				headTail = append(headTail, asc[n/2])
+			}
+			if got := HeadTail(l); !slices.Equal(got, headTail) {
+				t.Fatalf("levels %d, n %d: HeadTail = %v, want %v", levels, n, got, headTail)
+			}
+			if got := SortedDesc(l); !slices.Equal(got, desc) {
+				t.Fatalf("levels %d, n %d: SortedDesc = %v, want %v", levels, n, got, desc)
+			}
+		}
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/frame"
 	"github.com/isasgd/isasgd/internal/metrics"
+	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/objective"
 	"github.com/isasgd/isasgd/internal/obs"
 	"github.com/isasgd/isasgd/internal/snapshot"
@@ -74,14 +75,14 @@ func workerCfg(ds *dataset.Dataset, obj objective.Objective, id, n int, url stri
 	}
 }
 
-// runCluster drives n workers at step against a fresh coordinator until
-// the target is reached (or the update budget runs out) and returns the
-// coordinator's final stats and the updates to target: the update count
+// runCluster drives n workers, each running threads local workers, at
+// step against a fresh coordinator until the target is reached (or the
+// update budget runs out) and returns the coordinator's final stats and the updates to target: the update count
 // of the first published version whose loss reaches it, or -1. The
 // coordinator's gate scores versions off the push path and may skip
 // some, so its final count also holds the updates pushed while it
 // caught up; every version is scored here instead.
-func runCluster(t *testing.T, n int, step, target float64, maxUpdates int64) (Stats, int64) {
+func runCluster(t *testing.T, n, threads int, step, target float64, maxUpdates int64) (Stats, int64) {
 	t.Helper()
 	ds, obj := testCorpus(t)
 	c, srv := startCoordinator(t, CoordinatorConfig{
@@ -106,7 +107,7 @@ func runCluster(t *testing.T, n int, step, target float64, maxUpdates int64) (St
 	workers := make([]*Worker, n)
 	for i := range workers {
 		cfg := workerCfg(ds, obj, i, n, srv.URL)
-		cfg.Step = step
+		cfg.Step, cfg.Threads = step, threads
 		tr := &http.Transport{}
 		t.Cleanup(tr.CloseIdleConnections)
 		cfg.HTTPClient = &http.Client{Transport: tr}
@@ -166,7 +167,7 @@ func warmUp(hc *http.Client, base string) error {
 // TestClusterConverges is the end-to-end happy path: two workers drive
 // the global model to the loss target over real HTTP.
 func TestClusterConverges(t *testing.T) {
-	st, _ := runCluster(t, 2, 0.5, 0.45, 2_000_000)
+	st, _ := runCluster(t, 2, 1, 0.5, 0.45, 2_000_000)
 	if !st.Reached {
 		t.Fatalf("2-worker cluster never reached target: %+v", st)
 	}
@@ -175,6 +176,22 @@ func TestClusterConverges(t *testing.T) {
 	}
 	if st.Workers != 2 {
 		t.Fatalf("workers seen = %d, want 2", st.Workers)
+	}
+}
+
+// TestClusterWorkerThreads runs the star with two local threads per
+// worker. A multi-worker engine stores its model in a relabelled layout
+// (core.Engine), so every pulled version is loaded and every pushed
+// delta taken through the engine's translation; a slip there scrambles
+// the coordinates the star exchanges, and it would not reach its target.
+// The worker's model is racy by design, so the race detector skips it.
+func TestClusterWorkerThreads(t *testing.T) {
+	if model.RaceEnabled {
+		t.Skip("two threads race on the worker's racy model by design")
+	}
+	st, _ := runCluster(t, 2, 2, 0.5, 0.45, 2_000_000)
+	if !st.Reached {
+		t.Fatalf("2-worker cluster at 2 threads never reached target: %+v", st)
 	}
 }
 
@@ -195,8 +212,8 @@ func TestTwoWorkersNoSlowerInUpdates(t *testing.T) {
 		t.Skip("convergence comparison")
 	}
 	const step, target = 0.1, 0.45
-	one, oneUpdates := runCluster(t, 1, step, target, 4_000_000)
-	two, twoUpdates := runCluster(t, 2, step, target, 4_000_000)
+	one, oneUpdates := runCluster(t, 1, 1, step, target, 4_000_000)
+	two, twoUpdates := runCluster(t, 2, 1, step, target, 4_000_000)
 	if !one.Reached || !two.Reached || oneUpdates < 0 || twoUpdates < 0 {
 		t.Fatalf("runs did not converge: 1w=%+v 2w=%+v", one, two)
 	}

@@ -223,7 +223,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		if a.Weights == nil {
 			continue // poll window expired with nothing new, or the cursor rewound
 		}
-		w.eng.Model().Load(prev)
+		w.eng.Load(prev)
 
 		var roundUpdates int64
 		for e := 0; e < w.cfg.LocalEpochs; e++ {

@@ -12,8 +12,9 @@ import (
 )
 
 // benchArms are the constructions the loop benchmarks compare: IS-ASGD
-// under both importance modes, uniform ASGD, and sparse SVRG, whose
-// epoch-start pass has run once so its anchors and shift are real.
+// under both importance modes, "bound" again over the racy float32 model
+// batch_dense trains, uniform ASGD, and sparse SVRG, whose epoch-start
+// pass has run once so its anchors and shift are real.
 var benchArms = []struct {
 	name  string
 	build func(ds *dataset.Dataset, obj objective.Objective, threads int) (*Engine, error)
@@ -23,6 +24,9 @@ var benchArms = []struct {
 	}},
 	{"grad", func(ds *dataset.Dataset, obj objective.Objective, threads int) (*Engine, error) {
 		return NewISASGDOpts(ds, obj, model.NewAtomic(ds.Dim()), threads, ISOptions{Mode: balance.ForceShuffle, Seed: 1, Importance: "grad"})
+	}},
+	{"bound32", func(ds *dataset.Dataset, obj objective.Objective, threads int) (*Engine, error) {
+		return NewISASGDOpts(ds, obj, model.NewRacy32(ds.Dim()), threads, ISOptions{Mode: balance.ForceShuffle, Seed: 1})
 	}},
 	{"asgd", func(ds *dataset.Dataset, obj objective.Objective, threads int) (*Engine, error) {
 		return NewASGD(ds, obj, model.NewAtomic(ds.Dim()), threads, 1)

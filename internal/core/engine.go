@@ -29,7 +29,22 @@
 //   - updates go through a shared model with either CAS (race-free) or
 //     plain (true Hogwild) writes, via internal/kernel's devirtualized
 //     fused update kernels — the update loop only resolves the next row
-//     and step, and the arithmetic lives in exactly one place.
+//     and step, and the arithmetic lives in exactly one place;
+//   - an engine with more than one worker stores logical coordinate j
+//     at physical slot a·j mod dim, a the first integer at or above
+//     dim·(√5−1)/2 coprime with dim (layout.go; one worker and dims
+//     below 64 keep the identity). Corpora number their features by
+//     popularity, so the hottest coordinates would sit side by side, 16
+//     to a float32 cache line, and workers writing different ones would
+//     still pass the line between cores; the golden multiple spreads
+//     them apart. newEngine remaps the CSR indices once into an
+//     engine-owned copy, each row in its own order, so every dot and
+//     update does the same arithmetic in the same order. Logical order
+//     is restored at the engine's boundary only: Snapshot (and so
+//     PublishTo and Train's results) gathers, Load (and so
+//     Config.InitWeights) scatters. The DC base, SVRG's snapshot,
+//     column scales, accumulators and shift are all read in physical
+//     order and need no translation.
 //
 // The update loop itself (Loop, Rows) is the only one in the repository:
 // the streaming trainer (internal/stream) turns each worker's block
@@ -61,6 +76,7 @@ import (
 	"github.com/isasgd/isasgd/internal/obs"
 	"github.com/isasgd/isasgd/internal/sampling"
 	"github.com/isasgd/isasgd/internal/snapshot"
+	"github.com/isasgd/isasgd/internal/sparse"
 	"github.com/isasgd/isasgd/internal/xrand"
 )
 
@@ -74,12 +90,19 @@ type Engine struct {
 	numT int
 
 	// The data path, bound once at construction: the update loop with
-	// its kernel, and the CSR view it reads. x is the dataset's own CSR;
-	// x.Val32 is its float32 value copy when the model stores float32.
-	// The loop slices rows out of x directly and pays nothing per update
-	// for the precision.
+	// its kernel, and the CSR view it reads. x is the dataset's own CSR
+	// with its indices in the model's physical order (lay; a copy when
+	// the layout relabels); x.Val32 is its float32 value copy when the
+	// model stores float32. The loop slices rows out of x directly and
+	// pays nothing per update for the precision or the layout.
 	loop Loop
 	x    Rows
+
+	// lay maps logical coordinates to the model's physical slots, and
+	// phys is the physical buffer Snapshot gathers from and Load
+	// scatters into; both are untouched on the identity layout.
+	lay  layout
+	phys []float64
 
 	shards   [][]int            // per worker: global row ids
 	scales   [][]float64        // per worker, per local position: step multiplier 1/(N_a·p_ai); nil = all ones
@@ -102,7 +125,8 @@ type Engine struct {
 	// Sparse SVRG (NewSVRG), nil otherwise: colScale[j] is D_j = n/n_j
 	// for the n_j rows that hold coordinate j (0 where none does), snap
 	// the epoch's snapshot s̃, and acc[t] worker t's sum of
-	// ℓ'(s̃·x_i)·x_i over its shard. The loop holds the anchors and µ·D.
+	// ℓ'(s̃·x_i)·x_i over its shard, all three indexed by physical slot
+	// (lay). The loop holds the anchors and µ·D.
 	colScale []float64
 	snap     []float64
 	acc      [][]float64
@@ -157,14 +181,41 @@ func (e *Engine) Shed() int64 { return e.loop.Shed() }
 // other constructions.
 func (e *Engine) Decision() balance.Decision { return e.decision }
 
-// Model exposes the shared model.
-func (e *Engine) Model() model.Params { return e.m }
-
 // Threads returns the worker count.
 func (e *Engine) Threads() int { return e.numT }
 
-// Snapshot copies the current model into dst.
-func (e *Engine) Snapshot(dst []float64) []float64 { return e.m.Snapshot(dst) }
+// Snapshot copies the current model into dst in logical coordinate
+// order, reallocating dst only when its capacity falls short. Under a
+// relabelling layout it gathers through a buffer the engine reuses, so
+// it must not run concurrently with itself or with Load.
+func (e *Engine) Snapshot(dst []float64) []float64 {
+	if e.lay.identity() {
+		return e.m.Snapshot(dst)
+	}
+	e.phys = e.m.Snapshot(e.phys)
+	if cap(dst) < len(e.phys) {
+		dst = make([]float64, len(e.phys))
+	}
+	dst = dst[:len(e.phys)]
+	e.lay.gather(dst, e.phys)
+	return dst
+}
+
+// Load overwrites the model with w, given in logical coordinate order
+// (len(w) must be the model's dimension). It must not run concurrently
+// with RunEpoch, Snapshot or itself.
+func (e *Engine) Load(w []float64) {
+	if e.lay.identity() {
+		e.m.Load(w)
+		return
+	}
+	if cap(e.phys) < len(w) {
+		e.phys = make([]float64, len(w))
+	}
+	e.phys = e.phys[:len(w)]
+	e.lay.scatter(e.phys, w)
+	e.m.Load(e.phys)
+}
 
 // ItersPerEpoch returns the number of updates one epoch performs (the
 // dataset size, split across workers).
@@ -189,9 +240,12 @@ func newEngine(ds *dataset.Dataset, obj objective.Objective, m model.Params, thr
 	if threads > ds.N() {
 		threads = ds.N()
 	}
-	e := &Engine{ds: ds, obj: obj, m: m, numT: threads}
+	e := &Engine{ds: ds, obj: obj, m: m, numT: threads, lay: newLayout(ds.Dim(), threads)}
 	e.loop.Bind(m, obj)
 	e.x = Rows{IndPtr: ds.X.IndPtr, Idx: ds.X.Idx, Val: ds.X.Val, Y: ds.Y}
+	if !e.lay.identity() {
+		e.x.Idx = e.lay.remap(ds.X.Idx)
+	}
 	if e.loop.kern32 != nil {
 		e.x.Val32 = ds.X.EnsureVal32()
 	}
@@ -252,7 +306,7 @@ func NewSVRG(ds *dataset.Dataset, obj objective.Objective, m model.Params, threa
 		return nil, err
 	}
 	e.colScale = make([]float64, ds.Dim())
-	for _, j := range ds.X.Idx {
+	for _, j := range e.x.Idx {
 		e.colScale[j]++
 	}
 	for j, nj := range e.colScale {
@@ -301,12 +355,15 @@ func (e *Engine) svrgEpoch(parallel bool) {
 	}
 }
 
-// svrgPass is worker t's share of svrgEpoch.
+// svrgPass is worker t's share of svrgEpoch. It reads the engine's
+// rows, whose indices are in the physical order s̃ and the accumulators
+// are.
 func (e *Engine) svrgPass(t int) {
-	acc := e.acc[t]
+	acc, x := e.acc[t], &e.x
 	clear(acc)
 	for _, i := range e.shards[t] {
-		row := e.ds.X.Row(i)
+		lo, hi := x.IndPtr[i], x.IndPtr[i+1]
+		row := sparse.Vector{Idx: x.Idx[lo:hi], Val: x.Val[lo:hi]}
 		g := e.obj.Deriv(row.Dot(e.snap), e.ds.Y[i])
 		e.loop.anchor[i] = g
 		row.AddTo(acc, g)
@@ -545,7 +602,7 @@ func (e *Engine) finishEpoch() int64 {
 	e.epochsDone++
 	e.itersDone += n
 	if e.pub != nil && e.epochsDone%e.pubEvery == 0 {
-		if v := e.pub.Publish(e.epochsDone, e.itersDone, e.m.Snapshot); v == nil {
+		if v := e.pub.Publish(e.epochsDone, e.itersDone, e.Snapshot); v == nil {
 			e.pubRejects++
 		}
 	}

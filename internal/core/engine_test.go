@@ -226,15 +226,3 @@ func TestItersPerEpoch(t *testing.T) {
 		t.Fatalf("ItersPerEpoch = %d, want %d", e.ItersPerEpoch(), ds.N())
 	}
 }
-
-func TestModelAccessor(t *testing.T) {
-	ds, obj := smallProblem(t)
-	m := model.NewAtomic(ds.Dim())
-	e, err := NewASGD(ds, obj, m, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Model() != model.Params(m) {
-		t.Fatal("Model accessor mismatch")
-	}
-}

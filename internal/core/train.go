@@ -250,7 +250,7 @@ func Train(ctx context.Context, ds *dataset.Dataset, obj objective.Objective, cf
 		return nil, err
 	}
 	if cfg.InitWeights != nil {
-		eng.m.Load(cfg.InitWeights)
+		eng.Load(cfg.InitWeights)
 	}
 	if cfg.Instruments != nil {
 		eng.Instrument(cfg.Instruments)

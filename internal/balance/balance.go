@@ -19,10 +19,8 @@
 package balance
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"github.com/isasgd/isasgd/internal/xrand"
 )
@@ -125,14 +123,12 @@ func Psi(l []float64) float64 {
 // HeadTail implements Algorithm 3: sort indices by L ascending, ties in
 // index order, then interleave head and tail (Ds[0], Ds[n-1], Ds[1],
 // Ds[n-2], ...) so that contiguous shards receive near-equal importance
-// sums. Returns the rearranged index order Dr.
+// sums. Returns the rearranged index order Dr. The sort is argsort's
+// stable radix order on the weights' keys, which is cmp.Compare's order
+// with ties kept in index order.
 func HeadTail(l []float64) []int {
 	n := len(l)
-	ds := make([]int, n)
-	for i := range ds {
-		ds[i] = i
-	}
-	slices.SortFunc(ds, func(a, b int) int { return cmp.Or(cmp.Compare(l[a], l[b]), a-b) })
+	ds := argsort(sortKeys(l, 0))
 	dr := make([]int, 0, n)
 	for i := 0; i < n/2; i++ {
 		dr = append(dr, ds[i], ds[n-1-i])
@@ -143,20 +139,76 @@ func HeadTail(l []float64) []int {
 	return dr
 }
 
+// sortKeys returns, for each weight, a uint64 whose unsigned order is
+// cmp.Compare's order on the weights, XORed with flip: NaNs first and
+// equal, −0 equal to +0 (the +0 makes −0 into +0), negatives below
+// positives. A flip of all ones reverses the order.
+func sortKeys(l []float64, flip uint64) []uint64 {
+	keys := make([]uint64, len(l))
+	for i, v := range l {
+		var k uint64 // NaN
+		if v == v {
+			k = math.Float64bits(v + 0)
+			if k>>63 == 0 {
+				k |= 1 << 63
+			} else {
+				k = ^k
+			}
+		}
+		keys[i] = k ^ flip
+	}
+	return keys
+}
+
+// argsort returns the indices of keys in ascending key order, ties in
+// index order: a stable LSD radix sort one byte a pass, which skips every
+// byte that all keys share. It reorders keys in place.
+func argsort(keys []uint64) []int {
+	n := len(keys)
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	if n < 2 {
+		return idx
+	}
+	var counts [8][256]int
+	for _, k := range keys {
+		for b := range counts {
+			counts[b][byte(k>>(8*b))]++
+		}
+	}
+	keys2, idx2 := make([]uint64, n), make([]int, n)
+	for b := range counts {
+		c, shift := &counts[b], 8*b
+		if c[byte(keys[0]>>shift)] == n {
+			continue
+		}
+		sum := 0
+		for d, cnt := range c {
+			c[d], sum = sum, sum+cnt
+		}
+		for i, k := range keys {
+			d := byte(k >> shift)
+			keys2[c[d]], idx2[c[d]] = k, idx[i]
+			c[d]++
+		}
+		keys, keys2 = keys2, keys
+		idx, idx2 = idx2, idx
+	}
+	return idx
+}
+
 // Shuffle returns a uniformly random order of [0, n).
 func Shuffle(n int, r *xrand.Rand) []int {
 	return r.Perm(n)
 }
 
 // SortedDesc returns indices ordered by descending L, ties in index
-// order (ablation worst case for contiguous sharding).
+// order (ablation worst case for contiguous sharding): argsort on the
+// complemented keys.
 func SortedDesc(l []float64) []int {
-	ds := make([]int, len(l))
-	for i := range ds {
-		ds[i] = i
-	}
-	slices.SortFunc(ds, func(a, b int) int { return cmp.Or(cmp.Compare(l[b], l[a]), a-b) })
-	return ds
+	return argsort(sortKeys(l, ^uint64(0)))
 }
 
 // GreedyLPT partitions indices into parts shards by assigning samples in

@@ -1,6 +1,9 @@
 package balance
 
 import (
+	"cmp"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -382,4 +385,106 @@ func TestSortsMatchStableReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sortFuncOrders is the comparison-sort reference for HeadTail and
+// SortedDesc: slices.SortFunc on cmp.Compare with ties broken on the
+// index, which is what both computed before the radix sort.
+func sortFuncOrders(l []float64) (headTail, desc []int) {
+	asc, desc := make([]int, len(l)), make([]int, len(l))
+	for i := range asc {
+		asc[i], desc[i] = i, i
+	}
+	slices.SortFunc(asc, func(a, b int) int { return cmp.Or(cmp.Compare(l[a], l[b]), a-b) })
+	slices.SortFunc(desc, func(a, b int) int { return cmp.Or(cmp.Compare(l[b], l[a]), a-b) })
+	n := len(l)
+	headTail = make([]int, 0, n)
+	for i := 0; i < n/2; i++ {
+		headTail = append(headTail, asc[i], asc[n-1-i])
+	}
+	if n%2 == 1 {
+		headTail = append(headTail, asc[n/2])
+	}
+	return headTail, desc
+}
+
+// checkOrders fails unless HeadTail and SortedDesc equal the reference.
+func checkOrders(t *testing.T, name string, l []float64) {
+	t.Helper()
+	headTail, desc := sortFuncOrders(l)
+	if got := HeadTail(l); !slices.Equal(got, headTail) {
+		t.Fatalf("%s: HeadTail = %v, want %v", name, got, headTail)
+	}
+	if got := SortedDesc(l); !slices.Equal(got, desc) {
+		t.Fatalf("%s: SortedDesc = %v, want %v", name, got, desc)
+	}
+}
+
+// TestArgsortMatchesSortFunc: the radix order equals the comparison
+// sort's on every size class, on heavy ties, and on the weights whose
+// order is easy to get wrong: NaN (every payload and sign equal, below
+// everything), ±0 (equal), ±Inf, subnormals and negatives, and weights
+// a few ulps apart, which differ in the low bytes only.
+func TestArgsortMatchesSortFunc(t *testing.T) {
+	nan2 := math.Float64frombits(0xfff8_0000_0000_0001) // a negative NaN with a payload
+	specials := []float64{math.NaN(), nan2, 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		-1, 1, -2.5, 5e-324, -5e-324, math.MaxFloat64, -math.MaxFloat64, 0.25}
+	r := xrand.New(63)
+	fill := func(n int, f func(i int) float64) []float64 {
+		l := make([]float64, n)
+		for i := range l {
+			l[i] = f(i)
+		}
+		return l
+	}
+	for _, n := range []int{0, 1, 2, 3, 101, 90000} {
+		cases := []struct {
+			name string
+			l    []float64
+		}{
+			{"continuous", fill(n, func(int) float64 { return r.Float64()*4 + 1e-4 })},
+			{"lognormal", fill(n, func(int) float64 { return math.Exp(3 * r.NormFloat64()) })},
+			{"ties", fill(n, func(int) float64 { return float64(r.Intn(3)) })},
+			{"constant", fill(n, func(int) float64 { return 7 })},
+			{"ulps", fill(n, func(int) float64 { return 1.5 + float64(r.Intn(1<<20))*0x1p-52 })},
+			{"signed", fill(n, func(int) float64 { return r.NormFloat64() })},
+			{"specials", fill(n, func(int) float64 { return specials[r.Intn(len(specials))] })},
+		}
+		for _, c := range cases {
+			checkOrders(t, fmt.Sprintf("%s n=%d", c.name, n), c.l)
+		}
+	}
+	checkOrders(t, "all specials", specials)
+}
+
+// FuzzArgsort checks HeadTail and SortedDesc against the comparison
+// sort on arbitrary weights. An even first byte reads the rest as
+// float64 bit patterns, 8 bytes each (every NaN payload, subnormal and
+// sign); an odd one reads each further byte as a pick among 16 values,
+// so ties and the special values come often.
+func FuzzArgsort(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	f.Add([]byte{1, 3, 3, 2, 2, 2, 3, 0, 0, 1, 15})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0xf8, 0xff, 1, 0, 0, 0, 0, 0, 0xf0, 0x3f})
+	palette := []float64{math.NaN(), math.Float64frombits(0xfff8_0000_0000_0001), 0, math.Copysign(0, -1),
+		math.Inf(1), math.Inf(-1), 1, -1, 2, -2, 5e-324, -5e-324, 0.5, 1e300, -1e-300, 3}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) == 0 {
+			checkOrders(t, "empty", nil)
+			return
+		}
+		mode, raw := raw[0], raw[1:]
+		var l []float64
+		if mode%2 == 0 {
+			for ; len(raw) >= 8; raw = raw[8:] {
+				l = append(l, math.Float64frombits(binary.LittleEndian.Uint64(raw)))
+			}
+		} else {
+			for _, b := range raw {
+				l = append(l, palette[b%16])
+			}
+		}
+		checkOrders(t, "fuzz", l)
+	})
 }

@@ -9,6 +9,8 @@ import (
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/objective"
+	"github.com/isasgd/isasgd/internal/sparse"
+	"github.com/isasgd/isasgd/internal/xrand"
 )
 
 // benchArms are the constructions the loop benchmarks compare: IS-ASGD
@@ -93,4 +95,37 @@ func BenchmarkLoop(b *testing.B) {
 // "svrg" opens every epoch with its anchor pass.
 func BenchmarkEpoch(b *testing.B) {
 	benchEngines(b, func(e *Engine) int64 { return e.RunEpoch(0.1) })
+}
+
+// BenchmarkConstruct times NewISASGDOpts as batch_dense pays it once per
+// run: the 90 000-row training split of a news20-like corpus (100 000
+// rows, about 40 non-zeros each) on the racy float32 model, adaptive
+// plan (its ρ takes the head–tail branch), at 1 and 2 workers. The
+// corpus and split are built once; each iteration constructs on a fresh
+// CSR header over the split's arrays, so it pays the float32 conversion
+// a new split pays, and the header and model are made off the timer.
+func BenchmarkConstruct(b *testing.B) {
+	cfg := dataset.News20Like(1, 1)
+	cfg.N = 100_000
+	ds, err := dataset.Synthesize(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	train := ds.Reorder(xrand.New(7).Perm(ds.N())[:90_000])
+	obj := objective.LogisticL1{Eta: 1e-5}
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("t%d", threads), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				x := sparse.CSR{Dim: train.X.Dim, IndPtr: train.X.IndPtr, Idx: train.X.Idx, Val: train.X.Val}
+				split := &dataset.Dataset{Name: train.Name, X: &x, Y: train.Y}
+				m := model.NewRacy32(split.Dim())
+				b.StartTimer()
+				if _, err := NewISASGDOpts(split, obj, m, threads, ISOptions{Seed: 7}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

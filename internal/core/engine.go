@@ -37,14 +37,22 @@
 //     popularity, so the hottest coordinates would sit side by side, 16
 //     to a float32 cache line, and workers writing different ones would
 //     still pass the line between cores; the golden multiple spreads
-//     them apart. newEngine remaps the CSR indices once into an
-//     engine-owned copy, each row in its own order, so every dot and
-//     update does the same arithmetic in the same order. Logical order
+//     them apart. The engine reads an engine-owned copy of the CSR
+//     indices with each row in its own order, so every dot and update
+//     does the same arithmetic in the same order. Logical order
 //     is restored at the engine's boundary only: Snapshot (and so
 //     PublishTo and Train's results) gathers, Load (and so
 //     Config.InitWeights) scatters. The DC base, SVRG's snapshot,
 //     column scales, accumulators and shift are all read in physical
-//     order and need no translation.
+//     order and need no translation;
+//   - what importance sampling adds is paid once, at construction, and
+//     split across the engine's workers: newEngine makes one pass over
+//     the rows, in row ranges of about equal nnz, that writes the
+//     relabelled index copy, the float32 value copy and each row's
+//     ‖x_i‖² (from which come L_i and grad's ‖x_i‖); Algorithm 3's sort
+//     is a radix sort (internal/balance); and each worker builds its own
+//     alias table, step scales and sequence. Every table is the serial
+//     construction's bit for bit.
 //
 // The update loop itself (Loop, Rows) is the only one in the repository:
 // the streaming trainer (internal/stream) turns each worker's block
@@ -65,7 +73,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"github.com/isasgd/isasgd/internal/adaptive"
@@ -227,7 +238,14 @@ func (e *Engine) ItersPerEpoch() int64 {
 	return n
 }
 
-func newEngine(ds *dataset.Dataset, obj objective.Objective, m model.Params, threads int, seed uint64) (*Engine, error) {
+// newEngine validates the arguments and builds what every construction
+// shares: the bound loop, the rows it reads, and the workers' rngs. The
+// rows come from one pass over the CSR, split across the engine's
+// workers (prepRows), which writes the relabelled index copy, the
+// float32 value copy when the model stores float32 and the CSR has none
+// cached yet (it is then installed as the CSR's EnsureVal32 cache), and,
+// when normSq is non-nil, each row's ‖x_i‖² into normSq.
+func newEngine(ds *dataset.Dataset, obj objective.Objective, m model.Params, threads int, seed uint64, normSq []float64) (*Engine, error) {
 	if ds.N() == 0 {
 		return nil, fmt.Errorf("core: empty dataset %q", ds.Name)
 	}
@@ -243,11 +261,22 @@ func newEngine(ds *dataset.Dataset, obj objective.Objective, m model.Params, thr
 	e := &Engine{ds: ds, obj: obj, m: m, numT: threads, lay: newLayout(ds.Dim(), threads)}
 	e.loop.Bind(m, obj)
 	e.x = Rows{IndPtr: ds.X.IndPtr, Idx: ds.X.Idx, Val: ds.X.Val, Y: ds.Y}
+	var slot []int32
 	if !e.lay.identity() {
-		e.x.Idx = e.lay.remap(ds.X.Idx)
+		slot = e.lay.slots()
+		e.x.Idx = make([]int32, len(ds.X.Idx))
 	}
+	var conv bool
 	if e.loop.kern32 != nil {
-		e.x.Val32 = ds.X.EnsureVal32()
+		if e.x.Val32 = ds.X.Val32(); e.x.Val32 == nil {
+			conv, e.x.Val32 = true, make([]float32, len(ds.X.Val))
+		}
+	}
+	if slot != nil || conv || normSq != nil {
+		together(threads, func(t int) { e.prepRows(t, ds.X, slot, conv, normSq) })
+	}
+	if conv {
+		ds.X.SetVal32(e.x.Val32)
 	}
 	sm := xrand.NewSplitMix64(seed)
 	e.rngs = make([]*xrand.Rand, threads)
@@ -255,6 +284,60 @@ func newEngine(ds *dataset.Dataset, obj objective.Objective, m model.Params, thr
 		e.rngs[t] = xrand.New(sm.Uint64())
 	}
 	return e, nil
+}
+
+// prepRows is worker t's share of newEngine's pass: the t-th of numT
+// row ranges of about equal nnz. Row by row, it writes each index's
+// physical slot into e.x.Idx when slot is set, each value's float32
+// into e.x.Val32 when conv is, and ‖x_i‖² into normSq when that is
+// non-nil, summed in sparse.Vector.NormSq's order (it is that call).
+func (e *Engine) prepRows(t int, x *sparse.CSR, slot []int32, conv bool, normSq []float64) {
+	for i, hi := rowStart(x.IndPtr, t, e.numT), rowStart(x.IndPtr, t+1, e.numT); i < hi; i++ {
+		row, lo := x.Row(i), x.IndPtr[i]
+		if slot != nil {
+			idx := e.x.Idx[lo : lo+int64(len(row.Idx))]
+			for k, j := range row.Idx {
+				idx[k] = slot[j]
+			}
+		}
+		if conv {
+			val := e.x.Val32[lo : lo+int64(len(row.Val))]
+			for k, v := range row.Val {
+				val[k] = float32(v)
+			}
+		}
+		if normSq != nil {
+			normSq[i] = row.NormSq()
+		}
+	}
+}
+
+// rowStart returns the first row of the t-th of parts row ranges that
+// split indPtr's rows by nnz: the first row at or past t/parts of the
+// non-zeros (the row count at t = parts).
+func rowStart(indPtr []int64, t, parts int) int {
+	rows := len(indPtr) - 1
+	if t == parts {
+		return rows
+	}
+	i, _ := slices.BinarySearch(indPtr[:rows], indPtr[rows]*int64(t)/int64(parts))
+	return i
+}
+
+// together runs f(0), …, f(n−1) at once, f(0) on the calling goroutine
+// and the others on goroutines of their own, and returns when all have;
+// at n = 1 it starts no goroutine.
+func together(n int, f func(t int)) {
+	var wg sync.WaitGroup
+	for t := 1; t < n; t++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(t)
+		}()
+	}
+	f(0)
+	wg.Wait()
 }
 
 // NewSGD builds a sequential uniform-sampling engine (plain SGD, Eq. 3).
@@ -266,7 +349,7 @@ func NewSGD(ds *dataset.Dataset, obj objective.Objective, m model.Params, seed u
 // into contiguous shards and each worker draws uniformly from its own
 // shard with unit step scale.
 func NewASGD(ds *dataset.Dataset, obj objective.Objective, m model.Params, threads int, seed uint64) (*Engine, error) {
-	e, err := newEngine(ds, obj, m, threads, seed)
+	e, err := newEngine(ds, obj, m, threads, seed, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -331,15 +414,7 @@ func NewSVRG(ds *dataset.Dataset, obj objective.Objective, m model.Params, threa
 func (e *Engine) svrgEpoch(parallel bool) {
 	e.snap = e.m.Snapshot(e.snap)
 	if parallel && e.numT > 1 {
-		var wg sync.WaitGroup
-		for t := range e.shards {
-			wg.Add(1)
-			go func(t int) {
-				defer wg.Done()
-				e.svrgPass(t)
-			}(t)
-		}
-		wg.Wait()
+		together(e.numT, e.svrgPass)
 	} else {
 		for t := range e.shards {
 			e.svrgPass(t)
@@ -426,7 +501,10 @@ func NewISASGD(ds *dataset.Dataset, obj objective.Objective, m model.Params, thr
 
 // NewISASGDOpts is NewISASGD with the full option set.
 func NewISASGDOpts(ds *dataset.Dataset, obj objective.Objective, m model.Params, threads int, opts ISOptions) (*Engine, error) {
-	e, err := newEngine(ds, obj, m, threads, opts.Seed)
+	// The pass leaves each row's ‖x_i‖² in l; Lipschitz then makes it
+	// L_i, which is objective.Weights(ds.X, obj) bit for bit.
+	l := make([]float64, ds.N())
+	e, err := newEngine(ds, obj, m, threads, opts.Seed, l)
 	if err != nil {
 		return nil, err
 	}
@@ -437,15 +515,16 @@ func NewISASGDOpts(ds *dataset.Dataset, obj objective.Objective, m model.Params,
 	case "grad":
 		e.norms = make([]float64, ds.N())
 		e.grads = make([]float32, ds.N())
-		for i := range e.norms {
-			e.norms[i] = ds.X.Row(i).Norm2()
+		for i, sq := range l {
+			e.norms[i] = math.Sqrt(sq) // sparse.Vector.Norm2
 			e.grads[i] = -1
 		}
 	default:
 		return nil, fmt.Errorf("core: unknown importance %q (want bound or grad)", opts.Importance)
 	}
-
-	l := objective.Weights(ds.X, obj)
+	for i, sq := range l {
+		l[i] = obj.Lipschitz(sq)
+	}
 	if e.partialBias {
 		l = partialBiasWeights(l)
 	}
@@ -474,24 +553,27 @@ func partialBiasWeights(l []float64) []float64 {
 }
 
 // buildSamplers builds each worker's local distribution, step-scale
-// table and sample sequence from global weights l (indexed by row id).
+// table and sample sequence from global weights l (indexed by row id),
+// each on its worker's goroutine (together): worker t touches only its
+// own slots and rngs[t], so the tables are the serial loop's bit for
+// bit, and the error is the lowest failing worker's.
 func (e *Engine) buildSamplers(l []float64) error {
 	e.scales = make([][]float64, e.Threads())
 	e.seqs = make([][]int32, e.Threads())
 	e.samplers = make([]sampling.Sampler, e.Threads())
-	for t, shard := range e.shards {
+	errs := make([]error, e.Threads())
+	together(e.Threads(), func(t int) {
+		shard := e.shards[t]
 		if len(shard) == 0 {
-			continue
+			return
 		}
 		localL := make([]float64, len(shard))
 		for k, i := range shard {
 			localL[k] = l[i]
 		}
-		if err := e.setWeights(t, localL); err != nil {
-			return err
-		}
-	}
-	return nil
+		errs[t] = e.setWeights(t, localL)
+	})
+	return cmp.Or(errs...)
 }
 
 // setWeights installs worker t's distribution from w, its shard's
@@ -542,16 +624,10 @@ func (e *Engine) RunEpoch(step float64) int64 {
 		e.endOfEpoch(0)
 		return e.finishEpoch()
 	}
-	var wg sync.WaitGroup
-	for t := range e.shards {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			e.runWorker(t, step)
-			e.endOfEpoch(t)
-		}(t)
-	}
-	wg.Wait()
+	together(e.numT, func(t int) {
+		e.runWorker(t, step)
+		e.endOfEpoch(t)
+	})
 	return e.finishEpoch()
 }
 

@@ -53,9 +53,9 @@ func gcd(a, b int) int {
 // identity reports whether the layout leaves every coordinate in place.
 func (l layout) identity() bool { return l.a == 1 }
 
-// remap returns a copy of idx with every logical coordinate replaced by
-// its slot, read from a dim-entry table built by the add-and-wrap walk.
-func (l layout) remap(idx []int32) []int32 {
+// slots returns the dim-entry table of every logical coordinate's
+// slot, built by the add-and-wrap walk.
+func (l layout) slots() []int32 {
 	slot := make([]int32, l.dim)
 	p := 0
 	for j := range slot {
@@ -64,11 +64,7 @@ func (l layout) remap(idx []int32) []int32 {
 			p -= l.dim
 		}
 	}
-	out := make([]int32, len(idx))
-	for k, j := range idx {
-		out[k] = slot[j]
-	}
-	return out
+	return slot
 }
 
 // gather writes the physical vector phys into dst in logical order.

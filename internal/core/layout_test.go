@@ -38,11 +38,7 @@ func TestSpreadMultiplier(t *testing.T) {
 				t.Fatalf("dim %d: multiplier %d skips the coprime %d", dim, l.a, k)
 			}
 		}
-		ids := make([]int32, dim)
-		for j := range ids {
-			ids[j] = int32(j)
-		}
-		slots := l.remap(ids)
+		slots := l.slots()
 		seen := make([]bool, dim)
 		for j, p := range slots {
 			if p < 0 || int(p) >= dim || seen[p] {

@@ -22,6 +22,16 @@ func (m *CSR) EnsureVal32() []float32 {
 	return m.val32
 }
 
+// Val32 returns the cached float32 copy of Val, nil until EnsureVal32
+// or SetVal32 has made one.
+func (m *CSR) Val32() []float32 { return m.val32 }
+
+// SetVal32 installs v as the cached float32 copy EnsureVal32 returns,
+// for a caller that converts the values in a pass of its own; v must
+// hold float32(Val[k]) at every k. Like EnsureVal32, it belongs to
+// setup.
+func (m *CSR) SetVal32(v []float32) { m.val32 = v }
+
 // ToF32 converts a float64 value slice into dst, growing it as needed —
 // the streaming ingestion path's per-row conversion.
 func ToF32(dst []float32, src []float64) []float32 {

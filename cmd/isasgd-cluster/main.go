@@ -40,8 +40,10 @@
 //	-target-loss f        stop when the evaluated mean data loss (without
 //	                      the regularizer) reaches f
 //	-max-updates n        stop after n cumulative worker updates
-//	-state path           checkpoint file: restored on start if present,
-//	                      written on shutdown and completion ("" disables)
+//	-state path           checkpoint file (internal/checkpoint: seq, pushes
+//	                      applied as the epoch, updates as the iters):
+//	                      restored on start if present, written on
+//	                      shutdown and completion ("" disables)
 //	-exit-on-done         exit 0 once the run converges and every worker
 //	                      has acknowledged completion
 //	-linger d             with -exit-on-done, max wait for worker
@@ -75,7 +77,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -88,6 +89,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/isasgd/isasgd/internal/checkpoint"
 	"github.com/isasgd/isasgd/internal/cluster"
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/httpx"
@@ -102,14 +104,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "isasgd-cluster: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// checkpointFile is the coordinator's -state format.
-type checkpointFile struct {
-	Seq     uint64    `json:"seq"`
-	Applied int64     `json:"applied"`
-	Updates int64     `json:"updates"`
-	Weights []float64 `json:"weights"`
 }
 
 func run(ctx context.Context, args []string, out io.Writer) error {
@@ -209,15 +203,16 @@ func runCoordinator(ctx context.Context, out io.Writer, cfg cluster.CoordinatorC
 	reg := obs.NewRegistry()
 	cfg.Reg = reg
 	if o.statePath != "" {
-		if ck, err := readCheckpoint(o.statePath); err != nil {
-			return err
-		} else if ck != nil {
-			cfg.Init = ck.Weights
-			cfg.InitSeq = ck.Seq
-			cfg.InitEpoch = int(ck.Applied)
-			cfg.InitIters = ck.Updates
+		// The state file is one checkpoint: the version's seq, the applied
+		// pushes as its epoch and the worker updates as its iters.
+		ck, err := checkpoint.LoadFile(o.statePath)
+		switch {
+		case err == nil:
+			cfg.Init, cfg.InitSeq, cfg.InitEpoch, cfg.InitIters = ck.Weights, ck.Seq, ck.Epoch, ck.Iters
 			fmt.Fprintf(out, "restored state from %s at seq %d (%d updates)\n",
-				o.statePath, ck.Seq, ck.Updates)
+				o.statePath, ck.Seq, ck.Iters)
+		case !errors.Is(err, os.ErrNotExist):
+			return fmt.Errorf("state file %s: %w", o.statePath, err)
 		}
 	}
 	c, err := cluster.NewCoordinator(cfg)
@@ -244,8 +239,8 @@ func runCoordinator(ctx context.Context, out io.Writer, cfg cluster.CoordinatorC
 			return
 		}
 		seq, applied, updates, w := c.Checkpoint()
-		if err := writeCheckpoint(o.statePath, checkpointFile{
-			Seq: seq, Applied: applied, Updates: updates, Weights: w}); err != nil {
+		if err := checkpoint.SaveFile(o.statePath, &checkpoint.State{Objective: cfg.Obj.Name(),
+			Dataset: cfg.EvalData.Name, Seq: seq, Epoch: int(applied), Iters: updates, Weights: w}); err != nil {
 			logger.Error("checkpoint write failed", "path", o.statePath, "error", err)
 		} else {
 			fmt.Fprintf(out, "state saved to %s at seq %d\n", o.statePath, seq)
@@ -282,33 +277,6 @@ func runCoordinator(ctx context.Context, out io.Writer, cfg cluster.CoordinatorC
 	}
 	fmt.Fprintln(out, "coordinator shutdown complete")
 	return nil
-}
-
-func readCheckpoint(path string) (*checkpointFile, error) {
-	raw, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var ck checkpointFile
-	if err := json.Unmarshal(raw, &ck); err != nil {
-		return nil, fmt.Errorf("state file %s: %w", path, err)
-	}
-	return &ck, nil
-}
-
-func writeCheckpoint(path string, ck checkpointFile) error {
-	raw, err := json.Marshal(ck)
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // loadCorpus returns the deterministic shared corpus: a LibSVM file or

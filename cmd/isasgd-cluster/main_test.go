@@ -1,12 +1,18 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/isasgd/isasgd/internal/checkpoint"
 )
 
 // syncBuf is an io.Writer safe for the coordinator goroutine and the
@@ -125,3 +131,76 @@ func TestClusterEndToEnd(t *testing.T) {
 }
 
 func itoa(i int) string { return string(rune('0' + i)) }
+
+// TestCoordinatorState runs a coordinator with -state and one worker to
+// -max-updates: it saves the state file at shutdown, and a second
+// coordinator over the same file restores at that seq and update count
+// and, with no push in between, saves the same bytes back.
+func TestCoordinatorState(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	path := filepath.Join(t.TempDir(), "coord.ckpt")
+	coord := func(ctx context.Context, out *syncBuf, extra ...string) chan error {
+		errc := make(chan error, 1)
+		go func() {
+			errc <- run(ctx, append([]string{"-role", "coordinator", "-addr", "127.0.0.1:0",
+				"-dataset", "small", "-seed", "7", "-state", path, "-log-level", "error"}, extra...), out)
+		}()
+		return errc
+	}
+
+	var out1 syncBuf
+	errc := coord(ctx, &out1, "-max-updates", "1000", "-exit-on-done")
+	url := listening(t, &out1)
+	var wout syncBuf
+	if err := run(ctx, []string{"-role", "worker", "-coordinator", url, "-id", "0", "-workers", "1",
+		"-dataset", "small", "-seed", "7", "-log-level", "error"}, &wout); err != nil {
+		t.Fatalf("worker: %v\n%s", err, wout.String())
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("coordinator: %v\n%s", err, out1.String())
+	}
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := checkpoint.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Seq < 2 || ck.Iters < 1000 || ck.Epoch < 1 {
+		t.Fatalf("saved seq %d, %d pushes, %d updates: want a run past -max-updates", ck.Seq, ck.Epoch, ck.Iters)
+	}
+	if want := fmt.Sprintf("state saved to %s at seq %d\n", path, ck.Seq); !strings.Contains(out1.String(), want) {
+		t.Fatalf("first run did not print %q:\n%s", want, out1.String())
+	}
+
+	ctx2, stop := context.WithCancel(ctx)
+	var out2 syncBuf
+	errc = coord(ctx2, &out2)
+	listening(t, &out2)
+	stop()
+	if err := <-errc; err != nil {
+		t.Fatalf("restarted coordinator: %v\n%s", err, out2.String())
+	}
+	if want := fmt.Sprintf("restored state from %s at seq %d (%d updates)\n", path, ck.Seq, ck.Iters); !strings.Contains(out2.String(), want) {
+		t.Fatalf("second run did not print %q:\n%s", want, out2.String())
+	}
+	if again, err := os.ReadFile(path); err != nil || !bytes.Equal(again, saved) {
+		t.Fatalf("restored and saved again without a push: %d bytes (err %v), want the same %d bytes",
+			len(again), err, len(saved))
+	}
+}
+
+// listening waits for a coordinator's announcement and returns its URL.
+func listening(t *testing.T, out *syncBuf) string {
+	t.Helper()
+	addrRe := regexp.MustCompile(`listening on (http://[0-9.]+:\d+)`)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if m := addrRe.FindStringSubmatch(out.String()); m != nil {
+			return m[1]
+		}
+	}
+	t.Fatalf("coordinator never announced its address:\n%s", out.String())
+	return ""
+}

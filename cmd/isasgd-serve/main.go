@@ -10,7 +10,9 @@
 //	-pool n               max concurrently running training jobs
 //	                      (default GOMAXPROCS)
 //	-checkpoint-dir path  persist finished models as <model>.ckpt and
-//	                      restore them on startup ("" disables)
+//	                      restore them on startup ("" disables); a file
+//	                      is one version frame at the model's width
+//	                      (internal/checkpoint)
 //	-stream-dir path      allow file-fed streaming jobs (JobSpec kind
 //	                      "stream" with a path) to read LibSVM files
 //	                      under this directory ("" rejects them; upload

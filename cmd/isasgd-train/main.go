@@ -34,8 +34,10 @@
 //	-data path           LibSVM input (required)
 //	-holdout x           held-out test fraction (default 0)
 //	-model out.libsvm    write the learned weights as a one-line sparse row
-//	-save-checkpoint p   write a resumable checkpoint when training ends
-//	-resume p            warm-start from a checkpoint
+//	-save-checkpoint p   write a resumable checkpoint when training ends: one
+//	                     version frame at the run's -precision
+//	                     (internal/checkpoint)
+//	-resume p            warm-start from a checkpoint of the data's dim
 //	-version             print the build version and exit
 //
 // Streaming mode (-stream) trains online over the input in bounded
@@ -149,8 +151,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if ckpt.Dim != ds.Dim() {
-			return fmt.Errorf("checkpoint dim %d != dataset dim %d", ckpt.Dim, ds.Dim())
+		if len(ckpt.Weights) != ds.Dim() {
+			return fmt.Errorf("checkpoint dim %d != dataset dim %d", len(ckpt.Weights), ds.Dim())
 		}
 		if ckpt.Objective != obj.Name() {
 			fmt.Fprintf(out, "warning: checkpoint objective %q differs from %q\n", ckpt.Objective, obj.Name())

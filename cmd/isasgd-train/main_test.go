@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"github.com/isasgd/isasgd"
 	"github.com/isasgd/isasgd/internal/xrand"
 )
 
@@ -144,5 +148,63 @@ func TestRunHoldout(t *testing.T) {
 	const printed = 3*0.5e-6 + 1e-9
 	if d := obj - (loss + reg); d > printed || d < -printed || reg <= 0 {
 		t.Fatalf("obj %g != loss %g + reg %g", obj, loss, reg)
+	}
+}
+
+// TestSaveCheckpointResume writes a checkpoint at each precision and
+// resumes from it. The checkpoint holds the bits of the weights -model
+// writes (%g prints the shortest form that parses back exactly), an f32
+// run's at 4 bytes each; -resume prints the saved epoch and updates and
+// refuses a corpus of another dimension.
+func TestSaveCheckpointResume(t *testing.T) {
+	corpus := writeStreamCorpus(t, 200, 8)
+	for _, prec := range []string{"f64", "f32"} {
+		t.Run(prec, func(t *testing.T) {
+			dir := t.TempDir()
+			ckPath, modelPath := filepath.Join(dir, "run.ckpt"), filepath.Join(dir, "model.libsvm")
+			var out bytes.Buffer
+			if err := run(context.Background(), []string{"-data", corpus, "-epochs", "3", "-precision", prec,
+				"-save-checkpoint", ckPath, "-model", modelPath}, &out); err != nil {
+				t.Fatal(err)
+			}
+			ck, err := isasgd.LoadCheckpoint(ckPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ck.DType != prec || ck.Epoch != 3 || ck.Iters <= 0 {
+				t.Fatalf("checkpoint dtype %q epoch %d iters %d, want %s, 3 and some updates", ck.DType, ck.Epoch, ck.Iters, prec)
+			}
+			line, err := os.ReadFile(modelPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]float64, len(ck.Weights))
+			for _, f := range strings.Fields(string(line))[1:] {
+				j, v, _ := strings.Cut(f, ":")
+				i, _ := strconv.Atoi(j)
+				if want[i-1], err = strconv.ParseFloat(v, 64); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range want {
+				if math.Float64bits(ck.Weights[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("checkpoint weight %d = %x, model file %x", i, math.Float64bits(ck.Weights[i]), math.Float64bits(want[i]))
+				}
+			}
+
+			out.Reset()
+			if err := run(context.Background(), []string{"-data", corpus, "-epochs", "1", "-precision", prec,
+				"-resume", ckPath}, &out); err != nil {
+				t.Fatal(err)
+			}
+			if msg := fmt.Sprintf("resumed from %s (epoch 3, %d updates)", ckPath, ck.Iters); !strings.Contains(out.String(), msg) {
+				t.Fatalf("resume did not print %q:\n%s", msg, out.String())
+			}
+			err = run(context.Background(), []string{"-data", writeStreamCorpus(t, 20, 3), "-epochs", "1",
+				"-resume", ckPath}, io.Discard)
+			if want := fmt.Sprintf("checkpoint dim %d != dataset dim 3", len(ck.Weights)); err == nil || err.Error() != want {
+				t.Fatalf("resume on a 3-coordinate corpus: %v, want %q", err, want)
+			}
+		})
 	}
 }

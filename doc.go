@@ -87,6 +87,10 @@
 // checkpoint import/export and crash-safe persistence: on SIGINT/SIGTERM
 // in-flight jobs are cancelled between epochs and their partial progress
 // checkpointed, and a restarted server restores every persisted model.
+// A checkpoint file is one version frame, the encoding replication and
+// the cluster use on the wire, between a magic and a CRC-32C, with the
+// weights at the model's width; files of the earlier gob and JSON
+// formats are refused with an error that names them.
 // See README.md for a curl quickstart and examples/serving for the same
 // conversation as a Go client.
 //

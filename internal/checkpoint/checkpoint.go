@@ -1,53 +1,63 @@
-// Package checkpoint persists training state so long runs can be
-// resumed: the model weights, the convergence curve so far, and the
-// scalar training counters. The format is a versioned gob stream with a
-// magic header; writes go through a temp file + rename so a crash never
-// leaves a truncated checkpoint behind.
+// Package checkpoint persists one weight version, so long runs can be
+// resumed and served models outlive their process. A checkpoint file is
+// the version frame of internal/frame between a magic and a checksum:
+//
+//	magic  4 bytes  "ISCK"
+//	frame  frame.AppendVersion of the State's names, counters, width
+//	       and weights
+//	crc    4 bytes  little-endian CRC-32C (Castagnoli) of magic and frame
+//
+// A checkpoint is outside input, so it gets the frame's fail-closed
+// rules: Load checks the magic and the checksum, and the frame's count
+// must fit the bytes that hold it before anything is allocated. Files
+// of the earlier formats (a gob stream, or the cluster coordinator's
+// JSON state file) are refused with an error that names their format;
+// they are not converted. Writes go through a temp file + rename so a
+// crash never leaves a truncated checkpoint behind.
 package checkpoint
 
 import (
-	"encoding/gob"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 
-	"github.com/isasgd/isasgd/internal/metrics"
+	"github.com/isasgd/isasgd/internal/frame"
 	"github.com/isasgd/isasgd/internal/model"
 )
 
-// magic identifies checkpoint files; version gates format evolution.
-const (
-	magic   = "ISASGD-CKPT"
-	version = 1
-)
+// magic opens every checkpoint file.
+const magic = "ISCK"
 
-// ErrBadFormat is returned when the stream is not a checkpoint or has an
-// unsupported version.
+// castagnoli is the CRC-32C table of the trailer.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// ErrBadFormat is returned when the bytes are not a checkpoint file.
 var ErrBadFormat = errors.New("checkpoint: bad format")
 
-// State is everything needed to resume a training run.
+// State is one weight version and what a restore reads of it.
 type State struct {
-	Algo      string // solver.Algo string form
+	Algo      string // core.Algo string form
 	Objective string // objective name, for a sanity check on resume
 	Dataset   string // dataset name, informational
+	Seq       uint64 // the version's sequence number (0 where the writer keeps none)
 	Epoch     int    // completed epochs
 	Iters     int64  // cumulative updates
-	Step      float64
-	Seed      uint64
-	Dim       int
+	DType     string // model.PrecisionF32 stores 4-byte values, anything else 8
 	Weights   []float64
-	Curve     metrics.Curve
 }
 
-// Validate checks internal consistency. Non-finite weights are rejected
-// on both save and load: a diverged model is not worth persisting, and a
-// checkpoint carrying NaN/Inf must fail loudly here rather than surface
-// downstream as an unservable model with a misleading error.
+// Validate checks that st can be written and read back bitwise. Non-finite
+// weights are rejected on both save and load: a diverged model is not
+// worth persisting, and a checkpoint carrying NaN/Inf must fail loudly
+// here rather than surface downstream as an unservable model.
 func (s *State) Validate() error {
-	if s.Dim != len(s.Weights) {
-		return fmt.Errorf("checkpoint: Dim %d != len(Weights) %d", s.Dim, len(s.Weights))
+	if len(s.Weights) == 0 {
+		return errors.New("checkpoint: no weights")
 	}
 	if s.Epoch < 0 || s.Iters < 0 {
 		return fmt.Errorf("checkpoint: negative counters (epoch %d, iters %d)", s.Epoch, s.Iters)
@@ -55,12 +65,19 @@ func (s *State) Validate() error {
 	if j := model.FirstNonFinite(s.Weights); j >= 0 {
 		return fmt.Errorf("checkpoint: non-finite weight %g at coordinate %d", s.Weights[j], j)
 	}
+	for _, name := range []string{s.Algo, s.Objective, s.Dataset} {
+		if len(name) > frame.MaxString {
+			return fmt.Errorf("checkpoint: name of %d bytes exceeds %d", len(name), frame.MaxString)
+		}
+	}
+	if frame.WidthOf(s.DType) == frame.F32 {
+		for j, v := range s.Weights {
+			if float64(float32(v)) != v {
+				return fmt.Errorf("checkpoint: weight %g at coordinate %d is not a float32 value", v, j)
+			}
+		}
+	}
 	return nil
-}
-
-type header struct {
-	Magic   string
-	Version int
 }
 
 // Save writes st to w.
@@ -68,37 +85,55 @@ func Save(w io.Writer, st *State) error {
 	if err := st.Validate(); err != nil {
 		return err
 	}
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(header{Magic: magic, Version: version}); err != nil {
-		return fmt.Errorf("checkpoint: write header: %w", err)
-	}
-	if err := enc.Encode(st); err != nil {
-		return fmt.Errorf("checkpoint: write state: %w", err)
-	}
-	return nil
+	b := frame.AppendVersion([]byte(magic), &frame.Header{
+		Seq: st.Seq, Epoch: st.Epoch, Iters: st.Iters,
+		Algo: st.Algo, Objective: st.Objective, Dataset: st.Dataset, DType: st.DType,
+	}, st.Weights)
+	_, err := w.Write(binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli)))
+	return err
 }
 
-// Load reads a State from r.
+// Load reads a State from r, which must hold one checkpoint file and
+// nothing after it.
 func Load(r io.Reader) (*State, error) {
-	dec := gob.NewDecoder(r)
-	var h header
-	if err := dec.Decode(&h); err != nil {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.HasPrefix(b, []byte(magic)) {
+		return nil, fmt.Errorf("%w: %s", ErrBadFormat, unknown(b))
+	}
+	if len(b) < len(magic)+4 {
+		return nil, fmt.Errorf("%w: truncated at %d bytes", ErrBadFormat, len(b))
+	}
+	body, sum := b[:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
+	if crc32.Checksum(body, castagnoli) != sum {
+		return nil, fmt.Errorf("%w: CRC-32C mismatch", ErrBadFormat)
+	}
+	h, w, err := frame.DecodeVersion(body[len(magic):], -1, nil)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
-	if h.Magic != magic {
-		return nil, fmt.Errorf("%w: magic %q", ErrBadFormat, h.Magic)
-	}
-	if h.Version != version {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, h.Version)
-	}
-	st := new(State)
-	if err := dec.Decode(st); err != nil {
-		return nil, fmt.Errorf("checkpoint: read state: %w", err)
+	st := &State{
+		Algo: h.Algo, Objective: h.Objective, Dataset: h.Dataset,
+		Seq: h.Seq, Epoch: h.Epoch, Iters: h.Iters, DType: h.DType, Weights: w,
 	}
 	if err := st.Validate(); err != nil {
 		return nil, err
 	}
 	return st, nil
+}
+
+// unknown describes bytes that do not open with the magic, naming the
+// format when an earlier version wrote them.
+func unknown(b []byte) string {
+	switch {
+	case bytes.Contains(b[:min(len(b), 64)], []byte("ISASGD-CKPT")):
+		return "a gob checkpoint, the format before version frames; it is not read or converted"
+	case len(b) > 0 && b[0] == '{':
+		return "a JSON state file, the cluster coordinator's format before version frames; it is not read or converted"
+	}
+	return "no checkpoint magic"
 }
 
 // SaveFile atomically writes st to path (temp file + rename).

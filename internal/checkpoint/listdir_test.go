@@ -13,7 +13,7 @@ func TestListDir(t *testing.T) {
 		t.Fatalf("ListDir(missing) = %v, %v; want empty, nil", got, err)
 	}
 
-	st := &State{Algo: "sgd", Dim: 2, Weights: []float64{1, 2}}
+	st := &State{Algo: "sgd", Weights: []float64{1, 2}}
 	for _, name := range []string{"b.ckpt", "a.ckpt"} {
 		if err := SaveFile(filepath.Join(dir, name), st); err != nil {
 			t.Fatal(err)

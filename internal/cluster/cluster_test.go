@@ -21,7 +21,6 @@ import (
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/frame"
 	"github.com/isasgd/isasgd/internal/metrics"
-	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/objective"
 	"github.com/isasgd/isasgd/internal/obs"
 	"github.com/isasgd/isasgd/internal/snapshot"
@@ -184,11 +183,8 @@ func TestClusterConverges(t *testing.T) {
 // (core.Engine), so every pulled version is loaded and every pushed
 // delta taken through the engine's translation; a slip there scrambles
 // the coordinates the star exchanges, and it would not reach its target.
-// The worker's model is racy by design, so the race detector skips it.
+// Two threads share an atomic model, so the race detector runs it too.
 func TestClusterWorkerThreads(t *testing.T) {
-	if model.RaceEnabled {
-		t.Skip("two threads race on the worker's racy model by design")
-	}
 	st, _ := runCluster(t, 2, 2, 0.5, 0.45, 2_000_000)
 	if !st.Reached {
 		t.Fatalf("2-worker cluster at 2 threads never reached target: %+v", st)

@@ -150,8 +150,13 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	// The local engine importance-samples within the shard (Algorithm 4's
 	// per-worker alias sampling); the cross-node balancing already
 	// equalized shard importance sums, so intra-node order prep just
-	// shuffles.
-	eng, err := core.NewISASGDOpts(local, cfg.Obj, model.NewRacy(cfg.Data.Dim()), cfg.Threads,
+	// shuffles. Its model is core's: a plain slice on one thread, CAS
+	// cells on more.
+	kind := model.KindAtomic
+	if cfg.Threads == 1 {
+		kind = model.KindRacy
+	}
+	eng, err := core.NewISASGDOpts(local, cfg.Obj, model.New(kind, cfg.Data.Dim()), cfg.Threads,
 		core.ISOptions{Mode: balance.ForceShuffle, Seed: cfg.Seed ^ (uint64(cfg.ID+1) * 0x9e3779b97f4a7c15)})
 	if err != nil {
 		return nil, err

@@ -148,8 +148,9 @@ func (c Config) policy() adaptive.Policy {
 	return adaptive.Policy{AdaptC: c.AdaptC, StalenessBound: c.StalenessBound, DCLambda: c.DCLambda}
 }
 
-// precision is the storage width the run trains at.
-func (c Config) precision() string {
+// DType is the storage width the run trains at: model.PrecisionF32 or
+// model.PrecisionF64.
+func (c Config) DType() string {
 	if prec, _ := model.ParsePrecision(c.Precision); prec == model.PrecisionF32 || c.ModelKind.Is32() {
 		return model.PrecisionF32
 	}
@@ -213,7 +214,7 @@ func (c Config) engine(ds *dataset.Dataset, obj objective.Objective) (*Engine, e
 	if !c.Algo.Async() && !kind.Is32() {
 		kind = model.KindRacy
 	}
-	if c.precision() == model.PrecisionF32 {
+	if c.DType() == model.PrecisionF32 {
 		kind = kind.As32()
 	}
 	m := model.New(kind, ds.Dim())
@@ -260,7 +261,7 @@ func Train(ctx context.Context, ds *dataset.Dataset, obj objective.Objective, cf
 		// serving readers can pick the f32 scoring path from the first
 		// version; the epoch-0 version makes the store servable before
 		// the first update and before the first Progress callback.
-		if cfg.precision() == model.PrecisionF32 {
+		if cfg.DType() == model.PrecisionF32 {
 			st.SetDType(model.PrecisionF32)
 		}
 		eng.PublishTo(st, cfg.PublishEvery)

@@ -78,10 +78,11 @@ func AppendVersion(dst []byte, h *Header, w []float64) []byte {
 }
 
 // DecodeVersion decodes a version frame of a model of dim coordinates.
-// The count must be 0 or dim, and the bytes left must hold it before
-// anything is allocated. The values decode into dst, which is replaced
-// by a new slice only if it is shorter than dim; the returned values
-// alias it, and are nil when the count is 0.
+// The count must be 0 or dim, or any count when dim < 0 (a reader that
+// does not know the model, such as a checkpoint's), and the bytes left
+// must hold it before anything is allocated. The values decode into dst,
+// which is replaced by a new slice only if it is shorter than the count;
+// the returned values alias it, and are nil when the count is 0.
 func DecodeVersion(b []byte, dim int, dst []float64) (Header, []float64, error) {
 	r := NewReader(b)
 	h := Header{
@@ -101,15 +102,15 @@ func DecodeVersion(b []byte, dim int, dst []float64) (Header, []float64, error) 
 	var w []float64
 	switch n := r.Uvarint("count", uint64(dim)); {
 	case r.err != nil || n == 0:
-	case n != uint64(dim):
+	case dim >= 0 && n != uint64(dim):
 		r.Fail("count %d is neither 0 nor the model's %d", n, dim)
 	case n > uint64(len(r.b)/width):
 		r.Fail("count %d exceeds what %d bytes can hold", n, len(r.b))
 	default:
-		if cap(dst) < dim {
-			dst = make([]float64, dim)
+		if cap(dst) < int(n) {
+			dst = make([]float64, n)
 		}
-		w = dst[:dim]
+		w = dst[:n]
 	}
 	r.Values(w, width)
 	if r.err != nil {

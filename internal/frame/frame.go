@@ -2,10 +2,11 @@
 // built on it. The cluster's push frame (internal/cluster) uses the
 // codec. The version frame answers both long-polls for a version newer
 // than a cursor: a worker's GET /v1/cluster/pull and a replica's
-// GET /v1/replicate (internal/serve). Serve, Pull and Backoff in feed.go
-// are the feed's one handler, one client step and one retry delay;
-// ErrorOf reads an answer other than 200, a pull's or a push's, as a
-// StatusError.
+// GET /v1/replicate (internal/serve), and a checkpoint file
+// (internal/checkpoint) is one version frame on disk. Serve, Pull and
+// Backoff in feed.go are the feed's one handler, one client step and
+// one retry delay; ErrorOf reads an answer other than 200, a pull's or
+// a push's, as a StatusError.
 //
 // Every frame is built from these pieces:
 //

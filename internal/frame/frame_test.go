@@ -158,8 +158,8 @@ func TestVersionRoundTrip(t *testing.T) {
 }
 
 // TestVersionReadBound pins the decoder's bounds: the count must be 0
-// or Dim and fit the bytes that arrived, and a body that is short or
-// padded fails. A peer that lists the largest Dim and announces that
+// or Dim (any count when Dim is unknown) and fit the bytes that arrived,
+// and a body that is short or padded fails. A peer that lists the largest Dim and announces that
 // many values in a few bytes is refused before the values are
 // allocated. Pull accepts the longest frame of Dim, every field at its
 // widest, and refuses a longer body.
@@ -178,6 +178,9 @@ func TestVersionReadBound(t *testing.T) {
 		{"truncated", full[:len(full)-1], dim, false},
 		{"trailing byte", append(full[:len(full):len(full)], 0), dim, false},
 		{"empty body", nil, dim, false},
+		{"Dim unknown", full, -1, true},
+		{"Dim unknown, truncated", full[:len(full)-1], -1, false},
+		{"Dim unknown, trailing byte", append(full[:len(full):len(full)], 0), -1, false},
 	} {
 		if _, _, err := DecodeVersion(tc.body, tc.dim, nil); (err == nil) != tc.ok {
 			t.Fatalf("%s: err %v, want ok=%v", tc.name, err, tc.ok)
@@ -186,15 +189,17 @@ func TestVersionReadBound(t *testing.T) {
 
 	const huge = 1 << 28
 	lie := head(1, 8, huge)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, _, err := DecodeVersion(lie, huge, nil)
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatalf("count of %d values in a %d-byte body accepted", huge, len(lie))
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Fatalf("refusing a %d-byte frame allocated %d bytes", len(lie), grew)
+	for _, dim := range []int{huge, -1} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := DecodeVersion(lie, dim, nil)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("Dim %d: count of %d values in a %d-byte body accepted", dim, huge, len(lie))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("Dim %d: refusing a %d-byte frame allocated %d bytes", dim, len(lie), grew)
+		}
 	}
 
 	name := strings.Repeat("n", MaxString)

@@ -618,6 +618,7 @@ type stopped struct {
 	epoch   int
 	iters   int64
 	weights []float64
+	dtype   string // the storage width the job trained at
 }
 
 // training is what run hands a job kind's trainer: batchTrain or
@@ -650,7 +651,7 @@ func batchTrain(ctx context.Context, t *training, r *resolved) (stopped, error) 
 	if res == nil {
 		return stopped{}, err
 	}
-	return stopped{res.Epochs, res.Iters, res.Weights}, err
+	return stopped{res.Epochs, res.Iters, res.Weights, cfg.DType()}, err
 }
 
 // streamTrain trains a stream.Trainer over body, or over the spec's path
@@ -690,7 +691,7 @@ func streamTrain(ctx context.Context, t *training, r *resolved, body io.Reader) 
 	if err == nil && res.Rows == 0 {
 		err = errors.New("stream contained no rows")
 	}
-	return stopped{int(res.Blocks), res.Updates, res.Weights}, err
+	return stopped{int(res.Blocks), res.Updates, res.Weights, cfg.Precision}, err
 }
 
 // run owns one job from the queue to its terminal state, for both kinds:
@@ -803,6 +804,7 @@ func (m *Manager) run(ctx context.Context, j *Job, r *resolved, body io.Reader) 
 	default:
 		if st.Load() == nil {
 			// Live publication disabled: cut the single final version now.
+			st.SetDType(out.dtype)
 			st.PublishCopy(out.epoch, out.iters, out.weights)
 		}
 		if err := live.finalize(); err != nil {
@@ -829,8 +831,8 @@ func (m *Manager) finish(j *Job, state JobState, errMsg string) {
 		slog.Int64("iters", iters), slog.Duration("duration", dur))
 }
 
-// saveCheckpoint persists where the job stopped, with its curve, under
-// the given model name.
+// saveCheckpoint persists where the job stopped under the given model
+// name, at the job's storage width.
 func (m *Manager) saveCheckpoint(j *Job, name string, out stopped) error {
 	path := m.CheckpointPath(name)
 	if path == "" {
@@ -839,9 +841,7 @@ func (m *Manager) saveCheckpoint(j *Job, name string, out stopped) error {
 	j.mu.Lock()
 	st := &checkpoint.State{
 		Algo: j.algoName, Objective: j.objName, Dataset: j.dsName,
-		Epoch: out.epoch, Iters: out.iters,
-		Step: j.cfg.Step, Seed: j.cfg.Seed,
-		Dim: len(out.weights), Weights: out.weights, Curve: j.curve,
+		Epoch: out.epoch, Iters: out.iters, DType: out.dtype, Weights: out.weights,
 	}
 	j.mu.Unlock()
 	return checkpoint.SaveFile(path, st)

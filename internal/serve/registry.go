@@ -148,20 +148,23 @@ func (m *Model) Checkpoint() *checkpoint.State {
 		Algo:      m.Algo,
 		Objective: m.Objective,
 		Dataset:   m.Dataset,
+		Seq:       v.Seq,
 		Epoch:     v.Epoch,
 		Iters:     v.Iters,
-		Dim:       len(w),
+		DType:     m.Store.DType(),
 		Weights:   w,
 	}
 }
 
 // ModelFromCheckpoint builds a publishable single-version model from a
-// loaded checkpoint state. The weights are copied so later mutation of
-// st cannot reach a published model.
+// loaded checkpoint state, at the state's storage width. The weights are
+// copied so later mutation of st cannot reach a published model.
 func ModelFromCheckpoint(name string, st *checkpoint.State) *Model {
+	store := snapshot.Of(st.Epoch, st.Iters, st.Weights)
+	store.SetDType(st.DType)
 	return &Model{
 		Name:  name,
-		Store: snapshot.Of(st.Epoch, st.Iters, st.Weights),
+		Store: store,
 		Algo:  st.Algo, Objective: st.Objective, Dataset: st.Dataset,
 	}
 }

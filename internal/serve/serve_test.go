@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -337,6 +338,97 @@ func TestRestore(t *testing.T) {
 	m, ok := mgr2.Registry().Get("persisted")
 	if !ok || m.Dim() != 400 {
 		t.Fatalf("restored model missing or wrong dim (%v)", ok)
+	}
+}
+
+// TestF32ModelKeepsWidth trains an f32 model, with live publication and
+// without, and takes it through an export/import and a restart from the
+// checkpoint directory: every copy reports dtype f32 in /v1/models, holds
+// the trained weights bit for bit, and scores the same bits. The
+// exported file stores 4-byte values.
+func TestF32ModelKeepsWidth(t *testing.T) {
+	for _, every := range []int{1, 0} {
+		t.Run(fmt.Sprintf("publish-every=%d", every), func(t *testing.T) { f32KeepsWidth(t, every) })
+	}
+}
+
+func f32KeepsWidth(t *testing.T, every int) {
+	ts, mgr, dir := testServer(t, 1)
+	mgr.SetPublishEvery(every)
+	sub := decodeBody[JobStatus](t, postJSON(t, ts.URL+"/v1/jobs", JobSpec{
+		Model: "narrow", Dataset: "small", Algo: "is-asgd", Epochs: 3, Step: 0.5, Seed: 1, Precision: "f32",
+	}))
+	if st := pollJob(t, ts.URL, sub.ID); st.State != StateDone {
+		t.Fatalf("job state = %s (%s)", st.State, st.Error)
+	}
+	trained, _ := mgr.Registry().Get("narrow")
+	want := trained.Version().Weights
+
+	resp, err := http.Get(ts.URL + "/v1/models/narrow/checkpoint")
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("export: status %d, err %v", resp.StatusCode, err)
+	}
+	if len(file) > 4*len(want)+64 {
+		t.Fatalf("exported %d bytes for %d f32 weights", len(file), len(want))
+	}
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/models/clone/checkpoint", bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err = http.DefaultClient.Do(req); err != nil {
+		t.Fatal(err)
+	}
+	if info := decodeBody[ModelInfo](t, resp); info.DType != "f32" {
+		t.Fatalf("import answered %+v, want dtype f32", info)
+	}
+
+	batch := PredictRequest{Instances: []Instance{
+		{Indices: []int{0, 1, 2}, Values: []float64{1, -1, 0.5}},
+		{Indices: []int{399, 7, 123}, Values: []float64{2, 0.25, -3}},
+	}}
+	score := func(base, name string) []Prediction {
+		return decodeBody[PredictResponse](t, postJSON(t, base+"/v1/models/"+name+"/predict", batch)).Predictions
+	}
+	ref := score(ts.URL, "narrow")
+
+	mgr2 := NewManager(NewRegistry(), 1, dir)
+	if n, skipped, err := mgr2.Restore(); err != nil || n != 2 {
+		t.Fatalf("restored %d models (skipped %v, err %v), want 2", n, skipped, err)
+	}
+	ts2 := httptest.NewServer(NewServer(mgr2))
+	defer ts2.Close()
+	for _, c := range []struct {
+		base, name string
+		reg        *Registry
+	}{{ts.URL, "narrow", mgr.Registry()}, {ts.URL, "clone", mgr.Registry()},
+		{ts2.URL, "narrow", mgr2.Registry()}, {ts2.URL, "clone", mgr2.Registry()}} {
+		m, _ := c.reg.Get(c.name)
+		got := m.Version().Weights
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s at %s: weight %d = %x, want %x", c.name, c.base, i,
+					math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+		for i, p := range score(c.base, c.name) {
+			if math.Float64bits(p.Score) != math.Float64bits(ref[i].Score) {
+				t.Fatalf("%s at %s: score %d = %g, want %g", c.name, c.base, i, p.Score, ref[i].Score)
+			}
+		}
+		resp, err := http.Get(c.base + "/v1/models")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, info := range decodeBody[[]ModelInfo](t, resp) {
+			if info.DType != "f32" {
+				t.Fatalf("%s lists %s with dtype %q, want f32", c.base, info.Name, info.DType)
+			}
+		}
 	}
 }
 

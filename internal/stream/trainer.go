@@ -841,7 +841,7 @@ func (t *Trainer) Run(ctx context.Context, r *Reader) (*Result, error) {
 		t.publish()
 	}
 	res := t.result()
-	// Mirror solver.Train's divergence contract: a run whose weights went
+	// Mirror core.Train's divergence contract: a run whose weights went
 	// non-finite must fail, not quietly persist NaN (the snapshot store
 	// already refuses such versions, so served and returned state would
 	// otherwise disagree).

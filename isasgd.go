@@ -55,8 +55,8 @@ type (
 	ExperimentRunner = experiments.Runner
 	// ExperimentScale sizes the experiment harness (quick/standard/full).
 	ExperimentScale = experiments.Scale
-	// Checkpoint is a persisted training state (weights + curve +
-	// counters) for resuming long runs.
+	// Checkpoint is a persisted weight version (names, counters, width
+	// and weights) for resuming long runs.
 	Checkpoint = checkpoint.State
 )
 
@@ -209,11 +209,8 @@ func CheckpointFromResult(res *Result, obj Objective, datasetName string, cfg Co
 		Dataset:   datasetName,
 		Epoch:     res.Curve.Final().Epoch,
 		Iters:     res.Iters,
-		Step:      cfg.Step,
-		Seed:      cfg.Seed,
-		Dim:       len(res.Weights),
+		DType:     cfg.DType(),
 		Weights:   res.Weights,
-		Curve:     res.Curve,
 	}
 }
 

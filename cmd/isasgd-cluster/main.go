@@ -1,7 +1,7 @@
 // Command isasgd-cluster runs one node of the distributed IS-ASGD
 // parameter-server star: a coordinator owning the global model, or a
-// worker training importance-sampled rounds on its deterministic
-// balance-assigned shard and exchanging sparse updates over HTTP.
+// worker training importance-sampled rounds on its shard of a seeded
+// shuffle and exchanging sparse updates over HTTP.
 //
 // Usage:
 //
@@ -58,8 +58,6 @@
 //	-step-decay f         multiply the step after each push round, in
 //	                      (0, 1] (default 1, no decay) — long runs with
 //	                      constant steps oscillate once the star converges
-//	-balance name         shard preparation: auto | balance | shuffle |
-//	                      sorted | lpt (default auto)
 //	-coordinator url      coordinator root URL (required)
 //	-id n                 this worker's shard index, 0-based (required)
 //	-workers k            total worker count (required, must agree)

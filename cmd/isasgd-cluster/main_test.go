@@ -59,6 +59,21 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
+// TestBalanceFlagRefused checks that -balance is gone from both roles:
+// it fails as an unknown flag, whatever mode it names.
+func TestBalanceFlagRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"-role", "coordinator", "-balance", "auto"},
+		{"-role", "worker", "-coordinator", "http://x", "-id", "0", "-workers", "1", "-balance", "balance"},
+	} {
+		var out syncBuf
+		err := run(context.Background(), args, &out)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -balance") {
+			t.Fatalf("args %v: err %v, want an unknown-flag error", args, err)
+		}
+	}
+}
+
 // TestClusterEndToEnd runs the full binary lifecycle in-process: a
 // coordinator on an ephemeral port plus two workers, gated on actual
 // convergence, coordinator exiting on done.

@@ -16,7 +16,6 @@
 //	-step x              step size λ, finite and > 0 (default 0.5)
 //	-step-decay x        per-epoch (per-block) step decay in (0, 1] (default 1)
 //	-threads n           workers for async algorithms (default GOMAXPROCS)
-//	-balance mode        auto|balance|shuffle|sorted|lpt (default auto)
 //	-seed n              RNG seed (default 1)
 //	-precision p         f64 | f32 — f32 trains on float32 weights and
 //	                     features (half the memory traffic) (default f64)
@@ -42,7 +41,7 @@
 //
 // Streaming mode (-stream) trains online over the input in bounded
 // memory instead of loading it: blocks of -block-size rows slide through
-// a -window-blocks window, each block is shard-balanced across -threads
+// a -window-blocks window, each block is shuffled across -threads
 // workers, and sampling is importance-weighted (or uniform for -algo
 // sgd/asgd) from a reservoir-backed online state. Requires -dim (a
 // streaming model cannot grow). Its knobs:
@@ -169,11 +168,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		res.Algo, res.Threads, res.Iters, res.TrainTime.Seconds())
 	if s.StalenessBound > 0 {
 		fmt.Fprintf(out, "staleness bound %d: shed %d updates\n", s.StalenessBound, res.Shed)
-	}
-	if cfg.Algo == isasgd.ISASGD {
-		fmt.Fprintf(out, "Algorithm 4: balanced=%v ρ=%.3e ζ=%.0e ψ=%.3f Φ-imbalance=%.4f\n",
-			res.Decision.Balanced, res.Decision.Rho, res.Decision.Zeta,
-			res.Decision.Psi, res.Decision.Imbalance)
 	}
 	fmt.Fprintln(out, " epoch        iters       wall")
 	for _, p := range res.Curve {

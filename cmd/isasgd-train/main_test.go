@@ -70,7 +70,7 @@ func TestRunStream(t *testing.T) {
 	corpus := writeStreamCorpus(t, 256, 8)
 	modelOut := filepath.Join(t.TempDir(), "model.libsvm")
 	checkRuns(t, []runCase{{"stream", []string{"-stream", "-data", corpus, "-algo", "is-asgd",
-		"-objective", "logistic-l1", "-balance", "auto", "-eta", "1e-4", "-step", "0.5",
+		"-objective", "logistic-l1", "-eta", "1e-4", "-step", "0.5",
 		"-step-decay", "1", "-threads", "2", "-seed", "1", "-dim", "8", "-block-size", "64",
 		"-window-blocks", "2", "-model", modelOut}, true}})
 	got, err := os.ReadFile(modelOut)
@@ -99,15 +99,23 @@ func TestRunStreamValidation(t *testing.T) {
 	})
 }
 
-// TestParseBalance checks every balance-mode name -balance takes, and
-// that an unknown one is rejected.
+// TestParseBalance checks that -balance is gone: every mode name it
+// took, and any other value, fails as an unknown flag before training.
+// Shards are always a seeded shuffle.
 func TestParseBalance(t *testing.T) {
 	batch := []string{"-data", writeStreamCorpus(t, 8, 4), "-epochs", "1"}
-	var cases []runCase
-	for _, mode := range []string{"auto", "", "balance", "shuffle", "sorted", "lpt"} {
-		cases = append(cases, runCase{"balance " + mode, with(batch, "-balance", mode), true})
+	for _, mode := range []string{"auto", "", "balance", "shuffle", "sorted", "lpt", "bogus"} {
+		t.Run("balance "+mode, func(t *testing.T) {
+			var out bytes.Buffer
+			err := run(context.Background(), with(batch, "-balance", mode), &out)
+			if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -balance") {
+				t.Fatalf("-balance %q: err %v, want an unknown-flag error", mode, err)
+			}
+			if out.Len() > 0 {
+				t.Fatalf("-balance %q: printed before failing:\n%s", mode, out.String())
+			}
+		})
 	}
-	checkRuns(t, append(cases, runCase{"balance bogus", with(batch, "-balance", "bogus"), false}))
 }
 
 // TestRun checks that batch-mode knobs are validated before training.

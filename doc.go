@@ -19,11 +19,13 @@
 // the computation kernel identical to plain ASGD.
 //
 // IS-ASGD shards data across workers, so each worker's sampling
-// distribution is computed on its local shard; the paper's importance
-// balancing (a head–tail interleave of samples sorted by L_i) keeps the
-// per-shard importance sums Φ_a equal so local sampling matches the
-// global optimum, applied adaptively when the imbalance potential
-// ρ = Var(L) exceeds a threshold ζ.
+// distribution is computed on its local shard, and unequal per-shard
+// importance sums Φ_a distort it from the global optimum. The paper
+// equalizes them with a head–tail interleave of samples sorted by L_i,
+// applied when the imbalance potential ρ = Var(L) exceeds a threshold
+// ζ. This library cuts shards from a seeded shuffle instead: measured
+// on every corpus here, its Φ_a are at least as close to equal, and the
+// head–tail rule runs only in the paper's reproduction.
 //
 // # Quick start
 //
@@ -101,7 +103,7 @@
 // dataset. internal/stream provides the online counterpart for corpora
 // that arrive as a stream or exceed memory: a chunked LibSVM reader
 // yields fixed-size row blocks, blocks slide through a bounded window,
-// each block is importance-balanced across workers, and sampling stays
+// each block is shuffled into per-worker shards, and sampling stays
 // O(1) via alias tables rebuilt from a bounded reservoir of observed
 // Lipschitz estimates. The window is one CSR arena, and each worker
 // turns its block's draws into a plan that the batch engine's update loop
@@ -178,8 +180,8 @@
 // processes in a parameter-server star: the coordinator owns the global
 // model behind the same versioned snapshot store serving reads, workers
 // long-poll fresh versions, train importance-sampled rounds on
-// deterministic importance-balanced shards (every node derives the same
-// balance plan from the shared seed — no assignment traffic), and push
+// deterministic shards (every node draws the same seeded shuffle — no
+// assignment traffic), and push
 // sparse accumulated updates back over stdlib HTTP: deltas as a binary
 // push frame (internal/cluster/wire.go), weights as the version frame
 // of internal/frame, whose one long-poll handler and client step also

@@ -29,7 +29,7 @@ func run() error {
 	obj := isasgd.LogisticL1(1e-4)
 
 	// Train with the paper's algorithm: importance-sampled asynchronous
-	// SGD with adaptive importance balancing (Algorithm 4).
+	// SGD over seeded-shuffle shards (Algorithm 4).
 	res, err := isasgd.Train(context.Background(), ds, obj, isasgd.Config{
 		Algo:    isasgd.ISASGD,
 		Epochs:  15,
@@ -42,8 +42,6 @@ func run() error {
 	}
 
 	fmt.Printf("dataset: %d samples × %d features\n", ds.N(), ds.Dim())
-	fmt.Printf("balancing decision: balanced=%v ρ=%.2e ψ=%.3f\n",
-		res.Decision.Balanced, res.Decision.Rho, res.Decision.Psi)
 	fmt.Println("epoch  objective   RMSE      error-rate")
 	for _, p := range res.Curve {
 		fmt.Printf("%5d  %.6f  %.6f  %.4f\n", p.Epoch, p.Obj, p.RMSE, p.ErrRate)

@@ -1,21 +1,28 @@
-// Package balance implements the importance-balancing machinery of the
-// paper's Sections 2.3–2.4: the imbalance-potential metric ρ (Eq. 20), the
-// head–tail rearrangement of Algorithm 3, the adaptive plan of Algorithm 4
-// lines 2–6, and per-worker importance accounting Φ_a (Eq. 18).
+// Package balance holds the shard-preparation machinery of the paper's
+// Sections 2.3–2.4: the imbalance-potential metric ρ (Eq. 20), the
+// convergence indicator ψ (Eq. 15), the head–tail rearrangement of
+// Algorithm 3, contiguous sharding, and per-worker importance accounting
+// Φ_a (Eq. 18) with the two measures of its spread.
 //
 // Background: IS-ASGD shards the training set across workers and each
 // worker samples from a distribution computed over its *local* shard. If
 // shard importance sums Φ_a differ, local probabilities are distorted
 // relative to the global optimum (the paper's {1,2,3,4} example: globally
-// p4 = 2·p2 but naive sharding makes p4 < p2). Equalizing Φ_a across
-// shards removes the distortion.
+// p4 = 2·p2 but naive sharding makes p4 < p2). With equal per-worker
+// quotas the distortion costs the factor Inflation(Φ) on the IS second
+// moment.
 //
-// Note on the paper's Algorithm 4 line 3: the pseudo-code compares
-// "ρ ≤ ζ → balance", but Section 2.4's prose ("a lower ρ indicates lower
-// potential of severe importance imbalance") and Table 1 (News20, the one
-// balanced dataset, has the highest ρ) show the comparison is inverted in
-// print. This package implements the semantically consistent rule
-// ρ ≥ ζ → balance and records which branch was taken in the Decision.
+// The runtime plan is a seeded shuffle (ForceShuffle, the zero Mode):
+// measured by Inflation, it balances at least as well as Algorithm 3 on
+// every corpus of this repository, skewed ones included, where the
+// contiguous cut of the head–tail order gives one shard the smallest and
+// the largest weights. Algorithm 3 (ForceBalance) stays for the
+// reproduction, and so does Algorithm 4's ρ ≥ ζ choice between the two,
+// which internal/experiments applies. The paper's pseudo-code prints
+// that comparison as "ρ ≤ ζ → balance", but Section 2.4's prose ("a
+// lower ρ indicates lower potential of severe importance imbalance") and
+// Table 1 (News20, the one balanced dataset, has the highest ρ) show it
+// is inverted in print; the reproduction uses ρ ≥ ζ → balance.
 package balance
 
 import (
@@ -33,49 +40,19 @@ const DefaultZeta = 5e-4
 type Mode int
 
 const (
-	// Auto applies Algorithm 4: balance when ρ ≥ ζ, shuffle otherwise.
-	Auto Mode = iota
-	// ForceBalance always applies the head–tail rearrangement.
+	// ForceShuffle applies a seeded random shuffle: the runtime plan.
+	ForceShuffle Mode = iota
+	// ForceBalance applies the head–tail rearrangement of Algorithm 3.
 	ForceBalance
-	// ForceShuffle always applies a random shuffle.
-	ForceShuffle
-	// Sorted orders samples by descending L. This is the worst case for
-	// contiguous sharding and exists for the ablation bench.
-	Sorted
-	// LPT applies greedy longest-processing-time multiway partitioning,
-	// a stronger (but not contiguous-shard) equalizer kept as an
-	// extension; the paper notes exact equal-importance partitioning is
-	// NP-hard and settles for head–tail matching.
-	LPT
 )
-
-// ParseMode is the one balance-mode lookup: it resolves a String name;
-// "" selects Auto.
-func ParseMode(name string) (Mode, error) {
-	if name == "" {
-		return Auto, nil
-	}
-	for m := Auto; m <= LPT; m++ {
-		if name == m.String() {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown balance mode %q (want auto, balance, shuffle, sorted or lpt)", name)
-}
 
 // String returns the mode name.
 func (m Mode) String() string {
 	switch m {
-	case Auto:
-		return "auto"
-	case ForceBalance:
-		return "balance"
 	case ForceShuffle:
 		return "shuffle"
-	case Sorted:
-		return "sorted"
-	case LPT:
-		return "lpt"
+	case ForceBalance:
+		return "balance"
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
@@ -128,7 +105,7 @@ func Psi(l []float64) float64 {
 // with ties kept in index order.
 func HeadTail(l []float64) []int {
 	n := len(l)
-	ds := argsort(sortKeys(l, 0))
+	ds := argsort(sortKeys(l))
 	dr := make([]int, 0, n)
 	for i := 0; i < n/2; i++ {
 		dr = append(dr, ds[i], ds[n-1-i])
@@ -140,10 +117,9 @@ func HeadTail(l []float64) []int {
 }
 
 // sortKeys returns, for each weight, a uint64 whose unsigned order is
-// cmp.Compare's order on the weights, XORed with flip: NaNs first and
-// equal, −0 equal to +0 (the +0 makes −0 into +0), negatives below
-// positives. A flip of all ones reverses the order.
-func sortKeys(l []float64, flip uint64) []uint64 {
+// cmp.Compare's order on the weights: NaNs first and equal, −0 equal to
+// +0 (the +0 makes −0 into +0), negatives below positives.
+func sortKeys(l []float64) []uint64 {
 	keys := make([]uint64, len(l))
 	for i, v := range l {
 		var k uint64 // NaN
@@ -155,7 +131,7 @@ func sortKeys(l []float64, flip uint64) []uint64 {
 				k = ^k
 			}
 		}
-		keys[i] = k ^ flip
+		keys[i] = k
 	}
 	return keys
 }
@@ -199,77 +175,18 @@ func argsort(keys []uint64) []int {
 	return idx
 }
 
-// Shuffle returns a uniformly random order of [0, n).
-func Shuffle(n int, r *xrand.Rand) []int {
-	return r.Perm(n)
-}
-
-// SortedDesc returns indices ordered by descending L, ties in index
-// order (ablation worst case for contiguous sharding): argsort on the
-// complemented keys.
-func SortedDesc(l []float64) []int {
-	return argsort(sortKeys(l, ^uint64(0)))
-}
-
-// GreedyLPT partitions indices into parts shards by assigning samples in
-// descending-L order to the currently lightest shard, then flattens the
-// shards back into one order so that contiguous sharding by Split
-// reproduces them. Classical 4/3-approximation to multiway number
-// partitioning.
-func GreedyLPT(l []float64, parts int) []int {
-	if parts < 1 {
-		parts = 1
-	}
-	order := SortedDesc(l)
-	shards := make([][]int, parts)
-	sums := make([]float64, parts)
-	target := len(l)/parts + 1
-	for i := range shards {
-		shards[i] = make([]int, 0, target)
-	}
-	for _, idx := range order {
-		// Pick the shard with the smallest sum that is not already full.
-		// Capacity balancing keeps shard sizes within ±1 so Split can
-		// reconstruct them contiguously.
-		best := -1
-		for s := 0; s < parts; s++ {
-			if len(shards[s]) >= capFor(len(l), parts, s) {
-				continue
-			}
-			if best == -1 || sums[s] < sums[best] {
-				best = s
-			}
-		}
-		shards[best] = append(shards[best], idx)
-		sums[best] += l[idx]
-	}
-	out := make([]int, 0, len(l))
-	for _, s := range shards {
-		out = append(out, s...)
-	}
-	return out
-}
-
-// capFor returns the size of shard s when n items are split into parts
-// contiguous shards via Split (first n%parts shards get one extra).
-func capFor(n, parts, s int) int {
-	base := n / parts
-	if s < n%parts {
-		return base + 1
-	}
-	return base
-}
-
 // Split divides order into parts contiguous shards whose sizes differ by
-// at most one, mirroring Algorithm 4 line 9's contiguous range slicing.
+// at most one (the first len(order)%parts get one extra), mirroring
+// Algorithm 4 line 9's contiguous range slicing.
 func Split(order []int, parts int) [][]int {
-	if parts < 1 {
-		parts = 1
-	}
+	parts = max(parts, 1)
 	shards := make([][]int, parts)
-	pos := 0
-	for s := 0; s < parts; s++ {
-		c := capFor(len(order), parts, s)
+	base, rem, pos := len(order)/parts, len(order)%parts, 0
+	for s := range shards {
+		c := base
+		if s < rem {
+			c++
+		}
 		shards[s] = order[pos : pos+c]
 		pos += c
 	}
@@ -306,58 +223,48 @@ func Imbalance(phis []float64) float64 {
 	return (maxP - minP) / mean
 }
 
-// Shards is Plan followed by Split: it prepares the training order for
-// parts workers and returns the contiguous per-worker shards directly.
-// Cluster deployments use it to assign each worker node its
-// importance-balanced slice of the corpus — every node computes the same
-// deterministic plan from the same weights and seed, so shard assignment
-// needs no coordination traffic.
-func Shards(l []float64, parts int, mode Mode, zeta float64, r *xrand.Rand) ([][]int, Decision) {
-	order, dec := Plan(l, parts, mode, zeta, r)
-	return Split(order, parts), dec
+// Inflation returns K·ΣΦ_a²/(ΣΦ_a)² for the K shard sums Φ: the factor
+// by which unequal shard importance inflates the IS second moment over
+// the global optimum when every worker draws the same number of
+// updates. It is 1 for equal sums and at most K; 0 for no weight.
+func Inflation(phis []float64) float64 {
+	sum, sumSq := 0.0, 0.0
+	for _, p := range phis {
+		sum += p
+		sumSq += p * p
+	}
+	if sum == 0 {
+		return 0
+	}
+	return float64(len(phis)) * sumSq / (sum * sum)
 }
 
-// Decision records which path Algorithm 4 took and the resulting shard
-// quality, for logging and the experiment harness.
+// Decision records how the dataset order was prepared and the resulting
+// shard quality, for logging and the experiment harness.
 type Decision struct {
-	Mode      Mode    // requested mode
-	Balanced  bool    // whether head–tail (or LPT) was applied
+	Balanced  bool    // whether head–tail (Algorithm 3) was applied
 	Rho       float64 // Eq. 20 on the full L vector
-	Zeta      float64 // threshold used
+	Zeta      float64 // the paper's threshold DefaultZeta, for reading ρ against; no plan consults it
 	Psi       float64 // Eq. 15 (normalized)
 	Imbalance float64 // (max−min)/mean over shard Φ_a
+	Inflation float64 // Inflation over shard Φ_a
 }
 
-// Plan prepares the training order for numT workers per Algorithm 4 lines
-// 2–6 (with the erratum fix described in the package comment): compute ρ,
-// choose balancing or shuffling, rearrange, and report shard statistics.
-// The returned order is the rearranged dataset index sequence Dr; shards
-// are contiguous slices of it.
-func Plan(l []float64, numT int, mode Mode, zeta float64, r *xrand.Rand) ([]int, Decision) {
-	if zeta <= 0 {
-		zeta = DefaultZeta
-	}
-	d := Decision{Mode: mode, Rho: Rho(l), Zeta: zeta, Psi: Psi(l)}
+// Plan prepares the training order for numT workers: a shuffle drawn
+// from r (ForceShuffle), or Algorithm 3's head–tail order
+// (ForceBalance), which draws nothing. It reports shard statistics. The
+// returned order is the rearranged dataset index sequence Dr; shards are
+// contiguous slices of it (Split).
+func Plan(l []float64, numT int, mode Mode, r *xrand.Rand) ([]int, Decision) {
+	d := Decision{Rho: Rho(l), Zeta: DefaultZeta, Psi: Psi(l)}
 	var order []int
-	switch mode {
-	case ForceBalance:
+	if mode == ForceBalance {
 		order = HeadTail(l)
 		d.Balanced = true
-	case ForceShuffle:
-		order = Shuffle(len(l), r)
-	case Sorted:
-		order = SortedDesc(l)
-	case LPT:
-		order = GreedyLPT(l, numT)
-		d.Balanced = true
-	default: // Auto
-		if d.Rho >= zeta {
-			order = HeadTail(l)
-			d.Balanced = true
-		} else {
-			order = Shuffle(len(l), r)
-		}
+	} else {
+		order = r.Perm(len(l))
 	}
-	d.Imbalance = Imbalance(ImportanceSums(Split(order, numT), l))
+	phis := ImportanceSums(Split(order, numT), l)
+	d.Imbalance, d.Inflation = Imbalance(phis), Inflation(phis)
 	return order, d
 }

@@ -129,7 +129,7 @@ func TestHeadTailIsPermutationProperty(t *testing.T) {
 
 func TestHeadTailBeatsSortedProperty(t *testing.T) {
 	// Property: head–tail balancing never yields a worse Φ-imbalance than
-	// sorted-descending order under contiguous sharding.
+	// sorted-descending order, the worst case for contiguous sharding.
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
 		n := 4 + r.Intn(400)
@@ -138,49 +138,13 @@ func TestHeadTailBeatsSortedProperty(t *testing.T) {
 		for i := range l {
 			l[i] = math.Exp(2 * r.NormFloat64())
 		}
+		_, desc := sortFuncOrders(l)
 		ht := Imbalance(ImportanceSums(Split(HeadTail(l), parts), l))
-		srt := Imbalance(ImportanceSums(Split(SortedDesc(l), parts), l))
+		srt := Imbalance(ImportanceSums(Split(desc, parts), l))
 		return ht <= srt+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLPTBeatsShuffleOnSkewedData(t *testing.T) {
-	r := xrand.New(77)
-	n, parts := 1000, 8
-	l := make([]float64, n)
-	for i := range l {
-		l[i] = math.Exp(3 * r.NormFloat64())
-	}
-	lpt := Imbalance(ImportanceSums(Split(GreedyLPT(l, parts), parts), l))
-	sh := Imbalance(ImportanceSums(Split(Shuffle(n, r), parts), l))
-	if lpt > sh {
-		t.Fatalf("LPT imbalance %g worse than shuffle %g", lpt, sh)
-	}
-}
-
-func TestLPTIsPermutation(t *testing.T) {
-	r := xrand.New(13)
-	for _, n := range []int{1, 7, 64, 101} {
-		for _, parts := range []int{1, 2, 5} {
-			l := make([]float64, n)
-			for i := range l {
-				l[i] = r.Float64()
-			}
-			order := GreedyLPT(l, parts)
-			seen := make([]bool, n)
-			for _, i := range order {
-				if seen[i] {
-					t.Fatalf("n=%d parts=%d: duplicate index %d", n, parts, i)
-				}
-				seen[i] = true
-			}
-			if len(order) != n {
-				t.Fatalf("n=%d parts=%d: len=%d", n, parts, len(order))
-			}
-		}
 	}
 }
 
@@ -233,63 +197,61 @@ func TestImbalanceEdgeCases(t *testing.T) {
 	}
 }
 
-func TestPlanAutoBranches(t *testing.T) {
-	r := xrand.New(3)
-	// High variance → balance.
-	lHigh := []float64{0.001, 10, 0.002, 20, 0.003, 30}
-	_, d := Plan(lHigh, 2, Auto, DefaultZeta, r)
-	if !d.Balanced {
-		t.Fatalf("high-ρ auto plan did not balance (ρ=%g)", d.Rho)
-	}
-	// Near-constant L → shuffle.
-	lLow := []float64{1, 1.0001, 0.9999, 1, 1.0002, 0.9998}
-	_, d = Plan(lLow, 2, Auto, DefaultZeta, r)
-	if d.Balanced {
-		t.Fatalf("low-ρ auto plan balanced (ρ=%g)", d.Rho)
+func TestInflation(t *testing.T) {
+	for _, c := range []struct {
+		phis []float64
+		want float64
+	}{
+		{nil, 0}, {[]float64{0, 0}, 0}, {[]float64{5, 5}, 1}, {[]float64{3, 7}, 2 * 58.0 / 100},
+		{[]float64{1, 0, 0, 0}, 4}, // all weight on one of K shards: the bound K
+	} {
+		if got := Inflation(c.phis); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("Inflation(%v) = %g, want %g", c.phis, got, c.want)
+		}
 	}
 }
 
 func TestPlanForcedModes(t *testing.T) {
-	r := xrand.New(4)
 	l := []float64{1, 2, 3, 4, 5, 6}
-	_, d := Plan(l, 3, ForceBalance, 0, r)
-	if !d.Balanced || d.Zeta != DefaultZeta {
-		t.Fatalf("ForceBalance decision = %+v", d)
+	order, d := Plan(l, 3, ForceBalance, xrand.New(4))
+	if !d.Balanced || d.Zeta != DefaultZeta || !slices.Equal(order, HeadTail(l)) {
+		t.Fatalf("ForceBalance plan order=%v decision=%+v", order, d)
 	}
-	_, d = Plan(l, 3, ForceShuffle, 0, r)
-	if d.Balanced {
-		t.Fatalf("ForceShuffle decision = %+v", d)
+	order, d = Plan(l, 3, ForceShuffle, xrand.New(4))
+	if d.Balanced || !slices.Equal(order, xrand.New(4).Perm(len(l))) {
+		t.Fatalf("ForceShuffle plan order=%v decision=%+v", order, d)
 	}
-	order, d := Plan(l, 3, Sorted, 0, r)
-	if d.Balanced || order[0] != 5 {
-		t.Fatalf("Sorted plan order=%v decision=%+v", order, d)
-	}
-	_, d = Plan(l, 3, LPT, 0, r)
-	if !d.Balanced {
-		t.Fatalf("LPT decision = %+v", d)
+	var zero Mode
+	if zero != ForceShuffle {
+		t.Fatalf("the zero Mode is %v, want shuffle", zero)
 	}
 }
 
 func TestPlanImbalanceOrdering(t *testing.T) {
-	// On a skewed L, balanced plans must yield lower shard imbalance than
-	// the sorted worst case.
+	// The decision's shard statistics are those of the order's
+	// contiguous split, and on a skewed L head–tail still beats the
+	// sorted worst case.
 	r := xrand.New(5)
 	l := make([]float64, 600)
 	for i := range l {
 		l[i] = math.Exp(2 * r.NormFloat64())
 	}
-	_, db := Plan(l, 8, ForceBalance, 0, r)
-	_, ds := Plan(l, 8, Sorted, 0, r)
-	if db.Imbalance >= ds.Imbalance {
-		t.Fatalf("balance imbalance %g not better than sorted %g", db.Imbalance, ds.Imbalance)
+	for _, mode := range []Mode{ForceBalance, ForceShuffle} {
+		order, d := Plan(l, 8, mode, r)
+		phis := ImportanceSums(Split(order, 8), l)
+		if d.Imbalance != Imbalance(phis) || d.Inflation != Inflation(phis) || d.Rho != Rho(l) || d.Psi != Psi(l) {
+			t.Fatalf("%v: decision %+v does not describe its order", mode, d)
+		}
+	}
+	_, db := Plan(l, 8, ForceBalance, r)
+	_, desc := sortFuncOrders(l)
+	if sorted := Imbalance(ImportanceSums(Split(desc, 8), l)); db.Imbalance >= sorted {
+		t.Fatalf("balance imbalance %g not better than sorted %g", db.Imbalance, sorted)
 	}
 }
 
 func TestModeString(t *testing.T) {
-	names := map[Mode]string{
-		Auto: "auto", ForceBalance: "balance", ForceShuffle: "shuffle",
-		Sorted: "sorted", LPT: "lpt", Mode(42): "Mode(42)",
-	}
+	names := map[Mode]string{ForceShuffle: "shuffle", ForceBalance: "balance", Mode(42): "Mode(42)"}
 	for m, want := range names {
 		if m.String() != want {
 			t.Errorf("Mode(%d).String() = %q, want %q", int(m), m.String(), want)
@@ -301,19 +263,15 @@ func TestShardsDeterministicAcrossCallers(t *testing.T) {
 	l := []float64{9, 1, 4, 4, 7, 2, 3, 8, 5, 6}
 	// Two independent callers with the same seed (two cluster nodes
 	// planning locally) must agree on every shard.
-	a, decA := Shards(l, 3, Auto, 0, xrand.New(7))
-	b, decB := Shards(l, 3, Auto, 0, xrand.New(7))
+	orderA, decA := Plan(l, 3, ForceShuffle, xrand.New(7))
+	orderB, decB := Plan(l, 3, ForceShuffle, xrand.New(7))
+	a, b := Split(orderA, 3), Split(orderB, 3)
 	if len(a) != 3 || len(b) != 3 {
 		t.Fatalf("shard counts = %d, %d, want 3", len(a), len(b))
 	}
 	for s := range a {
-		if len(a[s]) != len(b[s]) {
-			t.Fatalf("shard %d sizes differ: %d vs %d", s, len(a[s]), len(b[s]))
-		}
-		for k := range a[s] {
-			if a[s][k] != b[s][k] {
-				t.Fatalf("shard %d position %d differs: %d vs %d", s, k, a[s][k], b[s][k])
-			}
+		if !slices.Equal(a[s], b[s]) {
+			t.Fatalf("shard %d differs: %v vs %v", s, a[s], b[s])
 		}
 	}
 	if decA != decB {
@@ -334,24 +292,8 @@ func TestShardsDeterministicAcrossCallers(t *testing.T) {
 	}
 }
 
-// TestParseMode pins the one balance-mode lookup: every mode answers to
-// its String name, "" selects Auto, anything else is an error.
-func TestParseMode(t *testing.T) {
-	for in, want := range map[string]Mode{
-		"": Auto, "auto": Auto, "balance": ForceBalance, "shuffle": ForceShuffle, "sorted": Sorted, "lpt": LPT,
-	} {
-		if got, err := ParseMode(in); err != nil || got != want {
-			t.Errorf("ParseMode(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Error("ParseMode accepted an unknown mode")
-	}
-}
-
-// TestSortsMatchStableReference: HeadTail and SortedDesc break ties on
-// the index, which is the order sort.SliceStable gives from the
-// identity, on untied weights and on weights with a few tied levels.
+// TestSortsMatchStableReference: HeadTail breaks ties on the index,
+// which is the order sort.SliceStable gives from the identity, on untied weights and on weights with a few tied levels.
 func TestSortsMatchStableReference(t *testing.T) {
 	r := xrand.New(9)
 	for _, levels := range []int{0, 1, 3, 50} { // 0: continuous, untied
@@ -364,12 +306,11 @@ func TestSortsMatchStableReference(t *testing.T) {
 					l[i] = float64(r.Intn(levels))
 				}
 			}
-			asc, desc := make([]int, n), make([]int, n)
+			asc := make([]int, n)
 			for i := range asc {
-				asc[i], desc[i] = i, i
+				asc[i] = i
 			}
 			sort.SliceStable(asc, func(a, b int) bool { return l[asc[a]] < l[asc[b]] })
-			sort.SliceStable(desc, func(a, b int) bool { return l[desc[a]] > l[desc[b]] })
 			var headTail []int
 			for i := 0; i < n/2; i++ {
 				headTail = append(headTail, asc[i], asc[n-1-i])
@@ -380,16 +321,14 @@ func TestSortsMatchStableReference(t *testing.T) {
 			if got := HeadTail(l); !slices.Equal(got, headTail) {
 				t.Fatalf("levels %d, n %d: HeadTail = %v, want %v", levels, n, got, headTail)
 			}
-			if got := SortedDesc(l); !slices.Equal(got, desc) {
-				t.Fatalf("levels %d, n %d: SortedDesc = %v, want %v", levels, n, got, desc)
-			}
 		}
 	}
 }
 
-// sortFuncOrders is the comparison-sort reference for HeadTail and
-// SortedDesc: slices.SortFunc on cmp.Compare with ties broken on the
-// index, which is what both computed before the radix sort.
+// sortFuncOrders is the comparison-sort reference for HeadTail, which
+// computed it before the radix sort, and the sorted-descending order,
+// the worst case of contiguous sharding: slices.SortFunc on
+// cmp.Compare with ties broken on the index.
 func sortFuncOrders(l []float64) (headTail, desc []int) {
 	asc, desc := make([]int, len(l)), make([]int, len(l))
 	for i := range asc {
@@ -408,15 +347,12 @@ func sortFuncOrders(l []float64) (headTail, desc []int) {
 	return headTail, desc
 }
 
-// checkOrders fails unless HeadTail and SortedDesc equal the reference.
+// checkOrders fails unless HeadTail equals the reference.
 func checkOrders(t *testing.T, name string, l []float64) {
 	t.Helper()
-	headTail, desc := sortFuncOrders(l)
+	headTail, _ := sortFuncOrders(l)
 	if got := HeadTail(l); !slices.Equal(got, headTail) {
 		t.Fatalf("%s: HeadTail = %v, want %v", name, got, headTail)
-	}
-	if got := SortedDesc(l); !slices.Equal(got, desc) {
-		t.Fatalf("%s: SortedDesc = %v, want %v", name, got, desc)
 	}
 }
 
@@ -457,7 +393,7 @@ func TestArgsortMatchesSortFunc(t *testing.T) {
 	checkOrders(t, "all specials", specials)
 }
 
-// FuzzArgsort checks HeadTail and SortedDesc against the comparison
+// FuzzArgsort checks HeadTail against the comparison
 // sort on arbitrary weights. An even first byte reads the rest as
 // float64 bit patterns, 8 bytes each (every NaN payload, subnormal and
 // sign); an odd one reads each further byte as a pick among 16 values,

@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/isasgd/isasgd/internal/balance"
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/frame"
 	"github.com/isasgd/isasgd/internal/metrics"
@@ -66,7 +65,7 @@ func startCoordinator(t *testing.T, cfg CoordinatorConfig) (*Coordinator, *httpt
 func workerCfg(ds *dataset.Dataset, obj objective.Objective, id, n int, url string) WorkerConfig {
 	return WorkerConfig{
 		ID: id, Workers: n, Coordinator: url,
-		Data: ds, Obj: obj, Mode: balance.Auto, Seed: 42,
+		Data: ds, Obj: obj, Seed: 42,
 		Threads: 1, LocalEpochs: 1, Step: 0.5,
 		PollTimeout: 2 * time.Second,
 		Retry:       RetryPolicy{Max: 3, Base: 5 * time.Millisecond, Cap: 50 * time.Millisecond},

@@ -1,8 +1,8 @@
 // Package cluster distributes IS-ASGD across processes in the classic
 // parameter-server star topology: one coordinator owns the authoritative
 // dense weight vector behind an internal/snapshot.Store, and worker
-// nodes train importance-sampled gradient rounds on their
-// internal/balance-assigned shard of the corpus, exchanging state over
+// nodes train importance-sampled gradient rounds on their shard of a
+// seeded shuffle of the corpus, exchanging state over
 // stdlib net/http: deltas as a binary push frame (wire.go), weights as
 // the version frame of internal/frame, verdicts, stats and errors as
 // small JSON bodies.
@@ -53,10 +53,9 @@
 // loss, not necessarily its own version's.
 //
 // Shard assignment needs no coordination traffic: every node loads the
-// same corpus, computes the same deterministic importance-balanced plan
-// (balance.Shards is a pure function of the Lipschitz weights, worker
-// count, mode and seed), and takes the slice matching its worker id —
-// Algorithm 4's balanced contiguous shards, stretched across machines.
+// same corpus, draws the same seeded shuffle of its rows, and takes the
+// contiguous slice matching its worker id — Algorithm 4's contiguous
+// shards, stretched across machines.
 //
 // Everything observable is exported through internal/obs under the
 // isasgd_cluster_* families: push outcomes (applied/shed/bad), realized

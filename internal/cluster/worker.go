@@ -26,12 +26,10 @@ type WorkerConfig struct {
 	Coordinator string
 
 	// Data is the full corpus; every node loads the same corpus and the
-	// same (Mode, Zeta, Seed) so balance.Shards yields identical plans
-	// everywhere and shard assignment needs no RPC.
+	// same Seed, so the seeded shuffle cuts the same shards everywhere
+	// and shard assignment needs no RPC.
 	Data *dataset.Dataset
 	Obj  objective.Objective
-	Mode balance.Mode
-	Zeta float64
 	Seed uint64
 
 	// Threads is the local Hogwild width; LocalEpochs the shard passes
@@ -68,14 +66,13 @@ type WorkerStats struct {
 	Updates int64 // local SGD updates computed
 }
 
-// Worker trains IS-ASGD rounds on its balance-assigned shard and
+// Worker trains IS-ASGD rounds on its shard of a seeded shuffle and
 // exchanges model state with the coordinator. Create with NewWorker,
 // drive with Run.
 type Worker struct {
 	cfg  WorkerConfig
 	rpc  *rpcClient
 	eng  *core.Engine
-	dec  balance.Decision
 	dim  int
 	wire string // normalized WireF64 or WireF32
 
@@ -88,9 +85,8 @@ type Worker struct {
 // validates nothing: spec.Spec.Validate has.
 func WorkerFromSpec(s spec.Spec, data *dataset.Dataset) WorkerConfig {
 	obj, _ := objective.Parse(s.Objective, s.Eta)
-	mode, _ := balance.ParseMode(s.Balance)
 	return WorkerConfig{
-		Data: data, Obj: obj, Mode: mode, Seed: s.Seed,
+		Data: data, Obj: obj, Seed: s.Seed,
 		Threads: s.Threads, Step: s.Step, StepDecay: s.StepDecay,
 	}
 }
@@ -139,32 +135,28 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		return nil, err
 	}
 
-	l := objective.Weights(cfg.Data.X, cfg.Obj)
-	shards, dec := balance.Shards(l, cfg.Workers, cfg.Mode, cfg.Zeta, xrand.New(cfg.Seed))
-	shard := shards[cfg.ID]
+	shard := balance.Split(xrand.New(cfg.Seed).Perm(cfg.Data.N()), cfg.Workers)[cfg.ID]
 	if len(shard) == 0 {
 		return nil, fmt.Errorf("cluster: shard %d is empty (%d rows across %d workers)",
 			cfg.ID, cfg.Data.N(), cfg.Workers)
 	}
 	local := cfg.Data.Reorder(shard)
 	// The local engine importance-samples within the shard (Algorithm 4's
-	// per-worker alias sampling); the cross-node balancing already
-	// equalized shard importance sums, so intra-node order prep just
-	// shuffles. Its model is core's: a plain slice on one thread, CAS
+	// per-worker alias sampling) and shuffles it again for its own
+	// threads. Its model is core's: a plain slice on one thread, CAS
 	// cells on more.
 	kind := model.KindAtomic
 	if cfg.Threads == 1 {
 		kind = model.KindRacy
 	}
 	eng, err := core.NewISASGDOpts(local, cfg.Obj, model.New(kind, cfg.Data.Dim()), cfg.Threads,
-		core.ISOptions{Mode: balance.ForceShuffle, Seed: cfg.Seed ^ (uint64(cfg.ID+1) * 0x9e3779b97f4a7c15)})
+		core.ISOptions{Seed: cfg.Seed ^ (uint64(cfg.ID+1) * 0x9e3779b97f4a7c15)})
 	if err != nil {
 		return nil, err
 	}
 	w := &Worker{
 		cfg:  cfg,
 		eng:  eng,
-		dec:  dec,
 		dim:  cfg.Data.Dim(),
 		wire: wire,
 		rpc: &rpcClient{
@@ -177,9 +169,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	return w, nil
 }
-
-// Decision reports the shard plan this worker computed.
-func (w *Worker) Decision() balance.Decision { return w.dec }
 
 // ShardRows returns the local shard size.
 func (w *Worker) ShardRows() int { return int(w.eng.ItersPerEpoch()) }

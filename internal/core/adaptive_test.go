@@ -76,7 +76,7 @@ func TestAdaptiveSingleWorkerMatchesPlain(t *testing.T) {
 func TestAdaptiveConcurrentConverges(t *testing.T) {
 	ds, obj := smallProblem(t)
 	run := func(kind model.Kind) float64 {
-		e, err := NewISASGD(ds, obj, model.New(kind, ds.Dim()), 8, balance.Auto, 0, 7, false)
+		e, err := NewISASGD(ds, obj, model.New(kind, ds.Dim()), 8, balance.ForceShuffle, 7, false)
 		if err != nil {
 			t.Fatal(err)
 		}

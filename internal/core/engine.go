@@ -3,7 +3,7 @@
 // one worker with uniform sampling is plain SGD (Eq. 3), one worker with
 // importance sampling is IS-SGD (Algorithm 2), many workers with uniform
 // sampling is Hogwild ASGD (Recht et al. 2011), and many workers with
-// importance-balanced shards and local importance sampling is IS-ASGD.
+// local importance sampling over their shards is IS-ASGD.
 // SVRG (NewSVRG) is the uniform construction plus a per-epoch anchor
 // pass, in the sparse form that keeps its update O(nnz). Train drives
 // any of them through epochs, evaluation and publication.
@@ -24,8 +24,11 @@
 //   - each worker owns a contiguous shard of the (rearranged) dataset
 //     and a sampling distribution computed from its local Lipschitz
 //     constants (Algorithm 4 lines 9–11);
-//   - the shard layout is chosen by importance balancing (Algorithm 3)
-//     or random shuffling, adaptively on ρ (Algorithm 4 lines 2–6);
+//   - the shard layout is a seeded shuffle, for IS as for uniform
+//     sampling: it leaves the shards' importance sums Φ_a at least as
+//     close to equal as Algorithm 3's head–tail order on every corpus
+//     measured (internal/balance), which the reproduction still runs
+//     where Algorithm 4's ρ ≥ ζ rule picks it;
 //   - updates go through a shared model with either CAS (race-free) or
 //     plain (true Hogwild) writes, via internal/kernel's devirtualized
 //     fused update kernels — the update loop only resolves the next row
@@ -49,9 +52,8 @@
 //     split across the engine's workers: newEngine makes one pass over
 //     the rows, in row ranges of about equal nnz, that writes the
 //     relabelled index copy, the float32 value copy and each row's
-//     ‖x_i‖² (from which come L_i and grad's ‖x_i‖); Algorithm 3's sort
-//     is a radix sort (internal/balance); and each worker builds its own
-//     alias table, step scales and sequence. Every table is the serial
+//     ‖x_i‖² (from which come L_i and grad's ‖x_i‖); and each worker
+//     builds its own alias table, step scales and sequence. Every table is the serial
 //     construction's bit for bit.
 //
 // The update loop itself (Loop, Rows) is the only one in the repository:
@@ -187,9 +189,9 @@ func (e *Engine) SetAdaptive(p adaptive.Policy) error {
 // not applied.
 func (e *Engine) Shed() int64 { return e.loop.Shed() }
 
-// Decision reports how the dataset order was prepared (Algorithm 4's
-// branch plus shard Φ statistics). Meaningful for IS-ASGD; zero for the
-// other constructions.
+// Decision reports how the dataset order was prepared (shuffle or
+// head–tail) and its shard Φ statistics. Meaningful for IS-ASGD; zero
+// for the other constructions.
 func (e *Engine) Decision() balance.Decision { return e.decision }
 
 // Threads returns the worker count.
@@ -447,10 +449,9 @@ func (e *Engine) svrgPass(t int) {
 
 // ISOptions configures the importance-sampling constructions.
 type ISOptions struct {
-	// Mode selects shard preparation (Algorithm 4 lines 2–6).
+	// Mode selects shard preparation: the zero value shuffles, and
+	// balance.ForceBalance applies Algorithm 3 (the reproduction's arm).
 	Mode balance.Mode
-	// Zeta is the ρ threshold; <= 0 selects balance.DefaultZeta.
-	Zeta float64
 	// Seed drives all randomness.
 	Seed uint64
 	// ShuffleSeq enables the paper's generate-once-reshuffle
@@ -475,14 +476,15 @@ type ISOptions struct {
 // worker holding the whole dataset, alias sampling from the global
 // distribution P of Eq. 12, step scaled by 1/(n·p_i) (Eq. 8).
 func NewISSGD(ds *dataset.Dataset, obj objective.Objective, m model.Params, seed uint64, shuffleSeq bool) (*Engine, error) {
-	return NewISASGDOpts(ds, obj, m, 1, ISOptions{Mode: balance.ForceShuffle, Seed: seed, ShuffleSeq: shuffleSeq})
+	return NewISASGDOpts(ds, obj, m, 1, ISOptions{Seed: seed, ShuffleSeq: shuffleSeq})
 }
 
-// NewISASGD builds the paper's Algorithm 4: plan the dataset order
-// (importance balancing or shuffle, adaptive on ρ unless forced), split
-// into contiguous worker shards, build each worker's local distribution
-// P_tid from its local Lipschitz constants, pre-generate local sample
-// sequences, and scale steps by 1/(N_a·p_ai).
+// NewISASGD builds the paper's Algorithm 4: plan the dataset order (a
+// seeded shuffle, or Algorithm 3's head–tail order for mode
+// balance.ForceBalance), split it into contiguous worker shards, build
+// each worker's local distribution P_tid from its local Lipschitz
+// constants, pre-generate local sample sequences, and scale steps by
+// 1/(N_a·p_ai).
 //
 // When shuffleSeq is false (the default) each worker regenerates its
 // sample sequence from its distribution every epoch, keeping the visit
@@ -493,10 +495,8 @@ func NewISSGD(ds *dataset.Dataset, obj objective.Objective, m model.Params, seed
 // paper's dataset sizes the distortion is negligible, but at the scaled
 // sizes used here it is measurable (see the sequence ablation).
 func NewISASGD(ds *dataset.Dataset, obj objective.Objective, m model.Params, threads int,
-	mode balance.Mode, zeta float64, seed uint64, shuffleSeq bool) (*Engine, error) {
-	return NewISASGDOpts(ds, obj, m, threads, ISOptions{
-		Mode: mode, Zeta: zeta, Seed: seed, ShuffleSeq: shuffleSeq,
-	})
+	mode balance.Mode, seed uint64, shuffleSeq bool) (*Engine, error) {
+	return NewISASGDOpts(ds, obj, m, threads, ISOptions{Mode: mode, Seed: seed, ShuffleSeq: shuffleSeq})
 }
 
 // NewISASGDOpts is NewISASGD with the full option set.
@@ -526,9 +526,9 @@ func NewISASGDOpts(ds *dataset.Dataset, obj objective.Objective, m model.Params,
 		l[i] = obj.Lipschitz(sq)
 	}
 	if e.partialBias {
-		l = partialBiasWeights(l)
+		l = PartialBiasWeights(l)
 	}
-	order, dec := balance.Plan(l, e.Threads(), opts.Mode, opts.Zeta, e.rngs[0])
+	order, dec := balance.Plan(l, e.Threads(), opts.Mode, e.rngs[0])
 	e.decision = dec
 	e.shards = balance.Split(order, e.Threads())
 	if err := e.buildSamplers(l); err != nil {
@@ -537,9 +537,10 @@ func NewISASGDOpts(ds *dataset.Dataset, obj objective.Objective, m model.Params,
 	return e, nil
 }
 
-// partialBiasWeights returns 0.5·(L̄ + L_i), which normalizes to the
-// partially biased distribution ½(1/n + L_i/ΣL).
-func partialBiasWeights(l []float64) []float64 {
+// PartialBiasWeights returns 0.5·(L̄ + L_i), which normalizes to the
+// partially biased distribution ½(1/n + L_i/ΣL): the weights an engine
+// with ISOptions.PartialBias samples and plans its shards by.
+func PartialBiasWeights(l []float64) []float64 {
 	mean := 0.0
 	for _, v := range l {
 		mean += v

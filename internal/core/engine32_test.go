@@ -98,10 +98,10 @@ func TestConcurrentEpochsAtomic32Model(t *testing.T) {
 			return NewASGD(ds, obj, model.NewAtomic32(ds.Dim()), threads, 1)
 		},
 		"is-asgd": func() (*Engine, error) {
-			return NewISASGD(ds, obj, model.NewAtomic32(ds.Dim()), threads, balance.Auto, 0, 1, false)
+			return NewISASGD(ds, obj, model.NewAtomic32(ds.Dim()), threads, balance.ForceShuffle, 1, false)
 		},
 		"is-asgd-balanced": func() (*Engine, error) {
-			return NewISASGD(ds, obj, model.NewAtomic32(ds.Dim()), threads, balance.ForceBalance, 0, 1, true)
+			return NewISASGD(ds, obj, model.NewAtomic32(ds.Dim()), threads, balance.ForceBalance, 1, true)
 		},
 	}
 	for name, build := range builders {
@@ -136,7 +136,7 @@ func TestConcurrentEpochsRacy32Model(t *testing.T) {
 	ds, obj := smallProblem(t)
 	for _, kind := range []model.Kind{model.KindRacy32} {
 		t.Run(kind.String(), func(t *testing.T) {
-			e, err := NewISASGD(ds, obj, model.New(kind, ds.Dim()), 8, balance.Auto, 0, 1, false)
+			e, err := NewISASGD(ds, obj, model.New(kind, ds.Dim()), 8, balance.ForceShuffle, 1, false)
 			if err != nil {
 				t.Fatal(err)
 			}

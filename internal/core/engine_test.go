@@ -140,7 +140,7 @@ func TestASGDConvergesConcurrently(t *testing.T) {
 
 func TestISASGDConvergesAndReportsDecision(t *testing.T) {
 	ds, obj := smallProblem(t)
-	e, err := NewISASGD(ds, obj, model.NewAtomic(ds.Dim()), 8, balance.Auto, 0, 7, false)
+	e, err := NewISASGD(ds, obj, model.NewAtomic(ds.Dim()), 8, balance.ForceShuffle, 7, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,25 +158,24 @@ func TestISASGDConvergesAndReportsDecision(t *testing.T) {
 	}
 }
 
-func TestISASGDBalancedShardsHaveEqualPhi(t *testing.T) {
+// TestISASGDDecisionDescribesItsShards: each mode is honored, and the
+// decision's Φ statistics are those of the shards the workers train on.
+func TestISASGDDecisionDescribesItsShards(t *testing.T) {
 	ds, obj := smallProblem(t)
-	e, err := NewISASGD(ds, obj, model.NewAtomic(ds.Dim()), 4, balance.ForceBalance, 0, 3, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !e.Decision().Balanced {
-		t.Fatal("ForceBalance not honored")
-	}
-	// Algorithm 3 does not guarantee equal Φ (the paper says as much);
-	// the guarantee under test is that it strictly beats the sorted
-	// worst case for contiguous sharding.
-	es, err := NewISASGD(ds, obj, model.NewAtomic(ds.Dim()), 4, balance.Sorted, 0, 3, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Decision().Imbalance >= es.Decision().Imbalance {
-		t.Fatalf("balanced imbalance %g not better than sorted %g",
-			e.Decision().Imbalance, es.Decision().Imbalance)
+	l := objective.Weights(ds.X, obj)
+	for _, mode := range []balance.Mode{balance.ForceBalance, balance.ForceShuffle} {
+		e, err := NewISASGD(ds, obj, model.NewAtomic(ds.Dim()), 4, mode, 3, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := e.Decision()
+		if d.Balanced != (mode == balance.ForceBalance) {
+			t.Fatalf("%v not honored: %+v", mode, d)
+		}
+		phis := balance.ImportanceSums(e.shards, l)
+		if d.Imbalance != balance.Imbalance(phis) || d.Inflation != balance.Inflation(phis) {
+			t.Fatalf("%v: decision %+v, shards have Φ %v", mode, d, phis)
+		}
 	}
 }
 
@@ -201,7 +200,7 @@ func TestSequentialDeterminism(t *testing.T) {
 func TestRegenVsShuffleBothConverge(t *testing.T) {
 	ds, obj := smallProblem(t)
 	for _, shuffleSeq := range []bool{false, true} {
-		e, err := NewISASGD(ds, obj, model.NewAtomic(ds.Dim()), 4, balance.Auto, 0, 5, shuffleSeq)
+		e, err := NewISASGD(ds, obj, model.NewAtomic(ds.Dim()), 4, balance.ForceShuffle, 5, shuffleSeq)
 		if err != nil {
 			t.Fatal(err)
 		}

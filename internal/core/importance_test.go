@@ -14,11 +14,11 @@ import (
 
 func TestPartialBiasWeights(t *testing.T) {
 	l := []float64{1, 2, 3, 4} // mean 2.5
-	out := partialBiasWeights(l)
+	out := PartialBiasWeights(l)
 	want := []float64{1.75, 2.25, 2.75, 3.25}
 	for i := range want {
 		if math.Abs(out[i]-want[i]) > 1e-12 {
-			t.Fatalf("partialBiasWeights = %v, want %v", out, want)
+			t.Fatalf("PartialBiasWeights = %v, want %v", out, want)
 		}
 	}
 	// Normalized, every p_i must satisfy p_i ≥ 1/(2n), so the step
@@ -39,7 +39,7 @@ func TestPartialBiasWeights(t *testing.T) {
 func TestPartialBiasEngineOption(t *testing.T) {
 	ds, obj := smallProblem(t)
 	e, err := NewISASGDOpts(ds, obj, model.NewAtomic(ds.Dim()), 4, ISOptions{
-		Mode: balance.Auto, Seed: 3, PartialBias: true,
+		Seed: 3, PartialBias: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func gradEngine(t *testing.T, kind model.Kind, threads int, seed uint64) *Engine
 	t.Helper()
 	ds, obj := smallProblem(t)
 	e, err := NewISASGDOpts(ds, obj, model.New(kind, ds.Dim()), threads, ISOptions{
-		Mode: balance.Auto, Seed: seed, Importance: "grad",
+		Seed: seed, Importance: "grad",
 	})
 	if err != nil {
 		t.Fatal(err)

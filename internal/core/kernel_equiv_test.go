@@ -28,7 +28,7 @@ func buildConstruction(t *testing.T, name string, ds *dataset.Dataset,
 	case "asgd":
 		e, err = NewASGD(ds, obj, m, 3, seed)
 	case "is-asgd":
-		e, err = NewISASGD(ds, obj, m, 3, balance.Auto, 0, seed, false)
+		e, err = NewISASGD(ds, obj, m, 3, balance.ForceShuffle, seed, false)
 	default:
 		t.Fatalf("unknown construction %q", name)
 	}

@@ -170,7 +170,7 @@ func serialSamplers(t *testing.T, ds *dataset.Dataset, weights []float64, kind m
 	if err != nil {
 		t.Fatal(err)
 	}
-	order, _ := balance.Plan(weights, ref.numT, mode, 0, ref.rngs[0])
+	order, _ := balance.Plan(weights, ref.numT, mode, ref.rngs[0])
 	ref.shards = balance.Split(order, ref.numT)
 	ref.scales, ref.seqs = make([][]float64, ref.numT), make([][]int32, ref.numT)
 	ref.samplers = make([]sampling.Sampler, ref.numT)

@@ -17,7 +17,7 @@ func TestShardsPartitionDatasetProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
 		threads := 1 + r.Intn(12)
-		mode := []balance.Mode{balance.Auto, balance.ForceBalance, balance.ForceShuffle, balance.Sorted, balance.LPT}[r.Intn(5)]
+		mode := []balance.Mode{balance.ForceBalance, balance.ForceShuffle}[r.Intn(2)]
 		e, err := NewISASGDOpts(ds, obj, model.NewAtomic(ds.Dim()), threads, ISOptions{
 			Mode: mode, Seed: seed,
 		})
@@ -53,7 +53,7 @@ func TestScaleExpectationProperty(t *testing.T) {
 		threads := 1 + r.Intn(8)
 		pb := r.Intn(2) == 0
 		e, err := NewISASGDOpts(ds, obj, model.NewAtomic(ds.Dim()), threads, ISOptions{
-			Mode: balance.Auto, Seed: seed, PartialBias: pb,
+			Seed: seed, PartialBias: pb,
 		})
 		if err != nil {
 			return false

@@ -21,10 +21,10 @@ func TestConcurrentEpochsAtomicModel(t *testing.T) {
 			return NewASGD(ds, obj, model.NewAtomic(ds.Dim()), threads, 1)
 		},
 		"is-asgd": func() (*Engine, error) {
-			return NewISASGD(ds, obj, model.NewAtomic(ds.Dim()), threads, balance.Auto, 0, 1, false)
+			return NewISASGD(ds, obj, model.NewAtomic(ds.Dim()), threads, balance.ForceShuffle, 1, false)
 		},
 		"is-asgd-balanced": func() (*Engine, error) {
-			return NewISASGD(ds, obj, model.NewAtomic(ds.Dim()), threads, balance.ForceBalance, 0, 1, true)
+			return NewISASGD(ds, obj, model.NewAtomic(ds.Dim()), threads, balance.ForceBalance, 1, true)
 		},
 	}
 	for name, build := range builders {
@@ -58,7 +58,7 @@ func TestConcurrentEpochsRacyModel(t *testing.T) {
 		t.Skip("racy model is deliberately unsynchronized; skipped under -race")
 	}
 	ds, obj := smallProblem(t)
-	e, err := NewISASGD(ds, obj, model.NewRacy(ds.Dim()), 8, balance.Auto, 0, 1, false)
+	e, err := NewISASGD(ds, obj, model.NewRacy(ds.Dim()), 8, balance.ForceShuffle, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}

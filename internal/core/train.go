@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/isasgd/isasgd/internal/adaptive"
-	"github.com/isasgd/isasgd/internal/balance"
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/metrics"
 	"github.com/isasgd/isasgd/internal/model"
@@ -69,9 +68,6 @@ type Config struct {
 	StepDecay float64 // per-epoch multiplicative decay; default 1 (constant)
 	Threads   int     // workers for async algos; default GOMAXPROCS
 
-	// Importance-sampling options (IS-SGD / IS-ASGD).
-	Balance balance.Mode // shard preparation; default Auto (Algorithm 4)
-	Zeta    float64      // ρ threshold; default balance.DefaultZeta
 	// Importance selects the sampling weights of IS-SGD and IS-ASGD: ""
 	// or "bound" keeps the static Lipschitz bounds of Eq. 12; "grad"
 	// reweighs every epoch by the Eq.-11 gradient norms |ℓ'(z_i)|·‖x_i‖
@@ -135,9 +131,6 @@ func (c Config) withDefaults() Config {
 	} else if c.Threads <= 0 {
 		c.Threads = runtime.GOMAXPROCS(0)
 	}
-	if c.Zeta <= 0 {
-		c.Zeta = balance.DefaultZeta
-	}
 	c.EvalEvery = max(c.EvalEvery, 1)
 	c.PublishEvery = max(c.PublishEvery, 1)
 	return c
@@ -184,11 +177,10 @@ func (c Config) validate(ds *dataset.Dataset) error {
 // nothing: spec.Spec.Validate has.
 func FromSpec(s spec.Spec) Config {
 	algo, _ := ParseAlgo(s.Algo)
-	mode, _ := balance.ParseMode(s.Balance)
 	prec, _ := model.ParsePrecision(s.Precision)
 	return Config{
 		Algo: algo, Epochs: s.Epochs, Step: s.Step, StepDecay: s.StepDecay,
-		Threads: s.Threads, Balance: mode, Seed: s.Seed, EvalEvery: s.EvalEvery,
+		Threads: s.Threads, Seed: s.Seed, EvalEvery: s.EvalEvery,
 		Precision: prec,
 		AdaptC:    s.AdaptC, StalenessBound: s.StalenessBound, DCLambda: s.DCLambda,
 	}
@@ -199,9 +191,8 @@ type Result struct {
 	Algo      Algo
 	Weights   []float64
 	Curve     metrics.Curve
-	Decision  balance.Decision // IS-ASGD's Algorithm-4 branch; zero otherwise
-	TrainTime time.Duration    // wall-clock spent optimizing (eval excluded)
-	Epochs    int              // epochs completed: the point Weights and Iters reached
+	TrainTime time.Duration // wall-clock spent optimizing (eval excluded)
+	Epochs    int           // epochs completed: the point Weights and Iters reached
 	Iters     int64
 	Threads   int
 	Shed      int64 // updates dropped by the adaptive staleness bound (0 unless StalenessBound > 0)
@@ -218,14 +209,11 @@ func (c Config) engine(ds *dataset.Dataset, obj objective.Objective) (*Engine, e
 		kind = kind.As32()
 	}
 	m := model.New(kind, ds.Dim())
-	is := ISOptions{Mode: c.Balance, Zeta: c.Zeta, Seed: c.Seed, Importance: c.Importance}
+	is := ISOptions{Seed: c.Seed, Importance: c.Importance}
 	switch c.Algo {
 	case SGD, ASGD:
 		return NewASGD(ds, obj, m, c.Threads, c.Seed)
-	case ISSGD:
-		is.Mode = balance.ForceShuffle
-		return NewISASGDOpts(ds, obj, m, 1, is)
-	case ISASGD:
+	case ISSGD, ISASGD:
 		return NewISASGDOpts(ds, obj, m, c.Threads, is)
 	case SVRGSGD, SVRGASGD:
 		return NewSVRG(ds, obj, m, c.Threads, c.Seed)
@@ -268,7 +256,7 @@ func Train(ctx context.Context, ds *dataset.Dataset, obj objective.Objective, cf
 		st.Publish(0, 0, eng.Snapshot)
 	}
 
-	res := &Result{Algo: cfg.Algo, Decision: eng.Decision(), Threads: cfg.Threads}
+	res := &Result{Algo: cfg.Algo, Threads: cfg.Threads}
 	rec := metrics.NewRecorder()
 	var sw metrics.Stopwatch
 	w := eng.Snapshot(nil)

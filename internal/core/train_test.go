@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/isasgd/isasgd/internal/balance"
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/objective"
@@ -124,17 +123,17 @@ func TestAllAlgorithmsConverge(t *testing.T) {
 	}
 }
 
+// TestISASGDDecisionExposed: the engine Train builds for IS-ASGD
+// reports its shard plan, which is the seeded shuffle.
 func TestISASGDDecisionExposed(t *testing.T) {
 	ds, obj := testProblem(t)
-	res, err := Train(context.Background(), ds, obj, Config{
-		Algo: ISASGD, Epochs: 2, Step: 0.5, Threads: 4, Seed: 3,
-		Balance: balance.ForceBalance,
-	})
+	cfg := Config{Algo: ISASGD, Epochs: 2, Step: 0.5, Threads: 4, Seed: 3}.withDefaults()
+	e, err := cfg.engine(ds, obj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Decision.Balanced || res.Decision.Rho <= 0 {
-		t.Fatalf("decision = %+v", res.Decision)
+	if d := e.Decision(); d.Balanced || d.Rho <= 0 || d.Inflation < 1 {
+		t.Fatalf("decision = %+v", d)
 	}
 }
 

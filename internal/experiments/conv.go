@@ -41,7 +41,7 @@ type ConvResult struct {
 
 // Convergence trains the paper's algorithm set on one preset: SGD as
 // the sequential baseline, then ASGD and IS-ASGD at every concurrency
-// level P. Every run is on the delayed executor: SGD is one worker at
+// level P, IS-ASGD on the shard plan Algorithm 4 picks. Every run is on the delayed executor: SGD is one worker at
 // τ = 0, and P threads are P workers at τ = P − 1.
 func (r *Runner) Convergence(ctx context.Context, preset string) (*ConvResult, error) {
 	d, err := r.Dataset(preset)
@@ -49,9 +49,10 @@ func (r *Runner) Convergence(ctx context.Context, preset string) (*ConvResult, e
 		return nil, err
 	}
 	obj := r.Objective()
+	l := objective.Weights(d.X, obj)
 	res := &ConvResult{
 		Dataset:   preset,
-		Stats:     dataset.ComputeStats(d, objective.Weights(d.X, obj)),
+		Stats:     dataset.ComputeStats(d, l),
 		Step:      stepFor(preset),
 		Epochs:    r.epochsFor(preset),
 		Threads:   r.Scale.Threads,
@@ -68,7 +69,7 @@ func (r *Runner) Convergence(ctx context.Context, preset string) (*ConvResult, e
 		seed := r.Seed + uint64(k.Threads)*13 + uint64(k.Algo)
 		var e *core.Engine
 		if k.Algo == core.ISASGD {
-			e, err = core.NewISASGD(d, obj, m, k.Threads, balance.Auto, 0, seed, false)
+			e, err = core.NewISASGD(d, obj, m, k.Threads, algorithm4(l), seed, false)
 		} else {
 			e, err = core.NewASGD(d, obj, m, k.Threads, seed)
 		}
@@ -83,6 +84,18 @@ func (r *Runner) Convergence(ctx context.Context, preset string) (*ConvResult, e
 		res.Decisions[k] = e.Decision()
 	}
 	return res, nil
+}
+
+// algorithm4 is the paper's Algorithm 4 lines 2–6, which the
+// reproduction runs and the library does not: head–tail balancing
+// (Algorithm 3) when ρ ≥ ζ on the weights l the engine samples by, a
+// shuffle otherwise (the comparison's direction is explained in
+// internal/balance).
+func algorithm4(l []float64) balance.Mode {
+	if balance.Rho(l) >= balance.DefaultZeta {
+		return balance.ForceBalance
+	}
+	return balance.ForceShuffle
 }
 
 // RenderIterative prints the Figure-3 panel for one dataset: RMSE and

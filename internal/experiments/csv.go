@@ -13,7 +13,7 @@ import (
 // dataset,run,epoch,iters,obj,rmse,err_rate,best_err. Rows are ordered
 // by run key then epoch so the output is deterministic. Column order
 // and number formatting are a contract that testdata/curves.golden
-// pins (go test -run Golden -update ./internal/experiments/ rewrites
+// pins (go test ./internal/experiments/ -run Golden -update rewrites
 // it after a deliberate change).
 func WriteCurvesCSV(w io.Writer, dataset string, curves map[RunKey]metrics.Curve) error {
 	cw := csv.NewWriter(w)

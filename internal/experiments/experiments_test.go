@@ -141,8 +141,8 @@ func TestConvergenceAndRenders(t *testing.T) {
 			t.Errorf("%s ran %d updates, want %d", k, c.Final().Iters, want)
 		}
 	}
-	// IS-ASGD decisions recorded with the expected Algorithm-4 branch
-	// (news20s has ρ ≥ ζ → balanced).
+	// IS-ASGD decisions recorded with the expected Algorithm-4 branch,
+	// which the reproduction applies (news20s has ρ ≥ ζ → balanced).
 	for _, tau := range cr.Threads {
 		d := cr.Decisions[RunKey{Algo: core.ISASGD, Threads: tau}]
 		if !d.Balanced {
@@ -181,6 +181,17 @@ func TestConvergenceCancelled(t *testing.T) {
 	}
 }
 
+// TestAlgorithm4Branches: the reproduction's Algorithm 4 balances at
+// ρ ≥ ζ and shuffles below.
+func TestAlgorithm4Branches(t *testing.T) {
+	if m := algorithm4([]float64{0.001, 10, 0.002, 20, 0.003, 30}); m != balance.ForceBalance {
+		t.Errorf("high-ρ weights: %v, want balance", m)
+	}
+	if m := algorithm4([]float64{1, 1.0001, 0.9999, 1, 1.0002, 0.9998}); m != balance.ForceShuffle {
+		t.Errorf("low-ρ weights: %v, want shuffle", m)
+	}
+}
+
 func TestAblationBalancing(t *testing.T) {
 	var buf bytes.Buffer
 	r := tiny(&buf)
@@ -188,19 +199,18 @@ func TestAblationBalancing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 4 {
+	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	byMode := map[balance.Mode]AblBalanceRow{}
 	for _, row := range res.Rows {
 		byMode[row.Mode] = row
 	}
-	// Balanced and LPT must have lower Φ imbalance than sorted.
-	if byMode[balance.ForceBalance].Imbalance >= byMode[balance.Sorted].Imbalance {
-		t.Error("balance imbalance not better than sorted")
-	}
-	if byMode[balance.LPT].Imbalance >= byMode[balance.Sorted].Imbalance {
-		t.Error("LPT imbalance not better than sorted")
+	// On the skewed corpus the shuffle's shards are closer to equal Φ
+	// than head–tail's, by both measures.
+	ht, sh := byMode[balance.ForceBalance], byMode[balance.ForceShuffle]
+	if sh.Inflation < 1 || sh.Inflation > ht.Inflation || sh.Imbalance > ht.Imbalance {
+		t.Errorf("shuffle %+v does not balance at least as well as head–tail %+v", sh, ht)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/isasgd/isasgd/internal/balance"
-	"github.com/isasgd/isasgd/internal/xrand"
 )
 
 // Fig2Result captures the Section-2.3 worked example: global sampling
@@ -42,8 +41,7 @@ func (r *Runner) Fig2() (*Fig2Result, error) {
 	res.NaiveImbal = balance.Imbalance(res.NaivePhi)
 
 	// Head–tail balancing (Algorithm 3) + contiguous split.
-	order, _ := balance.Plan(l, 2, balance.ForceBalance, 0, xrand.New(r.Seed))
-	res.BalShards = balance.Split(order, 2)
+	res.BalShards = balance.Split(balance.HeadTail(l), 2)
 	res.BalPhi = balance.ImportanceSums(res.BalShards, l)
 	res.BalImbalance = balance.Imbalance(res.BalPhi)
 

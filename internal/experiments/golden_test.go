@@ -29,7 +29,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("read golden (run `go test -run Golden -update ./internal/experiments/` after intentional changes): %v", err)
+		t.Fatalf("read golden (run `go test ./internal/experiments/ -run Golden -update` after intentional changes): %v", err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s drifted from golden file.\n--- got ---\n%s\n--- want ---\n%s", name, got, want)

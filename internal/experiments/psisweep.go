@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/isasgd/isasgd/internal/balance"
 	"github.com/isasgd/isasgd/internal/core"
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/metrics"
@@ -67,8 +66,12 @@ func (r *Runner) PsiSweep(ctx context.Context) (*PsiSweepResult, error) {
 			if importance == "" {
 				e, err = core.NewASGD(d, obj, m, threads, r.Seed+41)
 			} else {
+				w := l
+				if pb {
+					w = core.PartialBiasWeights(l)
+				}
 				e, err = core.NewISASGDOpts(d, obj, m, threads, core.ISOptions{
-					Mode: balance.Auto, Seed: r.Seed + 41, Importance: importance, PartialBias: pb,
+					Mode: algorithm4(w), Seed: r.Seed + 41, Importance: importance, PartialBias: pb,
 				})
 			}
 			if err != nil {

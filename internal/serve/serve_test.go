@@ -303,6 +303,29 @@ func TestAPIErrors(t *testing.T) {
 	}
 }
 
+// TestJobSpecBalanceRefused: the balance knob is gone, so a job spec
+// that still names it is a 400 that names the field, whatever mode it
+// asks for, before any job exists.
+func TestJobSpecBalanceRefused(t *testing.T) {
+	ts, mgr, _ := testServer(t, 1)
+	for _, body := range []string{
+		`{"dataset":"small","balance":"auto"}`,
+		`{"kind":"stream","dim":8,"path":"c.libsvm","balance":"shuffle"}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := decodeBody[errorBody](t, resp)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `unknown field "balance"`) {
+			t.Errorf("%s: status %d, error %q; want 400 naming the field", body, resp.StatusCode, e.Error)
+		}
+	}
+	if jobs := mgr.Jobs(); len(jobs) != 0 {
+		t.Errorf("%d jobs exist after refused submissions", len(jobs))
+	}
+}
+
 // TestRestore verifies a new manager republishes models persisted by a
 // previous one from the shared checkpoint directory.
 func TestRestore(t *testing.T) {

@@ -25,7 +25,6 @@ import (
 	"strings"
 
 	"github.com/isasgd/isasgd/internal/adaptive"
-	"github.com/isasgd/isasgd/internal/balance"
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/objective"
@@ -100,7 +99,6 @@ type Spec struct {
 	Step      float64 `json:"step,omitempty"`      // default 0.5
 	StepDecay float64 `json:"step_decay,omitempty"`
 	Threads   int     `json:"threads,omitempty"`
-	Balance   string  `json:"balance,omitempty"` // auto|balance|shuffle|sorted|lpt
 	Seed      uint64  `json:"seed,omitempty"`
 	EvalEvery int     `json:"eval_every,omitempty"` // curve granularity; default 1
 }
@@ -152,7 +150,6 @@ var knobs = []knob{
 	{"step", allKinds, [numSurfaces]any{0.5, 0.5, 0.5}, "step size λ"},
 	{"step_decay", allKinds, [numSurfaces]any{0.0, 1.0, 1.0}, "step multiplier per epoch, block or push round, in (0, 1]"},
 	{"threads", allKinds, [numSurfaces]any{0, runtime.GOMAXPROCS(0), 1}, "concurrent workers of the async algorithms"},
-	{"balance", allKinds, [numSurfaces]any{"", "auto", "auto"}, "shard preparation: auto | balance | shuffle | sorted | lpt"},
 	{"seed", allKinds, [numSurfaces]any{uint64(0), uint64(1), uint64(1)},
 		"RNG seed (a cluster's corpus and shard plan: must agree on every node)"},
 	{"eval_every", batchOrStar, [numSurfaces]any{0, nil, 4}, "evaluate every n epochs (a coordinator: every n applied pushes)"},
@@ -244,9 +241,6 @@ func (s Spec) Validate() error {
 		return err
 	}
 	if _, err := objective.Parse(s.Objective, s.Eta); err != nil {
-		return err
-	}
-	if _, err := balance.ParseMode(s.Balance); err != nil {
 		return err
 	}
 	if _, err := model.ParsePrecision(s.Precision); err != nil {

@@ -43,13 +43,13 @@ func TestSurfaceDefaults(t *testing.T) {
 			Eta: 1e-4, Step: 0.5}},
 		"train batch": {flagged(t, Train, KindBatch), Spec{Kind: KindBatch, Algo: "is-asgd", Objective: "logistic-l1",
 			Precision: "f64", Eta: 1e-4, Epochs: 15, Step: 0.5, StepDecay: 1, Threads: runtime.GOMAXPROCS(0),
-			Balance: "auto", Seed: 1}},
+			Seed: 1}},
 		"train stream": {flagged(t, Train, KindStream), Spec{Kind: KindStream, Algo: "is-asgd", Objective: "logistic-l1",
 			Precision: "f64", Eta: 1e-4, Step: 0.5, StepDecay: 1, Threads: runtime.GOMAXPROCS(0),
-			Balance: "auto", Seed: 1}},
+			Seed: 1}},
 		"cluster": {flagged(t, Cluster, KindCluster), Spec{Kind: KindCluster, Dataset: "small", Scale: 1,
 			StalenessBound: 64, Objective: "logistic-l1", Eta: 1e-4, Step: 0.5, StepDecay: 1, Threads: 1,
-			Balance: "auto", Seed: 1, EvalEvery: 4}},
+			Seed: 1, EvalEvery: 4}},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s defaults:\n got %+v\nwant %+v", name, c.got, c.want)
@@ -64,9 +64,9 @@ func TestSurfaceDefaults(t *testing.T) {
 // knob, and every flag name is the JSON name with '_' → '-'.
 func TestFlagSets(t *testing.T) {
 	want := map[Surface]string{
-		Train: "adapt-c algo balance block-size dc-lambda dim epochs eta importance objective " +
+		Train: "adapt-c algo block-size dc-lambda dim epochs eta importance objective " +
 			"precision rebuild-every reservoir seed staleness-bound step step-decay threads updates-per-block window-blocks",
-		Cluster: "adapt-c balance dataset dc-lambda eta eval-every objective scale seed staleness-bound " +
+		Cluster: "adapt-c dataset dc-lambda eta eval-every objective scale seed staleness-bound " +
 			"step step-decay threads",
 	}
 	for surface, names := range want {
@@ -151,7 +151,6 @@ func TestValidate(t *testing.T) {
 		"unknown kind":          batch(func(s *Spec) { s.Kind = "bogus" }),
 		"unknown algo":          batch(func(s *Spec) { s.Algo = "bogus" }),
 		"unknown objective":     batch(func(s *Spec) { s.Objective = "bogus" }),
-		"unknown balance":       batch(func(s *Spec) { s.Balance = "bogus" }),
 		"unknown precision":     batch(func(s *Spec) { s.Precision = "f16" }),
 		"unknown preset":        batch(func(s *Spec) { s.Dataset = "bogus" }),
 		"unknown importance":    stream(func(s *Spec) { s.Importance = "bogus" }),

@@ -50,13 +50,6 @@ type Config struct {
 	// Observe is also called between blocks).
 	RebuildEvery int
 
-	// Mode selects per-block shard preparation (Algorithm 4 lines 2–6
-	// applied blockwise). Auto takes the balance branch when the
-	// streaming estimate of ρ (from all-time weight moments) reaches
-	// Zeta; ForceBalance/ForceShuffle/Sorted/LPT behave as in batch.
-	Mode balance.Mode
-	Zeta float64 // ρ threshold; <= 0 selects balance.DefaultZeta
-
 	// Uniform disables importance sampling: uniform draws with unit step
 	// scale (the online plain-SGD baseline).
 	Uniform bool
@@ -127,7 +120,6 @@ type BlockStats struct {
 	Rows       int   // rows in this block
 	WindowRows int64 // rows currently resident
 	Updates    int64 // cumulative updates applied
-	Balanced   bool  // whether this block took the balance branch
 	EstRho     float64
 	EstPsi     float64
 	Imbalance  float64 // Φ imbalance of this block's shard assignment
@@ -142,9 +134,8 @@ type Result struct {
 }
 
 // Trainer drives core-style multi-worker asynchronous updates over a
-// sliding window of blocks. Each ingested block is shard-assigned to
-// workers with internal/balance (head–tail importance balancing or
-// shuffle, adaptively on the streamed ρ estimate), observed into the
+// sliding window of blocks. Each ingested block is shuffled and cut into
+// contiguous worker shards (internal/balance), observed into the
 // workers' ISStates, appended to the window, and then trained on for
 // UpdatesPerBlock importance-sampled (or uniform) updates. Blocks older
 // than WindowBlocks are evicted, so memory stays
@@ -174,7 +165,7 @@ type Trainer struct {
 	rows    int64 // rows ingested so far; also the next row's ref
 	step    float64
 
-	// streamed weight moments for the Auto balance decision
+	// streamed weight moments: the EstRho and EstPsi telemetry
 	mom moments
 }
 
@@ -286,7 +277,6 @@ type plan struct {
 func FromSpec(s spec.Spec) Config {
 	a, _ := spec.LookupAlgo(s.Algo)
 	obj, _ := objective.Parse(s.Objective, s.Eta)
-	mode, _ := balance.ParseMode(s.Balance)
 	prec, _ := model.ParsePrecision(s.Precision)
 	workers := s.Threads
 	if !a.Async {
@@ -297,7 +287,7 @@ func FromSpec(s spec.Spec) Config {
 		Workers: workers, Step: s.Step, StepDecay: s.StepDecay,
 		WindowBlocks: s.WindowBlocks, UpdatesPerBlock: s.UpdatesPerBlock,
 		Reservoir: s.Reservoir, RebuildEvery: s.RebuildEvery,
-		Mode: mode, Uniform: !a.Weighted, Seed: s.Seed,
+		Uniform: !a.Weighted, Seed: s.Seed,
 		Precision:  prec,
 		Importance: s.Importance,
 		AdaptC:     s.AdaptC, StalenessBound: s.StalenessBound,
@@ -329,9 +319,6 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 	}
 	if cfg.Reservoir < 1 {
 		cfg.Reservoir = 1 << 14
-	}
-	if cfg.Zeta <= 0 {
-		cfg.Zeta = balance.DefaultZeta
 	}
 	if cfg.PublishEvery < 1 {
 		cfg.PublishEvery = 1
@@ -429,24 +416,8 @@ func (t *Trainer) Ingest(b *Block) BlockStats {
 		t.mom.add(w)
 	}
 
-	// Resolve Algorithm 4's branch from streamed moments (the block alone
-	// is too small a sample, and the full data is gone).
-	mode := t.cfg.Mode
-	balanced := false
-	switch mode {
-	case balance.ForceBalance, balance.LPT:
-		balanced = true
-	case balance.ForceShuffle, balance.Sorted:
-	default: // Auto
-		if t.EstRho() >= t.cfg.Zeta {
-			mode = balance.ForceBalance
-			balanced = true
-		} else {
-			mode = balance.ForceShuffle
-		}
-	}
-	order, _ := balance.Plan(l, t.cfg.Workers, mode, t.cfg.Zeta, t.rngs[0])
-	shards := balance.Split(order, t.cfg.Workers)
+	// A seeded shuffle of the block, cut into contiguous shards.
+	shards := balance.Split(t.rngs[0].Perm(b.Len()), t.cfg.Workers)
 	imbal := balance.Imbalance(balance.ImportanceSums(shards, l))
 
 	// Admit the block, then feed each worker its shard. A row's ref is
@@ -501,8 +472,7 @@ func (t *Trainer) Ingest(b *Block) BlockStats {
 
 	stats := BlockStats{
 		Block: t.blocks - 1, Rows: b.Len(), WindowRows: int64(t.win.rows()),
-		Updates: t.updates, Balanced: balanced,
-		EstRho: t.EstRho(), EstPsi: t.EstPsi(), Imbalance: imbal,
+		Updates: t.updates, EstRho: t.EstRho(), EstPsi: t.EstPsi(), Imbalance: imbal,
 	}
 	if t.cfg.OnBlock != nil {
 		t.cfg.OnBlock(stats)

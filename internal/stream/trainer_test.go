@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/isasgd/isasgd/internal/balance"
 	"github.com/isasgd/isasgd/internal/objective"
 	"github.com/isasgd/isasgd/internal/xrand"
 )
@@ -78,7 +77,6 @@ func streamConfig(dim int, uniform bool) Config {
 		Workers:      2,
 		Step:         0.5,
 		WindowBlocks: 4,
-		Mode:         balance.Auto,
 		Uniform:      uniform,
 		Seed:         42,
 	}
@@ -220,15 +218,8 @@ func TestTrainerOnBlockStats(t *testing.T) {
 		if s.Block != int64(i) {
 			t.Fatalf("callback %d has Block %d", i, s.Block)
 		}
-		if s.EstRho <= 0 || s.EstPsi <= 0 || s.EstPsi > 1 {
+		if s.EstRho <= 0 || s.EstPsi <= 0 || s.EstPsi > 1 || s.Imbalance <= 0 || s.Imbalance > 2 {
 			t.Fatalf("callback %d has degenerate estimates: %+v", i, s)
-		}
-	}
-	// The skewed corpus has enormous weight variance: every block must
-	// have taken Algorithm 4's balance branch under Auto.
-	for i, s := range stats {
-		if !s.Balanced {
-			t.Fatalf("block %d not balanced despite ρ=%g", i, s.EstRho)
 		}
 	}
 	last := stats[len(stats)-1]

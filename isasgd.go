@@ -41,11 +41,6 @@ type (
 	Point = metrics.Point
 	// Eval is a full-dataset evaluation (objective, RMSE, error rate).
 	Eval = metrics.Eval
-	// BalanceMode selects the shard-preparation strategy.
-	BalanceMode = balance.Mode
-	// BalanceDecision reports Algorithm 4's balancing branch and shard
-	// statistics.
-	BalanceDecision = balance.Decision
 	// ModelKind selects atomic (race-free) or racy (true Hogwild) model
 	// storage for asynchronous solvers.
 	ModelKind = model.Kind
@@ -77,20 +72,6 @@ const (
 	SVRGASGD = core.SVRGASGD
 )
 
-// Balancing modes (Config.Balance).
-const (
-	// BalanceAuto applies Algorithm 4: balance iff ρ ≥ ζ.
-	BalanceAuto = balance.Auto
-	// ForceBalance always applies head–tail importance balancing.
-	ForceBalance = balance.ForceBalance
-	// ForceShuffle always applies a random shuffle.
-	ForceShuffle = balance.ForceShuffle
-	// SortedOrder orders by descending L (ablation worst case).
-	SortedOrder = balance.Sorted
-	// LPTOrder applies greedy multiway partitioning (extension).
-	LPTOrder = balance.LPT
-)
-
 // Model kinds (Config.ModelKind).
 const (
 	// ModelAtomic uses CAS updates; race-free under the Go memory model.
@@ -111,7 +92,8 @@ const (
 	PrecisionF32 = model.PrecisionF32
 )
 
-// DefaultZeta is the paper's ρ threshold ζ = 5e-4 (Section 2.4).
+// DefaultZeta is the paper's ρ threshold ζ = 5e-4 (Section 2.4), which
+// Stats.Balanced reads ρ against.
 const DefaultZeta = balance.DefaultZeta
 
 // Train runs the configured algorithm on (ds, obj); see core.Train.

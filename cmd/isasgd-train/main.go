@@ -41,7 +41,7 @@
 //
 // Streaming mode (-stream) trains online over the input in bounded
 // memory instead of loading it: blocks of -block-size rows slide through
-// a -window-blocks window, each block is shuffled across -threads
+// a -window-blocks window, each block is shard-balanced across -threads
 // workers, and sampling is importance-weighted (or uniform for -algo
 // sgd/asgd) from a reservoir-backed online state. Requires -dim (a
 // streaming model cannot grow). Its knobs:

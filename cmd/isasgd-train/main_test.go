@@ -101,7 +101,7 @@ func TestRunStreamValidation(t *testing.T) {
 
 // TestParseBalance checks that -balance is gone: every mode name it
 // took, and any other value, fails as an unknown flag before training.
-// Shards are always a seeded shuffle.
+// No run has a shard-plan knob.
 func TestParseBalance(t *testing.T) {
 	batch := []string{"-data", writeStreamCorpus(t, 8, 4), "-epochs", "1"}
 	for _, mode := range []string{"auto", "", "balance", "shuffle", "sorted", "lpt", "bogus"} {

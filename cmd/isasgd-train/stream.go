@@ -31,11 +31,11 @@ func runStream(ctx context.Context, out io.Writer, s spec.Spec, data, modelOut s
 	}
 	fmt.Fprintf(out, "streaming %s: dim %d, %d workers, sampler %s\n",
 		data, s.Dim, cfg.Workers, sampler)
-	fmt.Fprintln(out, " block   win-rows      updates  win-obj    win-err   ρ̂")
+	fmt.Fprintln(out, " block   win-rows      updates  win-obj    win-err   ρ̂          balanced")
 	tr.SetOnBlock(func(b stream.BlockStats) {
 		o, _, errRate, _ := tr.EvaluateWindow()
-		fmt.Fprintf(out, "%6d %10d %12d  %-10.6f %-8.5f %.3e\n",
-			b.Block, b.WindowRows, b.Updates, o, errRate, b.EstRho)
+		fmt.Fprintf(out, "%6d %10d %12d  %-10.6f %-8.5f %-11.3e %v\n",
+			b.Block, b.WindowRows, b.Updates, o, errRate, b.EstRho, b.Balanced)
 	})
 
 	res, err := tr.Run(ctx, stream.NewReader(in, data, s.BlockSize))

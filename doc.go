@@ -23,9 +23,10 @@
 // importance sums Φ_a distort it from the global optimum. The paper
 // equalizes them with a head–tail interleave of samples sorted by L_i,
 // applied when the imbalance potential ρ = Var(L) exceeds a threshold
-// ζ. This library cuts shards from a seeded shuffle instead: measured
-// on every corpus here, its Φ_a are at least as close to equal, and the
-// head–tail rule runs only in the paper's reproduction.
+// ζ. Batch and cluster training cut shards from a seeded shuffle
+// instead: measured on every corpus here, its Φ_a are at least as close
+// to equal. The head–tail rule runs in the paper's reproduction and, per
+// block, in streaming training.
 //
 // # Quick start
 //
@@ -103,7 +104,7 @@
 // dataset. internal/stream provides the online counterpart for corpora
 // that arrive as a stream or exceed memory: a chunked LibSVM reader
 // yields fixed-size row blocks, blocks slide through a bounded window,
-// each block is shuffled into per-worker shards, and sampling stays
+// each block is importance-balanced across workers, and sampling stays
 // O(1) via alias tables rebuilt from a bounded reservoir of observed
 // Lipschitz estimates. The window is one CSR arena, and each worker
 // turns its block's draws into a plan that the batch engine's update loop

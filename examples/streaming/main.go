@@ -3,10 +3,9 @@
 // all the signal) streams through stream.Trainer in fixed-size blocks,
 // once with online importance sampling and once with uniform draws, and
 // the final models are compared on a held-out evaluation pass. The IS
-// run reaches a lower loss under the identical update budget (about 4 %
-// at these seeds) — the paper's Eq.-12 effect, maintained online from a
-// reservoir instead of precomputed (Katharopoulos & Fleuret 2018; Alain
-// et al. 2015).
+// run reaches a visibly lower loss under the identical update budget —
+// the paper's Eq.-12 effect, maintained online from a reservoir instead
+// of precomputed (Katharopoulos & Fleuret 2018; Alain et al. 2015).
 package main
 
 import (
@@ -55,8 +54,8 @@ func run() error {
 		}
 		tr.SetOnBlock(func(s stream.BlockStats) {
 			o, _, errRate, _ := tr.EvaluateWindow()
-			fmt.Printf("  [%s] block %d: window %4d rows, %5d updates, win-obj %.4f, win-err %.3f, ρ̂=%.2e\n",
-				label, s.Block, s.WindowRows, s.Updates, o, errRate, s.EstRho)
+			fmt.Printf("  [%s] block %d: window %4d rows, %5d updates, win-obj %.4f, win-err %.3f, ρ̂=%.2e balanced=%v\n",
+				label, s.Block, s.WindowRows, s.Updates, o, errRate, s.EstRho, s.Balanced)
 		})
 		res, err := tr.Run(context.Background(),
 			stream.NewReader(strings.NewReader(corpus), "stream", blockSize))

@@ -18,7 +18,8 @@
 // contiguous cut of the head–tail order gives one shard the smallest and
 // the largest weights. Algorithm 3 (ForceBalance) stays for the
 // reproduction, and so does Algorithm 4's ρ ≥ ζ choice between the two,
-// which internal/experiments applies. The paper's pseudo-code prints
+// which internal/experiments applies; internal/stream applies it to
+// each block on the streamed ρ estimate. The paper's pseudo-code prints
 // that comparison as "ρ ≤ ζ → balance", but Section 2.4's prose ("a
 // lower ρ indicates lower potential of severe importance imbalance") and
 // Table 1 (News20, the one balanced dataset, has the highest ρ) show it

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"strings"
@@ -78,14 +79,21 @@ func TestShuffleInflationAtMostHeadTail(t *testing.T) {
 	checkShuffleWins(t, inflationRows(t, r.Objective(), append(r.presets(), r.skewedCorpus())))
 }
 
+// benchCorpora opts in to TestShuffleInflationBenchCorpora.
+var benchCorpora = flag.Bool("bench-corpora", false, "also measure the shard inflation on the benchmark's training corpora")
+
 // TestShuffleInflationBenchCorpora is the same measurement on the
 // benchmark's two training corpora under its objective (bench/train.go):
 // batch_sparse's kdda analog at full size and batch_dense's news20
-// analog at 100 000 rows. results/8f2ab68/inflation.txt holds both
+// analog at 100 000 rows. Synthesizing them takes seconds, so it runs
+// only under -bench-corpora; results/8f2ab68/inflation.txt holds both
 // tables, the output of
 //
-//	go test -count 1 -run TestShuffleInflation -v ./internal/experiments/
+//	go test -count 1 -run TestShuffleInflation -v ./internal/experiments/ -bench-corpora
 func TestShuffleInflationBenchCorpora(t *testing.T) {
+	if !*benchCorpora {
+		t.Skip("the benchmark corpora take seconds to synthesize; run with -bench-corpora")
+	}
 	sparse := dataset.KDDALike(1.0, 20180813)
 	dense := dataset.News20Like(1.0, 20180813)
 	sparse.Name, dense.Name, dense.N = "sparse", "dense", 100000

@@ -258,8 +258,9 @@ func (s *ISState) EstMean() float64 {
 }
 
 // EstRho estimates the paper's imbalance potential ρ (Eq. 20, the
-// population variance of L) from the running stream moments, without
-// holding the data.
+// population variance of L) from the running stream moments, letting the
+// trainer take Algorithm 4's balance-vs-shuffle branch without holding
+// the data.
 func (s *ISState) EstRho() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -29,12 +29,6 @@ import (
 // once, when gradient-norm importance (the |ℓ'| the loop records, weighed
 // by adaptive.GradWeights) replaced the loss EMA: it is a different
 // sampling distribution, so there is no earlier run for them to match.
-//
-// All six rows were re-recorded once more when the trainer's per-block
-// balance branch was deleted: this skewed corpus's streamed ρ is above
-// ζ, so every block used to be dealt out in Algorithm 3's head–tail
-// order, and each block is now a seeded shuffle drawn from the same
-// generator, which changes the order rows reach the reservoir.
 func TestPinnedWeights(t *testing.T) {
 	corpus := makeSkewedCorpus(1024, 64, 0.8, 7, 7)
 	for _, tc := range []struct {
@@ -42,12 +36,12 @@ func TestPinnedWeights(t *testing.T) {
 		mode string
 		want uint64
 	}{
-		{model.KindAtomic, "bound", 0x81b2d59dd271b654},
-		{model.KindAtomic, "uniform", 0xbe46142dd4774050},
-		{model.KindAtomic, "grad", 0x58728fdb8864e2bb},
-		{model.KindRacy32, "bound", 0x0a9551cd024ccfe8},
-		{model.KindRacy32, "uniform", 0x5ec1ba50d60c69ee},
-		{model.KindRacy32, "grad", 0x3a45a63b90936a67},
+		{model.KindAtomic, "bound", 0x90c7f531bf38e598},
+		{model.KindAtomic, "uniform", 0xa3487b12ca665313},
+		{model.KindAtomic, "grad", 0x2fb83eaf85228afc},
+		{model.KindRacy32, "bound", 0x85b9265b6164bb84},
+		{model.KindRacy32, "uniform", 0xbc170e849116f7f8},
+		{model.KindRacy32, "grad", 0xe86757b478c200ca},
 	} {
 		t.Run(tc.kind.String()+"/"+tc.mode, func(t *testing.T) {
 			cfg := streamConfig(48, tc.mode == "uniform")

@@ -18,7 +18,8 @@
 //     estimates in a bounded reservoir, periodically rebuilding a
 //     sampling.Alias table so the hot sampling path stays O(1);
 //   - Trainer: multi-worker asynchronous updates over a sliding window
-//     of blocks, each block shuffled into per-worker shards.
+//     of blocks, with per-block shard assignment reusing
+//     internal/balance's importance balancing.
 //
 // The window is one CSR arena: a block's rows are appended at
 // admission, without the features the model cannot hold, and evicted

@@ -120,6 +120,7 @@ type BlockStats struct {
 	Rows       int   // rows in this block
 	WindowRows int64 // rows currently resident
 	Updates    int64 // cumulative updates applied
+	Balanced   bool  // whether this block took the balance branch
 	EstRho     float64
 	EstPsi     float64
 	Imbalance  float64 // Φ imbalance of this block's shard assignment
@@ -134,8 +135,9 @@ type Result struct {
 }
 
 // Trainer drives core-style multi-worker asynchronous updates over a
-// sliding window of blocks. Each ingested block is shuffled and cut into
-// contiguous worker shards (internal/balance), observed into the
+// sliding window of blocks. Each ingested block is shard-assigned to
+// workers with internal/balance (head–tail importance balancing or
+// shuffle, adaptively on the streamed ρ estimate), observed into the
 // workers' ISStates, appended to the window, and then trained on for
 // UpdatesPerBlock importance-sampled (or uniform) updates. Blocks older
 // than WindowBlocks are evicted, so memory stays
@@ -165,7 +167,7 @@ type Trainer struct {
 	rows    int64 // rows ingested so far; also the next row's ref
 	step    float64
 
-	// streamed weight moments: the EstRho and EstPsi telemetry
+	// streamed weight moments for the Auto balance decision
 	mom moments
 }
 
@@ -416,9 +418,17 @@ func (t *Trainer) Ingest(b *Block) BlockStats {
 		t.mom.add(w)
 	}
 
-	// A seeded shuffle of the block, cut into contiguous shards.
-	shards := balance.Split(t.rngs[0].Perm(b.Len()), t.cfg.Workers)
-	imbal := balance.Imbalance(balance.ImportanceSums(shards, l))
+	// Algorithm 4 lines 2–6 applied blockwise, on the streamed ρ
+	// estimate (the block alone is too small a sample, and the full data
+	// is gone): head–tail when ρ ≥ ζ, a seeded shuffle otherwise. The
+	// batch engine and the cluster only shuffle; ROADMAP item 27 records
+	// why the stream keeps the branch.
+	mode := balance.ForceShuffle
+	if t.EstRho() >= balance.DefaultZeta {
+		mode = balance.ForceBalance
+	}
+	order, d := balance.Plan(l, t.cfg.Workers, mode, t.rngs[0])
+	shards := balance.Split(order, t.cfg.Workers)
 
 	// Admit the block, then feed each worker its shard. A row's ref is
 	// its position in the trainer's ingest order, so a window row is
@@ -472,7 +482,8 @@ func (t *Trainer) Ingest(b *Block) BlockStats {
 
 	stats := BlockStats{
 		Block: t.blocks - 1, Rows: b.Len(), WindowRows: int64(t.win.rows()),
-		Updates: t.updates, EstRho: t.EstRho(), EstPsi: t.EstPsi(), Imbalance: imbal,
+		Updates: t.updates, Balanced: d.Balanced,
+		EstRho: t.EstRho(), EstPsi: t.EstPsi(), Imbalance: d.Imbalance,
 	}
 	if t.cfg.OnBlock != nil {
 		t.cfg.OnBlock(stats)

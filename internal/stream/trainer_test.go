@@ -218,8 +218,15 @@ func TestTrainerOnBlockStats(t *testing.T) {
 		if s.Block != int64(i) {
 			t.Fatalf("callback %d has Block %d", i, s.Block)
 		}
-		if s.EstRho <= 0 || s.EstPsi <= 0 || s.EstPsi > 1 || s.Imbalance <= 0 || s.Imbalance > 2 {
+		if s.EstRho <= 0 || s.EstPsi <= 0 || s.EstPsi > 1 {
 			t.Fatalf("callback %d has degenerate estimates: %+v", i, s)
+		}
+	}
+	// The skewed corpus has enormous weight variance: every block must
+	// have taken Algorithm 4's balance branch.
+	for i, s := range stats {
+		if !s.Balanced {
+			t.Fatalf("block %d not balanced despite ρ=%g", i, s.EstRho)
 		}
 	}
 	last := stats[len(stats)-1]

@@ -37,7 +37,7 @@ func FuzzParseLibSVM(f *testing.F) {
 		lineNo := 0
 		for _, line := range strings.Split(input, "\n") {
 			lineNo++
-			if _, _, _, err := ParseLibSVMLine("fuzz", lineNo, line); err != nil {
+			if _, _, _, _, err := AppendLibSVMLine("fuzz", lineNo, []byte(line), nil, nil); err != nil {
 				lineErr = true
 				break
 			}
@@ -52,7 +52,7 @@ func FuzzParseLibSVM(f *testing.F) {
 			return // rejecting is fine; panicking is not
 		}
 		if crossCheck && lineErr {
-			t.Fatal("ParseLibSVM accepted input with a line ParseLibSVMLine rejects")
+			t.Fatal("ParseLibSVM accepted input with a line AppendLibSVMLine rejects")
 		}
 		if err := d.Validate(); err != nil {
 			t.Fatalf("parser accepted data that fails Validate: %v", err)

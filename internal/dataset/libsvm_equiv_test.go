@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -99,7 +100,7 @@ func checkLineAgainstReference(t *testing.T, line string) {
 
 // parserEdgeLines are the inputs where the digit fast paths hand over to
 // strconv, plus the tokenizer's corners.
-var parserEdgeLines = []string{
+var parserEdgeLines = append([]string{
 	"", " ", "\t", "# only a comment", "1", "+1", "-1", "-0", "+0 1:-0", "0 1:0", "1 1:0 2:0.0 3:-0.000",
 	"+1 1:0.5 3:1.5", "-1 2:2 # trailing comment", "1 1:1#2:2", "1 # 1:x",
 	"1 1:1e-3", "1 1:1E+5", "1 1:1e400", "1 1:-1e400", "1e400 1:1", "1 1:1e-400", "1 1:4.9e-324",
@@ -125,6 +126,40 @@ var parserEdgeLines = []string{
 	"1 1:1.00000000000000011102230246251565404236316680908203124", "1 1:9007199254740993.0", "1 1:4503599627370497.5",
 	"1 1:0.9999999999999999", "1 1:0.99999999999999994", "1 1:0.99999999999999995", "1 1:00000000000000000000000001",
 	"12345678901234567 1:1", "0.1 1:1",
+	// more than 19 digits, at most 19 of them after the leading zeros
+	"1 1:0.000001234567890123456789", "1 1:-0.000009999999999999999999", "1 1:000000001234567890123456789",
+	"1 1:0000000.001234567890123456789", "1 1:0.0000012345678901234567890", "1 1:0.000000000000000000000000001234",
+	"0.000001234567890123456789 1:1",
+}, tokenizerCornerLines()...)
+
+// tokenizerCornerLines are the corners of the cursor pass: fraction
+// digits on either side of a multiple of the 8-digit step, a byte that
+// is not a digit at each position of an 8-byte window, values that end
+// at the end of the line, and mantissas at 2^53 ± 1 on either side of
+// the exact float64 powers of ten (10^22).
+func tokenizerCornerLines() (lines []string) {
+	const digits = "73205080756887729352"
+	for _, n := range []int{7, 8, 9, 15, 16, 17} {
+		v := "0." + digits[:n]
+		lines = append(lines, "1 1:"+v, "1 1:-"+v+" 2:1", "1 1:"+v+"#", "-"+v+" 1:1", v, "1 1:"+v+"\u00a02:2")
+	}
+	for _, c := range []string{"e", ":", ".", "#", "\xa0", "\x00"} {
+		for p := 0; p < 8; p++ {
+			v := "0." + digits[:p] + c + digits[p:16]
+			lines = append(lines, "1 1:"+v, "1 1:"+v+" 2:1", "1 1:1"+digits[:p]+c+digits[p:8], v+" 1:1")
+		}
+	}
+	for _, m := range []string{"9007199254740991", "9007199254740992", "9007199254740993"} {
+		for _, frac := range []int{0, 22, 23} {
+			d := strings.Repeat("0", max(0, frac+1-len(m))) + m
+			v := d[:len(d)-frac]
+			if frac > 0 {
+				v += "." + d[len(d)-frac:]
+			}
+			lines = append(lines, "1 1:"+v, "1 1:-"+v+" 2:1", v+" 1:1")
+		}
+	}
+	return lines
 }
 
 func TestByteParserMatchesReference(t *testing.T) {
@@ -133,22 +168,37 @@ func TestByteParserMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDecimalFastPathExact drives the strconv-free conversion over random
-// mantissas and scales — dense around 2^53, the uint64 limit and halfway
-// cases — against strconv.ParseFloat.
-func TestDecimalFastPathExact(t *testing.T) {
-	rng := xrand.New(11)
-	check := func(s string) {
-		t.Helper()
-		got, ok := parseDecimal([]byte(s))
-		want, err := strconv.ParseFloat(s, 64)
-		if !ok {
-			return // strconv's job; parseFloat hands it over
-		}
-		if err != nil || math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("parseDecimal(%q) = %x, strconv %x (err %v)", s, math.Float64bits(got), math.Float64bits(want), err)
+// TestDigitRun checks the 8-byte digit scan with every byte value at
+// every position of the window: the run's length, and the run's value
+// as appendDigits converts it, against strconv.
+func TestDigitRun(t *testing.T) {
+	for p := 0; p < 8; p++ {
+		for c := 0; c < 256; c++ {
+			line := []byte("31415926;")
+			line[p] = byte(c)
+			run := p
+			if c >= '0' && c <= '9' {
+				run = 8
+			}
+			if got := digitRun(binary.LittleEndian.Uint64(line)); got != run {
+				t.Fatalf("digitRun(%q) = %d, want %d", line[:8], got, run)
+			}
+			want, _ := strconv.ParseUint("0"+string(line[:run]), 10, 64)
+			if got, end := appendDigits(line, 0, 7); got != 7*pow10u[run]+want || end != run {
+				t.Fatalf("appendDigits(%q) = %d, %d", line, got, end)
+			}
 		}
 	}
+}
+
+// TestDecimalFastPathExact drives the strconv-free conversion over random
+// mantissas and scales — dense around 2^53, the uint64 limit and halfway
+// cases — against strconv.ParseFloat: on its own, where it must take
+// every plain decimal of at most 19 significant digits (a fast path that
+// silently hands everything to strconv would be as exact, only slower),
+// and through the line parser as a label and as a value.
+func TestDecimalFastPathExact(t *testing.T) {
+	rng := xrand.New(11)
 	for n := 0; n < 400000; n++ {
 		mant := rng.Uint64() >> (rng.Uint64() % 64)
 		switch n % 4 {
@@ -158,6 +208,7 @@ func TestDecimalFastPathExact(t *testing.T) {
 			mant = 1<<53 + rng.Uint64()%4096 - 2048
 		}
 		digits := strconv.FormatUint(mant, 10)
+		plain := len(digits) <= 19
 		frac := int(rng.Uint64() % 30)
 		for len(digits) <= frac {
 			digits = "0" + digits
@@ -166,7 +217,20 @@ func TestDecimalFastPathExact(t *testing.T) {
 		if n%2 == 0 {
 			s = "-" + s
 		}
-		check(s)
+		want, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, end, ok := scanDecimal([]byte(s), 0)
+		if ok != (plain && frac < len(pow5)) || ok && end != len(s) {
+			t.Fatalf("scanDecimal(%q): ok %v, end %d", s, ok, end)
+		}
+		if ok && math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("scanDecimal(%q) = %x, strconv %x", s, math.Float64bits(got), math.Float64bits(want))
+		}
+		if n%8 < 2 {
+			checkLineAgainstReference(t, s+" 1:"+s+" 2:"+s)
+		}
 	}
 }
 

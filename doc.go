@@ -23,10 +23,10 @@
 // importance sums Φ_a distort it from the global optimum. The paper
 // equalizes them with a head–tail interleave of samples sorted by L_i,
 // applied when the imbalance potential ρ = Var(L) exceeds a threshold
-// ζ. Batch and cluster training cut shards from a seeded shuffle
-// instead: measured on every corpus here, its Φ_a are at least as close
-// to equal. The head–tail rule runs in the paper's reproduction and, per
-// block, in streaming training.
+// ζ. Batch, cluster and streaming training cut shards from a seeded
+// shuffle instead: measured on every corpus here, its Φ_a are at least
+// as close to equal. The head–tail rule runs only in the paper's
+// reproduction.
 //
 // # Quick start
 //
@@ -104,11 +104,12 @@
 // dataset. internal/stream provides the online counterpart for corpora
 // that arrive as a stream or exceed memory: a chunked LibSVM reader
 // yields fixed-size row blocks, blocks slide through a bounded window,
-// each block is importance-balanced across workers, and sampling stays
-// O(1) via alias tables rebuilt from a bounded reservoir of observed
-// Lipschitz estimates. The window is one CSR arena, and each worker
-// turns its block's draws into a plan that the batch engine's update loop
-// (core.Loop) runs, so batch and stream training share one loop.
+// each block is cut into worker shards of a seeded shuffle, and
+// sampling stays O(1) via alias tables rebuilt from a bounded reservoir
+// of observed Lipschitz estimates. The window is one CSR arena, and each
+// worker turns its block's draws into a plan that the batch engine's
+// update loop (core.Loop) runs, so batch and stream training share one
+// loop.
 // Trainer.Run is a two-stage pipeline: one
 // goroutine parses up to two blocks ahead (a constant — the slower stage
 // sets the pace at any depth) while the caller's trains and publishes,
@@ -164,7 +165,7 @@
 // counts/latency/in-flight), training (per-worker update-staleness
 // summaries — the measured analog of the τ in the paper's Section-3
 // bounds — plus epoch/block throughput), importance sampling (streamed
-// effective sample size, ρ̂, ψ̂, reservoir occupancy, alias rebuild
+// effective sample size, ψ̂, reservoir occupancy, alias rebuild
 // count and latency) and the Go runtime. Instruments are pre-resolved
 // atomic cells, so the zero-allocation predict path stays
 // zero-allocation while instrumented. Structured logs (log/slog) trace

@@ -54,8 +54,8 @@ func run() error {
 		}
 		tr.SetOnBlock(func(s stream.BlockStats) {
 			o, _, errRate, _ := tr.EvaluateWindow()
-			fmt.Printf("  [%s] block %d: window %4d rows, %5d updates, win-obj %.4f, win-err %.3f, ρ̂=%.2e balanced=%v\n",
-				label, s.Block, s.WindowRows, s.Updates, o, errRate, s.EstRho, s.Balanced)
+			fmt.Printf("  [%s] block %d: window %4d rows, %5d updates, win-obj %.4f, win-err %.3f, Φ-imbalance %.3f\n",
+				label, s.Block, s.WindowRows, s.Updates, o, errRate, s.Imbalance)
 		})
 		res, err := tr.Run(context.Background(),
 			stream.NewReader(strings.NewReader(corpus), "stream", blockSize))

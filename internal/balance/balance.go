@@ -12,23 +12,25 @@
 // quotas the distortion costs the factor Inflation(Φ) on the IS second
 // moment.
 //
-// The runtime plan is a seeded shuffle (ForceShuffle, the zero Mode):
-// measured by Inflation, it balances at least as well as Algorithm 3 on
-// every corpus of this repository, skewed ones included, where the
-// contiguous cut of the head–tail order gives one shard the smallest and
-// the largest weights. Algorithm 3 (ForceBalance) stays for the
-// reproduction, and so does Algorithm 4's ρ ≥ ζ choice between the two,
-// which internal/experiments applies; internal/stream applies it to
-// each block on the streamed ρ estimate. The paper's pseudo-code prints
-// that comparison as "ρ ≤ ζ → balance", but Section 2.4's prose ("a
-// lower ρ indicates lower potential of severe importance imbalance") and
-// Table 1 (News20, the one balanced dataset, has the highest ρ) show it
-// is inverted in print; the reproduction uses ρ ≥ ζ → balance.
+// The runtime plan is a seeded shuffle (ForceShuffle, the zero Mode),
+// in batch and cluster training and for every block of the streaming
+// trainer: measured by Inflation, it balances at least as well as
+// Algorithm 3 on every corpus of this repository, skewed ones included,
+// where the contiguous cut of the head–tail order gives one shard the
+// smallest and the largest weights. Algorithm 3 (ForceBalance) stays for
+// the reproduction, and so does Algorithm 4's ρ ≥ ζ choice between the
+// two, which only internal/experiments applies. The paper's pseudo-code
+// prints that comparison as "ρ ≤ ζ → balance", but Section 2.4's prose
+// ("a lower ρ indicates lower potential of severe importance imbalance")
+// and Table 1 (News20, the one balanced dataset, has the highest ρ) show
+// it is inverted in print; the reproduction uses ρ ≥ ζ → balance.
 package balance
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/isasgd/isasgd/internal/xrand"
 )
@@ -101,12 +103,15 @@ func Psi(l []float64) float64 {
 // HeadTail implements Algorithm 3: sort indices by L ascending, ties in
 // index order, then interleave head and tail (Ds[0], Ds[n-1], Ds[1],
 // Ds[n-2], ...) so that contiguous shards receive near-equal importance
-// sums. Returns the rearranged index order Dr. The sort is argsort's
-// stable radix order on the weights' keys, which is cmp.Compare's order
-// with ties kept in index order.
+// sums. Returns the rearranged index order Dr. The sort is stable on
+// cmp.Compare's order: NaNs first, −0 equal to +0.
 func HeadTail(l []float64) []int {
 	n := len(l)
-	ds := argsort(sortKeys(l))
+	ds := make([]int, n)
+	for i := range ds {
+		ds[i] = i
+	}
+	slices.SortStableFunc(ds, func(a, b int) int { return cmp.Compare(l[a], l[b]) })
 	dr := make([]int, 0, n)
 	for i := 0; i < n/2; i++ {
 		dr = append(dr, ds[i], ds[n-1-i])
@@ -115,65 +120,6 @@ func HeadTail(l []float64) []int {
 		dr = append(dr, ds[n/2])
 	}
 	return dr
-}
-
-// sortKeys returns, for each weight, a uint64 whose unsigned order is
-// cmp.Compare's order on the weights: NaNs first and equal, −0 equal to
-// +0 (the +0 makes −0 into +0), negatives below positives.
-func sortKeys(l []float64) []uint64 {
-	keys := make([]uint64, len(l))
-	for i, v := range l {
-		var k uint64 // NaN
-		if v == v {
-			k = math.Float64bits(v + 0)
-			if k>>63 == 0 {
-				k |= 1 << 63
-			} else {
-				k = ^k
-			}
-		}
-		keys[i] = k
-	}
-	return keys
-}
-
-// argsort returns the indices of keys in ascending key order, ties in
-// index order: a stable LSD radix sort one byte a pass, which skips every
-// byte that all keys share. It reorders keys in place.
-func argsort(keys []uint64) []int {
-	n := len(keys)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	if n < 2 {
-		return idx
-	}
-	var counts [8][256]int
-	for _, k := range keys {
-		for b := range counts {
-			counts[b][byte(k>>(8*b))]++
-		}
-	}
-	keys2, idx2 := make([]uint64, n), make([]int, n)
-	for b := range counts {
-		c, shift := &counts[b], 8*b
-		if c[byte(keys[0]>>shift)] == n {
-			continue
-		}
-		sum := 0
-		for d, cnt := range c {
-			c[d], sum = sum, sum+cnt
-		}
-		for i, k := range keys {
-			d := byte(k >> shift)
-			keys2[c[d]], idx2[c[d]] = k, idx[i]
-			c[d]++
-		}
-		keys, keys2 = keys2, keys
-		idx, idx2 = idx2, idx
-	}
-	return idx
 }
 
 // Split divides order into parts contiguous shards whose sizes differ by

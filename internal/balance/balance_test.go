@@ -325,10 +325,9 @@ func TestSortsMatchStableReference(t *testing.T) {
 	}
 }
 
-// sortFuncOrders is the comparison-sort reference for HeadTail, which
-// computed it before the radix sort, and the sorted-descending order,
-// the worst case of contiguous sharding: slices.SortFunc on
-// cmp.Compare with ties broken on the index.
+// sortFuncOrders is the comparison-sort reference for HeadTail, and the
+// sorted-descending order, the worst case of contiguous sharding:
+// slices.SortFunc on cmp.Compare with ties broken on the index.
 func sortFuncOrders(l []float64) (headTail, desc []int) {
 	asc, desc := make([]int, len(l)), make([]int, len(l))
 	for i := range asc {
@@ -356,12 +355,12 @@ func checkOrders(t *testing.T, name string, l []float64) {
 	}
 }
 
-// TestArgsortMatchesSortFunc: the radix order equals the comparison
-// sort's on every size class, on heavy ties, and on the weights whose
-// order is easy to get wrong: NaN (every payload and sign equal, below
-// everything), ±0 (equal), ±Inf, subnormals and negatives, and weights
-// a few ulps apart, which differ in the low bytes only.
-func TestArgsortMatchesSortFunc(t *testing.T) {
+// TestHeadTailMatchesSortFunc: HeadTail's stable sort equals the
+// comparison sort with an index tie-break on every size class, on heavy
+// ties, and on the weights whose order is easy to get wrong: NaN (every
+// payload and sign equal, below everything), ±0 (equal), ±Inf,
+// subnormals and negatives, and weights a few ulps apart.
+func TestHeadTailMatchesSortFunc(t *testing.T) {
 	nan2 := math.Float64frombits(0xfff8_0000_0000_0001) // a negative NaN with a payload
 	specials := []float64{math.NaN(), nan2, 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
 		-1, 1, -2.5, 5e-324, -5e-324, math.MaxFloat64, -math.MaxFloat64, 0.25}
@@ -393,12 +392,12 @@ func TestArgsortMatchesSortFunc(t *testing.T) {
 	checkOrders(t, "all specials", specials)
 }
 
-// FuzzArgsort checks HeadTail against the comparison
+// FuzzHeadTail checks HeadTail against the comparison
 // sort on arbitrary weights. An even first byte reads the rest as
 // float64 bit patterns, 8 bytes each (every NaN payload, subnormal and
 // sign); an odd one reads each further byte as a pick among 16 values,
 // so ties and the special values come often.
-func FuzzArgsort(f *testing.F) {
+func FuzzHeadTail(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{1, 3, 3, 2, 2, 2, 3, 0, 0, 1, 15})

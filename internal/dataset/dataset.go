@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/isasgd/isasgd/internal/balance"
 	"github.com/isasgd/isasgd/internal/sparse"
 	"github.com/isasgd/isasgd/internal/xrand"
 )
@@ -105,17 +104,16 @@ func FromRows(name string, dim int, rows []sparse.Vector, y []float64) (*Dataset
 // Stats are the Table-1 columns plus the importance-weight summary used
 // by the experiment harness.
 type Stats struct {
-	Name     string
-	Dim      int
-	N        int
-	Density  float64 // "∇fi-Spa.": nnz / (n·d)
-	Psi      float64 // Eq. 15, normalized form
-	Rho      float64 // Eq. 20
-	MeanL    float64
-	MinL     float64
-	MaxL     float64
-	AvgNNZ   float64 // average non-zeros per row
-	Balanced bool    // Algorithm 4's ρ ≥ ζ decision at DefaultZeta
+	Name    string
+	Dim     int
+	N       int
+	Density float64 // "∇fi-Spa.": nnz / (n·d)
+	Psi     float64 // Eq. 15, normalized form (ΣL)²/(N·ΣL²)
+	Rho     float64 // Eq. 20, the population variance of L
+	MeanL   float64
+	MinL    float64
+	MaxL    float64
+	AvgNNZ  float64 // average non-zeros per row
 }
 
 // ComputeStats derives Table-1 statistics from a dataset and its
@@ -126,22 +124,28 @@ func ComputeStats(d *Dataset, l []float64) Stats {
 		Dim:     d.Dim(),
 		N:       d.N(),
 		Density: d.X.Density(),
-		Psi:     balance.Psi(l),
-		Rho:     balance.Rho(l),
 	}
 	if d.N() > 0 {
 		s.AvgNNZ = float64(d.X.NNZ()) / float64(d.N())
 	}
 	if len(l) > 0 {
+		n := float64(len(l))
 		s.MinL, s.MaxL = math.Inf(1), math.Inf(-1)
-		sum := 0.0
+		sum, sumSq := 0.0, 0.0
 		for _, v := range l {
 			sum += v
+			sumSq += v * v
 			s.MinL = math.Min(s.MinL, v)
 			s.MaxL = math.Max(s.MaxL, v)
 		}
-		s.MeanL = sum / float64(len(l))
+		s.MeanL = sum / n
+		if sumSq > 0 {
+			s.Psi = sum * sum / (n * sumSq)
+		}
+		for _, v := range l {
+			s.Rho += (v - s.MeanL) * (v - s.MeanL)
+		}
+		s.Rho /= n
 	}
-	s.Balanced = s.Rho >= balance.DefaultZeta
 	return s
 }

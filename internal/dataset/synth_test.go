@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/isasgd/isasgd/internal/balance"
 	"github.com/isasgd/isasgd/internal/objective"
 )
 
@@ -99,7 +98,7 @@ func TestSynthesizeRhoCalibration(t *testing.T) {
 			t.Fatal(err)
 		}
 		l := objective.Weights(d.X, objective.LogisticL1{Eta: 1e-4})
-		rho := balance.Rho(l)
+		rho := ComputeStats(d, l).Rho
 		if math.Abs(rho-target) > 0.02*target {
 			t.Errorf("target ρ=%g, got %g", target, rho)
 		}
@@ -108,8 +107,10 @@ func TestSynthesizeRhoCalibration(t *testing.T) {
 
 func TestPresetSignatures(t *testing.T) {
 	// The four presets must reproduce the Table-1 orderings:
-	// ψ: news20 > url > kdda > kddb; ρ: only news20 ≥ ζ;
+	// ψ: news20 > url > kdda > kddb; ρ: only news20 ≥ ζ, the paper's
+	// threshold (Section 2.4);
 	// density: news20 > url > kdda > kddb.
+	const zeta = 5e-4
 	if testing.Short() {
 		t.Skip("preset generation is moderately expensive")
 	}
@@ -141,11 +142,11 @@ func TestPresetSignatures(t *testing.T) {
 				sigs[i-1].name, sigs[i-1].density, sigs[i].name, sigs[i].density)
 		}
 	}
-	if sigs[0].rho < balance.DefaultZeta {
+	if sigs[0].rho < zeta {
 		t.Errorf("news20s ρ=%g below ζ; Algorithm 4 would not balance it", sigs[0].rho)
 	}
 	for _, s := range sigs[1:] {
-		if s.rho >= balance.DefaultZeta {
+		if s.rho >= zeta {
 			t.Errorf("%s ρ=%g above ζ; Algorithm 4 would balance it", s.name, s.rho)
 		}
 	}

@@ -49,11 +49,11 @@ func TestTable1(t *testing.T) {
 		}
 	}
 	// Only the News20 analog triggers Algorithm-4 balancing.
-	if !res.Rows[0].Stats.Balanced {
+	if !res.Rows[0].Balanced {
 		t.Error("news20s not balanced")
 	}
 	for _, row := range res.Rows[1:] {
-		if row.Stats.Balanced {
+		if row.Balanced {
 			t.Errorf("%s should not balance", row.Stats.Name)
 		}
 	}

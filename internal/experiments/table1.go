@@ -3,15 +3,18 @@ package experiments
 import (
 	"fmt"
 
+	"github.com/isasgd/isasgd/internal/balance"
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/objective"
 )
 
 // Table1Row pairs a measured dataset signature with the paper's
-// reference values for the analogous real dataset.
+// reference values for the analogous real dataset, and records
+// Algorithm 4's choice on it.
 type Table1Row struct {
-	Stats dataset.Stats
-	Paper PaperDataset
+	Stats    dataset.Stats
+	Paper    PaperDataset
+	Balanced bool // whether algorithm4 takes head–tail (ρ ≥ ζ)
 }
 
 // PaperDataset is a row of the paper's Table 1.
@@ -52,7 +55,8 @@ func (r *Runner) Table1() (*Table1Result, error) {
 		}
 		l := objective.Weights(d.X, obj)
 		s := dataset.ComputeStats(d, l)
-		res.Rows = append(res.Rows, Table1Row{Stats: s, Paper: PaperTable1[i]})
+		balanced := algorithm4(l) == balance.ForceBalance
+		res.Rows = append(res.Rows, Table1Row{Stats: s, Paper: PaperTable1[i], Balanced: balanced})
 		rows = append(rows, []string{
 			s.Name,
 			fmt.Sprintf("%d", s.Dim),
@@ -60,7 +64,7 @@ func (r *Runner) Table1() (*Table1Result, error) {
 			fmt.Sprintf("%.1e", s.Density),
 			fmt.Sprintf("%.3f", s.Psi),
 			fmt.Sprintf("%.1e", s.Rho),
-			boolWord(s.Balanced, "balance", "shuffle"),
+			boolWord(balanced, "balance", "shuffle"),
 			fmt.Sprintf("(paper: %s %.3f / %.0e)", PaperTable1[i].Name, PaperTable1[i].Psi, PaperTable1[i].Rho),
 		})
 	}

@@ -35,7 +35,6 @@ type TrainInstruments struct {
 	SnapshotRejected *Counter // publishes rejected for non-finite weights
 
 	ESS           *Gauge // importance-sampling effective sample size
-	Rho           *Gauge // streamed ρ̂ (Eq. 20 imbalance potential)
 	Psi           *Gauge // streamed ψ̂ (Eq. 15 improvement indicator)
 	Reservoir     *Gauge // reservoir entries across workers
 	AliasRebuilds *Counter
@@ -64,8 +63,6 @@ func NewTrainInstruments(r *Registry, model string) *TrainInstruments {
 		"Live weight-snapshot publishes rejected for non-finite weights; a non-zero rate means serving has stopped advancing while the job keeps training.", "model").With(model)
 	ti.ESS = r.GaugeVec("isasgd_is_effective_sample_size",
 		"Importance-sampling effective sample size (sum w)^2/(sum w^2) of the observed weight stream.", "model").With(model)
-	ti.Rho = r.GaugeVec("isasgd_is_rho",
-		"Streaming estimate of the paper's imbalance potential rho (Eq. 20).", "model").With(model)
 	ti.Psi = r.GaugeVec("isasgd_is_psi",
 		"Streaming estimate of the convergence-improvement indicator psi (Eq. 15, normalized).", "model").With(model)
 	ti.Reservoir = r.GaugeVec("isasgd_is_reservoir_entries",
@@ -125,12 +122,11 @@ func (ti *TrainInstruments) ShedDone(n int64) {
 }
 
 // SetISStats refreshes the importance-sampling diagnostic gauges.
-func (ti *TrainInstruments) SetISStats(ess, rho, psi float64, reservoir int) {
+func (ti *TrainInstruments) SetISStats(ess, psi float64, reservoir int) {
 	if ti == nil {
 		return
 	}
 	ti.ESS.Set(ess)
-	ti.Rho.Set(rho)
 	ti.Psi.Set(psi)
 	ti.Reservoir.Set(float64(reservoir))
 }

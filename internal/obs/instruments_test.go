@@ -43,7 +43,7 @@ func TestEpochAndBlockDone(t *testing.T) {
 func TestISStatsAndRebuild(t *testing.T) {
 	r := NewRegistry()
 	ti := NewTrainInstruments(r, "m")
-	ti.SetISStats(123.4, 0.5, 0.9, 777)
+	ti.SetISStats(123.4, 0.9, 777)
 	ti.RebuildObserved(2 * time.Millisecond)
 	ti.RebuildObserved(4 * time.Millisecond)
 	if got := ti.ESS.Value(); got != 123.4 {
@@ -78,6 +78,6 @@ func TestNilInstrumentsSafe(t *testing.T) {
 	var ti *TrainInstruments
 	ti.EpochDone(1, time.Second)
 	ti.BlockDone(1, 1, time.Second)
-	ti.SetISStats(0, 0, 0, 0)
+	ti.SetISStats(0, 0, 0)
 	ti.RebuildObserved(time.Millisecond)
 }

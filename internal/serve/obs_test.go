@@ -84,7 +84,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`isasgd_train_updates_total{model="stream-model"}`,
 		`isasgd_train_updates_per_sec{model="stream-model"}`,
 		`isasgd_is_effective_sample_size{model="stream-model"}`,
-		`isasgd_is_rho{model="stream-model"}`,
 		`isasgd_is_psi{model="stream-model"}`,
 		`isasgd_is_reservoir_entries{model="stream-model"}`,
 		`isasgd_is_alias_rebuilds_total{model="stream-model"}`,

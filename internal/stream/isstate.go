@@ -33,9 +33,9 @@ type aliasTable struct {
 // rebuildEvery observations (or on demand) so Sample stays O(1)
 // regardless of how many rows have streamed past.
 //
-// Concurrency: Observe, EvictBefore, Rebuild and the stat accessors may
-// be called from one or more ingest goroutines while worker goroutines
-// call Sample concurrently; the reservoir is mutex-guarded and the alias
+// Concurrency: Observe, EvictBefore, Rebuild and Len may be called
+// from one or more ingest goroutines while worker goroutines call
+// Sample concurrently; the reservoir is mutex-guarded and the alias
 // table is published through an atomic pointer, so samplers never block
 // ingestion and always see a complete generation.
 //
@@ -53,13 +53,6 @@ type ISState struct {
 	seen         int64 // observations since the last compaction, for reservoir replacement
 	rng          *xrand.Rand
 	sinceRebuild int
-
-	// All-time stream moments (never evicted). These back the
-	// EstMean/EstRho/EstPsi estimators for standalone ISState users;
-	// Trainer sees whole blocks before sharding them across workers, so
-	// it accumulates its own global moments for the Algorithm-4 branch
-	// rather than merging per-worker ones.
-	mom moments
 
 	// win, when set, switches rebuilds to gradient-norm importance:
 	// entries are weighed by adaptive.GradWeights over the ‖x‖ and |ℓ'|
@@ -114,7 +107,6 @@ func (s *ISState) Observe(ref int64, w float64) {
 		w = 0
 	}
 	s.mu.Lock()
-	s.mom.add(w)
 	s.seen++
 	if len(s.entries) < s.cap {
 		s.entries = append(s.entries, Entry{Ref: ref, W: w})
@@ -240,74 +232,4 @@ func (s *ISState) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.entries)
-}
-
-// Observed returns the all-time number of observations.
-func (s *ISState) Observed() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mom.count
-}
-
-// EstMean returns the all-time mean importance weight (0 before any
-// observation).
-func (s *ISState) EstMean() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mom.mean()
-}
-
-// EstRho estimates the paper's imbalance potential ρ (Eq. 20, the
-// population variance of L) from the running stream moments, letting the
-// trainer take Algorithm 4's balance-vs-shuffle branch without holding
-// the data.
-func (s *ISState) EstRho() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mom.rho()
-}
-
-// EstPsi estimates the convergence-improvement indicator ψ (Eq. 15,
-// normalized) from the running stream moments.
-func (s *ISState) EstPsi() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mom.psi()
-}
-
-// moments are the all-time moments of a stream of importance weights:
-// their count, Σw and Σw².
-type moments struct {
-	count      int64
-	sum, sumSq float64
-}
-
-func (m *moments) add(w float64) {
-	m.count++
-	m.sum += w
-	m.sumSq += w * w
-}
-
-// mean returns the mean weight, 0 before any.
-func (m *moments) mean() float64 {
-	if m.count == 0 {
-		return 0
-	}
-	return m.sum / float64(m.count)
-}
-
-// rho returns the population variance of the weights, ρ of Eq. 20,
-// floored at 0 against rounding.
-func (m *moments) rho() float64 {
-	mean := m.mean()
-	return max(m.sumSq/float64(max(m.count, 1))-mean*mean, 0)
-}
-
-// psi returns ψ of Eq. 15 in its normalized form, (Σw)²/(n·Σw²); 0
-// before any non-zero weight.
-func (m *moments) psi() float64 {
-	if m.sumSq == 0 {
-		return 0
-	}
-	return m.sum * m.sum / (float64(m.count) * m.sumSq)
 }

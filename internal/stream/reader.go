@@ -18,8 +18,8 @@
 //     estimates in a bounded reservoir, periodically rebuilding a
 //     sampling.Alias table so the hot sampling path stays O(1);
 //   - Trainer: multi-worker asynchronous updates over a sliding window
-//     of blocks, with per-block shard assignment reusing
-//     internal/balance's importance balancing.
+//     of blocks, each block cut into worker shards of a seeded shuffle
+//     as the batch engine cuts its data.
 //
 // The window is one CSR arena: a block's rows are appended at
 // admission, without the features the model cannot hold, and evicted

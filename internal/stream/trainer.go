@@ -108,7 +108,7 @@ type Config struct {
 
 	// Instruments, when non-nil, receives streaming telemetry: per-block
 	// row/update throughput (BlockDone), the IS diagnostics gauges (ESS,
-	// ρ̂, ψ̂, reservoir occupancy), alias-rebuild count and latency, and
+	// ψ̂, reservoir occupancy), alias-rebuild count and latency, and
 	// per-worker update-staleness histograms fed from the hot loop. Nil
 	// leaves the hot path untouched.
 	Instruments *obs.TrainInstruments
@@ -116,13 +116,11 @@ type Config struct {
 
 // BlockStats is the per-block progress record.
 type BlockStats struct {
-	Block      int64 // 0-based index of the ingested block
-	Rows       int   // rows in this block
-	WindowRows int64 // rows currently resident
-	Updates    int64 // cumulative updates applied
-	Balanced   bool  // whether this block took the balance branch
-	EstRho     float64
-	EstPsi     float64
+	Block      int64   // 0-based index of the ingested block
+	Rows       int     // rows in this block
+	WindowRows int64   // rows currently resident
+	Updates    int64   // cumulative updates applied
+	EstPsi     float64 // ψ̂ (Eq. 15, normalized) over every weight ingested so far
 	Imbalance  float64 // Φ imbalance of this block's shard assignment
 }
 
@@ -135,9 +133,8 @@ type Result struct {
 }
 
 // Trainer drives core-style multi-worker asynchronous updates over a
-// sliding window of blocks. Each ingested block is shard-assigned to
-// workers with internal/balance (head–tail importance balancing or
-// shuffle, adaptively on the streamed ρ estimate), observed into the
+// sliding window of blocks. Each ingested block is cut into contiguous
+// worker shards of a seeded shuffle (balance.Split), observed into the
 // workers' ISStates, appended to the window, and then trained on for
 // UpdatesPerBlock importance-sampled (or uniform) updates. Blocks older
 // than WindowBlocks are evicted, so memory stays
@@ -155,7 +152,7 @@ type Trainer struct {
 	reg  objective.Regularizer
 	m    model.Params
 	loop core.Loop
-	rngs []*xrand.Rand // rngs[0] also drives shard planning
+	rngs []*xrand.Rand // rngs[0] also shuffles each block
 	sts  []*ISState
 
 	win   window
@@ -167,7 +164,7 @@ type Trainer struct {
 	rows    int64 // rows ingested so far; also the next row's ref
 	step    float64
 
-	// streamed weight moments for the Auto balance decision
+	// moments of every weight ingested, for ψ̂ and the ESS gauge
 	mom moments
 }
 
@@ -402,12 +399,30 @@ func (t *Trainer) Rows() int64 { return t.rows }
 // measured staleness exceeded Config.StalenessBound.
 func (t *Trainer) Shed() int64 { return t.loop.Shed() }
 
-// EstRho returns the streaming estimate of ρ (Eq. 20) over all weights
-// observed so far.
-func (t *Trainer) EstRho() float64 { return t.mom.rho() }
-
 // EstPsi returns the streaming estimate of ψ (Eq. 15, normalized).
 func (t *Trainer) EstPsi() float64 { return t.mom.psi() }
+
+// moments are the all-time moments of the ingested importance weights:
+// their count, Σw and Σw².
+type moments struct {
+	count      int64
+	sum, sumSq float64
+}
+
+func (m *moments) add(w float64) {
+	m.count++
+	m.sum += w
+	m.sumSq += w * w
+}
+
+// psi returns ψ of Eq. 15 in its normalized form, (Σw)²/(n·Σw²); 0
+// before any non-zero weight.
+func (m *moments) psi() float64 {
+	if m.sumSq == 0 {
+		return 0
+	}
+	return m.sum * m.sum / (float64(m.count) * m.sumSq)
+}
 
 // Ingest admits one block into the window, assigns its rows to worker
 // shards, slides the window, and runs the update budget.
@@ -418,17 +433,9 @@ func (t *Trainer) Ingest(b *Block) BlockStats {
 		t.mom.add(w)
 	}
 
-	// Algorithm 4 lines 2–6 applied blockwise, on the streamed ρ
-	// estimate (the block alone is too small a sample, and the full data
-	// is gone): head–tail when ρ ≥ ζ, a seeded shuffle otherwise. The
-	// batch engine and the cluster only shuffle; ROADMAP item 27 records
-	// why the stream keeps the branch.
-	mode := balance.ForceShuffle
-	if t.EstRho() >= balance.DefaultZeta {
-		mode = balance.ForceBalance
-	}
-	order, d := balance.Plan(l, t.cfg.Workers, mode, t.rngs[0])
-	shards := balance.Split(order, t.cfg.Workers)
+	// Shard the block as the batch engine and the cluster shard their
+	// data: contiguous cuts of a seeded shuffle.
+	shards := balance.Split(t.rngs[0].Perm(len(l)), t.cfg.Workers)
 
 	// Admit the block, then feed each worker its shard. A row's ref is
 	// its position in the trainer's ingest order, so a window row is
@@ -469,7 +476,7 @@ func (t *Trainer) Ingest(b *Block) BlockStats {
 		for _, st := range t.sts {
 			reservoir += st.Len()
 		}
-		ti.SetISStats(ess, t.EstRho(), t.EstPsi(), reservoir)
+		ti.SetISStats(ess, t.EstPsi(), reservoir)
 	}
 	t.step *= t.cfg.StepDecay
 	t.blocks++
@@ -482,8 +489,8 @@ func (t *Trainer) Ingest(b *Block) BlockStats {
 
 	stats := BlockStats{
 		Block: t.blocks - 1, Rows: b.Len(), WindowRows: int64(t.win.rows()),
-		Updates: t.updates, Balanced: d.Balanced,
-		EstRho: t.EstRho(), EstPsi: t.EstPsi(), Imbalance: d.Imbalance,
+		Updates: t.updates, EstPsi: t.EstPsi(),
+		Imbalance: balance.Imbalance(balance.ImportanceSums(shards, l)),
 	}
 	if t.cfg.OnBlock != nil {
 		t.cfg.OnBlock(stats)

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"github.com/isasgd/isasgd/internal/balance"
 	"github.com/isasgd/isasgd/internal/objective"
 	"github.com/isasgd/isasgd/internal/xrand"
 )
@@ -83,16 +85,25 @@ func streamConfig(dim int, uniform bool) Config {
 }
 
 // TestTrainerISBeatsUniformOnline is the end-to-end acceptance test: a
-// ≥4-chunk synthetic corpus streamed through stream.Trainer with 2
-// workers must reach lower logistic loss with online importance sampling
-// than with uniform online SGD under the same update budget, under a
-// fixed seed.
+// ≥4-chunk synthetic corpus streamed through stream.Trainer, online
+// importance sampling against uniform online SGD under the same update
+// budget, compared by held-out logistic loss over trainer seeds 65–80 at
+// one worker, where each seed's run is deterministic. IS must be no worse
+// than uniform at step 0.25, near both arms' best loss, and clearly better
+// at step 4, above uniform's stable step: the larger admissible step the
+// paper's variance argument predicts.
+//
+// The bars come from seeds 1–64 alone: the worst 16-seed median of the
+// per-seed IS/uniform ratios plus two standard errors of such a median,
+// and the share of seeds IS won less two binomial deviations. Seeds 65–128
+// were not used to set them, and hold them (results/abc170e/stream-arms/).
 func TestTrainerISBeatsUniformOnline(t *testing.T) {
 	const (
-		n    = 2048
-		dim  = 256
-		bs   = 256 // 8 chunks
-		seed = 9
+		n     = 2048
+		dim   = 256
+		bs    = 256 // 8 chunks
+		seed  = 9
+		seeds = 16 // trainer seeds 65–80
 	)
 	const truthSeed = 77
 	corpus := makeSkewedCorpus(n, dim, 0.9, seed, truthSeed)
@@ -102,10 +113,12 @@ func TestTrainerISBeatsUniformOnline(t *testing.T) {
 	heldOut := makeSkewedCorpus(512, dim, 0, seed+1, truthSeed)
 	obj := objective.LogisticL1{Eta: 1e-4}
 
-	run := func(uniform bool) (loss float64, res *Result) {
+	run := func(uniform bool, step float64, trainerSeed uint64) (loss float64, res *Result) {
 		cfg := streamConfig(dim, uniform)
-		cfg.Step = 1.0
+		cfg.Workers = 1
+		cfg.Step = step
 		cfg.UpdatesPerBlock = 2 * bs
+		cfg.Seed = trainerSeed
 		tr, err := NewTrainer(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -121,25 +134,41 @@ func TestTrainerISBeatsUniformOnline(t *testing.T) {
 		return loss, res
 	}
 
-	isLoss, isRes := run(false)
-	uLoss, uRes := run(true)
-
-	if isRes.Blocks < 4 {
-		t.Fatalf("corpus streamed in %d blocks, want >= 4", isRes.Blocks)
-	}
-	if isRes.Rows != n || uRes.Rows != n {
-		t.Fatalf("rows: is=%d uniform=%d, want %d", isRes.Rows, uRes.Rows, n)
-	}
-	if isRes.Updates != uRes.Updates {
-		t.Fatalf("budgets differ: is=%d uniform=%d", isRes.Updates, uRes.Updates)
-	}
-	t.Logf("loss: is=%.6f uniform=%.6f (%d updates)", isLoss, uLoss, isRes.Updates)
-	if !(isLoss < uLoss) {
-		t.Fatalf("online IS (%.6f) should beat uniform online SGD (%.6f)", isLoss, uLoss)
-	}
-	// The margin must be structural, not noise: require ≥5%% improvement.
-	if isLoss > 0.95*uLoss {
-		t.Fatalf("improvement too small to be meaningful: is=%.6f uniform=%.6f", isLoss, uLoss)
+	for _, bar := range []struct {
+		step     float64
+		maxRatio float64 // on the median IS/uniform ratio over the seeds
+		minAhead int     // seeds where IS reads lower
+	}{
+		{0.25, 1.016, 6},
+		{4, 0.710, 13},
+	} {
+		var ratios []float64
+		ahead := 0
+		for s := uint64(65); s < 65+seeds; s++ {
+			isLoss, isRes := run(false, bar.step, s)
+			uLoss, uRes := run(true, bar.step, s)
+			if isRes.Blocks < 4 {
+				t.Fatalf("corpus streamed in %d blocks, want >= 4", isRes.Blocks)
+			}
+			if isRes.Rows != n || uRes.Rows != n {
+				t.Fatalf("rows: is=%d uniform=%d, want %d", isRes.Rows, uRes.Rows, n)
+			}
+			if isRes.Updates != uRes.Updates {
+				t.Fatalf("budgets differ: is=%d uniform=%d", isRes.Updates, uRes.Updates)
+			}
+			ratios = append(ratios, isLoss/uLoss)
+			if isLoss < uLoss {
+				ahead++
+			}
+		}
+		slices.Sort(ratios)
+		med := (ratios[seeds/2-1] + ratios[seeds/2]) / 2
+		t.Logf("step %g: median IS/uniform held-out loss %.4f (bar %.3f), IS lower in %d of %d seeds (bar %d)",
+			bar.step, med, bar.maxRatio, ahead, seeds, bar.minAhead)
+		if med > bar.maxRatio || ahead < bar.minAhead {
+			t.Errorf("step %g: online IS against uniform: median ratio %.4f (want <= %.3f), IS lower in %d of %d (want >= %d)",
+				bar.step, med, bar.maxRatio, ahead, seeds, bar.minAhead)
+		}
 	}
 }
 
@@ -199,39 +228,96 @@ func TestTrainerWindowBounded(t *testing.T) {
 	}
 }
 
+// TestTrainerOnBlockStats checks the per-block record and the shard
+// partition behind it at two and four workers: every row of a block is
+// observed by exactly one worker, shard sizes differ by at most one, and
+// Imbalance is the Φ imbalance of the weights each worker's ISState
+// received.
 func TestTrainerOnBlockStats(t *testing.T) {
 	corpus := makeSkewedCorpus(512, 32, 0.9, 11, 11)
-	cfg := streamConfig(32, false)
-	var stats []BlockStats
-	cfg.OnBlock = func(s BlockStats) { stats = append(stats, s) }
-	tr, err := NewTrainer(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, k := range []int{2, 4} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			cfg := streamConfig(32, false)
+			cfg.Workers = k
+			tr, err := NewTrainer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stats []BlockStats
+			tr.SetOnBlock(func(s BlockStats) {
+				stats = append(stats, s)
+				checkBlockPartition(t, tr, s)
+			})
+			if _, err := tr.Run(context.Background(), NewReader(strings.NewReader(corpus), "cb", 128)); err != nil {
+				t.Fatal(err)
+			}
+			if len(stats) != 4 {
+				t.Fatalf("got %d callbacks, want 4", len(stats))
+			}
+			for i, s := range stats {
+				if s.Block != int64(i) {
+					t.Fatalf("callback %d has Block %d", i, s.Block)
+				}
+				if s.EstPsi <= 0 || s.EstPsi > 1 {
+					t.Fatalf("callback %d has degenerate estimates: %+v", i, s)
+				}
+			}
+			last := stats[len(stats)-1]
+			if last.Updates != tr.Updates() || last.Updates == 0 {
+				t.Fatalf("cumulative updates %d != trainer's %d", last.Updates, tr.Updates())
+			}
+		})
 	}
-	if _, err := tr.Run(context.Background(), NewReader(strings.NewReader(corpus), "cb", 128)); err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) != 4 {
-		t.Fatalf("got %d callbacks, want 4", len(stats))
-	}
-	for i, s := range stats {
-		if s.Block != int64(i) {
-			t.Fatalf("callback %d has Block %d", i, s.Block)
+}
+
+// checkBlockPartition reads, from each worker's reservoir, the entries
+// of the block s just ingested (the reservoir outgrows the window, so it
+// holds every one) and checks that they partition the block into shards
+// whose sizes differ by at most one and whose Φ imbalance is
+// s.Imbalance, summed in the order the worker observed them.
+func checkBlockPartition(t *testing.T, tr *Trainer, s BlockStats) {
+	t.Helper()
+	first := tr.Rows() - int64(s.Rows)
+	seen := make([]int, s.Rows)
+	sizes := make([]int, len(tr.sts))
+	phis := make([]float64, len(tr.sts))
+	for w, st := range tr.sts {
+		st.mu.Lock()
+		for _, e := range st.entries {
+			if e.Ref >= first {
+				seen[e.Ref-first]++
+				sizes[w]++
+				phis[w] += e.W
+			}
 		}
-		if s.EstRho <= 0 || s.EstPsi <= 0 || s.EstPsi > 1 {
-			t.Fatalf("callback %d has degenerate estimates: %+v", i, s)
+		st.mu.Unlock()
+	}
+	for pos, n := range seen {
+		if n != 1 {
+			t.Fatalf("block %d: row %d observed by %d workers, want 1", s.Block, pos, n)
 		}
 	}
-	// The skewed corpus has enormous weight variance: every block must
-	// have taken Algorithm 4's balance branch.
-	for i, s := range stats {
-		if !s.Balanced {
-			t.Fatalf("block %d not balanced despite ρ=%g", i, s.EstRho)
-		}
+	if lo, hi := slices.Min(sizes), slices.Max(sizes); hi-lo > 1 {
+		t.Fatalf("block %d: shard sizes %v differ by more than one", s.Block, sizes)
 	}
-	last := stats[len(stats)-1]
-	if last.Updates != tr.Updates() || last.Updates == 0 {
-		t.Fatalf("cumulative updates %d != trainer's %d", last.Updates, tr.Updates())
+	if got := balance.Imbalance(phis); got != s.Imbalance {
+		t.Fatalf("block %d: Imbalance %g, recomputed from the shards %g", s.Block, s.Imbalance, got)
+	}
+}
+
+// TestTrainerMomentEstimators: ψ̂ is exact on the moments of every
+// weight ingested.
+func TestTrainerMomentEstimators(t *testing.T) {
+	var m moments
+	if m.psi() != 0 {
+		t.Fatalf("ψ̂ before any weight = %g, want 0", m.psi())
+	}
+	for _, w := range []float64{1, 1, 1, 1, 9, 9, 9, 9} {
+		m.add(w)
+	}
+	// ψ = (Σw)² / (n·Σw²) = 1600 / (8·328).
+	if got, want := m.psi(), 1600.0/(8*328); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("ψ̂ = %g, want %g", got, want)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 
-	"github.com/isasgd/isasgd/internal/balance"
 	"github.com/isasgd/isasgd/internal/checkpoint"
 	"github.com/isasgd/isasgd/internal/conflict"
 	"github.com/isasgd/isasgd/internal/core"
@@ -91,10 +90,6 @@ const (
 	PrecisionF64 = model.PrecisionF64
 	PrecisionF32 = model.PrecisionF32
 )
-
-// DefaultZeta is the paper's ρ threshold ζ = 5e-4 (Section 2.4), which
-// Stats.Balanced reads ρ against.
-const DefaultZeta = balance.DefaultZeta
 
 // Train runs the configured algorithm on (ds, obj); see core.Train.
 func Train(ctx context.Context, ds *Dataset, obj Objective, cfg Config) (*Result, error) {

@@ -19,11 +19,6 @@
 //	-seed n              RNG seed (default 1)
 //	-precision p         f64 | f32 — f32 trains on float32 weights and
 //	                     features (half the memory traffic) (default f64)
-//	-adapt-c x           staleness-adaptive step scaling: each update runs
-//	                     at step/(1+x·τ) where τ is its measured staleness
-//	                     (not for svrg-*; 0 disables)
-//	-staleness-bound n   shed updates whose measured staleness exceeds n
-//	                     (not for svrg-*; 0 disables)
 //	-dc-lambda x         DC-ASGD delay compensation strength λ: updates gain
 //	                     λ·g²·(w_now − w_epoch_base) (batch mode only;
 //	                     0 disables)
@@ -57,11 +52,10 @@
 //	                       upper bound, the default) | grad (the gradient
 //	                       norms |l'(z)|·‖x‖ the updates record; is-sgd/is-asgd)
 //
-// -adapt-c and -staleness-bound also apply in streaming mode; shed
-// update counts are printed after the run (and exported through the
-// isasgd_train_updates_shed_total counter when instruments attach). A
-// knob the mode does not have (-epochs or -dc-lambda with -stream, a
-// streaming knob without it) is an error.
+// Every update applies at full step, as the paper's Algorithm 4 does: the
+// coordinator's -adapt-c and -staleness-bound are isasgd-cluster flags,
+// not this command's. A knob the mode does not have (-epochs or
+// -dc-lambda with -stream, a streaming knob without it) is an error.
 package main
 
 import (
@@ -166,9 +160,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "algorithm %s, %d threads, %d updates, train time %.3fs\n",
 		res.Algo, res.Threads, res.Iters, res.TrainTime.Seconds())
-	if s.StalenessBound > 0 {
-		fmt.Fprintf(out, "staleness bound %d: shed %d updates\n", s.StalenessBound, res.Shed)
-	}
 	fmt.Fprintln(out, " epoch        iters       wall")
 	for _, p := range res.Curve {
 		fmt.Fprintln(out, metrics.FormatPoint(p))

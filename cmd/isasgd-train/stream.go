@@ -43,9 +43,6 @@ func runStream(ctx context.Context, out io.Writer, s spec.Spec, data, modelOut s
 		return err
 	}
 	fmt.Fprintf(out, "streamed %d rows in %d blocks, %d updates\n", res.Rows, res.Blocks, res.Updates)
-	if s.StalenessBound > 0 {
-		fmt.Fprintf(out, "staleness bound %d: shed %d updates\n", s.StalenessBound, tr.Shed())
-	}
 
 	// Second bounded-memory pass: evaluate the final model on the full
 	// corpus.

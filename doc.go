@@ -199,9 +199,9 @@
 //
 // # Adaptive updates
 //
-// internal/adaptive makes the sampling distribution, the step size and
-// the delay handling respond to live training signals instead of being
-// fixed up front. Gradient-norm importance (Config.Importance and
+// internal/adaptive makes the sampling distribution and the delay
+// handling respond to live training signals instead of being fixed up
+// front. Gradient-norm importance (Config.Importance and
 // stream.Config.Importance "grad", isasgd-train -stream -importance
 // grad, the streaming job spec's "importance" field) is one signal for
 // both trainers: every update the loop applies stores its row's |ℓ'(z)|,
@@ -210,12 +210,11 @@
 // uniform so the 1/(n·p) correction stays at most 2 — rows the model
 // still gets wrong keep their sampling mass, mastered rows lose it, and
 // no extra pass over the data is made (the norm Katharopoulos & Fleuret
-// and Alain et al. reduce to for linear models). A staleness-adaptive
-// step schedule scales each update by 1/(1+c·τ) on its measured
-// staleness (AdaptC on the core engine, streaming trainer and cluster
-// coordinator; -adapt-c on the CLIs), attenuating stale updates
-// instead of shedding them, with the shed bound still guarding the
-// tail. And the cluster
+// and Alain et al. reduce to for linear models). The in-process
+// trainers apply every update at full step, as Algorithm 4 does:
+// attenuating or shedding stale single updates did not pay on the
+// referee (README), so -adapt-c and -staleness-bound are the cluster
+// coordinator's alone. And the cluster
 // coordinator can apply DC-ASGD delay compensation (-dc-lambda): each
 // delayed push's delta is corrected per coordinate by −λ·d²·(w_now −
 // w_base) against the exact retained base version it trained from,

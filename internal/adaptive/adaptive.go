@@ -7,21 +7,20 @@
 //     2018; Alain et al. 2015), mixed with uniform so the Eq.-8
 //     correction 1/(n·p_i) stays at most 2. The batch engine and the
 //     streaming trainer both weigh their rows through it;
-//   - Policy carries the staleness-adaptive step schedule η/(1+c·τ) and
-//     the update-shedding bound motivated by the SME analysis (An, Lu &
-//     Ying) of how delay distorts asynchronous SGD dynamics;
 //   - Clock is the shared logical update clock the in-process τ probe
-//     reads (the same perturbed-iterate convention as the obs-layer
-//     staleness histograms);
+//     reads for the obs-layer staleness histograms (the perturbed-iterate
+//     convention of the SME analysis, An, Lu & Ying);
 //   - BaseRing retains recent published model versions so a coordinator
-//     can recover the base a delayed push trained from, and
+//     can recover the base a delayed push trained from;
 //     CompensateDelta applies the DC-ASGD correction
-//     g + λ·g⊙g⊙(w_now − w_base) in delta form at push-apply time.
+//     g + λ·g⊙g⊙(w_now − w_base) in delta form at push-apply time, and
+//     AttenuateDelta scales a stale push by 1/(1+c·τ). The in-process
+//     trainers keep only DC, as core.Loop's λ; attenuating or shedding
+//     single stale updates never paid on the referee (README).
 //
 // Everything here is allocation-free on the steady-state paths:
-// GradWeights writes into the caller's buffer, Policy and Clock are plain
-// arithmetic over pre-bound state, and CompensateDelta mutates the push
-// buffer in place.
+// GradWeights writes into the caller's buffer, Clock is one atomic, and
+// CompensateDelta and AttenuateDelta mutate the push buffer in place.
 package adaptive
 
 import (
@@ -33,37 +32,11 @@ import (
 	"github.com/isasgd/isasgd/internal/snapshot"
 )
 
-// Policy configures the adaptive update behavior of a training surface.
-// The zero value disables everything.
-type Policy struct {
-	// AdaptC scales steps by 1/(1+AdaptC·τ) where τ is the measured
-	// per-update staleness — the SME-motivated schedule that damps stale
-	// gradients instead of applying them at full strength. <= 0 disables.
-	AdaptC float64
-	// StalenessBound sheds (skips) updates whose measured τ exceeds it.
-	// <= 0 disables shedding — in-process Hogwild updates are almost
-	// never fully fresh, so unlike the cluster protocol there is no
-	// "admit only τ=0" setting here.
-	StalenessBound int64
-	// DCLambda enables delay compensation with strength λ: the update
-	// direction d gains the correction term λ·d²·(w_now − w_base)
-	// per coordinate (DC-ASGD; λ absorbs the step size when the caller
-	// works in delta rather than gradient units). <= 0 disables.
-	DCLambda float64
-}
-
-// Enabled reports whether any adaptive behavior is switched on.
-func (p Policy) Enabled() bool {
-	return p.AdaptC > 0 || p.StalenessBound > 0 || p.DCLambda > 0
-}
-
-// Validate rejects non-finite or negative knobs.
-func (p Policy) Validate() error {
-	if math.IsNaN(p.AdaptC) || math.IsInf(p.AdaptC, 0) || p.AdaptC < 0 {
-		return fmt.Errorf("adaptive: AdaptC must be finite and non-negative, got %g", p.AdaptC)
-	}
-	if math.IsNaN(p.DCLambda) || math.IsInf(p.DCLambda, 0) || p.DCLambda < 0 {
-		return fmt.Errorf("adaptive: DCLambda must be finite and non-negative, got %g", p.DCLambda)
+// CheckNonNegative is the rule of the policy strengths (a DC-ASGD λ, a
+// coordinator's attenuation c): finite and at least 0, where 0 disables.
+func CheckNonNegative(name string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+		return fmt.Errorf("%s must be finite and non-negative, got %g", name, v)
 	}
 	return nil
 }
@@ -84,21 +57,6 @@ func CheckDecay(decay float64) error {
 		return fmt.Errorf("step_decay must be in (0, 1], got %g", decay)
 	}
 	return nil
-}
-
-// Scale returns the staleness-adaptive step multiplier 1/(1+c·τ);
-// 1 when adaptation is off or τ is not positive.
-func (p Policy) Scale(tau int64) float64 {
-	if p.AdaptC <= 0 || tau <= 0 {
-		return 1
-	}
-	return 1 / (1 + p.AdaptC*float64(tau))
-}
-
-// Shed reports whether an update with measured staleness τ should be
-// dropped under the policy's bound.
-func (p Policy) Shed(tau int64) bool {
-	return p.StalenessBound > 0 && tau > p.StalenessBound
 }
 
 // Clock is the shared logical update clock behind the in-process τ
@@ -228,8 +186,8 @@ func CompensateDelta(idx []int, val, now, base []float64, lambda float64) {
 }
 
 // AttenuateDelta scales a pushed delta in place by the staleness-adaptive
-// factor 1/(1+c·τ) — the coordinator-side analog of Policy.Scale applied
-// to a whole delta rather than a single step.
+// factor 1/(1+c·τ), for a coordinator whose push staleness τ counts
+// whole pushes.
 func AttenuateDelta(val []float64, c float64, tau int64) {
 	if c <= 0 || tau <= 0 {
 		return

@@ -8,47 +8,18 @@ import (
 	"github.com/isasgd/isasgd/internal/snapshot"
 )
 
-func TestPolicyEnabledAndValidate(t *testing.T) {
-	if (Policy{}).Enabled() {
-		t.Fatal("zero policy must be disabled")
-	}
-	for _, p := range []Policy{{AdaptC: 0.1}, {StalenessBound: 4}, {DCLambda: 0.5}} {
-		if !p.Enabled() {
-			t.Fatalf("policy %+v should be enabled", p)
-		}
-		if err := p.Validate(); err != nil {
-			t.Fatalf("policy %+v: %v", p, err)
+// TestCheckNonNegative pins the rule of the policy strengths: 0 and
+// positive finite values pass, negative and non-finite ones fail.
+func TestCheckNonNegative(t *testing.T) {
+	for _, v := range []float64{0, 0.1, 4} {
+		if err := CheckNonNegative("x", v); err != nil {
+			t.Fatalf("%g: %v", v, err)
 		}
 	}
-	for _, p := range []Policy{
-		{AdaptC: -1}, {AdaptC: math.NaN()}, {AdaptC: math.Inf(1)},
-		{DCLambda: -0.5}, {DCLambda: math.NaN()},
-	} {
-		if err := p.Validate(); err == nil {
-			t.Fatalf("policy %+v should fail validation", p)
+	for _, v := range []float64{-1, -0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := CheckNonNegative("x", v); err == nil {
+			t.Fatalf("%g passed", v)
 		}
-	}
-}
-
-func TestPolicyScaleAndShed(t *testing.T) {
-	p := Policy{AdaptC: 0.5, StalenessBound: 3}
-	if got := p.Scale(0); got != 1 {
-		t.Fatalf("fresh update must keep full step, got %g", got)
-	}
-	if got, want := p.Scale(2), 1/(1+0.5*2.0); got != want {
-		t.Fatalf("Scale(2) = %g, want %g", got, want)
-	}
-	if (Policy{}).Scale(100) != 1 {
-		t.Fatal("disabled policy must not scale")
-	}
-	if p.Shed(3) {
-		t.Fatal("tau at the bound must be admitted")
-	}
-	if !p.Shed(4) {
-		t.Fatal("tau over the bound must shed")
-	}
-	if (Policy{}).Shed(1 << 40) {
-		t.Fatal("disabled bound must admit everything")
 	}
 }
 

@@ -174,8 +174,10 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.StalenessBound == 0 {
 		cfg.StalenessBound = -1
 	}
-	if err := (adaptive.Policy{AdaptC: cfg.AdaptC, DCLambda: cfg.DCLambda}).Validate(); err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
+	for _, err := range []error{adaptive.CheckNonNegative("AdaptC", cfg.AdaptC), adaptive.CheckNonNegative("DCLambda", cfg.DCLambda)} {
+		if err != nil {
+			return nil, fmt.Errorf("cluster: %w", err)
+		}
 	}
 	if cfg.BaseDepth <= 0 {
 		cfg.BaseDepth = 64

@@ -4,73 +4,65 @@ import (
 	"math"
 	"testing"
 
-	"github.com/isasgd/isasgd/internal/adaptive"
 	"github.com/isasgd/isasgd/internal/balance"
 	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/obs"
 )
 
-// TestSetAdaptiveValidation pins the rejection matrix: bad knobs are
-// refused and a disabled policy always detaches cleanly.
-func TestSetAdaptiveValidation(t *testing.T) {
+// TestSetDCValidation pins the rejection matrix: a negative or NaN λ
+// is refused and λ = 0 always detaches cleanly.
+func TestSetDCValidation(t *testing.T) {
 	ds, obj := smallProblem(t)
 	e, err := NewASGD(ds, obj, model.NewRacy(ds.Dim()), 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SetAdaptive(adaptive.Policy{AdaptC: -1}); err == nil {
-		t.Fatal("negative AdaptC accepted")
+	if err := e.SetDC(-1); err == nil {
+		t.Fatal("negative DCLambda accepted")
 	}
-	if err := e.SetAdaptive(adaptive.Policy{DCLambda: math.NaN()}); err == nil {
+	if err := e.SetDC(math.NaN()); err == nil {
 		t.Fatal("NaN DCLambda accepted")
 	}
-	if err := e.SetAdaptive(adaptive.Policy{AdaptC: 0.1}); err != nil {
+	if err := e.SetDC(0.1); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SetAdaptive(adaptive.Policy{}); err != nil {
+	if err := e.SetDC(0); err != nil {
 		t.Fatalf("disabling failed: %v", err)
 	}
 }
 
-// TestAdaptiveSingleWorkerMatchesPlain pins the τ = 0 semantics: with one
-// worker there is no staleness, so attenuation and shedding are inert and
-// an adaptive run must be bitwise-identical to the plain engine under the
-// same seed (the decomposed dot/deriv/update is exactly Step's
-// arithmetic, and DC compensation against a zero-drift base is a plain
-// update only when λ = 0 — so the policy here enables scaling+bound only).
+// TestAdaptiveSingleWorkerMatchesPlain pins the τ = 0 semantics of the
+// probing body: with one worker no update interleaves, and the clock
+// only feeds the histograms, so a gradient-norm run with the staleness
+// histograms attached (the probing body, which reads the clock) must be
+// bitwise-identical to the same run without them (the recording body,
+// which never touches it) under the same seed.
 func TestAdaptiveSingleWorkerMatchesPlain(t *testing.T) {
 	ds, obj := smallProblem(t)
 	for _, kind := range []model.Kind{model.KindRacy, model.KindRacy32, model.KindAtomic32} {
-		plain, err := NewISSGD(ds, obj, model.New(kind, ds.Dim()), 7, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		adapt, err := NewISSGD(ds, obj, model.New(kind, ds.Dim()), 7, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := adapt.SetAdaptive(adaptive.Policy{AdaptC: 0.5, StalenessBound: 1}); err != nil {
-			t.Fatal(err)
-		}
-		for ep := 0; ep < 3; ep++ {
-			plain.RunEpoch(0.5)
-			adapt.RunEpoch(0.5)
-		}
-		wp := plain.Snapshot(nil)
-		wa := adapt.Snapshot(nil)
-		for j := range wp {
-			if math.Float64bits(wp[j]) != math.Float64bits(wa[j]) {
-				t.Fatalf("%v: coordinate %d diverged: plain %g vs adaptive %g", kind, j, wp[j], wa[j])
+		var w [2][]float64
+		for k := range w {
+			e, err := NewISASGDOpts(ds, obj, model.New(kind, ds.Dim()), 1, ISOptions{Seed: 7, Importance: "grad"})
+			if err != nil {
+				t.Fatal(err)
 			}
+			if k == 1 {
+				e.Instrument(obs.NewTrainInstruments(obs.NewRegistry(), "m"))
+			}
+			for ep := 0; ep < 3; ep++ {
+				e.RunEpoch(0.5)
+			}
+			w[k] = e.Snapshot(nil)
 		}
-		if adapt.Shed() != 0 {
-			t.Fatalf("%v: single worker shed %d updates, want 0", kind, adapt.Shed())
+		for j := range w[0] {
+			if math.Float64bits(w[0][j]) != math.Float64bits(w[1][j]) {
+				t.Fatalf("%v: coordinate %d diverged: plain %g vs instrumented %g", kind, j, w[0][j], w[1][j])
+			}
 		}
 	}
 }
 
-// TestAdaptiveConcurrentConverges runs the full adaptive stack — step
-// attenuation, a staleness bound, and delay compensation — under real
+// TestAdaptiveConcurrentConverges runs delay compensation under real
 // concurrency on both precisions and requires the run to still optimize,
 // the f32 run into the same band as the f64 one.
 func TestAdaptiveConcurrentConverges(t *testing.T) {
@@ -80,7 +72,7 @@ func TestAdaptiveConcurrentConverges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.SetAdaptive(adaptive.Policy{AdaptC: 0.05, StalenessBound: 256, DCLambda: 0.04}); err != nil {
+		if err := e.SetDC(0.04); err != nil {
 			t.Fatal(err)
 		}
 		before := objValue(ds, obj, e.Snapshot(nil))
@@ -94,9 +86,6 @@ func TestAdaptiveConcurrentConverges(t *testing.T) {
 		if after >= before*0.8 {
 			t.Fatalf("%v: adaptive IS-ASGD failed to optimize: %g -> %g", kind, before, after)
 		}
-		if e.Shed() < 0 {
-			t.Fatalf("%v: negative shed count", kind)
-		}
 		return after
 	}
 	o64 := run(model.KindAtomic)
@@ -105,38 +94,9 @@ func TestAdaptiveConcurrentConverges(t *testing.T) {
 	}
 }
 
-// TestAdaptiveTightBoundSheds forces shedding: with many workers and a
-// bound of zero ticks, every update that races another must drop. The
-// run must still terminate with the full iteration count and finite
-// weights.
-func TestAdaptiveTightBoundSheds(t *testing.T) {
-	ds, obj := smallProblem(t)
-	for _, kind := range []model.Kind{model.KindAtomic, model.KindAtomic32} {
-		e, err := NewASGD(ds, obj, model.New(kind, ds.Dim()), 8, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.SetAdaptive(adaptive.Policy{StalenessBound: 1}); err != nil {
-			t.Fatal(err)
-		}
-		var iters int64
-		for ep := 0; ep < 3; ep++ {
-			iters += e.RunEpoch(0.5)
-		}
-		if iters != 3*int64(ds.N()) {
-			t.Fatalf("%v: iters = %d, want %d", kind, iters, 3*ds.N())
-		}
-		w := e.Snapshot(nil)
-		if j := model.FirstNonFinite(w); j >= 0 {
-			t.Fatalf("%v: non-finite weight at %d", kind, j)
-		}
-		t.Logf("%v: shed %d of %d attempted updates", kind, e.Shed(), iters)
-	}
-}
-
-// TestAdaptiveZeroAllocEpoch guards the steady-state contract: adaptive
-// epochs (including DC compensation against the reused base buffer)
-// allocate nothing once the first epoch has materialized the base.
+// TestAdaptiveZeroAllocEpoch guards the steady-state contract: DC
+// epochs, compensating against the reused base buffer, allocate nothing
+// once the first epoch has materialized the base.
 func TestAdaptiveZeroAllocEpoch(t *testing.T) {
 	if model.RaceEnabled {
 		t.Skip("allocation accounting differs under the race detector")
@@ -147,7 +107,7 @@ func TestAdaptiveZeroAllocEpoch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.SetAdaptive(adaptive.Policy{AdaptC: 0.1, DCLambda: 0.01}); err != nil {
+		if err := e.SetDC(0.01); err != nil {
 			t.Fatal(err)
 		}
 		e.RunEpoch(0.01) // materialize the DC base buffer
@@ -168,7 +128,7 @@ func TestAdaptiveDCDeterministicDampens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.SetAdaptive(adaptive.Policy{DCLambda: lam}); err != nil {
+		if err := e.SetDC(lam); err != nil {
 			t.Fatal(err)
 		}
 		for ep := 0; ep < 3; ep++ {
@@ -193,9 +153,9 @@ func TestAdaptiveDCDeterministicDampens(t *testing.T) {
 }
 
 // TestInstrumentedStaleness checks the τ histograms against the engine's
-// one update clock on every path of the worker loop, at both precisions:
-// a single worker never sees an interleaved update, so every update
-// observes exactly 0.
+// one update clock on the instrumented and the probing (DC) body of the
+// worker loop, at both precisions: a single worker never sees an
+// interleaved update, so every update observes exactly 0.
 func TestInstrumentedStaleness(t *testing.T) {
 	ds, obj := smallProblem(t)
 	for _, kind := range []model.Kind{model.KindRacy, model.KindRacy32} {
@@ -206,7 +166,7 @@ func TestInstrumentedStaleness(t *testing.T) {
 			}
 			want := int64(ds.N())
 			if mode == "adaptive" {
-				if err := e.SetAdaptive(adaptive.Policy{AdaptC: 0.5, StalenessBound: 1}); err != nil {
+				if err := e.SetDC(0.05); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -73,7 +73,7 @@ func benchEngines(b *testing.B, fn func(e *Engine) int64) {
 // its sequence, concurrently, with no end-of-epoch refresh — so "grad"
 // against "bound" is the cost of storing |ℓ'| on every update, and
 // "svrg" against "asgd" the cost of the anchor read and the shifted
-// write-back (the probing body's clock reads included).
+// write-back, which reads no clock without the histograms.
 func BenchmarkLoop(b *testing.B) {
 	benchEngines(b, func(e *Engine) int64 {
 		var wg sync.WaitGroup

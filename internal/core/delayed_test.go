@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/isasgd/isasgd/internal/adaptive"
 	"github.com/isasgd/isasgd/internal/balance"
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/model"
@@ -44,20 +43,21 @@ func sameBits(t *testing.T, a, b []float64) {
 // TestDelayedZeroIsRunEpoch pins the executor to the threaded loop: at
 // τ = 0 a 1-worker engine applies each update right after reading it, so
 // its epochs are bitwise the ones RunEpoch runs — uniform, bound and
-// grad importance, plain and under a policy, in both precisions.
+// grad importance, plain and under delay compensation, in both
+// precisions.
 func TestDelayedZeroIsRunEpoch(t *testing.T) {
 	ds, obj := smallProblem(t)
 	for _, arm := range delayedArms {
 		for _, kind := range []model.Kind{model.KindRacy, model.KindRacy32} {
-			for _, pol := range []adaptive.Policy{{}, {AdaptC: 0.5, StalenessBound: 4, DCLambda: 0.05}} {
-				t.Run(fmt.Sprintf("%s/%v/%v", arm.name, kind, pol.Enabled()), func(t *testing.T) {
+			for _, lambda := range []float64{0, 0.05} {
+				t.Run(fmt.Sprintf("%s/%v/%v", arm.name, kind, lambda > 0), func(t *testing.T) {
 					var w [2][]float64
 					for k := range w {
 						e, err := arm.build(ds, obj, model.New(kind, ds.Dim()), 1)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if err := e.SetAdaptive(pol); err != nil {
+						if err := e.SetDC(lambda); err != nil {
 							t.Fatal(err)
 						}
 						for ep := 0; ep < 3; ep++ {
@@ -171,9 +171,7 @@ func TestHugeDelayDegradesConvergence(t *testing.T) {
 
 // TestDelayedStalenessReadBack injects τ and reads it back from the
 // loop's histograms: the ring fills over the first τ updates of an epoch
-// (staleness 0, 1, …, τ−1) and every later update reads exactly τ. A
-// staleness bound of τ sheds nothing; a bound of τ−1 sheds every update
-// read after the ring filled, and the clock still measures τ for each.
+// (staleness 0, 1, …, τ−1) and every later update reads exactly τ.
 func TestDelayedStalenessReadBack(t *testing.T) {
 	ds, obj := smallProblem(t)
 	n := int64(ds.N())
@@ -199,27 +197,6 @@ func TestDelayedStalenessReadBack(t *testing.T) {
 			if count != epochs*n || sum != wantSum {
 				t.Errorf("P=%d τ=%d: %d samples summing to %g, want %d summing to %g",
 					workers, tau, count, sum, epochs*n, wantSum)
-			}
-
-			for _, bound := range []int64{tau, tau - 1} {
-				if bound == 0 {
-					continue // a zero bound disables shedding
-				}
-				e, err := NewISASGDOpts(ds, obj, model.NewRacy(ds.Dim()), workers, ISOptions{Mode: balance.ForceShuffle, Seed: 3})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := e.SetAdaptive(adaptive.Policy{StalenessBound: bound}); err != nil {
-					t.Fatal(err)
-				}
-				e.RunEpochDelayed(0.3, int(tau))
-				want := int64(0)
-				if bound < tau {
-					want = n - tau
-				}
-				if got := e.Shed(); got != want {
-					t.Errorf("P=%d τ=%d bound %d: shed %d, want %d", workers, tau, bound, got, want)
-				}
 			}
 		}
 	}

@@ -67,7 +67,7 @@
 // position each per round, and each update's write waits in a ring of τ
 // pending writes, so its gradient is read exactly τ writes before it is
 // applied. It uses the bound kernel in either precision, the one model
-// vector and the loop's clock, policy, histograms and |ℓ'| record, and
+// vector and the loop's DC strength, histograms and |ℓ'| record, and
 // allocates nothing per epoch once its ring exists. P threads racing in
 // lockstep are P workers at τ = P − 1; unlike threads, two runs at a seed
 // are bitwise equal, which is what the ψ and τ sweeps of
@@ -172,22 +172,20 @@ func (e *Engine) PublishTo(st *snapshot.Store, every int) {
 // called before RunEpoch; nil detaches.
 func (e *Engine) Instrument(ti *obs.TrainInstruments) { e.loop.Instrument(ti, e.numT) }
 
-// SetAdaptive installs an adaptive-update policy (see Loop.SetAdaptive);
-// the delay-compensation base is the epoch-start model. A zero (disabled)
-// policy detaches. Every model kind runs it. Must not be called while
-// RunEpoch is in flight.
-func (e *Engine) SetAdaptive(p adaptive.Policy) error {
-	if e.colScale != nil && p.DCLambda > 0 {
+// SetDC sets the DC-ASGD delay-compensation strength λ: every update's
+// direction d gains λ·d²·(w_now − w_base) per coordinate, against the
+// epoch-start model as base. 0 detaches. Every model kind runs it; SVRG
+// refuses it. Must not be called while RunEpoch is in flight.
+func (e *Engine) SetDC(lambda float64) error {
+	if err := adaptive.CheckNonNegative("DCLambda", lambda); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	if e.colScale != nil && lambda > 0 {
 		return fmt.Errorf("core: delay compensation does not apply to SVRG")
 	}
-	return e.loop.SetAdaptive(p)
+	e.loop.dcLambda = lambda
+	return nil
 }
-
-// Shed returns the cumulative number of updates dropped because their
-// measured staleness exceeded the policy's bound. Shed draws still
-// consume their epoch iteration — the budget measures work attempted,
-// not applied.
-func (e *Engine) Shed() int64 { return e.loop.Shed() }
 
 // Decision reports how the dataset order was prepared (shuffle or
 // head–tail) and its shard Φ statistics. Meaningful for IS-ASGD; zero
@@ -614,7 +612,7 @@ func (e *Engine) setWeights(t int, w []float64) error {
 // with the given step size λ, concurrently when Threads() > 1. It returns
 // the number of updates applied.
 func (e *Engine) RunEpoch(step float64) int64 {
-	if e.loop.pol.DCLambda > 0 {
+	if e.loop.dcLambda > 0 {
 		e.refreshDCBase()
 	}
 	if e.colScale != nil {
@@ -645,7 +643,7 @@ func (e *Engine) RunEpochDelayed(step float64, tau int) int64 {
 	if tau < 0 {
 		panic(fmt.Sprintf("core: negative delay %d", tau))
 	}
-	if e.loop.pol.DCLambda > 0 {
+	if e.loop.dcLambda > 0 {
 		e.refreshDCBase()
 	}
 	if e.colScale != nil {

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/isasgd/isasgd/internal/adaptive"
 	"github.com/isasgd/isasgd/internal/balance"
 	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/obs"
@@ -82,7 +81,7 @@ func gradEngine(t *testing.T, kind model.Kind, threads int, seed uint64) *Engine
 func TestGradFirstEpochIsBound(t *testing.T) {
 	ds, obj := smallProblem(t)
 	for _, kind := range []model.Kind{model.KindAtomic, model.KindRacy32} {
-		for _, path := range []string{"plain", "instrumented", "adaptive"} {
+		for _, path := range []string{"plain", "instrumented", "dc"} {
 			run := func(importance string, epochs int) []float64 {
 				e, err := NewISASGDOpts(ds, obj, model.New(kind, ds.Dim()), 1, ISOptions{
 					Mode: balance.ForceShuffle, Seed: 13, Importance: importance,
@@ -93,8 +92,8 @@ func TestGradFirstEpochIsBound(t *testing.T) {
 				switch path {
 				case "instrumented":
 					e.Instrument(obs.NewTrainInstruments(obs.NewRegistry(), "m"))
-				case "adaptive":
-					if err := e.SetAdaptive(adaptive.Policy{AdaptC: 0.5, StalenessBound: 4}); err != nil {
+				case "dc":
+					if err := e.SetDC(0.05); err != nil {
 						t.Fatal(err)
 					}
 				}

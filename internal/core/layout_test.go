@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"github.com/isasgd/isasgd/internal/adaptive"
 	"github.com/isasgd/isasgd/internal/balance"
 	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/snapshot"
@@ -140,7 +139,7 @@ func TestLayoutKeepsBits(t *testing.T) {
 		"dc": func(m model.Params) (*Engine, error) {
 			e, err := NewASGD(ds, obj, m, 2, 5)
 			if err == nil {
-				err = e.SetAdaptive(adaptive.Policy{DCLambda: 0.5, AdaptC: 0.1})
+				err = e.SetDC(0.5)
 			}
 			return e, err
 		},

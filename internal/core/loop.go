@@ -24,9 +24,9 @@ type Rows struct {
 }
 
 // Loop is the state of the one update loop: the kernel bound to the
-// model, the update clock, the adaptive policy, the staleness histograms
-// and the shed counter. The batch engine and the streaming trainer each
-// hold one and hand every worker's updates to Run.
+// model, the staleness histograms and their update clock, and the DC-ASGD
+// strength. The batch engine and the streaming trainer each hold one and
+// hand every worker's updates to Run.
 type Loop struct {
 	obj objective.Objective
 	// Exactly one kernel is set: kern32 when the model stores float32
@@ -34,22 +34,19 @@ type Loop struct {
 	kern   kernel.Kernel
 	kern32 kernel.Kernel32
 
-	// instr and staleH are the per-worker τ histograms (Instrument); nil
-	// keeps the plain body free of clock traffic.
-	instr  *obs.TrainInstruments
+	// staleH are the per-worker τ histograms (Instrument); nil keeps the
+	// plain body free of clock traffic.
 	staleH []*obs.Histogram
 
-	// ck is the one logical update clock: it ticks once per applied
-	// update whenever something reads it — the τ histograms, the adaptive
-	// probe, or both.
+	// ck is the one logical update clock behind the histograms: it ticks
+	// once per applied update while they are attached, and is left alone
+	// otherwise.
 	ck adaptive.Clock
 
-	// pol is the adaptive policy (zero = disabled) and dcBase the
-	// delay-compensation base its DCLambda corrects toward, indexed like
-	// the kernel indexes the model; shed counts the updates it dropped.
-	pol    adaptive.Policy
-	dcBase []float64
-	shed   atomic.Int64
+	// dcLambda is the DC-ASGD strength λ (0 = off) and dcBase the base it
+	// corrects toward, indexed like the kernel indexes the model.
+	dcLambda float64
+	dcBase   []float64
 
 	// touched receives, once per Run, the fold of the values the loop
 	// touched ahead of use, so the compiler cannot drop those loads as
@@ -88,43 +85,23 @@ func (l *Loop) Bind(m model.Params, obj objective.Objective) {
 // the quantity the paper's SME analysis bounds. Single-worker runs
 // observe exactly 0. nil detaches.
 func (l *Loop) Instrument(ti *obs.TrainInstruments, workers int) {
-	l.instr, l.staleH = ti, nil
+	l.staleH = nil
 	if ti != nil {
 		l.staleH = ti.WorkerStaleness(workers)
 	}
 }
 
-// SetAdaptive installs an adaptive-update policy: steps attenuated by
-// 1/(1+c·τ) on the measured per-update staleness, updates shed over a
-// staleness bound, and DC-ASGD delay compensation against the base the
-// owner keeps in dcBase. A zero policy detaches.
-func (l *Loop) SetAdaptive(p adaptive.Policy) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	l.pol = p
-	return nil
-}
-
-// Clock returns the loop's update clock, so that a caller can stand in
-// for workers the loop does not run: each Tick is one foreign update.
-func (l *Loop) Clock() *adaptive.Clock { return &l.ck }
-
-// Shed returns the cumulative number of updates dropped because their
-// measured staleness exceeded the policy's bound.
-func (l *Loop) Shed() int64 { return l.shed.Load() }
-
 // Run applies worker w's updates: for each position p of seq, in order,
 // one step on row rows[p] of x scaled by step·scale[p] (scale nil: all
 // ones). When grads is non-nil (indexed like x's rows), each applied
 // update stores its row's |ℓ'(z)| there — the gradient-norm importance
-// signal; the caller keeps each row's slot owned by one worker. It
-// returns how many updates the policy shed.
-func (l *Loop) Run(w int, x *Rows, rows []int, seq []int32, scale []float64, step float64, grads []float32) int64 {
+// signal; the caller keeps each row's slot owned by one worker.
+func (l *Loop) Run(w int, x *Rows, rows []int, seq []int32, scale []float64, step float64, grads []float32) {
 	if l.kern32 != nil {
-		return runRows(l, w, x, x.Val32, l.kern32, rows, seq, scale, step, grads)
+		runRows(l, w, x, x.Val32, l.kern32, rows, seq, scale, step, grads)
+		return
 	}
-	return runRows[float64](l, w, x, x.Val, l.kern, rows, seq, scale, step, grads)
+	runRows[float64](l, w, x, x.Val, l.kern, rows, seq, scale, step, grads)
 }
 
 // Lookahead distances of the update loop, in updates. Each update's row
@@ -156,29 +133,28 @@ const (
 // their comment), before the body switch, so the plain, instrumented,
 // recording and probing bodies and both precisions all get it.
 func runRows[V float32 | float64](l *Loop, w int, x *Rows, vals []V, k kernel.Ops[V],
-	rows []int, seq []int32, scale []float64, step float64, grads []float32) int64 {
+	rows []int, seq []int32, scale []float64, step float64, grads []float32) {
 	var (
-		ptr  = x.IndPtr
-		idx  = x.Idx
-		nnz  = int64(len(idx))
-		y    = x.Y
-		obj  = l.obj
-		ck   = &l.ck
-		n    = len(seq)
-		pol  = l.pol
-		base = l.dcBase
-		sh   *obs.Histogram
-		shed int64
-		sink uint64
+		ptr    = x.IndPtr
+		idx    = x.Idx
+		nnz    = int64(len(idx))
+		y      = x.Y
+		obj    = l.obj
+		ck     = &l.ck
+		n      = len(seq)
+		lambda = l.dcLambda
+		base   = l.dcBase
+		sh     *obs.Histogram
+		sink   uint64
 	)
 	if l.staleH != nil {
 		sh = l.staleH[w]
 	}
-	// The probing body runs under an adaptive policy, under SVRG, and
+	// The probing body runs under delay compensation, under SVRG, and
 	// when the staleness histograms and the gradient record are both
 	// wanted; the recording body is Step split around the store of |ℓ'|.
 	anchor, shift := l.anchor, l.shift
-	probe := pol.Enabled() || shift != nil || (sh != nil && grads != nil)
+	probe := lambda > 0 || shift != nil || (sh != nil && grads != nil)
 	for it, p := range seq {
 		if a := it + aheadPtr; a < n {
 			sink += uint64(ptr[rows[seq[a]]])
@@ -205,31 +181,24 @@ func runRows[V float32 | float64](l *Loop, w int, x *Rows, vals []V, k kernel.Op
 		}
 		switch {
 		case probe:
-			// The step is decomposed around the probes: the dot and
-			// derivative are computed first so the measured staleness τ —
-			// logical updates other workers applied between this update's
-			// gradient read and its write — can shed the update or
-			// attenuate its step by 1/(1+c·τ), and the write-back goes
-			// through UpdateDC so the DC-ASGD correction
-			// λ·d²·(w_now − w_base) cancels the drift since the base (a
-			// plain Update when DCLambda is 0), or through UpdateShift
-			// under SVRG.
-			begin := ck.Now()
-			z := k.Dot(ri, rv)
-			g := obj.Deriv(z, y[i])
-			tau := ck.Now() - begin
-			if pol.Shed(tau) {
-				shed++
-				continue
-			}
-			if shift != nil {
-				k.UpdateShift(ri, rv, g-anchor[i], s*pol.Scale(tau), shift)
-			} else {
-				k.UpdateDC(ri, rv, g, s*pol.Scale(tau), pol.DCLambda, base)
-			}
-			ck.Tick()
+			// The step is decomposed around its derivative: the write-back
+			// goes through UpdateShift under SVRG, or through UpdateDC,
+			// whose DC-ASGD correction λ·d²·(w_now − w_base) cancels the
+			// drift since the base (a plain Update when λ is 0). The
+			// clock is touched only for the histograms, so SVRG and DC
+			// runs without them share no cache line.
+			var begin int64
 			if sh != nil {
-				sh.Observe(tau)
+				begin = ck.Now()
+			}
+			g := obj.Deriv(k.Dot(ri, rv), y[i])
+			if shift != nil {
+				k.UpdateShift(ri, rv, g-anchor[i], s, shift)
+			} else {
+				k.UpdateDC(ri, rv, g, s, lambda, base)
+			}
+			if sh != nil {
+				sh.Observe(ck.Tick() - begin - 1)
 			}
 			if grads != nil {
 				grads[i] = float32(math.Abs(g))
@@ -247,20 +216,15 @@ func runRows[V float32 | float64](l *Loop, w int, x *Rows, vals []V, k kernel.Op
 		}
 	}
 	l.touched.Store(sink)
-	if shed > 0 {
-		l.shed.Add(shed)
-		l.instr.ShedDone(shed)
-	}
-	return shed
 }
 
 // pending is one update the delayed executor has read but not yet
 // written: worker w's row, the derivative g and step s read off the
-// model, and the clock when it was read.
+// model, and how many writes had been applied when it was read.
 type pending struct {
 	w, row int
 	g, s   float64
-	begin  int64
+	begin  int
 }
 
 // runDelayed is the deterministic delayed executor, the perturbed-iterate
@@ -274,13 +238,11 @@ type pending struct {
 // is applied; the ring drains at the end, the barrier of a threaded
 // epoch.
 //
-// The write phase ticks the clock, so the staleness it measures is the
-// injected delay (0, 1, …, tau−1 while the ring fills, tau after), and
-// the policy, the τ histograms, the DC base, the |ℓ'| record and the
-// SVRG write-back act on it exactly as in runRows' probing body. A shed
-// write ticks too: it keeps its slot in the schedule, so the delay every
-// later write reads is still the injected one. At tau = 0 with one worker the arithmetic is
-// runRows' (Step is Update of Deriv of Dot), bit for bit.
+// Each write counts as one update, so the staleness the τ histograms
+// record is the injected delay (0, 1, …, tau−1 while the ring fills, tau
+// after); the DC base, the |ℓ'| record and the SVRG write-back act
+// exactly as in runRows' probing body. At tau = 0 with one worker the
+// arithmetic is runRows' (Step is Update of Deriv of Dot), bit for bit.
 func runDelayed[V float32 | float64](l *Loop, x *Rows, vals []V, k kernel.Ops[V],
 	rows [][]int, seqs [][]int32, scales [][]float64, step float64, grads []float32, tau int) {
 	if cap(l.ring) <= tau {
@@ -289,28 +251,21 @@ func runDelayed[V float32 | float64](l *Loop, x *Rows, vals []V, k kernel.Ops[V]
 	var (
 		ring     = l.ring[:tau+1]
 		ptr, idx = x.IndPtr, x.Idx
-		ck       = &l.ck
-		pol      = l.pol
 		rounds   int
 		reads    int
-		shed     int64
+		writes   int
 	)
 	write := func(p pending) {
-		tau := ck.Now() - p.begin
-		ck.Tick()
-		if pol.Shed(tau) {
-			shed++
-			return
-		}
 		lo, hi := ptr[p.row], ptr[p.row+1]
 		if l.shift != nil {
-			k.UpdateShift(idx[lo:hi], vals[lo:hi], p.g-l.anchor[p.row], p.s*pol.Scale(tau), l.shift)
+			k.UpdateShift(idx[lo:hi], vals[lo:hi], p.g-l.anchor[p.row], p.s, l.shift)
 		} else {
-			k.UpdateDC(idx[lo:hi], vals[lo:hi], p.g, p.s*pol.Scale(tau), pol.DCLambda, l.dcBase)
+			k.UpdateDC(idx[lo:hi], vals[lo:hi], p.g, p.s, l.dcLambda, l.dcBase)
 		}
 		if l.staleH != nil {
-			l.staleH[p.w].Observe(tau)
+			l.staleH[p.w].Observe(int64(writes - p.begin))
 		}
+		writes++
 		if grads != nil {
 			grads[p.row] = float32(math.Abs(p.g))
 		}
@@ -326,7 +281,7 @@ func runDelayed[V float32 | float64](l *Loop, x *Rows, vals []V, k kernel.Ops[V]
 			pos := int(seqs[w][r])
 			i := wr[pos]
 			lo, hi := ptr[i], ptr[i+1]
-			p := pending{w: w, row: i, s: step, begin: ck.Now()}
+			p := pending{w: w, row: i, s: step, begin: writes}
 			if scales != nil {
 				p.s *= scales[w][pos]
 			}
@@ -340,9 +295,5 @@ func runDelayed[V float32 | float64](l *Loop, x *Rows, vals []V, k kernel.Ops[V]
 	}
 	for j := max(reads-tau, 0); j < reads; j++ {
 		write(ring[j%len(ring)])
-	}
-	if shed > 0 {
-		l.shed.Add(shed)
-		l.instr.ShedDone(shed)
 	}
 }

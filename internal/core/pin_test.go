@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"testing"
 
-	"github.com/isasgd/isasgd/internal/adaptive"
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/objective"
@@ -54,7 +53,7 @@ func checkPins(t *testing.T, rows []pinRow, build func(*dataset.Dataset, objecti
 					t.Fatal(err)
 				}
 				if tc.mode == "adaptive" {
-					if err := e.SetAdaptive(adaptive.Policy{AdaptC: 0.5, StalenessBound: 4, DCLambda: 0.05}); err != nil {
+					if err := e.SetDC(0.05); err != nil {
 						t.Fatal(err)
 					}
 				}

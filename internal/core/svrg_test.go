@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/isasgd/isasgd/internal/adaptive"
 	"github.com/isasgd/isasgd/internal/dataset"
 	"github.com/isasgd/isasgd/internal/model"
 	"github.com/isasgd/isasgd/internal/objective"
@@ -169,7 +168,7 @@ func TestSVRGRejectsDelayCompensation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SetAdaptive(adaptive.Policy{DCLambda: 0.1}); err == nil {
+	if err := e.SetDC(0.1); err == nil {
 		t.Fatal("SVRG accepted delay compensation")
 	}
 }

@@ -75,15 +75,10 @@ type Config struct {
 	// Rejected for the uniform algorithms.
 	Importance string
 
-	// Adaptive-update options (SGD, IS-SGD, ASGD, IS-ASGD at either
-	// precision; rejected for SVRG). AdaptC > 0 attenuates each update's
-	// step by 1/(1+AdaptC·τ) on its measured staleness; StalenessBound >
-	// 0 sheds updates whose τ exceeds it; DCLambda > 0 applies DC-ASGD
-	// delay compensation λ·d²·(w_now − w_base) against an epoch-start
-	// base snapshot. Zero values disable each knob.
-	AdaptC         float64
-	StalenessBound int64
-	DCLambda       float64
+	// DCLambda > 0 applies DC-ASGD delay compensation
+	// λ·d²·(w_now − w_base) against an epoch-start base snapshot (SGD,
+	// IS-SGD, ASGD, IS-ASGD at either precision; rejected for SVRG).
+	DCLambda float64
 
 	ModelKind model.Kind // async model storage; default KindAtomic
 
@@ -136,11 +131,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// policy is the config's adaptive-update policy.
-func (c Config) policy() adaptive.Policy {
-	return adaptive.Policy{AdaptC: c.AdaptC, StalenessBound: c.StalenessBound, DCLambda: c.DCLambda}
-}
-
 // DType is the storage width the run trains at: model.PrecisionF32 or
 // model.PrecisionF64.
 func (c Config) DType() string {
@@ -158,14 +148,13 @@ func (c Config) validate(ds *dataset.Dataset) error {
 		return fmt.Errorf("core: Epochs must be positive, got %d", c.Epochs)
 	case c.InitWeights != nil && len(c.InitWeights) != ds.Dim():
 		return fmt.Errorf("core: InitWeights length %d != dataset dim %d", len(c.InitWeights), ds.Dim())
-	case c.StalenessBound < 0:
-		return fmt.Errorf("core: StalenessBound must be non-negative, got %d", c.StalenessBound)
 	}
 	if _, err := model.ParsePrecision(c.Precision); err != nil {
 		return err
 	}
-	for _, err := range []error{adaptive.CheckStep(c.Step), adaptive.CheckDecay(c.StepDecay), c.policy().Validate(),
-		spec.Check(c.Algo.String(), spec.KindBatch, c.policy().Enabled(), c.Importance)} {
+	for _, err := range []error{adaptive.CheckStep(c.Step), adaptive.CheckDecay(c.StepDecay),
+		adaptive.CheckNonNegative("DCLambda", c.DCLambda),
+		spec.Check(c.Algo.String(), spec.KindBatch, c.DCLambda > 0, c.Importance)} {
 		if err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
@@ -181,8 +170,7 @@ func FromSpec(s spec.Spec) Config {
 	return Config{
 		Algo: algo, Epochs: s.Epochs, Step: s.Step, StepDecay: s.StepDecay,
 		Threads: s.Threads, Seed: s.Seed, EvalEvery: s.EvalEvery,
-		Precision: prec,
-		AdaptC:    s.AdaptC, StalenessBound: s.StalenessBound, DCLambda: s.DCLambda,
+		Precision: prec, DCLambda: s.DCLambda,
 	}
 }
 
@@ -195,7 +183,6 @@ type Result struct {
 	Epochs    int           // epochs completed: the point Weights and Iters reached
 	Iters     int64
 	Threads   int
-	Shed      int64 // updates dropped by the adaptive staleness bound (0 unless StalenessBound > 0)
 }
 
 // engine builds the configured algorithm's Engine over a fresh model:
@@ -235,7 +222,7 @@ func Train(ctx context.Context, ds *dataset.Dataset, obj objective.Objective, cf
 	if err != nil {
 		return nil, err
 	}
-	if err := eng.SetAdaptive(cfg.policy()); err != nil {
+	if err := eng.SetDC(cfg.DCLambda); err != nil {
 		return nil, err
 	}
 	if cfg.InitWeights != nil {
@@ -268,7 +255,7 @@ func Train(ctx context.Context, ds *dataset.Dataset, obj objective.Objective, cf
 	}
 	record(0)
 	finish := func() {
-		res.Weights, res.Curve, res.TrainTime, res.Shed = eng.Snapshot(nil), rec.Curve(), sw.Elapsed(), eng.Shed()
+		res.Weights, res.Curve, res.TrainTime = eng.Snapshot(nil), rec.Curve(), sw.Elapsed()
 	}
 	step := cfg.Step
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {

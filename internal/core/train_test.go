@@ -267,17 +267,15 @@ func TestModelKindRacySolves(t *testing.T) {
 	}
 }
 
-// TestAdaptiveConfigValidation pins the rejection matrix for the
-// adaptive-update knobs, and that a valid adaptive run still converges.
+// TestAdaptiveConfigValidation pins the rejection matrix for delay
+// compensation and gradient-norm importance.
 func TestAdaptiveConfigValidation(t *testing.T) {
 	ds, obj := testProblem(t)
 	bad := []Config{
-		{Algo: SVRGSGD, Epochs: 2, Step: 0.1, AdaptC: 0.1},
 		{Algo: SVRGSGD, Epochs: 2, Step: 0.1, DCLambda: 0.1},
-		{Algo: ISASGD, Epochs: 2, Step: 0.1, AdaptC: -1},
-		{Algo: ISASGD, Epochs: 2, Step: 0.1, StalenessBound: -3},
+		{Algo: ISASGD, Epochs: 2, Step: 0.1, DCLambda: -1},
 		{Algo: ISASGD, Epochs: 2, Step: 0.1, DCLambda: math.Inf(1)},
-		{Algo: SVRGASGD, Epochs: 2, Step: 0.1, StalenessBound: 8},
+		{Algo: SVRGASGD, Epochs: 2, Step: 0.1, DCLambda: 0.5},
 		{Algo: ASGD, Epochs: 2, Step: 0.1, Importance: "grad"},
 		{Algo: SVRGASGD, Epochs: 2, Step: 0.1, Importance: "grad"},
 		{Algo: ISASGD, Epochs: 2, Step: 0.1, Importance: "loss"},
@@ -309,17 +307,17 @@ func TestStepRules(t *testing.T) {
 	}
 }
 
-// TestAdaptiveTrainConverges drives the full adaptive stack through
-// Train: staleness-attenuated, bounded, delay-compensated IS-ASGD must
-// still cut the objective like its plain counterpart, at either
-// precision, the f32 run landing in the f64 run's band.
+// TestAdaptiveTrainConverges drives delay compensation through Train:
+// delay-compensated IS-ASGD must still cut the objective like its plain
+// counterpart, at either precision, the f32 run landing in the f64 run's
+// band.
 func TestAdaptiveTrainConverges(t *testing.T) {
 	ds, obj := testProblem(t)
 	final := map[string]float64{}
 	for _, precision := range []string{"f64", "f32"} {
 		res, err := Train(context.Background(), ds, obj, Config{
 			Algo: ISASGD, Epochs: 6, Step: 0.5, Threads: 4, Seed: 11, Precision: precision,
-			AdaptC: 0.05, StalenessBound: 512, DCLambda: 0.02,
+			DCLambda: 0.02,
 		})
 		if err != nil {
 			t.Fatal(err)

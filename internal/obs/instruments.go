@@ -28,7 +28,6 @@ type TrainInstruments struct {
 
 	RowsTotal     *Counter
 	UpdatesTotal  *Counter
-	UpdatesShed   *Counter // updates dropped by a staleness bound
 	RowsPerSec    *Gauge
 	UpdatesPerSec *Gauge
 
@@ -53,8 +52,6 @@ func NewTrainInstruments(r *Registry, model string) *TrainInstruments {
 		"Training rows consumed per model.", "model").With(model)
 	ti.UpdatesTotal = r.CounterVec("isasgd_train_updates_total",
 		"SGD updates applied per model.", "model").With(model)
-	ti.UpdatesShed = r.CounterVec("isasgd_train_updates_shed_total",
-		"SGD updates dropped because their measured staleness exceeded the configured bound.", "model").With(model)
 	ti.RowsPerSec = r.GaugeVec("isasgd_train_rows_per_sec",
 		"Training-loop row throughput over the last epoch/block.", "model").With(model)
 	ti.UpdatesPerSec = r.GaugeVec("isasgd_train_updates_per_sec",
@@ -111,14 +108,6 @@ func (ti *TrainInstruments) BlockDone(rows int, updates int64, d time.Duration) 
 		ti.RowsPerSec.Set(float64(rows) / s)
 		ti.UpdatesPerSec.Set(float64(updates) / s)
 	}
-}
-
-// ShedDone records n updates dropped under a staleness bound.
-func (ti *TrainInstruments) ShedDone(n int64) {
-	if ti == nil || n <= 0 {
-		return
-	}
-	ti.UpdatesShed.Add(n)
 }
 
 // SetISStats refreshes the importance-sampling diagnostic gauges.

@@ -9,7 +9,9 @@ import (
 
 // FuzzAliasConstruction feeds arbitrary weight vectors to the alias-table
 // builder. Invariants: construction either errors or yields a sampler
-// whose Prob sums to 1 and whose draws are in range.
+// whose Prob sums to 1, whose draws are in range, and whose table draws
+// each index with its Prob: the probability implied by the prob and
+// alias arrays (Implied) is Prob(i) within VoseBound.
 func FuzzAliasConstruction(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4})
 	f.Add([]byte{0, 0, 255})
@@ -40,6 +42,17 @@ func FuzzAliasConstruction(f *testing.F) {
 		}
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("probabilities sum to %g", sum)
+		}
+		m := 0.0
+		for _, p := range a.Probs() {
+			m = max(m, p*float64(a.N()))
+		}
+		tol := VoseBound(a.N(), m)
+		for i, q := range a.Implied(nil) {
+			if d := math.Abs(q - a.Prob(i)); d > tol {
+				t.Fatalf("index %d of %d: table draws it with probability %g, Prob says %g (off by %g > %g)",
+					i, a.N(), q, a.Prob(i), d, tol)
+			}
 		}
 		r := xrand.New(1)
 		for k := 0; k < 64; k++ {

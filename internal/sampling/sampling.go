@@ -217,6 +217,47 @@ func (a *Alias) Prob(i int) float64 {
 // Probs returns the full normalized distribution (not a copy; read-only).
 func (a *Alias) Probs() []float64 { return a.p }
 
+// Implied writes into dst, grown to N(), the distribution Sample draws
+// from, read off the table itself: bucket i keeps i with probability
+// prob[i] and hands the rest to alias[i], so i is drawn with probability
+// (prob[i] + Σ_{j≠i, alias[j]=i} (1 − prob[j]))/n. It equals Probs up to
+// the rounding of Vose's construction, within VoseBound.
+func (a *Alias) Implied(dst []float64) []float64 {
+	n := len(a.prob)
+	dst = resize(dst, n)
+	for i, p := range a.prob {
+		dst[i] = p
+	}
+	for j, i := range a.alias {
+		if int(i) != j {
+			dst[i] += 1 - a.prob[j]
+		}
+	}
+	for i := range dst {
+		dst[i] /= float64(n)
+	}
+	return dst
+}
+
+// VoseBound bounds |Implied(i) − Prob(i)| for a table over n entries
+// whose largest scaled probability n·Prob(i) is m, in units of the unit
+// roundoff u = 2⁻⁵³:
+//   - n·(n+3): Prob sums to 1 within (n+1)·u (the weights' running sum,
+//     its reciprocal, each product) and scaling by n adds u per entry;
+//     the leftover buckets, set to 1, absorb that whole excess;
+//   - 2·(n−1)·(m+1): each of the at most n−1 donations rounds an add
+//     and a subtract of values at most m+1, and the leftovers absorb
+//     those too;
+//   - 2·n·(m+2): Implied's own sum, at most n terms 1 − prob[j] (each
+//     rounded) added to a running value at most m+1.
+//
+// Implied divides the sum of those by n, within u·m/n.
+func VoseBound(n int, m float64) float64 {
+	const u = 0x1p-53
+	nf := float64(n)
+	return u * (nf*(nf+3) + 2*(nf-1)*(m+1) + 2*nf*(m+2) + m) / nf
+}
+
 // CDF samples by inverse transform on the cumulative distribution with
 // binary search: O(log n) per draw. Used as the reference implementation
 // in tests and as an ablation against Alias.

@@ -205,12 +205,14 @@ func renderResolved(r *resolved) string {
 	// adaptive re-estimation cadence, the sequence shuffle, partial bias
 	// or skip-µ, and the loss-EMA weight only with its own knob, whose
 	// cases are gone; a job without a balance knob compiled to mode
-	// auto at an unset ζ, and the knob's cases are gone too — so the
-	// hashes of jobs that did not change still match.
+	// auto at an unset ζ, and the knob's cases are gone too; a job
+	// without adapt_c or staleness_bound compiled them to 0, and a batch
+	// or stream job that sets them is now a 400 — so the hashes of jobs
+	// that did not change still match.
 	c := r.cfg
 	fmt.Fprintf(&b, "cfg=algo:%v epochs:%d step:%g decay:%g threads:%d balance:%v zeta:%g seed:%d eval:%d prec:%q adapt_c:%g bound:%d dc:%g shufseq:%v partial:%v adaptevery:%d skipmu:%v kind:%v\n",
 		c.Algo, c.Epochs, c.Step, c.StepDecay, c.Threads, "auto", 0.0, c.Seed, c.EvalEvery, c.Precision,
-		c.AdaptC, c.StalenessBound, c.DCLambda, false, false, 0, false, c.ModelKind)
+		0.0, 0, c.DCLambda, false, false, 0, false, c.ModelKind)
 	if s := r.stream; s != nil {
 		rel := ""
 		if r.streamPath != "" {
@@ -218,7 +220,7 @@ func renderResolved(r *resolved) string {
 		}
 		fmt.Fprintf(&b, "stream=obj:%#v dim:%d workers:%d step:%g decay:%g window:%d upb:%d reservoir:%d rebuild:%d mode:%v zeta:%g uniform:%v importance:%q beta:%g adapt_c:%g bound:%d kind:%v prec:%q seed:%d publish:%d\n",
 			s.Obj, s.Dim, s.Workers, s.Step, s.StepDecay, s.WindowBlocks, s.UpdatesPerBlock, s.Reservoir, s.RebuildEvery,
-			"auto", 0.0, s.Uniform, s.Importance, 0.0, s.AdaptC, s.StalenessBound, s.ModelKind, s.Precision, s.Seed, s.PublishEvery)
+			"auto", 0.0, s.Uniform, s.Importance, 0.0, 0.0, 0, s.ModelKind, s.Precision, s.Seed, s.PublishEvery)
 		fmt.Fprintf(&b, "block=%d path=%q\n", r.blockSize, rel)
 	}
 	return b.String()
@@ -271,7 +273,10 @@ var presetAlias = map[string]string{"news20": "news20s", "url": "urls", "kdda": 
 // (the algo is gone), and svrg-sgd or svrg-asgd at f32 without an
 // adaptive knob is accepted (the sparse form runs at either precision).
 // The cases that set the balance knob left the golden with it, and the
-// one row that set it among other knobs was re-recorded without it.
+// one row that set it among other knobs was re-recorded without it. The
+// rows of batch and stream jobs that set adapt_c or staleness_bound were
+// re-recorded as 400 when the in-process trainers lost their staleness
+// policy: those knobs are the cluster coordinator's alone.
 func TestCompileDifferential(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	root := diffRoot(t)

@@ -125,7 +125,7 @@ func TestJobPrecisionF32EndToEnd(t *testing.T) {
 	resp := postJSON(t, ts.URL+"/v1/jobs", JobSpec{
 		Model: "half", Dataset: "small", Algo: "is-asgd",
 		Epochs: 4, Step: 0.5, Seed: 1, Precision: "f32",
-		AdaptC: 0.05, StalenessBound: 64, DCLambda: 0.02,
+		DCLambda: 0.02,
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d", resp.StatusCode)

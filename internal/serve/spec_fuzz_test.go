@@ -22,7 +22,10 @@ import (
 // answers an error, or configs every library constructor accepts —
 // core.Train's validation, stream.NewTrainer, and, for the same spec
 // read as a cluster run, cluster.NewWorker and cluster.NewCoordinator.
-// So the one validator is complete: nothing it passes fails later.
+// So the one validator is complete: nothing it passes fails later. A
+// batch or stream job that sets adapt_c or staleness_bound never
+// compiles: they are the coordinator's push-level knobs, and neither
+// core.Config nor stream.Config has a field that could carry them.
 func FuzzJobSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{"dataset":"small"}`,
@@ -41,6 +44,8 @@ func FuzzJobSpec(f *testing.F) {
 		`{"dataset":"small","step":1e308,"step_decay":1e-300,"eta":1e300}`,
 		`{"dataset":"small","batch":8}`,
 		`{"data":"1 1:1\n-1 2:1\n","algo":"saga","staleness_bound":4}`,
+		`{"dataset":"small","algo":"asgd","adapt_c":0.1,"staleness_bound":8}`,
+		`{"kind":"stream","path":"c.libsvm","dim":8,"adapt_c":0.1,"staleness_bound":8}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -71,6 +76,9 @@ func FuzzJobSpec(f *testing.F) {
 			r, err := compile(s, bodyFed, root)
 			if err != nil {
 				continue
+			}
+			if s.AdaptC != 0 || s.StalenessBound != 0 {
+				t.Fatalf("compiled %s, which sets a cluster-only knob", body)
 			}
 			if r.stream != nil {
 				c := *r.stream

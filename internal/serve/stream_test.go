@@ -51,12 +51,12 @@ func streamSpec(path string) JobSpec {
 // end to end: submit, poll, inspect the per-block curve, and predict
 // from the published model — for the default spec and for an f32 job
 // with gradient-norm importance (the loss feedback the update loop
-// records) and the staleness knobs on.
+// records).
 func TestStreamJobFromPath(t *testing.T) {
 	t.Run("default", func(t *testing.T) { testStreamJobFromPath(t, func(*JobSpec) {}) })
 	t.Run("f32-loss-adaptive", func(t *testing.T) {
 		testStreamJobFromPath(t, func(s *JobSpec) {
-			s.Precision, s.Importance, s.AdaptC, s.StalenessBound = "f32", "grad", 0.1, 64
+			s.Precision, s.Importance = "f32", "grad"
 		})
 	})
 }

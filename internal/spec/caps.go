@@ -13,9 +13,9 @@ type Algo struct {
 	Async    bool // runs concurrent workers
 	Weighted bool // importance-sampled: takes importance "grad"
 	// Plain marks the plain single-sample updates: they stream
-	// (KindStream) and take the adaptive knobs. SVRG's update reads the
-	// anchors of its epoch's full pass, which a stream window never
-	// makes, and takes no adaptive knob.
+	// (KindStream) and take dc_lambda. SVRG's update reads the anchors
+	// of its epoch's full pass, which a stream window never makes, and
+	// takes no delay compensation.
 	Plain bool
 }
 
@@ -45,10 +45,10 @@ func LookupAlgo(name string) (Algo, error) {
 }
 
 // Check is the capability table's verdict on running algo as kind, with
-// the adaptive knobs on or off and the given importance mode. It is the
+// delay compensation on or off and the given importance mode. It is the
 // only source of "not supported" errors; core.Train and
 // stream.NewTrainer call it too.
-func Check(algo, kind string, adaptive bool, importance string) error {
+func Check(algo, kind string, dc bool, importance string) error {
 	a, err := LookupAlgo(algo)
 	if err != nil {
 		return err
@@ -56,8 +56,8 @@ func Check(algo, kind string, adaptive bool, importance string) error {
 	switch {
 	case kind == KindStream && !a.Plain:
 		return fmt.Errorf("algo %s is not supported for kind stream (want sgd, is-sgd, asgd or is-asgd)", a.Name)
-	case adaptive && !a.Plain:
-		return fmt.Errorf("adaptive knobs are not supported for %s", a.Name)
+	case dc && !a.Plain:
+		return fmt.Errorf("dc_lambda is not supported for %s", a.Name)
 	}
 	switch importance {
 	case "", "bound":
@@ -81,7 +81,7 @@ func checkKnobs(s *Spec, kind string) error {
 	}
 	for _, k := range knobs {
 		if !k.applies(kind) && !k.value(s).IsZero() {
-			return fmt.Errorf("%s does not apply to kind %s", k.name, kind)
+			return fmt.Errorf("%s does not apply to kind %s (only to %s)", k.name, kind, strings.Join(k.kinds, ", "))
 		}
 	}
 	return nil

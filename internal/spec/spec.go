@@ -81,11 +81,11 @@ type Spec struct {
 	// Adaptive update knobs (internal/adaptive). Importance selects the
 	// streaming sampler's row weighting: "" or "bound" for the static
 	// Lipschitz upper bound, "grad" for the gradient norms |ℓ'(z)|·‖x‖
-	// the updates record (importance-sampling algos only). AdaptC
-	// attenuates stale updates by 1/(1+c·τ) and StalenessBound sheds
-	// updates with measured τ over the bound (0 disables; on a cluster
-	// coordinator −1 admits everything). DCLambda enables DC-ASGD delay
-	// compensation (batch and cluster runs).
+	// the updates record (importance-sampling algos only). DCLambda
+	// enables DC-ASGD delay compensation (batch and cluster runs). AdaptC
+	// and StalenessBound are a cluster coordinator's: it attenuates each
+	// admitted push by 1/(1+c·τ) and sheds pushes with τ over the bound
+	// (−1 admits everything).
 	Importance     string  `json:"importance,omitempty"`
 	AdaptC         float64 `json:"adapt_c,omitempty"`
 	StalenessBound int64   `json:"staleness_bound,omitempty"`
@@ -120,6 +120,7 @@ var (
 	local       = []string{KindBatch, KindStream}
 	allKinds    = []string{KindBatch, KindStream, KindCluster}
 	batchOrStar = []string{KindBatch, KindCluster}
+	clusterOnly = []string{KindCluster}
 )
 
 // knobs is the knob table. A surface default of 0 or "" leaves the
@@ -138,9 +139,8 @@ var knobs = []knob{
 	{"reservoir", streamOnly, [numSurfaces]any{0, 0}, "per-worker reservoir capacity (0: 16384)"},
 	{"rebuild_every", streamOnly, [numSurfaces]any{0, 0}, "alias rebuild cadence in observations (0: once per block)"},
 	{"importance", streamOnly, [numSurfaces]any{"", ""}, "streaming row weighting: bound (default) | grad"},
-	{"adapt_c", allKinds, [numSurfaces]any{0.0, 0.0, 0.0}, "staleness-adaptive step scaling 1/(1+c*tau) (0 disables)"},
-	{"staleness_bound", allKinds, [numSurfaces]any{int64(0), int64(0), int64(64)},
-		"shed updates with measured staleness > n (0 disables; a coordinator admits everything at -1)"},
+	{"adapt_c", clusterOnly, [numSurfaces]any{nil, nil, 0.0}, "attenuate each admitted push by 1/(1+c*tau) (0 disables)"},
+	{"staleness_bound", clusterOnly, [numSurfaces]any{nil, nil, int64(64)}, "shed pushes with measured staleness > n (-1 admits everything)"},
 	{"dc_lambda", batchOrStar, [numSurfaces]any{0.0, 0.0, 0.0}, "DC-ASGD delay compensation strength (batch and cluster; 0 disables)"},
 	{"algo", local, [numSurfaces]any{"is-asgd", "is-asgd"}, "training algorithm: sgd | is-sgd | asgd | is-asgd | svrg-sgd | svrg-asgd"},
 	{"objective", allKinds, [numSurfaces]any{"logistic-l1", "logistic-l1", "logistic-l1"}, "objective: logistic-l1 | sqhinge-l2 | lsq-l2"},
@@ -263,16 +263,14 @@ func (s Spec) Validate() error {
 	if s.Eta < 0 || math.IsNaN(s.Eta) || math.IsInf(s.Eta, 0) {
 		return fmt.Errorf("eta must be non-negative and finite, got %g", s.Eta)
 	}
-	pol := adaptive.Policy{AdaptC: s.AdaptC, StalenessBound: s.StalenessBound, DCLambda: s.DCLambda}
-	if err := pol.Validate(); err != nil {
+	if err := adaptive.CheckNonNegative("adapt_c", s.AdaptC); err != nil {
 		return err
 	}
-	minBound := int64(0) // 0 disables; a coordinator also takes -1, admit everything
-	if kind == KindCluster {
-		minBound = -1
+	if err := adaptive.CheckNonNegative("dc_lambda", s.DCLambda); err != nil {
+		return err
 	}
-	if s.StalenessBound < minBound {
-		return fmt.Errorf("staleness_bound must be at least %d, got %d", minBound, s.StalenessBound)
+	if s.StalenessBound < -1 {
+		return fmt.Errorf("staleness_bound must be at least -1, got %d", s.StalenessBound)
 	}
 	if kind == KindBatch && s.Epochs < 1 {
 		return fmt.Errorf("epochs must be positive, got %d", s.Epochs)
@@ -295,5 +293,5 @@ func (s Spec) Validate() error {
 	if kind == KindCluster {
 		return nil // the star runs is-asgd at f64; algo and precision do not apply
 	}
-	return Check(s.Algo, kind, pol.Enabled(), s.Importance)
+	return Check(s.Algo, kind, s.DCLambda > 0, s.Importance)
 }

@@ -64,8 +64,8 @@ func TestSurfaceDefaults(t *testing.T) {
 // knob, and every flag name is the JSON name with '_' → '-'.
 func TestFlagSets(t *testing.T) {
 	want := map[Surface]string{
-		Train: "adapt-c algo block-size dc-lambda dim epochs eta importance objective " +
-			"precision rebuild-every reservoir seed staleness-bound step step-decay threads updates-per-block window-blocks",
+		Train: "algo block-size dc-lambda dim epochs eta importance objective " +
+			"precision rebuild-every reservoir seed step step-decay threads updates-per-block window-blocks",
 		Cluster: "adapt-c dataset dc-lambda eta eval-every objective scale seed staleness-bound " +
 			"step step-decay threads",
 	}
@@ -133,13 +133,11 @@ func TestValidate(t *testing.T) {
 		batch(func(s *Spec) {
 			s.Algo = "asgd"
 			s.Precision = "f32"
-			s.AdaptC = 0.1
-			s.StalenessBound = 8
 			s.DCLambda = 0.1
 		}),
 		stream(func(s *Spec) { s.Algo = "is-sgd"; s.Importance = "grad" }),
-		stream(func(s *Spec) { s.Algo = "sgd"; s.AdaptC = 0.1 }),
 		cluster(func(s *Spec) { s.StalenessBound = -1 }),
+		cluster(func(s *Spec) { s.AdaptC = 0.1; s.DCLambda = 0.1 }),
 		cluster(func(s *Spec) { s.Dataset = "kdda"; s.Scale = 0.1 }),
 	}
 	for i, s := range ok {
@@ -163,8 +161,8 @@ func TestValidate(t *testing.T) {
 		"step_decay above 1":    batch(func(s *Spec) { s.StepDecay = 1.5 }),
 		"NaN eta":               batch(func(s *Spec) { s.Eta = math.NaN() }),
 		"negative eta":          batch(func(s *Spec) { s.Eta = -1 }),
-		"NaN adapt_c":           batch(func(s *Spec) { s.AdaptC = math.NaN() }),
-		"negative bound":        batch(func(s *Spec) { s.StalenessBound = -1 }),
+		"NaN adapt_c":           cluster(func(s *Spec) { s.AdaptC = math.NaN() }),
+		"negative dc_lambda":    cluster(func(s *Spec) { s.DCLambda = -1 }),
 		"bound below -1":        cluster(func(s *Spec) { s.StalenessBound = -2 }),
 		"zero epochs":           batch(func(s *Spec) { s.Epochs = 0 }),
 		"negative threads":      batch(func(s *Spec) { s.Threads = -1 }),
@@ -177,7 +175,7 @@ func TestValidate(t *testing.T) {
 		"algo on cluster":       cluster(func(s *Spec) { s.Algo = "is-asgd" }),
 		"svrg on stream":        stream(func(s *Spec) { s.Algo = "svrg-sgd" }),
 		"f32 saga":              batch(func(s *Spec) { s.Algo = "saga"; s.Precision = "f32" }),
-		"adaptive svrg":         batch(func(s *Spec) { s.Algo = "svrg-asgd"; s.StalenessBound = 8 }),
+		"dc svrg":               batch(func(s *Spec) { s.Algo = "svrg-asgd"; s.DCLambda = 0.1 }),
 		"grad importance asgd":  stream(func(s *Spec) { s.Algo = "asgd"; s.Importance = "grad" }),
 		"grad importance batch": batch(func(s *Spec) { s.Importance = "grad" }),
 		"loss importance":       stream(func(s *Spec) { s.Importance = "loss" }),
@@ -187,23 +185,33 @@ func TestValidate(t *testing.T) {
 			t.Errorf("%s accepted", name)
 		}
 	}
+	// The coordinator's push-level knobs: a batch or stream run refuses
+	// them with an error that names the cluster.
+	for name, s := range map[string]Spec{
+		"adapt_c":         batch(func(s *Spec) { s.AdaptC = 0.1 }),
+		"staleness_bound": stream(func(s *Spec) { s.StalenessBound = 8 }),
+	} {
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), KindCluster) {
+			t.Errorf("%s on kind %s: err %v, want one naming it and the cluster", name, s.Kind, err)
+		}
+	}
 }
 
 // TestCheckExhaustive walks the whole capability table: algo × kind ×
-// adaptive × importance. The rows it accepts are exactly the plain
-// algorithms' combinations, plus SVRG as non-adaptive batch runs; grad
-// importance needs a weighted sampler; no other verdict exists.
+// delay compensation × importance. The rows it accepts are exactly the
+// plain algorithms' combinations, plus SVRG as batch runs without DC;
+// grad importance needs a weighted sampler; no other verdict exists.
 func TestCheckExhaustive(t *testing.T) {
 	for _, a := range algos {
 		for _, kind := range []string{KindBatch, KindStream} {
-			for _, adaptive := range []bool{false, true} {
+			for _, dc := range []bool{false, true} {
 				for _, imp := range []string{"", "bound", "grad"} {
-					want := (a.Plain || (kind == KindBatch && !adaptive)) &&
+					want := (a.Plain || (kind == KindBatch && !dc)) &&
 						(imp != "grad" || a.Weighted)
-					err := Check(a.Name, kind, adaptive, imp)
+					err := Check(a.Name, kind, dc, imp)
 					if (err == nil) != want {
-						t.Errorf("%s/%s/adaptive=%v/importance=%q: err %v, want ok=%v",
-							a.Name, kind, adaptive, imp, err, want)
+						t.Errorf("%s/%s/dc=%v/importance=%q: err %v, want ok=%v",
+							a.Name, kind, dc, imp, err, want)
 					}
 				}
 			}

@@ -7,11 +7,9 @@ import (
 	"math"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"github.com/isasgd/isasgd/internal/adaptive"
 	"github.com/isasgd/isasgd/internal/objective"
 	"github.com/isasgd/isasgd/internal/obs"
 	"github.com/isasgd/isasgd/internal/xrand"
@@ -321,31 +319,10 @@ func TestTrainerLossFeedbackEndToEnd(t *testing.T) {
 	}
 }
 
-// racingObj stands in for workers the trainer does not run: every third
-// gradient read, from any worker, two foreign updates land on the
-// trainer's clock before the write, so that update measures τ ≥ 2 (on a
-// single-worker run, exactly 2).
-type racingObj struct {
-	objective.LogisticL1
-	ck    *adaptive.Clock
-	reads atomic.Int64
-}
-
-func (o *racingObj) Deriv(z, y float64) float64 {
-	if o.reads.Add(1)%3 == 0 {
-		o.ck.Tick()
-		o.ck.Tick()
-	}
-	return o.LogisticL1.Deriv(z, y)
-}
-
-// TestTrainerStalenessAdaptive covers the staleness-adaptive knobs on
-// both precisions: a multi-worker run with a tight bound still trains; a
-// single worker — τ exactly 0 — sheds nothing and observes only zeros;
-// and with a scripted τ = 2 on every third update under a bound of 1,
-// exactly those updates are shed, and the count the trainer reports is
-// the one the instruments export (workers add their sheds once per
-// block, not per update).
+// TestTrainerStalenessAdaptive covers the staleness probe the trainer
+// keeps once it has no policy, on both precisions: a multi-worker run
+// with the histograms attached trains and records one sample per applied
+// update, and a single worker — τ exactly 0 — observes only zeros.
 func TestTrainerStalenessAdaptive(t *testing.T) {
 	const (
 		n   = 1024
@@ -353,70 +330,43 @@ func TestTrainerStalenessAdaptive(t *testing.T) {
 		bs  = 256
 	)
 	corpus := makeSkewedCorpus(n, dim, 0.5, 3, 4)
-	run := func(cfg Config) (*Trainer, *Result, *obs.TrainInstruments) {
-		cfg.Instruments = obs.NewTrainInstruments(obs.NewRegistry(), "m")
-		tr, err := NewTrainer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if o, ok := cfg.Obj.(*racingObj); ok {
-			o.ck = tr.loop.Clock()
-		}
-		res, err := tr.Run(context.Background(), NewReader(strings.NewReader(corpus), "skew", bs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := cfg.Instruments.UpdatesShed.Count(), tr.Shed(); got != want {
-			t.Fatalf("isasgd_train_updates_shed_total = %d, Shed() = %d", got, want)
-		}
-		return tr, res, cfg.Instruments
-	}
 	for _, precision := range []string{"", "f32"} {
-		cfg := streamConfig(dim, false)
-		cfg.Precision = precision
-		cfg.Workers = 4
-		cfg.AdaptC = 0.1
-		cfg.StalenessBound = 8
-		if _, res, _ := run(cfg); res.Updates == 0 {
-			t.Fatalf("precision %q: adaptive run applied no updates", precision)
-		}
-
-		cfg.Workers = 1
-		cfg.AdaptC = 0.5
-		cfg.StalenessBound = 1
-		tr, res, ti := run(cfg)
-		if got := tr.Shed(); got != 0 {
-			t.Fatalf("precision %q: single-worker run shed %d updates, want 0", precision, got)
-		}
-		if h := ti.WorkerStaleness(1)[0]; h.Count() != res.Updates || h.Quantile(1) != 0 {
-			t.Fatalf("precision %q: single worker observed %d staleness samples (max %g) over %d updates, want all 0",
-				precision, h.Count(), h.Quantile(1), res.Updates)
-		}
-
-		racing := &racingObj{LogisticL1: objective.LogisticL1{Eta: 1e-4}}
-		cfg.Obj = racing
-		tr, res, _ = run(cfg)
-		reads := racing.reads.Load()
-		if got, want := tr.Shed(), reads/3; got != want || want == 0 {
-			t.Fatalf("precision %q: shed %d of %d gradient reads, want every third (%d)", precision, got, reads, want)
-		}
-		if res.Updates+tr.Shed() != reads {
-			t.Fatalf("precision %q: applied %d + shed %d != %d gradient reads", precision, res.Updates, tr.Shed(), reads)
+		for _, workers := range []int{4, 1} {
+			cfg := streamConfig(dim, false)
+			cfg.Precision = precision
+			cfg.Workers = workers
+			ti := obs.NewTrainInstruments(obs.NewRegistry(), "m")
+			cfg.Instruments = ti
+			tr, err := NewTrainer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := tr.Run(context.Background(), NewReader(strings.NewReader(corpus), "skew", bs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var count int64
+			for _, h := range ti.WorkerStaleness(workers) {
+				count += h.Count()
+			}
+			if res.Updates == 0 || count != res.Updates {
+				t.Fatalf("precision %q, %d workers: %d staleness samples over %d updates", precision, workers, count, res.Updates)
+			}
+			if h := ti.WorkerStaleness(1)[0]; workers == 1 && h.Quantile(1) != 0 {
+				t.Fatalf("precision %q: single worker observed staleness up to %g, want all 0", precision, h.Quantile(1))
+			}
 		}
 	}
 }
 
 // TestTrainerAdaptiveConfigValidation pins the rejection matrix for the
-// new knobs.
+// importance knob.
 func TestTrainerAdaptiveConfigValidation(t *testing.T) {
 	base := func() Config { return streamConfig(64, false) }
 	for name, mutate := range map[string]func(*Config){
 		"bad importance":    func(c *Config) { c.Importance = "entropy" },
 		"grad with uniform": func(c *Config) { c.Importance = "grad"; c.Uniform = true },
 		"loss importance":   func(c *Config) { c.Importance = "loss" },
-		"negative adaptC":   func(c *Config) { c.AdaptC = -1 },
-		"NaN adaptC":        func(c *Config) { c.AdaptC = math.NaN() },
-		"negative bound":    func(c *Config) { c.StalenessBound = -5 },
 	} {
 		cfg := base()
 		mutate(&cfg)
@@ -427,9 +377,7 @@ func TestTrainerAdaptiveConfigValidation(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
 		"bound importance": func(c *Config) { c.Importance = "bound" },
 		"grad importance":  func(c *Config) { c.Importance = "grad" },
-		"adaptive f64":     func(c *Config) { c.AdaptC = 0.25; c.StalenessBound = 16 },
 		"grad with f32":    func(c *Config) { c.Importance = "grad"; c.Precision = "f32" },
-		"adaptive f32":     func(c *Config) { c.AdaptC = 0.25; c.StalenessBound = 16; c.Precision = "f32" },
 	} {
 		cfg := base()
 		mutate(&cfg)

@@ -174,9 +174,9 @@ func TestRangedCutEqualsSnapshot(t *testing.T) {
 // patch the buffer of an older version with only the coordinates the
 // updates wrote since, a reader that loads and holds every k-th version
 // finds each held version equal, bit for bit, to the Snapshot taken at
-// its cut — for every model kind, at one and three workers and under an
-// adaptive policy, whose loop body attenuates steps and sheds updates as
-// concurrent workers make them stale — and the patch path ran.
+// its cut — for every model kind, at one and three workers and under
+// gradient-norm importance, whose loop body records |ℓ'| beside each
+// row as concurrent workers write — and the patch path ran.
 // Concurrent racy workers are the Hogwild race itself, so the racy kinds
 // run at three workers only without the race detector.
 func TestPatchedCutEqualsSnapshot(t *testing.T) {
@@ -191,7 +191,7 @@ func TestPatchedCutEqualsSnapshot(t *testing.T) {
 		kind      model.Kind
 		precision string
 		workers   int
-		adaptive  bool
+		grad      bool
 	}
 	var runs []run
 	for _, kind := range []model.Kind{model.KindAtomic, model.KindRacy} {
@@ -206,12 +206,12 @@ func TestPatchedCutEqualsSnapshot(t *testing.T) {
 	}
 	runs = append(runs, run{model.KindAtomic, "", 3, true})
 	for _, r := range runs {
-		name := fmt.Sprintf("%v/%s/%d workers/adaptive %v", r.kind, r.precision, r.workers, r.adaptive)
+		name := fmt.Sprintf("%v/%s/%d workers/grad %v", r.kind, r.precision, r.workers, r.grad)
 		st := snapshot.NewStore()
 		cfg := streamConfig(dim, false)
 		cfg.Workers, cfg.ModelKind, cfg.Precision, cfg.Snapshots = r.workers, r.kind, r.precision, st
-		if r.adaptive {
-			cfg.AdaptC, cfg.StalenessBound = 0.5, 1
+		if r.grad {
+			cfg.Importance = "grad"
 		}
 		tr, err := NewTrainer(cfg)
 		if err != nil {

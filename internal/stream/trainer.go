@@ -64,15 +64,6 @@ type Config struct {
 	// (uniform draws ignore weights entirely).
 	Importance string
 
-	// AdaptC, when > 0, scales each update's step by 1/(1+AdaptC·τ) where
-	// τ is that update's measured staleness (asynchronous updates other
-	// workers applied between its gradient read and its write).
-	AdaptC float64
-	// StalenessBound, when > 0, sheds updates whose measured τ exceeds it
-	// instead of applying them (shed counts surface via Trainer.Shed and
-	// the isasgd_train_updates_shed_total counter).
-	StalenessBound int64
-
 	ModelKind model.Kind // shared-model storage; default KindAtomic
 
 	// Precision selects the training data-path width: model.PrecisionF64
@@ -289,7 +280,6 @@ func FromSpec(s spec.Spec) Config {
 		Uniform: !a.Weighted, Seed: s.Seed,
 		Precision:  prec,
 		Importance: s.Importance,
-		AdaptC:     s.AdaptC, StalenessBound: s.StalenessBound,
 	}
 }
 
@@ -329,17 +319,13 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 	if prec == model.PrecisionF32 {
 		cfg.ModelKind = cfg.ModelKind.As32()
 	}
-	pol := adaptive.Policy{AdaptC: cfg.AdaptC, StalenessBound: cfg.StalenessBound}
-	if cfg.StalenessBound < 0 {
-		return nil, fmt.Errorf("stream: Config.StalenessBound must be non-negative, got %d", cfg.StalenessBound)
-	}
 	// The trainer runs one of two samplers; asgd and is-asgd are the
 	// capability table's rows for them.
 	sampler := "is-asgd"
 	if cfg.Uniform {
 		sampler = "asgd"
 	}
-	if err := spec.Check(sampler, spec.KindStream, pol.Enabled(), cfg.Importance); err != nil {
+	if err := spec.Check(sampler, spec.KindStream, false, cfg.Importance); err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
 	t := &Trainer{
@@ -356,9 +342,6 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 	// The batch engine's update loop, bound to this model.
 	t.loop.Bind(t.m, cfg.Obj)
 	t.loop.Instrument(cfg.Instruments, cfg.Workers)
-	if err := t.loop.SetAdaptive(pol); err != nil {
-		return nil, fmt.Errorf("stream: %w", err)
-	}
 	if cfg.ModelKind.Is32() && cfg.Snapshots != nil {
 		// Stamp before the first publish so serving readers can take the
 		// lossless half-bandwidth f32 scoring path from version one.
@@ -394,10 +377,6 @@ func (t *Trainer) Updates() int64 { return t.updates }
 
 // Rows returns the number of rows ingested so far.
 func (t *Trainer) Rows() int64 { return t.rows }
-
-// Shed returns the cumulative number of updates dropped because their
-// measured staleness exceeded Config.StalenessBound.
-func (t *Trainer) Shed() int64 { return t.loop.Shed() }
 
 // EstPsi returns the streaming estimate of ψ (Eq. 15, normalized).
 func (t *Trainer) EstPsi() float64 { return t.mom.psi() }
@@ -536,41 +515,32 @@ func (t *Trainer) runUpdates(blockRows int) {
 }
 
 // work applies worker w's quota of updates and returns how many it
-// applied. It draws a plan, runs it through the update loop, and draws
-// again for the updates the loop shed, until the quota is met or 4·quota
-// draws are spent: a shed update costs its draw but not the quota. The
-// draws come from the worker's generator in the order they are made, so
-// the draw sequence is the one that drawing each row inside the loop
-// gives. Under gradient-norm importance the loop stores each update's
-// |ℓ'| beside its window row, which only this worker's draws reach;
-// nothing reads them before the next rebuild. The supports of the rows
-// it ran go on the worker's own list for the next cut (cutLog).
+// applied: it draws one plan of at most 4·quota draws and runs it
+// through the update loop.
+// Under gradient-norm importance the loop stores each update's |ℓ'|
+// beside its window row, which only this worker's draws reach; nothing
+// reads them before the next rebuild. The supports of the rows it ran go
+// on the worker's own list for the next cut (cutLog).
 func (t *Trainer) work(w, quota int) int64 {
 	p := &t.plans[w]
-	p.drawn = 0
-	budget := 4 * quota
-	var applied int64
-	for int(applied) < quota {
-		live := t.draw(w, quota-int(applied), budget)
-		if n := len(p.rows); n > 0 {
-			applied += int64(n) - t.loop.Run(w, &t.win.x, p.rows, p.seq, p.scales, t.step, t.win.grad)
-			t.cuts.wrote(w, &t.win.x, p.rows)
-		}
-		if !live || p.drawn >= budget {
-			break
-		}
+	t.draw(w, quota, 4*quota)
+	if len(p.rows) > 0 {
+		t.loop.Run(w, &t.win.x, p.rows, p.seq, p.scales, t.step, t.win.grad)
+		t.cuts.wrote(w, &t.win.x, p.rows)
 	}
-	return applied
+	return int64(len(p.rows))
 }
 
-// draw refills worker w's plan with up to want draws from its ISState
-// while fewer than budget draws have been made this phase. A draw whose
-// row was evicted since the last rebuild, or whose scale is zero, spends
-// its draw and is dropped. It reports false when nothing has been
-// published to draw from.
-func (t *Trainer) draw(w, want, budget int) bool {
+// draw refills worker w's plan with want draws from its ISState, making
+// at most budget draws. A draw whose row was evicted since the last
+// rebuild, or whose scale is zero, spends its draw and is dropped; the
+// plan stays short when nothing has been published to draw from. The
+// draws come from the worker's generator in the order they are made, so
+// the draw sequence is the one that drawing each row inside the loop
+// gives.
+func (t *Trainer) draw(w, want, budget int) {
 	p, rng, st, first := &t.plans[w], t.rngs[w], t.sts[w], t.win.first()
-	p.rows, p.seq, p.scales = p.rows[:0], p.seq[:0], p.scales[:0]
+	p.rows, p.seq, p.scales, p.drawn = p.rows[:0], p.seq[:0], p.scales[:0], 0
 	for len(p.rows) < want && p.drawn < budget {
 		p.drawn++
 		var (
@@ -584,7 +554,7 @@ func (t *Trainer) draw(w, want, budget int) bool {
 			e, scale, ok = st.Sample(rng)
 		}
 		if !ok {
-			return false
+			return
 		}
 		if e.Ref < first || scale <= 0 {
 			continue
@@ -595,7 +565,6 @@ func (t *Trainer) draw(w, want, budget int) bool {
 			p.scales = append(p.scales, scale)
 		}
 	}
-	return true
 }
 
 // minCutRange is the fewest coordinates worth a worker of their own when
@@ -618,9 +587,9 @@ const maxPatchFrac = 16
 // cutLog records which coordinates the updates wrote, so a cut into the
 // buffer of one of the trainer's recent versions copies only those.
 // Between two cuts the model changes only in the supports of the rows
-// the workers' plans ran: every update the loop applies (plain, DC or
-// shed, which writes nothing) and the regularizer term it fuses touch
-// only its row's support, and nothing else writes the model.
+// the workers' plans ran: every update the loop applies and the
+// regularizer term it fuses touch only its row's support, and nothing
+// else writes the model.
 type cutLog struct {
 	// s1 < s2 are the seqs of the trainer's last two accepted cuts; 0 is
 	// unknown, after a dropped list or before the first two cuts.
